@@ -3,11 +3,11 @@
 namespace caps {
 
 void SmStats::merge(const SmStats& o) {
-  // u64 counters come from the registry, so a newly added counter can never
-  // be forgotten here; the RunningStat accumulators merge by hand.
+  // Both registries drive the merge, so a newly added counter or
+  // accumulator can never be forgotten here.
   for_each_counter_member([&](const char*, auto m) { this->*m += o.*m; });
-  pf_distance.merge(o.pf_distance);
-  demand_miss_latency.merge(o.demand_miss_latency);
+  for_each_running_stat_member(
+      [&](const char*, auto m) { (this->*m).merge(o.*m); });
 }
 
 }  // namespace caps

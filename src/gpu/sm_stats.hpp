@@ -76,6 +76,14 @@ struct SmStats {
     f("pf_wakeups", &SmStats::pf_wakeups);
   }
 
+  /// RunningStat registry: merge() and stats_signature() iterate it, so a
+  /// new accumulator can escape neither aggregation nor the determinism gate.
+  template <typename F>
+  static void for_each_running_stat_member(F&& f) {
+    f("pf_distance", &SmStats::pf_distance);
+    f("demand_miss_latency", &SmStats::demand_miss_latency);
+  }
+
   template <typename F>
   void for_each_counter(F&& f) const {
     for_each_counter_member(

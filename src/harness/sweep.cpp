@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <exception>
 #include <sstream>
 #include <thread>
@@ -96,6 +97,15 @@ std::string stats_signature(const GpuStats& s) {
   group("traffic", s.traffic);
   group("dram", s.dram);
   group("l2", s.l2);
+  // Accumulators render their count and the exact bits (%a) of sum, min and
+  // max, so a one-ulp drift in a latency or distance fails the gate too.
+  SmStats::for_each_running_stat_member([&](const char* name, auto m) {
+    const RunningStat& r = s.sm.*m;
+    char bits[96];
+    std::snprintf(bits, sizeof bits, "%a/%a/%a", r.sum(), r.min(), r.max());
+    os << "sm." << name << "=n " << r.count() << " sum/min/max " << bits
+       << '\n';
+  });
   for (const std::string& v : s.audit_violations) os << "audit=" << v << '\n';
   return os.str();
 }
