@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   LoadTraceCollector collector;
   RunConfig rc;
   rc.workload = "MM";
-  run_sweep(std::vector<SweepJob>{{rc, collector.hook()}});
+  run_sweep(std::vector<SweepJob>{{rc, collector.sink()}});
 
   const Addr pc = collector.hottest_pc();
   const u32 wpc = find_workload("MM").kernel.warps_per_cta();

@@ -37,7 +37,7 @@
 namespace caps::analysis {
 
 /// Static timeliness prediction for one prefetchable load PC, mirroring the
-/// runtime PrefetchOutcome buckets (gpu/ldst_unit.hpp). kMixed marks PCs
+/// runtime prefetch-outcome trace kinds (gpu/trace.hpp). kMixed marks PCs
 /// where the static model expects no dominant bucket and declines to gate.
 enum class TimelinessClass : u8 {
   kTimelyDominant,  ///< most trailing demands hit a completed prefetch

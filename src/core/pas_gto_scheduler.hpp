@@ -11,77 +11,28 @@
 // SchedulerKind::kGto vs this class via make_policies overrides.
 #pragma once
 
-#include "gpu/scheduler.hpp"
+#include "core/pas_marker.hpp"
 
 namespace caps {
 
-class PasGtoScheduler final : public Scheduler {
+class PasGtoScheduler final : public LeadingMarkerProtocol<GtoScheduler> {
  public:
-  PasGtoScheduler(const GpuConfig& cfg, std::vector<WarpContext>& warps,
-                  std::function<bool(u32, Cycle)> eligible,
-                  std::function<bool(u32)> waiting_mem)
-      : Scheduler(cfg, warps, std::move(eligible), std::move(waiting_mem)) {}
+  using LeadingMarkerProtocol::LeadingMarkerProtocol;
 
   void on_cta_launch(u32 /*cta_slot*/, u32 first_warp,
                      u32 /*num_warps*/) override {
-    warps_[first_warp].leading = true;
-    ++markers_set_;
-    emit(SchedEventKind::kLeadingMark, first_warp);
+    mark_leading(first_warp);
   }
-
-  void on_global_access(u32 slot) override {
-    // Greedy leading priority ends at the warp's first global access; the
-    // marker protocol belongs to the PAS schedulers (capsim-lint
-    // leading-marker rule).
-    if (!warps_[slot].leading) return;
-    warps_[slot].leading = false;
-    emit(SchedEventKind::kLeadingClear, slot);
-  }
-
-  void on_warp_done(u32 slot) override {
-    if (greedy_ == static_cast<i32>(slot)) greedy_ = kNoWarp;
-  }
-
-  /// Leading-warp markers set (one per CTA launch); schedule-oracle hook.
-  u64 markers_set() const { return markers_set_; }
 
   i32 pick(Cycle now) override {
-    // Leading warps first (oldest wins), greedily.
-    i32 best = kNoWarp;
-    u64 best_age = ~0ULL;
-    for (u32 slot = 0; slot < cfg_.max_warps_per_sm; ++slot) {
-      const WarpContext& w = warps_[slot];
-      if (!w.leading || !w.runnable() || !eligible_(slot, now)) continue;
-      if (w.launch_order < best_age) {
-        best_age = w.launch_order;
-        best = static_cast<i32>(slot);
-      }
-    }
-    if (best != kNoWarp) {
-      greedy_ = best;
-      return best;
-    }
-    // Plain GTO.
-    if (greedy_ != kNoWarp && warps_[static_cast<u32>(greedy_)].runnable() &&
-        eligible_(static_cast<u32>(greedy_), now))
-      return greedy_;
-    best_age = ~0ULL;
-    for (u32 slot = 0; slot < cfg_.max_warps_per_sm; ++slot) {
-      if (!warps_[slot].runnable() || !eligible_(slot, now)) continue;
-      if (warps_[slot].launch_order < best_age) {
-        best_age = warps_[slot].launch_order;
-        best = static_cast<i32>(slot);
-      }
-    }
-    greedy_ = best;
-    return best;
+    // Leading warps first (oldest wins), greedily; otherwise plain GTO.
+    const i32 leader = oldest_eligible(now, /*leading_only=*/true);
+    if (leader == kNoWarp) return GtoScheduler::pick(now);
+    greedy_ = leader;
+    return leader;
   }
 
   const char* name() const override { return "PAS-GTO"; }
-
- private:
-  i32 greedy_ = kNoWarp;
-  u64 markers_set_ = 0;
 };
 
 }  // namespace caps

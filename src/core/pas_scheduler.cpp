@@ -7,9 +7,7 @@ namespace caps {
 void PasScheduler::on_cta_launch(u32 /*cta_slot*/, u32 first_warp,
                                  u32 num_warps) {
   // Mark the CTA's first warp as its leading warp (one-bit marker).
-  warps_[first_warp].leading = true;
-  ++markers_set_;
-  emit(SchedEventKind::kLeadingMark, first_warp);
+  mark_leading(first_warp);
 
   // Leading warp jumps the queue (Fig. 8b): front of the ready queue when
   // a slot is free, otherwise front of the pending queue so the next
@@ -53,7 +51,7 @@ void PasScheduler::on_prefetch_fill(u32 slot) {
     bool displaced = false;
     for (auto rit = ready_.rbegin(); rit != ready_.rend(); ++rit) {
       if (!warps_[*rit].leading) {
-        emit(SchedEventKind::kForcedDemotion, *rit);
+        emit(TraceKind::kForcedDemotion, *rit);
         pending_.push_front(*rit);
         ready_.erase(std::next(rit).base());
         displaced = true;
@@ -62,7 +60,7 @@ void PasScheduler::on_prefetch_fill(u32 slot) {
     }
     if (!displaced) {
       // All ready warps are leading: demote the tail.
-      emit(SchedEventKind::kForcedDemotion, ready_.back());
+      emit(TraceKind::kForcedDemotion, ready_.back());
       pending_.push_front(ready_.back());
       ready_.pop_back();
     }
@@ -70,17 +68,7 @@ void PasScheduler::on_prefetch_fill(u32 slot) {
   }
   ready_.push_back(slot);
   ++wakeup_promotions_;
-  emit(SchedEventKind::kEagerWakeup, slot);
-}
-
-void PasScheduler::on_global_access(u32 slot) {
-  // Leading-warp priority is only needed until the base address is computed
-  // (Section V-A): after its first global access the warp competes like any
-  // other. The marker protocol lives here, not in the SM — enforced by the
-  // capsim-lint leading-marker rule.
-  if (!warps_[slot].leading) return;
-  warps_[slot].leading = false;
-  emit(SchedEventKind::kLeadingClear, slot);
+  emit(TraceKind::kEagerWakeup, slot);
 }
 
 }  // namespace caps

@@ -10,23 +10,22 @@
 //     trailing ready warp is forcibly pushed back to the pending queue.
 #pragma once
 
-#include "gpu/scheduler.hpp"
+#include "core/pas_marker.hpp"
 
 namespace caps {
 
-class PasScheduler final : public TwoLevelScheduler {
+class PasScheduler final : public LeadingMarkerProtocol<TwoLevelScheduler> {
  public:
   PasScheduler(const GpuConfig& cfg, std::vector<WarpContext>& warps,
                std::function<bool(u32, Cycle)> eligible,
                std::function<bool(u32)> waiting_mem,
                bool eager_wakeup = true)
-      : TwoLevelScheduler(cfg, warps, std::move(eligible),
-                          std::move(waiting_mem)),
+      : LeadingMarkerProtocol(cfg, warps, std::move(eligible),
+                              std::move(waiting_mem)),
         eager_wakeup_(eager_wakeup) {}
 
   void on_cta_launch(u32 cta_slot, u32 first_warp, u32 num_warps) override;
   void on_prefetch_fill(u32 slot) override;
-  void on_global_access(u32 slot) override;
   const char* name() const override { return "PAS"; }
 
   // Read-only introspection for the schedule oracle (DESIGN.md §12).
@@ -34,8 +33,6 @@ class PasScheduler final : public TwoLevelScheduler {
   u64 wakeup_promotions() const { return wakeup_promotions_; }
   /// Ready trailing warps displaced back to pending by an eager wake-up.
   u64 forced_demotions() const { return forced_demotions_; }
-  /// Leading-warp markers set (one per CTA launch).
-  u64 markers_set() const { return markers_set_; }
 
  protected:
   i32 next_promotion(Cycle now) override;
@@ -44,7 +41,6 @@ class PasScheduler final : public TwoLevelScheduler {
   bool eager_wakeup_;
   u64 wakeup_promotions_ = 0;
   u64 forced_demotions_ = 0;
-  u64 markers_set_ = 0;
 };
 
 }  // namespace caps

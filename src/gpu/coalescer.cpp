@@ -24,14 +24,4 @@ void Coalescer::coalesce_into(const AddressPattern& p, const Dim3& block,
   std::sort(out.begin(), out.end());
 }
 
-std::vector<Addr> Coalescer::coalesce(const AddressPattern& p,
-                                      const Dim3& block, const Dim3& cta_id,
-                                      u32 cta_flat, u32 warp_in_cta,
-                                      u32 iter) const {
-  std::vector<Addr> lines;
-  lines.reserve(4);
-  coalesce_into(p, block, cta_id, cta_flat, warp_in_cta, iter, lines);
-  return lines;
-}
-
 }  // namespace caps

@@ -29,11 +29,6 @@ class Coalescer {
                      const Dim3& cta_id, u32 cta_flat, u32 warp_in_cta,
                      u32 iter, std::vector<Addr>& out) const;
 
-  /// Convenience form returning a fresh vector (tests, offline analysis).
-  std::vector<Addr> coalesce(const AddressPattern& p, const Dim3& block,
-                             const Dim3& cta_id, u32 cta_flat, u32 warp_in_cta,
-                             u32 iter) const;
-
  private:
   u32 line_size_;
 };

@@ -5,15 +5,16 @@
 namespace caps {
 
 Gpu::Gpu(const GpuConfig& cfg, const Kernel& kernel,
-         const SmPolicyFactories& policies, TraceHooks trace)
+         const SmPolicyFactories& policies, TraceSink trace)
     : cfg_(cfg),
       kernel_(kernel),
+      trace_(std::move(trace)),
       mem_(cfg),
       distributor_(kernel.grid(), cfg.num_sms) {
   cfg_.validate();
   for (u32 i = 0; i < cfg_.num_sms; ++i)
     sms_.push_back(std::make_unique<StreamingMultiprocessor>(
-        cfg_, i, kernel_, mem_, policies, trace));
+        cfg_, i, kernel_, mem_, policies, trace_ ? &trace_ : nullptr));
 }
 
 void Gpu::dispatch_ctas() {

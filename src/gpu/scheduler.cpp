@@ -26,22 +26,27 @@ void GtoScheduler::on_warp_done(u32 slot) {
   if (greedy_ == static_cast<i32>(slot)) greedy_ = kNoWarp;
 }
 
+i32 GtoScheduler::oldest_eligible(Cycle now, bool leading_only) const {
+  i32 best = kNoWarp;
+  u64 best_age = ~0ULL;
+  for (u32 slot = 0; slot < cfg_.max_warps_per_sm; ++slot) {
+    const WarpContext& w = warps_[slot];
+    if ((leading_only && !w.leading) || !w.runnable() || !eligible_(slot, now))
+      continue;
+    if (w.launch_order < best_age) {
+      best_age = w.launch_order;
+      best = static_cast<i32>(slot);
+    }
+  }
+  return best;
+}
+
 i32 GtoScheduler::pick(Cycle now) {
   if (greedy_ != kNoWarp && warps_[static_cast<u32>(greedy_)].runnable() &&
       eligible_(static_cast<u32>(greedy_), now))
     return greedy_;
-  // Oldest eligible warp by launch order.
-  i32 best = kNoWarp;
-  u64 best_age = ~0ULL;
-  for (u32 slot = 0; slot < cfg_.max_warps_per_sm; ++slot) {
-    if (!warps_[slot].runnable() || !eligible_(slot, now)) continue;
-    if (warps_[slot].launch_order < best_age) {
-      best_age = warps_[slot].launch_order;
-      best = static_cast<i32>(slot);
-    }
-  }
-  greedy_ = best;
-  return best;
+  greedy_ = oldest_eligible(now, /*leading_only=*/false);
+  return greedy_;
 }
 
 // ---------------------------------------------------------- Two-level ----

@@ -25,6 +25,7 @@ struct WarpContext {
   u32 cta_slot = 0;
   u32 warp_in_cta = 0;
   Dim3 cta_id{};
+  u32 cta_flat = 0;             ///< flatten(cta_id, grid), set at CTA launch
   u32 pc_idx = 0;               ///< index into the kernel instruction vector
   Cycle ready_at = 0;           ///< earliest cycle the warp may issue again
   u32 outstanding_loads = 0;    ///< in-flight coalesced line loads
@@ -43,6 +44,7 @@ struct WarpContext {
     cta_slot = 0;
     warp_in_cta = 0;
     cta_id = Dim3{};
+    cta_flat = 0;
     pc_idx = 0;
     ready_at = 0;
     outstanding_loads = 0;

@@ -61,7 +61,7 @@ SmPolicyFactories make_policies(PrefetcherKind pf, SchedulerKind sched,
 
 namespace {
 
-RunResult run_experiment_unchecked(const RunConfig& cfg, LoadTraceHook trace) {
+RunResult run_experiment_unchecked(const RunConfig& cfg, TraceSink trace) {
   const Workload& w = find_workload(cfg.workload);
   GpuConfig gc = cfg.base;
   gc.prefetcher = cfg.prefetcher;
@@ -96,7 +96,7 @@ RunResult run_experiment_unchecked(const RunConfig& cfg, LoadTraceHook trace) {
 
 }  // namespace
 
-RunResult run_experiment(const RunConfig& cfg, LoadTraceHook trace) {
+RunResult run_experiment(const RunConfig& cfg, TraceSink trace) {
   try {
     return run_experiment_unchecked(cfg, std::move(trace));
   } catch (const SimError& e) {

@@ -77,7 +77,8 @@ SmPolicyFactories make_policies(PrefetcherKind pf, SchedulerKind sched,
 
 /// Run one configuration to completion. Never throws for simulation or
 /// configuration failures — inspect RunResult::status.
-RunResult run_experiment(const RunConfig& cfg, LoadTraceHook trace = nullptr);
+/// `trace` (optional) receives every TraceEvent of the run.
+RunResult run_experiment(const RunConfig& cfg, TraceSink trace = nullptr);
 
 /// Convenience: run `workload` under every Fig. 10 configuration (BASE +
 /// the seven prefetchers) and return results in legend order. Failed

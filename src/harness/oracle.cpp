@@ -178,7 +178,7 @@ void check_exclusion_counters(const GpuStats& stats,
 }
 
 void check_leading_bases(
-    const std::map<std::pair<u32, Addr>, LoadTraceEvent>& first_issues,
+    const std::map<std::pair<u32, Addr>, TraceEvent>& first_issues,
     const Kernel& kernel, const analysis::KernelAnalysis& ka,
     DivergenceSink& sink) {
   for (const auto& [key, e] : first_issues) {
@@ -189,12 +189,12 @@ void check_leading_bases(
     const std::vector<Addr> predicted = analysis::predicted_warp_lines(
         la->pattern, kernel.block(), e.cta_id, e.warp_in_cta, /*iter=*/0,
         ka.line_size);
-    if (predicted.empty() || predicted.front() != e.first_line ||
+    if (predicted.empty() || predicted.front() != e.line ||
         predicted.size() != e.num_lines) {
       sink.add(e.pc, "leading-base-mismatch",
                "PC " + hex_pc(e.pc) + " CTA " + format_dim3(e.cta_id) +
                    " leading warp " + std::to_string(e.warp_in_cta) +
-                   ": runtime base line " + hex_pc(e.first_line) + " (" +
+                   ": runtime base line " + hex_pc(e.line) + " (" +
                    std::to_string(e.num_lines) + " lines), Theta(c) predicts " +
                    (predicted.empty() ? std::string("<none>")
                                       : hex_pc(predicted.front())) +
@@ -236,40 +236,42 @@ std::string format_cta_list(const std::vector<u32>& v) {
   return os.str();
 }
 
-/// Run `w` once and observe the schedule through the trace hooks. `gto`
+/// Run `w` once and observe the schedule through its trace sink. `gto`
 /// swaps in the PAS-GTO scheduler via the policy factory (there is no
 /// SchedulerKind for it; kGto supplies the baseline policy plumbing).
 ScheduleObs run_schedule_observation(const Workload& w, const GpuConfig& gc,
                                      bool gto, u32 predicted_leading_warp) {
   ScheduleObs obs;
-  TraceHooks hooks;
-  hooks.load = [&obs](const LoadTraceEvent& e) {
-    obs.first.emplace(std::make_pair(e.cta_flat, e.pc),
-                      std::make_tuple(e.warp_in_cta, obs.seq, e.sm_id));
-    ++obs.seq;
-  };
-  hooks.sched = [&obs, predicted_leading_warp](const SchedTraceEvent& e) {
+  TraceSink sink = [&obs, predicted_leading_warp](const TraceEvent& e) {
     switch (e.kind) {
-      case SchedEventKind::kLeadingMark:
+      case TraceKind::kLoadIssue:
+        obs.first.emplace(std::make_pair(e.cta_flat, e.pc),
+                          std::make_tuple(e.warp_in_cta, obs.seq, e.sm_id));
+        ++obs.seq;
+        break;
+      case TraceKind::kLeadingMark:
         ++obs.marks;
         if (e.warp_in_cta != predicted_leading_warp) ++obs.mark_warp_viol;
         break;
-      case SchedEventKind::kLeadingClear:
+      case TraceKind::kLeadingClear:
         ++obs.clears;
         break;
-      case SchedEventKind::kEagerWakeup:
+      case TraceKind::kEagerWakeup:
         ++obs.wakeup_events;
         break;
-      case SchedEventKind::kForcedDemotion:
+      case TraceKind::kForcedDemotion:
         ++obs.demotions;
         break;
+      case TraceKind::kPrefetchTimely:
+        ++obs.buckets[e.pc][0];
+        break;
+      case TraceKind::kPrefetchLate:
+        ++obs.buckets[e.pc][1];
+        break;
+      case TraceKind::kPrefetchEarlyEvicted:
+        ++obs.buckets[e.pc][2];
+        break;
     }
-  };
-  hooks.prefetch = [&obs](const PrefetchTraceEvent& e) {
-    auto& b = obs.buckets[e.pc];
-    if (e.outcome == PrefetchOutcome::kTimely) ++b[0];
-    else if (e.outcome == PrefetchOutcome::kLate) ++b[1];
-    else ++b[2];
   };
 
   SmPolicyFactories policies =
@@ -283,7 +285,7 @@ ScheduleObs run_schedule_observation(const Workload& w, const GpuConfig& gc,
                                                std::move(wm));
     };
   }
-  Gpu gpu(gc, w.kernel, policies, hooks);
+  Gpu gpu(gc, w.kernel, policies, std::move(sink));
   obs.stats = gpu.run();
 
   for (u32 i = 0; i < gc.num_sms; ++i) {
@@ -549,16 +551,17 @@ OracleResult cross_check_workload(const Workload& w,
   }
 
   // Record the first issue of every (cta, load PC): the leading warp.
-  std::map<std::pair<u32, Addr>, LoadTraceEvent> first_issues;
-  LoadTraceHook hook = [&first_issues](const LoadTraceEvent& e) {
-    first_issues.emplace(std::make_pair(e.cta_flat, e.pc), e);
+  std::map<std::pair<u32, Addr>, TraceEvent> first_issues;
+  TraceSink trace = [&first_issues](const TraceEvent& e) {
+    if (e.kind == TraceKind::kLoadIssue)
+      first_issues.emplace(std::make_pair(e.cta_flat, e.pc), e);
   };
 
   try {
     gc.validate();
     SmPolicyFactories policies = make_policies(
         PrefetcherKind::kCaps, SchedulerKind::kPas, gc.caps.eager_wakeup);
-    Gpu gpu(gc, w.kernel, policies, hook);
+    Gpu gpu(gc, w.kernel, policies, std::move(trace));
     const GpuStats stats = gpu.run();
 
     if (stats.hit_cycle_limit) {

@@ -7,7 +7,7 @@ namespace caps {
 
 Addr LoadTraceCollector::hottest_pc() const {
   std::unordered_map<Addr, u64> counts;
-  for (const LoadTraceEvent& e : events_) ++counts[e.pc];
+  for (const TraceEvent& e : events_) ++counts[e.pc];
   Addr best = 0;
   u64 best_n = 0;
   for (const auto& [pc, n] : counts) {
@@ -20,7 +20,7 @@ Addr LoadTraceCollector::hottest_pc() const {
 }
 
 std::vector<StrideDistancePoint> analyze_stride_distance(
-    const std::vector<LoadTraceEvent>& events, Addr pc, u32 max_distance,
+    const std::vector<TraceEvent>& events, Addr pc, u32 max_distance,
     u32 warps_per_cta) {
   // First execution of `pc` per (SM, warp slot): the initial generation of
   // warps, i.e. the CTAs resident after the round-robin fill. Warp-slot
@@ -33,13 +33,14 @@ std::vector<StrideDistancePoint> analyze_stride_distance(
   };
   std::map<u32, std::vector<Obs>> per_sm;  // sm -> slot-indexed observations
 
-  for (const LoadTraceEvent& e : events) {
-    if (e.pc != pc) continue;
+  for (const TraceEvent& e : events) {
+    if (e.kind != TraceKind::kLoadIssue || e.pc != pc) continue;
+    const auto slot = static_cast<u32>(e.warp_slot);
     auto& slots = per_sm[e.sm_id];
-    if (slots.size() <= e.warp_slot) slots.resize(e.warp_slot + 1);
-    Obs& o = slots[e.warp_slot];
+    if (slots.size() <= slot) slots.resize(slot + 1);
+    Obs& o = slots[slot];
     if (o.valid) continue;  // keep the first execution only
-    o = Obs{e.first_line, e.cycle, e.cta_flat, true};
+    o = Obs{e.line, e.cycle, e.cta_flat, true};
   }
 
   // The reference stride: consecutive warps of the same CTA.

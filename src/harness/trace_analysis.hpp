@@ -5,25 +5,27 @@
 #include <map>
 #include <vector>
 
-#include "gpu/sm.hpp"
+#include "gpu/trace.hpp"
 #include "isa/kernel.hpp"
 
 namespace caps {
 
-/// Collects load-issue events during a run. Register collector.hook() as
-/// the Gpu's LoadTraceHook.
+/// Collects the load-issue events of a run. Pass collector.sink() as the
+/// run's TraceSink; events of other kinds are ignored.
 class LoadTraceCollector {
  public:
-  LoadTraceHook hook() {
-    return [this](const LoadTraceEvent& e) { events_.push_back(e); };
+  TraceSink sink() {
+    return [this](const TraceEvent& e) {
+      if (e.kind == TraceKind::kLoadIssue) events_.push_back(e);
+    };
   }
-  const std::vector<LoadTraceEvent>& events() const { return events_; }
+  const std::vector<TraceEvent>& events() const { return events_; }
 
   /// PC of the most frequently issued load.
   Addr hottest_pc() const;
 
  private:
-  std::vector<LoadTraceEvent> events_;
+  std::vector<TraceEvent> events_;
 };
 
 /// One point of the Fig. 1 experiment.
@@ -38,7 +40,7 @@ struct StrideDistancePoint {
 /// gap as a function of warp distance, computed from the first generation
 /// of warps on each SM for the hottest load PC.
 std::vector<StrideDistancePoint> analyze_stride_distance(
-    const std::vector<LoadTraceEvent>& events, Addr pc, u32 max_distance,
+    const std::vector<TraceEvent>& events, Addr pc, u32 max_distance,
     u32 warps_per_cta);
 
 /// Fig. 4 static+dynamic load analysis of a kernel.

@@ -72,8 +72,8 @@ class Mshr {
   }
 
   /// Service a fill without allocating: appends the entry's waiters to `out`
-  /// in merge order (after clearing it) and frees the slot in place. This is
-  /// the hot-path form; callers keep a reserved scratch vector.
+  /// in merge order (after clearing it) and frees the slot in place. Callers
+  /// keep a reserved scratch vector.
   void fill_into(Addr line, std::vector<Waiter>& out) {
     const u32 i = find(line);
     CAPS_CHECK(i != kInvalid, "MSHR fill for a line with no entry");
@@ -83,13 +83,6 @@ class Mshr {
     s.waiters.clear();  // keeps capacity: the slot never re-allocates
     s.valid = false;
     free_.push_back(i);
-  }
-
-  /// Service a fill: removes the entry, returns its waiters in merge order.
-  std::vector<Waiter> fill(Addr line) {
-    std::vector<Waiter> waiters;
-    fill_into(line, waiters);
-    return waiters;
   }
 
   /// Sorted in-flight line addresses (watchdog snapshots, auditing).

@@ -123,7 +123,8 @@ TEST(MshrGuardTest, MergePastCapacityThrows) {
 
 TEST(MshrGuardTest, FillOfAbsentLineThrows) {
   Mshr<int> m(4, 2);
-  EXPECT_THROW(m.fill(0x100), SimError);
+  std::vector<int> waiters;
+  EXPECT_THROW(m.fill_into(0x100, waiters), SimError);
 }
 
 TEST(MshrTest, OutstandingLinesAreSorted) {

@@ -22,7 +22,8 @@ TEST(CoalescerTest, FullyCoalescedWarpIsOneLine) {
   Coalescer co(128);
   // 32 lanes * 4B, line-aligned base -> exactly one 128B line.
   AddressPattern p = linear_pattern(0x1000, 4, 32);
-  auto lines = co.coalesce(p, {32, 1, 1}, {0, 0}, 0, 0, 0);
+  std::vector<Addr> lines;
+  co.coalesce_into(p, {32, 1, 1}, {0, 0}, 0, 0, 0, lines);
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_EQ(lines[0], 0x1000u);
 }
@@ -30,7 +31,8 @@ TEST(CoalescerTest, FullyCoalescedWarpIsOneLine) {
 TEST(CoalescerTest, MisalignedBaseSplitsIntoTwoLines) {
   Coalescer co(128);
   AddressPattern p = linear_pattern(0x1040, 4, 32);  // 64B into a line
-  auto lines = co.coalesce(p, {32, 1, 1}, {0, 0}, 0, 0, 0);
+  std::vector<Addr> lines;
+  co.coalesce_into(p, {32, 1, 1}, {0, 0}, 0, 0, 0, lines);
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_EQ(lines[0], 0x1000u);
   EXPECT_EQ(lines[1], 0x1080u);
@@ -39,7 +41,8 @@ TEST(CoalescerTest, MisalignedBaseSplitsIntoTwoLines) {
 TEST(CoalescerTest, EightByteElementsUseTwoLines) {
   Coalescer co(128);
   AddressPattern p = linear_pattern(0x2000, 8, 32);
-  auto lines = co.coalesce(p, {32, 1, 1}, {0, 0}, 0, 0, 0);
+  std::vector<Addr> lines;
+  co.coalesce_into(p, {32, 1, 1}, {0, 0}, 0, 0, 0, lines);
   EXPECT_EQ(lines.size(), 2u);
 }
 
@@ -51,7 +54,8 @@ TEST(CoalescerTest, TwoDimensionalBlockSpansRows) {
   p.base = 0x4000;
   p.c_tid_x = 4;
   p.c_tid_y = 1024;
-  auto lines = co.coalesce(p, {16, 8, 1}, {0, 0}, 0, /*warp=*/1, 0);
+  std::vector<Addr> lines;
+  co.coalesce_into(p, {16, 8, 1}, {0, 0}, 0, /*warp=*/1, 0, lines);
   // Warp 1 = threads 32..63 = rows y=2,3.
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_EQ(lines[0], 0x4000u + 2048);
@@ -62,7 +66,8 @@ TEST(CoalescerTest, PartialWarpSkipsInactiveLanes) {
   Coalescer co(128);
   AddressPattern p = linear_pattern(0x1000, 4, 48);
   // Block of 48 threads: warp 1 has only 16 active lanes.
-  auto lines = co.coalesce(p, {48, 1, 1}, {0, 0}, 0, 1, 0);
+  std::vector<Addr> lines;
+  co.coalesce_into(p, {48, 1, 1}, {0, 0}, 0, 1, 0, lines);
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_EQ(lines[0], 0x1080u);  // threads 32..47 -> bytes 128..191
 }
@@ -71,10 +76,12 @@ TEST(CoalescerTest, ResultIsSortedAndDeduplicated) {
   Coalescer co(128);
   AddressPattern p;  // all lanes at the same address
   p.base = 0x9000;
-  auto lines = co.coalesce(p, {32, 1, 1}, {0, 0}, 0, 0, 0);
+  std::vector<Addr> lines;
+  co.coalesce_into(p, {32, 1, 1}, {0, 0}, 0, 0, 0, lines);
   EXPECT_EQ(lines.size(), 1u);
   AddressPattern strided = linear_pattern(0x9000, 4, 32);
-  auto l2 = co.coalesce(strided, {256, 1, 1}, {0, 0}, 0, 2, 0);
+  std::vector<Addr> l2;
+  co.coalesce_into(strided, {256, 1, 1}, {0, 0}, 0, 2, 0, l2);
   EXPECT_TRUE(std::is_sorted(l2.begin(), l2.end()));
 }
 
@@ -82,8 +89,10 @@ TEST(CoalescerTest, IterationAdvancesAddresses) {
   Coalescer co(128);
   AddressPattern p = linear_pattern(0x1000, 4, 32);
   p.c_iter = 4096;
-  auto it0 = co.coalesce(p, {32, 1, 1}, {0, 0}, 0, 0, 0);
-  auto it3 = co.coalesce(p, {32, 1, 1}, {0, 0}, 0, 0, 3);
+  std::vector<Addr> it0;
+  co.coalesce_into(p, {32, 1, 1}, {0, 0}, 0, 0, 0, it0);
+  std::vector<Addr> it3;
+  co.coalesce_into(p, {32, 1, 1}, {0, 0}, 0, 0, 3, it3);
   EXPECT_EQ(it3[0] - it0[0], 3u * 4096);
 }
 

@@ -133,7 +133,8 @@ TEST(MshrTest, AllocateMergeFill) {
   m.merge(0x100, 2);
   m.merge(0x100, 3);
   EXPECT_FALSE(m.can_merge(0x100));  // max_merged = 3
-  auto waiters = m.fill(0x100);
+  std::vector<int> waiters{99};  // fill_into clears stale contents first
+  m.fill_into(0x100, waiters);
   EXPECT_EQ(waiters, (std::vector<int>{1, 2, 3}));
   EXPECT_FALSE(m.has(0x100));
 }
@@ -144,7 +145,8 @@ TEST(MshrTest, FullAtCapacity) {
   EXPECT_FALSE(m.full());
   m.allocate(0x200, 2);
   EXPECT_TRUE(m.full());
-  m.fill(0x100);
+  std::vector<int> waiters;
+  m.fill_into(0x100, waiters);
   EXPECT_FALSE(m.full());
 }
 

@@ -27,6 +27,7 @@ class CoalescerPropertyTest : public ::testing::TestWithParam<u32> {};
 TEST_P(CoalescerPropertyTest, LinesCoverEveryLane) {
   std::mt19937_64 rng(GetParam());
   Coalescer co(128);
+  std::vector<Addr> lines;  // reused across trials, as the SM reuses it
   for (int trial = 0; trial < 200; ++trial) {
     AddressPattern p;
     p.base = (rng() % 1024) * 64 + 0x1000'0000;
@@ -40,7 +41,7 @@ TEST_P(CoalescerPropertyTest, LinesCoverEveryLane) {
     const u32 iter = static_cast<u32>(rng() % 4);
     const Dim3 cta{static_cast<u32>(rng() % 16), static_cast<u32>(rng() % 16)};
 
-    const auto lines = co.coalesce(p, block, cta, 7, warp, iter);
+    co.coalesce_into(p, block, cta, 7, warp, iter, lines);
     ASSERT_FALSE(lines.empty());
     EXPECT_TRUE(std::is_sorted(lines.begin(), lines.end()));
     EXPECT_TRUE(std::adjacent_find(lines.begin(), lines.end()) == lines.end());
