@@ -1,12 +1,16 @@
-// Golden determinism gate: every run of the quick Fig. 10 matrix (MM, LPS,
-// CNV, BFS under BASE + the seven prefetchers) must reproduce the committed
-// FNV-1a digest of its sweep_signature entry, which covers every counter
-// and the exact bits of every RunningStat. A refactor that claims to change
-// no simulation output is checked against this file.
+// Golden determinism gates: every run of a Fig. 10 matrix (workloads under
+// BASE + the seven prefetchers) must reproduce the committed FNV-1a digest
+// of its sweep_signature entry, which covers every counter and the exact
+// bits of every RunningStat. A refactor that claims to change no
+// simulation output is checked against these files:
+//   - tests/golden/quick_matrix.digests: MM, LPS, CNV, BFS (32 runs);
+//   - tests/golden/full_matrix.digests: all 16 workloads (128 runs).
+// CMake registers each matrix as its own ctest entry so `ctest -j` runs
+// them side by side.
 //
 // On a mismatch the test prints the whole expected file as it should now
-// read; when a change of output is intended, paste that block over
-// tests/golden/quick_matrix.digests.
+// read; when a change of output is intended, paste that block over the
+// digest file it names.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -18,6 +22,7 @@
 
 #include "harness/experiment.hpp"
 #include "harness/sweep.hpp"
+#include "workloads/workload.hpp"
 
 namespace caps {
 namespace {
@@ -32,10 +37,6 @@ std::string fnv1a_hex(const std::string& s) {
   std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
   return buf;
 }
-
-constexpr const char* kHeader =
-    "# FNV-1a digest of each run's sweep_signature entry, quick Fig. 10 "
-    "matrix.\n# Checked by tests/golden_signature_test.cpp.\n";
 
 std::string run_name(const RunResult& r) {
   return r.cfg.workload + "/" + to_string(r.cfg.prefetcher);
@@ -56,9 +57,12 @@ std::map<std::string, std::string> read_golden(const std::string& path) {
   return out;
 }
 
-TEST(GoldenSignatureTest, QuickMatrixMatchesCommittedDigests) {
+/// Runs `workloads` x (BASE + legend) and compares each run's digest with
+/// `<CAPSIM_GOLDEN_DIR>/<matrix>_matrix.digests`.
+void expect_matrix_matches_golden(const std::vector<std::string>& workloads,
+                                  const std::string& matrix) {
   std::vector<RunConfig> cfgs;
-  for (const char* wl : {"MM", "LPS", "CNV", "BFS"}) {
+  for (const std::string& wl : workloads) {
     RunConfig rc;
     rc.workload = wl;
     cfgs.push_back(rc);
@@ -68,11 +72,14 @@ TEST(GoldenSignatureTest, QuickMatrixMatchesCommittedDigests) {
     }
   }
   const std::vector<RunResult> results = run_sweep(std::move(cfgs));
-  const std::map<std::string, std::string> golden =
-      read_golden(CAPSIM_GOLDEN_DIGESTS);
+  const std::string path =
+      std::string(CAPSIM_GOLDEN_DIR) + "/" + matrix + "_matrix.digests";
+  const std::map<std::string, std::string> golden = read_golden(path);
 
   std::ostringstream regenerated;
-  regenerated << kHeader;
+  regenerated << "# FNV-1a digest of each run's sweep_signature entry, "
+              << matrix << " Fig. 10 matrix.\n"
+              << "# Checked by tests/golden_signature_test.cpp.\n";
   std::ostringstream diffs;
   u32 mismatches = 0;
   for (const RunResult& r : results) {
@@ -90,9 +97,19 @@ TEST(GoldenSignatureTest, QuickMatrixMatchesCommittedDigests) {
   EXPECT_EQ(golden.size(), results.size()) << "golden file run count";
   EXPECT_EQ(mismatches, 0u)
       << "runs whose signature digest changed:\n"
-      << diffs.str() << "\nIf the change is intended, "
-      << CAPSIM_GOLDEN_DIGESTS << " should read:\n"
+      << diffs.str() << "\nIf the change is intended, " << path
+      << " should read:\n"
       << regenerated.str();
+}
+
+TEST(GoldenSignatureTest, QuickMatrixMatchesCommittedDigests) {
+  expect_matrix_matches_golden({"MM", "LPS", "CNV", "BFS"}, "quick");
+}
+
+TEST(GoldenSignatureTest, FullMatrixMatchesCommittedDigests) {
+  std::vector<std::string> all;
+  for (const Workload& w : workload_suite()) all.push_back(w.abbr);
+  expect_matrix_matches_golden(all, "full");
 }
 
 }  // namespace
