@@ -33,14 +33,9 @@ void CapsPrefetcher::generate_for_cta(u32 cta_slot, PerCtaTable::Entry& entry,
     if (entry.issued_mask & bit) continue;      // warp already ran the load
     if (entry.prefetched_mask & bit) continue;  // already prefetched
     const i64 dw = static_cast<i64>(w) - static_cast<i64>(entry.leading_warp);
-    for (const Addr base : entry.bases) {
-      PrefetchRequest r;
-      r.line = static_cast<Addr>(static_cast<i64>(base) + stride * dw);
-      r.pc = entry.pc;
-      r.target_warp_slot = static_cast<i32>(cta.first_warp_slot + w);
-      out.push_back(r);
-      ++stats_.requests_generated;
-    }
+    for (const Addr base : entry.bases)
+      emit(out, static_cast<Addr>(static_cast<i64>(base) + stride * dw),
+           entry.pc, static_cast<i32>(cta.first_warp_slot + w));
     entry.prefetched_mask |= bit;
     ++stats_.table_writes;
   }

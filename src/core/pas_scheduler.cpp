@@ -4,7 +4,7 @@
 
 namespace caps {
 
-void PasScheduler::on_cta_launch(u32 /*cta_slot*/, u32 first_warp,
+void PasScheduler::on_cta_launch(u32 cta_slot, u32 first_warp,
                                  u32 num_warps) {
   // Mark the CTA's first warp as its leading warp (one-bit marker).
   mark_leading(first_warp);
@@ -19,25 +19,8 @@ void PasScheduler::on_cta_launch(u32 /*cta_slot*/, u32 first_warp,
   else
     pending_.push_front(first_warp);
 
-  for (u32 w = first_warp + 1; w < first_warp + num_warps; ++w) {
-    if (ready_.size() < cfg_.ready_queue_size)
-      enqueue_ready(w, /*to_front=*/false);
-    else
-      pending_.push_back(w);
-  }
-}
-
-i32 PasScheduler::next_promotion(Cycle /*now*/) {
-  // Leading warps first, then FIFO over trailing warps.
-  for (u32 pass = 0; pass < 2; ++pass) {
-    for (u32 i = 0; i < pending_.size(); ++i) {
-      const u32 slot = pending_[i];
-      if (!warps_[slot].runnable() || waiting_mem_(slot)) continue;
-      if (pass == 0 && !warps_[slot].leading) continue;
-      return static_cast<i32>(i);
-    }
-  }
-  return -1;
+  // Trailing warps queue as in any two-level scheduler.
+  TwoLevelScheduler::on_cta_launch(cta_slot, first_warp + 1, num_warps - 1);
 }
 
 void PasScheduler::on_prefetch_fill(u32 slot) {

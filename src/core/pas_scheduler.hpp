@@ -35,7 +35,8 @@ class PasScheduler final : public LeadingMarkerProtocol<TwoLevelScheduler> {
   u64 forced_demotions() const { return forced_demotions_; }
 
  protected:
-  i32 next_promotion(Cycle now) override;
+  /// Leading warps are promoted ahead of trailing warps.
+  bool promote_first(u32 slot) const override { return warps_[slot].leading; }
 
  private:
   bool eager_wakeup_;

@@ -66,10 +66,6 @@ void TwoLevelScheduler::on_warp_done(u32 slot) {
   erase_from(pending_, slot);
 }
 
-bool TwoLevelScheduler::in_ready(u32 slot) const {
-  return std::find(ready_.begin(), ready_.end(), slot) != ready_.end();
-}
-
 void TwoLevelScheduler::erase_from(FlatDeque<u32>& q, u32 slot) {
   auto it = std::find(q.begin(), q.end(), slot);
   if (it != q.end()) q.erase(it);
@@ -82,17 +78,18 @@ void TwoLevelScheduler::enqueue_ready(u32 slot, bool to_front) {
     ready_.push_back(slot);
 }
 
-i32 TwoLevelScheduler::next_promotion(Cycle /*now*/) {
-  // FIFO, skipping warps still blocked on memory.
+i32 TwoLevelScheduler::next_promotion() const {
+  i32 fallback = -1;
   for (u32 i = 0; i < pending_.size(); ++i) {
     const u32 slot = pending_[i];
-    if (warps_[slot].runnable() && !waiting_mem_(slot))
-      return static_cast<i32>(i);
+    if (!warps_[slot].runnable() || waiting_mem_(slot)) continue;
+    if (promote_first(slot)) return static_cast<i32>(i);
+    if (fallback < 0) fallback = static_cast<i32>(i);
   }
-  return -1;
+  return fallback;
 }
 
-void TwoLevelScheduler::maintain(Cycle now) {
+void TwoLevelScheduler::maintain() {
   // Demote ready warps that stalled on memory or are parked at a barrier.
   // Barrier warps MUST leave the ready queue: the warps that will release
   // the barrier may be waiting in the pending queue, and holding ready
@@ -109,7 +106,7 @@ void TwoLevelScheduler::maintain(Cycle now) {
   }
   // Refill from pending.
   while (ready_.size() < cfg_.ready_queue_size) {
-    const i32 idx = next_promotion(now);
+    const i32 idx = next_promotion();
     if (idx < 0) break;
     const u32 slot = pending_[static_cast<u32>(idx)];
     pending_.erase(pending_.begin() + idx);
@@ -118,7 +115,7 @@ void TwoLevelScheduler::maintain(Cycle now) {
 }
 
 i32 TwoLevelScheduler::pick(Cycle now) {
-  maintain(now);
+  maintain();
   if (ready_.empty()) return kNoWarp;
   // Move-to-back round robin: scan from the front, rotate the issued warp
   // to the back. Front insertions (PAS leading warps) are thereby the
@@ -133,21 +130,6 @@ i32 TwoLevelScheduler::pick(Cycle now) {
       return static_cast<i32>(slot);
   }
   return kNoWarp;
-}
-
-// --------------------------------------------------------------- ORCH ----
-
-i32 OrchScheduler::next_promotion(Cycle /*now*/) {
-  // Group 0 (even warp-in-CTA) first so consecutive warps land in different
-  // scheduling groups; FIFO within a group.
-  for (u32 pass = 0; pass < 2; ++pass) {
-    for (u32 i = 0; i < pending_.size(); ++i) {
-      const u32 slot = pending_[i];
-      if (!warps_[slot].runnable() || waiting_mem_(slot)) continue;
-      if ((warps_[slot].warp_in_cta % 2) == pass) return static_cast<i32>(i);
-    }
-  }
-  return -1;
 }
 
 // ------------------------------------------------------------- factory ----

@@ -106,7 +106,8 @@ class GtoScheduler : public Scheduler {
 
 /// Two-level scheduler [1,2]: a small ready queue is scheduled round-robin;
 /// warps that stall on memory are demoted to the pending queue and promoted
-/// back (FIFO) once their loads return.
+/// back once their loads return: FIFO among the warps promote_first()
+/// accepts, then FIFO among the rest.
 class TwoLevelScheduler : public Scheduler {
  public:
   TwoLevelScheduler(const GpuConfig& cfg, std::vector<WarpContext>& warps,
@@ -129,14 +130,17 @@ class TwoLevelScheduler : public Scheduler {
 
  protected:
   /// Demote memory-stalled/finished warps, then refill ready slots.
-  void maintain(Cycle now);
-  /// Pick the next pending warp to promote; returns index into pending_ or
-  /// -1. Subclasses override to change promotion order (PAS, ORCH).
-  virtual i32 next_promotion(Cycle now);
+  void maintain();
+  /// Index into pending_ of the first promotable warp (runnable, not
+  /// waiting on memory) that promote_first() accepts, else of the first
+  /// promotable warp; -1 if none.
+  i32 next_promotion() const;
+  /// Promotion priority: subclasses (PAS, ORCH) return false for warps that
+  /// should yield to the others. Plain two-level promotion is FIFO.
+  virtual bool promote_first(u32 /*slot*/) const { return true; }
   /// Where a newly launched/promoted warp enters the ready queue.
   virtual void enqueue_ready(u32 slot, bool to_front);
 
-  bool in_ready(u32 slot) const;
   void erase_from(FlatDeque<u32>& q, u32 slot);
 
   FlatDeque<u32> ready_;
@@ -152,7 +156,9 @@ class OrchScheduler final : public TwoLevelScheduler {
   const char* name() const override { return "ORCH-SCHED"; }
 
  protected:
-  i32 next_promotion(Cycle now) override;
+  bool promote_first(u32 slot) const override {
+    return warps_[slot].warp_in_cta % 2 == 0;
+  }
 };
 
 /// Factory for the baseline schedulers (PAS lives in core/pas_scheduler.hpp).

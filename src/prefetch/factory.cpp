@@ -2,11 +2,9 @@
 
 #include <stdexcept>
 
-#include "prefetch/intra_warp.hpp"
-#include "prefetch/inter_warp.hpp"
 #include "prefetch/lap.hpp"
-#include "prefetch/mta.hpp"
 #include "prefetch/nlp.hpp"
+#include "prefetch/stride_prefetchers.hpp"
 
 namespace caps {
 

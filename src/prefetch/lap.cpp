@@ -36,12 +36,8 @@ void LocalityAwarePrefetcher::on_demand_miss(Addr line, Addr pc, i32 warp_slot,
   // block so it doesn't retrigger.
   for (u32 i = 0; i < lines_per_block; ++i) {
     if (b.miss_mask & (u64{1} << i)) continue;
-    PrefetchRequest r;
-    r.line = block_base + static_cast<Addr>(i) * cfg_.l1d.line_size;
-    r.pc = pc;
-    r.target_warp_slot = warp_slot;
-    out.push_back(r);
-    ++stats_.requests_generated;
+    emit(out, block_base + static_cast<Addr>(i) * cfg_.l1d.line_size, pc,
+         warp_slot);
   }
   blocks_.erase(it);
 }

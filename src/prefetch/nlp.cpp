@@ -4,12 +4,7 @@ namespace caps {
 
 void NextLinePrefetcher::on_demand_miss(Addr line, Addr pc, i32 warp_slot,
                                         std::vector<PrefetchRequest>& out) {
-  PrefetchRequest r;
-  r.line = line + cfg_.l1d.line_size;
-  r.pc = pc;
-  r.target_warp_slot = warp_slot;
-  out.push_back(r);
-  ++stats_.requests_generated;
+  emit(out, line + cfg_.l1d.line_size, pc, warp_slot);
 }
 
 }  // namespace caps

@@ -93,6 +93,13 @@ class Prefetcher {
   const PrefetchEngineStats& engine_stats() const { return stats_; }
 
  protected:
+  /// Queue a prefetch of `line` for load `pc`, bound to `warp` (the warp
+  /// woken when it fills), and count it.
+  void emit(std::vector<PrefetchRequest>& out, Addr line, Addr pc, i32 warp) {
+    out.push_back({.line = line, .pc = pc, .target_warp_slot = warp});
+    ++stats_.requests_generated;
+  }
+
   PrefetchEngineStats stats_;
 };
 

@@ -15,9 +15,8 @@ class StrideTable {
     Addr last_addr = 0;
     i64 stride = 0;
     u32 confidence = 0;  ///< consecutive confirmations of `stride`
-    u64 observations = 0;
     u64 lru = 0;
-    u64 last_tag = 0;  ///< caller-defined (e.g. last warp slot)
+    u32 last_warp = 0;  ///< warp slot of `last_addr` (observe_warp only)
   };
 
   explicit StrideTable(u32 max_entries) : max_entries_(max_entries) {}
@@ -25,17 +24,25 @@ class StrideTable {
   /// Find without inserting.
   Entry* find(u64 key);
 
-  /// Find or insert (LRU eviction when full). `inserted` reports whether a
-  /// fresh entry was created.
-  Entry& lookup(u64 key, bool& inserted);
-
-  /// Observe a new address: updates stride/confidence Baer-Chen style.
-  /// Returns the entry after the update.
+  /// Observe a new address: the stride is the distance from the entry's
+  /// last address. Returns the entry after the update.
   Entry& observe(u64 key, Addr addr);
+
+  /// Observe a new address from warp slot `warp`: the stride is the
+  /// distance from the entry's last address per warp slot between them.
+  /// A repeat from the same warp, or a distance the warp gap does not
+  /// divide, leaves stride and confidence unchanged.
+  Entry& observe_warp(u64 key, u32 warp, Addr addr);
 
   std::size_t size() const { return table_.size(); }
 
  private:
+  /// Find or insert (LRU eviction when full). `inserted` reports whether a
+  /// fresh entry was created.
+  Entry& lookup(u64 key, bool& inserted);
+  /// Baer-Chen confidence update with a newly measured `stride`.
+  static void confirm(Entry& e, i64 stride);
+
   u32 max_entries_;
   u64 clock_ = 0;
   std::unordered_map<u64, Entry> table_;
