@@ -7,13 +7,12 @@
 
 namespace caps {
 
-DramChannel::DramChannel(const GpuConfig& cfg, DoneCallback done)
+DramChannel::DramChannel(const GpuConfig& cfg)
     : t_(cfg.dram_timing),
       ratio_(cfg.dram_clock_ratio()),
       row_bytes_(cfg.dram_row_bytes),
       num_banks_(cfg.dram_banks),
       queue_capacity_(cfg.dram_queue_size),
-      done_(std::move(done)),
       banks_(cfg.dram_banks),
       bank_seen_(cfg.dram_banks, 0) {
   // Pre-size both rings to the structural queue limit so steady-state
@@ -63,16 +62,16 @@ FlatDeque<DramChannel::Pending>::iterator DramChannel::pick(Cycle now) {
   return queue_.end();
 }
 
+bool DramChannel::pop_done(Cycle now, MemRequest& out) {
+  if (in_service_.empty() || in_service_.front().first > now) return false;
+  out = in_service_.front().second;
+  in_service_.pop_front();
+  return true;
+}
+
 void DramChannel::cycle(Cycle now) {
-  if (!queue_.empty()) ++stats_.busy_cycles;
-
-  // Complete finished transfers.
-  while (!in_service_.empty() && in_service_.front().first <= now) {
-    done_(in_service_.front().second);
-    in_service_.pop_front();
-  }
-
   if (queue_.empty()) return;
+  ++stats_.busy_cycles;
 
   // One command per core cycle. RAS/CAS latencies overlap across banks; the
   // shared data bus serializes only the burst transfers themselves.

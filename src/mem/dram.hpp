@@ -4,7 +4,6 @@
 // cycles; the channel scales them to core cycles internally.
 #pragma once
 
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -46,15 +45,16 @@ struct DramStats {
 
 class DramChannel {
  public:
-  /// `done` is invoked when a request's data transfer completes.
-  using DoneCallback = std::function<void(const MemRequest&)>;
-
-  DramChannel(const GpuConfig& cfg, DoneCallback done);
+  explicit DramChannel(const GpuConfig& cfg);
 
   bool can_accept() const { return queue_.size() < queue_capacity_; }
   void submit(const MemRequest& req);
 
-  /// Advance one core cycle.
+  /// Pop one request whose data transfer has completed by `now`, in
+  /// completion order. Drain the channel this way before each cycle(now).
+  bool pop_done(Cycle now, MemRequest& out);
+
+  /// Advance one core cycle: schedule at most one command.
   void cycle(Cycle now);
 
   bool idle() const { return queue_.empty() && in_service_.empty(); }
@@ -95,7 +95,6 @@ class DramChannel {
   u32 row_bytes_;
   u32 num_banks_;
   std::size_t queue_capacity_;
-  DoneCallback done_;
 
   FlatDeque<Pending> queue_;
   std::vector<Bank> banks_;

@@ -8,16 +8,8 @@ MemorySystem::MemorySystem(const GpuConfig& cfg)
     : cfg_(cfg),
       req_xbar_(cfg.num_l2_partitions, cfg.xbar_latency, /*queue=*/16),
       reply_xbar_(cfg.num_sms, cfg.xbar_latency, /*queue=*/16) {
-  for (u32 c = 0; c < cfg_.num_dram_channels; ++c) {
-    channels_.push_back(std::make_unique<DramChannel>(
-        cfg_, [this](const MemRequest& req) {
-          partitions_[partition_of(req.line)]->dram_done(req, now_);
-          if (req.is_write)
-            ++traffic_.dram_writes;
-          else
-            ++traffic_.dram_reads;
-        }));
-  }
+  for (u32 c = 0; c < cfg_.num_dram_channels; ++c)
+    channels_.push_back(std::make_unique<DramChannel>(cfg_));
   for (u32 p = 0; p < cfg_.num_l2_partitions; ++p) {
     DramChannel& ch = *channels_[p % cfg_.num_dram_channels];
     partitions_.push_back(std::make_unique<L2Partition>(cfg_, ch));
@@ -36,8 +28,6 @@ void MemorySystem::submit(const MemRequest& req, Cycle now) {
 }
 
 void MemorySystem::cycle(Cycle now) {
-  now_ = now;
-
   // Partitions pull at most one request each from the request crossbar.
   for (u32 p = 0; p < partitions_.size(); ++p) {
     if (!partitions_[p]->can_accept()) continue;
@@ -49,7 +39,15 @@ void MemorySystem::cycle(Cycle now) {
     part->drain_writebacks();
     part->cycle(now);
   }
-  for (auto& ch : channels_) ch->cycle(now);
+  for (auto& ch : channels_) {
+    // Completed transfers first, in completion order: reads fill L2.
+    MemRequest done;
+    while (ch->pop_done(now, done)) {
+      partitions_[partition_of(done.line)]->dram_done(done, now);
+      ++(done.is_write ? traffic_.dram_writes : traffic_.dram_reads);
+    }
+    ch->cycle(now);
+  }
 
   // Partitions inject at most one reply each into the reply crossbar.
   for (auto& part : partitions_) {

@@ -106,7 +106,6 @@ class MemorySystem {
   TrafficStats traffic_;
   std::function<bool(const MemRequest&)> reply_drop_;  ///< test-only fault
   u64 dropped_replies_ = 0;
-  Cycle now_ = 0;  ///< latched each cycle() for the DRAM done callback
 };
 
 }  // namespace caps

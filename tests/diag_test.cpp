@@ -153,7 +153,7 @@ TEST(CrossbarGuardTest, OverflowAndBadDestThrow) {
 TEST(DramGuardTest, SubmitWhenFullThrows) {
   GpuConfig cfg;
   cfg.dram_queue_size = 1;
-  DramChannel ch(cfg, [](const MemRequest&) {});
+  DramChannel ch(cfg);
   MemRequest r;
   r.line = 0x1000;
   ch.submit(r);

@@ -206,15 +206,18 @@ class DramTest : public ::testing::Test {
   std::unique_ptr<DramChannel> make() {
     done_.clear();
     t_ = 0;
-    return std::make_unique<DramChannel>(
-        cfg_, [this](const MemRequest& r) { done_.push_back(r); });
+    return std::make_unique<DramChannel>(cfg_);
   }
 
   /// Advance the channel clock until `n` requests have completed; returns
   /// the number of cycles consumed by this call.
   Cycle run_until(DramChannel& ch, std::size_t n, Cycle limit = 100000) {
     const Cycle start = t_;
-    while (done_.size() < n && t_ - start < limit) ch.cycle(t_++);
+    while (done_.size() < n && t_ - start < limit) {
+      MemRequest r;
+      while (ch.pop_done(t_, r)) done_.push_back(r);
+      ch.cycle(t_++);
+    }
     return t_ - start;
   }
 };

@@ -135,7 +135,12 @@ TEST_P(DramPropertyTest, EveryRequestCompletesOnce) {
   std::mt19937_64 rng(GetParam());
   GpuConfig cfg;
   std::multiset<u64> completed;
-  DramChannel ch(cfg, [&](const MemRequest& r) { completed.insert(r.id); });
+  DramChannel ch(cfg);
+  const auto step = [&](Cycle now) {
+    MemRequest r;
+    while (ch.pop_done(now, r)) completed.insert(r.id);
+    ch.cycle(now);
+  };
   u64 next_id = 1;
   u64 submitted = 0;
   Cycle t = 0;
@@ -149,10 +154,10 @@ TEST_P(DramPropertyTest, EveryRequestCompletesOnce) {
       ch.submit(r);
       ++submitted;
     }
-    ch.cycle(t++);
+    step(t++);
   }
   for (Cycle end = t + 50000; t < end && completed.size() < submitted; ++t)
-    ch.cycle(t);
+    step(t);
   ASSERT_EQ(completed.size(), submitted);
   for (u64 id = 1; id < next_id; ++id)
     EXPECT_EQ(completed.count(id), 1u) << "request " << id;
@@ -170,15 +175,20 @@ TEST(DramTimingPropertyTest, SlowerTimingNeverFaster) {
     GpuConfig cfg;
     cfg.dram_timing.tCL = tcl;
     u64 done = 0;
-    DramChannel ch(cfg, [&](const MemRequest&) { ++done; });
+    DramChannel ch(cfg);
+    const auto step = [&](Cycle now) {
+      MemRequest r;
+      while (ch.pop_done(now, r)) ++done;
+      ch.cycle(now);
+    };
     Cycle t = 0;
     for (u32 i = 0; i < 16; ++i) {
       MemRequest r;
       r.line = static_cast<Addr>(i) * 4096;
-      while (!ch.can_accept()) ch.cycle(t++);
+      while (!ch.can_accept()) step(t++);
       ch.submit(r);
     }
-    while (done < 16) ch.cycle(t++);
+    while (done < 16) step(t++);
     return t;
   };
   EXPECT_LE(run(12), run(24));
