@@ -69,7 +69,6 @@ bool StreamingMultiprocessor::launch_cta(const Dim3& cta_id, Cycle now) {
   cta.num_warps = wpc;
   cta.warps_done = 0;
   cta.barrier_arrived = 0;
-  cta.launch_cycle = now;
 
   for (u32 w = 0; w < wpc; ++w) {
     WarpContext& wc = warps_[first_warp + w];
@@ -140,7 +139,7 @@ void StreamingMultiprocessor::arrive_barrier(u32 slot, Cycle now) {
   }
 }
 
-void StreamingMultiprocessor::finish_warp(u32 slot, Cycle now) {
+void StreamingMultiprocessor::finish_warp(u32 slot) {
   WarpContext& wc = warps_[slot];
   wc.status = WarpStatus::kDone;
   --resident_warps_;
@@ -152,7 +151,6 @@ void StreamingMultiprocessor::finish_warp(u32 slot, Cycle now) {
     --resident_ctas_;
     ++stats_.ctas_completed;
     prefetcher_->on_cta_complete(wc.cta_slot);
-    (void)now;
   }
 }
 
@@ -261,12 +259,10 @@ bool StreamingMultiprocessor::issue(u32 slot, Cycle now) {
       break;
     }
     case Opcode::kExit:
-      ++wc.instructions_retired;
       ++stats_.issued_instructions;
-      finish_warp(slot, now);
+      finish_warp(slot);
       return true;
   }
-  ++wc.instructions_retired;
   ++stats_.issued_instructions;
   if (wc.ready_at <= now) wc.ready_at = now + 1;
   return true;

@@ -84,7 +84,7 @@ class StreamingMultiprocessor {
   void issue_memory(u32 slot, const Instruction& ins,
                     std::span<const Addr> lines, Cycle now);
   void arrive_barrier(u32 slot, Cycle now);
-  void finish_warp(u32 slot, Cycle now);
+  void finish_warp(u32 slot);
   void on_load_done(u32 slot);
   /// A prefetch bound to `slot` filled L1: forward the eager wake-up.
   void on_prefetch_fill(u32 slot);

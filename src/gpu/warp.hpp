@@ -32,7 +32,6 @@ struct WarpContext {
   std::vector<LoopFrame> loops;
   bool leading = false;         ///< PAS leading-warp marker
   u64 launch_order = 0;         ///< global age for GTO
-  u64 instructions_retired = 0;
 
   bool runnable() const { return status == WarpStatus::kActive; }
 
@@ -51,7 +50,6 @@ struct WarpContext {
     loops.clear();
     leading = false;
     launch_order = 0;
-    instructions_retired = 0;
   }
 
   /// Innermost-loop iteration counter (0 outside loops).
@@ -67,7 +65,6 @@ struct CtaSlot {
   u32 num_warps = 0;
   u32 warps_done = 0;
   u32 barrier_arrived = 0;
-  Cycle launch_cycle = 0;
 };
 
 }  // namespace caps
