@@ -96,35 +96,42 @@ RunResult run_experiment_unchecked(const RunConfig& cfg, TraceSink trace) {
 
 }  // namespace
 
+RunFault current_run_fault() {
+  try {
+    throw;
+  } catch (const SimError& e) {
+    RunFault f;
+    if (e.kind() == SimErrorKind::kDeadlock)
+      f.status = RunStatus::kDeadlock;
+    else if (e.kind() == SimErrorKind::kConfigError)
+      f.status = RunStatus::kConfigError;
+    f.error = e.what();
+    f.snapshot = e.snapshot();
+    return f;
+  } catch (const std::invalid_argument& e) {
+    RunFault f;
+    f.status = RunStatus::kConfigError;
+    f.error = e.what();
+    return f;
+  }
+}
+
 RunResult run_experiment(const RunConfig& cfg, TraceSink trace) {
+  RunResult r;
+  r.cfg = cfg;
   try {
     return run_experiment_unchecked(cfg, std::move(trace));
-  } catch (const SimError& e) {
-    RunResult r;
-    r.cfg = cfg;
-    r.status = e.kind() == SimErrorKind::kDeadlock
-                   ? RunStatus::kDeadlock
-                   : (e.kind() == SimErrorKind::kConfigError
-                          ? RunStatus::kConfigError
-                          : RunStatus::kInvariantViolation);
-    r.error = e.what();
-    r.snapshot = e.snapshot();
-    return r;
-  } catch (const std::invalid_argument& e) {
-    // GpuConfig::validate and kernel construction report through here.
-    RunResult r;
-    r.cfg = cfg;
-    r.status = RunStatus::kConfigError;
-    r.error = e.what();
-    return r;
   } catch (const std::out_of_range& e) {
     // Unknown workload abbreviation.
-    RunResult r;
-    r.cfg = cfg;
     r.status = RunStatus::kConfigError;
     r.error = e.what();
-    return r;
+  } catch (...) {
+    RunFault f = current_run_fault();
+    r.status = f.status;
+    r.error = std::move(f.error);
+    r.snapshot = std::move(f.snapshot);
   }
+  return r;
 }
 
 const std::vector<PrefetcherKind>& prefetcher_legend() {

@@ -56,6 +56,20 @@ enum class RunStatus {
 
 const char* to_string(RunStatus s);
 
+/// How a run failed, classified from the exception that ended it.
+struct RunFault {
+  RunStatus status = RunStatus::kInvariantViolation;
+  std::string error;         ///< what()
+  MachineSnapshot snapshot;  ///< a SimError's machine state (else empty)
+};
+
+/// The one exception-to-RunStatus mapping, for the exception being handled:
+/// a SimError maps by kind (deadlock, configuration error, otherwise
+/// invariant violation); std::invalid_argument, which GpuConfig::validate
+/// and kernel construction throw, is a configuration error. Call only from
+/// a catch block; any other exception is rethrown.
+RunFault current_run_fault();
+
 struct RunResult {
   RunConfig cfg;
   SchedulerKind scheduler_used = SchedulerKind::kTwoLevel;

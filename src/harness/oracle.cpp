@@ -582,16 +582,10 @@ OracleResult cross_check_workload(const Workload& w,
     check_leading_bases(first_issues, w.kernel, r.analysis, sink);
     sink.finalize();
     dedupe_notes(r.notes);
-  } catch (const SimError& e) {
-    r.status = e.kind() == SimErrorKind::kDeadlock
-                   ? RunStatus::kDeadlock
-                   : (e.kind() == SimErrorKind::kConfigError
-                          ? RunStatus::kConfigError
-                          : RunStatus::kInvariantViolation);
-    r.error = e.what();
-  } catch (const std::invalid_argument& e) {
-    r.status = RunStatus::kConfigError;
-    r.error = e.what();
+  } catch (...) {
+    RunFault f = current_run_fault();
+    r.status = f.status;
+    r.error = std::move(f.error);
   }
   return r;
 }
@@ -666,16 +660,10 @@ ScheduleCheckResult cross_check_schedule(const Workload& w,
     check_timeliness(pas, r.advice, sink, r.notes);
     sink.finalize();
     dedupe_notes(r.notes);
-  } catch (const SimError& e) {
-    r.status = e.kind() == SimErrorKind::kDeadlock
-                   ? RunStatus::kDeadlock
-                   : (e.kind() == SimErrorKind::kConfigError
-                          ? RunStatus::kConfigError
-                          : RunStatus::kInvariantViolation);
-    r.error = e.what();
-  } catch (const std::invalid_argument& e) {
-    r.status = RunStatus::kConfigError;
-    r.error = e.what();
+  } catch (...) {
+    RunFault f = current_run_fault();
+    r.status = f.status;
+    r.error = std::move(f.error);
   }
   return r;
 }

@@ -3,7 +3,9 @@
 // end-of-run invariant auditor, and the fault-tolerant experiment harness.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "gpu/gpu.hpp"
@@ -150,6 +152,40 @@ TEST(HarnessFaultToleranceTest, InvalidGpuConfigIsConfigError) {
   const RunResult r = run_experiment(rc);
   EXPECT_EQ(r.status, RunStatus::kConfigError);
   EXPECT_NE(r.error.find("merge"), std::string::npos) << r.error;
+}
+
+/// current_run_fault() classifies the exception in flight.
+RunFault fault_of(const std::function<void()>& thrower) {
+  try {
+    thrower();
+  } catch (...) {
+    return current_run_fault();
+  }
+  ADD_FAILURE() << "thrower did not throw";
+  return {};
+}
+
+TEST(HarnessFaultToleranceTest, OneFaultToStatusMapping) {
+  const auto sim = [](SimErrorKind k) {
+    return fault_of([k] { throw SimError(k, "boom"); });
+  };
+  EXPECT_EQ(sim(SimErrorKind::kDeadlock).status, RunStatus::kDeadlock);
+  EXPECT_EQ(sim(SimErrorKind::kConfigError).status, RunStatus::kConfigError);
+  EXPECT_EQ(sim(SimErrorKind::kCheckFailed).status,
+            RunStatus::kInvariantViolation);
+  EXPECT_EQ(sim(SimErrorKind::kInvariantViolation).status,
+            RunStatus::kInvariantViolation);
+  EXPECT_NE(sim(SimErrorKind::kDeadlock).error.find("boom"),
+            std::string::npos);
+
+  const RunFault bad_arg =
+      fault_of([] { throw std::invalid_argument("bad config"); });
+  EXPECT_EQ(bad_arg.status, RunStatus::kConfigError);
+  EXPECT_EQ(bad_arg.error, "bad config");
+
+  // Anything else is not a simulator fault and keeps propagating.
+  EXPECT_THROW(fault_of([] { throw std::runtime_error("other"); }),
+               std::runtime_error);
 }
 
 TEST(HarnessFaultToleranceTest, RunConfigOverridesApply) {
