@@ -371,6 +371,24 @@ TEST_F(PasTest, LeadingWarpsPromotedBeforeTrailing) {
   EXPECT_TRUE(std::find(ready.begin(), ready.end(), 8u) != ready.end());
 }
 
+TEST_F(PasTest, TrailingWarpsPromotedWhenNoLeaderCanBe) {
+  activate(0, 4);
+  activate(4, 4);
+  auto s = make();
+  s->on_cta_launch(0, 0, 4);  // fills ready (4 slots)
+  s->on_cta_launch(1, 4, 4);  // pending: leading 4, then 5, 6, 7
+  // Demote the whole ready set; both leading warps (0 and 4) are blocked.
+  memwait_ = {0, 1, 2, 3, 4};
+  s->pick(0);
+  // No leader is promotable, so the trailing warps are, in FIFO order.
+  const auto& ready = s->ready_queue();
+  ASSERT_EQ(ready.size(), 3u);
+  for (u32 w : {5u, 6u, 7u})
+    EXPECT_TRUE(std::find(ready.begin(), ready.end(), w) != ready.end())
+        << "trailing warp " << w;
+  EXPECT_EQ(s->pending_queue().front(), 4u);
+}
+
 TEST_F(PasTest, EagerWakeupPromotesPendingWarp) {
   activate(0, 8);
   auto s = make();

@@ -254,6 +254,22 @@ TEST_F(SchedulerFixture, OrchPromotesEvenWarpsFirst) {
   EXPECT_TRUE(std::find(ready.begin(), ready.end(), 4u) != ready.end());
 }
 
+TEST_F(SchedulerFixture, OrchPromotesOddWarpsWhenNoEvenWarpCan) {
+  cfg_.ready_queue_size = 2;
+  activate(0, 8);
+  auto s = make<OrchScheduler>();
+  s->on_cta_launch(0, 0, 8);  // ready: 0,1; pending: 2..7
+  // Demote the ready set; every even warp is blocked on memory.
+  memwait_ = {0, 1, 2, 4, 6};
+  ineligible_ = memwait_;
+  s->pick(0);
+  // With no even warp promotable, promotion falls back to FIFO: 3, then 5.
+  const auto& ready = s->ready_queue();
+  ASSERT_EQ(ready.size(), 2u);
+  EXPECT_TRUE(std::find(ready.begin(), ready.end(), 3u) != ready.end());
+  EXPECT_TRUE(std::find(ready.begin(), ready.end(), 5u) != ready.end());
+}
+
 TEST_F(SchedulerFixture, FactoryBuildsEachKind) {
   activate(0, 2);
   for (SchedulerKind k : {SchedulerKind::kLrr, SchedulerKind::kGto,
