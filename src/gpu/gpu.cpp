@@ -114,10 +114,14 @@ MachineSnapshot Gpu::snapshot() const {
 }
 
 GpuStats Gpu::run() {
-  // done() walks SMs and memory queues, so poll it on a coarse grain; the
-  // +-63 cycle slack on the final count is far below run-to-run relevance.
-  // The watchdog shares the coarse poll: progress counters are compared
-  // every 64 cycles, far below the 100k-cycle default trip threshold.
+  // done() walks SMs and memory queues, so it is polled every 64 cycles and
+  // every reported cycle count is a multiple of 64. That quantum is not
+  // negligible: on short kernels such as CP it is the whole CAPS-vs-BASE
+  // difference (BASE 2560 vs CAPS 2496 cycles, 2.5%).
+  // perfbench/layer_timing.cpp replicates this cadence, so exact completion
+  // needs a benchmark change too (DESIGN.md §13). The watchdog shares the
+  // coarse poll: progress counters are compared every 64 cycles, far below
+  // the 100k-cycle default trip threshold.
   while (true) {
     if ((cycle_ & 63) == 0) {
       if (done()) break;
