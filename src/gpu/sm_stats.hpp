@@ -37,7 +37,6 @@ struct SmStats {
   u64 pf_useful = 0;             ///< demand hit on a prefetched line
   u64 pf_useful_late = 0;        ///< demand merged into an in-flight prefetch
   u64 pf_early_evicted = 0;      ///< evicted before any demand use
-  u64 pf_mispredicted = 0;       ///< engine-detected wrong predictions (CAPS)
   u64 pf_wakeups = 0;            ///< eager warp wake-ups delivered
   RunningStat pf_distance;       ///< issue->demand cycles of useful prefetches
 
@@ -72,7 +71,6 @@ struct SmStats {
     f("pf_useful", &SmStats::pf_useful);
     f("pf_useful_late", &SmStats::pf_useful_late);
     f("pf_early_evicted", &SmStats::pf_early_evicted);
-    f("pf_mispredicted", &SmStats::pf_mispredicted);
     f("pf_wakeups", &SmStats::pf_wakeups);
   }
 
