@@ -227,13 +227,23 @@ bool StreamingMultiprocessor::issue(u32 slot, Cycle now) {
       ++wc.pc_idx;
       break;
     case Opcode::kMem: {
-      coalescer_.coalesce_into(ins.addr, kernel_.block(), wc.cta_id,
-                               wc.cta_flat, wc.warp_in_cta,
-                               wc.current_iteration(), coalesce_scratch_);
-      if (!ldst_.can_accept(static_cast<u32>(coalesce_scratch_.size()))) {
+      // A refused instruction keeps its pc_idx and iteration, so its lines
+      // cannot change: retry against the remembered count and coalesce
+      // again only once the LD/ST unit has room for them.
+      if (wc.stalled_lines != 0 && !ldst_.can_accept(wc.stalled_lines)) {
         ++stats_.stall_ldst_full;
         return false;
       }
+      coalescer_.coalesce_into(ins.addr, kernel_.block(), wc.cta_id,
+                               wc.cta_flat, wc.warp_in_cta,
+                               wc.current_iteration(), coalesce_scratch_);
+      const auto lines = static_cast<u32>(coalesce_scratch_.size());
+      if (!ldst_.can_accept(lines)) {
+        wc.stalled_lines = lines;
+        ++stats_.stall_ldst_full;
+        return false;
+      }
+      wc.stalled_lines = 0;
       issue_memory(slot, ins, coalesce_scratch_, now);
       break;
     }

@@ -29,6 +29,9 @@ struct WarpContext {
   u32 pc_idx = 0;               ///< index into the kernel instruction vector
   Cycle ready_at = 0;           ///< earliest cycle the warp may issue again
   u32 outstanding_loads = 0;    ///< in-flight coalesced line loads
+  /// Line count of the memory instruction the LD/ST unit last refused;
+  /// 0 when the current instruction has not been refused.
+  u32 stalled_lines = 0;
   std::vector<LoopFrame> loops;
   bool leading = false;         ///< PAS leading-warp marker
   u64 launch_order = 0;         ///< global age for GTO
@@ -47,6 +50,7 @@ struct WarpContext {
     pc_idx = 0;
     ready_at = 0;
     outstanding_loads = 0;
+    stalled_lines = 0;
     loops.clear();
     leading = false;
     launch_order = 0;

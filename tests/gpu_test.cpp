@@ -442,5 +442,129 @@ TEST(SmTest, RepeatedLoadsHitInL1) {
   EXPECT_EQ(s.dram.reads, 1u);
 }
 
+// ------------------------------------------- Refused memory issue -----
+
+/// Records the coalesced lines of every issue it observes, and checks that a
+/// launched CTA's warps start with no remembered refusal. On CTA completion
+/// it leaves a stale count in the retired slots, so the relaunch check
+/// fails unless launching clears it.
+class RefusalProbe final : public Prefetcher {
+ public:
+  struct Issue {
+    u32 warp_slot;
+    Dim3 cta_id;
+    u32 warp_in_cta;
+    u32 iteration;
+    std::vector<Addr> lines;
+  };
+
+  RefusalProbe(std::vector<WarpContext>* const* warps,
+               std::vector<Issue>* issues, u32* dirty_launches)
+      : warps_(warps), issues_(issues), dirty_launches_(dirty_launches) {}
+
+  void on_load_issue(const LoadIssueInfo& info,
+                     std::vector<PrefetchRequest>&) override {
+    issues_->push_back({info.warp_slot, info.cta_id, info.warp_in_cta,
+                        info.iteration,
+                        {info.lines.begin(), info.lines.end()}});
+  }
+  void on_cta_launch(u32 cta_slot, const Dim3&, u32 first_warp,
+                     u32 num_warps) override {
+    first_warp_[cta_slot] = first_warp;
+    num_warps_[cta_slot] = num_warps;
+    for (u32 w = first_warp; w < first_warp + num_warps; ++w)
+      if ((**warps_)[w].stalled_lines != 0) ++*dirty_launches_;
+  }
+  void on_cta_complete(u32 cta_slot) override {
+    for (u32 w = first_warp_[cta_slot];
+         w < first_warp_[cta_slot] + num_warps_[cta_slot]; ++w)
+      (**warps_)[w].stalled_lines = 7;
+  }
+  const char* name() const override { return "probe"; }
+
+ private:
+  std::vector<WarpContext>* const* warps_;
+  std::vector<Issue>* issues_;
+  u32* dirty_launches_;
+  u32 first_warp_[8] = {};
+  u32 num_warps_[8] = {};
+};
+
+TEST(SmTest, RefusedLoadIssuesItsOwnLinesAndCountsEveryRetry) {
+  // Three warps per CTA, each loading 32 scattered lines into a 32-entry
+  // LD/ST queue: a warp is refused until the lines ahead of it drain, and
+  // the two waiting warps take turns being refused, each coalescing into
+  // the SM's shared scratch. One CTA slot, so the second CTA relaunches
+  // into it.
+  AddressPattern p = indirect_pattern(0x1000'0000, 1ULL << 26, 11);
+  p.indirect_group = 1;
+  KernelBuilder b("k", {2, 1, 1}, {96, 1, 1});
+  b.load(p);
+  const Kernel k = b.build();
+  GpuConfig cfg = tiny_gpu();
+  cfg.ldst_queue_size = 32;
+  cfg.max_ctas_per_sm = 1;
+
+  std::vector<WarpContext>* warps = nullptr;
+  std::vector<RefusalProbe::Issue> issues;
+  u32 dirty_launches = 0;
+  SmPolicyFactories pol =
+      make_policies(PrefetcherKind::kNone, SchedulerKind::kTwoLevel, true);
+  pol.make_scheduler = [base = pol.make_scheduler, &warps](
+                           const GpuConfig& c, std::vector<WarpContext>& w,
+                           std::function<bool(u32, Cycle)> eligible,
+                           std::function<bool(u32)> waiting_mem) {
+    warps = &w;
+    return base(c, w, std::move(eligible), std::move(waiting_mem));
+  };
+  pol.make_prefetcher = [&](const GpuConfig&) {
+    return std::make_unique<RefusalProbe>(&warps, &issues, &dirty_launches);
+  };
+  std::vector<TraceEvent> events;
+  Gpu gpu(cfg, k, pol, [&](const TraceEvent& e) {
+    if (e.kind == TraceKind::kLoadIssue) events.push_back(e);
+  });
+
+  u32 max_stalled = 0;
+  while (!gpu.done() && gpu.now() < cfg.max_cycles) {
+    gpu.step();
+    for (const WarpContext& wc : *warps)
+      if (wc.status == WarpStatus::kActive)
+        max_stalled = std::max(max_stalled, wc.stalled_lines);
+  }
+  ASSERT_TRUE(gpu.done());
+  const GpuStats s = gpu.collect_stats();
+
+  // Every issue carries exactly the lines a fresh coalesce returns.
+  Coalescer co(cfg.l1d.line_size);
+  std::vector<Addr> fresh;
+  ASSERT_EQ(events.size(), 6u);
+  ASSERT_EQ(issues.size(), 6u);
+  for (std::size_t i = 0; i < issues.size(); ++i) {
+    const RefusalProbe::Issue& is = issues[i];
+    co.coalesce_into(p, k.block(), is.cta_id, flatten(is.cta_id, k.grid()),
+                     is.warp_in_cta, is.iteration, fresh);
+    ASSERT_EQ(fresh.size(), 32u);
+    EXPECT_EQ(is.lines, fresh);
+    EXPECT_EQ(events[i].warp_slot, static_cast<i32>(is.warp_slot));
+    EXPECT_EQ(events[i].line, fresh.front());
+    EXPECT_EQ(events[i].num_lines, 32u);
+  }
+
+  // From a CTA's first issue to its last, a waiting warp is tried, and
+  // refused, exactly once per cycle: each attempt is counted.
+  ASSERT_EQ(events[0].cta_id.x, events[2].cta_id.x);
+  ASSERT_EQ(events[3].cta_id.x, events[5].cta_id.x);
+  const u64 refused = (events[2].cycle - events[0].cycle) +
+                      (events[5].cycle - events[3].cycle);
+  EXPECT_GT(refused, 2u);
+  EXPECT_EQ(s.sm.stall_ldst_full, refused);
+  EXPECT_EQ(max_stalled, 32u);  // the refusal was remembered
+
+  // The relaunched CTA found its slot's stale count cleared.
+  EXPECT_EQ(s.sm.ctas_completed, 2u);
+  EXPECT_EQ(dirty_launches, 0u);
+}
+
 }  // namespace
 }  // namespace caps
