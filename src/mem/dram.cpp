@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 #include "common/diag.hpp"
 
@@ -31,9 +32,22 @@ void DramChannel::submit(const MemRequest& req) {
   p.row = row_id >> std::countr_zero(static_cast<u64>(num_banks_));
   p.arrived = req.created;
   queue_.push_back(p);
+  next_pick_at_ = std::min(next_pick_at_, start_at(p));
+}
+
+Cycle DramChannel::activate_at(const Bank& b) const {
+  Cycle t = std::max(b.ready_at, last_activate_any_ + scale(t_.tRRD));
+  if (b.open) t = std::max(t, b.last_activate + scale(t_.tRC));
+  return t;
+}
+
+Cycle DramChannel::start_at(const Pending& p) const {
+  const Bank& b = banks_[p.bank];
+  return b.open && b.row == p.row ? b.ready_at : activate_at(b);
 }
 
 FlatDeque<DramChannel::Pending>::iterator DramChannel::pick(Cycle now) {
+  if (now < next_pick_at_) return queue_.end();
   // First pass: oldest request that is a row hit on a ready bank.
   for (auto it = queue_.begin(); it != queue_.end(); ++it) {
     const Bank& b = banks_[it->bank];
@@ -46,19 +60,21 @@ FlatDeque<DramChannel::Pending>::iterator DramChannel::pick(Cycle now) {
   // and the scan stops once every bank has been represented. Worst case is
   // num_banks_ candidate evaluations instead of the full queue.
   std::fill(bank_seen_.begin(), bank_seen_.end(), u8{0});
-  const Cycle rrd_gate = last_activate_any_ + scale(t_.tRRD);
-  const Cycle trc = scale(t_.tRC);
   u32 seen = 0;
   for (auto it = queue_.begin(); it != queue_.end() && seen < num_banks_;
        ++it) {
     if (bank_seen_[it->bank] != 0) continue;
     bank_seen_[it->bank] = 1;
     ++seen;
-    const Bank& b = banks_[it->bank];
-    Cycle act_ok = std::max(b.ready_at, rrd_gate);
-    if (b.open) act_ok = std::max(act_ok, b.last_activate + trc);
-    if (act_ok <= now) return it;
+    if (activate_at(banks_[it->bank]) <= now) return it;
   }
+  // Nothing can start now. Until a command issues or a request arrives, the
+  // first pass can succeed no earlier than some row hit's bank is ready and
+  // the second no earlier than some request's activate_at (never before its
+  // bank's ready_at), so both scans are skipped until the minimum of those.
+  next_pick_at_ = std::numeric_limits<Cycle>::max();
+  for (const Pending& p : queue_)
+    next_pick_at_ = std::min(next_pick_at_, start_at(p));
   return queue_.end();
 }
 

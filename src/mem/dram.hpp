@@ -87,8 +87,16 @@ class DramChannel {
   /// oldest request whose bank can start an activation. The second pass is a
   /// bounded scan: per bank only the oldest queued request is a candidate
   /// (activation readiness is a property of the bank, not the request), so
-  /// at most `num_banks_` entries are examined before giving up.
+  /// at most `num_banks_` entries are examined before giving up. Returns
+  /// queue_.end() at once before next_pick_at_.
   FlatDeque<Pending>::iterator pick(Cycle now);
+
+  /// Earliest cycle `b` may start an activation: the bank is ready, tRRD
+  /// has passed since any bank's last activation (and tRC since its own).
+  Cycle activate_at(const Bank& b) const;
+  /// Earliest cycle pick() can choose `p` in the current bank state: its
+  /// bank's ready_at for a row hit, else activate_at.
+  Cycle start_at(const Pending& p) const;
 
   DramTiming t_;
   double ratio_;
@@ -99,6 +107,11 @@ class DramChannel {
   FlatDeque<Pending> queue_;
   std::vector<Bank> banks_;
   std::vector<u8> bank_seen_;  ///< per-pick scratch for the bounded scan
+  /// pick() finds nothing before this cycle. A pick that finds nothing sets
+  /// it to the queue's minimum start_at, and submit() lowers it to the new
+  /// request's. Only an issued command changes the bank state it derives
+  /// from, and a command issues only at or after it, so it is never stale.
+  Cycle next_pick_at_ = 0;
   Cycle bus_free_at_ = 0;
   Cycle last_activate_any_ = 0;  ///< for tRRD (activate-to-activate, any bank)
 

@@ -312,6 +312,51 @@ TEST_F(DramTest, CountsReadsAndWrites) {
   EXPECT_EQ(ch->stats().writes, 1u);
 }
 
+TEST_F(DramTest, IssuesExactlyWhenTheFirstQueuedRequestCanStart) {
+  // Banks 0 and 1 busy with a read each; bank 0 started first, so it is
+  // ready first, at the cycle its read completes. A row miss on bank 1 and
+  // a row hit on bank 0 wait for it. A request for idle bank 2 arriving
+  // meanwhile issues at once, and the hit issues at exactly bank 0's ready
+  // cycle. tRRD = 0 keeps activation spacing out of the picture.
+  cfg_.dram_banks = 4;
+  cfg_.dram_timing.tRRD = 0;
+  auto ch = make();
+  MemRequest a, b, miss, hit, idle;
+  a.line = 0;             // bank 0, row 0
+  b.line = 2048;          // bank 1, row 0
+  miss.line = 2048 * 5;   // bank 1, row 1
+  hit.line = 128;         // bank 0, row 0
+  idle.line = 2048 * 2;   // bank 2, row 0
+  ch->submit(a);
+  ch->submit(b);
+  Cycle t = 0;
+  MemRequest r;
+  for (; ch->stats().reads < 2 && t < 1000; ++t) ch->cycle(t);
+  ASSERT_EQ(ch->stats().reads, 2u);
+  ch->submit(miss);
+  ch->submit(hit);
+
+  const Cycle idle_arrives = t + 3;
+  Cycle idle_issued = 0;
+  Cycle bank0_ready = 0;
+  Cycle hit_issued = 0;
+  for (; hit_issued == 0 && t < 1000; ++t) {
+    if (ch->pop_done(t, r) && r.line == a.line) bank0_ready = t;
+    if (t == idle_arrives) ch->submit(idle);
+    const u64 misses = ch->stats().row_misses;
+    const u64 hits = ch->stats().row_hits;
+    ch->cycle(t);
+    if (ch->stats().row_misses != misses) {
+      ASSERT_EQ(idle_issued, 0u) << "a busy bank activated at cycle " << t;
+      idle_issued = t;
+    }
+    if (ch->stats().row_hits != hits) hit_issued = t;
+  }
+  EXPECT_EQ(idle_issued, idle_arrives);
+  ASSERT_NE(bank0_ready, 0u);
+  EXPECT_EQ(hit_issued, bank0_ready);
+}
+
 TEST(MemorySystemTest, PartitionMappingIsChunked) {
   GpuConfig cfg;
   MemorySystem mem(cfg);
