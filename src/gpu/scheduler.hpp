@@ -138,8 +138,9 @@ class TwoLevelScheduler : public Scheduler {
   /// Promotion priority: subclasses (PAS, ORCH) return false for warps that
   /// should yield to the others. Plain two-level promotion is FIFO.
   virtual bool promote_first(u32 /*slot*/) const { return true; }
-  /// Where a newly launched/promoted warp enters the ready queue.
-  virtual void enqueue_ready(u32 slot, bool to_front);
+  /// Enter a newly launched/promoted warp at the back of the ready queue,
+  /// or at the front (PAS leading warps).
+  void enqueue_ready(u32 slot, bool to_front);
 
   void erase_from(FlatDeque<u32>& q, u32 slot);
 
