@@ -124,4 +124,15 @@ std::string sweep_signature(const std::vector<RunResult>& results) {
   return os.str();
 }
 
+std::string signature_digest(const RunResult& r) {
+  u64 h = 0xcbf29ce484222325ULL;
+  for (const char c : sweep_signature({r})) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
+  return buf;
+}
+
 }  // namespace caps

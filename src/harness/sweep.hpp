@@ -89,4 +89,8 @@ std::string stats_signature(const GpuStats& s);
 /// which is timing annotation, not simulation output.
 std::string sweep_signature(const std::vector<RunResult>& results);
 
+/// 16-hex-digit FNV-1a digest of one run's sweep_signature entry. The
+/// golden digest files and capsim-bench reports record this value.
+std::string signature_digest(const RunResult& r);
+
 }  // namespace caps

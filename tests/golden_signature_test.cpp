@@ -1,6 +1,7 @@
 // Golden determinism gates: every run of a Fig. 10 matrix (workloads under
-// BASE + the seven prefetchers) must reproduce the committed FNV-1a digest
-// of its sweep_signature entry, which covers every counter and the exact
+// BASE + the seven prefetchers) must reproduce its committed
+// signature_digest (FNV-1a of its sweep_signature entry, which capsim-bench
+// reports too). The signature covers every counter and the exact
 // bits of every RunningStat. A refactor that claims to change no
 // simulation output is checked against these files:
 //   - tests/golden/quick_matrix.digests: MM, LPS, CNV, BFS (32 runs);
@@ -13,7 +14,6 @@
 // digest file it names.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -26,17 +26,6 @@
 
 namespace caps {
 namespace {
-
-std::string fnv1a_hex(const std::string& s) {
-  u64 h = 0xcbf29ce484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
-  return buf;
-}
 
 std::string run_name(const RunResult& r) {
   return r.cfg.workload + "/" + to_string(r.cfg.prefetcher);
@@ -84,7 +73,7 @@ void expect_matrix_matches_golden(const std::vector<std::string>& workloads,
   u32 mismatches = 0;
   for (const RunResult& r : results) {
     const std::string name = run_name(r);
-    const std::string actual = fnv1a_hex(sweep_signature({r}));
+    const std::string actual = signature_digest(r);
     regenerated << name << ' ' << actual << '\n';
     const auto it = golden.find(name);
     const std::string expected = it == golden.end() ? "<missing>" : it->second;

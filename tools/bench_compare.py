@@ -7,6 +7,9 @@ Compares a current BENCH_*.json (see tools/capsim_bench.cpp) with a baseline
   * total wall-clock regressed by more than --max-ratio (default 2.0), or
   * any simulated cycle count differs (cycle counts are machine-independent,
     so a mismatch is a determinism regression, not a perf one), or
+  * any run's signature digest differs, when both reports carry digests
+    (the digest covers every counter and RunningStat of the run; a note is
+    printed when the baseline predates digests), or
   * the current report recorded failed runs.
 
 The wall-clock gate is deliberately loose (2x): CI machines differ from the
@@ -33,10 +36,12 @@ def load(path):
         sys.exit(2)
 
 
-def cycle_map(report):
+def field_map(report, field):
+    """(workload, prefetcher) -> field, for the runs that carry it."""
     return {
-        (r["workload"], r["prefetcher"]): r["cycles"]
+        (r["workload"], r["prefetcher"]): r[field]
         for r in report.get("runs_detail", [])
+        if field in r
     }
 
 
@@ -48,7 +53,8 @@ def main(argv):
                     help="fail when current wall > ratio * baseline wall "
                          "(default: 2.0)")
     ap.add_argument("--ignore-cycles", action="store_true",
-                    help="skip the simulated-cycle determinism comparison")
+                    help="skip the determinism comparisons (simulated "
+                         "cycles and signature digests)")
     args = ap.parse_args(argv)
 
     base = load(args.baseline)
@@ -83,7 +89,7 @@ def main(argv):
 
     if not args.ignore_cycles and not any("sweep shape" in f
                                           for f in failures):
-        bmap, cmap = cycle_map(base), cycle_map(cur)
+        bmap, cmap = field_map(base, "cycles"), field_map(cur, "cycles")
         for key in sorted(bmap):
             if key not in cmap:
                 failures.append("run %s/%s missing from current report"
@@ -92,6 +98,18 @@ def main(argv):
                 failures.append(
                     "determinism drift: %s/%s simulated %d cycles, baseline "
                     "recorded %d" % (key[0], key[1], cmap[key], bmap[key]))
+        bdig, cdig = field_map(base, "digest"), field_map(cur, "digest")
+        if bdig and cdig:
+            for key in sorted(bdig):
+                if key in cdig and bdig[key] != cdig[key]:
+                    failures.append(
+                        "determinism drift: %s/%s signature digest %s, "
+                        "baseline recorded %s"
+                        % (key[0], key[1], cdig[key], bdig[key]))
+        else:
+            print("note: %s report carries no signature digests; only "
+                  "cycle counts were compared"
+                  % ("baseline" if not bdig else "current"))
 
     if failures:
         for f in failures:

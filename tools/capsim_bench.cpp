@@ -6,8 +6,9 @@
 // report: wall-clock, simulated cycles per second, thread count, and a
 // per-run breakdown. CI runs `capsim-bench --quick` and gates on a >2x
 // wall-clock regression against the committed BENCH_seed.json via
-// tools/bench_compare.py; the simulated cycle counts in the report are
-// machine-independent, so the comparison also catches determinism drift.
+// tools/bench_compare.py; the simulated cycle counts and signature digests
+// in the report are machine-independent, so the comparison also catches
+// determinism drift.
 //
 // Usage:
 //   capsim-bench [--quick] [--threads N] [--serial] [--tag TAG] [--out FILE]
@@ -162,7 +163,8 @@ int main(int argc, char** argv) {
        << "\", \"status\": \"" << to_string(r.status)
        << "\", \"cycles\": " << r.stats.cycles
        << ", \"instructions\": " << r.stats.sm.issued_instructions
-       << ", \"wall_seconds\": " << r.wall_seconds << "}"
+       << ", \"digest\": \"" << signature_digest(r)
+       << "\", \"wall_seconds\": " << r.wall_seconds << "}"
        << (i + 1 < runs.size() ? "," : "") << "\n";
   }
   os << "  ]\n";
