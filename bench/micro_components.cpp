@@ -1,6 +1,7 @@
 // google-benchmark micro-suite: throughput of the individual simulator
-// components (tag probes, MSHR churn, coalescing, DRAM scheduling, CAPS
-// table operations, scheduler picks, and a whole-GPU cycle).
+// components (tag probes, MSHR churn, affine and indirect coalescing, DRAM
+// scheduling busy and saturated, CAPS table operations, scheduler picks,
+// and a whole-GPU cycle).
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -64,6 +65,25 @@ void BM_Coalesce32Lanes(benchmark::State& state) {
 }
 BENCHMARK(BM_Coalesce32Lanes);
 
+void BM_CoalesceIndirect32Lanes(benchmark::State& state) {
+  // The irregular workloads' scattered loads (indirect_group = 1): 32
+  // hashed lanes, almost always 32 distinct lines.
+  Coalescer co(128);
+  AddressPattern p = indirect_pattern(0x2000'0000, 1ULL << 26, 7);
+  p.indirect_group = 1;
+  std::vector<Addr> lines;  // the SM's reused coalesce scratch
+  lines.reserve(kWarpSize);
+  u32 warp = 0;
+  for (auto _ : state) {
+    co.coalesce_into(p, {256, 1, 1}, {1, 2}, 9, warp, 3, lines);
+    benchmark::DoNotOptimize(lines.data());
+    benchmark::ClobberMemory();
+    warp = (warp + 1) % 8;
+  }
+  state.SetItemsProcessed(state.iterations() * kWarpSize);
+}
+BENCHMARK(BM_CoalesceIndirect32Lanes);
+
 void BM_DramChannelCycle(benchmark::State& state) {
   GpuConfig cfg;
   u64 completed = 0;
@@ -86,6 +106,35 @@ void BM_DramChannelCycle(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DramChannelCycle);
+
+void BM_DramChannelCycleBanksBusy(benchmark::State& state) {
+  // A full queue behind banks that are all busy: the cycles a saturated
+  // channel spends with nothing to schedule. tRRD = 0 lets one activation
+  // start per cycle, so every bank is busy before the first one frees.
+  GpuConfig cfg;
+  cfg.dram_timing.tRRD = 0;
+  DramChannel ch(cfg);
+  const auto submit = [&](Addr line) {
+    MemRequest r;
+    r.line = line;
+    ch.submit(r);
+  };
+  const Addr row_bytes = cfg.dram_row_bytes;
+  for (u32 b = 0; b < cfg.dram_banks; ++b) submit(b * row_bytes);
+  Cycle now = 0;
+  while (ch.queue_size() > 0) ch.cycle(now++);
+  // Queue row misses (row 1 of each bank) until the queue is full.
+  for (u32 i = 0; ch.can_accept(); ++i)
+    submit((cfg.dram_banks + i % cfg.dram_banks) * row_bytes);
+  for (auto _ : state) {
+    ch.cycle(now);
+    benchmark::ClobberMemory();
+  }
+  if (ch.queue_size() != ch.queue_capacity())
+    state.SkipWithError("a command issued: some bank was ready");
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DramChannelCycleBanksBusy);
 
 void BM_CapsTableLookup(benchmark::State& state) {
   GpuConfig cfg;
