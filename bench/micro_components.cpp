@@ -1,7 +1,7 @@
 // google-benchmark micro-suite: throughput of the individual simulator
 // components (tag probes, MSHR churn, affine and indirect coalescing, DRAM
 // scheduling busy and saturated, CAPS table operations, scheduler picks,
-// and a whole-GPU cycle).
+// and a whole-GPU cycle, mixed and memory-saturated).
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -190,6 +190,35 @@ void BM_FullGpuCycle(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FullGpuCycle);
+
+void BM_FullGpuCycleSaturated(benchmark::State& state) {
+  // PVR's indirect loads on BASE saturate the memory system within a few
+  // thousand cycles; from then on most of a step is blocked LD/ST and L2
+  // queue heads retrying, so this times that retry path. Each restart is
+  // warmed up outside the timed region.
+  GpuConfig cfg;
+  cfg.max_cycles = ~0ULL;
+  const Kernel& k = find_workload("PVR").kernel;
+  const SmPolicyFactories pol = make_policies(
+      PrefetcherKind::kNone, default_scheduler_for(PrefetcherKind::kNone),
+      true);
+  auto saturated = [&] {
+    auto gpu = std::make_unique<Gpu>(cfg, k, pol);
+    for (int i = 0; i < 5000; ++i) gpu->step();
+    return gpu;
+  };
+  auto gpu = saturated();
+  for (auto _ : state) {
+    if (gpu->done()) {
+      state.PauseTiming();
+      gpu = saturated();
+      state.ResumeTiming();
+    }
+    gpu->step();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FullGpuCycleSaturated);
 
 void BM_EndToEndSmallKernel(benchmark::State& state) {
   GpuConfig cfg;

@@ -79,6 +79,7 @@ void LdStUnit::process_replies(Cycle now) {
     if (!mem_.pop_reply(sm_id_, now, reply)) break;
     const bool pf_entry = mshr_.is_prefetch_entry(reply.line);
     mshr_.fill_into(reply.line, fill_scratch_);
+    ++gen_;
     const std::vector<L1Access>& waiters = fill_scratch_;
     CAPS_CHECK(!waiters.empty(), "MSHR fill returned no waiters");
     ++stats_.l1_fills;
@@ -173,49 +174,22 @@ bool LdStUnit::process_demand(Cycle now) {
     req.created = now;
     mem_.submit(req, now);
     ++stats_.stores_to_mem;
-    demand_q_.pop();
+    pop_demand();
     return true;
   }
 
-  // Accesses are counted once, when the probe completes (retries after a
-  // structural stall are not double counted).
-  if (l1_.access(access.line) == CacheOutcome::kHit) {
-    ++stats_.l1_accesses;
-    ++stats_.l1_hits;
-    LineMeta* meta = l1_.find_meta(access.line);
-    if (meta != nullptr && meta->prefetched) {
-      ++stats_.pf_useful;
-      stats_.pf_distance.add(static_cast<double>(now - meta->pf_issue_cycle));
-      if (trace_ != nullptr)
-        (*trace_)({.kind = TraceKind::kPrefetchTimely, .sm_id = sm_id_,
-                   .cycle = now, .warp_slot = access.warp_slot,
-                   .pc = meta->pf_pc, .line = access.line,
-                   .issue_cycle = meta->pf_issue_cycle});
-      meta->prefetched = false;  // consumed
-    }
-    completions_.push(Completion{now + cfg_.l1_hit_latency, access});
-    demand_q_.pop();
-    return true;
+  // A head probed at the current generation would probe the same way; only
+  // the crossbar can drain without a bump, so only it is checked again.
+  if (demand_gen_ != gen_) {
+    demand_wait_ = probe_demand(access, now);
+    if (demand_wait_ == Wait::kDone) return true;
+    demand_gen_ = gen_;
   }
-
-  // Miss path.
-  if (mshr_.has(access.line)) {
-    if (!mshr_.can_merge(access.line)) {
-      ++stats_.stall_merge_full;
-      return false;
-    }
-    ++stats_.l1_accesses;
-    ++stats_.l1_misses;
-    ++stats_.l1_mshr_merges;
-    if (mshr_.is_prefetch_entry(access.line)) {
-      // Demand caught up with an in-flight prefetch: late-useful accounting
-      // happens at fill time; nothing to do here.
-    }
-    mshr_.merge(access.line, access);
-    demand_q_.pop();
-    return true;
+  if (demand_wait_ == Wait::kMerge) {
+    ++stats_.stall_merge_full;
+    return false;
   }
-  if (mshr_.full()) {
+  if (demand_wait_ == Wait::kMshr) {
     ++stats_.stall_mshr_full;
     return false;
   }
@@ -235,23 +209,63 @@ bool LdStUnit::process_demand(Cycle now) {
   req.sm_id = sm_id_;
   req.created = now;
   mem_.submit(req, now);
-  demand_q_.pop();
+  pop_demand();
   return true;
+}
+
+LdStUnit::Wait LdStUnit::probe_demand(const L1Access& access, Cycle now) {
+  // Accesses are counted once, when the probe completes (retries after a
+  // structural stall are not double counted).
+  if (l1_.access(access.line) == CacheOutcome::kHit) {
+    ++stats_.l1_accesses;
+    ++stats_.l1_hits;
+    LineMeta* meta = l1_.find_meta(access.line);
+    if (meta != nullptr && meta->prefetched) {
+      ++stats_.pf_useful;
+      stats_.pf_distance.add(static_cast<double>(now - meta->pf_issue_cycle));
+      if (trace_ != nullptr)
+        (*trace_)({.kind = TraceKind::kPrefetchTimely, .sm_id = sm_id_,
+                   .cycle = now, .warp_slot = access.warp_slot,
+                   .pc = meta->pf_pc, .line = access.line,
+                   .issue_cycle = meta->pf_issue_cycle});
+      meta->prefetched = false;  // consumed
+    }
+    completions_.push(Completion{now + cfg_.l1_hit_latency, access});
+    pop_demand();
+    return Wait::kDone;
+  }
+  // Miss path. A demand that catches up with an in-flight prefetch merges
+  // like any other; late-useful accounting happens at fill time.
+  if (mshr_.has(access.line)) {
+    if (!mshr_.can_merge(access.line)) return Wait::kMerge;
+    ++stats_.l1_accesses;
+    ++stats_.l1_misses;
+    ++stats_.l1_mshr_merges;
+    mshr_.merge(access.line, access);
+    pop_demand();
+    return Wait::kDone;
+  }
+  return mshr_.full() ? Wait::kMshr : Wait::kCrossbar;
 }
 
 void LdStUnit::process_prefetch(Cycle now) {
   if (prefetch_q_.empty()) return;
   const L1Access& head = prefetch_q_.front();
 
-  if (l1_.contains(head.line)) {
-    ++stats_.pf_dropped_hit;
-    prefetch_q_.pop();
-    return;
-  }
-  if (mshr_.has(head.line)) {
-    ++stats_.pf_dropped_inflight;
-    prefetch_q_.pop();
-    return;
+  // A head probed at the current generation is still neither cached nor in
+  // flight.
+  if (prefetch_gen_ != gen_) {
+    if (l1_.contains(head.line)) {
+      ++stats_.pf_dropped_hit;
+      pop_prefetch();
+      return;
+    }
+    if (mshr_.has(head.line)) {
+      ++stats_.pf_dropped_inflight;
+      pop_prefetch();
+      return;
+    }
+    prefetch_gen_ = gen_;
   }
   if (mshr_.full() || !mem_.can_accept(head.line)) {
     // Structural backpressure: keep the head and retry; newly generated
@@ -259,7 +273,7 @@ void LdStUnit::process_prefetch(Cycle now) {
     ++stats_.pf_stall_structural;
     return;
   }
-  const L1Access access = prefetch_q_.pop();
+  const L1Access access = pop_prefetch();
   mshr_.allocate(access.line, access, /*by_prefetch=*/true);
   MemRequest req;
   req.id = next_req_id_++;

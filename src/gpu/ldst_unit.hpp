@@ -4,7 +4,9 @@
 // prefetch requests use the port only when no demand is waiting (lower
 // priority, Section V). Misses allocate/merge MSHR entries and go to the
 // memory system; MSHR-full or crossbar-full block the queue head, which is
-// what produces the whole-SM bursty stalls the paper measures.
+// what produces the whole-SM bursty stalls the paper measures. A blocked
+// head is not re-probed until something it depends on changes (DESIGN.md
+// §13, "Three exact skips").
 //
 // Load completions, eager wake-ups and demand misses are reported straight
 // to the owning SM (on_load_done / on_prefetch_fill / on_demand_miss).
@@ -58,11 +60,24 @@ class LdStUnit {
   void snapshot_into(MachineSnapshot& snap) const;
 
  private:
+  /// What a probed demand head waits for; kCrossbar is a primary miss
+  /// with a free MSHR entry, and kDone a head the probe retired.
+  enum class Wait : u8 { kDone, kCrossbar, kMshr, kMerge };
+
   void process_replies(Cycle now);
   void process_completions(Cycle now);
   bool process_demand(Cycle now);  ///< returns true if the port was used
+  Wait probe_demand(const L1Access& access, Cycle now);
   void process_prefetch(Cycle now);
   void complete_load(const L1Access& access);
+  void pop_demand() {
+    demand_q_.pop();
+    ++gen_;
+  }
+  L1Access pop_prefetch() {
+    ++gen_;
+    return prefetch_q_.pop();
+  }
 
   const GpuConfig& cfg_;
   StreamingMultiprocessor& sm_;
@@ -88,6 +103,15 @@ class LdStUnit {
   const TraceSink* trace_;
 
   u64 next_req_id_ = 1;
+
+  /// Bumped by every L1 fill and every queue pop: whatever a head's probe
+  /// reads of the L1 and the MSHR changes only there (every MSHR allocation
+  /// and merge pops its queue). A head probed at the current generation is
+  /// not probed again.
+  u64 gen_ = 0;
+  u64 demand_gen_ = ~u64{0};  ///< generation demand_wait_ was probed at
+  Wait demand_wait_ = Wait::kDone;
+  u64 prefetch_gen_ = ~u64{0};  ///< generation the prefetch head was probed at
 };
 
 }  // namespace caps

@@ -119,11 +119,11 @@ void DramChannel::cycle(Cycle now) {
     ++stats_.writes;
   else
     ++stats_.reads;
-  // Keep completion order monotone for the in-order completion queue.
-  const Cycle completes =
-      in_service_.empty() ? data_end
-                          : std::max(data_end, in_service_.back().first);
-  in_service_.push_back({completes, it->req});
+  // The bus is reserved in pick order, so completions are already in order:
+  // pop_done() relies on it.
+  CAPS_CHECK(in_service_.empty() || in_service_.back().first <= data_end,
+             "DRAM completions out of order");
+  in_service_.push_back({data_end, it->req});
   queue_.erase(it);
 }
 

@@ -30,26 +30,24 @@ void L2Partition::cycle(Cycle now) {
 
   const MemRequest& req = probe_queue_.front().req;
 
+  // A head probed at the current generation would probe the same way; only
+  // the DRAM queue can drain without a bump, so only it is checked again.
+  if (head_gen_ != gen_) {
+    head_wait_ = probe(req);
+    if (head_wait_ == Wait::kDone) return;
+    head_gen_ = gen_;
+  }
+  if (head_wait_ == Wait::kMshr) {
+    ++stats_.stall_mshr_full;
+    return;
+  }
+  if (!channel_.can_accept()) {
+    ++stats_.stall_dram_full;
+    return;
+  }
+  ++stats_.accesses;
+  ++stats_.misses;
   if (req.is_write) {
-    // Write-back, write-allocate. GPU stores are warp-coalesced full-line
-    // writes, so allocation needs no fill from DRAM; a dirty eviction may
-    // need a write-back slot in the DRAM queue.
-    if (LineMeta* meta = cache_.find_meta(req.line)) {
-      ++stats_.accesses;
-      ++stats_.hits;
-      meta->dirty = true;
-      cache_.access(req.line);  // refresh LRU
-      probe_queue_.pop();
-      return;
-    }
-    if (!channel_.can_accept()) {
-      // Worst case the allocation evicts a dirty line; require a queue slot
-      // up front to keep the state machine single-step.
-      ++stats_.stall_dram_full;
-      return;
-    }
-    ++stats_.accesses;
-    ++stats_.misses;
     LineMeta meta;
     meta.dirty = true;
     if (auto evicted = cache_.fill(req.line, meta);
@@ -62,49 +60,54 @@ void L2Partition::cycle(Cycle now) {
       channel_.submit(wb);
       ++stats_.writebacks;
     }
-    probe_queue_.pop();
-    return;
+  } else {
+    mshr_.allocate(req.line, req, req.is_prefetch);
+    MemRequest to_dram = req;
+    to_dram.created = now;
+    channel_.submit(to_dram);
+  }
+  pop_probe();
+}
+
+L2Partition::Wait L2Partition::probe(const MemRequest& req) {
+  if (req.is_write) {
+    // Write-back, write-allocate. GPU stores are warp-coalesced full-line
+    // writes, so allocation needs no fill from DRAM; a dirty eviction may
+    // need a write-back slot in the DRAM queue. Worst case the allocation
+    // evicts a dirty line, so a miss waits for a queue slot up front to
+    // keep the state machine single-step.
+    LineMeta* meta = cache_.find_meta(req.line);
+    if (meta == nullptr) return Wait::kDram;
+    ++stats_.accesses;
+    ++stats_.hits;
+    meta->dirty = true;
+    cache_.access(req.line);  // refresh LRU
+    pop_probe();
+    return Wait::kDone;
   }
 
   // Read path.
   if (mshr_.has(req.line)) {
     // Secondary miss: merge if capacity allows.
-    if (!mshr_.can_merge(req.line)) {
-      ++stats_.stall_mshr_full;
-      return;
-    }
+    if (!mshr_.can_merge(req.line)) return Wait::kMshr;
     ++stats_.accesses;
     ++stats_.misses;
     ++stats_.mshr_merges;
     mshr_.merge(req.line, req);
-    probe_queue_.pop();
-    return;
+    pop_probe();
+    return Wait::kDone;
   }
 
   if (cache_.access(req.line) == CacheOutcome::kHit) {
     ++stats_.accesses;
     ++stats_.hits;
     replies_.push_back(req);
-    probe_queue_.pop();
-    return;
+    pop_probe();
+    return Wait::kDone;
   }
 
-  // Primary miss: need an MSHR entry and DRAM queue space.
-  if (mshr_.full()) {
-    ++stats_.stall_mshr_full;
-    return;
-  }
-  if (!channel_.can_accept()) {
-    ++stats_.stall_dram_full;
-    return;
-  }
-  ++stats_.accesses;
-  ++stats_.misses;
-  mshr_.allocate(req.line, req, req.is_prefetch);
-  MemRequest to_dram = req;
-  to_dram.created = now;
-  channel_.submit(to_dram);
-  probe_queue_.pop();
+  // Primary miss: needs an MSHR entry and DRAM queue space.
+  return mshr_.full() ? Wait::kMshr : Wait::kDram;
 }
 
 void L2Partition::dram_done(const MemRequest& req, Cycle now) {
@@ -123,6 +126,7 @@ void L2Partition::dram_done(const MemRequest& req, Cycle now) {
     ++stats_.writebacks;
   }
   mshr_.fill_into(req.line, fill_scratch_);
+  ++gen_;
   for (MemRequest& waiter : fill_scratch_) replies_.push_back(waiter);
 }
 

@@ -87,6 +87,16 @@ class L2Partition {
     MemRequest req;
   };
 
+  /// What a probed head waits for; kDram is a miss that has everything but
+  /// a DRAM queue slot, and kDone a head the probe retired.
+  enum class Wait : u8 { kDone, kMshr, kDram };
+
+  Wait probe(const MemRequest& req);
+  void pop_probe() {
+    probe_queue_.pop();
+    ++gen_;
+  }
+
   const GpuConfig& cfg_;
   DramChannel& channel_;
   SetAssocCache cache_;
@@ -96,6 +106,13 @@ class L2Partition {
   FlatDeque<MemRequest> pending_writebacks_;  ///< dirty evictions awaiting DRAM
   std::vector<MemRequest> fill_scratch_;      ///< reused by dram_done()
   L2Stats stats_;
+
+  /// Bumped by every DRAM fill and every probe-queue pop: whatever the
+  /// head's probe reads of the cache and the MSHR changes only there. A head
+  /// probed at the current generation is not probed again (DESIGN.md §13).
+  u64 gen_ = 0;
+  u64 head_gen_ = ~u64{0};  ///< generation head_wait_ was probed at
+  Wait head_wait_ = Wait::kDone;
 };
 
 }  // namespace caps

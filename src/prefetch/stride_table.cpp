@@ -2,13 +2,6 @@
 
 namespace caps {
 
-StrideTable::Entry* StrideTable::find(u64 key) {
-  auto it = table_.find(key);
-  if (it == table_.end()) return nullptr;
-  it->second.lru = ++clock_;
-  return &it->second;
-}
-
 StrideTable::Entry& StrideTable::lookup(u64 key, bool& inserted) {
   auto it = table_.find(key);
   if (it != table_.end()) {

@@ -21,9 +21,6 @@ class StrideTable {
 
   explicit StrideTable(u32 max_entries) : max_entries_(max_entries) {}
 
-  /// Find without inserting.
-  Entry* find(u64 key);
-
   /// Observe a new address: the stride is the distance from the entry's
   /// last address. Returns the entry after the update.
   Entry& observe(u64 key, Addr addr);

@@ -566,5 +566,165 @@ TEST(SmTest, RefusedLoadIssuesItsOwnLinesAndCountsEveryRetry) {
   EXPECT_EQ(dirty_launches, 0u);
 }
 
+// ------------------------------------------- LD/ST blocked-head memo -----
+
+/// One LD/ST unit driven cycle by cycle against a real memory system. Its SM
+/// never cycles: it only takes the unit's callbacks, and accesses bound to no
+/// warp leave it alone. Lines kA, kB and kC map to partitions 0, 1 and 2.
+struct LdStRig {
+  static constexpr Addr kA = 0x0;
+  static constexpr Addr kB = 0x400;
+  static constexpr Addr kC = 0x800;
+
+  explicit LdStRig(const GpuConfig& c)
+      : cfg(c),
+        mem(cfg),
+        kernel(KernelBuilder("k", {1, 1, 1}, {32, 1, 1}).alu(1).build()),
+        pol(make_policies(PrefetcherKind::kNone, SchedulerKind::kTwoLevel,
+                          true)),
+        sm(cfg, 0, kernel, mem, pol),
+        ldst(cfg, sm, 0, mem, stats, nullptr) {}
+
+  void load(Addr line) {
+    L1Access a;
+    a.line = line;
+    ldst.push_demand(a);
+  }
+  void prefetch(Addr line) { ldst.push_prefetches({{.line = line}}, now); }
+  /// Fill the request crossbar toward `line`'s partition with stores.
+  void fill_xbar(Addr line) {
+    MemRequest w;
+    w.line = line;
+    w.is_write = true;
+    while (mem.can_accept(line)) mem.submit(w, now);
+  }
+  /// One cycle in Gpu::step order; `memory` false freezes the memory system,
+  /// crossbar included.
+  void tick(bool memory = true) {
+    ldst.cycle(now);
+    if (memory) mem.cycle(now);
+    ++now;
+  }
+  /// Tick until `stop()` holds after a cycle; returns that cycle.
+  template <typename Stop>
+  Cycle tick_until(Stop stop) {
+    while (now < 100'000) {
+      tick();
+      if (stop()) return now - 1;
+    }
+    ADD_FAILURE() << "condition never held";
+    return now;
+  }
+
+  GpuConfig cfg;
+  MemorySystem mem;
+  Kernel kernel;
+  SmPolicyFactories pol;
+  StreamingMultiprocessor sm;
+  SmStats stats;
+  LdStUnit ldst;
+  Cycle now = 0;
+};
+
+TEST(LdStMemoTest, CrossbarFullHeadIssuesOnTheFirstFreeCycle) {
+  LdStRig r(tiny_gpu());
+  r.fill_xbar(LdStRig::kA);
+  r.load(LdStRig::kA);
+  const Cycle freed =
+      r.tick_until([&] { return r.mem.can_accept(LdStRig::kA); });
+  EXPECT_EQ(r.stats.demand_to_mem, 0u);
+  r.tick();
+  EXPECT_EQ(r.stats.demand_to_mem, 1u);
+  EXPECT_EQ(r.stats.l1_accesses, 1u);  // counted once, when the probe ends
+  // Refused in every cycle up to and including the one the crossbar freed.
+  EXPECT_EQ(r.stats.stall_xbar_full, freed + 1);
+  EXPECT_EQ(r.mem.request_xbar_stats().inject_stalls, freed + 1);
+}
+
+TEST(LdStMemoTest, MshrFullHeadIssuesOnTheFillCycle) {
+  GpuConfig cfg = tiny_gpu();
+  cfg.l1d.mshr_entries = 1;
+  cfg.l1d.mshr_max_merged = 1;
+  LdStRig r(cfg);
+  r.load(LdStRig::kA);
+  r.load(LdStRig::kB);
+  r.tick();
+  ASSERT_EQ(r.stats.demand_to_mem, 1u);
+  const Cycle fill = r.tick_until([&] { return r.stats.l1_fills == 1; });
+  EXPECT_EQ(r.stats.demand_to_mem, 2u);  // in the same cycle as the fill
+  EXPECT_EQ(r.stats.stall_mshr_full, fill - 1);
+}
+
+TEST(LdStMemoTest, MergeFullHeadHitsOnTheFillCycle) {
+  GpuConfig cfg = tiny_gpu();
+  cfg.l1d.mshr_max_merged = 2;
+  LdStRig r(cfg);
+  for (int i = 0; i < 3; ++i) r.load(LdStRig::kA);
+  r.tick();
+  r.tick();
+  ASSERT_EQ(r.stats.l1_mshr_merges, 1u);
+  const Cycle fill = r.tick_until([&] { return r.stats.l1_fills == 1; });
+  EXPECT_EQ(r.stats.l1_hits, 1u);
+  EXPECT_EQ(r.stats.stall_merge_full, fill - 2);
+}
+
+TEST(LdStMemoTest, NewDemandHeadAfterAPopIsProbedFresh) {
+  // The first head leaves through the crossbar check; the second, on the
+  // same line, must see the entry the first allocated and merge.
+  LdStRig r(tiny_gpu());
+  r.load(LdStRig::kA);
+  r.load(LdStRig::kA);
+  r.tick();
+  r.tick();
+  EXPECT_EQ(r.stats.demand_to_mem, 1u);
+  EXPECT_EQ(r.stats.l1_mshr_merges, 1u);
+}
+
+TEST(LdStMemoTest, NewPrefetchHeadAfterAPopIsProbedFresh) {
+  LdStRig r(tiny_gpu());
+  r.prefetch(LdStRig::kA);
+  r.tick();
+  ASSERT_EQ(r.stats.pf_issued_to_mem, 1u);
+  r.prefetch(LdStRig::kA);
+  r.tick();
+  EXPECT_EQ(r.stats.pf_issued_to_mem, 1u);
+  EXPECT_EQ(r.stats.pf_dropped_inflight, 1u);
+}
+
+TEST(LdStMemoTest, CrossbarBlockedHeadSeesAPrefetchTakeTheLastMshrEntry) {
+  // Demand has the port first, and a prefetch of the head's own line waits
+  // on the same crossbar queue, so a prefetch can only change a blocked
+  // demand head's outcome through another line: here it takes the last
+  // MSHR entry while the head waits on the crossbar.
+  GpuConfig cfg = tiny_gpu();
+  cfg.l1d.mshr_entries = 1;
+  cfg.l1d.mshr_max_merged = 1;
+  LdStRig r(cfg);
+  r.fill_xbar(LdStRig::kA);
+  r.load(LdStRig::kA);
+  r.prefetch(LdStRig::kB);
+  r.tick(false);
+  ASSERT_EQ(r.stats.pf_issued_to_mem, 1u);
+  r.tick_until([&] { return r.stats.stall_mshr_full != 0; });
+  EXPECT_EQ(r.stats.demand_to_mem, 0u);
+  EXPECT_EQ(r.stats.stall_xbar_full + r.stats.stall_mshr_full, r.now);
+  const Cycle fill = r.tick_until([&] { return r.stats.l1_fills == 1; });
+  EXPECT_EQ(r.stats.demand_to_mem, 1u);
+  EXPECT_EQ(r.stats.stall_xbar_full + r.stats.stall_mshr_full, fill);
+}
+
+TEST(LdStMemoTest, PrefetchHeadBlockedOnTheMshrIssuesOnTheFillCycle) {
+  GpuConfig cfg = tiny_gpu();
+  cfg.l1d.mshr_entries = 1;
+  cfg.l1d.mshr_max_merged = 1;
+  LdStRig r(cfg);
+  r.load(LdStRig::kA);
+  r.prefetch(LdStRig::kC);
+  r.tick();  // the demand takes the port and the only entry
+  const Cycle fill = r.tick_until([&] { return r.stats.l1_fills == 1; });
+  EXPECT_EQ(r.stats.pf_issued_to_mem, 1u);
+  EXPECT_EQ(r.stats.pf_stall_structural, fill - 1);
+}
+
 }  // namespace
 }  // namespace caps

@@ -12,6 +12,7 @@
 #include "mem/cache.hpp"
 #include "mem/dram.hpp"
 #include "mem/interconnect.hpp"
+#include "mem/l2_partition.hpp"
 #include "mem/memory_system.hpp"
 #include "mem/mshr.hpp"
 
@@ -355,6 +356,116 @@ TEST_F(DramTest, IssuesExactlyWhenTheFirstQueuedRequestCanStart) {
   EXPECT_EQ(idle_issued, idle_arrives);
   ASSERT_NE(bank0_ready, 0u);
   EXPECT_EQ(hit_issued, bank0_ready);
+}
+
+// ------------------------------------------------ L2 blocked-head memo -----
+
+/// One L2 partition and its DRAM channel, driven in MemorySystem::cycle
+/// order.
+struct L2Rig {
+  explicit L2Rig(const GpuConfig& c) : cfg(c), ch(cfg), l2(cfg, ch) {}
+
+  void read(Addr line) {
+    MemRequest r;
+    r.line = line;
+    l2.accept(r, now);
+  }
+  void write(Addr line) {
+    MemRequest w;
+    w.line = line;
+    w.is_write = true;
+    l2.accept(w, now);
+  }
+  /// One cycle; `dram` false freezes the channel, so its queue never drains.
+  void tick(bool dram = true) {
+    l2.drain_writebacks();
+    l2.cycle(now);
+    if (dram) {
+      MemRequest done;
+      while (ch.pop_done(now, done)) {
+        l2.dram_done(done, now);
+        ++fills;
+      }
+      ch.cycle(now);
+    }
+    ++now;
+  }
+  /// Tick until `stop()` holds after a cycle; returns that cycle.
+  template <typename Stop>
+  Cycle tick_until(Stop stop) {
+    while (now < 100'000) {
+      tick();
+      if (stop()) return now - 1;
+    }
+    ADD_FAILURE() << "condition never held";
+    return now;
+  }
+
+  GpuConfig cfg;
+  DramChannel ch;
+  L2Partition l2;
+  Cycle now = 0;
+  u32 fills = 0;
+};
+
+TEST(L2MemoTest, DramFullHeadLeavesOnceTheChannelDrains) {
+  GpuConfig cfg;
+  cfg.dram_queue_size = 1;
+  L2Rig r(cfg);
+  r.read(0x0);
+  r.write(0x80);  // a write miss also waits for a DRAM queue slot
+  const Cycle ready = cfg.l2_latency;
+  while (r.now <= ready) r.tick(false);
+  ASSERT_EQ(r.l2.stats().misses, 1u);
+  for (int i = 0; i < 10; ++i) r.tick(false);
+  EXPECT_EQ(r.l2.stats().stall_dram_full, 10u);
+  r.tick();  // refused once more; then the channel issues the read
+  EXPECT_EQ(r.l2.stats().misses, 1u);
+  r.tick();
+  EXPECT_EQ(r.l2.stats().misses, 2u);
+  EXPECT_EQ(r.l2.stats().stall_dram_full, 11u);
+  EXPECT_EQ(r.l2.probe_queue_size(), 0u);
+}
+
+TEST(L2MemoTest, MshrFullHeadLeavesTheCycleAfterTheFill) {
+  GpuConfig cfg;
+  cfg.l2.mshr_entries = 1;
+  cfg.l2.mshr_max_merged = 1;
+  L2Rig r(cfg);
+  r.read(0x0);
+  r.read(0x80);
+  const Cycle fill = r.tick_until([&] { return r.fills == 1; });
+  EXPECT_EQ(r.l2.stats().misses, 1u);
+  r.tick();
+  EXPECT_EQ(r.l2.stats().misses, 2u);
+  // Blocked from the cycle after the first probe through the fill's cycle.
+  EXPECT_EQ(r.l2.stats().stall_mshr_full, fill - cfg.l2_latency);
+}
+
+TEST(L2MemoTest, MergeFullHeadHitsTheCycleAfterTheFill) {
+  GpuConfig cfg;
+  cfg.l2.mshr_max_merged = 1;
+  L2Rig r(cfg);
+  r.read(0x0);
+  r.read(0x0);
+  const Cycle fill = r.tick_until([&] { return r.fills == 1; });
+  EXPECT_EQ(r.l2.stats().hits, 0u);
+  r.tick();
+  EXPECT_EQ(r.l2.stats().hits, 1u);
+  EXPECT_EQ(r.l2.stats().stall_mshr_full, fill - cfg.l2_latency);
+}
+
+TEST(L2MemoTest, NewHeadAfterAPopIsProbedFresh) {
+  // The first head leaves through the DRAM check; the second, on the same
+  // line, must see the entry the first allocated and merge.
+  GpuConfig cfg;
+  L2Rig r(cfg);
+  r.read(0x0);
+  r.read(0x0);
+  while (r.now <= cfg.l2_latency + 1) r.tick();
+  EXPECT_EQ(r.l2.stats().misses, 2u);
+  EXPECT_EQ(r.l2.stats().mshr_merges, 1u);
+  EXPECT_EQ(r.l2.mshr_size(), 1u);
 }
 
 TEST(MemorySystemTest, PartitionMappingIsChunked) {

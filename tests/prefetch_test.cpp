@@ -52,11 +52,14 @@ TEST(StrideTableTest, LruEvictionWhenFull) {
   StrideTable t(2);
   t.observe(1, 0x1000);
   t.observe(2, 0x2000);
-  t.find(1);             // refresh key 1
+  t.observe(1, 0x1000);  // refresh key 1
   t.observe(3, 0x3000);  // evicts key 2
-  EXPECT_NE(t.find(1), nullptr);
-  EXPECT_EQ(t.find(2), nullptr);
-  EXPECT_NE(t.find(3), nullptr);
+  EXPECT_EQ(t.size(), 2u);
+  // A kept entry measures a stride from its last address; a fresh one
+  // measures none.
+  EXPECT_EQ(t.observe(1, 0x1100).stride, 0x100);
+  EXPECT_EQ(t.observe(3, 0x3100).stride, 0x100);
+  EXPECT_EQ(t.observe(2, 0x2100).stride, 0);
 }
 
 // ----------------------------------------------------------------- INTRA ---
