@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   std::printf("Fig. 10 — normalized IPC over two-level scheduler without "
               "prefetch%s\n\n", quick ? " (--quick subset)" : "");
 
-  const auto workloads = matrix_workloads(quick);
+  const auto workloads = fig10_workloads(quick);
   const Matrix m = run_matrix(workloads);
 
   std::vector<std::string> headers{"bench"};

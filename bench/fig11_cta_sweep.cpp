@@ -19,10 +19,8 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i)
     if (std::string(argv[i]) == "--full") full = true;
   std::vector<std::string> workloads;
-  if (quick)
-    workloads = {"MM", "LPS", "CNV", "BFS"};
-  else if (full)
-    workloads = matrix_workloads(false);
+  if (quick || full)
+    workloads = fig10_workloads(quick);
   else
     workloads = {"CP", "LPS", "HSP", "STE", "CNV", "MM", "SCN", "BFS"};
 

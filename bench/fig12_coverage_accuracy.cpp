@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   std::printf("Fig. 12 — prefetch coverage and accuracy%s\n\n",
               quick ? " (--quick subset)" : "");
 
-  const auto workloads = matrix_workloads(quick);
+  const auto workloads = fig10_workloads(quick);
   const Matrix m = run_matrix(workloads);
 
   for (const char* what : {"coverage", "accuracy"}) {

@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   std::printf("Fig. 13 — bandwidth overhead vs baseline%s\n\n",
               quick ? " (--quick subset)" : "");
 
-  const auto workloads = matrix_workloads(quick);
+  const auto workloads = fig10_workloads(quick);
   const Matrix m = run_matrix(workloads);
 
   struct Metric {

@@ -14,7 +14,7 @@ using namespace caps::bench;
 
 int main(int argc, char** argv) {
   const bool quick = quick_mode(argc, argv);
-  const auto workloads = matrix_workloads(quick);
+  const auto workloads = fig10_workloads(quick);
 
   std::printf("Fig. 14a — early prefetch ratio (evicted before use)%s\n\n",
               quick ? " (--quick subset)" : "");

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   Table t({"bench", "baseline (uJ)", "CAPS (uJ)", "normalized"});
   std::vector<double> norms;
 
-  const std::vector<std::string> workloads = matrix_workloads(quick);
+  const std::vector<std::string> workloads = fig10_workloads(quick);
   // One flattened sweep: (baseline, CAPS) per workload, in workload order.
   std::vector<RunConfig> sweep;
   sweep.reserve(workloads.size() * 2);

@@ -12,7 +12,6 @@
 
 #include "harness/experiment.hpp"
 #include "harness/sweep.hpp"
-#include "workloads/workload.hpp"
 
 namespace caps::bench {
 
@@ -20,13 +19,6 @@ inline bool quick_mode(int argc, char** argv) {
   for (int i = 1; i < argc; ++i)
     if (std::string(argv[i]) == "--quick") return true;
   return false;
-}
-
-inline std::vector<std::string> matrix_workloads(bool quick) {
-  if (quick) return {"MM", "LPS", "CNV", "BFS"};
-  std::vector<std::string> all;
-  for (const Workload& w : workload_suite()) all.push_back(w.abbr);
-  return all;
 }
 
 /// Skip-and-report gate: true when the run finished clean; otherwise print
@@ -47,18 +39,7 @@ inline Matrix run_matrix(const std::vector<std::string>& workloads,
                          const SweepOptions& opt = {}) {
   // Flatten the whole matrix (workloads x 8 configurations) into one sweep
   // so the executor can keep every worker busy across workload boundaries.
-  std::vector<RunConfig> cfgs;
-  cfgs.reserve(workloads.size() * (1 + prefetcher_legend().size()));
-  for (const std::string& wl : workloads) {
-    RunConfig rc;
-    rc.workload = wl;
-    rc.prefetcher = PrefetcherKind::kNone;
-    cfgs.push_back(rc);
-    for (PrefetcherKind pf : prefetcher_legend()) {
-      rc.prefetcher = pf;
-      cfgs.push_back(rc);
-    }
-  }
+  std::vector<RunConfig> cfgs = fig10_matrix(workloads);
   std::fprintf(stderr, "  running %zu configurations on %u thread(s)...\n",
                cfgs.size(),
                resolve_sweep_threads(opt.threads, cfgs.size()));

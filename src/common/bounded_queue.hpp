@@ -15,16 +15,12 @@ namespace caps {
 template <typename T>
 class BoundedQueue {
  public:
+  /// Pre-sizes the ring so pushes up to the structural limit never allocate
+  /// (the zero-allocation steady-state contract, DESIGN.md §13).
   explicit BoundedQueue(std::size_t capacity = 0) : capacity_(capacity) {
     items_.reserve(capacity_);
   }
 
-  void set_capacity(std::size_t capacity) {
-    capacity_ = capacity;
-    // Pre-size the ring so pushes up to the structural limit never allocate
-    // (the zero-allocation steady-state contract, DESIGN.md §13).
-    items_.reserve(capacity_);
-  }
   std::size_t capacity() const { return capacity_; }
   std::size_t size() const { return items_.size(); }
   bool empty() const { return items_.empty(); }

@@ -77,6 +77,7 @@ void GpuConfig::validate() const {
   require(caps.dist_entries > 0, "DIST table needs entries");
   require(caps.max_coalesced_lines >= 1 && caps.max_coalesced_lines <= kWarpSize,
           "max coalesced lines out of range");
+  require(baseline_pf.stride_table_entries > 0, "stride table needs entries");
   require(baseline_pf.degree >= 1, "prefetch degree must be positive");
   require(baseline_pf.macro_block_lines >= 2, "macro block must span >=2 lines");
   require(baseline_pf.macro_block_lines <= 64,

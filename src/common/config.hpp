@@ -30,10 +30,8 @@ struct DramTiming {
   u32 tCL = 12;
   u32 tRP = 12;
   u32 tRC = 40;
-  u32 tRAS = 28;
   u32 tRCD = 12;
   u32 tRRD = 6;
-  u32 tCDLR = 5;
   u32 tWR = 12;
   /// Data-bus cycles to stream one 128B line (x4 interface, DDR).
   u32 burst = 4;

@@ -7,23 +7,24 @@ CapsPrefetcher::CapsPrefetcher(const GpuConfig& cfg)
     : ccfg_(cfg.caps),
       dist_(cfg.caps.dist_entries, cfg.caps.mispredict_threshold),
       ctas_(cfg.max_ctas_per_sm) {
+  percta_.reserve(cfg.max_ctas_per_sm);
   for (u32 c = 0; c < cfg.max_ctas_per_sm; ++c)
-    percta_.push_back(std::make_unique<PerCtaTable>(cfg.caps.percta_entries));
+    percta_.emplace_back(cfg.caps.percta_entries, cfg.caps.max_coalesced_lines);
 }
 
 void CapsPrefetcher::on_cta_launch(u32 cta_slot, const Dim3& cta_id,
                                    u32 first_warp_slot, u32 num_warps) {
   ctas_[cta_slot] = CtaInfo{true, cta_id, first_warp_slot, num_warps};
-  percta_[cta_slot]->clear();
+  percta_[cta_slot].clear();
 }
 
 void CapsPrefetcher::on_cta_complete(u32 cta_slot) {
   ctas_[cta_slot].active = false;
-  percta_[cta_slot]->clear();
+  percta_[cta_slot].clear();
 }
 
-void CapsPrefetcher::generate_for_cta(u32 cta_slot, PerCtaTable::Entry& entry,
-                                      i64 stride,
+void CapsPrefetcher::generate_for_cta(u32 cta_slot, Addr pc,
+                                      PerCtaEntry& entry, i64 stride,
                                       std::vector<PrefetchRequest>& out) {
   const CtaInfo& cta = ctas_[cta_slot];
   if (!cta.active) return;
@@ -35,7 +36,7 @@ void CapsPrefetcher::generate_for_cta(u32 cta_slot, PerCtaTable::Entry& entry,
     const i64 dw = static_cast<i64>(w) - static_cast<i64>(entry.leading_warp);
     for (const Addr base : entry.bases)
       emit(out, static_cast<Addr>(static_cast<i64>(base) + stride * dw),
-           entry.pc, static_cast<i32>(cta.first_warp_slot + w));
+           pc, static_cast<i32>(cta.first_warp_slot + w));
     entry.prefetched_mask |= bit;
     ++stats_.table_writes;
   }
@@ -53,9 +54,9 @@ void CapsPrefetcher::on_load_issue(const LoadIssueInfo& info,
     return;
   }
 
-  PerCtaTable& table = *percta_[info.cta_slot];
+  PerCtaTable& table = percta_[info.cta_slot];
   ++stats_.table_reads;
-  PerCtaTable::Entry* entry = table.find(info.pc);
+  PerCtaEntry* entry = table.find(info.pc);
   DistTable::Entry* dist = dist_.find(info.pc);
   const u64 my_bit = 1ULL << info.warp_in_cta;
 
@@ -77,7 +78,7 @@ void CapsPrefetcher::on_load_issue(const LoadIssueInfo& info,
     // Case 2 (Fig. 9b): stride already known -> fan out to this CTA's
     // trailing warps immediately.
     if (dist != nullptr && !dist_.throttled(*dist))
-      generate_for_cta(info.cta_slot, *entry, dist->stride, out);
+      generate_for_cta(info.cta_slot, info.pc, *entry, dist->stride, out);
     else if (dist != nullptr)
       ++stats_.throttle_suppressed;
     return;
@@ -94,7 +95,7 @@ void CapsPrefetcher::on_load_issue(const LoadIssueInfo& info,
     entry->prefetched_mask = my_bit;
     ++stats_.table_writes;
     if (dist != nullptr && !dist_.throttled(*dist))
-      generate_for_cta(info.cta_slot, *entry, dist->stride, out);
+      generate_for_cta(info.cta_slot, info.pc, *entry, dist->stride, out);
     return;
   }
 
@@ -125,13 +126,13 @@ void CapsPrefetcher::on_load_issue(const LoadIssueInfo& info,
     }
     if (!uniform) {
       // "Not a striding load": drop the PerCTA entry (Section V-B).
-      table.invalidate(info.pc);
+      table.erase(info.pc);
       return;
     }
     if (dist_.record(info.pc, stride) == nullptr) {
       // DIST full with healthy entries: this PC is not targeted. Drop the
       // PerCTA entry too so it stops occupying a slot.
-      table.invalidate(info.pc);
+      table.erase(info.pc);
       return;
     }
     ++stats_.table_writes;
@@ -139,8 +140,8 @@ void CapsPrefetcher::on_load_issue(const LoadIssueInfo& info,
     // that already registered a base address for this PC.
     for (u32 c = 0; c < ctas_.size(); ++c) {
       if (!ctas_[c].active) continue;
-      if (PerCtaTable::Entry* e = percta_[c]->find(info.pc))
-        generate_for_cta(c, *e, stride, out);
+      if (PerCtaEntry* e = percta_[c].find(info.pc))
+        generate_for_cta(c, info.pc, *e, stride, out);
     }
     return;
   }
@@ -170,7 +171,7 @@ void CapsPrefetcher::on_load_issue(const LoadIssueInfo& info,
     return;
   }
   // Keep covering any still-unprefetched trailing warps of this CTA.
-  generate_for_cta(info.cta_slot, *entry, dist->stride, out);
+  generate_for_cta(info.cta_slot, info.pc, *entry, dist->stride, out);
 }
 
 }  // namespace caps

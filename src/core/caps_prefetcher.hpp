@@ -20,7 +20,6 @@
 // invalidate the PerCTA entry ("not a striding load").
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "common/config.hpp"
@@ -43,12 +42,12 @@ class CapsPrefetcher final : public Prefetcher {
 
   // Introspection for tests.
   DistTable& dist() { return dist_; }
-  PerCtaTable& percta(u32 cta_slot) { return *percta_[cta_slot]; }
+  PerCtaTable& percta(u32 cta_slot) { return percta_[cta_slot]; }
 
   // Read-only introspection (oracle cross-checker): observing the tables
   // through these can never perturb LRU or replacement state.
   const DistTable& dist() const { return dist_; }
-  const PerCtaTable& percta(u32 cta_slot) const { return *percta_[cta_slot]; }
+  const PerCtaTable& percta(u32 cta_slot) const { return percta_[cta_slot]; }
 
  private:
   struct CtaInfo {
@@ -59,13 +58,14 @@ class CapsPrefetcher final : public Prefetcher {
   };
 
   /// Generate prefetches for every not-yet-issued, not-yet-prefetched
-  /// trailing warp recorded in `entry` of CTA slot `cta_slot`.
-  void generate_for_cta(u32 cta_slot, PerCtaTable::Entry& entry, i64 stride,
+  /// trailing warp recorded in `entry`, the entry for load `pc` of CTA slot
+  /// `cta_slot`.
+  void generate_for_cta(u32 cta_slot, Addr pc, PerCtaEntry& entry, i64 stride,
                         std::vector<PrefetchRequest>& out);
 
   const CapsConfig& ccfg_;
   DistTable dist_;
-  std::vector<std::unique_ptr<PerCtaTable>> percta_;  ///< per CTA slot
+  std::vector<PerCtaTable> percta_;  ///< per CTA slot
   std::vector<CtaInfo> ctas_;
 };
 

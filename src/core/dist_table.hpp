@@ -1,7 +1,9 @@
 // DIST table (Section V-B): a single table per SM, shared by all CTAs,
 // because the inter-warp stride of a load is one kernel-wide constant.
 // Each entry: load PC, stride, and a one-byte misprediction counter that
-// throttles prefetching for the PC once it crosses the threshold.
+// throttles prefetching for the PC once it crosses the threshold. Sticky
+// admission is its own replacement rule, so it keeps its own slot array
+// rather than LruTable's.
 #pragma once
 
 #include <span>
@@ -34,14 +36,6 @@ class DistTable {
   /// All entries (valid and not), read-only, for introspection.
   std::span<const Entry> entries() const { return entries_; }
 
-  /// Number of valid entries.
-  u32 valid_count() const {
-    u32 n = 0;
-    for (const Entry& e : entries_)
-      if (e.valid) ++n;
-    return n;
-  }
-
   /// Record a confirmed stride for `pc` (resets the misprediction counter).
   /// The table is sticky: when all entries are valid and healthy the new PC
   /// is NOT admitted (returns nullptr) — CAPS targets at most `capacity`
@@ -64,8 +58,6 @@ class DistTable {
       if (!e.valid || throttled(e)) return true;
     return false;
   }
-
-  u32 capacity() const { return static_cast<u32>(entries_.size()); }
 
  private:
   std::vector<Entry> entries_;

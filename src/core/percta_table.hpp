@@ -1,7 +1,8 @@
 // PerCTA table (Section V-B): one table per hardware CTA slot, four entries
-// by default. Each entry stores a targeted load PC, the id of the leading
-// warp that first executed it, and the (up to four) coalesced base line
-// addresses that warp produced. Least-recently-updated replacement.
+// by default. Each entry stores a targeted load PC (the table key), the id
+// of the leading warp that first executed it, and the (up to four)
+// coalesced base line addresses that warp produced. Least-recently-updated
+// replacement.
 //
 // The issued/prefetched warp masks are reproduction bookkeeping: hardware
 // derives "which warps already ran this load" from warp progress, the
@@ -9,53 +10,34 @@
 // (CTA, PC, warp).
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "common/types.hpp"
+#include "prefetch/lru_table.hpp"
 
 namespace caps {
 
-class PerCtaTable {
- public:
-  struct Entry {
-    bool valid = false;
-    Addr pc = 0;
-    u32 leading_warp = 0;   ///< warp-in-CTA id of the leading warp
-    u32 iteration = 0;      ///< loop iteration the bases were captured at
-    std::vector<Addr> bases;  ///< base line addresses (<= 4)
-    u64 issued_mask = 0;      ///< warps that already executed this load
-    u64 prefetched_mask = 0;  ///< warps a prefetch was generated for
-    u64 lru = 0;
-  };
+struct PerCtaEntry {
+  /// `max_bases` is the most base lines a load may register
+  /// (CapsConfig::max_coalesced_lines); `bases` is reserved to it once.
+  explicit PerCtaEntry(u32 max_bases) { bases.reserve(max_bases); }
 
-  explicit PerCtaTable(u32 num_entries) : entries_(num_entries) {}
+  u32 leading_warp = 0;     ///< warp-in-CTA id of the leading warp
+  u32 iteration = 0;        ///< loop iteration the bases were captured at
+  std::vector<Addr> bases;  ///< base line addresses (<= max_bases)
+  u64 issued_mask = 0;      ///< warps that already executed this load
+  u64 prefetched_mask = 0;  ///< warps a prefetch was generated for
 
-  /// Find the entry for `pc`, refreshing its LRU stamp. nullptr if absent.
-  Entry* find(Addr pc);
-
-  /// Allocate an entry for `pc`, evicting the least recently updated one if
-  /// the table is full. The returned entry is blank except for pc/lru.
-  Entry& insert(Addr pc);
-
-  /// Drop the entry for `pc` (non-striding load detected).
-  void invalidate(Addr pc);
-
-  /// Drop everything (CTA completed; the slot is recycled).
-  void clear();
-
-  /// All valid entries (case-1 prefetch generation iterates these).
-  std::vector<Entry*> valid_entries();
-
-  /// All entries (valid and not), read-only, for introspection — never
-  /// touches LRU state.
-  std::span<const Entry> entries() const { return entries_; }
-
-  u32 capacity() const { return static_cast<u32>(entries_.size()); }
-
- private:
-  std::vector<Entry> entries_;
-  u64 clock_ = 0;
+  void clear() {
+    leading_warp = 0;
+    iteration = 0;
+    bases.clear();  // keeps capacity: the entry never re-allocates
+    issued_mask = 0;
+    prefetched_mask = 0;
+  }
 };
+
+/// Keyed by load PC; construct as PerCtaTable(entries, max_bases).
+using PerCtaTable = LruTable<Addr, PerCtaEntry>;
 
 }  // namespace caps

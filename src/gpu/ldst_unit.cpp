@@ -20,15 +20,12 @@ LdStUnit::LdStUnit(const GpuConfig& cfg, StreamingMultiprocessor& sm,
       mshr_(cfg.l1d.mshr_entries, cfg.l1d.mshr_max_merged),
       demand_q_(cfg.ldst_queue_size),
       prefetch_q_(cfg.ldst_queue_size * 2),
+      // At most one L1-hit completion per queued demand access is in flight.
+      completions_(cfg.ldst_queue_size),
       trace_(trace) {
   // Scratch for MSHR fills: sized once so process_replies never allocates
   // in the steady state (DESIGN.md §13).
   fill_scratch_.reserve(cfg.l1d.mshr_max_merged);
-  // Pre-size the completion heap's backing store the same way: at most one
-  // L1-hit completion per queued demand access can be in flight.
-  std::vector<Completion> store;
-  store.reserve(cfg.ldst_queue_size);
-  completions_ = decltype(completions_)(std::greater<>{}, std::move(store));
 }
 
 void LdStUnit::push_demand(const L1Access& access) {
@@ -77,7 +74,6 @@ void LdStUnit::process_replies(Cycle now) {
   for (u32 k = 0; k < 2; ++k) {
     MemRequest reply;
     if (!mem_.pop_reply(sm_id_, now, reply)) break;
-    const bool pf_entry = mshr_.is_prefetch_entry(reply.line);
     mshr_.fill_into(reply.line, fill_scratch_);
     ++gen_;
     const std::vector<L1Access>& waiters = fill_scratch_;
@@ -86,7 +82,9 @@ void LdStUnit::process_replies(Cycle now) {
 
     // Determine line metadata: a prefetch-allocated entry with no merged
     // demand keeps its prefetched bit; any merged demand consumes the data
-    // on arrival (late prefetch).
+    // on arrival (late prefetch). A prefetch never merges (process_prefetch
+    // drops a head whose line is in flight), so an entry has a prefetch
+    // waiter exactly when a prefetch allocated it.
     LineMeta meta;
     bool any_demand = false;
     const L1Access* pf_origin = nullptr;
@@ -96,7 +94,7 @@ void LdStUnit::process_replies(Cycle now) {
       else
         any_demand = true;
     }
-    if (pf_entry && pf_origin != nullptr) {
+    if (pf_origin != nullptr) {
       if (any_demand) {
         ++stats_.pf_useful_late;
         // Count late prefetches in the distance stat at half credit: the
@@ -140,7 +138,7 @@ void LdStUnit::process_replies(Cycle now) {
     }
 
     // Eager wake-up: notify the warp bound to a pure prefetch fill.
-    if (pf_entry && !any_demand && pf_origin != nullptr &&
+    if (!any_demand && pf_origin != nullptr &&
         pf_origin->warp_slot != kNoWarp) {
       sm_.on_prefetch_fill(static_cast<u32>(pf_origin->warp_slot));
       ++stats_.pf_wakeups;
@@ -149,9 +147,9 @@ void LdStUnit::process_replies(Cycle now) {
 }
 
 void LdStUnit::process_completions(Cycle now) {
-  while (!completions_.empty() && completions_.top().ready_at <= now) {
-    complete_load(completions_.top().access);
-    completions_.pop();
+  while (!completions_.empty() && completions_.front().ready_at <= now) {
+    complete_load(completions_.front().access);
+    completions_.pop_front();
   }
 }
 
@@ -167,7 +165,6 @@ bool LdStUnit::process_demand(Cycle now) {
       return false;  // head blocked; tag port stays free this cycle
     }
     MemRequest req;
-    req.id = next_req_id_++;
     req.line = access.line;
     req.is_write = true;
     req.sm_id = sm_id_;
@@ -202,9 +199,8 @@ bool LdStUnit::process_demand(Cycle now) {
   ++stats_.l1_misses;
   ++stats_.demand_to_mem;
   sm_.on_demand_miss(access.line, access.pc, access.warp_slot, now);
-  mshr_.allocate(access.line, access, /*by_prefetch=*/false);
+  mshr_.allocate(access.line, access);
   MemRequest req;
-  req.id = next_req_id_++;
   req.line = access.line;
   req.sm_id = sm_id_;
   req.created = now;
@@ -230,7 +226,11 @@ LdStUnit::Wait LdStUnit::probe_demand(const L1Access& access, Cycle now) {
                    .issue_cycle = meta->pf_issue_cycle});
       meta->prefetched = false;  // consumed
     }
-    completions_.push(Completion{now + cfg_.l1_hit_latency, access});
+    const Cycle ready_at = now + cfg_.l1_hit_latency;
+    // pop order is completion order only while ready cycles increase.
+    CAPS_CHECK(completions_.empty() || completions_.back().ready_at < ready_at,
+               "L1 hit completions out of order");
+    completions_.push_back(Completion{ready_at, access});
     pop_demand();
     return Wait::kDone;
   }
@@ -274,9 +274,8 @@ void LdStUnit::process_prefetch(Cycle now) {
     return;
   }
   const L1Access access = pop_prefetch();
-  mshr_.allocate(access.line, access, /*by_prefetch=*/true);
+  mshr_.allocate(access.line, access);
   MemRequest req;
-  req.id = next_req_id_++;
   req.line = access.line;
   req.sm_id = sm_id_;
   req.created = now;

@@ -12,13 +12,12 @@
 // to the owning SM (on_load_done / on_prefetch_fill / on_demand_miss).
 #pragma once
 
-#include <functional>  // std::greater
-#include <queue>
 #include <vector>
 
 #include "common/bounded_queue.hpp"
 #include "common/config.hpp"
 #include "common/diag.hpp"
+#include "common/flat_deque.hpp"
 #include "gpu/sm_stats.hpp"
 #include "gpu/trace.hpp"
 #include "mem/cache.hpp"
@@ -91,18 +90,16 @@ class LdStUnit {
   BoundedQueue<L1Access> prefetch_q_;
   std::vector<L1Access> fill_scratch_;  ///< reused by process_replies()
 
-  /// L1-hit completions in flight: (ready cycle, access).
+  /// L1-hit completions in flight: (ready cycle, access). The one L1 port
+  /// retires at most one hit per cycle, always l1_hit_latency ahead, so
+  /// ready cycles strictly increase and arrival order is completion order.
   struct Completion {
     Cycle ready_at;
     L1Access access;
-    bool operator>(const Completion& o) const { return ready_at > o.ready_at; }
   };
-  std::priority_queue<Completion, std::vector<Completion>, std::greater<>>
-      completions_;
+  FlatDeque<Completion> completions_;
 
   const TraceSink* trace_;
-
-  u64 next_req_id_ = 1;
 
   /// Bumped by every L1 fill and every queue pop: whatever a head's probe
   /// reads of the L1 and the MSHR changes only there (every MSHR allocation

@@ -142,21 +142,36 @@ const std::vector<PrefetcherKind>& prefetcher_legend() {
   return legend;
 }
 
+std::vector<std::string> fig10_workloads(bool quick) {
+  if (quick) return {"MM", "LPS", "CNV", "BFS"};
+  std::vector<std::string> all;
+  for (const Workload& w : workload_suite()) all.push_back(w.abbr);
+  return all;
+}
+
+std::vector<RunConfig> fig10_matrix(const std::vector<std::string>& workloads) {
+  std::vector<RunConfig> cfgs;
+  cfgs.reserve(workloads.size() * (1 + prefetcher_legend().size()));
+  for (const std::string& wl : workloads) {
+    RunConfig rc;
+    rc.workload = wl;
+    cfgs.push_back(rc);
+    for (PrefetcherKind pf : prefetcher_legend()) {
+      rc.prefetcher = pf;
+      cfgs.push_back(rc);
+    }
+  }
+  return cfgs;
+}
+
 std::vector<RunResult> run_all_prefetchers(
     const std::string& workload, const GpuConfig& base,
     const std::function<void(RunConfig&)>& customize) {
-  std::vector<RunConfig> cfgs;
-  cfgs.reserve(1 + prefetcher_legend().size());
-  auto add_one = [&](PrefetcherKind pf) {
-    RunConfig rc;
-    rc.workload = workload;
+  std::vector<RunConfig> cfgs = fig10_matrix({workload});
+  for (RunConfig& rc : cfgs) {
     rc.base = base;
-    rc.prefetcher = pf;
     if (customize) customize(rc);
-    cfgs.push_back(std::move(rc));
-  };
-  add_one(PrefetcherKind::kNone);
-  for (PrefetcherKind pf : prefetcher_legend()) add_one(pf);
+  }
   // The sweep executor preserves legend order and captures per-run failures,
   // so one wedged or misconfigured entry never aborts the remaining ones.
   return run_sweep(std::move(cfgs));

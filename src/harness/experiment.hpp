@@ -11,6 +11,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/config.hpp"
 #include "common/diag.hpp"
@@ -93,6 +94,15 @@ SmPolicyFactories make_policies(PrefetcherKind pf, SchedulerKind sched,
 /// configuration failures — inspect RunResult::status.
 /// `trace` (optional) receives every TraceEvent of the run.
 RunResult run_experiment(const RunConfig& cfg, TraceSink trace = nullptr);
+
+/// The Fig. 10 workloads: all of Table IV, or with `quick` the four-kernel
+/// smoke subset (MM, LPS, CNV, BFS) that CI's perf gate and the golden
+/// quick gate both run.
+std::vector<std::string> fig10_workloads(bool quick);
+
+/// The Fig. 10 matrix over `workloads`: workload-major, each workload under
+/// BASE and then the seven prefetchers in legend order.
+std::vector<RunConfig> fig10_matrix(const std::vector<std::string>& workloads);
 
 /// Convenience: run `workload` under every Fig. 10 configuration (BASE +
 /// the seven prefetchers) and return results in legend order. Failed

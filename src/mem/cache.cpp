@@ -68,18 +68,4 @@ LineMeta* SetAssocCache::find_meta(Addr line) {
   return way == nullptr ? nullptr : &way->meta;
 }
 
-std::optional<LineMeta> SetAssocCache::invalidate(Addr line) {
-  Way* way = lookup(line);
-  if (way == nullptr) return std::nullopt;
-  way->valid = false;
-  return way->meta;
-}
-
-u32 SetAssocCache::valid_lines() const {
-  u32 n = 0;
-  for (const Way& w : ways_)
-    if (w.valid) ++n;
-  return n;
-}
-
 }  // namespace caps

@@ -41,15 +41,9 @@ class SetAssocCache {
   /// Metadata access for the prefetch-consumption accounting.
   LineMeta* find_meta(Addr line);
 
-  /// Invalidate a line if present (returns its metadata).
-  std::optional<LineMeta> invalidate(Addr line);
-
   u32 num_sets() const { return sets_; }
   u32 assoc() const { return cfg_.assoc; }
   u32 line_size() const { return cfg_.line_size; }
-
-  /// Number of currently valid lines (for tests).
-  u32 valid_lines() const;
 
  private:
   struct Way {

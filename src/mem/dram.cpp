@@ -30,7 +30,6 @@ void DramChannel::submit(const MemRequest& req) {
   const u64 row_id = req.line / row_bytes_;
   p.bank = static_cast<u32>(row_id & (num_banks_ - 1));
   p.row = row_id >> std::countr_zero(static_cast<u64>(num_banks_));
-  p.arrived = req.created;
   queue_.push_back(p);
   next_pick_at_ = std::min(next_pick_at_, start_at(p));
 }

@@ -69,14 +69,13 @@ class DramChannel {
     MemRequest req;
     u32 bank = 0;
     u64 row = 0;
-    Cycle arrived = 0;
   };
 
   struct Bank {
     bool open = false;
     u64 row = 0;
     Cycle ready_at = 0;        ///< earliest cycle a new command may start
-    Cycle last_activate = 0;   ///< for tRC/tRAS accounting
+    Cycle last_activate = 0;   ///< for tRC accounting
   };
 
   u32 scale(u32 dram_cycles) const {

@@ -61,7 +61,7 @@ void L2Partition::cycle(Cycle now) {
       ++stats_.writebacks;
     }
   } else {
-    mshr_.allocate(req.line, req, req.is_prefetch);
+    mshr_.allocate(req.line, req);
     MemRequest to_dram = req;
     to_dram.created = now;
     channel_.submit(to_dram);

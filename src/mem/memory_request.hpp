@@ -8,7 +8,6 @@ namespace caps {
 /// A line-granularity request traveling SM -> crossbar -> L2 -> DRAM and
 /// back. Small value type; queues copy it freely.
 struct MemRequest {
-  u64 id = 0;          ///< unique per request (debug/tracking)
   Addr line = 0;       ///< line-aligned byte address
   bool is_write = false;
   bool is_prefetch = false;  ///< for stats/energy only below L1

@@ -43,8 +43,7 @@ class Mshr {
   }
 
   /// Allocate a new entry (primary miss). Precondition: !full() && !has(line).
-  /// `by_prefetch` tags the entry for late-prefetch accounting.
-  void allocate(Addr line, Waiter waiter, bool by_prefetch = false) {
+  void allocate(Addr line, Waiter waiter) {
     CAPS_CHECK(!full(), "MSHR allocate with no free entry");
     CAPS_CHECK(!has(line), "MSHR allocate of an already in-flight line");
     const u32 i = free_.back();
@@ -52,7 +51,6 @@ class Mshr {
     Slot& s = slots_[i];
     s.line = line;
     s.valid = true;
-    s.allocated_by_prefetch = by_prefetch;
     s.waiters.push_back(std::move(waiter));
   }
 
@@ -63,12 +61,6 @@ class Mshr {
     CAPS_CHECK(slots_[i].waiters.size() < max_merged_,
                "MSHR merge past per-entry capacity");
     slots_[i].waiters.push_back(std::move(waiter));
-  }
-
-  /// Whether the in-flight entry was allocated by a prefetch.
-  bool is_prefetch_entry(Addr line) const {
-    const u32 i = find(line);
-    return i != kInvalid && slots_[i].allocated_by_prefetch;
   }
 
   /// Service a fill without allocating: appends the entry's waiters to `out`
@@ -100,7 +92,6 @@ class Mshr {
     Addr line = 0;
     std::vector<Waiter> waiters;
     bool valid = false;
-    bool allocated_by_prefetch = false;
   };
 
   static constexpr u32 kInvalid = ~u32{0};

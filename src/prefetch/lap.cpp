@@ -13,33 +13,23 @@ void LocalityAwarePrefetcher::on_demand_miss(Addr line, Addr pc, i32 warp_slot,
   const u32 line_idx = static_cast<u32>((line - block_base) / cfg_.l1d.line_size);
 
   ++stats_.table_reads;
-  auto it = blocks_.find(block_base);
-  if (it == blocks_.end()) {
-    if (blocks_.size() >= kMaxTrackedBlocks) {
-      auto victim = blocks_.begin();
-      for (auto vit = blocks_.begin(); vit != blocks_.end(); ++vit)
-        if (vit->second.lru < victim->second.lru) victim = vit;
-      blocks_.erase(victim);
-    }
-    it = blocks_.emplace(block_base, BlockState{}).first;
-  }
-  BlockState& b = it->second;
-  b.miss_mask |= (u64{1} << line_idx);
-  b.lru = ++clock_;
+  BlockState* b = blocks_.find(block_base);
+  if (b == nullptr) b = &blocks_.insert(block_base);
+  b->miss_mask |= (u64{1} << line_idx);
   ++stats_.table_writes;
 
-  if (static_cast<u32>(std::popcount(b.miss_mask)) <
+  if (static_cast<u32>(std::popcount(b->miss_mask)) <
       cfg_.baseline_pf.lap_miss_threshold)
     return;
 
   // Prefetch every not-yet-missed line of the macro block, then retire the
   // block so it doesn't retrigger.
   for (u32 i = 0; i < lines_per_block; ++i) {
-    if (b.miss_mask & (u64{1} << i)) continue;
+    if (b->miss_mask & (u64{1} << i)) continue;
     emit(out, block_base + static_cast<Addr>(i) * cfg_.l1d.line_size, pc,
          warp_slot);
   }
-  blocks_.erase(it);
+  blocks_.erase(block_base);
 }
 
 }  // namespace caps

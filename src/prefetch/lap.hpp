@@ -5,16 +5,16 @@
 // engine with the orchestrated scheduling-group scheduler.
 #pragma once
 
-#include <unordered_map>
-
 #include "common/config.hpp"
+#include "prefetch/lru_table.hpp"
 #include "prefetch/prefetcher.hpp"
 
 namespace caps {
 
 class LocalityAwarePrefetcher final : public Prefetcher {
  public:
-  explicit LocalityAwarePrefetcher(const GpuConfig& cfg) : cfg_(cfg) {}
+  explicit LocalityAwarePrefetcher(const GpuConfig& cfg)
+      : cfg_(cfg), blocks_(kMaxTrackedBlocks) {}
 
   void on_load_issue(const LoadIssueInfo&, std::vector<PrefetchRequest>&) override {}
   void on_demand_miss(Addr line, Addr pc, i32 warp_slot,
@@ -26,12 +26,12 @@ class LocalityAwarePrefetcher final : public Prefetcher {
 
   struct BlockState {
     u64 miss_mask = 0;  // capacity bounds macro_block_lines (config::validate)
-    u64 lru = 0;
+
+    void clear() { miss_mask = 0; }
   };
 
   const GpuConfig& cfg_;
-  std::unordered_map<Addr, BlockState> blocks_;
-  u64 clock_ = 0;
+  LruTable<Addr, BlockState> blocks_;  ///< key: macro-block base address
 };
 
 }  // namespace caps

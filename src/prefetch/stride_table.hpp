@@ -3,9 +3,8 @@
 // key plus a confirmed stride and a 2-bit confidence counter.
 #pragma once
 
-#include <unordered_map>
-
 #include "common/types.hpp"
+#include "prefetch/lru_table.hpp"
 
 namespace caps {
 
@@ -15,11 +14,12 @@ class StrideTable {
     Addr last_addr = 0;
     i64 stride = 0;
     u32 confidence = 0;  ///< consecutive confirmations of `stride`
-    u64 lru = 0;
     u32 last_warp = 0;  ///< warp slot of `last_addr` (observe_warp only)
+
+    void clear() { *this = Entry{}; }
   };
 
-  explicit StrideTable(u32 max_entries) : max_entries_(max_entries) {}
+  explicit StrideTable(u32 max_entries) : table_(max_entries) {}
 
   /// Observe a new address: the stride is the distance from the entry's
   /// last address. Returns the entry after the update.
@@ -34,15 +34,10 @@ class StrideTable {
   std::size_t size() const { return table_.size(); }
 
  private:
-  /// Find or insert (LRU eviction when full). `inserted` reports whether a
-  /// fresh entry was created.
-  Entry& lookup(u64 key, bool& inserted);
   /// Baer-Chen confidence update with a newly measured `stride`.
   static void confirm(Entry& e, i64 stride);
 
-  u32 max_entries_;
-  u64 clock_ = 0;
-  std::unordered_map<u64, Entry> table_;
+  LruTable<u64, Entry> table_;
 };
 
 }  // namespace caps

@@ -69,7 +69,6 @@ TEST(ConfigTest, TableIIIDefaults) {
   EXPECT_EQ(cfg.dram_timing.tCL, 12u);
   EXPECT_EQ(cfg.dram_timing.tRP, 12u);
   EXPECT_EQ(cfg.dram_timing.tRC, 40u);
-  EXPECT_EQ(cfg.dram_timing.tRAS, 28u);
   EXPECT_EQ(cfg.dram_timing.tRCD, 12u);
   EXPECT_EQ(cfg.dram_timing.tRRD, 6u);
   EXPECT_EQ(cfg.caps.percta_entries, 4u);

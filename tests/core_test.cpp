@@ -19,7 +19,7 @@ namespace {
 // --------------------------------------------------------- PerCTA table ---
 
 TEST(PerCtaTableTest, InsertAndFind) {
-  PerCtaTable t(4);
+  PerCtaTable t(4, 4);
   auto& e = t.insert(0x10);
   e.leading_warp = 2;
   e.bases = {0x1000};
@@ -28,26 +28,24 @@ TEST(PerCtaTableTest, InsertAndFind) {
   EXPECT_EQ(t.find(0x20), nullptr);
 }
 
-TEST(PerCtaTableTest, LruReplacementEvictsLeastRecentlyUpdated) {
-  PerCtaTable t(2);
+TEST(PerCtaTableTest, EraseAndClear) {
+  PerCtaTable t(4, 4);
   t.insert(0x10);
   t.insert(0x20);
-  t.find(0x10);       // refresh 0x10
-  t.insert(0x30);     // must evict 0x20
-  EXPECT_NE(t.find(0x10), nullptr);
-  EXPECT_EQ(t.find(0x20), nullptr);
-  EXPECT_NE(t.find(0x30), nullptr);
+  t.erase(0x10);
+  EXPECT_EQ(t.find(0x10), nullptr);
+  EXPECT_EQ(t.size(), 1u);
+  t.clear();
+  EXPECT_EQ(t.size(), 0u);
 }
 
-TEST(PerCtaTableTest, InvalidateAndClear) {
-  PerCtaTable t(4);
-  t.insert(0x10);
-  t.insert(0x20);
-  t.invalidate(0x10);
-  EXPECT_EQ(t.find(0x10), nullptr);
-  EXPECT_EQ(t.valid_entries().size(), 1u);
-  t.clear();
-  EXPECT_TRUE(t.valid_entries().empty());
+TEST(PerCtaTableTest, ReusedEntryKeepsReservedBases) {
+  PerCtaTable t(1, 4);
+  const Addr* storage = t.insert(0x10).bases.data();
+  t.find(0x10)->bases = {0x1000, 0x1080, 0x1100, 0x1180};
+  auto& e = t.insert(0x20);  // evicts 0x10
+  EXPECT_TRUE(e.bases.empty());
+  EXPECT_EQ(e.bases.data(), storage);
 }
 
 // ----------------------------------------------------------- DIST table ---
@@ -206,7 +204,7 @@ TEST_F(CapsTest, IndirectLoadsAreExcluded) {
   // Not even a PerCTA entry: a trailing warp with a regular pattern starts
   // fresh as the leading warp.
   EXPECT_EQ(pf_->engine_stats().excluded_indirect, 1u);
-  EXPECT_EQ(pf_->percta(0).valid_entries().size(), 0u);
+  EXPECT_EQ(pf_->percta(0).size(), 0u);
 }
 
 TEST_F(CapsTest, UncoalescedLoadsAreExcluded) {
@@ -272,7 +270,7 @@ TEST_F(CapsTest, LeadingWarpRefreshRearmsGeneration) {
 TEST_F(CapsTest, CtaCompletionClearsState) {
   issue(0, 0, 0x40, {0x10000});
   pf_->on_cta_complete(0);
-  EXPECT_TRUE(pf_->percta(0).valid_entries().size() == 0);
+  EXPECT_EQ(pf_->percta(0).size(), 0u);
   // Re-launching the slot starts clean.
   pf_->on_cta_launch(0, {9, 9}, 0, 4);
   EXPECT_EQ(pf_->percta(0).find(0x40), nullptr);

@@ -22,7 +22,6 @@
 
 #include "harness/experiment.hpp"
 #include "harness/sweep.hpp"
-#include "workloads/workload.hpp"
 
 namespace caps {
 namespace {
@@ -50,17 +49,7 @@ std::map<std::string, std::string> read_golden(const std::string& path) {
 /// `<CAPSIM_GOLDEN_DIR>/<matrix>_matrix.digests`.
 void expect_matrix_matches_golden(const std::vector<std::string>& workloads,
                                   const std::string& matrix) {
-  std::vector<RunConfig> cfgs;
-  for (const std::string& wl : workloads) {
-    RunConfig rc;
-    rc.workload = wl;
-    cfgs.push_back(rc);
-    for (PrefetcherKind pf : prefetcher_legend()) {
-      rc.prefetcher = pf;
-      cfgs.push_back(rc);
-    }
-  }
-  const std::vector<RunResult> results = run_sweep(std::move(cfgs));
+  const std::vector<RunResult> results = run_sweep(fig10_matrix(workloads));
   const std::string path =
       std::string(CAPSIM_GOLDEN_DIR) + "/" + matrix + "_matrix.digests";
   const std::map<std::string, std::string> golden = read_golden(path);
@@ -92,13 +81,11 @@ void expect_matrix_matches_golden(const std::vector<std::string>& workloads,
 }
 
 TEST(GoldenSignatureTest, QuickMatrixMatchesCommittedDigests) {
-  expect_matrix_matches_golden({"MM", "LPS", "CNV", "BFS"}, "quick");
+  expect_matrix_matches_golden(fig10_workloads(/*quick=*/true), "quick");
 }
 
 TEST(GoldenSignatureTest, FullMatrixMatchesCommittedDigests) {
-  std::vector<std::string> all;
-  for (const Workload& w : workload_suite()) all.push_back(w.abbr);
-  expect_matrix_matches_golden(all, "full");
+  expect_matrix_matches_golden(fig10_workloads(/*quick=*/false), "full");
 }
 
 }  // namespace

@@ -30,10 +30,10 @@ CacheConfig small_cache() {
 TEST(CacheTest, MissThenFillThenHit) {
   SetAssocCache c(small_cache());
   EXPECT_EQ(c.access(0), CacheOutcome::kMiss);
+  EXPECT_FALSE(c.contains(0));  // a miss does not allocate
   c.fill(0, LineMeta{});
   EXPECT_EQ(c.access(0), CacheOutcome::kHit);
   EXPECT_TRUE(c.contains(0));
-  EXPECT_EQ(c.valid_lines(), 1u);
 }
 
 TEST(CacheTest, LruEvictionWithinSet) {
@@ -47,6 +47,7 @@ TEST(CacheTest, LruEvictionWithinSet) {
   EXPECT_EQ(evicted->first, 512u);
   EXPECT_TRUE(c.contains(0));
   EXPECT_TRUE(c.contains(1024));
+  EXPECT_FALSE(c.contains(512));
 }
 
 TEST(CacheTest, FillExistingRefreshesMetadata) {
@@ -57,15 +58,6 @@ TEST(CacheTest, FillExistingRefreshesMetadata) {
   c.fill(0, LineMeta{});
   EXPECT_FALSE(c.fill(0, pf).has_value());
   EXPECT_TRUE(c.find_meta(0)->prefetched);
-}
-
-TEST(CacheTest, InvalidateRemovesLine) {
-  SetAssocCache c(small_cache());
-  c.fill(0, LineMeta{});
-  auto meta = c.invalidate(0);
-  EXPECT_TRUE(meta.has_value());
-  EXPECT_FALSE(c.contains(0));
-  EXPECT_FALSE(c.invalidate(0).has_value());
 }
 
 TEST(CacheTest, EvictionReturnsPrefetchMeta) {
@@ -151,40 +143,43 @@ TEST(MshrTest, FullAtCapacity) {
   EXPECT_FALSE(m.full());
 }
 
-TEST(MshrTest, PrefetchEntryFlag) {
+TEST(MshrTest, AllocatingWaiterFillsFirst) {
   Mshr<int> m(4, 4);
-  m.allocate(0x100, 1, /*by_prefetch=*/true);
-  m.allocate(0x200, 2, /*by_prefetch=*/false);
-  EXPECT_TRUE(m.is_prefetch_entry(0x100));
-  EXPECT_FALSE(m.is_prefetch_entry(0x200));
-  // Merging a demand does not clear the allocation origin.
+  m.allocate(0x100, 1);
+  m.allocate(0x200, 2);
+  // Merging does not displace the allocating waiter: the L1 reads a
+  // prefetch's origin off the waiter list.
   m.merge(0x100, 3);
-  EXPECT_TRUE(m.is_prefetch_entry(0x100));
+  std::vector<int> waiters;
+  m.fill_into(0x100, waiters);
+  EXPECT_EQ(waiters, (std::vector<int>{1, 3}));
+  m.fill_into(0x200, waiters);
+  EXPECT_EQ(waiters, (std::vector<int>{2}));
 }
 
 TEST(CrossbarTest, LatencyIsRespected) {
   Crossbar x(2, /*latency=*/10, /*queue=*/4);
   MemRequest req;
-  req.id = 1;
+  req.line = 0x80;
   x.push(0, req, /*now=*/100);
   MemRequest out;
   EXPECT_FALSE(x.pop(0, 105, out));
   EXPECT_FALSE(x.pop(0, 109, out));
   EXPECT_TRUE(x.pop(0, 110, out));
-  EXPECT_EQ(out.id, 1u);
+  EXPECT_EQ(out.line, 0x80u);
 }
 
 TEST(CrossbarTest, FifoPerDestination) {
   Crossbar x(1, 1, 8);
   for (u64 i = 0; i < 4; ++i) {
     MemRequest r;
-    r.id = i;
+    r.line = i * 128;
     x.push(0, r, 0);
   }
   MemRequest out;
   for (u64 i = 0; i < 4; ++i) {
     ASSERT_TRUE(x.pop(0, 100, out));
-    EXPECT_EQ(out.id, i);
+    EXPECT_EQ(out.line, i * 128);
   }
   EXPECT_TRUE(x.idle());
 }
@@ -487,7 +482,6 @@ TEST(MemorySystemTest, ReadRoundTrip) {
   GpuConfig cfg;
   MemorySystem mem(cfg);
   MemRequest req;
-  req.id = 42;
   req.line = 0x1000;
   req.sm_id = 3;
   ASSERT_TRUE(mem.can_accept(req.line));
@@ -499,7 +493,6 @@ TEST(MemorySystemTest, ReadRoundTrip) {
     got = mem.pop_reply(3, t, reply);
   }
   ASSERT_TRUE(got);
-  EXPECT_EQ(reply.id, 42u);
   EXPECT_EQ(reply.line, 0x1000u);
   EXPECT_EQ(mem.traffic().core_requests, 1u);
   EXPECT_EQ(mem.traffic().core_demand_requests, 1u);
@@ -509,9 +502,8 @@ TEST(MemorySystemTest, ReadRoundTrip) {
 TEST(MemorySystemTest, SecondReadHitsInL2) {
   GpuConfig cfg;
   MemorySystem mem(cfg);
-  auto round_trip = [&](u64 id, Cycle start) {
+  auto round_trip = [&](Cycle start) {
     MemRequest req;
-    req.id = id;
     req.line = 0x2000;
     req.sm_id = 0;
     mem.submit(req, start);
@@ -523,8 +515,8 @@ TEST(MemorySystemTest, SecondReadHitsInL2) {
     }
     return t - start;
   };
-  const Cycle cold = round_trip(1, 0);
-  const Cycle warm = round_trip(2, 10000);
+  const Cycle cold = round_trip(0);
+  const Cycle warm = round_trip(10000);
   EXPECT_LT(warm, cold);
   EXPECT_EQ(mem.l2_stats().hits, 1u);
   EXPECT_EQ(mem.dram_stats().reads, 1u);

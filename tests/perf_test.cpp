@@ -1,8 +1,9 @@
 // Steady-state allocation test (DESIGN.md §13): after warm-up, stepping the
-// simulator must perform zero heap allocations. Every hot-path container —
-// scheduler queues, LD/ST queues, MSHR slots, crossbar/L2/DRAM queues,
-// coalescer scratch — is sized at construction, so a new allocation inside
-// the measurement window is a de-allocation regression.
+// simulator must perform zero heap allocations, in every Fig. 10
+// configuration. Every hot-path container — scheduler queues, LD/ST queues,
+// MSHR slots, crossbar/L2/DRAM queues, coalescer scratch, prefetcher tables —
+// is sized at construction, so a new allocation inside the measurement
+// window is a de-allocation regression.
 //
 // The global operator new/delete are replaced with counting versions; only
 // the delta across the measured window is asserted (gtest and the fixture
@@ -13,6 +14,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "gpu/gpu.hpp"
 #include "harness/experiment.hpp"
@@ -98,16 +101,41 @@ TEST(SteadyStateAllocTest, CounterSeesAllocations) {
   EXPECT_GT(g_alloc_count.load(), before);
 }
 
-// The BASE machine: no prefetcher, two-level scheduler. This is the
-// configuration the de-allocation work targets first.
-TEST(SteadyStateAllocTest, BaselineStepsWithoutAllocating) {
-  expect_steady_state_allocation_free("MM", PrefetcherKind::kNone);
+struct AllocCase {
+  const char* workload;
+  PrefetcherKind pf;
+};
+
+class SteadyStateAllocCaseTest : public ::testing::TestWithParam<AllocCase> {};
+
+TEST_P(SteadyStateAllocCaseTest, StepsWithoutAllocating) {
+  expect_steady_state_allocation_free(GetParam().workload, GetParam().pf);
 }
 
-// A second workload with barriers and a different access mix.
-TEST(SteadyStateAllocTest, ScanStepsWithoutAllocating) {
-  expect_steady_state_allocation_free("SCN", PrefetcherKind::kNone);
+std::string case_name(const ::testing::TestParamInfo<AllocCase>& info) {
+  return std::string(info.param.workload) + "_" + to_string(info.param.pf);
 }
+
+// Every Fig. 10 configuration on MM: BASE, then the legend.
+std::vector<AllocCase> fig10_mm_cases() {
+  std::vector<AllocCase> cases;
+  for (const RunConfig& rc : fig10_matrix({"MM"}))
+    cases.push_back({"MM", rc.prefetcher});
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Fig10, SteadyStateAllocCaseTest,
+                         ::testing::ValuesIn(fig10_mm_cases()), case_name);
+
+// Other access mixes: SCN has barriers, LPS re-executes its loads in a loop
+// (PerCTA refreshes), BFS makes LAP retire and re-track macro blocks.
+INSTANTIATE_TEST_SUITE_P(
+    Mixes, SteadyStateAllocCaseTest,
+    ::testing::Values(AllocCase{"SCN", PrefetcherKind::kNone},
+                      AllocCase{"SCN", PrefetcherKind::kCaps},
+                      AllocCase{"LPS", PrefetcherKind::kCaps},
+                      AllocCase{"BFS", PrefetcherKind::kLap}),
+    case_name);
 
 }  // namespace
 }  // namespace caps

@@ -1,13 +1,17 @@
-// Tests for the baseline prefetch engines (INTRA/INTER/MTA/NLP/LAP) and the
-// shared stride table.
+// Tests for the baseline prefetch engines (INTRA/INTER/MTA/NLP/LAP), the
+// shared stride table and the LRU table behind the prefetcher tables.
 #include <gtest/gtest.h>
 
 #include <random>
 #include <set>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "prefetch/factory.hpp"
 #include "prefetch/lap.hpp"
+#include "prefetch/lru_table.hpp"
 #include "prefetch/nlp.hpp"
 #include "prefetch/stride_prefetchers.hpp"
 #include "prefetch/stride_table.hpp"
@@ -48,7 +52,7 @@ TEST(StrideTableTest, StrideChangeResetsConfidence) {
   EXPECT_EQ(e.stride, 0x5000 - 0x1200);
 }
 
-TEST(StrideTableTest, LruEvictionWhenFull) {
+TEST(StrideTableTest, EvictedKeyStartsFresh) {
   StrideTable t(2);
   t.observe(1, 0x1000);
   t.observe(2, 0x2000);
@@ -61,6 +65,71 @@ TEST(StrideTableTest, LruEvictionWhenFull) {
   EXPECT_EQ(t.observe(3, 0x3100).stride, 0x100);
   EXPECT_EQ(t.observe(2, 0x2100).stride, 0);
 }
+
+// -------------------------------------------------------------- LruTable ---
+
+/// A replacement script over a small key space and the keys it leaves
+/// resident. Ops: "+k" insert, "?k" find (refreshes), "=k" const find (must
+/// not refresh), "-k" erase.
+struct LruScript {
+  const char* name;
+  u32 capacity;
+  const char* ops;
+  std::set<u64> resident;
+};
+
+class LruTableTest : public ::testing::TestWithParam<LruScript> {};
+
+TEST_P(LruTableTest, ReplacementFollowsScript) {
+  struct Payload {
+    u64 v = 0;
+    void clear() { v = 0; }
+  };
+  const LruScript& sc = GetParam();
+  LruTable<u64, Payload> t(sc.capacity);
+  std::istringstream ops(sc.ops);
+  std::string op;
+  while (ops >> op) {
+    const u64 k = std::stoull(op.substr(1));
+    switch (op[0]) {
+      case '+': {
+        Payload& p = t.insert(k);
+        EXPECT_EQ(p.v, 0u) << op << ": insert hands out a cleared entry";
+        p.v = k;
+        break;
+      }
+      case '?': t.find(k); break;
+      case '=': std::as_const(t).find(k); break;
+      case '-': t.erase(k); break;
+      default: FAIL() << "bad op " << op;
+    }
+  }
+  EXPECT_EQ(t.size(), sc.resident.size());
+  for (u64 k = 0; k < 10; ++k) {
+    const Payload* p = std::as_const(t).find(k);
+    ASSERT_EQ(p != nullptr, sc.resident.count(k) == 1) << "key " << k;
+    if (p != nullptr) {
+      EXPECT_EQ(p->v, k);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Scripts, LruTableTest,
+    ::testing::Values(
+        // Eviction takes the least recently used slot (the former
+        // StrideTable and PerCtaTable replacement tests).
+        LruScript{"EvictsLeastRecentlyUsed", 2, "+1 +2 ?1 +3", {1, 3}},
+        LruScript{"EvictsOldestInsert", 3, "+1 +2 +3 +4 +5", {3, 4, 5}},
+        // A freed slot is reused before anything is evicted (LAP frees a
+        // macro block when it triggers).
+        LruScript{"ReusesFreedSlot", 2, "+1 +2 ?1 -1 +3", {2, 3}},
+        LruScript{"ClearedTableRefills", 2, "+1 +2 -1 -2 +3 +4", {3, 4}},
+        // The const find leaves the stamp alone: 1 stays the LRU slot.
+        LruScript{"ConstFindDoesNotRefresh", 2, "+1 +2 =1 +3", {2, 3}}),
+    [](const ::testing::TestParamInfo<LruScript>& script) {
+      return std::string(script.param.name);
+    });
 
 // ----------------------------------------------------------------- INTRA ---
 

@@ -6,6 +6,7 @@
 #include <array>
 #include <random>
 #include <set>
+#include <vector>
 
 #include "core/caps_prefetcher.hpp"
 #include "core/pas_gto_scheduler.hpp"
@@ -138,31 +139,30 @@ TEST_P(DramPropertyTest, EveryRequestCompletesOnce) {
   DramChannel ch(cfg);
   const auto step = [&](Cycle now) {
     MemRequest r;
-    while (ch.pop_done(now, r)) completed.insert(r.id);
+    while (ch.pop_done(now, r)) completed.insert(r.created);
     ch.cycle(now);
   };
-  u64 next_id = 1;
-  u64 submitted = 0;
+  std::vector<Cycle> submitted;  // a request's identity: at most one a cycle
   Cycle t = 0;
-  while (submitted < 500) {
+  while (submitted.size() < 500) {
     if (ch.can_accept() && rng() % 2 == 0) {
       MemRequest r;
-      r.id = next_id++;
       r.line = (rng() % 512) * 128;
       r.is_write = rng() % 4 == 0;
       r.created = t;
       ch.submit(r);
-      ++submitted;
+      submitted.push_back(t);
     }
     step(t++);
   }
-  for (Cycle end = t + 50000; t < end && completed.size() < submitted; ++t)
+  for (Cycle end = t + 50000; t < end && completed.size() < submitted.size();
+       ++t)
     step(t);
-  ASSERT_EQ(completed.size(), submitted);
-  for (u64 id = 1; id < next_id; ++id)
-    EXPECT_EQ(completed.count(id), 1u) << "request " << id;
-  EXPECT_EQ(ch.stats().reads + ch.stats().writes, submitted);
-  EXPECT_EQ(ch.stats().row_hits + ch.stats().row_misses, submitted);
+  ASSERT_EQ(completed.size(), submitted.size());
+  for (const Cycle c : submitted)
+    EXPECT_EQ(completed.count(c), 1u) << "request submitted at " << c;
+  EXPECT_EQ(ch.stats().reads + ch.stats().writes, submitted.size());
+  EXPECT_EQ(ch.stats().row_hits + ch.stats().row_misses, submitted.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DramPropertyTest,

@@ -30,18 +30,10 @@
 
 #include "harness/experiment.hpp"
 #include "harness/sweep.hpp"
-#include "workloads/workload.hpp"
 
 using namespace caps;
 
 namespace {
-
-std::vector<std::string> bench_workloads(bool quick) {
-  if (quick) return {"MM", "LPS", "CNV", "BFS"};
-  std::vector<std::string> all;
-  for (const Workload& w : workload_suite()) all.push_back(w.abbr);
-  return all;
-}
 
 /// Minimal JSON string escaping (quotes, backslashes, control chars).
 std::string json_escape(const std::string& s) {
@@ -96,19 +88,7 @@ int main(int argc, char** argv) {
 
   // The canonical sweep: Fig. 10 matrix order (workload-major, BASE + the
   // seven-prefetcher legend per workload).
-  const std::vector<std::string> workloads = bench_workloads(quick);
-  std::vector<RunConfig> cfgs;
-  cfgs.reserve(workloads.size() * (1 + prefetcher_legend().size()));
-  for (const std::string& wl : workloads) {
-    RunConfig rc;
-    rc.workload = wl;
-    rc.prefetcher = PrefetcherKind::kNone;
-    cfgs.push_back(rc);
-    for (PrefetcherKind pf : prefetcher_legend()) {
-      rc.prefetcher = pf;
-      cfgs.push_back(rc);
-    }
-  }
+  std::vector<RunConfig> cfgs = fig10_matrix(fig10_workloads(quick));
 
   const u32 resolved = resolve_sweep_threads(threads, cfgs.size());
   std::fprintf(stderr, "capsim-bench: %zu runs (%s) on %u thread(s)...\n",
