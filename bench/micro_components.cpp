@@ -1,12 +1,14 @@
 // google-benchmark micro-suite: throughput of the individual simulator
 // components (tag probes, MSHR churn, affine and indirect coalescing, DRAM
 // scheduling busy and saturated, CAPS table operations, scheduler picks,
-// and a whole-GPU cycle, mixed and memory-saturated).
+// all-eligible and saturated, and a whole-GPU cycle, mixed and
+// memory-saturated).
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
 #include "core/caps_prefetcher.hpp"
+#include "core/pas_scheduler.hpp"
 #include "gpu/coalescer.hpp"
 #include "gpu/gpu.hpp"
 #include "harness/experiment.hpp"
@@ -174,6 +176,40 @@ void BM_SchedulerPick(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SchedulerPick);
+
+/// A saturated SM as its scheduler sees it: six CTAs of eight warps, six
+/// ready warps whose memory instructions the LD/ST unit refuses, and 42
+/// pending warps waiting on loads. Each iteration is one SM cycle: one pick,
+/// refused, so no warp state changes. The predicates read per-warp state,
+/// as the SM's do.
+void BM_SchedulerPickSaturated(benchmark::State& state, SchedulerKind kind) {
+  GpuConfig cfg;
+  std::vector<WarpContext> warps(cfg.max_warps_per_sm);
+  std::vector<char> waiting(cfg.max_warps_per_sm, 1);
+  for (u32 w = 0; w < cfg.max_warps_per_sm; ++w) {
+    warps[w].status = WarpStatus::kActive;
+    warps[w].warp_in_cta = w % 8;
+    warps[w].launch_order = w;
+  }
+  for (u32 w = 0; w < 6; ++w) waiting[w] = 0;
+  auto eligible = [&](u32 s, Cycle now) {
+    return warps[s].status == WarpStatus::kActive && warps[s].ready_at <= now &&
+           waiting[s] == 0;
+  };
+  auto waiting_mem = [&](u32 s) {
+    return warps[s].status == WarpStatus::kActive && waiting[s] != 0;
+  };
+  std::unique_ptr<Scheduler> sched =
+      kind == SchedulerKind::kPas
+          ? std::make_unique<PasScheduler>(cfg, warps, eligible, waiting_mem)
+          : make_scheduler(kind, cfg, warps, eligible, waiting_mem);
+  for (u32 c = 0; c < 6; ++c) sched->on_cta_launch(c, c * 8, 8);
+  Cycle now = 0;
+  for (auto _ : state) benchmark::DoNotOptimize(sched->pick(now++));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_SchedulerPickSaturated, TLV, SchedulerKind::kTwoLevel);
+BENCHMARK_CAPTURE(BM_SchedulerPickSaturated, PAS, SchedulerKind::kPas);
 
 void BM_FullGpuCycle(benchmark::State& state) {
   GpuConfig cfg;

@@ -17,7 +17,7 @@ void PasScheduler::on_cta_launch(u32 cta_slot, u32 first_warp,
   if (ready_.size() < cfg_.ready_queue_size)
     enqueue_ready(first_warp, /*to_front=*/true);
   else
-    pending_.push_front(first_warp);
+    enqueue_pending(first_warp, /*to_front=*/true);
 
   // Trailing warps queue as in any two-level scheduler.
   TwoLevelScheduler::on_cta_launch(cta_slot, first_warp + 1, num_warps - 1);
@@ -35,7 +35,7 @@ void PasScheduler::on_prefetch_fill(u32 slot) {
     for (auto rit = ready_.rbegin(); rit != ready_.rend(); ++rit) {
       if (!warps_[*rit].leading) {
         emit(TraceKind::kForcedDemotion, *rit);
-        pending_.push_front(*rit);
+        enqueue_pending(*rit, /*to_front=*/true);
         ready_.erase(std::next(rit).base());
         displaced = true;
         break;
@@ -44,12 +44,12 @@ void PasScheduler::on_prefetch_fill(u32 slot) {
     if (!displaced) {
       // All ready warps are leading: demote the tail.
       emit(TraceKind::kForcedDemotion, ready_.back());
-      pending_.push_front(ready_.back());
+      enqueue_pending(ready_.back(), /*to_front=*/true);
       ready_.pop_back();
     }
     ++forced_demotions_;
   }
-  ready_.push_back(slot);
+  enqueue_ready(slot, /*to_front=*/false);
   ++wakeup_promotions_;
   emit(TraceKind::kEagerWakeup, slot);
 }

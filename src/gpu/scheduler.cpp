@@ -57,7 +57,7 @@ void TwoLevelScheduler::on_cta_launch(u32 /*cta_slot*/, u32 first_warp,
     if (ready_.size() < cfg_.ready_queue_size)
       enqueue_ready(w, /*to_front=*/false);
     else
-      pending_.push_back(w);
+      enqueue_pending(w, /*to_front=*/false);
   }
 }
 
@@ -76,6 +76,15 @@ void TwoLevelScheduler::enqueue_ready(u32 slot, bool to_front) {
     ready_.push_front(slot);
   else
     ready_.push_back(slot);
+  recheck_ready_ = true;
+}
+
+void TwoLevelScheduler::enqueue_pending(u32 slot, bool to_front) {
+  if (to_front)
+    pending_.push_front(slot);
+  else
+    pending_.push_back(slot);
+  promotion_stale_ = true;
 }
 
 i32 TwoLevelScheduler::next_promotion() const {
@@ -94,23 +103,43 @@ void TwoLevelScheduler::maintain() {
   // Barrier warps MUST leave the ready queue: the warps that will release
   // the barrier may be waiting in the pending queue, and holding ready
   // slots for blocked warps would deadlock the CTA.
-  for (auto it = ready_.begin(); it != ready_.end();) {
-    const u32 slot = *it;
-    const bool at_barrier = warps_[slot].status == WarpStatus::kAtBarrier;
-    if ((warps_[slot].runnable() && waiting_mem_(slot)) || at_barrier) {
-      it = ready_.erase(it);
-      pending_.push_back(slot);
-    } else {
-      ++it;
+  const auto demotable = [this](u32 slot) {
+    return (warps_[slot].runnable() && waiting_mem_(slot)) ||
+           warps_[slot].status == WarpStatus::kAtBarrier;
+  };
+  // Only an issue can make a ready warp demotable, and only the picked warp
+  // issues. An issue leaves ready_at past the pick cycle, and it may release
+  // a barrier, which can make pending warps promotable.
+  if (picked_ != kNoWarp) {
+    const u32 slot = static_cast<u32>(picked_);
+    picked_ = kNoWarp;
+    if (warps_[slot].ready_at > picked_at_) promotion_stale_ = true;
+    if (demotable(slot)) recheck_ready_ = true;
+  }
+  if (recheck_ready_) {
+    recheck_ready_ = false;
+    for (auto it = ready_.begin(); it != ready_.end();) {
+      const u32 slot = *it;
+      if (demotable(slot)) {
+        it = ready_.erase(it);
+        // Not promotable until a load completes or its barrier releases,
+        // and both mark promotion stale: no enqueue_pending here.
+        pending_.push_back(slot);
+      } else {
+        ++it;
+      }
     }
   }
   // Refill from pending.
-  while (ready_.size() < cfg_.ready_queue_size) {
+  while (promotion_stale_ && ready_.size() < cfg_.ready_queue_size) {
     const i32 idx = next_promotion();
-    if (idx < 0) break;
+    if (idx < 0) {
+      promotion_stale_ = false;
+      break;
+    }
     const u32 slot = pending_[static_cast<u32>(idx)];
     pending_.erase(pending_.begin() + idx);
-    enqueue_ready(slot, /*to_front=*/false);
+    ready_.push_back(slot);
   }
 }
 
@@ -126,8 +155,11 @@ i32 TwoLevelScheduler::pick(Cycle now) {
     const u32 slot = ready_.front();
     ready_.pop_front();
     ready_.push_back(slot);
-    if (warps_[slot].runnable() && eligible_(slot, now))
-      return static_cast<i32>(slot);
+    if (warps_[slot].runnable() && eligible_(slot, now)) {
+      picked_ = static_cast<i32>(slot);
+      picked_at_ = now;
+      return picked_;
+    }
   }
   return kNoWarp;
 }

@@ -3,7 +3,8 @@
 // The SM calls pick() up to issue_width times per cycle; the scheduler
 // returns an issue-eligible warp slot under its policy. Eligibility (ready
 // time, memory dependence, barrier state) is supplied by the SM through a
-// predicate so policies stay purely about ordering.
+// predicate so policies stay purely about ordering. Both predicates are O(1)
+// reads of state the SM keeps in WarpContext.
 #pragma once
 
 #include <functional>
@@ -121,6 +122,7 @@ class TwoLevelScheduler : public Scheduler {
   }
   void on_cta_launch(u32 cta_slot, u32 first_warp, u32 num_warps) override;
   void on_warp_done(u32 slot) override;
+  void on_loads_complete(u32 /*slot*/) override { promotion_stale_ = true; }
   i32 pick(Cycle now) override;
   const char* name() const override { return "TLV"; }
 
@@ -129,7 +131,9 @@ class TwoLevelScheduler : public Scheduler {
   const FlatDeque<u32>& pending_queue() const { return pending_; }
 
  protected:
-  /// Demote memory-stalled/finished warps, then refill ready slots.
+  /// Demote memory-stalled/barrier warps, then refill ready slots. Both
+  /// steps run only when some warp's state can have changed since the last
+  /// call (DESIGN.md §13, "Four exact skips").
   void maintain();
   /// Index into pending_ of the first promotable warp (runnable, not
   /// waiting on memory) that promote_first() accepts, else of the first
@@ -138,14 +142,28 @@ class TwoLevelScheduler : public Scheduler {
   /// Promotion priority: subclasses (PAS, ORCH) return false for warps that
   /// should yield to the others. Plain two-level promotion is FIFO.
   virtual bool promote_first(u32 /*slot*/) const { return true; }
-  /// Enter a newly launched/promoted warp at the back of the ready queue,
-  /// or at the front (PAS leading warps).
+  /// A hook moves `slot` into the ready queue, at the back or at the front
+  /// (PAS leading warps); the next pick() re-checks it for demotion.
   void enqueue_ready(u32 slot, bool to_front);
+  /// A hook moves `slot` into the pending queue; the next pick() with a free
+  /// ready slot looks for a promotion again.
+  void enqueue_pending(u32 slot, bool to_front);
 
   void erase_from(FlatDeque<u32>& q, u32 slot);
 
   FlatDeque<u32> ready_;
   FlatDeque<u32> pending_;
+
+ private:
+  /// Warp the last pick() returned, and that pick's cycle. The SM issues
+  /// it at once; the next maintain() re-checks it.
+  i32 picked_ = kNoWarp;
+  Cycle picked_at_ = 0;
+  /// Some ready warp may need demoting: run the ready scan.
+  bool recheck_ready_ = false;
+  /// Some pending warp may have become promotable since a promotion scan
+  /// last found none.
+  bool promotion_stale_ = false;
 };
 
 /// Two-level variant used with the ORCH prefetcher [17]: promotion

@@ -41,7 +41,7 @@ StreamingMultiprocessor::StreamingMultiprocessor(
   scheduler_ = policies.make_scheduler(
       cfg, warps_,
       [this](u32 slot, Cycle now) { return warp_eligible(slot, now); },
-      [this](u32 slot) { return warp_waiting_mem(slot); });
+      [this](u32 slot) { return warps_[slot].mem_wait; });
   scheduler_->set_trace_sink(trace_, id_);
 }
 
@@ -90,24 +90,30 @@ bool StreamingMultiprocessor::launch_cta(const Dim3& cta_id, Cycle now) {
 
 bool StreamingMultiprocessor::warp_eligible(u32 slot, Cycle now) const {
   const WarpContext& wc = warps_[slot];
-  if (wc.status != WarpStatus::kActive || wc.ready_at > now) return false;
-  const Instruction& ins = kernel_.instruction(wc.pc_idx);
-  if (ins.waits_mem && wc.outstanding_loads > 0) return false;
-  return true;
+  return wc.status == WarpStatus::kActive && wc.ready_at <= now &&
+         !wc.mem_wait;
 }
 
-bool StreamingMultiprocessor::warp_waiting_mem(u32 slot) const {
-  const WarpContext& wc = warps_[slot];
-  if (wc.status != WarpStatus::kActive) return false;
-  const Instruction& ins = kernel_.instruction(wc.pc_idx);
-  return ins.waits_mem && wc.outstanding_loads > 0;
+void StreamingMultiprocessor::update_mem_wait(WarpContext& wc) {
+  const bool waits = wc.status == WarpStatus::kActive &&
+                     wc.outstanding_loads > 0 &&
+                     kernel_.instruction(wc.pc_idx).waits_mem;
+  if (waits == wc.mem_wait) return;
+  wc.mem_wait = waits;
+  if (waits)
+    ++mem_wait_warps_;
+  else
+    --mem_wait_warps_;
 }
 
 void StreamingMultiprocessor::on_load_done(u32 slot) {
   WarpContext& wc = warps_[slot];
   CAPS_CHECK(wc.outstanding_loads > 0,
              "load completion for a warp with no outstanding loads");
-  if (--wc.outstanding_loads == 0) scheduler_->on_loads_complete(slot);
+  if (--wc.outstanding_loads == 0) {
+    update_mem_wait(wc);
+    scheduler_->on_loads_complete(slot);
+  }
 }
 
 void StreamingMultiprocessor::on_prefetch_fill(u32 slot) {
@@ -133,6 +139,7 @@ void StreamingMultiprocessor::arrive_barrier(u32 slot, Cycle now) {
       if (warps_[w].status == WarpStatus::kAtBarrier)
         warps_[w].status = WarpStatus::kActive;
       warps_[w].ready_at = now + 1;
+      update_mem_wait(warps_[w]);
     }
   } else {
     wc.status = WarpStatus::kAtBarrier;
@@ -275,6 +282,7 @@ bool StreamingMultiprocessor::issue(u32 slot, Cycle now) {
   }
   ++stats_.issued_instructions;
   if (wc.ready_at <= now) wc.ready_at = now + 1;
+  update_mem_wait(wc);
   return true;
 }
 
@@ -292,15 +300,8 @@ void StreamingMultiprocessor::cycle(Cycle now) {
     if (!issue(static_cast<u32>(slot), now)) break;  // structural stall
     ++issued;
   }
-  if (issued == 0) {
-    // Whole-SM stall; attribute it to memory if any warp waits on loads.
-    for (u32 s = 0; s < warps_.size(); ++s) {
-      if (warp_waiting_mem(s)) {
-        ++stats_.stall_cycles_all_mem;
-        break;
-      }
-    }
-  }
+  // Whole-SM stall; attribute it to memory if any warp waits on loads.
+  if (issued == 0 && mem_wait_warps_ > 0) ++stats_.stall_cycles_all_mem;
 }
 
 bool StreamingMultiprocessor::busy() const {

@@ -74,7 +74,11 @@ class StreamingMultiprocessor {
   friend class LdStUnit;
 
   bool warp_eligible(u32 slot, Cycle now) const;
-  bool warp_waiting_mem(u32 slot) const;
+  /// Recompute `wc.mem_wait` and the count of waiting warps. Called after an
+  /// issue, when a warp's last load completes and for each warp a barrier
+  /// releases: the only places its inputs change. An exiting warp needs no
+  /// call, since only a warp that is not waiting can issue EXIT.
+  void update_mem_wait(WarpContext& wc);
   /// Attempt to issue one instruction from `slot`; returns false on a
   /// structural hazard (the issue slot is wasted, as in hardware).
   bool issue(u32 slot, Cycle now);
@@ -106,6 +110,7 @@ class StreamingMultiprocessor {
   u32 max_concurrent_ctas_ = 0;
   u32 resident_ctas_ = 0;
   u32 resident_warps_ = 0;
+  u32 mem_wait_warps_ = 0;  ///< warps whose mem_wait bit is set
   u64 launch_counter_ = 0;
   std::vector<u32> free_warp_blocks_;  ///< first-warp slots of free regions
   std::vector<PrefetchRequest> pf_buffer_;

@@ -11,7 +11,9 @@ struct SmStats {
   u64 active_cycles = 0;        ///< cycles with >=1 warp resident
   u64 issued_instructions = 0;  ///< warp instructions issued
   u64 issue_slots = 0;          ///< issue opportunities (active_cycles*width)
-  u64 stall_cycles_all_mem = 0; ///< no warp eligible & >=1 waiting on memory
+  /// No instruction issued (no warp eligible, or the only pick was refused
+  /// by a full LD/ST queue) and >=1 warp waiting on memory.
+  u64 stall_cycles_all_mem = 0;
   u64 stall_ldst_full = 0;      ///< issue lost: LD/ST queue had no room
   u64 ctas_completed = 0;
 

@@ -29,6 +29,9 @@ struct WarpContext {
   u32 pc_idx = 0;               ///< index into the kernel instruction vector
   Cycle ready_at = 0;           ///< earliest cycle the warp may issue again
   u32 outstanding_loads = 0;    ///< in-flight coalesced line loads
+  /// The current instruction waits on outstanding loads and the warp is
+  /// active. The SM recomputes it wherever one of those inputs changes.
+  bool mem_wait = false;
   /// Line count of the memory instruction the LD/ST unit last refused;
   /// 0 when the current instruction has not been refused.
   u32 stalled_lines = 0;
@@ -50,6 +53,7 @@ struct WarpContext {
     pc_idx = 0;
     ready_at = 0;
     outstanding_loads = 0;
+    mem_wait = false;
     stalled_lines = 0;
     loops.clear();
     leading = false;

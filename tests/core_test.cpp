@@ -417,6 +417,88 @@ TEST_F(PasTest, WakeupForReadyWarpIsNoOp) {
   EXPECT_EQ(s->ready_queue(), before);
 }
 
+// The PAS hooks move warps between the queues outside pick(); each move must
+// be seen by the next pick (DESIGN.md §13, "Four exact skips").
+
+TEST_F(PasTest, EagerWakeupOfAWaitingWarpIsDemotedAtTheNextPick) {
+  activate(0, 8);
+  auto s = make();
+  s->on_cta_launch(0, 0, 8);  // ready: 0..3; pending: 4..7
+  ASSERT_EQ(s->pick(0), 0);
+  // Warp 4's prefetch filled L1, but its own load has not returned.
+  memwait_ = {4};
+  s->on_prefetch_fill(4);
+  const auto& ready = s->ready_queue();
+  ASSERT_TRUE(std::find(ready.begin(), ready.end(), 4u) != ready.end());
+  s->pick(1);
+  EXPECT_TRUE(std::find(ready.begin(), ready.end(), 4u) == ready.end());
+  const auto& pending = s->pending_queue();
+  EXPECT_TRUE(std::find(pending.begin(), pending.end(), 4u) != pending.end());
+}
+
+TEST_F(PasTest, ForcedDemotionIsPromotedAgain) {
+  cfg_.ready_queue_size = 2;
+  activate(0, 6);
+  auto s = make();
+  s->on_cta_launch(0, 0, 4);  // ready: 0, 1; pending: 2, 3
+  memwait_ = {0, 1, 2, 3};
+  // CTA 0 is demoted whole, and no pending warp is promotable.
+  ASSERT_EQ(s->pick(0), kNoWarp);
+  s->on_cta_launch(1, 4, 2);  // leading 4 and trailing 5 fill the ready queue
+  ASSERT_EQ(s->pick(1), 4);
+  s->on_prefetch_fill(2);  // no room: trailing warp 5 is pushed back
+  ASSERT_EQ(s->forced_demotions(), 1u);
+  ASSERT_EQ(s->pending_queue().front(), 5u);
+  warps_[4].status = WarpStatus::kDone;
+  s->on_warp_done(4);
+  // Warp 2 still waits and is demoted again; warp 5 takes the free slot.
+  EXPECT_EQ(s->pick(2), 5);
+}
+
+TEST_F(PasTest, ForcedDemotionOfALeadingWarpIsPromotedAgain) {
+  cfg_.ready_queue_size = 2;
+  activate(0, 5);
+  auto s = make();
+  s->on_cta_launch(0, 0, 3);  // ready: 0, 1; pending: 2
+  memwait_ = {0, 1, 2};
+  ASSERT_EQ(s->pick(0), kNoWarp);
+  // Two one-warp CTAs fill the ready queue with leading warps.
+  s->on_cta_launch(1, 3, 1);
+  s->on_cta_launch(2, 4, 1);
+  ASSERT_EQ(s->pick(1), 4);
+  s->on_prefetch_fill(2);  // every ready warp leads: the tail is pushed back
+  ASSERT_EQ(s->forced_demotions(), 1u);
+  ASSERT_EQ(s->pending_queue().front(), 4u);
+  warps_[3].status = WarpStatus::kDone;
+  s->on_warp_done(3);
+  EXPECT_EQ(s->pick(2), 4);
+}
+
+TEST_F(PasTest, LeadingWarpEnteringReadyIsCheckedAtTheNextPick) {
+  activate(0, 1);
+  auto s = make();
+  s->on_cta_launch(0, 0, 1);  // a one-warp CTA: its leading warp is ready
+  memwait_ = {0};
+  s->pick(0);
+  EXPECT_TRUE(s->ready_queue().empty());
+  EXPECT_EQ(s->pending_queue().size(), 1u);
+}
+
+TEST_F(PasTest, LeadingWarpLaunchedIntoAFullReadyQueueIsPromotedLater) {
+  cfg_.ready_queue_size = 2;
+  activate(0, 3);
+  auto s = make();
+  s->on_cta_launch(0, 0, 2);  // fills the ready queue
+  ASSERT_EQ(s->pick(0), 0);
+  s->on_cta_launch(1, 2, 1);  // a one-warp CTA: its leading warp waits
+  ASSERT_EQ(s->pending_queue().front(), 2u);
+  warps_[1].status = WarpStatus::kDone;
+  s->on_warp_done(1);
+  s->pick(1);
+  const auto& ready = s->ready_queue();
+  EXPECT_TRUE(std::find(ready.begin(), ready.end(), 2u) != ready.end());
+}
+
 // ------------------------------------------------------- hardware cost ----
 
 TEST(HwCostTest, TableIEntrySizes) {

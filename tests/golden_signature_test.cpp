@@ -5,7 +5,13 @@
 // bits of every RunningStat. A refactor that claims to change no
 // simulation output is checked against these files:
 //   - tests/golden/quick_matrix.digests: MM, LPS, CNV, BFS (32 runs);
-//   - tests/golden/full_matrix.digests: all 16 workloads (128 runs).
+//   - tests/golden/full_matrix.digests: all 16 workloads (128 runs);
+//   - tests/golden/stress_matrix.digests: MM, SCN, BFS, LPS off the
+//     defaults (ready queue of 1 and 2, single issue, two CTAs per SM,
+//     a capped cycle budget) under BASE, the legend and CAPS without
+//     eager wake-up (72 runs). Tiny queues make every demotion,
+//     promotion, forced demotion and barrier release of the two-level
+//     schedulers decide the schedule.
 // CMake registers each matrix as its own ctest entry so `ctest -j` runs
 // them side by side.
 //
@@ -30,6 +36,34 @@ std::string run_name(const RunResult& r) {
   return r.cfg.workload + "/" + to_string(r.cfg.prefetcher);
 }
 
+/// Stress runs also name their ready-queue size and the eager wake-up.
+std::string stress_run_name(const RunResult& r) {
+  return r.cfg.workload + "/rq" + std::to_string(r.cfg.base.ready_queue_size) +
+         "/" + to_string(r.cfg.prefetcher) +
+         (r.cfg.caps_eager_wakeup ? "" : "-noeager");
+}
+
+std::vector<RunConfig> stress_matrix() {
+  std::vector<RunConfig> out;
+  for (const u32 rq : {1u, 2u}) {
+    std::vector<RunConfig> m = fig10_matrix({"MM", "SCN", "BFS", "LPS"});
+    for (std::size_t i = 0; i < m.size(); ++i) {
+      if (m[i].prefetcher != PrefetcherKind::kCaps) continue;
+      RunConfig lazy = m[i];
+      lazy.caps_eager_wakeup = false;
+      m.insert(m.begin() + static_cast<std::ptrdiff_t>(++i), lazy);
+    }
+    for (RunConfig& c : m) {
+      c.base.ready_queue_size = rq;
+      c.base.issue_width = 1;
+      c.max_ctas_per_sm = 2;
+      c.max_cycles = 60'000;
+    }
+    out.insert(out.end(), m.begin(), m.end());
+  }
+  return out;
+}
+
 /// `name digest` per non-blank, non-comment line.
 std::map<std::string, std::string> read_golden(const std::string& path) {
   std::map<std::string, std::string> out;
@@ -45,11 +79,12 @@ std::map<std::string, std::string> read_golden(const std::string& path) {
   return out;
 }
 
-/// Runs `workloads` x (BASE + legend) and compares each run's digest with
+/// Runs `configs` and compares each run's digest, keyed by `name`, with
 /// `<CAPSIM_GOLDEN_DIR>/<matrix>_matrix.digests`.
-void expect_matrix_matches_golden(const std::vector<std::string>& workloads,
-                                  const std::string& matrix) {
-  const std::vector<RunResult> results = run_sweep(fig10_matrix(workloads));
+void expect_matrix_matches_golden(
+    const std::vector<RunConfig>& configs, const std::string& matrix,
+    std::string (*name_of)(const RunResult&) = run_name) {
+  const std::vector<RunResult> results = run_sweep(configs);
   const std::string path =
       std::string(CAPSIM_GOLDEN_DIR) + "/" + matrix + "_matrix.digests";
   const std::map<std::string, std::string> golden = read_golden(path);
@@ -61,7 +96,7 @@ void expect_matrix_matches_golden(const std::vector<std::string>& workloads,
   std::ostringstream diffs;
   u32 mismatches = 0;
   for (const RunResult& r : results) {
-    const std::string name = run_name(r);
+    const std::string name = name_of(r);
     const std::string actual = signature_digest(r);
     regenerated << name << ' ' << actual << '\n';
     const auto it = golden.find(name);
@@ -81,11 +116,17 @@ void expect_matrix_matches_golden(const std::vector<std::string>& workloads,
 }
 
 TEST(GoldenSignatureTest, QuickMatrixMatchesCommittedDigests) {
-  expect_matrix_matches_golden(fig10_workloads(/*quick=*/true), "quick");
+  expect_matrix_matches_golden(fig10_matrix(fig10_workloads(/*quick=*/true)),
+                               "quick");
 }
 
 TEST(GoldenSignatureTest, FullMatrixMatchesCommittedDigests) {
-  expect_matrix_matches_golden(fig10_workloads(/*quick=*/false), "full");
+  expect_matrix_matches_golden(fig10_matrix(fig10_workloads(/*quick=*/false)),
+                               "full");
+}
+
+TEST(GoldenSignatureTest, StressMatrixMatchesCommittedDigests) {
+  expect_matrix_matches_golden(stress_matrix(), "stress", stress_run_name);
 }
 
 }  // namespace

@@ -236,6 +236,83 @@ TEST_F(SchedulerFixture, TwoLevelRemovesFinishedWarps) {
   EXPECT_TRUE(std::find(ready.begin(), ready.end(), 0u) == ready.end());
 }
 
+// The two-level scheduler re-checks demotion only for the warp it last
+// picked and for warps a hook put into ready, and looks for a promotion only
+// after an event that can make a pending warp promotable (DESIGN.md §13).
+// Each test below pins one of those events. An issue is modelled as the SM
+// does it: the issued warp's ready_at moves past the pick cycle.
+
+TEST_F(SchedulerFixture, TwoLevelDemotesAPickedWarpThatStartsWaiting) {
+  activate(0, 8);
+  auto s = make<TwoLevelScheduler>();
+  s->on_cta_launch(0, 0, 8);  // ready: 0..3; pending: 4..7
+  ASSERT_EQ(s->pick(0), 0);
+  // Warp 0 issued a load; its next instruction consumes it.
+  warps_[0].ready_at = 1;
+  memwait_ = ineligible_ = {0};
+  s->pick(1);
+  const auto& ready = s->ready_queue();
+  EXPECT_TRUE(std::find(ready.begin(), ready.end(), 0u) == ready.end());
+  EXPECT_TRUE(std::find(ready.begin(), ready.end(), 4u) != ready.end());
+}
+
+TEST_F(SchedulerFixture, TwoLevelPromotesAPendingWarpWhenItsLastLoadReturns) {
+  cfg_.ready_queue_size = 2;
+  activate(0, 4);
+  auto s = make<TwoLevelScheduler>();
+  s->on_cta_launch(0, 0, 4);  // ready: 0, 1; pending: 2, 3
+  memwait_ = ineligible_ = {0, 1, 2, 3};
+  // 0 and 1 are demoted, and no pending warp is promotable.
+  ASSERT_EQ(s->pick(0), kNoWarp);
+  ASSERT_EQ(s->pending_queue().size(), 4u);
+  memwait_ = ineligible_ = {0, 1, 3};
+  s->on_loads_complete(2);
+  EXPECT_EQ(s->pick(1), 2);
+}
+
+TEST_F(SchedulerFixture, TwoLevelPromotesPendingWarpsABarrierReleases) {
+  cfg_.ready_queue_size = 2;
+  activate(0, 3);
+  auto s = make<TwoLevelScheduler>();
+  s->on_cta_launch(0, 0, 3);  // ready: 0, 1; pending: 2
+  const auto arrive = [&](u32 w, Cycle now) {
+    warps_[w].status = WarpStatus::kAtBarrier;
+    warps_[w].ready_at = now + 1;
+  };
+  ASSERT_EQ(s->pick(0), 0);
+  arrive(0, 0);
+  ASSERT_EQ(s->pick(1), 1);  // 0 demoted, 2 promoted
+  arrive(1, 1);
+  ASSERT_EQ(s->pick(2), 2);  // 1 demoted; 0 and 1 are not promotable
+  ASSERT_EQ(s->pending_queue().size(), 2u);
+  // Warp 2 arrives last and releases the barrier; its next instruction
+  // waits on a load it issued before the barrier.
+  for (u32 w : {0u, 1u}) warps_[w].status = WarpStatus::kActive;
+  for (u32 w : {0u, 1u, 2u}) warps_[w].ready_at = 3;
+  memwait_ = ineligible_ = {2};
+  EXPECT_EQ(s->pick(3), 0);
+  const auto& ready = s->ready_queue();
+  EXPECT_EQ(ready.size(), 2u);
+  for (u32 w : {0u, 1u})
+    EXPECT_TRUE(std::find(ready.begin(), ready.end(), w) != ready.end())
+        << "released warp " << w;
+}
+
+TEST_F(SchedulerFixture, TwoLevelPromotesALaunchOverflowWhenRoomOpens) {
+  cfg_.ready_queue_size = 2;
+  activate(0, 4);
+  auto s = make<TwoLevelScheduler>();
+  s->on_cta_launch(0, 0, 2);  // fills the ready queue
+  ASSERT_EQ(s->pick(0), 0);
+  s->on_cta_launch(1, 2, 2);  // no room: 2 and 3 wait in pending
+  ASSERT_EQ(s->pending_queue().size(), 2u);
+  warps_[0].status = WarpStatus::kDone;
+  s->on_warp_done(0);
+  s->pick(1);
+  const auto& ready = s->ready_queue();
+  EXPECT_TRUE(std::find(ready.begin(), ready.end(), 2u) != ready.end());
+}
+
 TEST_F(SchedulerFixture, OrchPromotesEvenWarpsFirst) {
   cfg_.ready_queue_size = 2;  // only two promotion slots
   activate(0, 8);
@@ -564,6 +641,133 @@ TEST(SmTest, RefusedLoadIssuesItsOwnLinesAndCountsEveryRetry) {
   // The relaunched CTA found its slot's stale count cleared.
   EXPECT_EQ(s.sm.ctas_completed, 2u);
   EXPECT_EQ(dirty_launches, 0u);
+}
+
+// ------------------------------------------- SM-kept memory wait -----
+
+/// Forwards every call to the SM's own scheduler and counts the picks of a
+/// warp whose current instruction consumes loads that are still in flight:
+/// the memory-wait bit the SM keeps must never let one through.
+class WaitCheckScheduler final : public Scheduler {
+ public:
+  WaitCheckScheduler(std::unique_ptr<Scheduler> inner, const GpuConfig& cfg,
+                     std::vector<WarpContext>& warps, const Kernel& kernel,
+                     u32& early_picks)
+      : Scheduler(cfg, warps, nullptr, nullptr),
+        inner_(std::move(inner)),
+        kernel_(kernel),
+        early_picks_(early_picks) {}
+
+  void on_cta_launch(u32 cta_slot, u32 first_warp, u32 num_warps) override {
+    inner_->on_cta_launch(cta_slot, first_warp, num_warps);
+  }
+  void on_warp_done(u32 slot) override { inner_->on_warp_done(slot); }
+  void on_loads_complete(u32 slot) override {
+    inner_->on_loads_complete(slot);
+  }
+  void on_prefetch_fill(u32 slot) override { inner_->on_prefetch_fill(slot); }
+  void on_global_access(u32 slot) override { inner_->on_global_access(slot); }
+  i32 pick(Cycle now) override {
+    const i32 slot = inner_->pick(now);
+    if (slot != kNoWarp) {
+      const WarpContext& wc = warps_[static_cast<u32>(slot)];
+      if (wc.outstanding_loads > 0 && kernel_.instruction(wc.pc_idx).waits_mem)
+        ++early_picks_;
+    }
+    return slot;
+  }
+  const char* name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<Scheduler> inner_;
+  const Kernel& kernel_;
+  u32& early_picks_;
+};
+
+struct WaitCheckedRun {
+  bool done = false;
+  u32 early_picks = 0;
+  u64 idle_cycles = 0;  ///< active cycles that issued nothing
+  /// Whole-SM memory stalls recounted from the warps, by the definition.
+  u64 expected_all_mem = 0;
+  SmStats stats;
+};
+
+/// Runs `k` on one SM under `sched`, cycle by cycle, checking every pick
+/// and recounting stall_cycles_all_mem from the warps after each step.
+WaitCheckedRun run_checking_waits(const Kernel& k, SchedulerKind sched) {
+  GpuConfig cfg = tiny_gpu();
+  cfg.max_cycles = 200'000;
+  std::vector<WarpContext>* warps = nullptr;
+  WaitCheckedRun r;
+  SmPolicyFactories pol = make_policies(PrefetcherKind::kNone, sched, true);
+  pol.make_scheduler = [base = pol.make_scheduler, &warps, &k, &r](
+                           const GpuConfig& c, std::vector<WarpContext>& w,
+                           std::function<bool(u32, Cycle)> eligible,
+                           std::function<bool(u32)> waiting_mem) {
+    warps = &w;
+    return std::make_unique<WaitCheckScheduler>(
+        base(c, w, std::move(eligible), std::move(waiting_mem)), c, w, k,
+        r.early_picks);
+  };
+  Gpu gpu(cfg, k, pol);
+  SmStats before;
+  while (!gpu.done() && gpu.now() < cfg.max_cycles) {
+    gpu.step();
+    const SmStats& now = gpu.sm(0).stats();
+    const bool idle = now.active_cycles != before.active_cycles &&
+                      now.issued_instructions == before.issued_instructions;
+    const bool waiting =
+        std::any_of(warps->begin(), warps->end(), [&](const WarpContext& wc) {
+          return wc.status == WarpStatus::kActive &&
+                 wc.outstanding_loads > 0 &&
+                 k.instruction(wc.pc_idx).waits_mem;
+        });
+    r.idle_cycles += idle ? 1 : 0;
+    if (idle && waiting) ++r.expected_all_mem;
+    before = now;
+  }
+  r.done = gpu.done();
+  r.stats = gpu.sm(0).stats();
+  return r;
+}
+
+TEST(SmWaitTest, ConsumersWaitForTheirLoadsAndStallsAreAttributed) {
+  // Issue sets the wait; the last load's return clears it. The long ALU
+  // dependence leaves the SM idle with no load in flight too, and those
+  // cycles are not memory stalls.
+  KernelBuilder b("k", {4, 1, 1}, {128, 1, 1});
+  b.loop(3);
+  b.load(linear_pattern(0x100000, 4, 128)).alu(2, /*dep_next=*/true, 60);
+  b.end_loop();
+  const Kernel k = b.build();
+  for (SchedulerKind sched : {SchedulerKind::kTwoLevel, SchedulerKind::kLrr}) {
+    const WaitCheckedRun r = run_checking_waits(k, sched);
+    ASSERT_TRUE(r.done) << to_string(sched);
+    EXPECT_EQ(r.early_picks, 0u) << to_string(sched);
+    EXPECT_GT(r.stats.stall_cycles_all_mem, 0u) << to_string(sched);
+    EXPECT_GT(r.idle_cycles, r.expected_all_mem) << to_string(sched);
+    EXPECT_EQ(r.stats.stall_cycles_all_mem, r.expected_all_mem)
+        << to_string(sched);
+  }
+}
+
+TEST(SmWaitTest, WarpsReleasedFromABarrierWaitForLoadsIssuedBeforeIt) {
+  // Each warp loads, passes the barrier, then consumes the load: a warp the
+  // barrier releases may still have it in flight.
+  KernelBuilder b("k", {2, 1, 1}, {128, 1, 1});
+  b.load(linear_pattern(0x200000, 4, 128), /*consume=*/false);
+  b.barrier();
+  b.wait_mem();
+  b.alu(1);
+  const Kernel k = b.build();
+  for (SchedulerKind sched : {SchedulerKind::kTwoLevel, SchedulerKind::kLrr}) {
+    const WaitCheckedRun r = run_checking_waits(k, sched);
+    ASSERT_TRUE(r.done) << to_string(sched);
+    EXPECT_EQ(r.early_picks, 0u) << to_string(sched);
+    EXPECT_EQ(r.stats.stall_cycles_all_mem, r.expected_all_mem)
+        << to_string(sched);
+  }
 }
 
 // ------------------------------------------- LD/ST blocked-head memo -----
