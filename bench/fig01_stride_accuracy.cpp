@@ -12,6 +12,7 @@
 using namespace caps;
 
 int main(int argc, char** argv) {
+  const BenchArgs args = parse_bench_args(argc, argv);
   std::printf("Fig. 1 — inter-warp stride prediction accuracy vs warp "
               "distance (matrixMul, two-level scheduler)\n\n");
 
@@ -35,7 +36,6 @@ int main(int argc, char** argv) {
               "distance %u (CTA boundary: MM has %u warps/CTA); gap grows "
               "with distance.\n", wpc - 1, wpc);
 
-  const std::string csv = parse_csv_arg(argc, argv);
-  if (!csv.empty()) t.write_csv(csv);
+  if (!args.csv.empty()) t.write_csv(args.csv);
   return 0;
 }

@@ -11,6 +11,7 @@
 using namespace caps;
 
 int main(int argc, char** argv) {
+  const BenchArgs args = parse_bench_args(argc, argv);
   std::printf("Fig. 4 — loads executed in loops (measured vs paper)\n\n");
 
   Table t({"bench", "repeated/total (measured)", "avg iters (measured)",
@@ -30,7 +31,6 @@ int main(int argc, char** argv) {
               "in-loop loads (intra-warp prefetching starves); loop-heavy "
               "kernels (LPS, STE, HST, MM, KM) re-execute theirs.\n");
 
-  const std::string csv = parse_csv_arg(argc, argv);
-  if (!csv.empty()) t.write_csv(csv);
+  if (!args.csv.empty()) t.write_csv(args.csv);
   return 0;
 }

@@ -6,18 +6,18 @@
 #include <cstdio>
 #include <iterator>
 
+#include "common.hpp"
 #include "harness/tables.hpp"
-#include "matrix.hpp"
 
 using namespace caps;
 using namespace caps::bench;
 
 int main(int argc, char** argv) {
-  const bool quick = quick_mode(argc, argv);
-  const auto workloads = fig10_workloads(quick);
+  const BenchArgs args = parse_bench_args(argc, argv);
+  const auto workloads = fig10_workloads(args.quick);
 
   std::printf("Fig. 14a — early prefetch ratio (evicted before use)%s\n\n",
-              quick ? " (--quick subset)" : "");
+              args.quick ? " (--quick subset)" : "");
   {
     struct Cfg {
       const char* label;
@@ -55,16 +55,12 @@ int main(int argc, char** argv) {
         if (r.stats.sm.pf_issued_to_mem > 0)
           ratios.push_back(r.stats.pf_early_ratio());
       }
-      double sum = 0;
-      for (double x : ratios) sum += x;
-      t.add_row({c.label,
-                 fmt_percent(
-                     ratios.empty() ? 0 : sum / static_cast<double>(ratios.size()),
-                     2)});
+      t.add_row({c.label, fmt_percent(arith_mean(ratios), 2)});
     }
     std::printf("%s\n", t.to_string().c_str());
     std::printf("Paper shape: CAPS ~0.91%%, slightly higher without the "
                 "wake-up (~1.16%%); INTRA/INTER/MTA are markedly worse.\n\n");
+    if (!args.csv.empty()) t.write_csv(args.csv + ".fig14a.csv");
   }
 
   std::printf("Fig. 14b — prefetch distance of timely prefetches by "
@@ -107,9 +103,7 @@ int main(int argc, char** argv) {
     std::printf("%s\n", t.to_string().c_str());
     std::printf("Paper shape: LRR 64.3 < TLV 145.0 < PA-TLV 172.7 cycles — "
                 "the prefetch-aware scheduler buys the largest lead time.\n");
+    if (!args.csv.empty()) t.write_csv(args.csv + ".fig14b.csv");
   }
-
-  const std::string csv = parse_csv_arg(argc, argv);
-  (void)csv;
   return 0;
 }

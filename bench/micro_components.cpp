@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/caps_prefetcher.hpp"
-#include "core/pas_scheduler.hpp"
 #include "gpu/coalescer.hpp"
 #include "gpu/gpu.hpp"
 #include "harness/experiment.hpp"
@@ -167,9 +166,8 @@ void BM_SchedulerPick(benchmark::State& state) {
   GpuConfig cfg;
   std::vector<WarpContext> warps(cfg.max_warps_per_sm);
   for (u32 w = 0; w < 16; ++w) warps[w].status = WarpStatus::kActive;
-  auto sched = make_scheduler(
-      SchedulerKind::kTwoLevel, cfg, warps, [](u32, Cycle) { return true; },
-      [](u32) { return false; });
+  auto sched = std::make_unique<TwoLevelScheduler>(
+      cfg, warps, [](u32, Cycle) { return true; }, [](u32) { return false; });
   sched->on_cta_launch(0, 0, 16);
   Cycle now = 0;
   for (auto _ : state) benchmark::DoNotOptimize(sched->pick(now++));
@@ -200,9 +198,8 @@ void BM_SchedulerPickSaturated(benchmark::State& state, SchedulerKind kind) {
     return warps[s].status == WarpStatus::kActive && waiting[s] != 0;
   };
   std::unique_ptr<Scheduler> sched =
-      kind == SchedulerKind::kPas
-          ? std::make_unique<PasScheduler>(cfg, warps, eligible, waiting_mem)
-          : make_scheduler(kind, cfg, warps, eligible, waiting_mem);
+      make_policies(PrefetcherKind::kNone, kind, true)
+          .make_scheduler(cfg, warps, eligible, waiting_mem);
   for (u32 c = 0; c < 6; ++c) sched->on_cta_launch(c, c * 8, 8);
   Cycle now = 0;
   for (auto _ : state) benchmark::DoNotOptimize(sched->pick(now++));

@@ -9,6 +9,7 @@
 using namespace caps;
 
 int main(int argc, char** argv) {
+  const BenchArgs args = parse_bench_args(argc, argv);
   const GpuConfig cfg;
   const CapsHardwareCost cost = compute_caps_hardware_cost(cfg);
 
@@ -46,7 +47,6 @@ int main(int argc, char** argv) {
   std::printf("  static power    : %.0f uW\n", cost.static_power_uw);
   std::printf("\nExpected: 21B/9B entries, 36 + 672 = 708 bytes per SM.\n");
 
-  const std::string csv = parse_csv_arg(argc, argv);
-  if (!csv.empty()) t2.write_csv(csv);
+  if (!args.csv.empty()) t2.write_csv(args.csv);
   return 0;
 }

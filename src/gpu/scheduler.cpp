@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/diag.hpp"
-
 namespace caps {
 
 // ---------------------------------------------------------------- LRR ----
@@ -162,34 +160,6 @@ i32 TwoLevelScheduler::pick(Cycle now) {
     }
   }
   return kNoWarp;
-}
-
-// ------------------------------------------------------------- factory ----
-
-std::unique_ptr<Scheduler> make_scheduler(
-    SchedulerKind kind, const GpuConfig& cfg, std::vector<WarpContext>& warps,
-    std::function<bool(u32, Cycle)> eligible,
-    std::function<bool(u32)> waiting_mem) {
-  switch (kind) {
-    case SchedulerKind::kLrr:
-      return std::make_unique<LrrScheduler>(cfg, warps, std::move(eligible),
-                                            std::move(waiting_mem));
-    case SchedulerKind::kGto:
-      return std::make_unique<GtoScheduler>(cfg, warps, std::move(eligible),
-                                            std::move(waiting_mem));
-    case SchedulerKind::kTwoLevel:
-      return std::make_unique<TwoLevelScheduler>(
-          cfg, warps, std::move(eligible), std::move(waiting_mem));
-    case SchedulerKind::kOrch:
-      return std::make_unique<OrchScheduler>(cfg, warps, std::move(eligible),
-                                             std::move(waiting_mem));
-    case SchedulerKind::kPas:
-      // PAS is constructed by the SM via core/pas_scheduler.hpp to avoid a
-      // gpu -> core dependency cycle; reaching here is a wiring bug.
-      break;
-  }
-  CAPS_CHECK(false, "make_scheduler: unsupported kind");
-  return nullptr;
 }
 
 }  // namespace caps

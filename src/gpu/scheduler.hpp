@@ -180,10 +180,4 @@ class OrchScheduler final : public TwoLevelScheduler {
   }
 };
 
-/// Factory for the baseline schedulers (PAS lives in core/pas_scheduler.hpp).
-std::unique_ptr<Scheduler> make_scheduler(
-    SchedulerKind kind, const GpuConfig& cfg, std::vector<WarpContext>& warps,
-    std::function<bool(u32, Cycle)> eligible,
-    std::function<bool(u32)> waiting_mem);
-
 }  // namespace caps

@@ -4,9 +4,11 @@
 #include <utility>
 
 #include "core/caps_prefetcher.hpp"
-#include "harness/sweep.hpp"
 #include "core/pas_scheduler.hpp"
-#include "prefetch/factory.hpp"
+#include "harness/sweep.hpp"
+#include "prefetch/lap.hpp"
+#include "prefetch/nlp.hpp"
+#include "prefetch/stride_prefetchers.hpp"
 
 namespace caps {
 
@@ -41,20 +43,49 @@ SmPolicyFactories make_policies(PrefetcherKind pf, SchedulerKind sched,
                                 bool caps_eager_wakeup) {
   SmPolicyFactories p;
   p.make_prefetcher = [pf](const GpuConfig& cfg) -> std::unique_ptr<Prefetcher> {
-    if (pf == PrefetcherKind::kCaps) return std::make_unique<CapsPrefetcher>(cfg);
-    return make_baseline_prefetcher(pf, cfg);
+    switch (pf) {
+      case PrefetcherKind::kNone:
+        return std::make_unique<NullPrefetcher>();
+      case PrefetcherKind::kIntra:
+        return std::make_unique<IntraWarpPrefetcher>(cfg);
+      case PrefetcherKind::kInter:
+        return std::make_unique<InterWarpPrefetcher>(cfg);
+      case PrefetcherKind::kMta:
+        return std::make_unique<MtaPrefetcher>(cfg);
+      case PrefetcherKind::kNlp:
+        return std::make_unique<NextLinePrefetcher>(cfg);
+      case PrefetcherKind::kLap:
+      case PrefetcherKind::kOrch:  // ORCH's scheduling half is OrchScheduler
+        return std::make_unique<LocalityAwarePrefetcher>(cfg);
+      case PrefetcherKind::kCaps:
+        return std::make_unique<CapsPrefetcher>(cfg);
+    }
+    throw std::invalid_argument("make_policies: unknown prefetcher kind");
   };
   p.make_scheduler = [sched, caps_eager_wakeup](
                          const GpuConfig& cfg, std::vector<WarpContext>& warps,
                          std::function<bool(u32, Cycle)> eligible,
                          std::function<bool(u32)> waiting_mem)
       -> std::unique_ptr<Scheduler> {
-    if (sched == SchedulerKind::kPas)
-      return std::make_unique<PasScheduler>(cfg, warps, std::move(eligible),
-                                            std::move(waiting_mem),
-                                            caps_eager_wakeup);
-    return make_scheduler(sched, cfg, warps, std::move(eligible),
-                          std::move(waiting_mem));
+    switch (sched) {
+      case SchedulerKind::kLrr:
+        return std::make_unique<LrrScheduler>(cfg, warps, std::move(eligible),
+                                              std::move(waiting_mem));
+      case SchedulerKind::kGto:
+        return std::make_unique<GtoScheduler>(cfg, warps, std::move(eligible),
+                                              std::move(waiting_mem));
+      case SchedulerKind::kTwoLevel:
+        return std::make_unique<TwoLevelScheduler>(
+            cfg, warps, std::move(eligible), std::move(waiting_mem));
+      case SchedulerKind::kOrch:
+        return std::make_unique<OrchScheduler>(
+            cfg, warps, std::move(eligible), std::move(waiting_mem));
+      case SchedulerKind::kPas:
+        return std::make_unique<PasScheduler>(cfg, warps, std::move(eligible),
+                                              std::move(waiting_mem),
+                                              caps_eager_wakeup);
+    }
+    throw std::invalid_argument("make_policies: unknown scheduler kind");
   };
   return p;
 }

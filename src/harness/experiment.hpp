@@ -86,7 +86,8 @@ struct RunResult {
   bool ok() const { return status == RunStatus::kOk; }
 };
 
-/// Build the per-SM policy factories for a resolved configuration.
+/// Build the per-SM policy factories for a resolved configuration. The one
+/// place that maps each PrefetcherKind and SchedulerKind to its class.
 SmPolicyFactories make_policies(PrefetcherKind pf, SchedulerKind sched,
                                 bool caps_eager_wakeup);
 

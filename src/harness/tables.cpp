@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -75,10 +76,26 @@ std::string fmt_percent(double ratio, int precision) {
   return buf;
 }
 
-std::string parse_csv_arg(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::string(argv[i]) == "--csv") return argv[i + 1];
-  return {};
+BenchArgs parse_bench_args(int argc, char** argv, bool allow_full) {
+  BenchArgs a;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--quick") {
+      a.quick = true;
+    } else if (arg == "--full" && allow_full) {
+      a.full = true;
+    } else if (arg == "--csv" && i + 1 < argc) {
+      a.csv = argv[++i];
+    } else {
+      std::fprintf(stderr,
+                   "%s: unexpected argument '%s'\n"
+                   "usage: %s [--quick] [--csv PATH]%s\n",
+                   argv[0], arg.c_str(), argv[0],
+                   allow_full ? " [--full]" : "");
+      std::exit(2);
+    }
+  }
+  return a;
 }
 
 }  // namespace caps

@@ -30,8 +30,16 @@ class Table {
 std::string fmt_double(double v, int precision = 3);
 std::string fmt_percent(double ratio, int precision = 1);
 
-/// Parse the common bench CLI: `--csv <path>` (others ignored). Returns the
-/// csv path or empty.
-std::string parse_csv_arg(int argc, char** argv);
+/// The bench CLI shared by every figure binary.
+struct BenchArgs {
+  bool quick = false;  ///< `--quick`: the four-kernel smoke subset
+  bool full = false;   ///< `--full`: the whole suite (drivers that allow it)
+  std::string csv;     ///< `--csv PATH`: mirror tables to CSV (empty: off)
+};
+
+/// Parse `--quick`, `--csv PATH` and, with `allow_full`, `--full`. Any other
+/// argument, or `--csv` without a path, prints usage to stderr and exits
+/// with status 2.
+BenchArgs parse_bench_args(int argc, char** argv, bool allow_full = false);
 
 }  // namespace caps

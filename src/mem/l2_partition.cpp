@@ -130,12 +130,11 @@ void L2Partition::dram_done(const MemRequest& req, Cycle now) {
   for (MemRequest& waiter : fill_scratch_) replies_.push_back(waiter);
 }
 
-bool L2Partition::drain_writebacks() {
+void L2Partition::drain_writebacks() {
   while (!pending_writebacks_.empty() && channel_.can_accept()) {
     channel_.submit(pending_writebacks_.front());
     pending_writebacks_.pop_front();
   }
-  return pending_writebacks_.empty();
 }
 
 bool L2Partition::pop_reply(MemRequest& out) {

@@ -64,8 +64,8 @@ class L2Partition {
   /// Callback target when the DRAM channel finishes one of our lines.
   void dram_done(const MemRequest& req, Cycle now);
 
-  /// Push deferred dirty write-backs into the DRAM queue; true when empty.
-  bool drain_writebacks();
+  /// Push deferred dirty write-backs into the DRAM queue while it has room.
+  void drain_writebacks();
 
   /// Pop one ready reply destined for the reply crossbar.
   bool pop_reply(MemRequest& out);

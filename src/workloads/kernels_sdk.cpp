@@ -35,7 +35,6 @@ Workload make_cnv() {
     p.c_iter = pitch * 8;
     return p;
   };
-  AddressPattern out_step{};
 
   KernelBuilder b("cnv", grid, block);
   b.alu(2);
@@ -58,7 +57,6 @@ Workload make_cnv() {
   out.wrap_bytes = kTiny;
   b.store(out);
   b.end_loop();
-  (void)out_step;
 
   Workload w{"CNV", "convolutionSeparable", "CUDA SDK", false, b.build()};
   w.paper_repeated_loads = 0;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <functional>
 #include <set>
+#include <utility>
 
 #include "gpu/coalescer.hpp"
 #include "gpu/cta_distributor.hpp"
@@ -347,16 +348,33 @@ TEST_F(SchedulerFixture, OrchPromotesOddWarpsWhenNoEvenWarpCan) {
   EXPECT_TRUE(std::find(ready.begin(), ready.end(), 5u) != ready.end());
 }
 
-TEST_F(SchedulerFixture, FactoryBuildsEachKind) {
+// make_policies is the one kind-to-class mapping; each name() identifies
+// the class it built.
+TEST_F(SchedulerFixture, MakePoliciesBuildsEveryKind) {
+  const std::pair<PrefetcherKind, const char*> engines[] = {
+      {PrefetcherKind::kNone, "BASE"}, {PrefetcherKind::kIntra, "INTRA"},
+      {PrefetcherKind::kInter, "INTER"}, {PrefetcherKind::kMta, "MTA"},
+      {PrefetcherKind::kNlp, "NLP"},     {PrefetcherKind::kLap, "LAP"},
+      {PrefetcherKind::kOrch, "LAP"},    {PrefetcherKind::kCaps, "CAPS"}};
+  for (const auto& [kind, name] : engines) {
+    auto pf = make_policies(kind, SchedulerKind::kTwoLevel, true)
+                  .make_prefetcher(cfg_);
+    EXPECT_STREQ(pf->name(), name) << to_string(kind);
+  }
+
+  const std::pair<SchedulerKind, const char*> schedulers[] = {
+      {SchedulerKind::kLrr, "LRR"},      {SchedulerKind::kGto, "GTO"},
+      {SchedulerKind::kTwoLevel, "TLV"}, {SchedulerKind::kPas, "PAS"},
+      {SchedulerKind::kOrch, "ORCH-SCHED"}};
   activate(0, 2);
-  for (SchedulerKind k : {SchedulerKind::kLrr, SchedulerKind::kGto,
-                          SchedulerKind::kTwoLevel, SchedulerKind::kOrch}) {
-    auto s = make_scheduler(
-        k, cfg_, warps_, [](u32, Cycle) { return true; },
-        [](u32) { return false; });
-    ASSERT_NE(s, nullptr);
+  for (const auto& [kind, name] : schedulers) {
+    auto s = make_policies(PrefetcherKind::kNone, kind, true)
+                 .make_scheduler(
+                     cfg_, warps_, [](u32, Cycle) { return true; },
+                     [](u32) { return false; });
+    EXPECT_STREQ(s->name(), name) << to_string(kind);
     s->on_cta_launch(0, 0, 2);
-    EXPECT_NE(s->pick(0), kNoWarp);
+    EXPECT_NE(s->pick(0), kNoWarp) << to_string(kind);
   }
 }
 

@@ -54,10 +54,30 @@ TEST(FormatTest, Helpers) {
   EXPECT_EQ(fmt_percent(0.974, 1), "97.4%");
 }
 
-TEST(CsvArgTest, ParsesFlag) {
-  const char* argv[] = {"prog", "--csv", "/tmp/x.csv"};
-  EXPECT_EQ(parse_csv_arg(3, const_cast<char**>(argv)), "/tmp/x.csv");
-  EXPECT_EQ(parse_csv_arg(1, const_cast<char**>(argv)), "");
+TEST(BenchArgsTest, ParsesFlags) {
+  const char* argv[] = {"prog", "--csv", "/tmp/x", "--quick", "--full"};
+  char** args = const_cast<char**>(argv);
+  const BenchArgs none = parse_bench_args(1, args);
+  EXPECT_FALSE(none.quick);
+  EXPECT_EQ(none.csv, "");
+  const BenchArgs all = parse_bench_args(5, args, /*allow_full=*/true);
+  EXPECT_EQ(all.csv, "/tmp/x");
+  EXPECT_TRUE(all.quick);
+  EXPECT_TRUE(all.full);
+}
+
+TEST(BenchArgsTest, RejectsAnythingElse) {
+  const auto exits_with_usage = [](std::vector<const char*> argv) {
+    argv.insert(argv.begin(), "prog");
+    EXPECT_EXIT(parse_bench_args(static_cast<int>(argv.size()),
+                                 const_cast<char**>(argv.data())),
+                ::testing::ExitedWithCode(2), "usage: prog");
+  };
+  exits_with_usage({"--qiuck"});
+  exits_with_usage({"--full"});  // only where the binary allows it
+  exits_with_usage({"--csv"});   // no path
+  exits_with_usage({"--csv=/tmp/x"});
+  exits_with_usage({"--quick", "extra"});
 }
 
 TEST(EnergyTest, MoreEventsMoreEnergy) {

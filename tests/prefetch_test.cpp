@@ -9,7 +9,6 @@
 #include <string>
 #include <utility>
 
-#include "prefetch/factory.hpp"
 #include "prefetch/lap.hpp"
 #include "prefetch/lru_table.hpp"
 #include "prefetch/nlp.hpp"
@@ -393,31 +392,6 @@ TEST(LapTest, MacroBlockSizeBeyondMaskCapacityRejected) {
   GpuConfig cfg;
   cfg.baseline_pf.macro_block_lines = 65;  // exceeds the 64-bit miss mask
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
-}
-
-// --------------------------------------------------------------- factory ---
-
-TEST(FactoryTest, BuildsEveryBaselineKind) {
-  GpuConfig cfg;
-  for (PrefetcherKind k :
-       {PrefetcherKind::kNone, PrefetcherKind::kIntra, PrefetcherKind::kInter,
-        PrefetcherKind::kMta, PrefetcherKind::kNlp, PrefetcherKind::kLap,
-        PrefetcherKind::kOrch}) {
-    auto pf = make_baseline_prefetcher(k, cfg);
-    ASSERT_NE(pf, nullptr) << to_string(k);
-  }
-}
-
-TEST(FactoryTest, RejectsCaps) {
-  GpuConfig cfg;
-  EXPECT_THROW(make_baseline_prefetcher(PrefetcherKind::kCaps, cfg),
-               std::invalid_argument);
-}
-
-TEST(FactoryTest, OrchUsesLapEngine) {
-  GpuConfig cfg;
-  auto pf = make_baseline_prefetcher(PrefetcherKind::kOrch, cfg);
-  EXPECT_STREQ(pf->name(), "LAP");
 }
 
 }  // namespace
