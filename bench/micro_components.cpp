@@ -1,8 +1,8 @@
 // google-benchmark micro-suite: throughput of the individual simulator
 // components (tag probes, MSHR churn, affine and indirect coalescing, DRAM
 // scheduling busy and saturated, CAPS table operations, scheduler picks,
-// all-eligible and saturated, and a whole-GPU cycle, mixed and
-// memory-saturated).
+// all-eligible and saturated, and a whole-GPU cycle, mixed,
+// memory-saturated and in the refused-issue regime).
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -252,6 +252,37 @@ void BM_FullGpuCycleSaturated(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FullGpuCycleSaturated);
+
+void BM_FullGpuCycleRefused(benchmark::State& state) {
+  // BFS on BASE: once its 32-line indirect loads fill the LD/ST queues,
+  // most SM cycles pick a warp that the full queue refuses, and most LD/ST
+  // units and L2 partitions only re-count a stall. Each restart is warmed
+  // up outside the timed region until every SM has been refused.
+  GpuConfig cfg;
+  cfg.max_cycles = ~0ULL;
+  const Kernel& k = find_workload("BFS").kernel;
+  const SmPolicyFactories pol = make_policies(
+      PrefetcherKind::kNone, default_scheduler_for(PrefetcherKind::kNone),
+      true);
+  auto refused = [&] {
+    auto gpu = std::make_unique<Gpu>(cfg, k, pol);
+    for (int i = 0; i < 5000; ++i) gpu->step();
+    return gpu;
+  };
+  auto gpu = refused();
+  if (gpu->collect_stats().sm.stall_ldst_full == 0)
+    state.SkipWithError("BFS did not reach the refused regime");
+  for (auto _ : state) {
+    if (gpu->done()) {
+      state.PauseTiming();
+      gpu = refused();
+      state.ResumeTiming();
+    }
+    gpu->step();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FullGpuCycleRefused);
 
 void BM_EndToEndSmallKernel(benchmark::State& state) {
   GpuConfig cfg;

@@ -19,6 +19,10 @@ using Addr = u64;
 /// Core clock cycle count.
 using Cycle = u64;
 
+/// A cycle that never comes: the wake time of a component that waits only
+/// for events.
+inline constexpr Cycle kNever = ~Cycle{0};
+
 /// Number of threads in a warp (fixed by the modeled architecture).
 inline constexpr u32 kWarpSize = 32;
 

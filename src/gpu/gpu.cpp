@@ -22,6 +22,10 @@ void Gpu::dispatch_ctas() {
   // cursor. During the initial fill this hands out CTAs one at a time in SM
   // order (Fig. 3); afterwards any SM with a freed slot gets the next CTA,
   // i.e. assignment becomes demand-driven by CTA termination order.
+  // The pass ends when no CTA is left or on a full round of refusals,
+  // which leaves the cursor where that round started: either way another
+  // pass changes nothing until an SM can take a CTA again, so step() skips
+  // it until then.
   u32 scanned = 0;
   while (!distributor_.all_dispatched() && scanned < cfg_.num_sms) {
     const u32 sm_id = distributor_.rr_cursor();
@@ -35,11 +39,16 @@ void Gpu::dispatch_ctas() {
     }
     distributor_.advance_cursor();
   }
+  dispatch_blocked_ = true;
 }
 
 void Gpu::step() {
-  dispatch_ctas();
-  for (auto& sm : sms_) sm->cycle(cycle_);
+  if (!dispatch_blocked_) dispatch_ctas();
+  for (auto& sm : sms_) {
+    if (!sm->due(cycle_)) continue;
+    sm->cycle(cycle_);
+    if (sm->can_launch_cta()) dispatch_blocked_ = false;
+  }
   mem_.cycle(cycle_);
   ++cycle_;
 }

@@ -31,10 +31,18 @@ LdStUnit::LdStUnit(const GpuConfig& cfg, StreamingMultiprocessor& sm,
 void LdStUnit::push_demand(const L1Access& access) {
   CAPS_CHECK(can_accept(1), "LD/ST demand queue overflow");
   demand_q_.push(access);
+  wake_at_ = 0;
+}
+
+void LdStUnit::pop_demand(Cycle now) {
+  demand_q_.pop();
+  ++gen_;
+  sm_.wake_issue(now);
 }
 
 void LdStUnit::push_prefetches(const std::vector<PrefetchRequest>& reqs,
                                Cycle now) {
+  wake_at_ = 0;
   for (const PrefetchRequest& r : reqs) {
     ++stats_.pf_generated;
     if (prefetch_q_.full()) {
@@ -64,9 +72,9 @@ void LdStUnit::push_prefetches(const std::vector<PrefetchRequest>& reqs,
   }
 }
 
-void LdStUnit::complete_load(const L1Access& access) {
+void LdStUnit::complete_load(const L1Access& access, Cycle now) {
   if (access.is_load && !access.is_prefetch && access.warp_slot != kNoWarp)
-    sm_.on_load_done(static_cast<u32>(access.warp_slot));
+    sm_.on_load_done(static_cast<u32>(access.warp_slot), now);
 }
 
 void LdStUnit::process_replies(Cycle now) {
@@ -134,13 +142,13 @@ void LdStUnit::process_replies(Cycle now) {
     for (const L1Access& w : waiters) {
       if (w.is_prefetch) continue;
       stats_.demand_miss_latency.add(static_cast<double>(now - w.issue_cycle));
-      complete_load(w);
+      complete_load(w, now);
     }
 
     // Eager wake-up: notify the warp bound to a pure prefetch fill.
     if (!any_demand && pf_origin != nullptr &&
         pf_origin->warp_slot != kNoWarp) {
-      sm_.on_prefetch_fill(static_cast<u32>(pf_origin->warp_slot));
+      sm_.on_prefetch_fill(static_cast<u32>(pf_origin->warp_slot), now);
       ++stats_.pf_wakeups;
     }
   }
@@ -148,13 +156,13 @@ void LdStUnit::process_replies(Cycle now) {
 
 void LdStUnit::process_completions(Cycle now) {
   while (!completions_.empty() && completions_.front().ready_at <= now) {
-    complete_load(completions_.front().access);
+    complete_load(completions_.front().access, now);
     completions_.pop_front();
   }
 }
 
-bool LdStUnit::process_demand(Cycle now) {
-  if (demand_q_.empty()) return false;
+LdStUnit::Wait LdStUnit::process_demand(Cycle now) {
+  if (demand_q_.empty()) return Wait::kIdle;
   const L1Access access = demand_q_.front();
 
   if (!access.is_load) {
@@ -162,7 +170,7 @@ bool LdStUnit::process_demand(Cycle now) {
     if (!mem_.can_accept(access.line)) {
       ++stats_.stall_xbar_full;
       mem_.note_inject_stall();
-      return false;  // head blocked; tag port stays free this cycle
+      return Wait::kCrossbar;  // head blocked; tag port stays free this cycle
     }
     MemRequest req;
     req.line = access.line;
@@ -171,29 +179,29 @@ bool LdStUnit::process_demand(Cycle now) {
     req.created = now;
     mem_.submit(req, now);
     ++stats_.stores_to_mem;
-    pop_demand();
-    return true;
+    pop_demand(now);
+    return Wait::kDone;
   }
 
   // A head probed at the current generation would probe the same way; only
   // the crossbar can drain without a bump, so only it is checked again.
   if (demand_gen_ != gen_) {
     demand_wait_ = probe_demand(access, now);
-    if (demand_wait_ == Wait::kDone) return true;
+    if (demand_wait_ == Wait::kDone) return Wait::kDone;
     demand_gen_ = gen_;
   }
   if (demand_wait_ == Wait::kMerge) {
     ++stats_.stall_merge_full;
-    return false;
+    return Wait::kMerge;
   }
   if (demand_wait_ == Wait::kMshr) {
     ++stats_.stall_mshr_full;
-    return false;
+    return Wait::kMshr;
   }
   if (!mem_.can_accept(access.line)) {
     ++stats_.stall_xbar_full;
     mem_.note_inject_stall();
-    return false;
+    return Wait::kCrossbar;
   }
   ++stats_.l1_accesses;
   ++stats_.l1_misses;
@@ -205,8 +213,8 @@ bool LdStUnit::process_demand(Cycle now) {
   req.sm_id = sm_id_;
   req.created = now;
   mem_.submit(req, now);
-  pop_demand();
-  return true;
+  pop_demand(now);
+  return Wait::kDone;
 }
 
 LdStUnit::Wait LdStUnit::probe_demand(const L1Access& access, Cycle now) {
@@ -231,7 +239,7 @@ LdStUnit::Wait LdStUnit::probe_demand(const L1Access& access, Cycle now) {
     CAPS_CHECK(completions_.empty() || completions_.back().ready_at < ready_at,
                "L1 hit completions out of order");
     completions_.push_back(Completion{ready_at, access});
-    pop_demand();
+    pop_demand(now);
     return Wait::kDone;
   }
   // Miss path. A demand that catches up with an in-flight prefetch merges
@@ -242,14 +250,14 @@ LdStUnit::Wait LdStUnit::probe_demand(const L1Access& access, Cycle now) {
     ++stats_.l1_misses;
     ++stats_.l1_mshr_merges;
     mshr_.merge(access.line, access);
-    pop_demand();
+    pop_demand(now);
     return Wait::kDone;
   }
   return mshr_.full() ? Wait::kMshr : Wait::kCrossbar;
 }
 
-void LdStUnit::process_prefetch(Cycle now) {
-  if (prefetch_q_.empty()) return;
+LdStUnit::Wait LdStUnit::process_prefetch(Cycle now) {
+  if (prefetch_q_.empty()) return Wait::kIdle;
   const L1Access& head = prefetch_q_.front();
 
   // A head probed at the current generation is still neither cached nor in
@@ -258,12 +266,12 @@ void LdStUnit::process_prefetch(Cycle now) {
     if (l1_.contains(head.line)) {
       ++stats_.pf_dropped_hit;
       pop_prefetch();
-      return;
+      return Wait::kDone;
     }
     if (mshr_.has(head.line)) {
       ++stats_.pf_dropped_inflight;
       pop_prefetch();
-      return;
+      return Wait::kDone;
     }
     prefetch_gen_ = gen_;
   }
@@ -271,7 +279,7 @@ void LdStUnit::process_prefetch(Cycle now) {
     // Structural backpressure: keep the head and retry; newly generated
     // prefetches are dropped upstream when the queue overflows.
     ++stats_.pf_stall_structural;
-    return;
+    return mshr_.full() ? Wait::kMshr : Wait::kCrossbar;
   }
   const L1Access access = pop_prefetch();
   mshr_.allocate(access.line, access);
@@ -282,13 +290,69 @@ void LdStUnit::process_prefetch(Cycle now) {
   req.is_prefetch = true;
   mem_.submit(req, now);
   ++stats_.pf_issued_to_mem;
+  return Wait::kDone;
 }
 
 void LdStUnit::cycle(Cycle now) {
+  if (demand_stall_ != nullptr) {
+    stats_.*demand_stall_ += now - slept_from_;
+    if (demand_stall_ == &SmStats::stall_xbar_full)
+      mem_.wake_inject_staller(slept_from_, now);
+    demand_stall_ = nullptr;
+  }
+  if (prefetch_stall_) {
+    stats_.pf_stall_structural += now - slept_from_;
+    prefetch_stall_ = false;
+  }
+  wake_at_ = 0;
+  lane_wait_ = false;
+
   process_replies(now);
   process_completions(now);
-  // One L1 port: demand first, prefetch only when the demand queue is idle.
-  if (!process_demand(now)) process_prefetch(now);
+  // One L1 port: demand first, prefetch only when the demand head is idle
+  // or blocked.
+  const Wait demand = process_demand(now);
+  if (demand == Wait::kDone) return;
+  const Wait prefetch = process_prefetch(now);
+  if (prefetch == Wait::kDone) return;
+  sleep(now, demand, prefetch);
+}
+
+void LdStUnit::sleep(Cycle now, Wait demand, Wait prefetch) {
+  // Every later tick would repeat this one's port outcome until a wake
+  // event: a blocked head re-probes only after a generation bump, which
+  // only a fill (a reply) or a pop (this unit's own progress) makes; the
+  // MSHR frees only on a fill; and room on a crossbar lane appears only
+  // through a pop. Replies and completions are checked by due() itself.
+  wake_at_ = completions_.empty() ? kNever : completions_.front().ready_at;
+  slept_from_ = now + 1;
+  if (demand == Wait::kCrossbar) {
+    demand_stall_ = &SmStats::stall_xbar_full;
+    mem_.sleep_inject_staller(slept_from_);
+  } else if (demand == Wait::kMshr) {
+    demand_stall_ = &SmStats::stall_mshr_full;
+  } else if (demand == Wait::kMerge) {
+    demand_stall_ = &SmStats::stall_merge_full;
+  }
+  prefetch_stall_ = prefetch != Wait::kIdle;
+  // Watch the lanes of the heads blocked on the crossbar, the same lane
+  // twice when only one is.
+  if (demand == Wait::kCrossbar || prefetch == Wait::kCrossbar) {
+    lane_wait_ = true;
+    lanes_[0] = mem_.partition_of(demand == Wait::kCrossbar
+                                      ? demand_q_.front().line
+                                      : prefetch_q_.front().line);
+    lanes_[1] = prefetch == Wait::kCrossbar
+                    ? mem_.partition_of(prefetch_q_.front().line)
+                    : lanes_[0];
+    lane_pops_[0] = mem_.request_pops(lanes_[0]);
+    lane_pops_[1] = mem_.request_pops(lanes_[1]);
+  }
+}
+
+void LdStUnit::add_slept(SmStats& s, Cycle now) const {
+  if (demand_stall_ != nullptr) s.*demand_stall_ += now - slept_from_;
+  if (prefetch_stall_) s.pf_stall_structural += now - slept_from_;
 }
 
 bool LdStUnit::idle() const {

@@ -5,11 +5,13 @@
 // priority, Section V). Misses allocate/merge MSHR entries and go to the
 // memory system; MSHR-full or crossbar-full block the queue head, which is
 // what produces the whole-SM bursty stalls the paper measures. A blocked
-// head is not re-probed until something it depends on changes (DESIGN.md
-// §13, "Three exact skips").
+// head is not re-probed until something it depends on changes, and a unit
+// whose port only stalled is not ticked again until an event can change
+// that (DESIGN.md §13, "Exact skips" and "Stall-only sleep").
 //
-// Load completions, eager wake-ups and demand misses are reported straight
-// to the owning SM (on_load_done / on_prefetch_fill / on_demand_miss).
+// Load completions, eager wake-ups, demand misses and demand-queue pops are
+// reported straight to the owning SM (on_load_done / on_prefetch_fill /
+// on_demand_miss / wake_issue).
 #pragma once
 
 #include <vector>
@@ -22,12 +24,12 @@
 #include "gpu/trace.hpp"
 #include "mem/cache.hpp"
 #include "mem/memory_request.hpp"
+#include "mem/memory_system.hpp"
 #include "mem/mshr.hpp"
 #include "prefetch/prefetcher.hpp"
 
 namespace caps {
 
-class MemorySystem;
 class StreamingMultiprocessor;
 
 class LdStUnit {
@@ -47,8 +49,24 @@ class LdStUnit {
   /// dropped with accounting when the prefetch queue is full).
   void push_prefetches(const std::vector<PrefetchRequest>& reqs, Cycle now);
 
-  /// Advance one cycle: drain replies, then one L1 port access.
+  /// Whether cycle(now) can do more than repeat the stall counts of the
+  /// last tick. A tick whose L1 port neither moved the demand head nor the
+  /// prefetch head puts the unit to sleep until an event it names: a reply
+  /// at the head of its reply-crossbar lane, the next L1-hit completion
+  /// falling due, a push, or a pop on a request-crossbar lane a blocked
+  /// head waits on.
+  bool due(Cycle now) const {
+    return now >= wake_at_ || mem_.reply_arrived(sm_id_, now) ||
+           (lane_wait_ && (mem_.request_pops(lanes_[0]) != lane_pops_[0] ||
+                           mem_.request_pops(lanes_[1]) != lane_pops_[1]));
+  }
+
+  /// Advance one cycle: count the stalls of the cycles slept since the last
+  /// call, drain replies, then one L1 port access.
   void cycle(Cycle now);
+
+  /// Add to `s` the stalls of the cycles slept before cycle `now`.
+  void add_slept(SmStats& s, Cycle now) const;
 
   bool idle() const;
   std::size_t demand_queue_size() const { return demand_q_.size(); }
@@ -59,20 +77,21 @@ class LdStUnit {
   void snapshot_into(MachineSnapshot& snap) const;
 
  private:
-  /// What a probed demand head waits for; kCrossbar is a primary miss
-  /// with a free MSHR entry, and kDone a head the probe retired.
-  enum class Wait : u8 { kDone, kCrossbar, kMshr, kMerge };
+  /// What a queue head waits for; kCrossbar is a miss with a free MSHR
+  /// entry, kDone a head that moved on and kIdle an empty queue.
+  enum class Wait : u8 { kDone, kIdle, kCrossbar, kMshr, kMerge };
 
   void process_replies(Cycle now);
   void process_completions(Cycle now);
-  bool process_demand(Cycle now);  ///< returns true if the port was used
+  Wait process_demand(Cycle now);
   Wait probe_demand(const L1Access& access, Cycle now);
-  void process_prefetch(Cycle now);
-  void complete_load(const L1Access& access);
-  void pop_demand() {
-    demand_q_.pop();
-    ++gen_;
-  }
+  Wait process_prefetch(Cycle now);
+  /// Put the unit to sleep after a tick whose port found `demand` and
+  /// `prefetch` blocked or idle.
+  void sleep(Cycle now, Wait demand, Wait prefetch);
+  void complete_load(const L1Access& access, Cycle now);
+  /// Every pop changes the room the SM's issue stage sees.
+  void pop_demand(Cycle now);
   L1Access pop_prefetch() {
     ++gen_;
     return prefetch_q_.pop();
@@ -109,6 +128,15 @@ class LdStUnit {
   u64 demand_gen_ = ~u64{0};  ///< generation demand_wait_ was probed at
   Wait demand_wait_ = Wait::kDone;
   u64 prefetch_gen_ = ~u64{0};  ///< generation the prefetch head was probed at
+
+  // Stall-only sleep. Awake, wake_at_ is 0.
+  Cycle wake_at_ = 0;       ///< the next L1-hit completion
+  bool lane_wait_ = false;  ///< also wake when lanes_ pop
+  u32 lanes_[2] = {0, 0};   ///< lanes of the demand and prefetch heads
+  u64 lane_pops_[2] = {0, 0};
+  Cycle slept_from_ = 0;    ///< first cycle slept through
+  u64 SmStats::*demand_stall_ = nullptr;  ///< counted once per slept cycle
+  bool prefetch_stall_ = false;  ///< pf_stall_structural, once per slept cycle
 };
 
 }  // namespace caps

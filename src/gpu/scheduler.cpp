@@ -162,4 +162,37 @@ i32 TwoLevelScheduler::pick(Cycle now) {
   return kNoWarp;
 }
 
+void TwoLevelScheduler::elide_refused(Cycle from, Cycle to) {
+  // Only the first pick can change the queues: the warps it and the later
+  // picks return are refused, so maintain() has nothing new to re-check.
+  // Pick k of the span then returns the ((k-1) mod m)-th of the m eligible
+  // ready warps, at position p in the queue, and leaves the queue rotated by
+  // ((k-1) / m) * n + p + 1 over all n ready warps: p + 1 modulo n, since
+  // the whole turns restore it.
+  maintain();
+  const auto n = static_cast<u32>(ready_.size());
+  const auto eligible = [&](u32 i) {
+    const u32 slot = ready_[i];
+    return warps_[slot].runnable() && eligible_(slot, from);
+  };
+  u32 m = 0;
+  for (u32 i = 0; i < n; ++i)
+    if (eligible(i)) ++m;
+  if (m == 0) return;  // every pick rotates the queue a full turn
+  const u64 k = to - from + 1;
+  u64 target = (k - 1) % m;
+  u32 p = 0;
+  for (;; ++p) {
+    if (!eligible(p)) continue;
+    if (target == 0) break;
+    --target;
+  }
+  picked_ = static_cast<i32>(ready_[p]);
+  picked_at_ = to;
+  for (u32 r = 0; r < (p + 1) % n; ++r) {
+    ready_.push_back(ready_.front());
+    ready_.pop_front();
+  }
+}
+
 }  // namespace caps

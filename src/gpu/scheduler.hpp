@@ -1,10 +1,12 @@
 // Warp-scheduler framework.
 //
 // The SM calls pick() up to issue_width times per cycle; the scheduler
-// returns an issue-eligible warp slot under its policy. Eligibility (ready
-// time, memory dependence, barrier state) is supplied by the SM through a
-// predicate so policies stay purely about ordering. Both predicates are O(1)
-// reads of state the SM keeps in WarpContext.
+// returns an issue-eligible warp slot under its policy. A span of cycles
+// whose picks the LD/ST unit would only refuse reaches it as one
+// elide_refused() call. Eligibility (ready time, memory dependence, barrier
+// state) is supplied by the SM through a predicate so policies stay purely
+// about ordering. Both predicates are O(1) reads of state the SM keeps in
+// WarpContext.
 #pragma once
 
 #include <functional>
@@ -53,6 +55,15 @@ class Scheduler {
   /// Select one warp to issue, or kNoWarp. Called up to issue_width times
   /// per cycle; each returned warp is issued immediately by the SM.
   virtual i32 pick(Cycle now) = 0;
+
+  /// The SM skipped cycles `from` through `to`: in each, its one pick would
+  /// have returned a warp that the LD/ST unit refused, with no warp-state
+  /// change and no ready_at passing in between. Leave the scheduler as
+  /// those picks would have. The default replays pick() once per cycle, so
+  /// a decorator that forwards only pick() stays exact.
+  virtual void elide_refused(Cycle from, Cycle to) {
+    for (Cycle c = from; c <= to; ++c) pick(c);
+  }
 
   virtual const char* name() const = 0;
 
@@ -124,6 +135,8 @@ class TwoLevelScheduler : public Scheduler {
   void on_warp_done(u32 slot) override;
   void on_loads_complete(u32 /*slot*/) override { promotion_stale_ = true; }
   i32 pick(Cycle now) override;
+  /// Closed form of the move-to-back rotation (DESIGN.md §13).
+  void elide_refused(Cycle from, Cycle to) override;
   const char* name() const override { return "TLV"; }
 
   // Test introspection.
@@ -133,7 +146,7 @@ class TwoLevelScheduler : public Scheduler {
  protected:
   /// Demote memory-stalled/barrier warps, then refill ready slots. Both
   /// steps run only when some warp's state can have changed since the last
-  /// call (DESIGN.md §13, "Four exact skips").
+  /// call (DESIGN.md §13, "Exact skips").
   void maintain();
   /// Index into pending_ of the first promotable warp (runnable, not
   /// waiting on memory) that promote_first() accepts, else of the first

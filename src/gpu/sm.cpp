@@ -14,6 +14,7 @@ StreamingMultiprocessor::StreamingMultiprocessor(
     : cfg_(cfg),
       id_(id),
       kernel_(kernel),
+      mem_(mem),
       ldst_(cfg, *this, id, mem, stats_, trace),
       coalescer_(cfg.l1d.line_size),
       warps_(cfg.max_warps_per_sm),
@@ -47,6 +48,7 @@ StreamingMultiprocessor::StreamingMultiprocessor(
 
 bool StreamingMultiprocessor::launch_cta(const Dim3& cta_id, Cycle now) {
   if (!can_launch_cta()) return false;
+  wake_issue(now);
   // Find a free CTA slot.
   u32 cta_slot = cfg_.max_ctas_per_sm;
   for (u32 c = 0; c < ctas_.size(); ++c) {
@@ -106,17 +108,19 @@ void StreamingMultiprocessor::update_mem_wait(WarpContext& wc) {
     --mem_wait_warps_;
 }
 
-void StreamingMultiprocessor::on_load_done(u32 slot) {
+void StreamingMultiprocessor::on_load_done(u32 slot, Cycle now) {
   WarpContext& wc = warps_[slot];
   CAPS_CHECK(wc.outstanding_loads > 0,
              "load completion for a warp with no outstanding loads");
   if (--wc.outstanding_loads == 0) {
+    wake_issue(now);
     update_mem_wait(wc);
     scheduler_->on_loads_complete(slot);
   }
 }
 
-void StreamingMultiprocessor::on_prefetch_fill(u32 slot) {
+void StreamingMultiprocessor::on_prefetch_fill(u32 slot, Cycle now) {
+  wake_issue(now);
   if (warps_[slot].status == WarpStatus::kActive)
     scheduler_->on_prefetch_fill(slot);
 }
@@ -287,21 +291,83 @@ bool StreamingMultiprocessor::issue(u32 slot, Cycle now) {
 }
 
 void StreamingMultiprocessor::cycle(Cycle now) {
-  ldst_.cycle(now);
+  if (ldst_.due(now)) ldst_.cycle(now);
 
-  if (resident_warps_ == 0) return;
+  if (resident_warps_ == 0 || now < issue_wake_at_) return;
+  if (elide_from_ != kNever) end_elision(now);  // the next ready_at is due
   ++stats_.active_cycles;
   stats_.issue_slots += cfg_.issue_width;
 
   u32 issued = 0;
+  i32 refused = kNoWarp;
   for (u32 i = 0; i < cfg_.issue_width; ++i) {
     const i32 slot = scheduler_->pick(now);
     if (slot == kNoWarp) break;
-    if (!issue(static_cast<u32>(slot), now)) break;  // structural stall
+    if (!issue(static_cast<u32>(slot), now)) {  // structural stall
+      if (issued == 0) refused = slot;
+      break;
+    }
     ++issued;
   }
+  if (refused != kNoWarp)
+    note_refused(refused, now);
+  else
+    round_warp_ = kNoWarp;
   // Whole-SM stall; attribute it to memory if any warp waits on loads.
   if (issued == 0 && mem_wait_warps_ > 0) ++stats_.stall_cycles_all_mem;
+}
+
+void StreamingMultiprocessor::note_refused(i32 slot, Cycle now) {
+  if (slot != round_warp_) {
+    if (round_warp_ == kNoWarp) {
+      round_warp_ = slot;
+      round_start_ = now;
+    }
+    return;
+  }
+  // A whole round of picks since round_start_ was refused with no hook in
+  // between: the scheduler visited every warp it can pick, and each repeats
+  // its refusal while the demand queue keeps its size. The round repeats
+  // while the eligible set holds, so elide until the next ready_at of an
+  // active warp that does not wait on memory, unless one passed during the
+  // round (then its warp may not have been picked yet).
+  Cycle next_ready = kNever;
+  for (const WarpContext& wc : warps_) {
+    if (wc.status != WarpStatus::kActive || wc.mem_wait) continue;
+    if (wc.ready_at > round_start_ && wc.ready_at <= now) {
+      round_start_ = now;
+      return;
+    }
+    if (wc.ready_at > now) next_ready = std::min(next_ready, wc.ready_at);
+  }
+  elide_from_ = now + 1;
+  issue_wake_at_ = next_ready;
+}
+
+void StreamingMultiprocessor::add_elided(SmStats& s, Cycle now) const {
+  // Each elided cycle picked one warp and had it refused.
+  const u64 n = now - elide_from_;
+  s.active_cycles += n;
+  s.issue_slots += n * cfg_.issue_width;
+  s.stall_ldst_full += n;
+  if (mem_wait_warps_ > 0) s.stall_cycles_all_mem += n;
+}
+
+void StreamingMultiprocessor::end_elision(Cycle now) {
+  if (now != elide_from_) {
+    add_elided(stats_, now);
+    scheduler_->elide_refused(elide_from_, now - 1);
+  }
+  elide_from_ = kNever;
+  issue_wake_at_ = 0;
+}
+
+SmStats StreamingMultiprocessor::stats() const {
+  SmStats s = stats_;
+  const Cycle now = mem_.elapsed();
+  ldst_.add_slept(s, now);
+  if (elide_from_ != kNever) add_elided(s, now);
+  return s;
 }
 
 bool StreamingMultiprocessor::busy() const {

@@ -49,6 +49,12 @@ class StreamingMultiprocessor {
   /// Launch a CTA; returns false if no slot is free.
   bool launch_cta(const Dim3& cta_id, Cycle now);
 
+  /// Whether cycle(now) has work: the LD/ST unit is due, or warps are
+  /// resident and the issue stage is not eliding refused cycles.
+  bool due(Cycle now) const {
+    return ldst_.due(now) || (resident_warps_ != 0 && now >= issue_wake_at_);
+  }
+
   void cycle(Cycle now);
 
   /// True while any warp is resident or memory operations are in flight.
@@ -63,15 +69,33 @@ class StreamingMultiprocessor {
   /// forward-progress watchdog has a reproducible livelock to detect.
   void wedge_warp_for_test(u32 slot);
 
-  const SmStats& stats() const { return stats_; }
+  /// Counters as of the last cycle the memory system was advanced through,
+  /// including the cycles the LD/ST unit slept and the issue stage elided.
+  SmStats stats() const;
   const Prefetcher& prefetcher() const { return *prefetcher_; }
   const Scheduler& scheduler() const { return *scheduler_; }
   const LdStUnit& ldst() const { return ldst_; }
 
  private:
-  // The LD/ST unit reports load completions, eager wake-ups and demand
-  // misses through on_load_done / on_prefetch_fill / on_demand_miss.
+  // The LD/ST unit reports load completions, eager wake-ups, demand misses
+  // and demand-queue pops through on_load_done / on_prefetch_fill /
+  // on_demand_miss / wake_issue.
   friend class LdStUnit;
+
+  /// End any elided span of refused issue cycles before an event at `now`
+  /// changes what the issue stage would do: count the span through
+  /// `now - 1` and replay it into the scheduler. Also restarts round
+  /// detection. Every hook calls it before it changes warp state.
+  void wake_issue(Cycle now) {
+    round_warp_ = kNoWarp;
+    if (elide_from_ != kNever) end_elision(now);
+  }
+  void end_elision(Cycle now);
+  /// Add to `s` the counts of the cycles elided before `now`.
+  void add_elided(SmStats& s, Cycle now) const;
+  /// The first-slot pick at `now` returned `slot`, which the LD/ST unit
+  /// refused. Starts eliding once a whole round of refusals repeats.
+  void note_refused(i32 slot, Cycle now);
 
   bool warp_eligible(u32 slot, Cycle now) const;
   /// Recompute `wc.mem_wait` and the count of waiting warps. Called after an
@@ -89,15 +113,16 @@ class StreamingMultiprocessor {
                     std::span<const Addr> lines, Cycle now);
   void arrive_barrier(u32 slot, Cycle now);
   void finish_warp(u32 slot);
-  void on_load_done(u32 slot);
+  void on_load_done(u32 slot, Cycle now);
   /// A prefetch bound to `slot` filled L1: forward the eager wake-up.
-  void on_prefetch_fill(u32 slot);
+  void on_prefetch_fill(u32 slot, Cycle now);
   /// A demand load missed L1 and went to memory: drives NLP/LAP engines.
   void on_demand_miss(Addr line, Addr pc, i32 warp_slot, Cycle now);
 
   const GpuConfig& cfg_;
   u32 id_;
   const Kernel& kernel_;
+  const MemorySystem& mem_;
   SmStats stats_;
   LdStUnit ldst_;
   Coalescer coalescer_;
@@ -112,6 +137,15 @@ class StreamingMultiprocessor {
   u32 resident_warps_ = 0;
   u32 mem_wait_warps_ = 0;  ///< warps whose mem_wait bit is set
   u64 launch_counter_ = 0;
+
+  // Refused-issue elision (DESIGN.md §13). A round starts at the first
+  // refused first-slot pick after a warp-state change; when the same warp
+  // is refused again, the issue stage repeats the round until a hook or
+  // the next ready_at, so it stops picking and counts the span instead.
+  i32 round_warp_ = kNoWarp;   ///< first warp refused in this round
+  Cycle round_start_ = 0;      ///< cycle round_warp_ was refused
+  Cycle elide_from_ = kNever;  ///< first elided cycle; kNever if none
+  Cycle issue_wake_at_ = 0;    ///< the issue stage is elided before this
   std::vector<u32> free_warp_blocks_;  ///< first-warp slots of free regions
   std::vector<PrefetchRequest> pf_buffer_;
   std::vector<Addr> coalesce_scratch_;  ///< reused per memory issue

@@ -8,9 +8,30 @@
 
 namespace caps {
 
+namespace {
+
+/// Table III timings, converted from DRAM command cycles to core cycles.
+DramTiming core_cycles(const GpuConfig& cfg) {
+  const double ratio = cfg.dram_clock_ratio();
+  const auto scale = [ratio](u32 dram_cycles) {
+    return static_cast<u32>(dram_cycles * ratio + 0.5);
+  };
+  const DramTiming& d = cfg.dram_timing;
+  DramTiming t;
+  t.tCL = scale(d.tCL);
+  t.tRP = scale(d.tRP);
+  t.tRC = scale(d.tRC);
+  t.tRCD = scale(d.tRCD);
+  t.tRRD = scale(d.tRRD);
+  t.tWR = scale(d.tWR);
+  t.burst = std::max<u32>(1, scale(d.burst));
+  return t;
+}
+
+}  // namespace
+
 DramChannel::DramChannel(const GpuConfig& cfg)
-    : t_(cfg.dram_timing),
-      ratio_(cfg.dram_clock_ratio()),
+    : t_(core_cycles(cfg)),
       row_bytes_(cfg.dram_row_bytes),
       num_banks_(cfg.dram_banks),
       queue_capacity_(cfg.dram_queue_size),
@@ -35,8 +56,8 @@ void DramChannel::submit(const MemRequest& req) {
 }
 
 Cycle DramChannel::activate_at(const Bank& b) const {
-  Cycle t = std::max(b.ready_at, last_activate_any_ + scale(t_.tRRD));
-  if (b.open) t = std::max(t, b.last_activate + scale(t_.tRC));
+  Cycle t = std::max(b.ready_at, last_activate_any_ + t_.tRRD);
+  if (b.open) t = std::max(t, b.last_activate + t_.tRC);
   return t;
 }
 
@@ -46,7 +67,6 @@ Cycle DramChannel::start_at(const Pending& p) const {
 }
 
 FlatDeque<DramChannel::Pending>::iterator DramChannel::pick(Cycle now) {
-  if (now < next_pick_at_) return queue_.end();
   // First pass: oldest request that is a row hit on a ready bank.
   for (auto it = queue_.begin(); it != queue_.end(); ++it) {
     const Bank& b = banks_[it->bank];
@@ -77,17 +97,7 @@ FlatDeque<DramChannel::Pending>::iterator DramChannel::pick(Cycle now) {
   return queue_.end();
 }
 
-bool DramChannel::pop_done(Cycle now, MemRequest& out) {
-  if (in_service_.empty() || in_service_.front().first > now) return false;
-  out = in_service_.front().second;
-  in_service_.pop_front();
-  return true;
-}
-
-void DramChannel::cycle(Cycle now) {
-  if (queue_.empty()) return;
-  ++stats_.busy_cycles;
-
+void DramChannel::issue(Cycle now) {
   // One command per core cycle. RAS/CAS latencies overlap across banks; the
   // shared data bus serializes only the burst transfers themselves.
   auto it = pick(now);
@@ -97,22 +107,21 @@ void DramChannel::cycle(Cycle now) {
   Cycle data_start;
   if (bank.open && bank.row == it->row) {
     ++stats_.row_hits;
-    data_start = now + scale(t_.tCL);
+    data_start = now + t_.tCL;
   } else {
     ++stats_.row_misses;
     // Precharge (if a row is open) + activate + CAS.
-    const u32 open_penalty = bank.open ? scale(t_.tRP) : 0;
-    data_start = now + open_penalty + scale(t_.tRCD) + scale(t_.tCL);
+    const u32 open_penalty = bank.open ? t_.tRP : 0;
+    data_start = now + open_penalty + t_.tRCD + t_.tCL;
     bank.open = true;
     bank.row = it->row;
     bank.last_activate = now + open_penalty;
     last_activate_any_ = bank.last_activate;
   }
-  const u32 burst = std::max<u32>(1, scale(t_.burst));
-  const Cycle data_end = std::max(data_start, bus_free_at_) + burst;
+  const Cycle data_end = std::max(data_start, bus_free_at_) + t_.burst;
   bus_free_at_ = data_end;
   // Bank busy until the column access completes (+ write recovery).
-  bank.ready_at = data_end + (it->req.is_write ? scale(t_.tWR) : 0);
+  bank.ready_at = data_end + (it->req.is_write ? t_.tWR : 0);
 
   if (it->req.is_write)
     ++stats_.writes;

@@ -1,7 +1,7 @@
 // GDDR5 DRAM channel with an FR-FCFS (first-ready, first-come-first-served)
 // command scheduler, per-bank row-buffer state, and a shared data bus.
 // Timing parameters come from Table III and are specified in DRAM command
-// cycles; the channel scales them to core cycles internally.
+// cycles; the channel scales them to core cycles once, at construction.
 #pragma once
 
 #include <utility>
@@ -52,10 +52,24 @@ class DramChannel {
 
   /// Pop one request whose data transfer has completed by `now`, in
   /// completion order. Drain the channel this way before each cycle(now).
-  bool pop_done(Cycle now, MemRequest& out);
+  bool pop_done(Cycle now, MemRequest& out) {
+    if (in_service_.empty() || in_service_.front().first > now) return false;
+    out = in_service_.front().second;
+    in_service_.pop_front();
+    return true;
+  }
 
-  /// Advance one core cycle: schedule at most one command.
-  void cycle(Cycle now);
+  /// Advance one core cycle: schedule at most one command. Before
+  /// next_pick_at_ no command can start, so the cycle only counts as busy.
+  void cycle(Cycle now) {
+    if (queue_.empty()) return;
+    ++stats_.busy_cycles;
+    if (now >= next_pick_at_) issue(now);
+  }
+
+  /// Commands issued so far. Room in the queue appears only through an
+  /// issue, so a partition waiting for a slot sleeps until this moves.
+  u64 commands() const { return stats_.reads + stats_.writes; }
 
   bool idle() const { return queue_.empty() && in_service_.empty(); }
   const DramStats& stats() const { return stats_; }
@@ -78,17 +92,14 @@ class DramChannel {
     Cycle last_activate = 0;   ///< for tRC accounting
   };
 
-  u32 scale(u32 dram_cycles) const {
-    return static_cast<u32>(dram_cycles * ratio_ + 0.5);
-  }
-
   /// FR-FCFS pick: oldest row-hit if any bank-ready row-hit exists, else the
   /// oldest request whose bank can start an activation. The second pass is a
   /// bounded scan: per bank only the oldest queued request is a candidate
   /// (activation readiness is a property of the bank, not the request), so
-  /// at most `num_banks_` entries are examined before giving up. Returns
-  /// queue_.end() at once before next_pick_at_.
+  /// at most `num_banks_` entries are examined before giving up.
   FlatDeque<Pending>::iterator pick(Cycle now);
+  /// Issue the command pick() chooses, if any.
+  void issue(Cycle now);
 
   /// Earliest cycle `b` may start an activation: the bank is ready, tRRD
   /// has passed since any bank's last activation (and tRC since its own).
@@ -97,8 +108,7 @@ class DramChannel {
   /// bank's ready_at for a row hit, else activate_at.
   Cycle start_at(const Pending& p) const;
 
-  DramTiming t_;
-  double ratio_;
+  DramTiming t_;  ///< in core cycles; burst is at least 1
   u32 row_bytes_;
   u32 num_banks_;
   std::size_t queue_capacity_;

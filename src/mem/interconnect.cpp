@@ -5,7 +5,10 @@
 namespace caps {
 
 Crossbar::Crossbar(u32 num_dests, u32 latency, u32 queue_capacity)
-    : latency_(latency), queue_capacity_(queue_capacity), queues_(num_dests) {
+    : latency_(latency),
+      queue_capacity_(queue_capacity),
+      queues_(num_dests),
+      pops_(num_dests, 0) {
   // Pre-size every lane to the structural limit so steady-state message
   // traffic never touches the heap (DESIGN.md §13).
   for (auto& q : queues_) q.reserve(queue_capacity_);
@@ -19,14 +22,12 @@ void Crossbar::push(u32 dest, const MemRequest& req, Cycle now) {
   ++stats_.messages;
 }
 
-bool Crossbar::pop(u32 dest, Cycle now, MemRequest& out) {
-  CAPS_CHECK(dest < queues_.size(), "crossbar pop from invalid destination");
+void Crossbar::take(u32 dest, Cycle now, MemRequest& out) {
   auto& q = queues_[dest];
-  if (q.empty() || q.front().ready_at > now) return false;
   stats_.total_queue_delay += now - q.front().ready_at;
   out = q.front().req;
   q.pop_front();
-  return true;
+  ++pops_[dest];
 }
 
 bool Crossbar::idle() const {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/diag.hpp"
 #include "common/flat_deque.hpp"
 #include "mem/memory_request.hpp"
 
@@ -43,13 +44,28 @@ class Crossbar {
   bool can_accept(u32 dest) const {
     return queues_[dest].size() < queue_capacity_;
   }
-  void note_inject_stall() { ++stats_.inject_stalls; }
+  void note_inject_stalls(u64 n = 1) { stats_.inject_stalls += n; }
 
   /// Inject a message toward `dest`; visible to pop() after `latency` cycles.
   void push(u32 dest, const MemRequest& req, Cycle now);
 
   /// Pop at most one arrived message for `dest` (per-destination bandwidth).
-  bool pop(u32 dest, Cycle now, MemRequest& out);
+  bool pop(u32 dest, Cycle now, MemRequest& out) {
+    if (!arrived(dest, now)) return false;
+    take(dest, now, out);
+    return true;
+  }
+
+  /// Whether a message for `dest` has arrived by `now`.
+  bool arrived(u32 dest, Cycle now) const {
+    CAPS_CHECK(dest < queues_.size(), "crossbar read of invalid destination");
+    const auto& q = queues_[dest];
+    return !q.empty() && q.front().ready_at <= now;
+  }
+
+  /// Messages popped from `dest` so far. Room toward `dest` appears only
+  /// through a pop, so a sender blocked on a full lane waits for this to move.
+  u64 pops(u32 dest) const { return pops_[dest]; }
 
   bool idle() const;
   const XbarStats& stats() const { return stats_; }
@@ -64,9 +80,12 @@ class Crossbar {
     MemRequest req;
   };
 
+  void take(u32 dest, Cycle now, MemRequest& out);
+
   u32 latency_;
   std::size_t queue_capacity_;
   std::vector<FlatDeque<InFlight>> queues_;
+  std::vector<u64> pops_;  ///< per destination
   XbarStats stats_;
 };
 

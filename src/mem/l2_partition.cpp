@@ -20,30 +20,59 @@ L2Partition::L2Partition(const GpuConfig& cfg, DramChannel& channel)
 
 void L2Partition::accept(const MemRequest& req, Cycle now) {
   probe_queue_.push(Staged{now + cfg_.l2_latency, req});
+  wake_at_ = 0;
 }
 
 void L2Partition::cycle(Cycle now) {
+  if (sleep_stall_ != nullptr) {
+    stats_.*sleep_stall_ += now - slept_from_;
+    sleep_stall_ = nullptr;
+  }
+  wake_at_ = 0;
+  drain_writebacks();
+
   // One tag probe per cycle, in arrival order (head-of-line blocking when
   // the miss path is saturated, as in hardware). Statistics count each
   // request once, when its probe completes — retried stalls don't inflate.
-  if (probe_queue_.empty() || probe_queue_.front().ready_at > now) return;
+  Cycle wake_at = kNever;
+  u64 L2Stats::*stall = nullptr;
+  if (!probe_queue_.empty()) {
+    if (probe_queue_.front().ready_at > now) {
+      wake_at = probe_queue_.front().ready_at;
+    } else {
+      stall = probe_head(now);
+      if (stall == nullptr) return;  // the head retired or issued
+    }
+  }
+  // Every later cycle would repeat this one until a wake event: the head,
+  // the tags, the MSHR and the write-backs change only through accept(),
+  // dram_done() and the head's own progress, and room in the channel's
+  // queue appears only through an issue.
+  wake_at_ = wake_at;
+  channel_wait_ =
+      stall == &L2Stats::stall_dram_full || !pending_writebacks_.empty();
+  channel_commands_ = channel_.commands();
+  slept_from_ = now + 1;
+  sleep_stall_ = stall;
+}
 
+u64 L2Stats::*L2Partition::probe_head(Cycle now) {
   const MemRequest& req = probe_queue_.front().req;
 
   // A head probed at the current generation would probe the same way; only
   // the DRAM queue can drain without a bump, so only it is checked again.
   if (head_gen_ != gen_) {
     head_wait_ = probe(req);
-    if (head_wait_ == Wait::kDone) return;
+    if (head_wait_ == Wait::kDone) return nullptr;
     head_gen_ = gen_;
   }
   if (head_wait_ == Wait::kMshr) {
     ++stats_.stall_mshr_full;
-    return;
+    return &L2Stats::stall_mshr_full;
   }
   if (!channel_.can_accept()) {
     ++stats_.stall_dram_full;
-    return;
+    return &L2Stats::stall_dram_full;
   }
   ++stats_.accesses;
   ++stats_.misses;
@@ -67,6 +96,7 @@ void L2Partition::cycle(Cycle now) {
     channel_.submit(to_dram);
   }
   pop_probe();
+  return nullptr;
 }
 
 L2Partition::Wait L2Partition::probe(const MemRequest& req) {
@@ -112,11 +142,12 @@ L2Partition::Wait L2Partition::probe(const MemRequest& req) {
 
 void L2Partition::dram_done(const MemRequest& req, Cycle now) {
   if (req.is_write) return;
+  wake_at_ = 0;
   if (auto evicted = cache_.fill(req.line, LineMeta{});
       evicted && evicted->second.dirty) {
     // Dirty eviction on a fill: queue the write-back; if the DRAM queue is
     // momentarily full the write-back is deferred to the overflow buffer
-    // and drained in cycle().
+    // and drained by cycle().
     MemRequest wb;
     wb.line = evicted->first;
     wb.is_write = true;
@@ -135,13 +166,6 @@ void L2Partition::drain_writebacks() {
     channel_.submit(pending_writebacks_.front());
     pending_writebacks_.pop_front();
   }
-}
-
-bool L2Partition::pop_reply(MemRequest& out) {
-  if (replies_.empty()) return false;
-  out = replies_.front();
-  replies_.pop_front();
-  return true;
 }
 
 bool L2Partition::idle() const {

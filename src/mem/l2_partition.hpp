@@ -9,12 +9,11 @@
 #include "common/flat_deque.hpp"
 #include "common/config.hpp"
 #include "mem/cache.hpp"
+#include "mem/dram.hpp"
 #include "mem/mshr.hpp"
 #include "mem/memory_request.hpp"
 
 namespace caps {
-
-class DramChannel;
 
 struct L2Stats {
   u64 accesses = 0;
@@ -58,23 +57,38 @@ class L2Partition {
   /// Accept a request from the request crossbar.
   void accept(const MemRequest& req, Cycle now);
 
-  /// Advance one core cycle. May enqueue work into the DRAM channel.
+  /// Whether cycle(now) can do more than repeat the stall counts of the
+  /// last tick. A tick whose probe step neither retired nor issued anything
+  /// puts the partition to sleep until an event it names: accept(),
+  /// dram_done(), the probe head's ready_at, or a command issued by its DRAM
+  /// channel (DESIGN.md §13, "Stall-only sleep").
+  bool due(Cycle now) const {
+    return now >= wake_at_ ||
+           (channel_wait_ && channel_.commands() != channel_commands_);
+  }
+
+  /// Advance one core cycle: push deferred dirty write-backs into the DRAM
+  /// queue while it has room, then one tag probe. Counts the stalls of the
+  /// cycles slept since the last call first.
   void cycle(Cycle now);
 
   /// Callback target when the DRAM channel finishes one of our lines.
   void dram_done(const MemRequest& req, Cycle now);
 
-  /// Push deferred dirty write-backs into the DRAM queue while it has room.
-  void drain_writebacks();
-
-  /// Pop one ready reply destined for the reply crossbar.
-  bool pop_reply(MemRequest& out);
-
-  /// Return a popped reply that the crossbar could not take (backpressure).
-  void push_front_reply(const MemRequest& req) { replies_.push_front(req); }
+  /// The oldest reply waiting for the reply crossbar; null if none.
+  const MemRequest* front_reply() const {
+    return replies_.empty() ? nullptr : &replies_.front();
+  }
+  void pop_reply() { replies_.pop_front(); }
 
   bool idle() const;
+  /// Counters as of the last cycle() call; add_slept() adds the cycles
+  /// slept since.
   const L2Stats& stats() const { return stats_; }
+  /// Add to `s` the stalls of the cycles slept before cycle `now`.
+  void add_slept(L2Stats& s, Cycle now) const {
+    if (sleep_stall_ != nullptr) s.*sleep_stall_ += now - slept_from_;
+  }
 
   std::size_t probe_queue_size() const { return probe_queue_.size(); }
   std::size_t reply_queue_size() const { return replies_.size(); }
@@ -92,6 +106,10 @@ class L2Partition {
   enum class Wait : u8 { kDone, kMshr, kDram };
 
   Wait probe(const MemRequest& req);
+  /// The tag probe of a ready head; returns the stall counter it bumped, or
+  /// null when the head retired or issued.
+  u64 L2Stats::*probe_head(Cycle now);
+  void drain_writebacks();
   void pop_probe() {
     probe_queue_.pop();
     ++gen_;
@@ -113,6 +131,13 @@ class L2Partition {
   u64 gen_ = 0;
   u64 head_gen_ = ~u64{0};  ///< generation head_wait_ was probed at
   Wait head_wait_ = Wait::kDone;
+
+  // Stall-only sleep. Awake, wake_at_ is 0.
+  Cycle wake_at_ = 0;
+  bool channel_wait_ = false;  ///< also wake when the channel issues
+  u64 channel_commands_ = 0;   ///< channel_.commands() when put to sleep
+  Cycle slept_from_ = 0;       ///< first cycle slept through
+  u64 L2Stats::*sleep_stall_ = nullptr;  ///< counted once per slept cycle
 };
 
 }  // namespace caps

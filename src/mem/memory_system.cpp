@@ -28,16 +28,14 @@ void MemorySystem::submit(const MemRequest& req, Cycle now) {
 }
 
 void MemorySystem::cycle(Cycle now) {
-  // Partitions pull at most one request each from the request crossbar.
+  // Each partition pulls at most one request from its crossbar lane, then
+  // ticks if it has work. Pulling touches only the partition and its lane,
+  // so one pass keeps the order of pulling all partitions first.
   for (u32 p = 0; p < partitions_.size(); ++p) {
-    if (!partitions_[p]->can_accept()) continue;
+    L2Partition& part = *partitions_[p];
     MemRequest req;
-    if (req_xbar_.pop(p, now, req)) partitions_[p]->accept(req, now);
-  }
-
-  for (auto& part : partitions_) {
-    part->drain_writebacks();
-    part->cycle(now);
+    if (part.can_accept() && req_xbar_.pop(p, now, req)) part.accept(req, now);
+    if (part.due(now)) part.cycle(now);
   }
   for (auto& ch : channels_) {
     // Completed transfers first, in completion order: reads fill L2.
@@ -49,20 +47,26 @@ void MemorySystem::cycle(Cycle now) {
     ch->cycle(now);
   }
 
-  // Partitions inject at most one reply each into the reply crossbar.
+  // Partitions inject at most one reply each into the reply crossbar. A
+  // reply the crossbar cannot take stays at the head of its queue.
   for (auto& part : partitions_) {
-    MemRequest reply;
-    // Peek capacity first: every reply goes to reply.sm_id's queue.
-    if (!part->pop_reply(reply)) continue;
-    if (reply_xbar_.can_accept(reply.sm_id)) {
-      reply_xbar_.push(reply.sm_id, reply, now);
+    const MemRequest* reply = part->front_reply();
+    if (reply == nullptr) continue;
+    if (reply_xbar_.can_accept(reply->sm_id)) {
+      reply_xbar_.push(reply->sm_id, *reply, now);
+      part->pop_reply();
     } else {
-      // Rare backpressure: requeue locally by re-accepting next cycle.
-      // (Handled by pushing back into the partition's reply queue.)
-      part->push_front_reply(reply);
-      reply_xbar_.note_inject_stall();
+      reply_xbar_.note_inject_stalls();
     }
   }
+  elapsed_ = now + 1;
+}
+
+const XbarStats& MemorySystem::request_xbar_stats() const {
+  request_xbar_read_ = req_xbar_.stats();
+  request_xbar_read_.inject_stalls +=
+      inject_sleepers_ * elapsed_ - inject_sleep_from_sum_;
+  return request_xbar_read_;
 }
 
 bool MemorySystem::idle() const {
@@ -116,7 +120,10 @@ void MemorySystem::snapshot_into(MachineSnapshot& snap) const {
 
 L2Stats MemorySystem::l2_stats() const {
   L2Stats agg;
-  for (const auto& p : partitions_) agg.merge(p->stats());
+  for (const auto& p : partitions_) {
+    agg.merge(p->stats());
+    p->add_slept(agg, elapsed_);
+  }
   return agg;
 }
 

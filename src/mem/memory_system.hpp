@@ -60,13 +60,38 @@ class MemorySystem {
   bool can_accept(Addr line) const {
     return req_xbar_.can_accept(partition_of(line));
   }
-  void note_inject_stall() { req_xbar_.note_inject_stall(); }
+  void note_inject_stall() { req_xbar_.note_inject_stalls(); }
+
+  /// A sleeping LD/ST unit whose demand head waits on the request crossbar
+  /// still makes one inject stall per cycle. It registers the first cycle
+  /// it sleeps through here, so request_xbar_stats() counts those stalls,
+  /// and settles them when it is next ticked at `now`.
+  void sleep_inject_staller(Cycle from) {
+    ++inject_sleepers_;
+    inject_sleep_from_sum_ += from;
+  }
+  void wake_inject_staller(Cycle from, Cycle now) {
+    --inject_sleepers_;
+    inject_sleep_from_sum_ -= from;
+    req_xbar_.note_inject_stalls(now - from);
+  }
+
+  /// Request-crossbar pops toward `partition` (see Crossbar::pops).
+  u64 request_pops(u32 partition) const { return req_xbar_.pops(partition); }
+  /// Whether a reply for SM `sm_id` has arrived by `now`.
+  bool reply_arrived(u32 sm_id, Cycle now) const {
+    return reply_xbar_.arrived(sm_id, now);
+  }
 
   /// Inject a request from an SM.
   void submit(const MemRequest& req, Cycle now);
 
   /// Advance the whole off-SM hierarchy one core cycle.
   void cycle(Cycle now);
+
+  /// Cycles this memory system has been advanced through: a sleeping
+  /// component's counters are read as of this cycle.
+  Cycle elapsed() const { return elapsed_; }
 
   /// Pop one reply for SM `sm_id` (per-SM reply bandwidth is enforced by the
   /// caller via how often it pops). Replies the test-only drop filter claims
@@ -93,7 +118,9 @@ class MemorySystem {
   void snapshot_into(MachineSnapshot& snap) const;
 
   const TrafficStats& traffic() const { return traffic_; }
-  const XbarStats& request_xbar_stats() const { return req_xbar_.stats(); }
+  /// Request-crossbar counters, with the inject stalls of sleeping LD/ST
+  /// units counted through elapsed(). Valid until the next call.
+  const XbarStats& request_xbar_stats() const;
   DramStats dram_stats() const;  ///< aggregated over channels
   L2Stats l2_stats() const;      ///< aggregated over partitions
 
@@ -104,6 +131,10 @@ class MemorySystem {
   std::vector<std::unique_ptr<DramChannel>> channels_;
   std::vector<std::unique_ptr<L2Partition>> partitions_;
   TrafficStats traffic_;
+  Cycle elapsed_ = 0;
+  u64 inject_sleepers_ = 0;
+  u64 inject_sleep_from_sum_ = 0;
+  mutable XbarStats request_xbar_read_;  ///< what request_xbar_stats() returns
   std::function<bool(const MemRequest&)> reply_drop_;  ///< test-only fault
   u64 dropped_replies_ = 0;
 };

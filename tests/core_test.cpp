@@ -418,7 +418,7 @@ TEST_F(PasTest, WakeupForReadyWarpIsNoOp) {
 }
 
 // The PAS hooks move warps between the queues outside pick(); each move must
-// be seen by the next pick (DESIGN.md §13, "Four exact skips").
+// be seen by the next pick (DESIGN.md §13, "Exact skips").
 
 TEST_F(PasTest, EagerWakeupOfAWaitingWarpIsDemotedAtTheNextPick) {
   activate(0, 8);

@@ -4,15 +4,19 @@
 
 #include <algorithm>
 #include <functional>
+#include <random>
 #include <set>
 #include <utility>
 
+#include "core/pas_scheduler.hpp"
 #include "gpu/coalescer.hpp"
 #include "gpu/cta_distributor.hpp"
 #include "gpu/gpu.hpp"
 #include "gpu/scheduler.hpp"
 #include "harness/experiment.hpp"
+#include "harness/sweep.hpp"
 #include "isa/kernel.hpp"
+#include "workloads/workload.hpp"
 
 namespace caps {
 namespace {
@@ -790,9 +794,10 @@ TEST(SmWaitTest, WarpsReleasedFromABarrierWaitForLoadsIssuedBeforeIt) {
 
 // ------------------------------------------- LD/ST blocked-head memo -----
 
-/// One LD/ST unit driven cycle by cycle against a real memory system. Its SM
-/// never cycles: it only takes the unit's callbacks, and accesses bound to no
-/// warp leave it alone. Lines kA, kB and kC map to partitions 0, 1 and 2.
+/// One LD/ST unit driven cycle by cycle against a real memory system, and
+/// ticked, as its SM does, only when it is due. Its SM never cycles: it only
+/// takes the unit's callbacks, and accesses bound to no warp leave it alone.
+/// Lines kA, kB and kC map to partitions 0, 1 and 2.
 struct LdStRig {
   static constexpr Addr kA = 0x0;
   static constexpr Addr kB = 0x400;
@@ -823,9 +828,18 @@ struct LdStRig {
   /// One cycle in Gpu::step order; `memory` false freezes the memory system,
   /// crossbar included.
   void tick(bool memory = true) {
-    ldst.cycle(now);
+    if (ldst.due(now)) {
+      ldst.cycle(now);
+      ++ticks;
+    }
     if (memory) mem.cycle(now);
     ++now;
+  }
+  /// The unit's counters as of the cycles run so far, slept ones included.
+  SmStats read() const {
+    SmStats s = stats;
+    ldst.add_slept(s, now);
+    return s;
   }
   /// Tick until `stop()` holds after a cycle; returns that cycle.
   template <typename Stop>
@@ -846,6 +860,7 @@ struct LdStRig {
   SmStats stats;
   LdStUnit ldst;
   Cycle now = 0;
+  u32 ticks = 0;  ///< cycles the unit was due
 };
 
 TEST(LdStMemoTest, CrossbarFullHeadIssuesOnTheFirstFreeCycle) {
@@ -946,6 +961,629 @@ TEST(LdStMemoTest, PrefetchHeadBlockedOnTheMshrIssuesOnTheFillCycle) {
   const Cycle fill = r.tick_until([&] { return r.stats.l1_fills == 1; });
   EXPECT_EQ(r.stats.pf_issued_to_mem, 1u);
   EXPECT_EQ(r.stats.pf_stall_structural, fill - 1);
+}
+
+// -------------------------------------------- LD/ST stall-only sleep -----
+//
+// Each test puts the unit to sleep, shows that it is not ticked and that its
+// stall counters still advance once per cycle, and then fires one wake
+// source and checks that the unit moves on that cycle.
+
+TEST(LdStSleepTest, ReplyWakesAHeadBlockedOnTheMshr) {
+  GpuConfig cfg = tiny_gpu();
+  cfg.l1d.mshr_entries = 1;
+  cfg.l1d.mshr_max_merged = 1;
+  LdStRig r(cfg);
+  r.load(LdStRig::kA);
+  r.load(LdStRig::kB);
+  r.tick();
+  r.tick();  // kB finds the only entry taken
+  ASSERT_EQ(r.read().stall_mshr_full, 1u);
+  const u32 ticks = r.ticks;
+  u64 slept = 0;
+  while (!r.mem.reply_arrived(0, r.now) && r.now < 100'000) {
+    r.tick();
+    ++slept;
+    EXPECT_EQ(r.read().stall_mshr_full, 1 + slept);
+  }
+  EXPECT_GT(slept, 0u);
+  EXPECT_EQ(r.ticks, ticks);
+  r.tick();
+  EXPECT_EQ(r.ticks, ticks + 1);
+  EXPECT_EQ(r.stats.l1_fills, 1u);
+  EXPECT_EQ(r.stats.demand_to_mem, 2u);
+  EXPECT_EQ(r.stats.stall_mshr_full, 1 + slept);
+}
+
+TEST(LdStSleepTest, HitCompletionWakesTheUnit) {
+  // The hit's completion is the only event left; a prefetch head blocked
+  // on a frozen crossbar lane keeps stalling meanwhile.
+  GpuConfig cfg = tiny_gpu();
+  LdStRig r(cfg);
+  r.load(LdStRig::kA);
+  r.tick_until([&] { return r.stats.l1_fills == 1; });
+  r.load(LdStRig::kA);
+  r.fill_xbar(LdStRig::kC);
+  r.prefetch(LdStRig::kC);
+  r.tick(false);  // the hit takes the port; completion due l1_hit_latency on
+  const Cycle hit = r.now - 1;
+  const Cycle due = hit + cfg.l1_hit_latency;
+  ASSERT_EQ(r.stats.l1_hits, 1u);
+  r.tick(false);  // the port finds only the blocked prefetch head
+  ASSERT_EQ(r.stats.pf_stall_structural, 1u);
+  const u32 ticks = r.ticks;
+  while (r.now < due) {
+    r.tick(false);
+    EXPECT_EQ(r.ticks, ticks);
+    EXPECT_EQ(r.read().pf_stall_structural, r.now - 1 - hit);
+  }
+  r.tick(false);
+  EXPECT_EQ(r.ticks, ticks + 1);
+  EXPECT_EQ(r.stats.pf_stall_structural, cfg.l1_hit_latency);
+}
+
+TEST(LdStSleepTest, PushDemandWakesTheUnit) {
+  LdStRig r(tiny_gpu());
+  r.fill_xbar(LdStRig::kC);
+  r.prefetch(LdStRig::kC);
+  for (u64 i = 1; i <= 10; ++i) {
+    r.tick(false);
+    EXPECT_EQ(r.read().pf_stall_structural, i);
+  }
+  EXPECT_EQ(r.ticks, 1u);
+  r.load(LdStRig::kA);
+  r.tick(false);
+  EXPECT_EQ(r.ticks, 2u);
+  EXPECT_EQ(r.stats.demand_to_mem, 1u);
+  EXPECT_EQ(r.stats.pf_stall_structural, 10u);  // the demand took the port
+}
+
+TEST(LdStSleepTest, PushPrefetchesWakesTheUnit) {
+  LdStRig r(tiny_gpu());
+  r.fill_xbar(LdStRig::kA);
+  r.load(LdStRig::kA);
+  for (u64 i = 1; i <= 10; ++i) {
+    r.tick(false);
+    EXPECT_EQ(r.read().stall_xbar_full, i);
+  }
+  EXPECT_EQ(r.ticks, 1u);
+  r.prefetch(LdStRig::kB);
+  r.tick(false);
+  EXPECT_EQ(r.ticks, 2u);
+  EXPECT_EQ(r.stats.pf_issued_to_mem, 1u);
+  EXPECT_EQ(r.stats.stall_xbar_full, 11u);
+}
+
+TEST(LdStSleepTest, DemandLanePopWakesACrossbarBlockedHead) {
+  LdStRig r(tiny_gpu());
+  r.fill_xbar(LdStRig::kA);
+  r.load(LdStRig::kA);
+  r.tick();
+  const u32 ticks = r.ticks;
+  const u64 pops = r.mem.request_pops(0);
+  while (r.mem.request_pops(0) == pops && r.now < 100'000) {
+    r.tick();
+    EXPECT_EQ(r.read().stall_xbar_full, r.now);
+    EXPECT_EQ(r.mem.request_xbar_stats().inject_stalls, r.now);
+  }
+  EXPECT_EQ(r.ticks, ticks);
+  EXPECT_EQ(r.stats.demand_to_mem, 0u);
+  r.tick();  // the first cycle with room
+  EXPECT_EQ(r.ticks, ticks + 1);
+  EXPECT_EQ(r.stats.demand_to_mem, 1u);
+  EXPECT_EQ(r.stats.stall_xbar_full, r.now - 1);
+  EXPECT_EQ(r.mem.request_xbar_stats().inject_stalls, r.now - 1);
+}
+
+TEST(LdStSleepTest, PrefetchLanePopWakesACrossbarBlockedPrefetchHead) {
+  // The demand head waits on lane 0, kept full by reads that partition 0
+  // cannot take (a one-entry L2 MSHR and a one-deep probe queue), and the
+  // prefetch head on lane 2, which drains: the prefetch issues in the first
+  // cycle lane 2 has room, long before lane 0 moves.
+  GpuConfig cfg = tiny_gpu();
+  cfg.l2.mshr_entries = 1;
+  cfg.l2.mshr_max_merged = 1;
+  cfg.l2.miss_queue_size = 1;
+  LdStRig r(cfg);
+  const Addr stride =
+      static_cast<Addr>(cfg.partition_chunk_bytes) * cfg.num_l2_partitions;
+  Addr next = stride;
+  const auto fill_lane0 = [&] {
+    while (r.mem.can_accept(LdStRig::kA)) {
+      MemRequest rd;
+      rd.line = next;
+      next += stride;
+      r.mem.submit(rd, r.now);
+    }
+  };
+  fill_lane0();
+  for (int i = 0; i < 24; ++i) r.tick();
+  fill_lane0();
+  const u64 lane0_pops = r.mem.request_pops(0);
+  r.fill_xbar(LdStRig::kC);
+  r.load(LdStRig::kA);
+  r.prefetch(LdStRig::kC);
+  const Cycle start = r.now;
+  r.tick();
+  ASSERT_EQ(r.stats.stall_xbar_full, 1u);
+  ASSERT_EQ(r.stats.pf_stall_structural, 1u);
+  const u32 ticks = r.ticks;
+  const u64 lane2_pops = r.mem.request_pops(2);
+  while (r.mem.request_pops(2) == lane2_pops && r.now < 100'000) {
+    r.tick();
+    EXPECT_EQ(r.read().stall_xbar_full, r.now - start);
+    EXPECT_EQ(r.read().pf_stall_structural, r.now - start);
+  }
+  EXPECT_EQ(r.ticks, ticks);
+  r.tick();
+  EXPECT_EQ(r.ticks, ticks + 1);
+  EXPECT_EQ(r.stats.pf_issued_to_mem, 1u);
+  EXPECT_EQ(r.stats.demand_to_mem, 0u);
+  EXPECT_EQ(r.mem.request_pops(0), lane0_pops);
+}
+
+// ------------------------------------------- refused-issue elision -----
+
+/// Drives two identical schedulers of kind S through the same random
+/// history, then elides a k-cycle refused span on one with its override and
+/// on the other with the replay default. Warp states are consistent with
+/// the SM's: an eligible warp never waits on memory.
+template <typename S>
+void check_elide_against_replay(std::mt19937& rng, Cycle k) {
+  GpuConfig cfg;
+  cfg.max_warps_per_sm = 16;
+  cfg.ready_queue_size = 1 + static_cast<u32>(rng() % 8);
+  std::vector<WarpContext> warps(cfg.max_warps_per_sm);
+  for (u32 w = 0; w < warps.size(); ++w) {
+    warps[w].status = WarpStatus::kActive;
+    warps[w].warp_in_cta = w % 4;
+    warps[w].launch_order = w;
+  }
+  enum State : u8 { kEligible, kBlocked, kWaiting };
+  std::vector<u8> state(warps.size(), kEligible);
+  const auto eligible = [&](u32 w, Cycle) { return state[w] == kEligible; };
+  const auto waiting = [&](u32 w) { return state[w] == kWaiting; };
+  S a(cfg, warps, eligible, waiting);
+  S b(cfg, warps, eligible, waiting);
+  const auto reshuffle = [&] {
+    for (u32 w = 0; w < state.size(); ++w) {
+      const u8 next = static_cast<u8>(rng() % 3);
+      if (state[w] == kWaiting && next != kWaiting) {
+        a.on_loads_complete(w);
+        b.on_loads_complete(w);
+      }
+      state[w] = next;
+    }
+  };
+  for (u32 c = 0; c < 4; ++c) {
+    a.on_cta_launch(c, c * 4, 4);
+    b.on_cta_launch(c, c * 4, 4);
+  }
+  Cycle now = 0;
+  for (u32 i = static_cast<u32>(rng() % 40); i > 0; --i, ++now) {
+    reshuffle();
+    ASSERT_EQ(a.pick(now), b.pick(now));
+  }
+  reshuffle();
+  a.elide_refused(now, now + k - 1);
+  b.Scheduler::elide_refused(now, now + k - 1);
+  ASSERT_EQ(a.ready_queue(), b.ready_queue()) << a.name() << " k=" << k;
+  ASSERT_EQ(a.pending_queue(), b.pending_queue()) << a.name() << " k=" << k;
+  now += k;
+  // The last elided pick is remembered, as a real pick's would be.
+  reshuffle();
+  EXPECT_EQ(a.pick(now), b.pick(now)) << a.name() << " k=" << k;
+  EXPECT_EQ(a.ready_queue(), b.ready_queue()) << a.name() << " k=" << k;
+}
+
+TEST(ElideRefusedTest, ClosedFormMatchesReplayingEveryPick) {
+  std::mt19937 rng(20261017);
+  for (Cycle k = 1; k <= 300; ++k) {
+    check_elide_against_replay<TwoLevelScheduler>(rng, k);
+    check_elide_against_replay<OrchScheduler>(rng, k);
+    check_elide_against_replay<PasScheduler>(rng, k);
+  }
+}
+
+/// What an elided span's end coincided with, in the cycle the issue stage
+/// picked again.
+struct ElisionEnds {
+  u64 launch = 0;      ///< a CTA launched into the SM
+  u64 last_load = 0;   ///< some warp's last load completed
+  u64 prefetch = 0;    ///< a prefetch fill woke a warp
+  u64 demand_pop = 0;  ///< the LD/ST demand queue popped
+  u64 ready_at = 0;    ///< some warp's ready_at fell due
+};
+
+/// Runs an SM's scheduler next to a shadow copy of the same policy that is
+/// picked in every cycle, as by an issue stage that never elides. Hooks go
+/// to both; the real one gets elide_refused().
+class ShadowedScheduler final : public Scheduler {
+ public:
+  ShadowedScheduler(std::unique_ptr<Scheduler> real,
+                    std::unique_ptr<Scheduler> shadow, const GpuConfig& cfg,
+                    std::vector<WarpContext>& warps)
+      : Scheduler(cfg, warps, nullptr, nullptr),
+        real_(std::move(real)),
+        shadow_(std::move(shadow)) {}
+
+  void on_cta_launch(u32 cta_slot, u32 first_warp, u32 num_warps) override {
+    real_->on_cta_launch(cta_slot, first_warp, num_warps);
+    shadow_->on_cta_launch(cta_slot, first_warp, num_warps);
+  }
+  void on_warp_done(u32 slot) override {
+    real_->on_warp_done(slot);
+    shadow_->on_warp_done(slot);
+  }
+  void on_loads_complete(u32 slot) override {
+    real_->on_loads_complete(slot);
+    shadow_->on_loads_complete(slot);
+  }
+  void on_prefetch_fill(u32 slot) override {
+    real_->on_prefetch_fill(slot);
+    shadow_->on_prefetch_fill(slot);
+  }
+  void on_global_access(u32 slot) override {
+    real_->on_global_access(slot);
+    shadow_->on_global_access(slot);
+  }
+  i32 pick(Cycle now) override {
+    const i32 slot = real_->pick(now);
+    if (shadow_->pick(now) != slot) ++mismatches;
+    picked_at = now;
+    return slot;
+  }
+  void elide_refused(Cycle from, Cycle to) override {
+    real_->elide_refused(from, to);
+  }
+  const char* name() const override { return real_->name(); }
+
+  /// The pick an SM that never elides would make in elided cycle `now`.
+  i32 shadow_pick(Cycle now) { return shadow_->pick(now); }
+  const std::vector<WarpContext>& warps() const { return warps_; }
+
+  u64 mismatches = 0;
+  Cycle picked_at = kNever;
+
+ private:
+  std::unique_ptr<Scheduler> real_;
+  std::unique_ptr<Scheduler> shadow_;
+};
+
+struct ElisionCheck {
+  u64 elided = 0;      ///< SM cycles elided, over all SMs
+  u64 violations = 0;  ///< see run_with_shadow
+  ElisionEnds ends;
+  GpuStats stats;
+};
+
+/// Steps `k` by hand with every SM's scheduler shadowed, with
+/// `before_step(gpu, elided)` ahead of each step, `elided[i]` telling
+/// whether SM i elided the last cycle. Counts a violation when a real pick differs
+/// from the shadow's, when the shadow's pick in an elided cycle is not a
+/// warp the LD/ST unit refuses, or when an elided cycle's counters differ
+/// from a refused cycle's.
+template <typename BeforeStep>
+ElisionCheck run_with_shadow(const Kernel& k, const GpuConfig& cfg,
+                             PrefetcherKind pf, SchedulerKind sched,
+                             BeforeStep before_step) {
+  std::vector<ShadowedScheduler*> shadows;
+  SmPolicyFactories pol = make_policies(pf, sched, true);
+  pol.make_scheduler = [base = pol.make_scheduler, &shadows](
+                           const GpuConfig& c, std::vector<WarpContext>& w,
+                           std::function<bool(u32, Cycle)> eligible,
+                           std::function<bool(u32)> waiting_mem) {
+    auto s = std::make_unique<ShadowedScheduler>(
+        base(c, w, eligible, waiting_mem), base(c, w, eligible, waiting_mem),
+        c, w);
+    shadows.push_back(s.get());
+    return s;
+  };
+  Gpu gpu(cfg, k, pol);
+  ElisionCheck r;
+  std::vector<char> was_elided(cfg.num_sms, 0);
+  std::vector<SmStats> before(cfg.num_sms);
+  std::vector<std::vector<char>> waits(cfg.num_sms);
+  while (!gpu.done() && gpu.now() < cfg.max_cycles) {
+    const Cycle now = gpu.now();
+    std::vector<u32> resident(cfg.num_sms);
+    for (u32 i = 0; i < cfg.num_sms; ++i)
+      resident[i] = gpu.sm(i).resident_ctas();
+    before_step(gpu, was_elided);
+    for (u32 i = 0; i < cfg.num_sms; ++i) {
+      before[i] = gpu.sm(i).stats();
+      waits[i].clear();
+      for (const WarpContext& wc : shadows[i]->warps())
+        waits[i].push_back(wc.mem_wait ? 1 : 0);
+    }
+    gpu.step();
+    for (u32 i = 0; i < cfg.num_sms; ++i) {
+      const StreamingMultiprocessor& sm = gpu.sm(i);
+      ShadowedScheduler& sh = *shadows[i];
+      const SmStats after = sm.stats();
+      if (after.active_cycles == before[i].active_cycles) {
+        was_elided[i] = 0;
+        continue;
+      }
+      const std::vector<WarpContext>& warps = sh.warps();
+      if (sh.picked_at != now) {  // elided
+        ++r.elided;
+        was_elided[i] = 1;
+        const i32 slot = sh.shadow_pick(now);
+        const bool refused =
+            slot != kNoWarp &&
+            k.instruction(warps[static_cast<u32>(slot)].pc_idx).op ==
+                Opcode::kMem &&
+            warps[static_cast<u32>(slot)].stalled_lines != 0 &&
+            !sm.ldst().can_accept(warps[static_cast<u32>(slot)].stalled_lines);
+        const bool any_wait = std::any_of(
+            warps.begin(), warps.end(),
+            [](const WarpContext& wc) { return wc.mem_wait; });
+        const SmStats& b = before[i];
+        const bool counted =
+            after.active_cycles == b.active_cycles + 1 &&
+            after.issue_slots == b.issue_slots + cfg.issue_width &&
+            after.stall_ldst_full == b.stall_ldst_full + 1 &&
+            after.stall_cycles_all_mem ==
+                b.stall_cycles_all_mem + (any_wait ? 1 : 0) &&
+            after.issued_instructions == b.issued_instructions;
+        if (!refused || !counted) ++r.violations;
+        continue;
+      }
+      if (was_elided[i] != 0) {
+        const SmStats& b = before[i];
+        if (sm.resident_ctas() > resident[i]) ++r.ends.launch;
+        for (u32 w = 0; w < warps.size(); ++w)
+          if (waits[i][w] != 0 && warps[w].outstanding_loads == 0)
+            ++r.ends.last_load;
+        if (after.pf_wakeups != b.pf_wakeups) ++r.ends.prefetch;
+        if (after.l1_hits + after.l1_mshr_merges + after.demand_to_mem +
+                after.stores_to_mem !=
+            b.l1_hits + b.l1_mshr_merges + b.demand_to_mem + b.stores_to_mem)
+          ++r.ends.demand_pop;
+        for (const WarpContext& wc : warps)
+          if (wc.status == WarpStatus::kActive && wc.ready_at == now)
+            ++r.ends.ready_at;
+      }
+      was_elided[i] = 0;
+    }
+  }
+  for (const ShadowedScheduler* sh : shadows) r.violations += sh->mismatches;
+  r.stats = gpu.collect_stats();
+  return r;
+}
+
+ElisionCheck run_with_shadow(const Kernel& k, const GpuConfig& cfg,
+                             PrefetcherKind pf, SchedulerKind sched) {
+  return run_with_shadow(k, cfg, pf, sched,
+                         [](Gpu&, const std::vector<char>&) {});
+}
+
+/// A four-SM Table III machine capped mid-run: enough for the irregular
+/// kernels to saturate it.
+GpuConfig small_gpu(Cycle cycles) {
+  GpuConfig cfg;
+  cfg.num_sms = 4;
+  cfg.max_cycles = cycles;
+  return cfg;
+}
+
+TEST(IssueElisionTest, EveryScheduleMatchesAnSmThatNeverElides) {
+  for (const char* wl : {"BFS", "PVR"}) {
+    for (SchedulerKind sched :
+         {SchedulerKind::kTwoLevel, SchedulerKind::kLrr, SchedulerKind::kGto,
+          SchedulerKind::kOrch, SchedulerKind::kPas}) {
+      const ElisionCheck r = run_with_shadow(find_workload(wl).kernel,
+                                             small_gpu(20'000),
+                                             PrefetcherKind::kCaps, sched);
+      EXPECT_GT(r.elided, 1000u) << wl << " " << to_string(sched);
+      EXPECT_EQ(r.violations, 0u) << wl << " " << to_string(sched);
+    }
+  }
+}
+
+// One test per event that ends an elided span. Each checks that the event
+// did end spans and that no elided cycle differed from a refused one.
+
+TEST(IssueElisionTest, EndsWhenAWarpsLastLoadCompletes) {
+  const ElisionCheck r =
+      run_with_shadow(find_workload("BFS").kernel, small_gpu(20'000),
+                      PrefetcherKind::kNone, SchedulerKind::kLrr);
+  EXPECT_GT(r.ends.last_load, 0u);
+  EXPECT_EQ(r.violations, 0u);
+}
+
+TEST(IssueElisionTest, EndsOnAPrefetchFill) {
+  const ElisionCheck r =
+      run_with_shadow(find_workload("BFS").kernel, small_gpu(20'000),
+                      PrefetcherKind::kCaps, SchedulerKind::kPas);
+  EXPECT_GT(r.ends.prefetch, 0u);
+  EXPECT_EQ(r.violations, 0u);
+}
+
+TEST(IssueElisionTest, EndsWhenTheDemandQueuePops) {
+  const ElisionCheck r =
+      run_with_shadow(find_workload("PVR").kernel, small_gpu(20'000),
+                      PrefetcherKind::kNone, SchedulerKind::kTwoLevel);
+  EXPECT_GT(r.ends.demand_pop, 0u);
+  EXPECT_EQ(r.violations, 0u);
+}
+
+TEST(IssueElisionTest, EndsAtTheNextReadyAt) {
+  const ElisionCheck r =
+      run_with_shadow(find_workload("PVR").kernel, small_gpu(20'000),
+                      PrefetcherKind::kNone, SchedulerKind::kGto);
+  EXPECT_GT(r.ends.ready_at, 0u);
+  EXPECT_EQ(r.violations, 0u);
+}
+
+TEST(IssueElisionTest, EndsOnACtaLaunch) {
+  // One SM, two CTAs of three warps loading 32 scattered lines each into a
+  // 32-line LD/ST queue. Whenever the SM is eliding and has a free slot,
+  // the test launches another copy of CTA 0 into it.
+  AddressPattern p = indirect_pattern(0x1000'0000, 1ULL << 26, 11);
+  p.indirect_group = 1;
+  KernelBuilder b("k", {2, 1, 1}, {96, 1, 1});
+  b.loop(4);
+  b.load(p);
+  b.alu(1);
+  b.end_loop();
+  const Kernel k = b.build();
+  GpuConfig cfg = tiny_gpu();
+  cfg.ldst_queue_size = 32;
+  cfg.max_cycles = 50'000;
+  u32 extra = 0;
+  const ElisionCheck r = run_with_shadow(
+      k, cfg, PrefetcherKind::kNone, SchedulerKind::kTwoLevel,
+      [&](Gpu& gpu, const std::vector<char>& elided) {
+        StreamingMultiprocessor& sm = gpu.sm_for_test(0);
+        if (elided[0] != 0 && extra < 4 && sm.can_launch_cta() &&
+            sm.launch_cta({0, 0, 0}, gpu.now()))
+          ++extra;
+      });
+  EXPECT_EQ(extra, 4u);
+  EXPECT_EQ(r.ends.launch, 4u);
+  EXPECT_EQ(r.violations, 0u);
+}
+
+// ------------------------------------------------------ CTA dispatch -----
+
+TEST(GpuTest, ACtaLaunchesInTheCycleAfterItsSmRetiresOne) {
+  // Once every SM is full, the dispatcher does not rescan until a ticked SM
+  // retires a CTA; then that SM gets the next CTA in the following cycle.
+  KernelBuilder b("k", {96, 1, 1}, {64, 1, 1});
+  b.load(linear_pattern(0x100000, 4, 64));
+  b.alu(20, /*dep_next=*/true, 40);
+  const Kernel k = b.build();
+  GpuConfig cfg;
+  cfg.num_sms = 3;
+  cfg.max_ctas_per_sm = 2;
+  Gpu gpu(cfg, k,
+          make_policies(PrefetcherKind::kNone, SchedulerKind::kTwoLevel, true));
+  std::vector<std::set<Cycle>> retired(cfg.num_sms);
+  std::vector<u64> done(cfg.num_sms, 0);
+  while (!gpu.done() && gpu.now() < cfg.max_cycles) {
+    const Cycle now = gpu.now();
+    gpu.step();
+    for (u32 i = 0; i < cfg.num_sms; ++i) {
+      const u64 d = gpu.sm(i).stats().ctas_completed;
+      if (d != done[i]) retired[i].insert(now);
+      done[i] = d;
+    }
+  }
+  ASSERT_TRUE(gpu.done());
+  u32 later = 0;
+  for (const CtaAssignment& a : gpu.distributor().log()) {
+    if (a.cycle == 0) continue;  // the initial fill
+    ++later;
+    EXPECT_TRUE(retired[a.sm_id].contains(a.cycle - 1))
+        << "CTA " << a.cta_flat << " at cycle " << a.cycle;
+  }
+  EXPECT_EQ(later, 96u - cfg.num_sms * cfg.max_ctas_per_sm);
+}
+
+// ------------------------------------------- stats read mid-run -----
+
+TEST(GpuTest, HandSteppedReadsMatchRunOnCappedStressConfigs) {
+  // Read as perfbench does, a Gpu stepped by hand on Gpu::run()'s cadence
+  // must report what run() reports, though these runs stop mid-flight
+  // with sleeping components and elided issue spans.
+  for (const char* wl : {"BFS", "MM"}) {
+    for (PrefetcherKind pf : {PrefetcherKind::kNone, PrefetcherKind::kCaps}) {
+      GpuConfig cfg;
+      cfg.prefetcher = pf;
+      cfg.ready_queue_size = 1;
+      cfg.issue_width = 1;
+      cfg.max_ctas_per_sm = 2;
+      cfg.max_cycles = 30'000;
+      const SmPolicyFactories pol =
+          make_policies(pf, default_scheduler_for(pf), true);
+      const Kernel& k = find_workload(wl).kernel;
+      Gpu ran(cfg, k, pol);
+      const GpuStats want = ran.run();
+      Gpu stepped(cfg, k, pol);
+      bool hit_limit = false;
+      while (!((stepped.now() & 63) == 0 && stepped.done())) {
+        if (stepped.now() >= cfg.max_cycles) {
+          hit_limit = true;
+          break;
+        }
+        stepped.step();
+      }
+      GpuStats got = stepped.collect_stats();
+      got.hit_cycle_limit = hit_limit;  // only the loop knows why it stopped
+      EXPECT_EQ(stats_signature(got), stats_signature(want)) << wl;
+      const XbarStats a = stepped.memory().request_xbar_stats();
+      const XbarStats b = ran.memory().request_xbar_stats();
+      EXPECT_EQ(a.messages, b.messages) << wl;
+      EXPECT_EQ(a.total_queue_delay, b.total_queue_delay) << wl;
+      EXPECT_EQ(a.inject_stalls, b.inject_stalls) << wl;
+      EXPECT_GT(a.inject_stalls, 0u) << wl;
+    }
+  }
+}
+
+/// Forwards only the Scheduler virtuals that predate elide_refused(), as
+/// the benchmark's timing decorator does: elided spans reach the wrapped
+/// scheduler as replayed picks.
+class ForwardingScheduler final : public Scheduler {
+ public:
+  ForwardingScheduler(std::unique_ptr<Scheduler> inner, const GpuConfig& cfg,
+                      std::vector<WarpContext>& warps, u64& picks)
+      : Scheduler(cfg, warps, nullptr, nullptr),
+        inner_(std::move(inner)),
+        picks_(picks) {}
+
+  void on_cta_launch(u32 cta_slot, u32 first_warp, u32 num_warps) override {
+    inner_->on_cta_launch(cta_slot, first_warp, num_warps);
+  }
+  void on_warp_done(u32 slot) override { inner_->on_warp_done(slot); }
+  void on_loads_complete(u32 slot) override {
+    inner_->on_loads_complete(slot);
+  }
+  void on_prefetch_fill(u32 slot) override { inner_->on_prefetch_fill(slot); }
+  void on_global_access(u32 slot) override { inner_->on_global_access(slot); }
+  i32 pick(Cycle now) override {
+    ++picks_;
+    return inner_->pick(now);
+  }
+  const char* name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<Scheduler> inner_;
+  u64& picks_;
+};
+
+TEST(GpuTest, ForwardingDecoratorMatchesTheUndecoratedRun) {
+  for (const char* wl : {"PVR", "BFS"}) {
+    for (PrefetcherKind pf : {PrefetcherKind::kNone, PrefetcherKind::kCaps}) {
+      RunConfig rc;
+      rc.workload = wl;
+      rc.prefetcher = pf;
+      const RunResult plain = run_experiment(rc);
+      ASSERT_EQ(plain.status, RunStatus::kOk) << wl;
+
+      GpuConfig cfg;
+      cfg.prefetcher = pf;
+      cfg.scheduler = default_scheduler_for(pf);
+      u64 picks = 0;
+      SmPolicyFactories pol = make_policies(pf, cfg.scheduler, true);
+      pol.make_scheduler = [base = pol.make_scheduler, &picks](
+                               const GpuConfig& c, std::vector<WarpContext>& w,
+                               std::function<bool(u32, Cycle)> eligible,
+                               std::function<bool(u32)> waiting_mem) {
+        return std::make_unique<ForwardingScheduler>(
+            base(c, w, std::move(eligible), std::move(waiting_mem)), c, w,
+            picks);
+      };
+      Gpu gpu(cfg, find_workload(wl).kernel, pol);
+      const GpuStats s = gpu.run();
+      EXPECT_EQ(stats_signature(s), stats_signature(plain.stats))
+          << wl << " " << to_string(pf);
+      // Every active cycle picks at least once, elided ones included.
+      EXPECT_GE(picks, s.sm.active_cycles) << wl;
+    }
+  }
 }
 
 }  // namespace

@@ -193,6 +193,23 @@ TEST(CrossbarTest, CapacityGatesAcceptance) {
   EXPECT_FALSE(x.can_accept(0));
 }
 
+TEST(CrossbarTest, PopsAreCountedPerLane) {
+  Crossbar x(2, /*latency=*/3, /*queue=*/4);
+  MemRequest r;
+  x.push(1, r, 0);
+  x.push(1, r, 0);
+  MemRequest out;
+  EXPECT_FALSE(x.arrived(1, 2));
+  EXPECT_FALSE(x.pop(1, 2, out));  // a refused pop does not count
+  EXPECT_EQ(x.pops(1), 0u);
+  EXPECT_TRUE(x.arrived(1, 3));
+  EXPECT_TRUE(x.pop(1, 3, out));
+  EXPECT_TRUE(x.pop(1, 3, out));
+  EXPECT_FALSE(x.arrived(1, 3));
+  EXPECT_EQ(x.pops(1), 2u);
+  EXPECT_EQ(x.pops(0), 0u);
+}
+
 class DramTest : public ::testing::Test {
  protected:
   GpuConfig cfg_;
@@ -356,7 +373,7 @@ TEST_F(DramTest, IssuesExactlyWhenTheFirstQueuedRequestCanStart) {
 // ------------------------------------------------ L2 blocked-head memo -----
 
 /// One L2 partition and its DRAM channel, driven in MemorySystem::cycle
-/// order.
+/// order: the partition is ticked only when it is due.
 struct L2Rig {
   explicit L2Rig(const GpuConfig& c) : cfg(c), ch(cfg), l2(cfg, ch) {}
 
@@ -373,8 +390,10 @@ struct L2Rig {
   }
   /// One cycle; `dram` false freezes the channel, so its queue never drains.
   void tick(bool dram = true) {
-    l2.drain_writebacks();
-    l2.cycle(now);
+    if (l2.due(now)) {
+      l2.cycle(now);
+      ++ticks;
+    }
     if (dram) {
       MemRequest done;
       while (ch.pop_done(now, done)) {
@@ -396,11 +415,19 @@ struct L2Rig {
     return now;
   }
 
+  /// The partition's counters as of the cycles ticked so far.
+  L2Stats stats() const {
+    L2Stats s = l2.stats();
+    l2.add_slept(s, now);
+    return s;
+  }
+
   GpuConfig cfg;
   DramChannel ch;
   L2Partition l2;
   Cycle now = 0;
   u32 fills = 0;
+  u32 ticks = 0;  ///< cycles the partition was due
 };
 
 TEST(L2MemoTest, DramFullHeadLeavesOnceTheChannelDrains) {
@@ -411,14 +438,14 @@ TEST(L2MemoTest, DramFullHeadLeavesOnceTheChannelDrains) {
   r.write(0x80);  // a write miss also waits for a DRAM queue slot
   const Cycle ready = cfg.l2_latency;
   while (r.now <= ready) r.tick(false);
-  ASSERT_EQ(r.l2.stats().misses, 1u);
+  ASSERT_EQ(r.stats().misses, 1u);
   for (int i = 0; i < 10; ++i) r.tick(false);
-  EXPECT_EQ(r.l2.stats().stall_dram_full, 10u);
+  EXPECT_EQ(r.stats().stall_dram_full, 10u);
   r.tick();  // refused once more; then the channel issues the read
-  EXPECT_EQ(r.l2.stats().misses, 1u);
+  EXPECT_EQ(r.stats().misses, 1u);
   r.tick();
-  EXPECT_EQ(r.l2.stats().misses, 2u);
-  EXPECT_EQ(r.l2.stats().stall_dram_full, 11u);
+  EXPECT_EQ(r.stats().misses, 2u);
+  EXPECT_EQ(r.stats().stall_dram_full, 11u);
   EXPECT_EQ(r.l2.probe_queue_size(), 0u);
 }
 
@@ -430,11 +457,11 @@ TEST(L2MemoTest, MshrFullHeadLeavesTheCycleAfterTheFill) {
   r.read(0x0);
   r.read(0x80);
   const Cycle fill = r.tick_until([&] { return r.fills == 1; });
-  EXPECT_EQ(r.l2.stats().misses, 1u);
+  EXPECT_EQ(r.stats().misses, 1u);
   r.tick();
-  EXPECT_EQ(r.l2.stats().misses, 2u);
+  EXPECT_EQ(r.stats().misses, 2u);
   // Blocked from the cycle after the first probe through the fill's cycle.
-  EXPECT_EQ(r.l2.stats().stall_mshr_full, fill - cfg.l2_latency);
+  EXPECT_EQ(r.stats().stall_mshr_full, fill - cfg.l2_latency);
 }
 
 TEST(L2MemoTest, MergeFullHeadHitsTheCycleAfterTheFill) {
@@ -444,10 +471,10 @@ TEST(L2MemoTest, MergeFullHeadHitsTheCycleAfterTheFill) {
   r.read(0x0);
   r.read(0x0);
   const Cycle fill = r.tick_until([&] { return r.fills == 1; });
-  EXPECT_EQ(r.l2.stats().hits, 0u);
+  EXPECT_EQ(r.stats().hits, 0u);
   r.tick();
-  EXPECT_EQ(r.l2.stats().hits, 1u);
-  EXPECT_EQ(r.l2.stats().stall_mshr_full, fill - cfg.l2_latency);
+  EXPECT_EQ(r.stats().hits, 1u);
+  EXPECT_EQ(r.stats().stall_mshr_full, fill - cfg.l2_latency);
 }
 
 TEST(L2MemoTest, NewHeadAfterAPopIsProbedFresh) {
@@ -458,9 +485,133 @@ TEST(L2MemoTest, NewHeadAfterAPopIsProbedFresh) {
   r.read(0x0);
   r.read(0x0);
   while (r.now <= cfg.l2_latency + 1) r.tick();
-  EXPECT_EQ(r.l2.stats().misses, 2u);
-  EXPECT_EQ(r.l2.stats().mshr_merges, 1u);
+  EXPECT_EQ(r.stats().misses, 2u);
+  EXPECT_EQ(r.stats().mshr_merges, 1u);
   EXPECT_EQ(r.l2.mshr_size(), 1u);
+}
+
+// ------------------------------------------------ L2 stall-only sleep -----
+//
+// Each test puts the partition to sleep, shows that it is not ticked and
+// that its stall counter still advances once per cycle, and then fires one
+// wake source and checks that the partition moves on that cycle.
+
+TEST(L2SleepTest, AcceptWakesAnIdlePartition) {
+  GpuConfig cfg;
+  L2Rig r(cfg);
+  for (int i = 0; i < 10; ++i) r.tick();
+  EXPECT_EQ(r.ticks, 1u);  // the first tick found nothing to do
+  r.read(0x0);
+  r.tick();
+  EXPECT_EQ(r.ticks, 2u);
+  // A second request behind a head blocked on the frozen DRAM queue wakes
+  // it too; the stall keeps counting once per cycle across that tick.
+  cfg.dram_queue_size = 1;
+  L2Rig b(cfg);
+  b.read(0x0);
+  b.read(0x80);
+  while (b.now <= cfg.l2_latency + 1) b.tick(false);
+  ASSERT_EQ(b.stats().stall_dram_full, 1u);
+  const u32 ticks = b.ticks;
+  for (u64 i = 2; i <= 10; ++i) {
+    b.tick(false);
+    EXPECT_EQ(b.stats().stall_dram_full, i);
+  }
+  EXPECT_EQ(b.ticks, ticks);
+  b.write(0x100);
+  b.tick(false);
+  EXPECT_EQ(b.ticks, ticks + 1);
+  EXPECT_EQ(b.stats().stall_dram_full, 11u);
+  EXPECT_EQ(b.l2.probe_queue_size(), 2u);
+}
+
+TEST(L2SleepTest, HeadReadyAtWakesThePartition) {
+  GpuConfig cfg;
+  L2Rig r(cfg);
+  r.read(0x0);
+  r.tick();  // woken by the accept; the head is not ready yet
+  const u32 ticks = r.ticks;
+  while (r.now < cfg.l2_latency) r.tick();
+  EXPECT_EQ(r.ticks, ticks);
+  EXPECT_EQ(r.stats().misses, 0u);
+  r.tick();
+  EXPECT_EQ(r.ticks, ticks + 1);
+  EXPECT_EQ(r.stats().misses, 1u);
+}
+
+TEST(L2SleepTest, DramDoneWakesAnMshrBlockedHead) {
+  GpuConfig cfg;
+  cfg.l2.mshr_entries = 1;
+  cfg.l2.mshr_max_merged = 1;
+  L2Rig r(cfg);
+  r.read(0x0);
+  r.read(0x80);
+  while (r.now <= cfg.l2_latency + 1) r.tick();
+  ASSERT_EQ(r.stats().stall_mshr_full, 1u);
+  const u32 ticks = r.ticks;
+  // The fill's own cycle still stalls: the partition runs before the channel.
+  u64 slept = 0;
+  while (r.fills == 0 && r.now < 100'000) {
+    r.tick();
+    ++slept;
+    EXPECT_EQ(r.stats().stall_mshr_full, 1 + slept);
+  }
+  EXPECT_GT(slept, 1u);
+  EXPECT_EQ(r.ticks, ticks);
+  r.tick();  // the cycle after the fill
+  EXPECT_EQ(r.ticks, ticks + 1);
+  EXPECT_EQ(r.stats().misses, 2u);
+  EXPECT_EQ(r.stats().stall_mshr_full, 1 + slept);
+}
+
+TEST(L2SleepTest, ChannelIssueWakesADramBlockedHead) {
+  GpuConfig cfg;
+  cfg.dram_queue_size = 1;
+  L2Rig r(cfg);
+  r.read(0x0);
+  r.read(0x80);
+  while (r.now <= cfg.l2_latency + 1) r.tick(false);
+  const u32 ticks = r.ticks;
+  const u64 commands = r.ch.commands();
+  for (u64 i = 2; i <= 20; ++i) {
+    r.tick(false);
+    EXPECT_EQ(r.stats().stall_dram_full, i);
+  }
+  EXPECT_EQ(r.ticks, ticks);
+  r.tick();  // the channel issues the first read at the end of this cycle
+  EXPECT_EQ(r.ch.commands(), commands + 1);
+  EXPECT_EQ(r.ticks, ticks);
+  EXPECT_EQ(r.stats().stall_dram_full, 21u);
+  r.tick();
+  EXPECT_EQ(r.ticks, ticks + 1);
+  EXPECT_EQ(r.stats().misses, 2u);
+  EXPECT_EQ(r.stats().stall_dram_full, 21u);
+}
+
+TEST(L2SleepTest, ChannelIssueWakesADeferredWriteback) {
+  // A one-line L2 and a one-entry DRAM queue. A dirty line is evicted by a
+  // read fill while the queue holds a read that its bank cannot start yet
+  // (same bank, another row, inside tRC), so the write-back is deferred and
+  // the partition, with nothing else to do, sleeps until the channel issues.
+  GpuConfig cfg;
+  cfg.l2.size_bytes = cfg.l2.line_size;
+  cfg.l2.assoc = 1;
+  cfg.dram_queue_size = 1;
+  L2Rig r(cfg);
+  r.write(0x0);
+  r.read(0x80);
+  r.tick();
+  r.read(static_cast<Addr>(cfg.dram_row_bytes) * cfg.dram_banks);
+  r.tick_until([&] { return r.l2.pending_writebacks() == 1; });
+  const u32 ticks = r.ticks + 1;  // one more tick finds the queue full
+  const u64 commands = r.ch.commands();
+  r.tick_until([&] { return r.ch.commands() != commands; });
+  EXPECT_EQ(r.ticks, ticks);
+  EXPECT_EQ(r.l2.pending_writebacks(), 1u);
+  r.tick();
+  EXPECT_EQ(r.ticks, ticks + 1);
+  EXPECT_EQ(r.l2.pending_writebacks(), 0u);
+  EXPECT_EQ(r.ch.queue_size(), 1u);
 }
 
 TEST(MemorySystemTest, PartitionMappingIsChunked) {
@@ -520,6 +671,33 @@ TEST(MemorySystemTest, SecondReadHitsInL2) {
   EXPECT_LT(warm, cold);
   EXPECT_EQ(mem.l2_stats().hits, 1u);
   EXPECT_EQ(mem.dram_stats().reads, 1u);
+}
+
+TEST(MemorySystemTest, RepliesWaitForRoomInTheReplyCrossbar) {
+  // Twenty reads for one SM, whose replies are not popped: sixteen fill its
+  // reply lane and the rest stay at the head of the partition reply queue
+  // until it drains. None is lost or duplicated.
+  GpuConfig cfg;
+  MemorySystem mem(cfg);
+  std::multiset<Addr> sent;
+  Cycle t = 0;
+  for (u32 i = 0; i < 20; ++i) {
+    MemRequest req;
+    req.line = static_cast<Addr>(i) * cfg.partition_chunk_bytes *
+               cfg.num_l2_partitions;
+    while (!mem.can_accept(req.line)) mem.cycle(t++);
+    mem.submit(req, t);
+    sent.insert(req.line);
+  }
+  for (; t < 20'000; ++t) mem.cycle(t);
+  std::multiset<Addr> got;
+  MemRequest reply;
+  for (; t < 40'000 && got.size() < sent.size(); ++t) {
+    while (mem.pop_reply(0, t, reply)) got.insert(reply.line);
+    mem.cycle(t);
+  }
+  EXPECT_EQ(got, sent);
+  EXPECT_TRUE(mem.idle());
 }
 
 TEST(MemorySystemTest, WritesProduceNoReply) {
