@@ -1,6 +1,7 @@
 // google-benchmark micro-suite: throughput of the individual simulator
-// components (tag probes, MSHR churn, affine and indirect coalescing, DRAM
-// scheduling busy and saturated, CAPS table operations, scheduler picks,
+// components (tag probes, MSHR churn and full-MSHR probes, affine and
+// indirect coalescing, DRAM scheduling busy, blocked and issuing under
+// saturation, CAPS table operations, scheduler picks,
 // all-eligible and saturated, and a whole-GPU cycle, mixed,
 // memory-saturated and in the refused-issue regime).
 #include <benchmark/benchmark.h>
@@ -50,6 +51,41 @@ void BM_MshrAllocateFill(benchmark::State& state) {
 }
 BENCHMARK(BM_MshrAllocateFill);
 
+void BM_MshrProbeFull(benchmark::State& state) {
+  // A full L1 MSHR as probe_demand sees it under saturation: one lookup
+  // per probe, then a merge into the slot it returns (an entry at its merge
+  // capacity is filled and re-allocated), and one probe in four misses
+  // every live line and walks all of them.
+  GpuConfig cfg;
+  Mshr<L1Access> mshr(cfg.l1d.mshr_entries, cfg.l1d.mshr_max_merged);
+  std::vector<L1Access> waiters;  // the LD/ST unit's reused fill scratch
+  waiters.reserve(cfg.l1d.mshr_max_merged);
+  const u32 live = cfg.l1d.mshr_entries;
+  for (u32 i = 0; i < live; ++i) mshr.allocate(Addr{i} * 128, L1Access{});
+  u64 merges = 0;
+  u32 k = 0;
+  for (auto _ : state) {
+    // Lines 0..live-1 are in flight; every fourth probe is a line past them.
+    k = (k + 7) % (live + live / 3);
+    const Addr line = Addr{k} * 128;
+    const u32 slot = mshr.slot_of(line);
+    if (slot != Mshr<L1Access>::kNone) {
+      if (!mshr.can_merge_at(slot)) {
+        mshr.fill_into(line, waiters);
+        mshr.allocate(line, L1Access{});
+      } else {
+        mshr.merge_at(slot, L1Access{});
+        ++merges;
+      }
+    }
+    benchmark::ClobberMemory();
+  }
+  if (merges == 0 || mshr.size() != live)
+    state.SkipWithError("the probes did not merge into a full MSHR");
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MshrProbeFull);
+
 void BM_Coalesce32Lanes(benchmark::State& state) {
   Coalescer co(128);
   AddressPattern p = linear_pattern(0x1000'0000, 4, 256);
@@ -67,11 +103,12 @@ void BM_Coalesce32Lanes(benchmark::State& state) {
 BENCHMARK(BM_Coalesce32Lanes);
 
 void BM_CoalesceIndirect32Lanes(benchmark::State& state) {
-  // The irregular workloads' scattered loads (indirect_group = 1): 32
-  // hashed lanes, almost always 32 distinct lines.
+  // Indirect loads: the argument is indirect_group. Every suite kernel
+  // uses the default 8 (four hashed runs of eight lanes); 1 hashes every
+  // lane into almost always 32 distinct lines.
   Coalescer co(128);
   AddressPattern p = indirect_pattern(0x2000'0000, 1ULL << 26, 7);
-  p.indirect_group = 1;
+  p.indirect_group = static_cast<u32>(state.range(0));
   std::vector<Addr> lines;  // the SM's reused coalesce scratch
   lines.reserve(kWarpSize);
   u32 warp = 0;
@@ -83,7 +120,7 @@ void BM_CoalesceIndirect32Lanes(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kWarpSize);
 }
-BENCHMARK(BM_CoalesceIndirect32Lanes);
+BENCHMARK(BM_CoalesceIndirect32Lanes)->Arg(8)->Arg(1);
 
 void BM_DramChannelCycle(benchmark::State& state) {
   GpuConfig cfg;
@@ -136,6 +173,47 @@ void BM_DramChannelCycleBanksBusy(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DramChannelCycleBanksBusy);
+
+void BM_DramPickSaturated(benchmark::State& state) {
+  // A queue kept full of mixed row hits, row misses and writes on every
+  // bank, as the irregular kernels keep it. Each iteration is one channel
+  // cycle: a command issues whenever bank and bus timing allow (the
+  // cmds_per_cycle counter), and the cycles in between skip the pick.
+  GpuConfig cfg;
+  DramChannel ch(cfg);
+  const Addr row_bytes = cfg.dram_row_bytes;
+  u64 k = 0;
+  const auto refill = [&] {
+    while (ch.can_accept()) {
+      // Consecutive requests walk the banks; every third one opens a new
+      // row, the others return to the bank's first two rows.
+      ++k;
+      const u64 bank = (k * 5) % cfg.dram_banks;
+      const u64 row = k % 3 == 0 ? k % 64 : k % 2;
+      MemRequest r;
+      r.line = (row * cfg.dram_banks + bank) * row_bytes + (k % 16) * 128;
+      r.is_write = k % 7 == 0;
+      ch.submit(r);
+    }
+  };
+  Cycle now = 0;
+  const auto step = [&] {
+    MemRequest done;
+    while (ch.pop_done(now, done)) {
+    }
+    ch.cycle(now++);
+    refill();
+  };
+  for (int i = 0; i < 1000; ++i) step();  // past the cold-bank start
+  if (ch.commands() == 0) state.SkipWithError("no command issued");
+  const u64 before = ch.commands();
+  for (auto _ : state) step();
+  state.counters["cmds_per_cycle"] =
+      static_cast<double>(ch.commands() - before) /
+      static_cast<double>(state.iterations());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DramPickSaturated);
 
 void BM_CapsTableLookup(benchmark::State& state) {
   GpuConfig cfg;

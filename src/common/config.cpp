@@ -71,6 +71,7 @@ void GpuConfig::validate() const {
           "L2 partitions must divide evenly across DRAM channels");
   require(dram_queue_size > 0, "DRAM scheduler queue must have capacity");
   require(std::has_single_bit(dram_banks), "DRAM banks must be a power of two");
+  require(dram_banks <= 64, "DRAM banks exceed the 64-bit bank-mask capacity");
   require(dram_row_bytes >= l2.line_size, "DRAM row must hold at least a line");
   require(core_clock_mhz >= dram_clock_mhz, "core clock must be >= DRAM clock");
   require(caps.percta_entries > 0, "PerCTA table needs entries");

@@ -220,11 +220,10 @@ LdStUnit::Wait LdStUnit::process_demand(Cycle now) {
 LdStUnit::Wait LdStUnit::probe_demand(const L1Access& access, Cycle now) {
   // Accesses are counted once, when the probe completes (retries after a
   // structural stall are not double counted).
-  if (l1_.access(access.line) == CacheOutcome::kHit) {
+  if (LineMeta* meta = l1_.access(access.line)) {
     ++stats_.l1_accesses;
     ++stats_.l1_hits;
-    LineMeta* meta = l1_.find_meta(access.line);
-    if (meta != nullptr && meta->prefetched) {
+    if (meta->prefetched) {
       ++stats_.pf_useful;
       stats_.pf_distance.add(static_cast<double>(now - meta->pf_issue_cycle));
       if (trace_ != nullptr)
@@ -244,12 +243,13 @@ LdStUnit::Wait LdStUnit::probe_demand(const L1Access& access, Cycle now) {
   }
   // Miss path. A demand that catches up with an in-flight prefetch merges
   // like any other; late-useful accounting happens at fill time.
-  if (mshr_.has(access.line)) {
-    if (!mshr_.can_merge(access.line)) return Wait::kMerge;
+  if (const u32 slot = mshr_.slot_of(access.line);
+      slot != Mshr<L1Access>::kNone) {
+    if (!mshr_.can_merge_at(slot)) return Wait::kMerge;
     ++stats_.l1_accesses;
     ++stats_.l1_misses;
     ++stats_.l1_mshr_merges;
-    mshr_.merge(access.line, access);
+    mshr_.merge_at(slot, access);
     pop_demand(now);
     return Wait::kDone;
   }
@@ -268,7 +268,7 @@ LdStUnit::Wait LdStUnit::process_prefetch(Cycle now) {
       pop_prefetch();
       return Wait::kDone;
     }
-    if (mshr_.has(head.line)) {
+    if (mshr_.slot_of(head.line) != Mshr<L1Access>::kNone) {
       ++stats_.pf_dropped_inflight;
       pop_prefetch();
       return Wait::kDone;

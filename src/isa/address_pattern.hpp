@@ -56,11 +56,9 @@ struct AddressPattern {
   /// @param iter     innermost-loop iteration count at this execution
   /// @param gtid     globally unique flat thread id (for indirect hashing)
   Addr evaluate(const Dim3& tid, const Dim3& ctaid, u32 iter, u64 gtid) const {
-    if (indirect) {
-      const u64 h = hash_combine(seed, gtid / indirect_group, iter);
-      const u64 lane_off = (gtid % indirect_group) * 4;
-      return base + (region_bytes == 0 ? 0 : (h % region_bytes) + lane_off);
-    }
+    if (indirect)
+      return indirect_base(gtid / indirect_group, iter) +
+             indirect_lane_offset(gtid % indirect_group);
     const i64 offset = c_tid_x * static_cast<i64>(tid.x) +
                        c_tid_y * static_cast<i64>(tid.y) +
                        c_cta_x * static_cast<i64>(ctaid.x) +
@@ -69,6 +67,18 @@ struct AddressPattern {
     u64 uoffset = static_cast<u64>(offset);
     if (wrap_bytes != 0) uoffset &= (wrap_bytes - 1);
     return base + uoffset;
+  }
+
+  /// Indirect addressing split at the hash: every lane of hash group
+  /// `group` (gtid / indirect_group) reads indirect_base(group, iter) plus
+  /// the offset of its place in the group (gtid % indirect_group).
+  Addr indirect_base(u64 group, u32 iter) const {
+    return region_bytes == 0
+               ? base
+               : base + hash_combine(seed, group, iter) % region_bytes;
+  }
+  u64 indirect_lane_offset(u64 in_group) const {
+    return region_bytes == 0 ? 0 : in_group * 4;
   }
 };
 

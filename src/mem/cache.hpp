@@ -19,9 +19,6 @@ struct LineMeta {
   Addr pf_pc = 0;            ///< the load PC the prefetch targeted
 };
 
-/// Result of a cache probe/access.
-enum class CacheOutcome : u8 { kHit, kMiss };
-
 class SetAssocCache {
  public:
   explicit SetAssocCache(const CacheConfig& cfg);
@@ -29,17 +26,16 @@ class SetAssocCache {
   /// Probe without changing replacement state. Returns true on hit.
   bool contains(Addr line) const;
 
-  /// Access (read) a line: on hit, updates LRU and returns kHit; on miss
-  /// returns kMiss without allocating (controllers allocate on fill).
-  CacheOutcome access(Addr line);
+  /// Access a line: on hit, updates LRU and returns the line's metadata
+  /// (prefetch consumption, dirty marking); on miss returns nullptr without
+  /// allocating (controllers allocate on fill).
+  LineMeta* access(Addr line);
 
-  /// Fill a line (after a miss is serviced). Evicts LRU if the set is full;
-  /// the evicted line's metadata is returned so the controller can account
-  /// early-evicted prefetches. No-op (metadata refresh) if already present.
+  /// Fill a line (after a miss is serviced) into the set's first invalid
+  /// way, else its LRU way; the evicted line's metadata is returned so the
+  /// controller can account early-evicted prefetches. No-op (metadata
+  /// refresh) if already present. One pass over the set.
   std::optional<std::pair<Addr, LineMeta>> fill(Addr line, const LineMeta& meta);
-
-  /// Metadata access for the prefetch-consumption accounting.
-  LineMeta* find_meta(Addr line);
 
   u32 num_sets() const { return sets_; }
   u32 assoc() const { return cfg_.assoc; }
@@ -53,12 +49,14 @@ class SetAssocCache {
     LineMeta meta{};
   };
 
-  u32 set_index(Addr line) const;
+  Way* set_begin(Addr line) {
+    return &ways_[((line >> line_shift_) & (sets_ - 1)) * cfg_.assoc];
+  }
   Way* lookup(Addr line);
-  const Way* lookup(Addr line) const;
 
   CacheConfig cfg_;
   u32 sets_;
+  u32 line_shift_;  ///< log2(line_size); validate() requires a power of two
   u64 lru_clock_ = 0;
   std::vector<Way> ways_;  // sets_ * assoc, row-major by set
 };

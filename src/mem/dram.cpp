@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
 
 #include "common/diag.hpp"
 
@@ -35,8 +34,7 @@ DramChannel::DramChannel(const GpuConfig& cfg)
       row_bytes_(cfg.dram_row_bytes),
       num_banks_(cfg.dram_banks),
       queue_capacity_(cfg.dram_queue_size),
-      banks_(cfg.dram_banks),
-      bank_seen_(cfg.dram_banks, 0) {
+      banks_(cfg.dram_banks) {
   // Pre-size both rings to the structural queue limit so steady-state
   // command scheduling never touches the heap (DESIGN.md §13).
   queue_.reserve(queue_capacity_);
@@ -67,33 +65,26 @@ Cycle DramChannel::start_at(const Pending& p) const {
 }
 
 FlatDeque<DramChannel::Pending>::iterator DramChannel::pick(Cycle now) {
+  // Readiness is a property of the bank, so each pass first builds a mask
+  // of the banks it accepts and then costs one bit test per queue entry.
   // First pass: oldest request that is a row hit on a ready bank.
-  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    const Bank& b = banks_[it->bank];
-    if (b.ready_at <= now && b.open && b.row == it->row) return it;
-  }
-  // Second pass: oldest request whose bank can start a new activation,
+  u64 mask = 0;
+  for (u32 i = 0; i < num_banks_; ++i)
+    if (banks_[i].open && banks_[i].ready_at <= now) mask |= u64{1} << i;
+  if (mask != 0)
+    for (auto it = queue_.begin(); it != queue_.end(); ++it)
+      if ((mask >> it->bank & 1) != 0 && banks_[it->bank].row == it->row)
+        return it;
+  // Second pass: oldest request whose bank can start an activation,
   // honouring tRRD (activate-to-activate across banks) and tRC (same bank).
-  // Activation readiness is a property of the bank alone, so only the oldest
-  // queued request per bank can win: followers of a seen bank are skipped
-  // and the scan stops once every bank has been represented. Worst case is
-  // num_banks_ candidate evaluations instead of the full queue.
-  std::fill(bank_seen_.begin(), bank_seen_.end(), u8{0});
-  u32 seen = 0;
-  for (auto it = queue_.begin(); it != queue_.end() && seen < num_banks_;
-       ++it) {
-    if (bank_seen_[it->bank] != 0) continue;
-    bank_seen_[it->bank] = 1;
-    ++seen;
-    if (activate_at(banks_[it->bank]) <= now) return it;
-  }
-  // Nothing can start now. Until a command issues or a request arrives, the
-  // first pass can succeed no earlier than some row hit's bank is ready and
-  // the second no earlier than some request's activate_at (never before its
-  // bank's ready_at), so both scans are skipped until the minimum of those.
-  next_pick_at_ = std::numeric_limits<Cycle>::max();
-  for (const Pending& p : queue_)
-    next_pick_at_ = std::min(next_pick_at_, start_at(p));
+  // The first such entry is its bank's oldest, so no per-bank bookkeeping
+  // is needed.
+  mask = 0;
+  for (u32 i = 0; i < num_banks_; ++i)
+    if (activate_at(banks_[i]) <= now) mask |= u64{1} << i;
+  if (mask != 0)
+    for (auto it = queue_.begin(); it != queue_.end(); ++it)
+      if ((mask >> it->bank & 1) != 0) return it;
   return queue_.end();
 }
 
@@ -101,8 +92,8 @@ void DramChannel::issue(Cycle now) {
   // One command per core cycle. RAS/CAS latencies overlap across banks; the
   // shared data bus serializes only the burst transfers themselves.
   auto it = pick(now);
-  if (it == queue_.end()) return;
-
+  CAPS_CHECK(it != queue_.end(),
+             "DRAM pick found no command at or after next_pick_at_");
   Bank& bank = banks_[it->bank];
   Cycle data_start;
   if (bank.open && bank.row == it->row) {
@@ -133,6 +124,12 @@ void DramChannel::issue(Cycle now) {
              "DRAM completions out of order");
   in_service_.push_back({data_end, it->req});
   queue_.erase(it);
+
+  // Until the next issue or submit, no command can start before the
+  // queue's minimum start_at, and one always can from then on.
+  next_pick_at_ = kNever;
+  for (const Pending& p : queue_)
+    next_pick_at_ = std::min(next_pick_at_, start_at(p));
 }
 
 }  // namespace caps

@@ -93,12 +93,13 @@ class DramChannel {
   };
 
   /// FR-FCFS pick: oldest row-hit if any bank-ready row-hit exists, else the
-  /// oldest request whose bank can start an activation. The second pass is a
-  /// bounded scan: per bank only the oldest queued request is a candidate
-  /// (activation readiness is a property of the bank, not the request), so
-  /// at most `num_banks_` entries are examined before giving up.
+  /// oldest request whose bank can start an activation. Readiness is a
+  /// property of the bank, so each pass builds a bank mask once and each
+  /// queue entry costs one bit test. Called only at or after
+  /// next_pick_at_, where it always finds a command.
   FlatDeque<Pending>::iterator pick(Cycle now);
-  /// Issue the command pick() chooses, if any.
+  /// Issue the command pick() chooses, then move next_pick_at_ to the
+  /// earliest cycle the new bank state lets the queue's next command start.
   void issue(Cycle now);
 
   /// Earliest cycle `b` may start an activation: the bank is ready, tRRD
@@ -114,13 +115,14 @@ class DramChannel {
   std::size_t queue_capacity_;
 
   FlatDeque<Pending> queue_;
+  /// At most 64 (GpuConfig::validate): pick() gives each one mask bit.
   std::vector<Bank> banks_;
-  std::vector<u8> bank_seen_;  ///< per-pick scratch for the bounded scan
-  /// pick() finds nothing before this cycle. A pick that finds nothing sets
-  /// it to the queue's minimum start_at, and submit() lowers it to the new
-  /// request's. Only an issued command changes the bank state it derives
-  /// from, and a command issues only at or after it, so it is never stale.
-  Cycle next_pick_at_ = 0;
+  /// The queue's minimum start_at: pick() finds nothing before this cycle
+  /// and always finds a command at or after it. issue() recomputes it from
+  /// the new bank state, and submit() lowers it to the new request's. Only
+  /// an issued command changes the bank state it derives from, so it is
+  /// never stale.
+  Cycle next_pick_at_ = kNever;
   Cycle bus_free_at_ = 0;
   Cycle last_activate_any_ = 0;  ///< for tRRD (activate-to-activate, any bank)
 

@@ -106,29 +106,29 @@ L2Partition::Wait L2Partition::probe(const MemRequest& req) {
     // need a write-back slot in the DRAM queue. Worst case the allocation
     // evicts a dirty line, so a miss waits for a queue slot up front to
     // keep the state machine single-step.
-    LineMeta* meta = cache_.find_meta(req.line);
+    LineMeta* meta = cache_.access(req.line);  // a hit refreshes LRU
     if (meta == nullptr) return Wait::kDram;
     ++stats_.accesses;
     ++stats_.hits;
     meta->dirty = true;
-    cache_.access(req.line);  // refresh LRU
     pop_probe();
     return Wait::kDone;
   }
 
   // Read path.
-  if (mshr_.has(req.line)) {
+  if (const u32 slot = mshr_.slot_of(req.line);
+      slot != Mshr<MemRequest>::kNone) {
     // Secondary miss: merge if capacity allows.
-    if (!mshr_.can_merge(req.line)) return Wait::kMshr;
+    if (!mshr_.can_merge_at(slot)) return Wait::kMshr;
     ++stats_.accesses;
     ++stats_.misses;
     ++stats_.mshr_merges;
-    mshr_.merge(req.line, req);
+    mshr_.merge_at(slot, req);
     pop_probe();
     return Wait::kDone;
   }
 
-  if (cache_.access(req.line) == CacheOutcome::kHit) {
+  if (cache_.access(req.line) != nullptr) {
     ++stats_.accesses;
     ++stats_.hits;
     replies_.push_back(req);

@@ -1,15 +1,17 @@
 // Miss Status Holding Registers: track in-flight misses per line and merge
 // subsequent accesses to the same line (secondary misses). Templated on the
 // waiter type: the L1 parks L1Access descriptors, the L2 parks MemRequests.
-// Misuse (allocate-when-full, merge-past-capacity, fill-of-absent-line)
+// Misuse (allocate-when-full, allocate of an in-flight line or of the free
+// marker, merge-past-capacity, merge into a free slot, fill-of-absent-line)
 // throws SimError in every build mode: a leaked or double-filled MSHR entry
 // silently wedges whole SMs otherwise.
 //
-// Storage is a fixed slot array with a free list, like the hardware CAM it
-// models: lookups are a linear scan over at most `entries` slots, and after
-// construction the steady state performs no heap allocation (DESIGN.md §13)
-// — each slot's waiter vector is reserved to `max_merged` up front and is
-// cleared, never deallocated, on fill.
+// Storage is a contiguous line array plus per-slot waiter vectors, like the
+// hardware CAM it models: a lookup is one linear pass over at most `entries`
+// line addresses, and callers act on the slot it returns instead of looking
+// the line up again. After construction the steady state performs no heap
+// allocation (DESIGN.md §13): each slot's waiter vector is reserved to
+// `max_merged` up front and is cleared, never deallocated, on fill.
 #pragma once
 
 #include <algorithm>
@@ -24,56 +26,70 @@ namespace caps {
 template <typename Waiter>
 class Mshr {
  public:
+  /// slot_of() of a line with no entry.
+  static constexpr u32 kNone = ~u32{0};
+  /// Line address of a free slot. Lines are line-aligned, so no real line
+  /// collides with it; allocate() rejects it.
+  static constexpr Addr kFree = ~Addr{0};
+
   Mshr(u32 entries, u32 max_merged)
-      : entries_(entries), max_merged_(max_merged), slots_(entries) {
+      : entries_(entries),
+        max_merged_(max_merged),
+        lines_(entries, kFree),
+        waiters_(entries) {
     free_.reserve(entries);
     for (u32 i = entries; i-- > 0;) free_.push_back(i);
-    for (Slot& s : slots_) s.waiters.reserve(max_merged);
+    for (std::vector<Waiter>& w : waiters_) w.reserve(max_merged);
   }
 
   bool full() const { return free_.empty(); }
-  bool has(Addr line) const { return find(line) != kInvalid; }
-  std::size_t size() const { return slots_.size() - free_.size(); }
+  std::size_t size() const { return lines_.size() - free_.size(); }
   u32 entries() const { return entries_; }
 
-  /// True if an access to `line` can be merged into an existing entry.
-  bool can_merge(Addr line) const {
-    const u32 i = find(line);
-    return i != kInvalid && slots_[i].waiters.size() < max_merged_;
+  /// The slot holding `line`, or kNone if it is not in flight.
+  u32 slot_of(Addr line) const {
+    const auto it = std::find(lines_.begin(), lines_.end(), line);
+    return it == lines_.end() ? kNone : static_cast<u32>(it - lines_.begin());
   }
 
-  /// Allocate a new entry (primary miss). Precondition: !full() && !has(line).
+  /// True if live slot `slot` can take one more merged access.
+  bool can_merge_at(u32 slot) const {
+    return waiters_[slot].size() < max_merged_;
+  }
+
+  /// Allocate a new entry (primary miss). Precondition: !full() and
+  /// slot_of(line) == kNone.
   void allocate(Addr line, Waiter waiter) {
     CAPS_CHECK(!full(), "MSHR allocate with no free entry");
-    CAPS_CHECK(!has(line), "MSHR allocate of an already in-flight line");
+    CAPS_CHECK(line != kFree, "MSHR allocate of the free-slot marker");
+    CAPS_CHECK(slot_of(line) == kNone,
+               "MSHR allocate of an already in-flight line");
     const u32 i = free_.back();
     free_.pop_back();
-    Slot& s = slots_[i];
-    s.line = line;
-    s.valid = true;
-    s.waiters.push_back(std::move(waiter));
+    lines_[i] = line;
+    waiters_[i].push_back(std::move(waiter));
   }
 
-  /// Merge a secondary miss. Precondition: can_merge(line).
-  void merge(Addr line, Waiter waiter) {
-    const u32 i = find(line);
-    CAPS_CHECK(i != kInvalid, "MSHR merge into absent entry");
-    CAPS_CHECK(slots_[i].waiters.size() < max_merged_,
-               "MSHR merge past per-entry capacity");
-    slots_[i].waiters.push_back(std::move(waiter));
+  /// Merge a secondary miss into the slot slot_of() returned.
+  /// Precondition: can_merge_at(slot).
+  void merge_at(u32 slot, Waiter waiter) {
+    CAPS_CHECK(slot < lines_.size() && lines_[slot] != kFree,
+               "MSHR merge into a free slot");
+    CAPS_CHECK(can_merge_at(slot), "MSHR merge past per-entry capacity");
+    waiters_[slot].push_back(std::move(waiter));
   }
 
   /// Service a fill without allocating: appends the entry's waiters to `out`
   /// in merge order (after clearing it) and frees the slot in place. Callers
   /// keep a reserved scratch vector.
   void fill_into(Addr line, std::vector<Waiter>& out) {
-    const u32 i = find(line);
-    CAPS_CHECK(i != kInvalid, "MSHR fill for a line with no entry");
-    Slot& s = slots_[i];
+    const u32 i = slot_of(line);
+    CAPS_CHECK(i != kNone, "MSHR fill for a line with no entry");
+    std::vector<Waiter>& w = waiters_[i];
     out.clear();
-    for (Waiter& w : s.waiters) out.push_back(std::move(w));
-    s.waiters.clear();  // keeps capacity: the slot never re-allocates
-    s.valid = false;
+    for (Waiter& x : w) out.push_back(std::move(x));
+    w.clear();  // keeps capacity: the slot never re-allocates
+    lines_[i] = kFree;
     free_.push_back(i);
   }
 
@@ -81,31 +97,18 @@ class Mshr {
   std::vector<Addr> outstanding_lines() const {
     std::vector<Addr> lines;
     lines.reserve(size());
-    for (const Slot& s : slots_)
-      if (s.valid) lines.push_back(s.line);
+    for (const Addr line : lines_)
+      if (line != kFree) lines.push_back(line);
     std::sort(lines.begin(), lines.end());
     return lines;
   }
 
  private:
-  struct Slot {
-    Addr line = 0;
-    std::vector<Waiter> waiters;
-    bool valid = false;
-  };
-
-  static constexpr u32 kInvalid = ~u32{0};
-
-  u32 find(Addr line) const {
-    for (u32 i = 0; i < slots_.size(); ++i)
-      if (slots_[i].valid && slots_[i].line == line) return i;
-    return kInvalid;
-  }
-
   u32 entries_;
   u32 max_merged_;
-  std::vector<Slot> slots_;
-  std::vector<u32> free_;  ///< indices of invalid slots (LIFO reuse)
+  std::vector<Addr> lines_;                  ///< per slot; kFree when free
+  std::vector<std::vector<Waiter>> waiters_; ///< per slot, merge order
+  std::vector<u32> free_;  ///< indices of free slots (LIFO reuse)
 };
 
 }  // namespace caps

@@ -113,6 +113,14 @@ TEST(ConfigTest, RejectsZeroSets) {
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
+TEST(ConfigTest, RejectsMoreDramBanksThanTheBankMaskHolds) {
+  GpuConfig cfg;
+  cfg.dram_banks = 64;
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.dram_banks = 128;  // a power of two, but past the 64-bit bank mask
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+}
+
 TEST(ConfigTest, RejectsMergeCapacityAboveEntryCount) {
   GpuConfig cfg;
   cfg.l1d.mshr_max_merged = cfg.l1d.mshr_entries + 1;

@@ -112,13 +112,30 @@ TEST(MshrGuardTest, DoubleAllocateThrows) {
   EXPECT_THROW(m.allocate(0x100, 2), SimError);
 }
 
+TEST(MshrGuardTest, AllocateOfTheFreeMarkerThrows) {
+  Mshr<int> m(4, 2);
+  EXPECT_THROW(m.allocate(Mshr<int>::kFree, 1), SimError);
+  EXPECT_EQ(m.size(), 0u);
+}
+
 TEST(MshrGuardTest, MergePastCapacityThrows) {
   Mshr<int> m(4, 2);
   m.allocate(0x100, 1);
-  m.merge(0x100, 2);
-  EXPECT_FALSE(m.can_merge(0x100));
-  EXPECT_THROW(m.merge(0x100, 3), SimError);
-  EXPECT_THROW(m.merge(0x999, 4), SimError);  // absent line
+  const u32 slot = m.slot_of(0x100);
+  m.merge_at(slot, 2);
+  EXPECT_FALSE(m.can_merge_at(slot));
+  EXPECT_THROW(m.merge_at(slot, 3), SimError);
+}
+
+TEST(MshrGuardTest, MergeIntoAFreeSlotThrows) {
+  Mshr<int> m(4, 2);
+  EXPECT_THROW(m.merge_at(0, 1), SimError);  // never allocated
+  m.allocate(0x100, 1);
+  const u32 slot = m.slot_of(0x100);
+  std::vector<int> waiters;
+  m.fill_into(0x100, waiters);
+  EXPECT_THROW(m.merge_at(slot, 2), SimError);  // freed by the fill
+  EXPECT_THROW(m.merge_at(Mshr<int>::kNone, 3), SimError);  // absent line
 }
 
 TEST(MshrGuardTest, FillOfAbsentLineThrows) {

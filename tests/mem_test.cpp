@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <deque>
 #include <random>
 #include <set>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -29,10 +32,10 @@ CacheConfig small_cache() {
 
 TEST(CacheTest, MissThenFillThenHit) {
   SetAssocCache c(small_cache());
-  EXPECT_EQ(c.access(0), CacheOutcome::kMiss);
+  EXPECT_EQ(c.access(0), nullptr);
   EXPECT_FALSE(c.contains(0));  // a miss does not allocate
   c.fill(0, LineMeta{});
-  EXPECT_EQ(c.access(0), CacheOutcome::kHit);
+  EXPECT_NE(c.access(0), nullptr);
   EXPECT_TRUE(c.contains(0));
 }
 
@@ -57,7 +60,19 @@ TEST(CacheTest, FillExistingRefreshesMetadata) {
   pf.pf_issue_cycle = 7;
   c.fill(0, LineMeta{});
   EXPECT_FALSE(c.fill(0, pf).has_value());
-  EXPECT_TRUE(c.find_meta(0)->prefetched);
+  EXPECT_TRUE(c.access(0)->prefetched);
+}
+
+TEST(CacheTest, HitReturnsTheLinesWritableMeta) {
+  SetAssocCache c(small_cache());
+  c.fill(0, LineMeta{});
+  c.access(0)->dirty = true;  // the L2 write path marks through it
+  auto evicted = c.fill(512, LineMeta{});
+  EXPECT_FALSE(evicted.has_value());  // an invalid way is filled first
+  evicted = c.fill(1024, LineMeta{});  // evicts line 0 (LRU)
+  ASSERT_TRUE(evicted.has_value());
+  EXPECT_EQ(evicted->first, 0u);
+  EXPECT_TRUE(evicted->second.dirty);
 }
 
 TEST(CacheTest, EvictionReturnsPrefetchMeta) {
@@ -98,7 +113,7 @@ TEST_P(CacheOracleTest, MatchesReferenceModel) {
     auto it = std::find_if(ways.begin(), ways.end(),
                            [&](const RefWay& w) { return w.line == line; });
     const bool ref_hit = it != ways.end();
-    EXPECT_EQ(c.access(line) == CacheOutcome::kHit, ref_hit) << "iter " << i;
+    EXPECT_EQ(c.access(line) != nullptr, ref_hit) << "iter " << i;
     if (ref_hit) {
       it->lru = ++clock;
     } else {
@@ -121,15 +136,32 @@ INSTANTIATE_TEST_SUITE_P(Assocs, CacheOracleTest, ::testing::Values(1, 2, 4, 8))
 TEST(MshrTest, AllocateMergeFill) {
   Mshr<int> m(4, 3);
   m.allocate(0x100, 1);
-  EXPECT_TRUE(m.has(0x100));
-  EXPECT_TRUE(m.can_merge(0x100));
-  m.merge(0x100, 2);
-  m.merge(0x100, 3);
-  EXPECT_FALSE(m.can_merge(0x100));  // max_merged = 3
+  const u32 slot = m.slot_of(0x100);
+  ASSERT_NE(slot, Mshr<int>::kNone);
+  EXPECT_TRUE(m.can_merge_at(slot));
+  m.merge_at(slot, 2);
+  m.merge_at(slot, 3);
+  EXPECT_FALSE(m.can_merge_at(slot));  // max_merged = 3
   std::vector<int> waiters{99};  // fill_into clears stale contents first
   m.fill_into(0x100, waiters);
   EXPECT_EQ(waiters, (std::vector<int>{1, 2, 3}));
-  EXPECT_FALSE(m.has(0x100));
+  EXPECT_EQ(m.slot_of(0x100), Mshr<int>::kNone);
+}
+
+TEST(MshrTest, SlotsAreReusedAndLookupsSeeOnlyLiveLines) {
+  Mshr<int> m(2, 2);
+  m.allocate(0x100, 1);
+  m.allocate(0x200, 2);
+  const u32 a = m.slot_of(0x100);
+  const u32 b = m.slot_of(0x200);
+  EXPECT_NE(a, b);
+  std::vector<int> waiters;
+  m.fill_into(0x100, waiters);
+  EXPECT_EQ(m.slot_of(0x100), Mshr<int>::kNone);
+  EXPECT_EQ(m.slot_of(0x200), b);
+  m.allocate(0x300, 3);  // reuses the freed slot
+  EXPECT_EQ(m.slot_of(0x300), a);
+  EXPECT_EQ(m.outstanding_lines(), (std::vector<Addr>{0x200, 0x300}));
 }
 
 TEST(MshrTest, FullAtCapacity) {
@@ -149,7 +181,7 @@ TEST(MshrTest, AllocatingWaiterFillsFirst) {
   m.allocate(0x200, 2);
   // Merging does not displace the allocating waiter: the L1 reads a
   // prefetch's origin off the waiter list.
-  m.merge(0x100, 3);
+  m.merge_at(m.slot_of(0x100), 3);
   std::vector<int> waiters;
   m.fill_into(0x100, waiters);
   EXPECT_EQ(waiters, (std::vector<int>{1, 3}));
@@ -368,6 +400,250 @@ TEST_F(DramTest, IssuesExactlyWhenTheFirstQueuedRequestCanStart) {
   EXPECT_EQ(idle_issued, idle_arrives);
   ASSERT_NE(bank0_ready, 0u);
   EXPECT_EQ(hit_issued, bank0_ready);
+}
+
+// ------------------------------------------- FR-FCFS pick, differential ---
+
+/// The channel as it was before pick() used bank masks: a row-hit scan, a
+/// bounded oldest-per-bank activation scan, and, when both find nothing, a
+/// third scan that sets next_pick_at_ to the queue's minimum start cycle.
+/// issue() left next_pick_at_ in the past. Kept as the reference that
+/// DramChannel must match command for command.
+class RefDramChannel {
+ public:
+  explicit RefDramChannel(const GpuConfig& cfg)
+      : row_bytes_(cfg.dram_row_bytes),
+        num_banks_(cfg.dram_banks),
+        queue_capacity_(cfg.dram_queue_size),
+        banks_(cfg.dram_banks),
+        bank_seen_(cfg.dram_banks, 0) {
+    const double ratio = cfg.dram_clock_ratio();
+    const auto scale = [ratio](u32 dram_cycles) {
+      return static_cast<u32>(dram_cycles * ratio + 0.5);
+    };
+    const DramTiming& d = cfg.dram_timing;
+    t_.tCL = scale(d.tCL);
+    t_.tRP = scale(d.tRP);
+    t_.tRC = scale(d.tRC);
+    t_.tRCD = scale(d.tRCD);
+    t_.tRRD = scale(d.tRRD);
+    t_.tWR = scale(d.tWR);
+    t_.burst = std::max<u32>(1, scale(d.burst));
+  }
+
+  bool can_accept() const { return queue_.size() < queue_capacity_; }
+
+  void submit(const MemRequest& req) {
+    Pending p;
+    p.req = req;
+    const u64 row_id = req.line / row_bytes_;
+    p.bank = static_cast<u32>(row_id & (num_banks_ - 1));
+    p.row = row_id >> std::countr_zero(static_cast<u64>(num_banks_));
+    queue_.push_back(p);
+    next_pick_at_ = std::min(next_pick_at_, start_at(p));
+  }
+
+  bool pop_done(Cycle now, MemRequest& out) {
+    if (in_service_.empty() || in_service_.front().first > now) return false;
+    out = in_service_.front().second;
+    in_service_.pop_front();
+    return true;
+  }
+
+  void cycle(Cycle now) {
+    if (queue_.empty()) return;
+    ++stats_.busy_cycles;
+    if (now >= next_pick_at_) issue(now);
+  }
+
+  const DramStats& stats() const { return stats_; }
+
+ private:
+  struct Pending {
+    MemRequest req;
+    u32 bank = 0;
+    u64 row = 0;
+  };
+  struct Bank {
+    bool open = false;
+    u64 row = 0;
+    Cycle ready_at = 0;
+    Cycle last_activate = 0;
+  };
+
+  Cycle activate_at(const Bank& b) const {
+    Cycle t = std::max(b.ready_at, last_activate_any_ + t_.tRRD);
+    if (b.open) t = std::max(t, b.last_activate + t_.tRC);
+    return t;
+  }
+  Cycle start_at(const Pending& p) const {
+    const Bank& b = banks_[p.bank];
+    return b.open && b.row == p.row ? b.ready_at : activate_at(b);
+  }
+
+  std::deque<Pending>::iterator pick(Cycle now) {
+    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
+      const Bank& b = banks_[it->bank];
+      if (b.ready_at <= now && b.open && b.row == it->row) return it;
+    }
+    std::fill(bank_seen_.begin(), bank_seen_.end(), u8{0});
+    u32 seen = 0;
+    for (auto it = queue_.begin(); it != queue_.end() && seen < num_banks_;
+         ++it) {
+      if (bank_seen_[it->bank] != 0) continue;
+      bank_seen_[it->bank] = 1;
+      ++seen;
+      if (activate_at(banks_[it->bank]) <= now) return it;
+    }
+    next_pick_at_ = kNever;
+    for (const Pending& p : queue_)
+      next_pick_at_ = std::min(next_pick_at_, start_at(p));
+    return queue_.end();
+  }
+
+  void issue(Cycle now) {
+    auto it = pick(now);
+    if (it == queue_.end()) return;
+    Bank& bank = banks_[it->bank];
+    Cycle data_start;
+    if (bank.open && bank.row == it->row) {
+      ++stats_.row_hits;
+      data_start = now + t_.tCL;
+    } else {
+      ++stats_.row_misses;
+      const u32 open_penalty = bank.open ? t_.tRP : 0;
+      data_start = now + open_penalty + t_.tRCD + t_.tCL;
+      bank.open = true;
+      bank.row = it->row;
+      bank.last_activate = now + open_penalty;
+      last_activate_any_ = bank.last_activate;
+    }
+    const Cycle data_end = std::max(data_start, bus_free_at_) + t_.burst;
+    bus_free_at_ = data_end;
+    bank.ready_at = data_end + (it->req.is_write ? t_.tWR : 0);
+    if (it->req.is_write)
+      ++stats_.writes;
+    else
+      ++stats_.reads;
+    in_service_.push_back({data_end, it->req});
+    queue_.erase(it);
+  }
+
+  DramTiming t_;
+  u32 row_bytes_;
+  u32 num_banks_;
+  std::size_t queue_capacity_;
+  std::deque<Pending> queue_;
+  std::vector<Bank> banks_;
+  std::vector<u8> bank_seen_;
+  Cycle next_pick_at_ = 0;
+  Cycle bus_free_at_ = 0;
+  Cycle last_activate_any_ = 0;
+  std::deque<std::pair<Cycle, MemRequest>> in_service_;
+  DramStats stats_;
+};
+
+struct DramPickCase {
+  u32 banks;
+  u32 trrd;  ///< DRAM cycles
+};
+
+class DramPickDifferentialTest
+    : public ::testing::TestWithParam<DramPickCase> {};
+
+/// Random traffic into both channels: bursts that fill the queue, quiet
+/// stretches, row hits on a few hot rows, row misses and writes. Every
+/// command must complete in the same order at the same data_end cycle.
+TEST_P(DramPickDifferentialTest, MatchesThreeScanReference) {
+  GpuConfig cfg;
+  cfg.dram_banks = GetParam().banks;
+  cfg.dram_timing.tRRD = GetParam().trrd;
+  for (u64 seed = 1; seed <= 4; ++seed) {
+    DramChannel ch(cfg);
+    RefDramChannel ref(cfg);
+    std::mt19937_64 rng(seed * 7919 + cfg.dram_banks);
+    u64 completed = 0;
+    u32 next_id = 0;
+    for (Cycle now = 0; now < 40000; ++now) {
+      // Phases of 500 cycles alternate heavy, light and no traffic.
+      const u64 phase = (now / 500) % 3;
+      const u64 per_mille = phase == 0 ? 900 : phase == 1 ? 60 : 0;
+      ASSERT_EQ(ch.can_accept(), ref.can_accept()) << "cycle " << now;
+      if (ch.can_accept() && rng() % 1000 < per_mille) {
+        const u64 bank = rng() % cfg.dram_banks;
+        const u64 row = rng() % 4 == 0 ? rng() % 64 : rng() % 2;  // hot rows
+        const u64 col = rng() % (cfg.dram_row_bytes / 128);
+        MemRequest r;
+        r.line = (row * cfg.dram_banks + bank) * cfg.dram_row_bytes + col * 128;
+        r.is_write = rng() % 5 == 0;
+        r.created = next_id++;  // identifies the request
+        ch.submit(r);
+        ref.submit(r);
+      }
+      MemRequest a, b;
+      while (ch.pop_done(now, a)) {
+        ASSERT_TRUE(ref.pop_done(now, b)) << "cycle " << now;
+        ASSERT_EQ(a.created, b.created) << "cycle " << now;
+        ++completed;
+      }
+      ASSERT_FALSE(ref.pop_done(now, b)) << "cycle " << now;
+      ASSERT_NO_THROW(ch.cycle(now)) << "cycle " << now;
+      ref.cycle(now);
+      ASSERT_EQ(ch.commands(), ref.stats().reads + ref.stats().writes)
+          << "cycle " << now;
+    }
+    EXPECT_GT(completed, 1000u);
+    const DramStats& s = ch.stats();
+    const DramStats& r = ref.stats();
+    EXPECT_EQ(s.reads, r.reads);
+    EXPECT_EQ(s.writes, r.writes);
+    EXPECT_EQ(s.row_hits, r.row_hits);
+    EXPECT_EQ(s.row_misses, r.row_misses);
+    EXPECT_EQ(s.busy_cycles, r.busy_cycles);
+    EXPECT_GT(s.row_hits, 0u);
+    EXPECT_GT(s.row_misses, 0u);
+    EXPECT_GT(s.writes, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BanksAndTrrd, DramPickDifferentialTest,
+    ::testing::Values(DramPickCase{4, 0}, DramPickCase{4, 6},
+                      DramPickCase{16, 0}, DramPickCase{16, 6},
+                      DramPickCase{64, 0}, DramPickCase{64, 6}),
+    [](const ::testing::TestParamInfo<DramPickCase>& param) {
+      return "Banks" + std::to_string(param.param.banks) + "Trrd" +
+             std::to_string(param.param.trrd);
+    });
+
+TEST_F(DramTest, PickAtOrAfterNextPickAtNeverFindsNothing) {
+  // pick() throws if it runs at or after next_pick_at_ and finds no
+  // command, so every cycle below either skips the queue or issues. Long
+  // tRRD, tRC and tWR keep banks and activations blocked for many cycles
+  // after each issue, and arrivals land while they are.
+  cfg_.dram_banks = 4;
+  cfg_.dram_timing.tRRD = 20;
+  cfg_.dram_timing.tRC = 90;
+  cfg_.dram_timing.tWR = 30;
+  std::mt19937_64 rng(99);
+  for (int round = 0; round < 3; ++round) {
+    auto ch = make();
+    for (; t_ < 30000; ++t_) {
+      if (ch->can_accept() && rng() % 8 == 0) {
+        MemRequest r;
+        r.line = (rng() % 32) * cfg_.dram_row_bytes + (rng() % 16) * 128;
+        r.is_write = rng() % 3 == 0;
+        ch->submit(r);
+      }
+      MemRequest r;
+      while (ch->pop_done(t_, r)) {
+      }
+      const u64 before = ch->commands();
+      ASSERT_NO_THROW(ch->cycle(t_)) << "cycle " << t_;
+      ASSERT_LE(ch->commands() - before, 1u);  // one command per cycle
+    }
+    EXPECT_GT(ch->commands(), 1000u);
+  }
 }
 
 // ------------------------------------------------ L2 blocked-head memo -----

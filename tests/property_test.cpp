@@ -20,12 +20,44 @@ namespace {
 
 // ---------------------------------------------------- coalescer property ---
 
-/// For random affine patterns: every lane's byte address must fall inside
-/// one of the produced lines, lines are unique/sorted, and their count
-/// never exceeds the active lane count.
+/// The coalescer as it was before its incremental walk: per lane, unflatten
+/// the thread id, evaluate the address (indirect patterns hash every lane),
+/// and append the line unless an earlier lane produced it; then sort. Kept
+/// as the reference Coalescer::coalesce_into must match exactly.
+std::vector<Addr> reference_coalesce(const AddressPattern& p, const Dim3& block,
+                                     const Dim3& cta_id, u32 cta_flat,
+                                     u32 warp_in_cta, u32 iter,
+                                     u32 line_size) {
+  std::vector<Addr> out;
+  const u32 threads = block.count();
+  const u32 first_thread = warp_in_cta * kWarpSize;
+  for (u32 lane = 0; lane < kWarpSize; ++lane) {
+    const u32 t = first_thread + lane;
+    if (t >= threads) break;  // inactive lane
+    const Dim3 tid = unflatten(t, block);
+    const u64 gtid = static_cast<u64>(cta_flat) * threads + t;
+    Addr a;
+    if (p.indirect) {
+      const u64 h = hash_combine(p.seed, gtid / p.indirect_group, iter);
+      const u64 lane_off = (gtid % p.indirect_group) * 4;
+      a = p.base + (p.region_bytes == 0 ? 0 : (h % p.region_bytes) + lane_off);
+    } else {
+      a = p.evaluate(tid, cta_id, iter, gtid);
+    }
+    const Addr line = line_base(a, line_size);
+    if (std::find(out.begin(), out.end(), line) == out.end())
+      out.push_back(line);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// For random affine and indirect patterns the lines are exactly the
+/// reference set: every lane covered, no extra line, sorted, unique, and
+/// never more than the active lane count.
 class CoalescerPropertyTest : public ::testing::TestWithParam<u32> {};
 
-TEST_P(CoalescerPropertyTest, LinesCoverEveryLane) {
+TEST_P(CoalescerPropertyTest, LinesAreExactlyTheLanesLines) {
   std::mt19937_64 rng(GetParam());
   Coalescer co(128);
   std::vector<Addr> lines;  // reused across trials, as the SM reuses it
@@ -50,19 +82,115 @@ TEST_P(CoalescerPropertyTest, LinesCoverEveryLane) {
         std::min(kWarpSize, block.count() - warp * kWarpSize);
     EXPECT_LE(lines.size(), active);
 
+    std::set<Addr> want;
     for (u32 lane = 0; lane < active; ++lane) {
       const u32 t = warp * kWarpSize + lane;
       const Addr a = p.evaluate(unflatten(t, block), cta, iter,
                                 static_cast<u64>(7) * block.count() + t);
-      const Addr line = line_base(a, 128);
-      EXPECT_TRUE(std::binary_search(lines.begin(), lines.end(), line))
-          << "lane " << lane << " uncovered";
+      want.insert(line_base(a, 128));
     }
+    EXPECT_EQ(lines, std::vector<Addr>(want.begin(), want.end()))
+        << "trial " << trial;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CoalescerPropertyTest,
                          ::testing::Values(1, 2, 3, 4));
+
+/// Every load and store of every suite kernel, for every warp of a spread
+/// of CTAs (first, second, middle, last and random ones) at several loop
+/// iterations, coalesces exactly as the reference does.
+TEST(CoalescerDifferentialTest, EverySuiteMemoryInstruction) {
+  Coalescer co(128);
+  std::vector<Addr> lines;
+  std::mt19937_64 rng(17);
+  u64 checked = 0;
+  for (const Workload& w : workload_suite()) {
+    const Kernel& k = w.kernel;
+    const u32 ctas = k.num_ctas();
+    const u32 warps = (k.threads_per_cta() + kWarpSize - 1) / kWarpSize;
+    std::vector<u32> cta_flats{0, ctas / 2, ctas - 1};
+    if (ctas > 1) cta_flats.push_back(1);
+    for (int i = 0; i < 4; ++i)
+      cta_flats.push_back(static_cast<u32>(rng() % ctas));
+    for (const Instruction& ins : k.instructions()) {
+      if (ins.op != Opcode::kMem) continue;
+      for (const u32 cf : cta_flats) {
+        const Dim3 cta = unflatten(cf, k.grid());
+        for (u32 warp = 0; warp < warps; ++warp) {
+          for (const u32 iter : {0u, 1u, 2u, 7u, 63u}) {
+            co.coalesce_into(ins.addr, k.block(), cta, cf, warp, iter, lines);
+            ASSERT_EQ(lines, reference_coalesce(ins.addr, k.block(), cta, cf,
+                                                warp, iter, 128))
+                << w.abbr << " pc " << ins.pc << " cta " << cf << " warp "
+                << warp << " iter " << iter;
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 10000u);
+}
+
+/// Synthetic patterns at the edges of the incremental walk: every block.x
+/// in 1..64 with y and z extents (row and plane wraps inside a warp),
+/// partial last warps, every indirect_group in 1..32 with and without a
+/// region, wrap_bytes crossings and negative coefficients.
+TEST(CoalescerDifferentialTest, SyntheticPatterns) {
+  std::mt19937_64 rng(23);
+  std::vector<Addr> lines;
+  u64 checked = 0;
+  const auto check = [&](const Coalescer& co, u32 line_size,
+                         const AddressPattern& p, const Dim3& block) {
+    const u32 warps = (block.count() + kWarpSize - 1) / kWarpSize;
+    for (int i = 0; i < 3; ++i) {
+      const Dim3 cta{static_cast<u32>(rng() % 64), static_cast<u32>(rng() % 8)};
+      const u32 cta_flat = static_cast<u32>(rng() % 4096);
+      const u32 iter = static_cast<u32>(rng() % 100);
+      for (u32 warp = 0; warp <= warps; ++warp) {  // one past: no lanes
+        co.coalesce_into(p, block, cta, cta_flat, warp, iter, lines);
+        ASSERT_EQ(lines, reference_coalesce(p, block, cta, cta_flat, warp,
+                                            iter, line_size))
+            << "block " << block.x << "x" << block.y << "x" << block.z
+            << " warp " << warp << " indirect " << p.indirect << " group "
+            << p.indirect_group;
+        ++checked;
+      }
+    }
+  };
+  const auto coef = [&](u64 range) {
+    return static_cast<i64>(rng() % (2 * range)) - static_cast<i64>(range);
+  };
+  for (const u32 line_size : {32u, 128u}) {
+    const Coalescer co(line_size);
+    for (u32 bx = 1; bx <= 64; ++bx) {
+      for (const Dim3 extent : {Dim3{1, 1, 1}, Dim3{1, 3, 1}, Dim3{1, 2, 3}}) {
+        const Dim3 block{bx, extent.y, extent.z};
+        AddressPattern p;
+        p.base = 0x1000'0000 + (rng() % 512) * 4;
+        p.c_tid_x = coef(16);  // negative strides included
+        p.c_tid_y = coef(8192);
+        p.c_cta_x = coef(4096);
+        p.c_cta_y = coef(65536);
+        p.c_iter = coef(2048);
+        check(co, line_size, p, block);
+        p.wrap_bytes = u64{1} << (7 + rng() % 6);  // 128 B..4 KiB: crossings
+        check(co, line_size, p, block);
+      }
+    }
+    for (u32 g = 1; g <= kWarpSize; ++g) {
+      for (const u64 region : {u64{0}, u64{1} << 20, u64{12345}}) {
+        AddressPattern p = indirect_pattern(0x5000'0000, region, rng());
+        p.indirect_group = g;
+        check(co, line_size, p, {1 + static_cast<u32>(rng() % 64), 1, 1});
+        check(co, line_size, p, {16, 3, 2});
+        check(co, line_size, p, {256, 1, 1});
+      }
+    }
+  }
+  EXPECT_GT(checked, 10000u);
+}
 
 // -------------------------------------------------------- CAPS property ---
 
