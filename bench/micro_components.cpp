@@ -52,7 +52,7 @@ void BM_MshrAllocateFill(benchmark::State& state) {
 BENCHMARK(BM_MshrAllocateFill);
 
 void BM_MshrProbeFull(benchmark::State& state) {
-  // A full L1 MSHR as probe_demand sees it under saturation: one lookup
+  // A full L1 MSHR as a demand load head sees it under saturation: one lookup
   // per probe, then a merge into the slot it returns (an entry at its merge
   // capacity is filled and re-allocated), and one probe in four misses
   // every live line and walks all of them.

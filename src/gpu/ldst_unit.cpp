@@ -36,7 +36,6 @@ void LdStUnit::push_demand(const L1Access& access) {
 
 void LdStUnit::pop_demand(Cycle now) {
   demand_q_.pop();
-  ++gen_;
   sm_.wake_issue(now);
 }
 
@@ -83,7 +82,6 @@ void LdStUnit::process_replies(Cycle now) {
     MemRequest reply;
     if (!mem_.pop_reply(sm_id_, now, reply)) break;
     mshr_.fill_into(reply.line, fill_scratch_);
-    ++gen_;
     const std::vector<L1Access>& waiters = fill_scratch_;
     CAPS_CHECK(!waiters.empty(), "MSHR fill returned no waiters");
     ++stats_.l1_fills;
@@ -165,115 +163,91 @@ LdStUnit::Wait LdStUnit::process_demand(Cycle now) {
   if (demand_q_.empty()) return Wait::kIdle;
   const L1Access access = demand_q_.front();
 
-  if (!access.is_load) {
-    // Write-through, no-allocate, non-blocking store.
-    if (!mem_.can_accept(access.line)) {
-      ++stats_.stall_xbar_full;
-      mem_.note_inject_stall();
-      return Wait::kCrossbar;  // head blocked; tag port stays free this cycle
+  // Accesses are counted once, when the head leaves (retries after a
+  // structural stall are not double counted). A probe that stalls changes
+  // nothing: a tag miss leaves LRU alone, and the MSHR is only read.
+  if (access.is_load) {
+    if (LineMeta* meta = l1_.access(access.line)) {
+      ++stats_.l1_accesses;
+      ++stats_.l1_hits;
+      if (meta->prefetched) {
+        ++stats_.pf_useful;
+        stats_.pf_distance.add(static_cast<double>(now - meta->pf_issue_cycle));
+        if (trace_ != nullptr)
+          (*trace_)({.kind = TraceKind::kPrefetchTimely, .sm_id = sm_id_,
+                     .cycle = now, .warp_slot = access.warp_slot,
+                     .pc = meta->pf_pc, .line = access.line,
+                     .issue_cycle = meta->pf_issue_cycle});
+        meta->prefetched = false;  // consumed
+      }
+      const Cycle ready_at = now + cfg_.l1_hit_latency;
+      // pop order is completion order only while ready cycles increase.
+      CAPS_CHECK(
+          completions_.empty() || completions_.back().ready_at < ready_at,
+          "L1 hit completions out of order");
+      completions_.push_back(Completion{ready_at, access});
+      pop_demand(now);
+      return Wait::kDone;
     }
-    MemRequest req;
-    req.line = access.line;
-    req.is_write = true;
-    req.sm_id = sm_id_;
-    req.created = now;
-    mem_.submit(req, now);
-    ++stats_.stores_to_mem;
-    pop_demand(now);
-    return Wait::kDone;
+    // Miss path. A demand that catches up with an in-flight prefetch merges
+    // like any other; late-useful accounting happens at fill time.
+    if (const u32 slot = mshr_.slot_of(access.line);
+        slot != Mshr<L1Access>::kNone) {
+      if (!mshr_.can_merge_at(slot)) {
+        ++stats_.stall_merge_full;
+        return Wait::kMerge;
+      }
+      ++stats_.l1_accesses;
+      ++stats_.l1_misses;
+      ++stats_.l1_mshr_merges;
+      mshr_.merge_at(slot, access);
+      pop_demand(now);
+      return Wait::kDone;
+    }
+    if (mshr_.full()) {
+      ++stats_.stall_mshr_full;
+      return Wait::kMshr;
+    }
   }
 
-  // A head probed at the current generation would probe the same way; only
-  // the crossbar can drain without a bump, so only it is checked again.
-  if (demand_gen_ != gen_) {
-    demand_wait_ = probe_demand(access, now);
-    if (demand_wait_ == Wait::kDone) return Wait::kDone;
-    demand_gen_ = gen_;
-  }
-  if (demand_wait_ == Wait::kMerge) {
-    ++stats_.stall_merge_full;
-    return Wait::kMerge;
-  }
-  if (demand_wait_ == Wait::kMshr) {
-    ++stats_.stall_mshr_full;
-    return Wait::kMshr;
-  }
+  // A store (write-through, no-allocate, non-blocking) or a primary miss.
   if (!mem_.can_accept(access.line)) {
     ++stats_.stall_xbar_full;
     mem_.note_inject_stall();
-    return Wait::kCrossbar;
+    return Wait::kCrossbar;  // head blocked; tag port stays free this cycle
   }
-  ++stats_.l1_accesses;
-  ++stats_.l1_misses;
-  ++stats_.demand_to_mem;
-  sm_.on_demand_miss(access.line, access.pc, access.warp_slot, now);
-  mshr_.allocate(access.line, access);
   MemRequest req;
   req.line = access.line;
   req.sm_id = sm_id_;
   req.created = now;
+  if (access.is_load) {
+    ++stats_.l1_accesses;
+    ++stats_.l1_misses;
+    ++stats_.demand_to_mem;
+    sm_.on_demand_miss(access.line, access.pc, access.warp_slot, now);
+    mshr_.allocate(access.line, access);
+  } else {
+    req.is_write = true;
+    ++stats_.stores_to_mem;
+  }
   mem_.submit(req, now);
   pop_demand(now);
   return Wait::kDone;
-}
-
-LdStUnit::Wait LdStUnit::probe_demand(const L1Access& access, Cycle now) {
-  // Accesses are counted once, when the probe completes (retries after a
-  // structural stall are not double counted).
-  if (LineMeta* meta = l1_.access(access.line)) {
-    ++stats_.l1_accesses;
-    ++stats_.l1_hits;
-    if (meta->prefetched) {
-      ++stats_.pf_useful;
-      stats_.pf_distance.add(static_cast<double>(now - meta->pf_issue_cycle));
-      if (trace_ != nullptr)
-        (*trace_)({.kind = TraceKind::kPrefetchTimely, .sm_id = sm_id_,
-                   .cycle = now, .warp_slot = access.warp_slot,
-                   .pc = meta->pf_pc, .line = access.line,
-                   .issue_cycle = meta->pf_issue_cycle});
-      meta->prefetched = false;  // consumed
-    }
-    const Cycle ready_at = now + cfg_.l1_hit_latency;
-    // pop order is completion order only while ready cycles increase.
-    CAPS_CHECK(completions_.empty() || completions_.back().ready_at < ready_at,
-               "L1 hit completions out of order");
-    completions_.push_back(Completion{ready_at, access});
-    pop_demand(now);
-    return Wait::kDone;
-  }
-  // Miss path. A demand that catches up with an in-flight prefetch merges
-  // like any other; late-useful accounting happens at fill time.
-  if (const u32 slot = mshr_.slot_of(access.line);
-      slot != Mshr<L1Access>::kNone) {
-    if (!mshr_.can_merge_at(slot)) return Wait::kMerge;
-    ++stats_.l1_accesses;
-    ++stats_.l1_misses;
-    ++stats_.l1_mshr_merges;
-    mshr_.merge_at(slot, access);
-    pop_demand(now);
-    return Wait::kDone;
-  }
-  return mshr_.full() ? Wait::kMshr : Wait::kCrossbar;
 }
 
 LdStUnit::Wait LdStUnit::process_prefetch(Cycle now) {
   if (prefetch_q_.empty()) return Wait::kIdle;
   const L1Access& head = prefetch_q_.front();
 
-  // A head probed at the current generation is still neither cached nor in
-  // flight.
-  if (prefetch_gen_ != gen_) {
-    if (l1_.contains(head.line)) {
-      ++stats_.pf_dropped_hit;
-      pop_prefetch();
-      return Wait::kDone;
-    }
-    if (mshr_.slot_of(head.line) != Mshr<L1Access>::kNone) {
-      ++stats_.pf_dropped_inflight;
-      pop_prefetch();
-      return Wait::kDone;
-    }
-    prefetch_gen_ = gen_;
+  if (l1_.contains(head.line)) {
+    ++stats_.pf_dropped_hit;
+    prefetch_q_.pop();
+    return Wait::kDone;
+  }
+  if (mshr_.slot_of(head.line) != Mshr<L1Access>::kNone) {
+    ++stats_.pf_dropped_inflight;
+    prefetch_q_.pop();
+    return Wait::kDone;
   }
   if (mshr_.full() || !mem_.can_accept(head.line)) {
     // Structural backpressure: keep the head and retry; newly generated
@@ -281,7 +255,7 @@ LdStUnit::Wait LdStUnit::process_prefetch(Cycle now) {
     ++stats_.pf_stall_structural;
     return mshr_.full() ? Wait::kMshr : Wait::kCrossbar;
   }
-  const L1Access access = pop_prefetch();
+  const L1Access access = prefetch_q_.pop();
   mshr_.allocate(access.line, access);
   MemRequest req;
   req.line = access.line;
@@ -320,10 +294,9 @@ void LdStUnit::cycle(Cycle now) {
 
 void LdStUnit::sleep(Cycle now, Wait demand, Wait prefetch) {
   // Every later tick would repeat this one's port outcome until a wake
-  // event: a blocked head re-probes only after a generation bump, which
-  // only a fill (a reply) or a pop (this unit's own progress) makes; the
-  // MSHR frees only on a fill; and room on a crossbar lane appears only
-  // through a pop. Replies and completions are checked by due() itself.
+  // event: the tags and the MSHR change only on a fill (a reply) or this
+  // unit's own progress, and room on a crossbar lane appears only through a
+  // pop. Replies and completions are checked by due() itself.
   wake_at_ = completions_.empty() ? kNever : completions_.front().ready_at;
   slept_from_ = now + 1;
   if (demand == Wait::kCrossbar) {

@@ -4,10 +4,10 @@
 // prefetch requests use the port only when no demand is waiting (lower
 // priority, Section V). Misses allocate/merge MSHR entries and go to the
 // memory system; MSHR-full or crossbar-full block the queue head, which is
-// what produces the whole-SM bursty stalls the paper measures. A blocked
-// head is not re-probed until something it depends on changes, and a unit
-// whose port only stalled is not ticked again until an event can change
-// that (DESIGN.md §13, "Exact skips" and "Stall-only sleep").
+// what produces the whole-SM bursty stalls the paper measures. A unit whose
+// port only stalled is not ticked again until an event can change that, and
+// a woken head is simply probed again: a probe that does not retire its head
+// changes nothing (DESIGN.md §13, "Stall-only sleep").
 //
 // Load completions, eager wake-ups, demand misses and demand-queue pops are
 // reported straight to the owning SM (on_load_done / on_prefetch_fill /
@@ -84,7 +84,6 @@ class LdStUnit {
   void process_replies(Cycle now);
   void process_completions(Cycle now);
   Wait process_demand(Cycle now);
-  Wait probe_demand(const L1Access& access, Cycle now);
   Wait process_prefetch(Cycle now);
   /// Put the unit to sleep after a tick whose port found `demand` and
   /// `prefetch` blocked or idle.
@@ -92,10 +91,6 @@ class LdStUnit {
   void complete_load(const L1Access& access, Cycle now);
   /// Every pop changes the room the SM's issue stage sees.
   void pop_demand(Cycle now);
-  L1Access pop_prefetch() {
-    ++gen_;
-    return prefetch_q_.pop();
-  }
 
   const GpuConfig& cfg_;
   StreamingMultiprocessor& sm_;
@@ -119,15 +114,6 @@ class LdStUnit {
   FlatDeque<Completion> completions_;
 
   const TraceSink* trace_;
-
-  /// Bumped by every L1 fill and every queue pop: whatever a head's probe
-  /// reads of the L1 and the MSHR changes only there (every MSHR allocation
-  /// and merge pops its queue). A head probed at the current generation is
-  /// not probed again.
-  u64 gen_ = 0;
-  u64 demand_gen_ = ~u64{0};  ///< generation demand_wait_ was probed at
-  Wait demand_wait_ = Wait::kDone;
-  u64 prefetch_gen_ = ~u64{0};  ///< generation the prefetch head was probed at
 
   // Stall-only sleep. Awake, wake_at_ is 0.
   Cycle wake_at_ = 0;       ///< the next L1-hit completion

@@ -19,7 +19,9 @@ struct DramStats {
   u64 row_hits = 0;
   u64 row_misses = 0;
   u64 busy_cycles = 0;      ///< cycles with at least one queued request
-  u64 queue_full_stalls = 0;
+  /// Never written (the L2's stall_dram_full is the count); kept while
+  /// stats_signature and perfbench read it. ROADMAP item 1 removes it.
+  u64 queue_full_stalls = 0;  // capsim-lint: allow(dead-counter)
 
   /// Counter registry (see stats.hpp): every u64 field above must be listed.
   template <typename F>

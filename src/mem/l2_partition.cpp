@@ -59,17 +59,46 @@ void L2Partition::cycle(Cycle now) {
 u64 L2Stats::*L2Partition::probe_head(Cycle now) {
   const MemRequest& req = probe_queue_.front().req;
 
-  // A head probed at the current generation would probe the same way; only
-  // the DRAM queue can drain without a bump, so only it is checked again.
-  if (head_gen_ != gen_) {
-    head_wait_ = probe(req);
-    if (head_wait_ == Wait::kDone) return nullptr;
-    head_gen_ = gen_;
-  }
-  if (head_wait_ == Wait::kMshr) {
+  // A probe that stalls changes nothing: a tag miss leaves LRU alone, and
+  // the MSHR is only read.
+  if (req.is_write) {
+    // Write-back, write-allocate. GPU stores are warp-coalesced full-line
+    // writes, so allocation needs no fill from DRAM; a dirty eviction may
+    // need a write-back slot in the DRAM queue. Worst case the allocation
+    // evicts a dirty line, so a miss waits for a queue slot up front to
+    // keep the state machine single-step.
+    if (LineMeta* meta = cache_.access(req.line)) {  // a hit refreshes LRU
+      ++stats_.accesses;
+      ++stats_.hits;
+      meta->dirty = true;
+      probe_queue_.pop();
+      return nullptr;
+    }
+  } else if (const u32 slot = mshr_.slot_of(req.line);
+             slot != Mshr<MemRequest>::kNone) {
+    // Secondary miss: merge if capacity allows.
+    if (!mshr_.can_merge_at(slot)) {
+      ++stats_.stall_mshr_full;
+      return &L2Stats::stall_mshr_full;
+    }
+    ++stats_.accesses;
+    ++stats_.misses;
+    ++stats_.mshr_merges;
+    mshr_.merge_at(slot, req);
+    probe_queue_.pop();
+    return nullptr;
+  } else if (cache_.access(req.line) != nullptr) {
+    ++stats_.accesses;
+    ++stats_.hits;
+    replies_.push_back(req);
+    probe_queue_.pop();
+    return nullptr;
+  } else if (mshr_.full()) {
+    // A primary miss needs an MSHR entry and DRAM queue space.
     ++stats_.stall_mshr_full;
     return &L2Stats::stall_mshr_full;
   }
+
   if (!channel_.can_accept()) {
     ++stats_.stall_dram_full;
     return &L2Stats::stall_dram_full;
@@ -95,49 +124,8 @@ u64 L2Stats::*L2Partition::probe_head(Cycle now) {
     to_dram.created = now;
     channel_.submit(to_dram);
   }
-  pop_probe();
+  probe_queue_.pop();
   return nullptr;
-}
-
-L2Partition::Wait L2Partition::probe(const MemRequest& req) {
-  if (req.is_write) {
-    // Write-back, write-allocate. GPU stores are warp-coalesced full-line
-    // writes, so allocation needs no fill from DRAM; a dirty eviction may
-    // need a write-back slot in the DRAM queue. Worst case the allocation
-    // evicts a dirty line, so a miss waits for a queue slot up front to
-    // keep the state machine single-step.
-    LineMeta* meta = cache_.access(req.line);  // a hit refreshes LRU
-    if (meta == nullptr) return Wait::kDram;
-    ++stats_.accesses;
-    ++stats_.hits;
-    meta->dirty = true;
-    pop_probe();
-    return Wait::kDone;
-  }
-
-  // Read path.
-  if (const u32 slot = mshr_.slot_of(req.line);
-      slot != Mshr<MemRequest>::kNone) {
-    // Secondary miss: merge if capacity allows.
-    if (!mshr_.can_merge_at(slot)) return Wait::kMshr;
-    ++stats_.accesses;
-    ++stats_.misses;
-    ++stats_.mshr_merges;
-    mshr_.merge_at(slot, req);
-    pop_probe();
-    return Wait::kDone;
-  }
-
-  if (cache_.access(req.line) != nullptr) {
-    ++stats_.accesses;
-    ++stats_.hits;
-    replies_.push_back(req);
-    pop_probe();
-    return Wait::kDone;
-  }
-
-  // Primary miss: needs an MSHR entry and DRAM queue space.
-  return mshr_.full() ? Wait::kMshr : Wait::kDram;
 }
 
 void L2Partition::dram_done(const MemRequest& req, Cycle now) {
@@ -157,7 +145,6 @@ void L2Partition::dram_done(const MemRequest& req, Cycle now) {
     ++stats_.writebacks;
   }
   mshr_.fill_into(req.line, fill_scratch_);
-  ++gen_;
   for (MemRequest& waiter : fill_scratch_) replies_.push_back(waiter);
 }
 

@@ -1,6 +1,9 @@
 // One L2 cache partition: a slice of the shared L2 plus its MSHR and the
 // queues toward its DRAM channel. Partitions are address-interleaved at
-// line granularity.
+// line granularity. A partition whose probe head only stalled is not ticked
+// again until an event can change that, and a woken head is simply probed
+// again: a probe that does not retire its head changes nothing (DESIGN.md
+// §13, "Stall-only sleep").
 #pragma once
 
 #include <memory>
@@ -101,19 +104,10 @@ class L2Partition {
     MemRequest req;
   };
 
-  /// What a probed head waits for; kDram is a miss that has everything but
-  /// a DRAM queue slot, and kDone a head the probe retired.
-  enum class Wait : u8 { kDone, kMshr, kDram };
-
-  Wait probe(const MemRequest& req);
   /// The tag probe of a ready head; returns the stall counter it bumped, or
   /// null when the head retired or issued.
   u64 L2Stats::*probe_head(Cycle now);
   void drain_writebacks();
-  void pop_probe() {
-    probe_queue_.pop();
-    ++gen_;
-  }
 
   const GpuConfig& cfg_;
   DramChannel& channel_;
@@ -124,13 +118,6 @@ class L2Partition {
   FlatDeque<MemRequest> pending_writebacks_;  ///< dirty evictions awaiting DRAM
   std::vector<MemRequest> fill_scratch_;      ///< reused by dram_done()
   L2Stats stats_;
-
-  /// Bumped by every DRAM fill and every probe-queue pop: whatever the
-  /// head's probe reads of the cache and the MSHR changes only there. A head
-  /// probed at the current generation is not probed again (DESIGN.md §13).
-  u64 gen_ = 0;
-  u64 head_gen_ = ~u64{0};  ///< generation head_wait_ was probed at
-  Wait head_wait_ = Wait::kDone;
 
   // Stall-only sleep. Awake, wake_at_ is 0.
   Cycle wake_at_ = 0;

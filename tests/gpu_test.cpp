@@ -792,7 +792,7 @@ TEST(SmWaitTest, WarpsReleasedFromABarrierWaitForLoadsIssuedBeforeIt) {
   }
 }
 
-// ------------------------------------------- LD/ST blocked-head memo -----
+// ------------------------------------------------ LD/ST blocked heads -----
 
 /// One LD/ST unit driven cycle by cycle against a real memory system, and
 /// ticked, as its SM does, only when it is due. Its SM never cycles: it only
@@ -961,6 +961,66 @@ TEST(LdStMemoTest, PrefetchHeadBlockedOnTheMshrIssuesOnTheFillCycle) {
   const Cycle fill = r.tick_until([&] { return r.stats.l1_fills == 1; });
   EXPECT_EQ(r.stats.pf_issued_to_mem, 1u);
   EXPECT_EQ(r.stats.pf_stall_structural, fill - 1);
+}
+
+TEST(LdStMemoTest, ReprobingAnMshrFullHeadEveryCycleChangesNothing) {
+  // A load head blocked on the only MSHR entry is probed again on every
+  // cycle it is woken. Here a prefetch of its own line wakes the unit each
+  // cycle: the first waits behind the full MSHR too, and each later one is
+  // deduplicated against it. Each probe counts one stall and nothing else,
+  // and the head's fill evicts the line it evicts without the wakes.
+  // Lines kSet * i all map to L1 set 0.
+  constexpr Addr kSet = 0x1000;
+  struct Outcome {
+    std::vector<bool> resident;  ///< lines 0 .. 5 * kSet after the fill
+    SmStats stats;
+  };
+  const auto run = [&](bool wake) {
+    GpuConfig cfg = tiny_gpu();
+    cfg.l1d.mshr_entries = 1;
+    cfg.l1d.mshr_max_merged = 1;
+    LdStRig r(cfg);
+    for (Addr i = 0; i < 4; ++i) r.load(kSet * i);  // fill the 4-way set
+    r.tick_until([&] { return r.stats.l1_fills == 4; });
+    r.load(0);  // a hit: line 0 becomes the most recently used
+    r.tick_until([&] { return r.ldst.idle(); });
+    r.load(4 * kSet);  // takes the only entry; its fill evicts line kSet
+    r.load(5 * kSet);  // blocked until that fill
+    r.tick();
+    r.tick();
+    const SmStats blocked = r.read();
+    EXPECT_EQ(blocked.demand_to_mem, 5u);
+    u64 cycles = 0;
+    while (r.now < 100'000) {
+      if (wake) r.prefetch(5 * kSet);
+      const u32 ticks = r.ticks;
+      r.tick();
+      if (r.stats.l1_fills != 4) break;
+      ++cycles;
+      EXPECT_EQ(r.ticks, ticks + (wake ? 1 : 0));
+      const SmStats s = r.read();
+      EXPECT_EQ(s.stall_mshr_full, blocked.stall_mshr_full + cycles);
+      EXPECT_EQ(s.l1_accesses, blocked.l1_accesses);
+      EXPECT_EQ(s.l1_misses, blocked.l1_misses);
+    }
+    EXPECT_GT(cycles, 100u);
+    EXPECT_EQ(r.stats.demand_to_mem, 6u);  // the head left on the fill cycle
+    r.tick_until([&] { return r.stats.l1_fills == 6; });
+    Outcome o;
+    for (Addr i = 0; i <= 5; ++i)
+      o.resident.push_back(r.ldst.l1().contains(i * kSet));
+    o.stats = r.read();
+    return o;
+  };
+  const Outcome woken = run(true);
+  const Outcome slept = run(false);
+  EXPECT_EQ(woken.resident,
+            (std::vector<bool>{true, false, false, true, true, true}));
+  EXPECT_EQ(woken.resident, slept.resident);
+  EXPECT_EQ(woken.stats.stall_mshr_full, slept.stats.stall_mshr_full);
+  EXPECT_EQ(woken.stats.l1_accesses, slept.stats.l1_accesses);
+  EXPECT_EQ(woken.stats.l1_misses, slept.stats.l1_misses);
+  EXPECT_GT(woken.stats.pf_dropped_inflight, 100u);
 }
 
 // -------------------------------------------- LD/ST stall-only sleep -----

@@ -646,7 +646,7 @@ TEST_F(DramTest, PickAtOrAfterNextPickAtNeverFindsNothing) {
   }
 }
 
-// ------------------------------------------------ L2 blocked-head memo -----
+// --------------------------------------------------- L2 blocked heads -----
 
 /// One L2 partition and its DRAM channel, driven in MemorySystem::cycle
 /// order: the partition is ticked only when it is due.
@@ -673,6 +673,7 @@ struct L2Rig {
     if (dram) {
       MemRequest done;
       while (ch.pop_done(now, done)) {
+        if (done.is_write) written_back.push_back(done.line);
         l2.dram_done(done, now);
         ++fills;
       }
@@ -703,6 +704,7 @@ struct L2Rig {
   L2Partition l2;
   Cycle now = 0;
   u32 fills = 0;
+  std::vector<Addr> written_back;  ///< lines of completed DRAM writes
   u32 ticks = 0;  ///< cycles the partition was due
 };
 
@@ -764,6 +766,59 @@ TEST(L2MemoTest, NewHeadAfterAPopIsProbedFresh) {
   EXPECT_EQ(r.stats().misses, 2u);
   EXPECT_EQ(r.stats().mshr_merges, 1u);
   EXPECT_EQ(r.l2.mshr_size(), 1u);
+}
+
+TEST(L2MemoTest, ReprobingADramFullWriteHeadEveryCycleChangesNothing) {
+  // A write-miss head blocked on the full DRAM queue is probed again on
+  // every cycle an accept wakes the partition. Each probe counts one stall
+  // and nothing else, and the line its allocation evicts is the one it
+  // evicts without the wakes.
+  struct Outcome {
+    Addr victim;
+    L2Stats stats;
+  };
+  const auto run = [](bool wake) {
+    GpuConfig cfg;
+    cfg.dram_queue_size = 1;
+    cfg.l2.miss_queue_size = 64;  // room for an accept on every blocked cycle
+    L2Rig r(cfg);
+    // Lines set * i all map to set 0.
+    const Addr set = Addr{cfg.l2.num_sets()} * cfg.l2.line_size;
+    for (u32 i = 0; i < cfg.l2.assoc; ++i) r.write(set * i);  // dirty lines
+    r.write(0);     // a hit: line 0 becomes the most recently used
+    r.read(0x80);   // takes the only DRAM queue slot, which stays frozen
+    r.write(set * cfg.l2.assoc);  // the head; it evicts line `set`
+    while (r.stats().stall_dram_full == 0 && r.now < 1000) r.tick(false);
+    const L2Stats blocked = r.stats();
+    EXPECT_EQ(blocked.stall_dram_full, 1u);
+    Addr behind = 0x80;
+    for (u64 stalls = 2; stalls <= 40; ++stalls) {
+      if (wake) r.read(behind += set);  // queued behind the head, in set 1
+      const u32 ticks = r.ticks;
+      r.tick(false);
+      EXPECT_EQ(r.ticks, ticks + (wake ? 1 : 0));
+      const L2Stats s = r.stats();
+      EXPECT_EQ(s.stall_dram_full, stalls);
+      EXPECT_EQ(s.accesses, blocked.accesses);
+      EXPECT_EQ(s.hits, blocked.hits);
+      EXPECT_EQ(s.misses, blocked.misses);
+    }
+    const u64 misses = blocked.misses;
+    r.tick_until([&] { return r.stats().misses == misses + 1; });
+    Outcome o{.victim = 0, .stats = r.stats()};
+    r.tick_until([&] { return !r.written_back.empty(); });
+    o.victim = r.written_back.front();
+    return o;
+  };
+  const Outcome woken = run(true);
+  const Outcome slept = run(false);
+  GpuConfig cfg;
+  EXPECT_EQ(woken.victim, Addr{cfg.l2.num_sets()} * cfg.l2.line_size);
+  EXPECT_EQ(woken.victim, slept.victim);
+  EXPECT_EQ(woken.stats.stall_dram_full, slept.stats.stall_dram_full);
+  EXPECT_EQ(woken.stats.accesses, slept.stats.accesses);
+  EXPECT_EQ(woken.stats.writebacks, 1u);
+  EXPECT_EQ(slept.stats.writebacks, 1u);
 }
 
 // ------------------------------------------------ L2 stall-only sleep -----
@@ -961,7 +1016,8 @@ TEST(MemorySystemTest, RepliesWaitForRoomInTheReplyCrossbar) {
     MemRequest req;
     req.line = static_cast<Addr>(i) * cfg.partition_chunk_bytes *
                cfg.num_l2_partitions;
-    while (!mem.can_accept(req.line)) mem.cycle(t++);
+    while (!mem.can_accept(req.line) && t < 100'000) mem.cycle(t++);
+    ASSERT_TRUE(mem.can_accept(req.line)) << "request crossbar never drained";
     mem.submit(req, t);
     sent.insert(req.line);
   }
@@ -1007,7 +1063,8 @@ TEST(MemorySystemTest, DirtyLinesWriteBackOnEviction) {
     MemRequest wr;
     wr.line = line;
     wr.is_write = true;
-    while (!mem.can_accept(line)) mem.cycle(t++);
+    while (!mem.can_accept(line) && t < 100'000) mem.cycle(t++);
+    ASSERT_TRUE(mem.can_accept(line)) << "request crossbar never drained";
     mem.submit(wr, t);
     mem.cycle(t++);
   }

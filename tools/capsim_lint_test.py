@@ -62,6 +62,23 @@ class BadFixtureTest(unittest.TestCase):
             self.out)
         self.assertEqual(len(hits), 3, self.out)
 
+    def test_dead_counter(self):
+        hits = self.findings("dead-counter")
+        # Never named outside the struct, or named only in a comment and a
+        # string; PartialStats::listed, registered and unused, is dead too.
+        self.assertTrue(
+            any("stats_dead.hpp:11" in h and "DeadStats::never_written" in h
+                for h in hits), self.out)
+        self.assertTrue(
+            any("stats_dead.hpp:12" in h and "DeadStats::only_in_comment" in h
+                for h in hits), self.out)
+        self.assertTrue(
+            any("PartialStats::listed" in h for h in hits), self.out)
+        # A counter written in another file is live.
+        self.assertFalse(
+            any("DeadStats::written " in h for h in hits), self.out)
+        self.assertEqual(len(hits), 3, self.out)
+
     def test_include_cpp(self):
         hits = self.findings("include-cpp")
         self.assertEqual(len(hits), 1, self.out)

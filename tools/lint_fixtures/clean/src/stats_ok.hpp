@@ -1,4 +1,5 @@
-// Fixture: a fully registered stats struct -> zero findings. Never compiled.
+// Fixture: a fully registered stats struct whose counters stats_user.cpp
+// writes, plus one suppressed dead counter -> zero findings. Never compiled.
 #pragma once
 
 #include "common/types.hpp"
@@ -9,12 +10,15 @@ struct RegisteredStats {
   u64 hits = 0;
   u64 misses = 0;
   Cycle busy_cycles = 0;
+  /// Kept for a reader outside src/.
+  u64 reserved = 0;  // capsim-lint: allow(dead-counter)
 
   template <typename F>
   static void for_each_counter_member(F&& f) {
     f("hits", &RegisteredStats::hits);
     f("misses", &RegisteredStats::misses);
     f("busy_cycles", &RegisteredStats::busy_cycles);
+    f("reserved", &RegisteredStats::reserved);
   }
 
   template <typename F>
