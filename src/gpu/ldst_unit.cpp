@@ -30,8 +30,8 @@ LdStUnit::LdStUnit(const GpuConfig& cfg, StreamingMultiprocessor& sm,
 
 void LdStUnit::push_demand(const L1Access& access) {
   CAPS_CHECK(can_accept(1), "LD/ST demand queue overflow");
+  if (demand_q_.empty()) wake_at_ = 0;
   demand_q_.push(access);
-  wake_at_ = 0;
 }
 
 void LdStUnit::pop_demand(Cycle now) {
@@ -41,7 +41,7 @@ void LdStUnit::pop_demand(Cycle now) {
 
 void LdStUnit::push_prefetches(const std::vector<PrefetchRequest>& reqs,
                                Cycle now) {
-  wake_at_ = 0;
+  if (prefetch_q_.empty()) wake_at_ = 0;
   for (const PrefetchRequest& r : reqs) {
     ++stats_.pf_generated;
     if (prefetch_q_.full()) {
@@ -293,10 +293,10 @@ void LdStUnit::cycle(Cycle now) {
 }
 
 void LdStUnit::sleep(Cycle now, Wait demand, Wait prefetch) {
-  // Every later tick would repeat this one's port outcome until a wake
-  // event: the tags and the MSHR change only on a fill (a reply) or this
-  // unit's own progress, and room on a crossbar lane appears only through a
-  // pop. Replies and completions are checked by due() itself.
+  // Every later tick would repeat this one's port outcome until due() sees
+  // what a head waits for: the tags and the MSHR change only on a fill (a
+  // reply) or this unit's own progress, a push behind a head changes
+  // neither head, and a blocked head moves once its lane has room.
   wake_at_ = completions_.empty() ? kNever : completions_.front().ready_at;
   slept_from_ = now + 1;
   if (demand == Wait::kCrossbar) {
@@ -318,8 +318,6 @@ void LdStUnit::sleep(Cycle now, Wait demand, Wait prefetch) {
     lanes_[1] = prefetch == Wait::kCrossbar
                     ? mem_.partition_of(prefetch_q_.front().line)
                     : lanes_[0];
-    lane_pops_[0] = mem_.request_pops(lanes_[0]);
-    lane_pops_[1] = mem_.request_pops(lanes_[1]);
   }
 }
 

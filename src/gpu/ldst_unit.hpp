@@ -5,9 +5,9 @@
 // priority, Section V). Misses allocate/merge MSHR entries and go to the
 // memory system; MSHR-full or crossbar-full block the queue head, which is
 // what produces the whole-SM bursty stalls the paper measures. A unit whose
-// port only stalled is not ticked again until an event can change that, and
-// a woken head is simply probed again: a probe that does not retire its head
-// changes nothing (DESIGN.md §13, "Stall-only sleep").
+// port only stalled is not ticked again until what a head waits for is
+// there, and a woken head is simply probed again: a probe that does not
+// retire its head changes nothing (DESIGN.md §13, "Stall-only sleep").
 //
 // Load completions, eager wake-ups, demand misses and demand-queue pops are
 // reported straight to the owning SM (on_load_done / on_prefetch_fill /
@@ -51,14 +51,14 @@ class LdStUnit {
 
   /// Whether cycle(now) can do more than repeat the stall counts of the
   /// last tick. A tick whose L1 port neither moved the demand head nor the
-  /// prefetch head puts the unit to sleep until an event it names: a reply
-  /// at the head of its reply-crossbar lane, the next L1-hit completion
-  /// falling due, a push, or a pop on a request-crossbar lane a blocked
-  /// head waits on.
+  /// prefetch head puts the unit to sleep until what a head waits for is
+  /// there: a reply at the head of its reply-crossbar lane, the next L1-hit
+  /// completion falling due, a push into an empty queue, or room on the
+  /// request-crossbar lane a blocked head waits on.
   bool due(Cycle now) const {
     return now >= wake_at_ || mem_.reply_arrived(sm_id_, now) ||
-           (lane_wait_ && (mem_.request_pops(lanes_[0]) != lane_pops_[0] ||
-                           mem_.request_pops(lanes_[1]) != lane_pops_[1]));
+           (lane_wait_ && (mem_.lane_can_accept(lanes_[0]) ||
+                           mem_.lane_can_accept(lanes_[1])));
   }
 
   /// Advance one cycle: count the stalls of the cycles slept since the last
@@ -117,9 +117,8 @@ class LdStUnit {
 
   // Stall-only sleep. Awake, wake_at_ is 0.
   Cycle wake_at_ = 0;       ///< the next L1-hit completion
-  bool lane_wait_ = false;  ///< also wake when lanes_ pop
+  bool lane_wait_ = false;  ///< also wake when lanes_ have room
   u32 lanes_[2] = {0, 0};   ///< lanes of the demand and prefetch heads
-  u64 lane_pops_[2] = {0, 0};
   Cycle slept_from_ = 0;    ///< first cycle slept through
   u64 SmStats::*demand_stall_ = nullptr;  ///< counted once per slept cycle
   bool prefetch_stall_ = false;  ///< pf_stall_structural, once per slept cycle

@@ -69,10 +69,6 @@ class DramChannel {
     if (now >= next_pick_at_) issue(now);
   }
 
-  /// Commands issued so far. Room in the queue appears only through an
-  /// issue, so a partition waiting for a slot sleeps until this moves.
-  u64 commands() const { return stats_.reads + stats_.writes; }
-
   bool idle() const { return queue_.empty() && in_service_.empty(); }
   const DramStats& stats() const { return stats_; }
 

@@ -7,8 +7,7 @@ namespace caps {
 Crossbar::Crossbar(u32 num_dests, u32 latency, u32 queue_capacity)
     : latency_(latency),
       queue_capacity_(queue_capacity),
-      queues_(num_dests),
-      pops_(num_dests, 0) {
+      queues_(num_dests) {
   // Pre-size every lane to the structural limit so steady-state message
   // traffic never touches the heap (DESIGN.md §13).
   for (auto& q : queues_) q.reserve(queue_capacity_);
@@ -27,7 +26,6 @@ void Crossbar::take(u32 dest, Cycle now, MemRequest& out) {
   stats_.total_queue_delay += now - q.front().ready_at;
   out = q.front().req;
   q.pop_front();
-  ++pops_[dest];
 }
 
 bool Crossbar::idle() const {

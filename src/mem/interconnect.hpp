@@ -41,6 +41,8 @@ class Crossbar {
  public:
   Crossbar(u32 num_dests, u32 latency, u32 queue_capacity);
 
+  /// Room toward `dest`: a pop makes it and a push takes it, so a sender
+  /// blocked on a full lane waits for this to hold (DESIGN.md §13).
   bool can_accept(u32 dest) const {
     return queues_[dest].size() < queue_capacity_;
   }
@@ -63,10 +65,6 @@ class Crossbar {
     return !q.empty() && q.front().ready_at <= now;
   }
 
-  /// Messages popped from `dest` so far. Room toward `dest` appears only
-  /// through a pop, so a sender blocked on a full lane waits for this to move.
-  u64 pops(u32 dest) const { return pops_[dest]; }
-
   bool idle() const;
   const XbarStats& stats() const { return stats_; }
 
@@ -85,7 +83,6 @@ class Crossbar {
   u32 latency_;
   std::size_t queue_capacity_;
   std::vector<FlatDeque<InFlight>> queues_;
-  std::vector<u64> pops_;  ///< per destination
   XbarStats stats_;
 };
 

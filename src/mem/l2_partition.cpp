@@ -19,8 +19,8 @@ L2Partition::L2Partition(const GpuConfig& cfg, DramChannel& channel)
 }
 
 void L2Partition::accept(const MemRequest& req, Cycle now) {
+  if (probe_queue_.empty()) wake_at_ = 0;
   probe_queue_.push(Staged{now + cfg_.l2_latency, req});
-  wake_at_ = 0;
 }
 
 void L2Partition::cycle(Cycle now) {
@@ -44,14 +44,14 @@ void L2Partition::cycle(Cycle now) {
       if (stall == nullptr) return;  // the head retired or issued
     }
   }
-  // Every later cycle would repeat this one until a wake event: the head,
-  // the tags, the MSHR and the write-backs change only through accept(),
-  // dram_done() and the head's own progress, and room in the channel's
-  // queue appears only through an issue.
+  // Every later cycle would repeat this one until due() sees what the
+  // partition waits for: the head, the tags, the MSHR and the write-backs
+  // change only through an accept() into an empty queue, dram_done() and
+  // the head's own progress, and a DRAM-bound head or write-back moves once
+  // the channel has room.
   wake_at_ = wake_at;
   channel_wait_ =
       stall == &L2Stats::stall_dram_full || !pending_writebacks_.empty();
-  channel_commands_ = channel_.commands();
   slept_from_ = now + 1;
   sleep_stall_ = stall;
 }

@@ -1,9 +1,9 @@
 // One L2 cache partition: a slice of the shared L2 plus its MSHR and the
 // queues toward its DRAM channel. Partitions are address-interleaved at
 // line granularity. A partition whose probe head only stalled is not ticked
-// again until an event can change that, and a woken head is simply probed
-// again: a probe that does not retire its head changes nothing (DESIGN.md
-// §13, "Stall-only sleep").
+// again until what the head waits for is there, and a woken head is simply
+// probed again: a probe that does not retire its head changes nothing
+// (DESIGN.md §13, "Stall-only sleep").
 #pragma once
 
 #include <memory>
@@ -62,12 +62,12 @@ class L2Partition {
 
   /// Whether cycle(now) can do more than repeat the stall counts of the
   /// last tick. A tick whose probe step neither retired nor issued anything
-  /// puts the partition to sleep until an event it names: accept(),
-  /// dram_done(), the probe head's ready_at, or a command issued by its DRAM
-  /// channel (DESIGN.md §13, "Stall-only sleep").
+  /// puts the partition to sleep until what it waits for is there: an
+  /// accept() into an empty probe queue, dram_done() of a read, the probe
+  /// head's ready_at, or room in its DRAM channel's queue (DESIGN.md §13,
+  /// "Stall-only sleep").
   bool due(Cycle now) const {
-    return now >= wake_at_ ||
-           (channel_wait_ && channel_.commands() != channel_commands_);
+    return now >= wake_at_ || (channel_wait_ && channel_.can_accept());
   }
 
   /// Advance one core cycle: push deferred dirty write-backs into the DRAM
@@ -121,8 +121,7 @@ class L2Partition {
 
   // Stall-only sleep. Awake, wake_at_ is 0.
   Cycle wake_at_ = 0;
-  bool channel_wait_ = false;  ///< also wake when the channel issues
-  u64 channel_commands_ = 0;   ///< channel_.commands() when put to sleep
+  bool channel_wait_ = false;  ///< also wake when the channel has room
   Cycle slept_from_ = 0;       ///< first cycle slept through
   u64 L2Stats::*sleep_stall_ = nullptr;  ///< counted once per slept cycle
 };

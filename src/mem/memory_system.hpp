@@ -76,8 +76,10 @@ class MemorySystem {
     req_xbar_.note_inject_stalls(now - from);
   }
 
-  /// Request-crossbar pops toward `partition` (see Crossbar::pops).
-  u64 request_pops(u32 partition) const { return req_xbar_.pops(partition); }
+  /// Whether the request-crossbar lane toward `partition` has room now.
+  bool lane_can_accept(u32 partition) const {
+    return req_xbar_.can_accept(partition);
+  }
   /// Whether a reply for SM `sm_id` has arrived by `now`.
   bool reply_arrived(u32 sm_id, Cycle now) const {
     return reply_xbar_.arrived(sm_id, now);

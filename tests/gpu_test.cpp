@@ -965,10 +965,11 @@ TEST(LdStMemoTest, PrefetchHeadBlockedOnTheMshrIssuesOnTheFillCycle) {
 
 TEST(LdStMemoTest, ReprobingAnMshrFullHeadEveryCycleChangesNothing) {
   // A load head blocked on the only MSHR entry is probed again on every
-  // cycle it is woken. Here a prefetch of its own line wakes the unit each
-  // cycle: the first waits behind the full MSHR too, and each later one is
-  // deduplicated against it. Each probe counts one stall and nothing else,
-  // and the head's fill evicts the line it evicts without the wakes.
+  // cycle it is woken. Here a prefetch of a resident line wakes the unit
+  // each cycle: it lands in the empty prefetch queue, and the same tick
+  // drops it as a hit without touching LRU. Each probe counts one stall and
+  // nothing else, and the head's fill evicts the line it evicts without the
+  // wakes.
   // Lines kSet * i all map to L1 set 0.
   constexpr Addr kSet = 0x1000;
   struct Outcome {
@@ -992,7 +993,7 @@ TEST(LdStMemoTest, ReprobingAnMshrFullHeadEveryCycleChangesNothing) {
     EXPECT_EQ(blocked.demand_to_mem, 5u);
     u64 cycles = 0;
     while (r.now < 100'000) {
-      if (wake) r.prefetch(5 * kSet);
+      if (wake) r.prefetch(3 * kSet);
       const u32 ticks = r.ticks;
       r.tick();
       if (r.stats.l1_fills != 4) break;
@@ -1020,7 +1021,7 @@ TEST(LdStMemoTest, ReprobingAnMshrFullHeadEveryCycleChangesNothing) {
   EXPECT_EQ(woken.stats.stall_mshr_full, slept.stats.stall_mshr_full);
   EXPECT_EQ(woken.stats.l1_accesses, slept.stats.l1_accesses);
   EXPECT_EQ(woken.stats.l1_misses, slept.stats.l1_misses);
-  EXPECT_GT(woken.stats.pf_dropped_inflight, 100u);
+  EXPECT_GT(woken.stats.pf_dropped_hit, 100u);
 }
 
 // -------------------------------------------- LD/ST stall-only sleep -----
@@ -1114,14 +1115,13 @@ TEST(LdStSleepTest, PushPrefetchesWakesTheUnit) {
   EXPECT_EQ(r.stats.stall_xbar_full, 11u);
 }
 
-TEST(LdStSleepTest, DemandLanePopWakesACrossbarBlockedHead) {
+TEST(LdStSleepTest, DemandLaneRoomWakesACrossbarBlockedHead) {
   LdStRig r(tiny_gpu());
   r.fill_xbar(LdStRig::kA);
   r.load(LdStRig::kA);
   r.tick();
   const u32 ticks = r.ticks;
-  const u64 pops = r.mem.request_pops(0);
-  while (r.mem.request_pops(0) == pops && r.now < 100'000) {
+  while (!r.mem.lane_can_accept(0) && r.now < 100'000) {
     r.tick();
     EXPECT_EQ(r.read().stall_xbar_full, r.now);
     EXPECT_EQ(r.mem.request_xbar_stats().inject_stalls, r.now);
@@ -1135,11 +1135,11 @@ TEST(LdStSleepTest, DemandLanePopWakesACrossbarBlockedHead) {
   EXPECT_EQ(r.mem.request_xbar_stats().inject_stalls, r.now - 1);
 }
 
-TEST(LdStSleepTest, PrefetchLanePopWakesACrossbarBlockedPrefetchHead) {
+TEST(LdStSleepTest, PrefetchLaneRoomWakesACrossbarBlockedPrefetchHead) {
   // The demand head waits on lane 0, kept full by reads that partition 0
   // cannot take (a one-entry L2 MSHR and a one-deep probe queue), and the
   // prefetch head on lane 2, which drains: the prefetch issues in the first
-  // cycle lane 2 has room, long before lane 0 moves.
+  // cycle lane 2 has room, long before lane 0 has any.
   GpuConfig cfg = tiny_gpu();
   cfg.l2.mshr_entries = 1;
   cfg.l2.mshr_max_merged = 1;
@@ -1159,7 +1159,6 @@ TEST(LdStSleepTest, PrefetchLanePopWakesACrossbarBlockedPrefetchHead) {
   fill_lane0();
   for (int i = 0; i < 24; ++i) r.tick();
   fill_lane0();
-  const u64 lane0_pops = r.mem.request_pops(0);
   r.fill_xbar(LdStRig::kC);
   r.load(LdStRig::kA);
   r.prefetch(LdStRig::kC);
@@ -1168,8 +1167,7 @@ TEST(LdStSleepTest, PrefetchLanePopWakesACrossbarBlockedPrefetchHead) {
   ASSERT_EQ(r.stats.stall_xbar_full, 1u);
   ASSERT_EQ(r.stats.pf_stall_structural, 1u);
   const u32 ticks = r.ticks;
-  const u64 lane2_pops = r.mem.request_pops(2);
-  while (r.mem.request_pops(2) == lane2_pops && r.now < 100'000) {
+  while (!r.mem.lane_can_accept(2) && r.now < 100'000) {
     r.tick();
     EXPECT_EQ(r.read().stall_xbar_full, r.now - start);
     EXPECT_EQ(r.read().pf_stall_structural, r.now - start);
@@ -1179,7 +1177,62 @@ TEST(LdStSleepTest, PrefetchLanePopWakesACrossbarBlockedPrefetchHead) {
   EXPECT_EQ(r.ticks, ticks + 1);
   EXPECT_EQ(r.stats.pf_issued_to_mem, 1u);
   EXPECT_EQ(r.stats.demand_to_mem, 0u);
-  EXPECT_EQ(r.mem.request_pops(0), lane0_pops);
+  EXPECT_FALSE(r.mem.lane_can_accept(0));
+}
+
+// Events that once woke the unit but cannot move a blocked head. Each test
+// fires one on every cycle and shows that the unit is not ticked while its
+// stall counters still advance once per cycle.
+
+TEST(LdStSleepTest, LanePopWhoseRoomIsRetakenDoesNotWakeTheUnit) {
+  // Partition 0 pops lane 0 on most cycles, and before the unit's next
+  // tick another sender (another SM, played by the test) refills it.
+  LdStRig r(tiny_gpu());
+  r.fill_xbar(LdStRig::kA);
+  r.load(LdStRig::kA);
+  r.tick();
+  const u32 ticks = r.ticks;
+  u64 refilled = 0;
+  for (int i = 0; i < 200; ++i) {
+    const u64 sent = r.mem.traffic().core_requests;
+    r.fill_xbar(LdStRig::kA);
+    refilled += r.mem.traffic().core_requests - sent;
+    r.tick();
+    EXPECT_EQ(r.ticks, ticks);
+    EXPECT_EQ(r.read().stall_xbar_full, r.now);
+    EXPECT_EQ(r.mem.request_xbar_stats().inject_stalls, r.now);
+  }
+  EXPECT_GT(refilled, 20u);  // the lane popped that often
+  EXPECT_EQ(r.stats.demand_to_mem, 0u);
+}
+
+TEST(LdStSleepTest, PushesBehindBlockedHeadsDoNotWakeTheUnit) {
+  // The demand head waits on lane 0 and the prefetch head on lane 2, both
+  // kept full as above; loads and prefetches queue up behind them.
+  LdStRig r(tiny_gpu());
+  r.fill_xbar(LdStRig::kA);
+  r.fill_xbar(LdStRig::kC);
+  r.load(LdStRig::kA);
+  r.prefetch(LdStRig::kC);
+  r.tick();
+  ASSERT_EQ(r.stats.stall_xbar_full, 1u);
+  ASSERT_EQ(r.stats.pf_stall_structural, 1u);
+  const u32 ticks = r.ticks;
+  for (Addr i = 1; r.ldst.can_accept(1); ++i) {
+    r.fill_xbar(LdStRig::kA);
+    r.fill_xbar(LdStRig::kC);
+    r.load(LdStRig::kB + i * 0x1000);
+    r.prefetch(LdStRig::kB + i * 0x1000);
+    r.tick();
+    EXPECT_EQ(r.ticks, ticks);
+    const SmStats s = r.read();
+    EXPECT_EQ(s.stall_xbar_full, r.now);
+    EXPECT_EQ(s.pf_stall_structural, r.now);
+    EXPECT_EQ(r.mem.request_xbar_stats().inject_stalls, r.now);
+  }
+  EXPECT_EQ(r.ldst.demand_queue_size(), r.cfg.ldst_queue_size);
+  EXPECT_EQ(r.read().pf_generated, r.cfg.ldst_queue_size);
+  EXPECT_EQ(r.read().pf_dropped_queue_full, 0u);
 }
 
 // ------------------------------------------- refused-issue elision -----

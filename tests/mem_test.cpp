@@ -225,23 +225,6 @@ TEST(CrossbarTest, CapacityGatesAcceptance) {
   EXPECT_FALSE(x.can_accept(0));
 }
 
-TEST(CrossbarTest, PopsAreCountedPerLane) {
-  Crossbar x(2, /*latency=*/3, /*queue=*/4);
-  MemRequest r;
-  x.push(1, r, 0);
-  x.push(1, r, 0);
-  MemRequest out;
-  EXPECT_FALSE(x.arrived(1, 2));
-  EXPECT_FALSE(x.pop(1, 2, out));  // a refused pop does not count
-  EXPECT_EQ(x.pops(1), 0u);
-  EXPECT_TRUE(x.arrived(1, 3));
-  EXPECT_TRUE(x.pop(1, 3, out));
-  EXPECT_TRUE(x.pop(1, 3, out));
-  EXPECT_FALSE(x.arrived(1, 3));
-  EXPECT_EQ(x.pops(1), 2u);
-  EXPECT_EQ(x.pops(0), 0u);
-}
-
 class DramTest : public ::testing::Test {
  protected:
   GpuConfig cfg_;
@@ -589,7 +572,8 @@ TEST_P(DramPickDifferentialTest, MatchesThreeScanReference) {
       ASSERT_FALSE(ref.pop_done(now, b)) << "cycle " << now;
       ASSERT_NO_THROW(ch.cycle(now)) << "cycle " << now;
       ref.cycle(now);
-      ASSERT_EQ(ch.commands(), ref.stats().reads + ref.stats().writes)
+      ASSERT_EQ(ch.stats().reads + ch.stats().writes,
+                ref.stats().reads + ref.stats().writes)
           << "cycle " << now;
     }
     EXPECT_GT(completed, 1000u);
@@ -628,6 +612,9 @@ TEST_F(DramTest, PickAtOrAfterNextPickAtNeverFindsNothing) {
   std::mt19937_64 rng(99);
   for (int round = 0; round < 3; ++round) {
     auto ch = make();
+    const auto commands = [&] {
+      return ch->stats().reads + ch->stats().writes;
+    };
     for (; t_ < 30000; ++t_) {
       if (ch->can_accept() && rng() % 8 == 0) {
         MemRequest r;
@@ -638,11 +625,11 @@ TEST_F(DramTest, PickAtOrAfterNextPickAtNeverFindsNothing) {
       MemRequest r;
       while (ch->pop_done(t_, r)) {
       }
-      const u64 before = ch->commands();
+      const u64 before = commands();
       ASSERT_NO_THROW(ch->cycle(t_)) << "cycle " << t_;
-      ASSERT_LE(ch->commands() - before, 1u);  // one command per cycle
+      ASSERT_LE(commands() - before, 1u);  // one command per cycle
     }
-    EXPECT_GT(ch->commands(), 1000u);
+    EXPECT_GT(commands(), 1000u);
   }
 }
 
@@ -673,6 +660,10 @@ struct L2Rig {
     if (dram) {
       MemRequest done;
       while (ch.pop_done(now, done)) {
+        if (hold_reads && !done.is_write) {
+          held.push_back(done);
+          continue;
+        }
         if (done.is_write) written_back.push_back(done.line);
         l2.dram_done(done, now);
         ++fills;
@@ -698,6 +689,8 @@ struct L2Rig {
     l2.add_slept(s, now);
     return s;
   }
+  /// Commands the channel has issued.
+  u64 commands() const { return ch.stats().reads + ch.stats().writes; }
 
   GpuConfig cfg;
   DramChannel ch;
@@ -706,6 +699,8 @@ struct L2Rig {
   u32 fills = 0;
   std::vector<Addr> written_back;  ///< lines of completed DRAM writes
   u32 ticks = 0;  ///< cycles the partition was due
+  bool hold_reads = false;       ///< keep completed reads in `held`
+  std::vector<MemRequest> held;  ///< read fills not handed to the partition
 };
 
 TEST(L2MemoTest, DramFullHeadLeavesOnceTheChannelDrains) {
@@ -770,9 +765,11 @@ TEST(L2MemoTest, NewHeadAfterAPopIsProbedFresh) {
 
 TEST(L2MemoTest, ReprobingADramFullWriteHeadEveryCycleChangesNothing) {
   // A write-miss head blocked on the full DRAM queue is probed again on
-  // every cycle an accept wakes the partition. Each probe counts one stall
-  // and nothing else, and the line its allocation evicts is the one it
-  // evicts without the wakes.
+  // every cycle a read fill wakes the partition: the fills of earlier reads
+  // to other sets are held back and handed over one per cycle. Each probe
+  // counts one stall and nothing else, and the line its allocation evicts
+  // is the one it evicts without the wakes.
+  constexpr u32 kHeld = 39;
   struct Outcome {
     Addr victim;
     L2Stats stats;
@@ -780,25 +777,36 @@ TEST(L2MemoTest, ReprobingADramFullWriteHeadEveryCycleChangesNothing) {
   const auto run = [](bool wake) {
     GpuConfig cfg;
     cfg.dram_queue_size = 1;
-    cfg.l2.miss_queue_size = 64;  // room for an accept on every blocked cycle
+    cfg.l2.mshr_entries = 64;
+    cfg.l2.miss_queue_size = 64;
     L2Rig r(cfg);
-    // Lines set * i all map to set 0.
+    // Lines set * i all map to set 0; the held reads map to sets 2 .. 40.
     const Addr set = Addr{cfg.l2.num_sets()} * cfg.l2.line_size;
+    EXPECT_GT(cfg.l2.num_sets(), kHeld + 2);
+    r.hold_reads = true;
+    for (u32 k = 0; k < kHeld; ++k)
+      r.read(Addr{k + 2} * cfg.l2.line_size);
+    r.tick_until([&] { return r.held.size() == kHeld; });
+    r.hold_reads = false;
+    const u64 stalled = r.stats().stall_dram_full;
     for (u32 i = 0; i < cfg.l2.assoc; ++i) r.write(set * i);  // dirty lines
     r.write(0);     // a hit: line 0 becomes the most recently used
     r.read(0x80);   // takes the only DRAM queue slot, which stays frozen
     r.write(set * cfg.l2.assoc);  // the head; it evicts line `set`
-    while (r.stats().stall_dram_full == 0 && r.now < 1000) r.tick(false);
+    while (r.stats().stall_dram_full == stalled && r.now < 100'000)
+      r.tick(false);
     const L2Stats blocked = r.stats();
-    EXPECT_EQ(blocked.stall_dram_full, 1u);
-    Addr behind = 0x80;
-    for (u64 stalls = 2; stalls <= 40; ++stalls) {
-      if (wake) r.read(behind += set);  // queued behind the head, in set 1
+    EXPECT_EQ(blocked.stall_dram_full, stalled + 1);
+    for (u64 stalls = 2; stalls <= kHeld + 1; ++stalls) {
+      if (wake) {
+        r.l2.dram_done(r.held.back(), r.now);
+        r.held.pop_back();
+      }
       const u32 ticks = r.ticks;
       r.tick(false);
       EXPECT_EQ(r.ticks, ticks + (wake ? 1 : 0));
       const L2Stats s = r.stats();
-      EXPECT_EQ(s.stall_dram_full, stalls);
+      EXPECT_EQ(s.stall_dram_full, stalled + stalls);
       EXPECT_EQ(s.accesses, blocked.accesses);
       EXPECT_EQ(s.hits, blocked.hits);
       EXPECT_EQ(s.misses, blocked.misses);
@@ -835,8 +843,9 @@ TEST(L2SleepTest, AcceptWakesAnIdlePartition) {
   r.read(0x0);
   r.tick();
   EXPECT_EQ(r.ticks, 2u);
-  // A second request behind a head blocked on the frozen DRAM queue wakes
-  // it too; the stall keeps counting once per cycle across that tick.
+  // A second request behind a head blocked on the frozen DRAM queue does
+  // not: it cannot change the head's probe, whose stall keeps counting once
+  // per cycle.
   cfg.dram_queue_size = 1;
   L2Rig b(cfg);
   b.read(0x0);
@@ -851,7 +860,7 @@ TEST(L2SleepTest, AcceptWakesAnIdlePartition) {
   EXPECT_EQ(b.ticks, ticks);
   b.write(0x100);
   b.tick(false);
-  EXPECT_EQ(b.ticks, ticks + 1);
+  EXPECT_EQ(b.ticks, ticks);
   EXPECT_EQ(b.stats().stall_dram_full, 11u);
   EXPECT_EQ(b.l2.probe_queue_size(), 2u);
 }
@@ -895,7 +904,7 @@ TEST(L2SleepTest, DramDoneWakesAnMshrBlockedHead) {
   EXPECT_EQ(r.stats().stall_mshr_full, 1 + slept);
 }
 
-TEST(L2SleepTest, ChannelIssueWakesADramBlockedHead) {
+TEST(L2SleepTest, ChannelRoomWakesADramBlockedHead) {
   GpuConfig cfg;
   cfg.dram_queue_size = 1;
   L2Rig r(cfg);
@@ -903,14 +912,16 @@ TEST(L2SleepTest, ChannelIssueWakesADramBlockedHead) {
   r.read(0x80);
   while (r.now <= cfg.l2_latency + 1) r.tick(false);
   const u32 ticks = r.ticks;
-  const u64 commands = r.ch.commands();
+  const u64 commands = r.commands();
   for (u64 i = 2; i <= 20; ++i) {
     r.tick(false);
     EXPECT_EQ(r.stats().stall_dram_full, i);
   }
   EXPECT_EQ(r.ticks, ticks);
+  EXPECT_FALSE(r.ch.can_accept());
   r.tick();  // the channel issues the first read at the end of this cycle
-  EXPECT_EQ(r.ch.commands(), commands + 1);
+  EXPECT_EQ(r.commands(), commands + 1);
+  EXPECT_TRUE(r.ch.can_accept());
   EXPECT_EQ(r.ticks, ticks);
   EXPECT_EQ(r.stats().stall_dram_full, 21u);
   r.tick();
@@ -919,11 +930,12 @@ TEST(L2SleepTest, ChannelIssueWakesADramBlockedHead) {
   EXPECT_EQ(r.stats().stall_dram_full, 21u);
 }
 
-TEST(L2SleepTest, ChannelIssueWakesADeferredWriteback) {
+TEST(L2SleepTest, ChannelRoomWakesADeferredWriteback) {
   // A one-line L2 and a one-entry DRAM queue. A dirty line is evicted by a
   // read fill while the queue holds a read that its bank cannot start yet
   // (same bank, another row, inside tRC), so the write-back is deferred and
-  // the partition, with nothing else to do, sleeps until the channel issues.
+  // the partition, with nothing else to do, sleeps until the channel has
+  // room.
   GpuConfig cfg;
   cfg.l2.size_bytes = cfg.l2.line_size;
   cfg.l2.assoc = 1;
@@ -935,14 +947,66 @@ TEST(L2SleepTest, ChannelIssueWakesADeferredWriteback) {
   r.read(static_cast<Addr>(cfg.dram_row_bytes) * cfg.dram_banks);
   r.tick_until([&] { return r.l2.pending_writebacks() == 1; });
   const u32 ticks = r.ticks + 1;  // one more tick finds the queue full
-  const u64 commands = r.ch.commands();
-  r.tick_until([&] { return r.ch.commands() != commands; });
+  const u64 commands = r.commands();
+  r.tick_until([&] { return r.ch.can_accept(); });
+  EXPECT_EQ(r.commands(), commands + 1);
   EXPECT_EQ(r.ticks, ticks);
   EXPECT_EQ(r.l2.pending_writebacks(), 1u);
   r.tick();
   EXPECT_EQ(r.ticks, ticks + 1);
   EXPECT_EQ(r.l2.pending_writebacks(), 0u);
   EXPECT_EQ(r.ch.queue_size(), 1u);
+}
+
+// Events that once woke the partition but cannot move its blocked head.
+// Each test fires one on every cycle and shows that the partition is not
+// ticked while its stall counter still advances once per cycle.
+
+TEST(L2SleepTest, AcceptBehindABlockedHeadDoesNotWakeThePartition) {
+  GpuConfig cfg;
+  cfg.l2.mshr_entries = 1;
+  cfg.l2.mshr_max_merged = 1;
+  L2Rig r(cfg);
+  r.read(0x0);
+  r.read(0x80);  // blocked on the only MSHR entry
+  while (r.now <= cfg.l2_latency + 1) r.tick(false);
+  ASSERT_EQ(r.stats().stall_mshr_full, 1u);
+  const u32 ticks = r.ticks;
+  for (u64 i = 2; i <= 12; ++i) {
+    r.read(0x80 * (i + 1));
+    r.tick(false);
+    EXPECT_EQ(r.ticks, ticks);
+    EXPECT_EQ(r.stats().stall_mshr_full, i);
+  }
+  EXPECT_EQ(r.l2.probe_queue_size(), 12u);
+  EXPECT_EQ(r.stats().accesses, 1u);
+}
+
+TEST(L2SleepTest, ChannelCommandWhoseSlotIsRetakenDoesNotWakeThePartition) {
+  // The head waits for a DRAM slot while the channel issues commands, but
+  // another requester on the channel (a partition sharing it, played by
+  // the test with write-backs) takes each freed slot before the partition's
+  // next tick.
+  GpuConfig cfg;
+  cfg.dram_queue_size = 1;
+  L2Rig r(cfg);
+  MemRequest other;
+  other.line = 0x100;
+  other.is_write = true;
+  r.ch.submit(other);
+  r.read(0x80);
+  while (r.now <= cfg.l2_latency) r.tick(false);
+  ASSERT_EQ(r.stats().stall_dram_full, 1u);
+  const u32 ticks = r.ticks;
+  const u64 commands = r.commands();
+  for (u64 i = 2; i <= 200; ++i) {
+    r.tick();
+    if (r.ch.can_accept()) r.ch.submit(other);
+    EXPECT_EQ(r.ticks, ticks);
+    EXPECT_EQ(r.stats().stall_dram_full, i);
+  }
+  EXPECT_GT(r.commands(), commands + 2);  // several freed slots
+  EXPECT_EQ(r.stats().misses, 0u);
 }
 
 TEST(MemorySystemTest, PartitionMappingIsChunked) {
