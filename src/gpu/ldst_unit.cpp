@@ -30,7 +30,7 @@ LdStUnit::LdStUnit(const GpuConfig& cfg, StreamingMultiprocessor& sm,
 
 void LdStUnit::push_demand(const L1Access& access) {
   CAPS_CHECK(can_accept(1), "LD/ST demand queue overflow");
-  if (demand_q_.empty()) wake_at_ = 0;
+  if (demand_q_.empty()) ledger_.wake();
   demand_q_.push(access);
 }
 
@@ -41,7 +41,7 @@ void LdStUnit::pop_demand(Cycle now) {
 
 void LdStUnit::push_prefetches(const std::vector<PrefetchRequest>& reqs,
                                Cycle now) {
-  if (prefetch_q_.empty()) wake_at_ = 0;
+  if (prefetch_q_.empty()) ledger_.wake();
   for (const PrefetchRequest& r : reqs) {
     ++stats_.pf_generated;
     if (prefetch_q_.full()) {
@@ -159,8 +159,7 @@ void LdStUnit::process_completions(Cycle now) {
   }
 }
 
-LdStUnit::Wait LdStUnit::process_demand(Cycle now) {
-  if (demand_q_.empty()) return Wait::kIdle;
+u64 SmStats::*LdStUnit::process_demand(Cycle now) {
   const L1Access access = demand_q_.front();
 
   // Accesses are counted once, when the head leaves (retries after a
@@ -187,7 +186,7 @@ LdStUnit::Wait LdStUnit::process_demand(Cycle now) {
           "L1 hit completions out of order");
       completions_.push_back(Completion{ready_at, access});
       pop_demand(now);
-      return Wait::kDone;
+      return nullptr;
     }
     // Miss path. A demand that catches up with an in-flight prefetch merges
     // like any other; late-useful accounting happens at fill time.
@@ -195,18 +194,18 @@ LdStUnit::Wait LdStUnit::process_demand(Cycle now) {
         slot != Mshr<L1Access>::kNone) {
       if (!mshr_.can_merge_at(slot)) {
         ++stats_.stall_merge_full;
-        return Wait::kMerge;
+        return &SmStats::stall_merge_full;
       }
       ++stats_.l1_accesses;
       ++stats_.l1_misses;
       ++stats_.l1_mshr_merges;
       mshr_.merge_at(slot, access);
       pop_demand(now);
-      return Wait::kDone;
+      return nullptr;
     }
     if (mshr_.full()) {
       ++stats_.stall_mshr_full;
-      return Wait::kMshr;
+      return &SmStats::stall_mshr_full;
     }
   }
 
@@ -214,7 +213,7 @@ LdStUnit::Wait LdStUnit::process_demand(Cycle now) {
   if (!mem_.can_accept(access.line)) {
     ++stats_.stall_xbar_full;
     mem_.note_inject_stall();
-    return Wait::kCrossbar;  // head blocked; tag port stays free this cycle
+    return &SmStats::stall_xbar_full;  // the tag port stays free this cycle
   }
   MemRequest req;
   req.line = access.line;
@@ -232,28 +231,27 @@ LdStUnit::Wait LdStUnit::process_demand(Cycle now) {
   }
   mem_.submit(req, now);
   pop_demand(now);
-  return Wait::kDone;
+  return nullptr;
 }
 
-LdStUnit::Wait LdStUnit::process_prefetch(Cycle now) {
-  if (prefetch_q_.empty()) return Wait::kIdle;
+u64 SmStats::*LdStUnit::process_prefetch(Cycle now) {
   const L1Access& head = prefetch_q_.front();
 
   if (l1_.contains(head.line)) {
     ++stats_.pf_dropped_hit;
     prefetch_q_.pop();
-    return Wait::kDone;
+    return nullptr;
   }
   if (mshr_.slot_of(head.line) != Mshr<L1Access>::kNone) {
     ++stats_.pf_dropped_inflight;
     prefetch_q_.pop();
-    return Wait::kDone;
+    return nullptr;
   }
   if (mshr_.full() || !mem_.can_accept(head.line)) {
     // Structural backpressure: keep the head and retry; newly generated
     // prefetches are dropped upstream when the queue overflows.
     ++stats_.pf_stall_structural;
-    return mshr_.full() ? Wait::kMshr : Wait::kCrossbar;
+    return &SmStats::pf_stall_structural;
   }
   const L1Access access = prefetch_q_.pop();
   mshr_.allocate(access.line, access);
@@ -264,66 +262,48 @@ LdStUnit::Wait LdStUnit::process_prefetch(Cycle now) {
   req.is_prefetch = true;
   mem_.submit(req, now);
   ++stats_.pf_issued_to_mem;
-  return Wait::kDone;
+  return nullptr;
 }
 
 void LdStUnit::cycle(Cycle now) {
-  if (demand_stall_ != nullptr) {
-    stats_.*demand_stall_ += now - slept_from_;
-    if (demand_stall_ == &SmStats::stall_xbar_full)
-      mem_.wake_inject_staller(slept_from_, now);
-    demand_stall_ = nullptr;
-  }
-  if (prefetch_stall_) {
-    stats_.pf_stall_structural += now - slept_from_;
-    prefetch_stall_ = false;
-  }
-  wake_at_ = 0;
-  lane_wait_ = false;
+  if (ledger_.owes(&SmStats::stall_xbar_full))
+    mem_.wake_inject_staller(ledger_.from(), now);
+  ledger_.settle(stats_, now);
 
   process_replies(now);
   process_completions(now);
   // One L1 port: demand first, prefetch only when the demand head is idle
   // or blocked.
-  const Wait demand = process_demand(now);
-  if (demand == Wait::kDone) return;
-  const Wait prefetch = process_prefetch(now);
-  if (prefetch == Wait::kDone) return;
+  u64 SmStats::*demand = nullptr;
+  if (!demand_q_.empty() && (demand = process_demand(now)) == nullptr) return;
+  u64 SmStats::*prefetch = nullptr;
+  if (!prefetch_q_.empty() && (prefetch = process_prefetch(now)) == nullptr)
+    return;
   sleep(now, demand, prefetch);
 }
 
-void LdStUnit::sleep(Cycle now, Wait demand, Wait prefetch) {
+void LdStUnit::sleep(Cycle now, u64 SmStats::*demand,
+                     u64 SmStats::*prefetch) {
   // Every later tick would repeat this one's port outcome until due() sees
   // what a head waits for: the tags and the MSHR change only on a fill (a
   // reply) or this unit's own progress, a push behind a head changes
   // neither head, and a blocked head moves once its lane has room.
-  wake_at_ = completions_.empty() ? kNever : completions_.front().ready_at;
-  slept_from_ = now + 1;
-  if (demand == Wait::kCrossbar) {
-    demand_stall_ = &SmStats::stall_xbar_full;
-    mem_.sleep_inject_staller(slept_from_);
-  } else if (demand == Wait::kMshr) {
-    demand_stall_ = &SmStats::stall_mshr_full;
-  } else if (demand == Wait::kMerge) {
-    demand_stall_ = &SmStats::stall_merge_full;
-  }
-  prefetch_stall_ = prefetch != Wait::kIdle;
-  // Watch the lanes of the heads blocked on the crossbar, the same lane
-  // twice when only one is.
-  if (demand == Wait::kCrossbar || prefetch == Wait::kCrossbar) {
-    lane_wait_ = true;
-    lanes_[0] = mem_.partition_of(demand == Wait::kCrossbar
-                                      ? demand_q_.front().line
-                                      : prefetch_q_.front().line);
-    lanes_[1] = prefetch == Wait::kCrossbar
-                    ? mem_.partition_of(prefetch_q_.front().line)
-                    : lanes_[0];
-  }
-}
-
-void LdStUnit::add_slept(SmStats& s, Cycle now) const {
-  if (demand_stall_ != nullptr) s.*demand_stall_ += now - slept_from_;
-  if (prefetch_stall_) s.pf_stall_structural += now - slept_from_;
+  ledger_.sleep(now + 1, completions_.empty() ? kNever
+                                               : completions_.front().ready_at);
+  if (demand != nullptr) ledger_.owe(demand);
+  if (prefetch != nullptr) ledger_.owe(prefetch);
+  // A blocked prefetch head waits on its lane exactly when the MSHR has
+  // room. Watch the lanes of the heads that wait on one, the same lane twice
+  // when only one does.
+  const bool demand_lane = demand == &SmStats::stall_xbar_full;
+  const bool prefetch_lane = prefetch != nullptr && !mshr_.full();
+  if (demand_lane) mem_.sleep_inject_staller(now + 1);
+  lane_wait_ = demand_lane || prefetch_lane;
+  if (!lane_wait_) return;
+  lanes_[0] = mem_.partition_of(
+      (demand_lane ? demand_q_ : prefetch_q_).front().line);
+  lanes_[1] = prefetch_lane ? mem_.partition_of(prefetch_q_.front().line)
+                            : lanes_[0];
 }
 
 bool LdStUnit::idle() const {

@@ -20,6 +20,7 @@
 #include "common/config.hpp"
 #include "common/diag.hpp"
 #include "common/flat_deque.hpp"
+#include "common/sleep_ledger.hpp"
 #include "gpu/sm_stats.hpp"
 #include "gpu/trace.hpp"
 #include "mem/cache.hpp"
@@ -56,7 +57,7 @@ class LdStUnit {
   /// completion falling due, a push into an empty queue, or room on the
   /// request-crossbar lane a blocked head waits on.
   bool due(Cycle now) const {
-    return now >= wake_at_ || mem_.reply_arrived(sm_id_, now) ||
+    return ledger_.due(now) || mem_.reply_arrived(sm_id_, now) ||
            (lane_wait_ && (mem_.lane_can_accept(lanes_[0]) ||
                            mem_.lane_can_accept(lanes_[1])));
   }
@@ -66,7 +67,7 @@ class LdStUnit {
   void cycle(Cycle now);
 
   /// Add to `s` the stalls of the cycles slept before cycle `now`.
-  void add_slept(SmStats& s, Cycle now) const;
+  void add_slept(SmStats& s, Cycle now) const { ledger_.add_to(s, now); }
 
   bool idle() const;
   std::size_t demand_queue_size() const { return demand_q_.size(); }
@@ -77,17 +78,15 @@ class LdStUnit {
   void snapshot_into(MachineSnapshot& snap) const;
 
  private:
-  /// What a queue head waits for; kCrossbar is a miss with a free MSHR
-  /// entry, kDone a head that moved on and kIdle an empty queue.
-  enum class Wait : u8 { kDone, kIdle, kCrossbar, kMshr, kMerge };
-
   void process_replies(Cycle now);
   void process_completions(Cycle now);
-  Wait process_demand(Cycle now);
-  Wait process_prefetch(Cycle now);
-  /// Put the unit to sleep after a tick whose port found `demand` and
-  /// `prefetch` blocked or idle.
-  void sleep(Cycle now, Wait demand, Wait prefetch);
+  /// The L1 port probe of a queued head; each returns the stall counter it
+  /// bumped, or null when the head moved on.
+  u64 SmStats::*process_demand(Cycle now);
+  u64 SmStats::*process_prefetch(Cycle now);
+  /// Put the unit to sleep after a tick whose port found each head blocked
+  /// on the given stall counter, or idle (null).
+  void sleep(Cycle now, u64 SmStats::*demand, u64 SmStats::*prefetch);
   void complete_load(const L1Access& access, Cycle now);
   /// Every pop changes the room the SM's issue stage sees.
   void pop_demand(Cycle now);
@@ -115,13 +114,10 @@ class LdStUnit {
 
   const TraceSink* trace_;
 
-  // Stall-only sleep. Awake, wake_at_ is 0.
-  Cycle wake_at_ = 0;       ///< the next L1-hit completion
+  // Stall-only sleep, until the next L1-hit completion at the latest.
+  SleepLedger<SmStats> ledger_;
   bool lane_wait_ = false;  ///< also wake when lanes_ have room
   u32 lanes_[2] = {0, 0};   ///< lanes of the demand and prefetch heads
-  Cycle slept_from_ = 0;    ///< first cycle slept through
-  u64 SmStats::*demand_stall_ = nullptr;  ///< counted once per slept cycle
-  bool prefetch_stall_ = false;  ///< pf_stall_structural, once per slept cycle
 };
 
 }  // namespace caps

@@ -293,8 +293,9 @@ bool StreamingMultiprocessor::issue(u32 slot, Cycle now) {
 void StreamingMultiprocessor::cycle(Cycle now) {
   if (ldst_.due(now)) ldst_.cycle(now);
 
-  if (resident_warps_ == 0 || now < issue_wake_at_) return;
-  if (elide_from_ != kNever) end_elision(now);  // the next ready_at is due
+  if (resident_warps_ == 0 || !elided_.due(now)) return;
+  // The next ready_at is due.
+  if (elided_.owes(&SmStats::active_cycles)) end_elision(now);
   ++stats_.active_cycles;
   stats_.issue_slots += cfg_.issue_width;
 
@@ -340,33 +341,26 @@ void StreamingMultiprocessor::note_refused(i32 slot, Cycle now) {
     }
     if (wc.ready_at > now) next_ready = std::min(next_ready, wc.ready_at);
   }
-  elide_from_ = now + 1;
-  issue_wake_at_ = next_ready;
-}
-
-void StreamingMultiprocessor::add_elided(SmStats& s, Cycle now) const {
-  // Each elided cycle picked one warp and had it refused.
-  const u64 n = now - elide_from_;
-  s.active_cycles += n;
-  s.issue_slots += n * cfg_.issue_width;
-  s.stall_ldst_full += n;
-  if (mem_wait_warps_ > 0) s.stall_cycles_all_mem += n;
+  // Each elided cycle picks one warp and has it refused. Whether a warp
+  // waits on memory changes only in a hook, and every hook ends the span.
+  elided_.sleep(now + 1, next_ready);
+  elided_.owe(&SmStats::active_cycles);
+  elided_.owe(&SmStats::issue_slots, cfg_.issue_width);
+  elided_.owe(&SmStats::stall_ldst_full);
+  if (mem_wait_warps_ > 0) elided_.owe(&SmStats::stall_cycles_all_mem);
 }
 
 void StreamingMultiprocessor::end_elision(Cycle now) {
-  if (now != elide_from_) {
-    add_elided(stats_, now);
-    scheduler_->elide_refused(elide_from_, now - 1);
-  }
-  elide_from_ = kNever;
-  issue_wake_at_ = 0;
+  if (now != elided_.from())
+    scheduler_->elide_refused(elided_.from(), now - 1);
+  elided_.settle(stats_, now);
 }
 
 SmStats StreamingMultiprocessor::stats() const {
   SmStats s = stats_;
   const Cycle now = mem_.elapsed();
   ldst_.add_slept(s, now);
-  if (elide_from_ != kNever) add_elided(s, now);
+  elided_.add_to(s, now);
   return s;
 }
 

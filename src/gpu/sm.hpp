@@ -10,6 +10,7 @@
 
 #include "common/config.hpp"
 #include "common/diag.hpp"
+#include "common/sleep_ledger.hpp"
 #include "gpu/coalescer.hpp"
 #include "gpu/ldst_unit.hpp"
 #include "gpu/scheduler.hpp"
@@ -52,7 +53,7 @@ class StreamingMultiprocessor {
   /// Whether cycle(now) has work: the LD/ST unit is due, or warps are
   /// resident and the issue stage is not eliding refused cycles.
   bool due(Cycle now) const {
-    return ldst_.due(now) || (resident_warps_ != 0 && now >= issue_wake_at_);
+    return ldst_.due(now) || (resident_warps_ != 0 && elided_.due(now));
   }
 
   void cycle(Cycle now);
@@ -88,11 +89,9 @@ class StreamingMultiprocessor {
   /// detection. Every hook calls it before it changes warp state.
   void wake_issue(Cycle now) {
     round_warp_ = kNoWarp;
-    if (elide_from_ != kNever) end_elision(now);
+    if (elided_.owes(&SmStats::active_cycles)) end_elision(now);
   }
   void end_elision(Cycle now);
-  /// Add to `s` the counts of the cycles elided before `now`.
-  void add_elided(SmStats& s, Cycle now) const;
   /// The first-slot pick at `now` returned `slot`, which the LD/ST unit
   /// refused. Starts eliding once a whole round of refusals repeats.
   void note_refused(i32 slot, Cycle now);
@@ -141,11 +140,11 @@ class StreamingMultiprocessor {
   // Refused-issue elision (DESIGN.md §13). A round starts at the first
   // refused first-slot pick after a warp-state change; when the same warp
   // is refused again, the issue stage repeats the round until a hook or
-  // the next ready_at, so it stops picking and counts the span instead.
+  // the next ready_at, so it stops picking and counts the span instead. An
+  // open span always owes active_cycles.
   i32 round_warp_ = kNoWarp;   ///< first warp refused in this round
   Cycle round_start_ = 0;      ///< cycle round_warp_ was refused
-  Cycle elide_from_ = kNever;  ///< first elided cycle; kNever if none
-  Cycle issue_wake_at_ = 0;    ///< the issue stage is elided before this
+  SleepLedger<SmStats> elided_;
   std::vector<u32> free_warp_blocks_;  ///< first-warp slots of free regions
   std::vector<PrefetchRequest> pf_buffer_;
   std::vector<Addr> coalesce_scratch_;  ///< reused per memory issue

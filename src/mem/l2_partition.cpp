@@ -19,16 +19,12 @@ L2Partition::L2Partition(const GpuConfig& cfg, DramChannel& channel)
 }
 
 void L2Partition::accept(const MemRequest& req, Cycle now) {
-  if (probe_queue_.empty()) wake_at_ = 0;
+  if (probe_queue_.empty()) ledger_.wake();
   probe_queue_.push(Staged{now + cfg_.l2_latency, req});
 }
 
 void L2Partition::cycle(Cycle now) {
-  if (sleep_stall_ != nullptr) {
-    stats_.*sleep_stall_ += now - slept_from_;
-    sleep_stall_ = nullptr;
-  }
-  wake_at_ = 0;
+  ledger_.settle(stats_, now);
   drain_writebacks();
 
   // One tag probe per cycle, in arrival order (head-of-line blocking when
@@ -49,11 +45,10 @@ void L2Partition::cycle(Cycle now) {
   // change only through an accept() into an empty queue, dram_done() and
   // the head's own progress, and a DRAM-bound head or write-back moves once
   // the channel has room.
-  wake_at_ = wake_at;
+  ledger_.sleep(now + 1, wake_at);
+  if (stall != nullptr) ledger_.owe(stall);
   channel_wait_ =
       stall == &L2Stats::stall_dram_full || !pending_writebacks_.empty();
-  slept_from_ = now + 1;
-  sleep_stall_ = stall;
 }
 
 u64 L2Stats::*L2Partition::probe_head(Cycle now) {
@@ -130,7 +125,12 @@ u64 L2Stats::*L2Partition::probe_head(Cycle now) {
 
 void L2Partition::dram_done(const MemRequest& req, Cycle now) {
   if (req.is_write) return;
-  wake_at_ = 0;
+  // A head that waits for a DRAM queue slot has no MSHR entry of its own,
+  // so only a fill of its line (a write that now hits) can move it; room,
+  // also for a write-back this fill defers, wakes the partition in due().
+  if (!ledger_.owes(&L2Stats::stall_dram_full) ||
+      probe_queue_.front().req.line == req.line)
+    ledger_.wake();
   if (auto evicted = cache_.fill(req.line, LineMeta{});
       evicted && evicted->second.dirty) {
     // Dirty eviction on a fill: queue the write-back; if the DRAM queue is

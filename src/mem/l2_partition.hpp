@@ -11,6 +11,7 @@
 #include "common/bounded_queue.hpp"
 #include "common/flat_deque.hpp"
 #include "common/config.hpp"
+#include "common/sleep_ledger.hpp"
 #include "mem/cache.hpp"
 #include "mem/dram.hpp"
 #include "mem/mshr.hpp"
@@ -63,11 +64,12 @@ class L2Partition {
   /// Whether cycle(now) can do more than repeat the stall counts of the
   /// last tick. A tick whose probe step neither retired nor issued anything
   /// puts the partition to sleep until what it waits for is there: an
-  /// accept() into an empty probe queue, dram_done() of a read, the probe
-  /// head's ready_at, or room in its DRAM channel's queue (DESIGN.md §13,
-  /// "Stall-only sleep").
+  /// accept() into an empty probe queue, the probe head's ready_at, room in
+  /// its DRAM channel's queue, or dram_done() of a read, which can move a
+  /// head that waits for that room only if it fills the head's own line
+  /// (DESIGN.md §13, "Stall-only sleep").
   bool due(Cycle now) const {
-    return now >= wake_at_ || (channel_wait_ && channel_.can_accept());
+    return ledger_.due(now) || (channel_wait_ && channel_.can_accept());
   }
 
   /// Advance one core cycle: push deferred dirty write-backs into the DRAM
@@ -89,9 +91,7 @@ class L2Partition {
   /// slept since.
   const L2Stats& stats() const { return stats_; }
   /// Add to `s` the stalls of the cycles slept before cycle `now`.
-  void add_slept(L2Stats& s, Cycle now) const {
-    if (sleep_stall_ != nullptr) s.*sleep_stall_ += now - slept_from_;
-  }
+  void add_slept(L2Stats& s, Cycle now) const { ledger_.add_to(s, now); }
 
   std::size_t probe_queue_size() const { return probe_queue_.size(); }
   std::size_t reply_queue_size() const { return replies_.size(); }
@@ -119,11 +119,9 @@ class L2Partition {
   std::vector<MemRequest> fill_scratch_;      ///< reused by dram_done()
   L2Stats stats_;
 
-  // Stall-only sleep. Awake, wake_at_ is 0.
-  Cycle wake_at_ = 0;
+  // Stall-only sleep, until the probe head's ready_at at the latest.
+  SleepLedger<L2Stats> ledger_;
   bool channel_wait_ = false;  ///< also wake when the channel has room
-  Cycle slept_from_ = 0;       ///< first cycle slept through
-  u64 L2Stats::*sleep_stall_ = nullptr;  ///< counted once per slept cycle
 };
 
 }  // namespace caps

@@ -1,5 +1,5 @@
 // Unit tests for src/common: types, config validation, bounded queue,
-// running statistics, deterministic hashing.
+// running statistics, deterministic hashing, the sleep ledger.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -7,6 +7,7 @@
 #include "common/bounded_queue.hpp"
 #include "common/config.hpp"
 #include "common/rng.hpp"
+#include "common/sleep_ledger.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 
@@ -210,6 +211,69 @@ TEST(RngTest, Mix64IsDeterministicAndDispersive) {
 TEST(RngTest, HashCombineOrderSensitive) {
   EXPECT_NE(hash_combine(1, 2), hash_combine(2, 1));
   EXPECT_EQ(hash_combine(1, 2, 3), hash_combine(1, 2, 3));
+}
+
+struct LedgerStats {
+  u64 stalls = 0;
+  u64 slots = 0;
+  u64 other = 0;
+};
+
+TEST(SleepLedgerTest, MidSleepReadEqualsWhatSettleAdds) {
+  SleepLedger<LedgerStats> ledger;
+  ledger.sleep(10, kNever);
+  ledger.owe(&LedgerStats::stalls);
+  LedgerStats read;
+  ledger.add_to(read, 25);
+  LedgerStats settled;
+  ledger.settle(settled, 25);
+  EXPECT_EQ(read.stalls, 15u);
+  EXPECT_EQ(settled.stalls, read.stalls);
+  EXPECT_EQ(settled.other, 0u);
+}
+
+TEST(SleepLedgerTest, PerCycleMultipliesTheCount) {
+  SleepLedger<LedgerStats> ledger;
+  ledger.sleep(4, kNever);
+  ledger.owe(&LedgerStats::stalls);
+  ledger.owe(&LedgerStats::slots, 3);
+  LedgerStats s;
+  ledger.settle(s, 10);
+  EXPECT_EQ(s.stalls, 6u);
+  EXPECT_EQ(s.slots, 18u);
+}
+
+TEST(SleepLedgerTest, WakeKeepsTheOwedCountersUntilSettle) {
+  SleepLedger<LedgerStats> ledger;
+  ledger.sleep(10, 100);
+  ledger.owe(&LedgerStats::stalls);
+  EXPECT_FALSE(ledger.due(50));
+  EXPECT_TRUE(ledger.due(100));
+  ledger.wake();
+  EXPECT_TRUE(ledger.due(50));
+  EXPECT_TRUE(ledger.owes(&LedgerStats::stalls));
+  EXPECT_FALSE(ledger.owes(&LedgerStats::slots));
+  LedgerStats s;
+  ledger.settle(s, 51);
+  EXPECT_EQ(s.stalls, 41u);
+}
+
+TEST(SleepLedgerTest, SettleLeavesNothingOwed) {
+  SleepLedger<LedgerStats> ledger;
+  ledger.sleep(1, kNever);
+  ledger.owe(&LedgerStats::stalls);
+  ledger.owe(&LedgerStats::other, 2);
+  LedgerStats s;
+  ledger.settle(s, 5);
+  EXPECT_TRUE(ledger.due(5));
+  EXPECT_FALSE(ledger.owes(&LedgerStats::stalls));
+  LedgerStats later;
+  ledger.add_to(later, 1000);
+  ledger.settle(later, 1000);
+  EXPECT_EQ(later.stalls, 0u);
+  EXPECT_EQ(later.other, 0u);
+  EXPECT_EQ(s.stalls, 4u);
+  EXPECT_EQ(s.other, 8u);
 }
 
 }  // namespace

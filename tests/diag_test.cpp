@@ -1,10 +1,12 @@
 // Tests for the simulation integrity primitives: CAPS_CHECK semantics,
 // SimError payloads, MachineSnapshot rendering, and the release-mode
-// (NDEBUG-live) guards on BoundedQueue / Mshr / Crossbar / DramChannel.
+// (NDEBUG-live) guards on BoundedQueue / SleepLedger / Mshr / Crossbar /
+// DramChannel.
 #include <gtest/gtest.h>
 
 #include "common/bounded_queue.hpp"
 #include "common/diag.hpp"
+#include "common/sleep_ledger.hpp"
 #include "mem/dram.hpp"
 #include "mem/interconnect.hpp"
 #include "mem/mshr.hpp"
@@ -97,6 +99,23 @@ TEST(BoundedQueueGuardTest, UnderflowThrowsInAllBuildModes) {
   EXPECT_THROW(cq.front(), SimError);
   q.push(7);
   EXPECT_EQ(q.front(), 7);
+}
+
+TEST(SleepLedgerGuardTest, OwingPastCapacityThrowsInAllBuildModes) {
+  struct TwoStats {
+    u64 a = 0;
+    u64 b = 0;
+  };
+  SleepLedger<TwoStats> ledger;
+  ledger.sleep(0, kNever);
+  for (u32 i = 0; i < SleepLedger<TwoStats>::kCapacity; ++i)
+    ledger.owe(&TwoStats::a);
+  EXPECT_THROW(ledger.owe(&TwoStats::b), SimError);
+  // The failed owe must not have corrupted the ledger.
+  TwoStats s;
+  ledger.add_to(s, 10);
+  EXPECT_EQ(s.a, 10u * SleepLedger<TwoStats>::kCapacity);
+  EXPECT_EQ(s.b, 0u);
 }
 
 TEST(MshrGuardTest, AllocateWhenFullThrows) {

@@ -765,16 +765,17 @@ TEST(L2MemoTest, NewHeadAfterAPopIsProbedFresh) {
 
 TEST(L2MemoTest, ReprobingADramFullWriteHeadEveryCycleChangesNothing) {
   // A write-miss head blocked on the full DRAM queue is probed again on
-  // every cycle a read fill wakes the partition: the fills of earlier reads
-  // to other sets are held back and handed over one per cycle. Each probe
-  // counts one stall and nothing else, and the line its allocation evicts
-  // is the one it evicts without the wakes.
+  // every cycle, each right after a read fill: the fills of earlier reads to
+  // other sets are held back and handed over one per cycle. Such a fill
+  // does not wake the partition, so the re-probes are direct cycle() calls.
+  // Each probe counts one stall and nothing else, and the line its
+  // allocation evicts is the one it evicts without the re-probes.
   constexpr u32 kHeld = 39;
   struct Outcome {
     Addr victim;
     L2Stats stats;
   };
-  const auto run = [](bool wake) {
+  const auto run = [](bool reprobe) {
     GpuConfig cfg;
     cfg.dram_queue_size = 1;
     cfg.l2.mshr_entries = 64;
@@ -798,13 +799,16 @@ TEST(L2MemoTest, ReprobingADramFullWriteHeadEveryCycleChangesNothing) {
     const L2Stats blocked = r.stats();
     EXPECT_EQ(blocked.stall_dram_full, stalled + 1);
     for (u64 stalls = 2; stalls <= kHeld + 1; ++stalls) {
-      if (wake) {
+      const u32 ticks = r.ticks;
+      if (reprobe) {
         r.l2.dram_done(r.held.back(), r.now);
         r.held.pop_back();
+        EXPECT_FALSE(r.l2.due(r.now));
+        r.l2.cycle(r.now++);
+      } else {
+        r.tick(false);
       }
-      const u32 ticks = r.ticks;
-      r.tick(false);
-      EXPECT_EQ(r.ticks, ticks + (wake ? 1 : 0));
+      EXPECT_EQ(r.ticks, ticks);
       const L2Stats s = r.stats();
       EXPECT_EQ(s.stall_dram_full, stalled + stalls);
       EXPECT_EQ(s.accesses, blocked.accesses);
@@ -818,14 +822,14 @@ TEST(L2MemoTest, ReprobingADramFullWriteHeadEveryCycleChangesNothing) {
     o.victim = r.written_back.front();
     return o;
   };
-  const Outcome woken = run(true);
+  const Outcome reprobed = run(true);
   const Outcome slept = run(false);
   GpuConfig cfg;
-  EXPECT_EQ(woken.victim, Addr{cfg.l2.num_sets()} * cfg.l2.line_size);
-  EXPECT_EQ(woken.victim, slept.victim);
-  EXPECT_EQ(woken.stats.stall_dram_full, slept.stats.stall_dram_full);
-  EXPECT_EQ(woken.stats.accesses, slept.stats.accesses);
-  EXPECT_EQ(woken.stats.writebacks, 1u);
+  EXPECT_EQ(reprobed.victim, Addr{cfg.l2.num_sets()} * cfg.l2.line_size);
+  EXPECT_EQ(reprobed.victim, slept.victim);
+  EXPECT_EQ(reprobed.stats.stall_dram_full, slept.stats.stall_dram_full);
+  EXPECT_EQ(reprobed.stats.accesses, slept.stats.accesses);
+  EXPECT_EQ(reprobed.stats.writebacks, 1u);
   EXPECT_EQ(slept.stats.writebacks, 1u);
 }
 
@@ -958,6 +962,33 @@ TEST(L2SleepTest, ChannelRoomWakesADeferredWriteback) {
   EXPECT_EQ(r.ch.queue_size(), 1u);
 }
 
+TEST(L2SleepTest, FillOfTheHeadsLineWakesADramBlockedWriteHead) {
+  // A write head that waits for a slot in the frozen DRAM queue hits once a
+  // read in flight fills its line.
+  GpuConfig cfg;
+  cfg.dram_queue_size = 1;
+  L2Rig r(cfg);
+  r.hold_reads = true;
+  r.read(0x80);
+  r.tick_until([&] { return r.held.size() == 1; });
+  r.read(0x100);  // takes the only DRAM queue slot, which stays frozen
+  r.write(0x80);  // the head: its line is not filled yet
+  while (r.stats().stall_dram_full == 0 && r.now < 100'000) r.tick(false);
+  const u32 ticks = r.ticks;
+  for (u64 i = 2; i <= 10; ++i) {
+    r.tick(false);
+    EXPECT_EQ(r.stats().stall_dram_full, i);
+  }
+  EXPECT_EQ(r.ticks, ticks);
+  r.l2.dram_done(r.held.front(), r.now);
+  EXPECT_TRUE(r.l2.due(r.now));
+  r.tick(false);
+  EXPECT_EQ(r.ticks, ticks + 1);
+  EXPECT_EQ(r.stats().hits, 1u);
+  EXPECT_EQ(r.stats().stall_dram_full, 10u);
+  EXPECT_EQ(r.l2.probe_queue_size(), 0u);
+}
+
 // Events that once woke the partition but cannot move its blocked head.
 // Each test fires one on every cycle and shows that the partition is not
 // ticked while its stall counter still advances once per cycle.
@@ -1007,6 +1038,36 @@ TEST(L2SleepTest, ChannelCommandWhoseSlotIsRetakenDoesNotWakeThePartition) {
   }
   EXPECT_GT(r.commands(), commands + 2);  // several freed slots
   EXPECT_EQ(r.stats().misses, 0u);
+}
+
+TEST(L2SleepTest, FillOfAnotherLineDoesNotWakeADramBlockedHead) {
+  // The fills of earlier reads are held back and handed over one per cycle
+  // while a read head waits for a slot in the frozen DRAM queue.
+  constexpr u32 kHeld = 10;
+  GpuConfig cfg;
+  cfg.dram_queue_size = 1;
+  L2Rig r(cfg);
+  r.hold_reads = true;
+  for (u32 k = 0; k < kHeld; ++k) r.read(Addr{k + 2} * cfg.l2.line_size);
+  r.tick_until([&] { return r.held.size() == kHeld; });
+  r.hold_reads = false;
+  const u64 stalled = r.stats().stall_dram_full;
+  const u64 misses = r.stats().misses;
+  r.read(0x0);   // takes the only DRAM queue slot, which stays frozen
+  r.read(0x80);  // the head
+  while (r.stats().stall_dram_full == stalled && r.now < 100'000)
+    r.tick(false);
+  ASSERT_EQ(r.stats().stall_dram_full, stalled + 1);
+  const u32 ticks = r.ticks;
+  for (u64 i = 2; i <= kHeld + 1; ++i) {
+    r.l2.dram_done(r.held.back(), r.now);
+    r.held.pop_back();
+    r.tick(false);
+    EXPECT_EQ(r.ticks, ticks);
+    EXPECT_EQ(r.stats().stall_dram_full, stalled + i);
+  }
+  EXPECT_EQ(r.stats().misses, misses + 1);
+  EXPECT_EQ(r.l2.probe_queue_size(), 1u);
 }
 
 TEST(MemorySystemTest, PartitionMappingIsChunked) {

@@ -79,6 +79,16 @@ class BadFixtureTest(unittest.TestCase):
             any("DeadStats::written " in h for h in hits), self.out)
         self.assertEqual(len(hits), 3, self.out)
 
+    def test_sleep_ledger(self):
+        hits = self.findings("sleep-ledger")
+        # Plain, const and brace-initialised members, also in a nested
+        # struct; the Cycle member and the array of structs are not.
+        for line in (10, 11, 16):
+            self.assertTrue(
+                any("hand_ledger.hpp:%d" % line in h for h in hits),
+                self.out)
+        self.assertEqual(len(hits), 3, self.out)
+
     def test_include_cpp(self):
         hits = self.findings("include-cpp")
         self.assertEqual(len(hits), 1, self.out)
