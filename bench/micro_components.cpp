@@ -3,7 +3,7 @@
 // indirect coalescing, DRAM scheduling busy, blocked and issuing under
 // saturation, CAPS table operations, scheduler picks,
 // all-eligible and saturated, and a whole-GPU cycle, mixed,
-// memory-saturated and in the refused-issue regime).
+// memory-saturated, in the refused-issue regime and memory-bound).
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -362,6 +362,38 @@ void BM_FullGpuCycleRefused(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FullGpuCycleRefused);
+
+void BM_FullGpuCycleMemoryBound(benchmark::State& state) {
+  // BFS with CAPS and PAS, a Fig. 10 configuration: in steady state almost
+  // every warp waits on memory, so most SMs, partitions, channels and reply
+  // heads have nothing to do in a given cycle. This times the wake
+  // calendar's per-cycle cost next to BM_FullGpuCycleRefused. Each restart
+  // is warmed up outside the timed region.
+  GpuConfig cfg;
+  cfg.max_cycles = ~0ULL;
+  const Kernel& k = find_workload("BFS").kernel;
+  const SmPolicyFactories pol =
+      make_policies(PrefetcherKind::kCaps, SchedulerKind::kPas, true);
+  auto warmed = [&] {
+    auto gpu = std::make_unique<Gpu>(cfg, k, pol);
+    for (int i = 0; i < 5000; ++i) gpu->step();
+    return gpu;
+  };
+  auto gpu = warmed();
+  const SmStats s = gpu->collect_stats().sm;
+  if (s.stall_cycles_all_mem * 2 < s.active_cycles)
+    state.SkipWithError("BFS did not reach the memory-bound regime");
+  for (auto _ : state) {
+    if (gpu->done()) {
+      state.PauseTiming();
+      gpu = warmed();
+      state.ResumeTiming();
+    }
+    gpu->step();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FullGpuCycleMemoryBound);
 
 void BM_EndToEndSmallKernel(benchmark::State& state) {
   GpuConfig cfg;

@@ -54,6 +54,8 @@ const char* to_string(PrefetcherKind k) {
 
 void GpuConfig::validate() const {
   require(num_sms > 0, "need at least one SM");
+  // The wake calendar gives each SM, partition and channel one mask bit.
+  require(num_sms <= 64, "SMs exceed the 64-bit wake-calendar mask");
   require(max_warps_per_sm > 0 && max_warps_per_sm <= 64, "warps/SM out of range");
   require(max_ctas_per_sm > 0 && max_ctas_per_sm <= 32, "CTAs/SM out of range");
   require(issue_width > 0, "issue width must be positive");
@@ -63,10 +65,13 @@ void GpuConfig::validate() const {
   l2.validate();
   require(l1d.line_size == l2.line_size, "L1/L2 line sizes must match");
   require(num_l2_partitions > 0, "need at least one L2 partition");
+  require(num_l2_partitions <= 64,
+          "L2 partitions exceed the 64-bit wake-calendar mask");
   require(partition_chunk_bytes >= l1d.line_size &&
               partition_chunk_bytes % l1d.line_size == 0,
           "partition chunk must be a multiple of the line size");
   require(num_dram_channels > 0, "need at least one DRAM channel");
+  // So the channels fit the wake-calendar mask too.
   require(num_l2_partitions % num_dram_channels == 0,
           "L2 partitions must divide evenly across DRAM channels");
   require(dram_queue_size > 0, "DRAM scheduler queue must have capacity");

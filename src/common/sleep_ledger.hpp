@@ -2,13 +2,16 @@
 // repeating its stall counts (DESIGN.md §13, "Stall-only sleep"). A sleep
 // starts at its first skipped cycle and owes each of a few counters a fixed
 // amount per slept cycle; a stats read adds what is owed so far, and the
-// next tick settles it. This is the one place such a ledger is kept.
+// next tick settles it. This is the one place such a ledger is kept. Its
+// wake cycle may be kept in a WakeCalendar row instead of the ledger, so
+// that the calendar reads it where it is kept.
 #pragma once
 
 #include <array>
 
 #include "common/diag.hpp"
 #include "common/types.hpp"
+#include "common/wake_calendar.hpp"
 
 namespace caps {
 
@@ -18,14 +21,28 @@ class SleepLedger {
   /// Counters one sleep can owe.
   static constexpr u32 kCapacity = 4;
 
+  SleepLedger() = default;
+  // A copy would point into the other ledger's storage or calendar row.
+  SleepLedger(const SleepLedger&) = delete;
+  SleepLedger& operator=(const SleepLedger&) = delete;
+
+  /// Keep the wake cycle as `id`'s in row `row` of `calendar` from now on.
+  void bind(WakeCalendar& calendar, WakeCalendar::Row row, u32 id) {
+    calendar.arm(row, id, *wake_at_);
+    calendar_ = &calendar;
+    row_ = row;
+    id_ = id;
+    wake_at_ = &calendar.at(row, id);
+  }
+
   /// Whether the wake cycle has come; an awake component is always due.
-  bool due(Cycle now) const { return now >= wake_at_; }
+  bool due(Cycle now) const { return now >= *wake_at_; }
   /// Due at once. What is owed stays owed until settle().
-  void wake() { wake_at_ = 0; }
+  void wake() { set_wake(0); }
   /// Sleep from cycle `from` until `wake_at` (kNever: until wake()).
   void sleep(Cycle from, Cycle wake_at) {
     from_ = from;
-    wake_at_ = wake_at;
+    set_wake(wake_at);
   }
   /// Owe `counter` `per_cycle` for each cycle slept.
   void owe(u64 Stats::*counter, u64 per_cycle = 1) {
@@ -49,15 +66,26 @@ class SleepLedger {
   void settle(Stats& s, Cycle now) {
     add_to(s, now);
     owed_ = 0;
-    wake_at_ = 0;
+    set_wake(0);
   }
 
  private:
+  void set_wake(Cycle c) {
+    if (calendar_ != nullptr)
+      calendar_->arm(row_, id_, c);
+    else
+      own_wake_at_ = c;
+  }
+
   struct Owed {
     u64 Stats::*counter;
     u64 per_cycle;
   };
-  Cycle wake_at_ = 0;
+  Cycle own_wake_at_ = 0;
+  const Cycle* wake_at_ = &own_wake_at_;
+  WakeCalendar* calendar_ = nullptr;  ///< keeps the wake cycle when bound
+  WakeCalendar::Row row_ = WakeCalendar::kRows;
+  u32 id_ = 0;
   Cycle from_ = 0;
   u32 owed_ = 0;
   std::array<Owed, kCapacity> entries_{};

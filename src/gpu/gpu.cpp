@@ -1,17 +1,26 @@
 #include "gpu/gpu.hpp"
 
+#include <bit>
 #include <sstream>
 
 namespace caps {
 
+namespace {
+
+const GpuConfig& validated(const GpuConfig& cfg) {
+  cfg.validate();
+  return cfg;
+}
+
+}  // namespace
+
 Gpu::Gpu(const GpuConfig& cfg, const Kernel& kernel,
          const SmPolicyFactories& policies, TraceSink trace)
-    : cfg_(cfg),
+    : cfg_(validated(cfg)),
       kernel_(kernel),
       trace_(std::move(trace)),
       mem_(cfg),
       distributor_(kernel.grid(), cfg.num_sms) {
-  cfg_.validate();
   for (u32 i = 0; i < cfg_.num_sms; ++i)
     sms_.push_back(std::make_unique<StreamingMultiprocessor>(
         cfg_, i, kernel_, mem_, policies, trace_ ? &trace_ : nullptr));
@@ -44,10 +53,12 @@ void Gpu::dispatch_ctas() {
 
 void Gpu::step() {
   if (!dispatch_blocked_) dispatch_ctas();
-  for (auto& sm : sms_) {
-    if (!sm->due(cycle_)) continue;
-    sm->cycle(cycle_);
-    if (sm->can_launch_cta()) dispatch_blocked_ = false;
+  for (u64 due = mem_.calendar().take(WakeCalendar::kSm, cycle_); due != 0;
+       due &= due - 1) {
+    StreamingMultiprocessor& sm =
+        *sms_[static_cast<u32>(std::countr_zero(due))];
+    sm.cycle(cycle_);  // acts only where due(cycle_) holds
+    if (sm.can_launch_cta()) dispatch_blocked_ = false;
   }
   mem_.cycle(cycle_);
   ++cycle_;

@@ -269,6 +269,11 @@ void LdStUnit::cycle(Cycle now) {
   if (ledger_.owes(&SmStats::stall_xbar_full))
     mem_.wake_inject_staller(ledger_.from(), now);
   ledger_.settle(stats_, now);
+  if (lane_wait_) {
+    mem_.unwatch_lane(lanes_[0], sm_id_);
+    mem_.unwatch_lane(lanes_[1], sm_id_);
+    lane_wait_ = false;
+  }
 
   process_replies(now);
   process_completions(now);
@@ -304,6 +309,8 @@ void LdStUnit::sleep(Cycle now, u64 SmStats::*demand,
       (demand_lane ? demand_q_ : prefetch_q_).front().line);
   lanes_[1] = prefetch_lane ? mem_.partition_of(prefetch_q_.front().line)
                             : lanes_[0];
+  mem_.watch_lane(lanes_[0], sm_id_);
+  mem_.watch_lane(lanes_[1], sm_id_);
 }
 
 bool LdStUnit::idle() const {

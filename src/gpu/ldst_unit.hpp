@@ -68,6 +68,10 @@ class LdStUnit {
 
   /// Add to `s` the stalls of the cycles slept before cycle `now`.
   void add_slept(SmStats& s, Cycle now) const { ledger_.add_to(s, now); }
+  /// Keep the sleep's wake cycle in `calendar` as SM `sm_id_`'s.
+  void bind_wake(WakeCalendar& calendar) {
+    ledger_.bind(calendar, WakeCalendar::kLdStRow, sm_id_);
+  }
 
   bool idle() const;
   std::size_t demand_queue_size() const { return demand_q_.size(); }
@@ -116,7 +120,8 @@ class LdStUnit {
 
   // Stall-only sleep, until the next L1-hit completion at the latest.
   SleepLedger<SmStats> ledger_;
-  bool lane_wait_ = false;  ///< also wake when lanes_ have room
+  bool lane_wait_ = false;  ///< also wake when lanes_ have room, which
+                            ///< the memory system watches for
   u32 lanes_[2] = {0, 0};   ///< lanes of the demand and prefetch heads
 };
 

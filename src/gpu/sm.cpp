@@ -33,6 +33,9 @@ StreamingMultiprocessor::StreamingMultiprocessor(
   // (DESIGN.md §13).
   coalesce_scratch_.reserve(kWarpSize);
   pf_buffer_.reserve(kWarpSize);
+  ldst_.bind_wake(mem.calendar());
+  elided_.bind(mem.calendar(), WakeCalendar::kIssueRow, id);
+  elided_.sleep(0, kNever);  // no warp is resident yet
   for (u32 b = 0; b < max_concurrent_ctas_; ++b)
     free_warp_blocks_.push_back(b * wpc);
   // Hand out in ascending slot order.
@@ -49,6 +52,7 @@ StreamingMultiprocessor::StreamingMultiprocessor(
 bool StreamingMultiprocessor::launch_cta(const Dim3& cta_id, Cycle now) {
   if (!can_launch_cta()) return false;
   wake_issue(now);
+  elided_.wake();
   // Find a free CTA slot.
   u32 cta_slot = cfg_.max_ctas_per_sm;
   for (u32 c = 0; c < ctas_.size(); ++c) {
@@ -293,8 +297,8 @@ bool StreamingMultiprocessor::issue(u32 slot, Cycle now) {
 void StreamingMultiprocessor::cycle(Cycle now) {
   if (ldst_.due(now)) ldst_.cycle(now);
 
-  if (resident_warps_ == 0 || !elided_.due(now)) return;
-  // The next ready_at is due.
+  if (!elided_.due(now)) return;
+  // A launch, a hook or the next ready_at woke the issue stage.
   if (elided_.owes(&SmStats::active_cycles)) end_elision(now);
   ++stats_.active_cycles;
   stats_.issue_slots += cfg_.issue_width;
@@ -316,6 +320,34 @@ void StreamingMultiprocessor::cycle(Cycle now) {
     round_warp_ = kNoWarp;
   // Whole-SM stall; attribute it to memory if any warp waits on loads.
   if (issued == 0 && mem_wait_warps_ > 0) ++stats_.stall_cycles_all_mem;
+  if (resident_warps_ == 0) {
+    elided_.sleep(now + 1, kNever);  // until launch_cta
+  } else if (issued == 0 && refused == kNoWarp) {
+    // No warp is eligible, and none becomes so before a hook or the next
+    // ready_at: every pick until then finds none.
+    elide(now, next_ready(now), /*refused=*/false);
+  }
+}
+
+Cycle StreamingMultiprocessor::next_ready(Cycle after) const {
+  // mem_wait is set only on active warps, so then every resident warp waits.
+  if (mem_wait_warps_ == resident_warps_) return kNever;
+  Cycle next = kNever;
+  for (const WarpContext& wc : warps_)
+    if (wc.status == WarpStatus::kActive && !wc.mem_wait &&
+        wc.ready_at > after)
+      next = std::min(next, wc.ready_at);
+  return next;
+}
+
+void StreamingMultiprocessor::elide(Cycle now, Cycle wake_at, bool refused) {
+  // Whether a warp waits on memory changes only in a hook, and every hook
+  // ends the span.
+  elided_.sleep(now + 1, wake_at);
+  elided_.owe(&SmStats::active_cycles);
+  elided_.owe(&SmStats::issue_slots, cfg_.issue_width);
+  if (refused) elided_.owe(&SmStats::stall_ldst_full);
+  if (mem_wait_warps_ > 0) elided_.owe(&SmStats::stall_cycles_all_mem);
 }
 
 void StreamingMultiprocessor::note_refused(i32 slot, Cycle now) {
@@ -332,22 +364,13 @@ void StreamingMultiprocessor::note_refused(i32 slot, Cycle now) {
   // while the eligible set holds, so elide until the next ready_at of an
   // active warp that does not wait on memory, unless one passed during the
   // round (then its warp may not have been picked yet).
-  Cycle next_ready = kNever;
-  for (const WarpContext& wc : warps_) {
-    if (wc.status != WarpStatus::kActive || wc.mem_wait) continue;
-    if (wc.ready_at > round_start_ && wc.ready_at <= now) {
-      round_start_ = now;
-      return;
-    }
-    if (wc.ready_at > now) next_ready = std::min(next_ready, wc.ready_at);
+  const Cycle next = next_ready(round_start_);
+  if (next <= now) {
+    round_start_ = now;
+    return;
   }
-  // Each elided cycle picks one warp and has it refused. Whether a warp
-  // waits on memory changes only in a hook, and every hook ends the span.
-  elided_.sleep(now + 1, next_ready);
-  elided_.owe(&SmStats::active_cycles);
-  elided_.owe(&SmStats::issue_slots, cfg_.issue_width);
-  elided_.owe(&SmStats::stall_ldst_full);
-  if (mem_wait_warps_ > 0) elided_.owe(&SmStats::stall_cycles_all_mem);
+  // Each elided cycle picks one warp and has it refused.
+  elide(now, next, /*refused=*/true);
 }
 
 void StreamingMultiprocessor::end_elision(Cycle now) {

@@ -50,12 +50,13 @@ class StreamingMultiprocessor {
   /// Launch a CTA; returns false if no slot is free.
   bool launch_cta(const Dim3& cta_id, Cycle now);
 
-  /// Whether cycle(now) has work: the LD/ST unit is due, or warps are
-  /// resident and the issue stage is not eliding refused cycles.
-  bool due(Cycle now) const {
-    return ldst_.due(now) || (resident_warps_ != 0 && elided_.due(now));
-  }
+  /// Whether cycle(now) has work: the LD/ST unit is due, or the issue
+  /// stage is. The issue stage sleeps while no warp is resident and while
+  /// it elides refused or idle cycles.
+  bool due(Cycle now) const { return ldst_.due(now) || elided_.due(now); }
 
+  /// Advance one cycle: the LD/ST unit and the issue stage each act only
+  /// when due, so a cycle in which due(now) is false changes nothing.
   void cycle(Cycle now);
 
   /// True while any warp is resident or memory operations are in flight.
@@ -83,8 +84,8 @@ class StreamingMultiprocessor {
   // on_demand_miss / wake_issue.
   friend class LdStUnit;
 
-  /// End any elided span of refused issue cycles before an event at `now`
-  /// changes what the issue stage would do: count the span through
+  /// End any elided span of refused or idle issue cycles before an event
+  /// at `now` changes what the issue stage would do: count the span through
   /// `now - 1` and replay it into the scheduler. Also restarts round
   /// detection. Every hook calls it before it changes warp state.
   void wake_issue(Cycle now) {
@@ -95,6 +96,12 @@ class StreamingMultiprocessor {
   /// The first-slot pick at `now` returned `slot`, which the LD/ST unit
   /// refused. Starts eliding once a whole round of refusals repeats.
   void note_refused(i32 slot, Cycle now);
+  /// Elide the issue cycles after `now` until `wake_at` or a hook: each
+  /// would repeat this cycle's pick, refused (`refused`) or finding no warp.
+  void elide(Cycle now, Cycle wake_at, bool refused);
+  /// The earliest ready_at after `after` of an active warp that does not
+  /// wait on memory; kNever if none.
+  Cycle next_ready(Cycle after) const;
 
   bool warp_eligible(u32 slot, Cycle now) const;
   /// Recompute `wc.mem_wait` and the count of waiting warps. Called after an
@@ -137,11 +144,13 @@ class StreamingMultiprocessor {
   u32 mem_wait_warps_ = 0;  ///< warps whose mem_wait bit is set
   u64 launch_counter_ = 0;
 
-  // Refused-issue elision (DESIGN.md §13). A round starts at the first
-  // refused first-slot pick after a warp-state change; when the same warp
-  // is refused again, the issue stage repeats the round until a hook or
-  // the next ready_at, so it stops picking and counts the span instead. An
-  // open span always owes active_cycles.
+  // Issue elision (DESIGN.md §13). A round starts at the first refused
+  // first-slot pick after a warp-state change; when the same warp is
+  // refused again, the issue stage repeats the round until a hook or the
+  // next ready_at, so it stops picking and counts the span instead. A
+  // first-slot pick that finds no warp repeats the same way. An open span
+  // always owes active_cycles; with no warp resident the stage sleeps
+  // owing nothing until a launch.
   i32 round_warp_ = kNoWarp;   ///< first warp refused in this round
   Cycle round_start_ = 0;      ///< cycle round_warp_ was refused
   SleepLedger<SmStats> elided_;

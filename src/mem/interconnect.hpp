@@ -59,10 +59,13 @@ class Crossbar {
   }
 
   /// Whether a message for `dest` has arrived by `now`.
-  bool arrived(u32 dest, Cycle now) const {
+  bool arrived(u32 dest, Cycle now) const { return head_at(dest) <= now; }
+
+  /// The cycle the head message for `dest` arrives; kNever if none.
+  Cycle head_at(u32 dest) const {
     CAPS_CHECK(dest < queues_.size(), "crossbar read of invalid destination");
     const auto& q = queues_[dest];
-    return !q.empty() && q.front().ready_at <= now;
+    return q.empty() ? kNever : q.front().ready_at;
   }
 
   bool idle() const;

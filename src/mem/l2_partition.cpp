@@ -125,23 +125,25 @@ u64 L2Stats::*L2Partition::probe_head(Cycle now) {
 
 void L2Partition::dram_done(const MemRequest& req, Cycle now) {
   if (req.is_write) return;
+  // A fill frees an MSHR entry, so it can move a head blocked on the MSHR.
   // A head that waits for a DRAM queue slot has no MSHR entry of its own,
-  // so only a fill of its line (a write that now hits) can move it; room,
-  // also for a write-back this fill defers, wakes the partition in due().
-  if (!ledger_.owes(&L2Stats::stall_dram_full) ||
-      probe_queue_.front().req.line == req.line)
+  // so only a fill of its line (a write that now hits) can move it. A head
+  // that is not ready yet, or an empty probe queue, has nothing to move.
+  if (ledger_.owes(&L2Stats::stall_mshr_full) ||
+      (ledger_.owes(&L2Stats::stall_dram_full) &&
+       probe_queue_.front().req.line == req.line))
     ledger_.wake();
   if (auto evicted = cache_.fill(req.line, LineMeta{});
       evicted && evicted->second.dirty) {
-    // Dirty eviction on a fill: queue the write-back; if the DRAM queue is
-    // momentarily full the write-back is deferred to the overflow buffer
-    // and drained by cycle().
+    // Dirty eviction on a fill: queue the write-back, which cycle() drains
+    // into the DRAM queue once it has room; due() watches for that room.
     MemRequest wb;
     wb.line = evicted->first;
     wb.is_write = true;
     wb.sm_id = req.sm_id;
     wb.created = now;
     pending_writebacks_.push_back(wb);
+    channel_wait_ = true;
     ++stats_.writebacks;
   }
   mshr_.fill_into(req.line, fill_scratch_);

@@ -65,11 +65,18 @@ class L2Partition {
   /// last tick. A tick whose probe step neither retired nor issued anything
   /// puts the partition to sleep until what it waits for is there: an
   /// accept() into an empty probe queue, the probe head's ready_at, room in
-  /// its DRAM channel's queue, or dram_done() of a read, which can move a
-  /// head that waits for that room only if it fills the head's own line
-  /// (DESIGN.md §13, "Stall-only sleep").
+  /// its DRAM channel's queue for a head or a deferred write-back, or
+  /// dram_done() of a read that can move the head: any fill under a head
+  /// blocked on the MSHR, and a fill of its own line under a head that
+  /// waits for channel room (DESIGN.md §13, "Stall-only sleep").
   bool due(Cycle now) const {
     return ledger_.due(now) || (channel_wait_ && channel_.can_accept());
+  }
+  /// Whether room in the DRAM channel's queue would make this partition due.
+  bool waits_on_channel() const { return channel_wait_; }
+  /// Keep the sleep's wake cycle in `calendar` as partition `id`'s.
+  void bind_wake(WakeCalendar& calendar, u32 id) {
+    ledger_.bind(calendar, WakeCalendar::kL2Row, id);
   }
 
   /// Advance one core cycle: push deferred dirty write-backs into the DRAM

@@ -1,5 +1,6 @@
 #include "mem/memory_system.hpp"
 
+#include <bit>
 #include <sstream>
 
 namespace caps {
@@ -7,12 +8,16 @@ namespace caps {
 MemorySystem::MemorySystem(const GpuConfig& cfg)
     : cfg_(cfg),
       req_xbar_(cfg.num_l2_partitions, cfg.xbar_latency, /*queue=*/16),
-      reply_xbar_(cfg.num_sms, cfg.xbar_latency, /*queue=*/16) {
+      reply_xbar_(cfg.num_sms, cfg.xbar_latency, /*queue=*/16),
+      calendar_(cfg.num_sms, cfg.num_l2_partitions, cfg.num_dram_channels),
+      lane_watchers_(cfg.num_l2_partitions, 0),
+      reply_waiters_(cfg.num_sms, 0) {
   for (u32 c = 0; c < cfg_.num_dram_channels; ++c)
     channels_.push_back(std::make_unique<DramChannel>(cfg_));
   for (u32 p = 0; p < cfg_.num_l2_partitions; ++p) {
     DramChannel& ch = *channels_[p % cfg_.num_dram_channels];
     partitions_.push_back(std::make_unique<L2Partition>(cfg_, ch));
+    partitions_[p]->bind_wake(calendar_, p);
   }
 }
 
@@ -24,40 +29,91 @@ void MemorySystem::submit(const MemRequest& req, Cycle now) {
     ++traffic_.core_prefetch_requests;
   else
     ++traffic_.core_demand_requests;
-  req_xbar_.push(partition_of(req.line), req, now);
+  const u32 p = partition_of(req.line);
+  req_xbar_.push(p, req, now);
+  if (req_xbar_.queued(p) == 1) arm_pull(p);  // a new head
+}
+
+void MemorySystem::arm_pull(u32 p) {
+  calendar_.arm(WakeCalendar::kPullRow, p,
+                partitions_[p]->can_accept() ? req_xbar_.head_at(p) : kNever);
 }
 
 void MemorySystem::cycle(Cycle now) {
-  // Each partition pulls at most one request from its crossbar lane, then
-  // ticks if it has work. Pulling touches only the partition and its lane,
-  // so one pass keeps the order of pulling all partitions first.
-  for (u32 p = 0; p < partitions_.size(); ++p) {
+  // Each due partition pulls at most one request from its crossbar lane,
+  // then ticks if it has work. Pulling touches only the partition and its
+  // lane, so one pass keeps the order of pulling all partitions first.
+  for (u64 due = calendar_.take(WakeCalendar::kPartition, now); due != 0;
+       due &= due - 1) {
+    const auto p = static_cast<u32>(std::countr_zero(due));
     L2Partition& part = *partitions_[p];
     MemRequest req;
-    if (part.can_accept() && req_xbar_.pop(p, now, req)) part.accept(req, now);
-    if (part.due(now)) part.cycle(now);
-  }
-  for (auto& ch : channels_) {
-    // Completed transfers first, in completion order: reads fill L2.
-    MemRequest done;
-    while (ch->pop_done(now, done)) {
-      partitions_[partition_of(done.line)]->dram_done(done, now);
-      ++(done.is_write ? traffic_.dram_writes : traffic_.dram_reads);
+    if (part.can_accept() && req_xbar_.pop(p, now, req)) {
+      part.accept(req, now);
+      calendar_.mark(WakeCalendar::kSm, lane_watchers_[p]);
     }
-    ch->cycle(now);
+    if (part.due(now)) {
+      const u32 c = p % cfg_.num_dram_channels;
+      const std::size_t queued = channels_[c]->queue_size();
+      const bool no_reply = part.front_reply() == nullptr;
+      part.cycle(now);
+      // A submit must reach its channel in this cycle: it may start a
+      // command and opens a busy span.
+      if (channels_[c]->queue_size() != queued)
+        calendar_.mark(WakeCalendar::kChannel, WakeCalendar::bit(c));
+      if (no_reply && part.front_reply() != nullptr)
+        calendar_.mark(WakeCalendar::kReplyHead, WakeCalendar::bit(p));
+    }
+    arm_pull(p);
   }
 
-  // Partitions inject at most one reply each into the reply crossbar. A
-  // reply the crossbar cannot take stays at the head of its queue.
-  for (auto& part : partitions_) {
-    const MemRequest* reply = part->front_reply();
-    if (reply == nullptr) continue;
-    if (reply_xbar_.can_accept(reply->sm_id)) {
-      reply_xbar_.push(reply->sm_id, *reply, now);
-      part->pop_reply();
-    } else {
-      reply_xbar_.note_inject_stalls();
+  for (u64 due = calendar_.take(WakeCalendar::kChannel, now); due != 0;
+       due &= due - 1) {
+    const auto c = static_cast<u32>(std::countr_zero(due));
+    DramChannel& ch = *channels_[c];
+    // Completed transfers first, in completion order: reads fill L2.
+    MemRequest done;
+    while (ch.pop_done(now, done)) {
+      const u32 p = partition_of(done.line);
+      L2Partition& part = *partitions_[p];
+      const bool no_reply = part.front_reply() == nullptr;
+      part.dram_done(done, now);
+      if (no_reply && part.front_reply() != nullptr)
+        calendar_.mark(WakeCalendar::kReplyHead, WakeCalendar::bit(p));
+      if (part.waits_on_channel())
+        calendar_.mark(WakeCalendar::kPartition, WakeCalendar::bit(p));
+      ++(done.is_write ? traffic_.dram_writes : traffic_.dram_reads);
     }
+    const std::size_t queued = ch.queue_size();
+    ch.cycle(now);
+    // A command frees a queue slot for the partitions waiting on one.
+    if (ch.queue_size() != queued)
+      for (u32 p = c; p < partitions_.size(); p += cfg_.num_dram_channels)
+        if (partitions_[p]->waits_on_channel())
+          calendar_.mark(WakeCalendar::kPartition, WakeCalendar::bit(p));
+    calendar_.arm(WakeCalendar::kChannelRow, c, ch.next_event());
+  }
+
+  // Each due partition injects at most one reply into the reply crossbar.
+  // A reply the crossbar cannot take stays at the head of its queue until
+  // the SM pops its lane.
+  for (u64 due = calendar_.take(WakeCalendar::kReplyHead, now); due != 0;
+       due &= due - 1) {
+    const auto p = static_cast<u32>(std::countr_zero(due));
+    L2Partition& part = *partitions_[p];
+    const MemRequest* reply = part.front_reply();
+    if (reply == nullptr) continue;
+    const u32 sm = reply->sm_id;
+    if (!reply_xbar_.can_accept(sm)) {
+      reply_waiters_[sm] |= WakeCalendar::bit(p);
+      continue;
+    }
+    reply_xbar_.push(sm, *reply, now);
+    part.pop_reply();
+    if (reply_xbar_.queued(sm) == 1)  // a new head
+      calendar_.arm(WakeCalendar::kReplyRow, sm, reply_xbar_.head_at(sm));
+    if (part.front_reply() != nullptr)
+      calendar_.mark(WakeCalendar::kReplyHead, WakeCalendar::bit(p));
   }
   elapsed_ = now + 1;
 }
@@ -80,7 +136,10 @@ bool MemorySystem::idle() const {
 
 DramStats MemorySystem::dram_stats() const {
   DramStats agg;
-  for (const auto& c : channels_) agg.merge(c->stats());
+  for (const auto& c : channels_) {
+    agg.merge(c->stats());
+    c->add_busy(agg, elapsed_);
+  }
   return agg;
 }
 

@@ -4,10 +4,12 @@
 
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/config.hpp"
 #include "common/diag.hpp"
+#include "common/wake_calendar.hpp"
 #include "mem/dram.hpp"
 #include "mem/interconnect.hpp"
 #include "mem/l2_partition.hpp"
@@ -80,16 +82,32 @@ class MemorySystem {
   bool lane_can_accept(u32 partition) const {
     return req_xbar_.can_accept(partition);
   }
-  /// Whether a reply for SM `sm_id` has arrived by `now`.
+  /// A sleeping LD/ST unit of SM `sm` waits for room on the request lane
+  /// toward `partition`: a pull from that lane marks the SM due.
+  void watch_lane(u32 partition, u32 sm) {
+    lane_watchers_[partition] |= WakeCalendar::bit(sm);
+  }
+  void unwatch_lane(u32 partition, u32 sm) {
+    lane_watchers_[partition] &= ~WakeCalendar::bit(sm);
+  }
+  /// Whether a reply for SM `sm_id` has arrived by `now`: the calendar
+  /// keeps the arrival of each reply lane's head.
   bool reply_arrived(u32 sm_id, Cycle now) const {
-    return reply_xbar_.arrived(sm_id, now);
+    return now >= calendar_.at(WakeCalendar::kReplyRow, sm_id);
   }
 
   /// Inject a request from an SM.
   void submit(const MemRequest& req, Cycle now);
 
-  /// Advance the whole off-SM hierarchy one core cycle.
+  /// Advance the whole off-SM hierarchy one core cycle: visit the due
+  /// partitions (pull, then tick), the due DRAM channels, then the due
+  /// reply heads.
   void cycle(Cycle now);
+
+  /// The machine's wake calendar. Gpu::step visits the SMs it holds due;
+  /// the SMs keep their LD/ST and issue-stage wake cycles in it.
+  WakeCalendar& calendar() { return calendar_; }
+  const WakeCalendar& calendar() const { return calendar_; }
 
   /// Cycles this memory system has been advanced through: a sleeping
   /// component's counters are read as of this cycle.
@@ -97,13 +115,22 @@ class MemorySystem {
 
   /// Pop one reply for SM `sm_id` (per-SM reply bandwidth is enforced by the
   /// caller via how often it pops). Replies the test-only drop filter claims
-  /// are swallowed here — the canonical "lost response" fault.
+  /// are swallowed here — the canonical "lost response" fault. Each pop
+  /// makes room on the lane and marks the reply heads blocked on it due.
   bool pop_reply(u32 sm_id, Cycle now, MemRequest& out) {
+    bool popped = false;
     while (reply_xbar_.pop(sm_id, now, out)) {
-      if (!reply_drop_ || !reply_drop_(out)) return true;
+      calendar_.mark(WakeCalendar::kReplyHead,
+                     std::exchange(reply_waiters_[sm_id], 0));
+      calendar_.arm(WakeCalendar::kReplyRow, sm_id,
+                    reply_xbar_.head_at(sm_id));
+      if (!reply_drop_ || !reply_drop_(out)) {
+        popped = true;
+        break;
+      }
       ++dropped_replies_;
     }
-    return false;
+    return popped;
   }
 
   /// Test-only fault injection: replies for which the filter returns true
@@ -120,6 +147,11 @@ class MemorySystem {
   void snapshot_into(MachineSnapshot& snap) const;
 
   const TrafficStats& traffic() const { return traffic_; }
+  // Read access to the parts, for tests and snapshots.
+  const Crossbar& request_xbar() const { return req_xbar_; }
+  const Crossbar& reply_xbar() const { return reply_xbar_; }
+  const L2Partition& partition(u32 p) const { return *partitions_[p]; }
+  const DramChannel& channel(u32 c) const { return *channels_[c]; }
   /// Request-crossbar counters, with the inject stalls of sleeping LD/ST
   /// units counted through elapsed(). Valid until the next call.
   const XbarStats& request_xbar_stats() const;
@@ -127,12 +159,19 @@ class MemorySystem {
   L2Stats l2_stats() const;      ///< aggregated over partitions
 
  private:
+  /// Keep partition `p`'s pull wake: its lane head's arrival while it has
+  /// room for it. Called after whatever can change either.
+  void arm_pull(u32 p);
+
   GpuConfig cfg_;
   Crossbar req_xbar_;
   Crossbar reply_xbar_;
   std::vector<std::unique_ptr<DramChannel>> channels_;
   std::vector<std::unique_ptr<L2Partition>> partitions_;
   TrafficStats traffic_;
+  WakeCalendar calendar_;
+  std::vector<u64> lane_watchers_;  ///< per request lane: SMs waiting on it
+  std::vector<u64> reply_waiters_;  ///< per reply lane: heads blocked on it
   Cycle elapsed_ = 0;
   u64 inject_sleepers_ = 0;
   u64 inject_sleep_from_sum_ = 0;

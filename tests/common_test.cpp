@@ -122,6 +122,27 @@ TEST(ConfigTest, RejectsMoreDramBanksThanTheBankMaskHolds) {
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
+TEST(ConfigTest, RejectsMoreComponentsThanTheWakeCalendarMaskHolds) {
+  // The wake calendar gives each SM, L2 partition and DRAM channel one bit
+  // of a 64-bit mask.
+  GpuConfig cfg;
+  cfg.num_sms = 64;
+  cfg.num_l2_partitions = 64;
+  cfg.num_dram_channels = 64;
+  EXPECT_NO_THROW(cfg.validate());
+  GpuConfig sms = cfg;
+  sms.num_sms = 65;
+  EXPECT_THROW(sms.validate(), std::invalid_argument);
+  GpuConfig partitions = cfg;
+  partitions.num_l2_partitions = 128;  // still a multiple of the channels
+  EXPECT_THROW(partitions.validate(), std::invalid_argument);
+  // Channels divide the partitions, so 65 of them need too many partitions.
+  GpuConfig channels = cfg;
+  channels.num_dram_channels = 65;
+  channels.num_l2_partitions = 65;
+  EXPECT_THROW(channels.validate(), std::invalid_argument);
+}
+
 TEST(ConfigTest, RejectsMergeCapacityAboveEntryCount) {
   GpuConfig cfg;
   cfg.l1d.mshr_max_merged = cfg.l1d.mshr_entries + 1;

@@ -6,6 +6,8 @@
 #include <functional>
 #include <random>
 #include <set>
+#include <string>
+#include <type_traits>
 #include <utility>
 
 #include "core/pas_scheduler.hpp"
@@ -1298,6 +1300,79 @@ TEST(ElideRefusedTest, ClosedFormMatchesReplayingEveryPick) {
   }
 }
 
+/// Drives two identical schedulers of kind S through the same random
+/// history, then makes every warp ineligible for k cycles: one gets the
+/// span as elide_refused(), the other is picked in every cycle, as by an
+/// issue stage that never sleeps, and must find no warp each time.
+template <typename S>
+void check_idle_elide_against_picks(std::mt19937& rng, Cycle k) {
+  GpuConfig cfg;
+  cfg.max_warps_per_sm = 16;
+  cfg.ready_queue_size = 1 + static_cast<u32>(rng() % 8);
+  std::vector<WarpContext> warps(cfg.max_warps_per_sm);
+  for (u32 w = 0; w < warps.size(); ++w) {
+    warps[w].status = WarpStatus::kActive;
+    warps[w].warp_in_cta = w % 4;
+    warps[w].launch_order = w;
+  }
+  enum State : u8 { kEligible, kBlocked, kWaiting };
+  std::vector<u8> state(warps.size(), kEligible);
+  const auto eligible = [&](u32 w, Cycle) { return state[w] == kEligible; };
+  const auto waiting = [&](u32 w) { return state[w] == kWaiting; };
+  S a(cfg, warps, eligible, waiting);
+  S b(cfg, warps, eligible, waiting);
+  const auto reshuffle = [&](u32 states) {
+    for (u32 w = 0; w < state.size(); ++w) {
+      const u8 next = static_cast<u8>(3 - states + rng() % states);
+      if (state[w] == kWaiting && next != kWaiting) {
+        a.on_loads_complete(w);
+        b.on_loads_complete(w);
+      }
+      state[w] = next;
+    }
+  };
+  const auto same_queues = [&] {
+    if constexpr (std::is_base_of_v<TwoLevelScheduler, S>) {
+      EXPECT_EQ(a.ready_queue(), b.ready_queue()) << a.name() << " k=" << k;
+      EXPECT_EQ(a.pending_queue(), b.pending_queue())
+          << a.name() << " k=" << k;
+    }
+  };
+  for (u32 c = 0; c < 4; ++c) {
+    a.on_cta_launch(c, c * 4, 4);
+    b.on_cta_launch(c, c * 4, 4);
+  }
+  Cycle now = 0;
+  for (u32 i = static_cast<u32>(rng() % 40); i > 0; --i, ++now) {
+    reshuffle(3);
+    ASSERT_EQ(a.pick(now), b.pick(now));
+  }
+  reshuffle(2);  // blocked or waiting: no warp is eligible
+  ASSERT_EQ(a.pick(now), kNoWarp);
+  ASSERT_EQ(b.pick(now), kNoWarp);
+  ++now;
+  a.elide_refused(now, now + k - 1);
+  for (Cycle c = now; c < now + k; ++c) ASSERT_EQ(b.pick(c), kNoWarp);
+  same_queues();
+  now += k;
+  for (u32 i = 0; i < 4; ++i, ++now) {
+    reshuffle(3);
+    EXPECT_EQ(a.pick(now), b.pick(now)) << a.name() << " k=" << k;
+    same_queues();
+  }
+}
+
+TEST(ElideRefusedTest, IdleSpanMatchesPickingEveryCycle) {
+  std::mt19937 rng(20261018);
+  for (Cycle k = 1; k <= 300; ++k) {
+    check_idle_elide_against_picks<LrrScheduler>(rng, k);
+    check_idle_elide_against_picks<GtoScheduler>(rng, k);
+    check_idle_elide_against_picks<TwoLevelScheduler>(rng, k);
+    check_idle_elide_against_picks<OrchScheduler>(rng, k);
+    check_idle_elide_against_picks<PasScheduler>(rng, k);
+  }
+}
+
 /// What an elided span's end coincided with, in the cycle the issue stage
 /// picked again.
 struct ElisionEnds {
@@ -1365,6 +1440,7 @@ class ShadowedScheduler final : public Scheduler {
 
 struct ElisionCheck {
   u64 elided = 0;      ///< SM cycles elided, over all SMs
+  u64 idle = 0;        ///< of those, cycles whose pick would find no warp
   u64 violations = 0;  ///< see run_with_shadow
   ElisionEnds ends;
   GpuStats stats;
@@ -1373,9 +1449,9 @@ struct ElisionCheck {
 /// Steps `k` by hand with every SM's scheduler shadowed, with
 /// `before_step(gpu, elided)` ahead of each step, `elided[i]` telling
 /// whether SM i elided the last cycle. Counts a violation when a real pick differs
-/// from the shadow's, when the shadow's pick in an elided cycle is not a
-/// warp the LD/ST unit refuses, or when an elided cycle's counters differ
-/// from a refused cycle's.
+/// from the shadow's, when the shadow's pick in an elided cycle is neither
+/// a warp the LD/ST unit refuses nor no warp, or when an elided cycle's
+/// counters differ from those of a refused or idle cycle.
 template <typename BeforeStep>
 ElisionCheck run_with_shadow(const Kernel& k, const GpuConfig& cfg,
                              PrefetcherKind pf, SchedulerKind sched,
@@ -1423,8 +1499,10 @@ ElisionCheck run_with_shadow(const Kernel& k, const GpuConfig& cfg,
         ++r.elided;
         was_elided[i] = 1;
         const i32 slot = sh.shadow_pick(now);
+        const bool idle = slot == kNoWarp;
+        if (idle) ++r.idle;
         const bool refused =
-            slot != kNoWarp &&
+            !idle &&
             k.instruction(warps[static_cast<u32>(slot)].pc_idx).op ==
                 Opcode::kMem &&
             warps[static_cast<u32>(slot)].stalled_lines != 0 &&
@@ -1436,11 +1514,11 @@ ElisionCheck run_with_shadow(const Kernel& k, const GpuConfig& cfg,
         const bool counted =
             after.active_cycles == b.active_cycles + 1 &&
             after.issue_slots == b.issue_slots + cfg.issue_width &&
-            after.stall_ldst_full == b.stall_ldst_full + 1 &&
+            after.stall_ldst_full == b.stall_ldst_full + (idle ? 0 : 1) &&
             after.stall_cycles_all_mem ==
                 b.stall_cycles_all_mem + (any_wait ? 1 : 0) &&
             after.issued_instructions == b.issued_instructions;
-        if (!refused || !counted) ++r.violations;
+        if (!(idle || refused) || !counted) ++r.violations;
         continue;
       }
       if (was_elided[i] != 0) {
@@ -1492,6 +1570,20 @@ TEST(IssueElisionTest, EveryScheduleMatchesAnSmThatNeverElides) {
       EXPECT_GT(r.elided, 1000u) << wl << " " << to_string(sched);
       EXPECT_EQ(r.violations, 0u) << wl << " " << to_string(sched);
     }
+  }
+}
+
+TEST(IssueElisionTest, IdleSpansMatchAnSmThatPicksEveryCycle) {
+  // Without a prefetcher, BFS's warps all wait on memory for long spans, so
+  // the first pick of a cycle often finds no warp.
+  for (SchedulerKind sched :
+       {SchedulerKind::kLrr, SchedulerKind::kGto, SchedulerKind::kTwoLevel,
+        SchedulerKind::kPas, SchedulerKind::kOrch}) {
+    const ElisionCheck r =
+        run_with_shadow(find_workload("BFS").kernel, small_gpu(20'000),
+                        PrefetcherKind::kNone, sched);
+    EXPECT_GT(r.idle, 1000u) << to_string(sched);
+    EXPECT_EQ(r.violations, 0u) << to_string(sched);
   }
 }
 
@@ -1695,6 +1787,118 @@ TEST(GpuTest, ForwardingDecoratorMatchesTheUndecoratedRun) {
           << wl << " " << to_string(pf);
       // Every active cycle picks at least once, elided ones included.
       EXPECT_GE(picks, s.sm.active_cycles) << wl;
+    }
+  }
+}
+
+// ------------------------------------------------------ wake calendar -----
+
+/// A random machine that GpuConfig::validate accepts: 1-15 SMs, 1-4
+/// partitions per channel, a crossbar latency of 1-32 and small queues.
+GpuConfig random_machine(std::mt19937& rng) {
+  GpuConfig cfg;
+  cfg.num_sms = 1 + static_cast<u32>(rng() % 15);
+  cfg.num_dram_channels = 1 + static_cast<u32>(rng() % 6);
+  cfg.num_l2_partitions =
+      cfg.num_dram_channels * (1 + static_cast<u32>(rng() % 4));
+  cfg.xbar_latency = 1 + static_cast<u32>(rng() % 32);
+  cfg.ldst_queue_size = 1 + static_cast<u32>(rng() % 32);
+  cfg.dram_queue_size = 1 + static_cast<u32>(rng() % 8);
+  cfg.l2.miss_queue_size = 1 + static_cast<u32>(rng() % 8);
+  cfg.l2.mshr_entries = 1 + static_cast<u32>(rng() % 16);
+  cfg.l2.mshr_max_merged = 1 + static_cast<u32>(rng() % cfg.l2.mshr_entries);
+  cfg.l1d.mshr_entries = 1 + static_cast<u32>(rng() % 32);
+  cfg.l1d.mshr_max_merged =
+      1 + static_cast<u32>(rng() % cfg.l1d.mshr_entries);
+  cfg.max_cycles = 4000;
+  cfg.validate();
+  return cfg;
+}
+
+TEST(WakeCalendarTest, EveryComponentWithWorkIsDue) {
+  // At the start of every step, every component whose own condition holds
+  // must be in the due set its kind's pass would take: an SM or LD/ST unit
+  // that is due, a partition that can pull or tick, a channel with a
+  // completion or a pick, a reply head with room on its lane. Within a
+  // step, the SM phase changes no partition or channel condition, so that
+  // is the condition its phase sees; a missed mark that the phases of one
+  // cycle would see shows as a missed id at the start of the next.
+  std::mt19937 rng(20261018);
+  const std::vector<Workload>& suite = workload_suite();
+  u64 seen[WakeCalendar::kKinds] = {};
+  for (int trial = 0; trial < 24; ++trial) {
+    const GpuConfig cfg = random_machine(rng);
+    const Workload& wl = suite[rng() % suite.size()];
+    const auto pf = static_cast<PrefetcherKind>(rng() % 8);
+    Gpu gpu(cfg, wl.kernel, make_policies(pf, default_scheduler_for(pf), true));
+    const MemorySystem& mem = gpu.memory();
+    const std::string where = wl.abbr + " " + to_string(pf) + " trial " +
+                              std::to_string(trial);
+    u64 missed = 0;
+    while (!gpu.done() && gpu.now() < cfg.max_cycles) {
+      const Cycle now = gpu.now();
+      WakeCalendar cal = mem.calendar();  // take() on a copy
+      u64 due[WakeCalendar::kKinds];
+      for (u32 k = 0; k < WakeCalendar::kKinds; ++k)
+        due[k] = cal.take(static_cast<WakeCalendar::Kind>(k), now);
+      const auto check = [&](WakeCalendar::Kind k, u32 id, bool has_work) {
+        if (!has_work) return;
+        ++seen[k];
+        if ((due[k] & WakeCalendar::bit(id)) == 0 && missed++ == 0)
+          ADD_FAILURE() << where << ": kind " << k << " id " << id
+                        << " has work at cycle " << now << " but is not due";
+      };
+      for (u32 i = 0; i < cfg.num_sms; ++i)
+        check(WakeCalendar::kSm, i, gpu.sm(i).due(now));
+      for (u32 p = 0; p < cfg.num_l2_partitions; ++p) {
+        const L2Partition& part = mem.partition(p);
+        check(WakeCalendar::kPartition, p,
+              (part.can_accept() && mem.request_xbar().arrived(p, now)) ||
+                  part.due(now));
+        const MemRequest* reply = part.front_reply();
+        check(WakeCalendar::kReplyHead, p,
+              reply != nullptr && mem.reply_xbar().can_accept(reply->sm_id));
+      }
+      for (u32 c = 0; c < cfg.num_dram_channels; ++c)
+        check(WakeCalendar::kChannel, c, mem.channel(c).next_event() <= now);
+      gpu.step();
+    }
+    EXPECT_EQ(missed, 0u) << where;
+  }
+  for (u32 k = 0; k < WakeCalendar::kKinds; ++k)
+    EXPECT_GT(seen[k], 100u) << "kind " << k;
+}
+
+TEST(WakeCalendarTest, DramBusyCyclesReadExactlyAfterEveryStep) {
+  // A channel counts busy_cycles per span while it sleeps. A read after
+  // every step must equal a count of the cycles whose channel phase found
+  // the queue non-empty: those that end with a queued request or issued a
+  // command, since only the partition phase before it submits.
+  std::mt19937 rng(7);
+  for (const char* name : {"BFS", "PVR", "MM"}) {
+    for (int trial = 0; trial < 3; ++trial) {
+      const GpuConfig cfg = random_machine(rng);
+      Gpu gpu(cfg, find_workload(name).kernel,
+              make_policies(PrefetcherKind::kCaps, SchedulerKind::kPas, true));
+      const MemorySystem& mem = gpu.memory();
+      std::vector<u64> commands(cfg.num_dram_channels, 0);
+      u64 busy = 0;
+      u64 mismatches = 0;
+      while (!gpu.done() && gpu.now() < cfg.max_cycles) {
+        gpu.step();
+        for (u32 c = 0; c < cfg.num_dram_channels; ++c) {
+          const DramChannel& ch = mem.channel(c);
+          const u64 issued = ch.stats().reads + ch.stats().writes;
+          if (ch.queue_size() > 0 || issued != commands[c]) ++busy;
+          commands[c] = issued;
+        }
+        if (mem.dram_stats().busy_cycles != busy && mismatches++ == 0)
+          ADD_FAILURE() << name << " trial " << trial << ": busy_cycles "
+                        << mem.dram_stats().busy_cycles << " != " << busy
+                        << " after cycle " << gpu.now() - 1;
+      }
+      EXPECT_GT(busy, 0u) << name;
+      EXPECT_EQ(mismatches, 0u) << name << " trial " << trial;
     }
   }
 }
