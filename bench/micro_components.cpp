@@ -3,7 +3,8 @@
 // indirect coalescing, DRAM scheduling busy, blocked and issuing under
 // saturation, CAPS table operations, scheduler picks,
 // all-eligible and saturated, and a whole-GPU cycle, mixed,
-// memory-saturated, in the refused-issue regime and memory-bound).
+// memory-saturated, in the refused-issue regime, memory-bound and
+// issue-bound).
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -394,6 +395,39 @@ void BM_FullGpuCycleMemoryBound(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FullGpuCycleMemoryBound);
+
+void BM_FullGpuCycleIssueBound(benchmark::State& state) {
+  // MM with TLV, a Fig. 10 configuration: between tile loads its warps
+  // compute out of shared memory and sync at barriers, so most SM cycles
+  // issue and the two-level scheduler's demotions, barrier releases and
+  // promotions run every cycle. This times that regime next to
+  // BM_FullGpuCycleMemoryBound. Each restart is warmed up outside the timed
+  // region.
+  GpuConfig cfg;
+  cfg.max_cycles = ~0ULL;
+  const Kernel& k = find_workload("MM").kernel;
+  const SmPolicyFactories pol =
+      make_policies(PrefetcherKind::kNone, SchedulerKind::kTwoLevel, true);
+  auto warmed = [&] {
+    auto gpu = std::make_unique<Gpu>(cfg, k, pol);
+    for (int i = 0; i < 5000; ++i) gpu->step();
+    return gpu;
+  };
+  auto gpu = warmed();
+  const SmStats s = gpu->collect_stats().sm;
+  if (s.issued_instructions * 2 < s.active_cycles)
+    state.SkipWithError("MM did not reach the issue-bound regime");
+  for (auto _ : state) {
+    if (gpu->done()) {
+      state.PauseTiming();
+      gpu = warmed();
+      state.ResumeTiming();
+    }
+    gpu->step();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FullGpuCycleIssueBound);
 
 void BM_EndToEndSmallKernel(benchmark::State& state) {
   GpuConfig cfg;

@@ -1,6 +1,6 @@
 #include "core/pas_scheduler.hpp"
 
-#include <algorithm>
+#include <iterator>
 
 namespace caps {
 
@@ -26,9 +26,7 @@ void PasScheduler::on_cta_launch(u32 cta_slot, u32 first_warp,
 void PasScheduler::on_prefetch_fill(u32 slot) {
   if (!eager_wakeup_) return;
   if (!warps_[slot].runnable()) return;
-  auto it = std::find(pending_.begin(), pending_.end(), slot);
-  if (it == pending_.end()) return;  // already ready (or done): nothing to do
-  pending_.erase(it);
+  if (!take_pending(slot)) return;  // already ready (or done): nothing to do
   if (ready_.size() >= cfg_.ready_queue_size) {
     // Forcibly push one trailing ready warp back to pending to make room.
     bool displaced = false;

@@ -36,7 +36,7 @@ void LdStUnit::push_demand(const L1Access& access) {
 
 void LdStUnit::pop_demand(Cycle now) {
   demand_q_.pop();
-  sm_.wake_issue(now);
+  sm_.on_demand_pop(now);
 }
 
 void LdStUnit::push_prefetches(const std::vector<PrefetchRequest>& reqs,

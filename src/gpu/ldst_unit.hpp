@@ -11,7 +11,7 @@
 //
 // Load completions, eager wake-ups, demand misses and demand-queue pops are
 // reported straight to the owning SM (on_load_done / on_prefetch_fill /
-// on_demand_miss / wake_issue).
+// on_demand_miss / on_demand_pop).
 #pragma once
 
 #include <vector>
@@ -92,7 +92,7 @@ class LdStUnit {
   /// on the given stall counter, or idle (null).
   void sleep(Cycle now, u64 SmStats::*demand, u64 SmStats::*prefetch);
   void complete_load(const L1Access& access, Cycle now);
-  /// Every pop changes the room the SM's issue stage sees.
+  /// Every pop adds room for the SM's issue stage.
   void pop_demand(Cycle now);
 
   const GpuConfig& cfg_;

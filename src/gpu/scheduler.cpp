@@ -1,6 +1,7 @@
 #include "gpu/scheduler.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace caps {
 
@@ -60,13 +61,9 @@ void TwoLevelScheduler::on_cta_launch(u32 /*cta_slot*/, u32 first_warp,
 }
 
 void TwoLevelScheduler::on_warp_done(u32 slot) {
-  erase_from(ready_, slot);
-  erase_from(pending_, slot);
-}
-
-void TwoLevelScheduler::erase_from(FlatDeque<u32>& q, u32 slot) {
-  auto it = std::find(q.begin(), q.end(), slot);
-  if (it != q.end()) q.erase(it);
+  if (take_pending(slot)) return;
+  auto it = std::find(ready_.begin(), ready_.end(), slot);
+  if (it != ready_.end()) ready_.erase(it);
 }
 
 void TwoLevelScheduler::enqueue_ready(u32 slot, bool to_front) {
@@ -82,14 +79,42 @@ void TwoLevelScheduler::enqueue_pending(u32 slot, bool to_front) {
     pending_.push_front(slot);
   else
     pending_.push_back(slot);
-  promotion_stale_ = true;
+  pending_bits_ |= bit(slot);
+  evaluate(slot);
+}
+
+bool TwoLevelScheduler::take_pending(u32 slot) {
+  if ((pending_bits_ & bit(slot)) == 0) return false;
+  const auto it = std::find(pending_.begin(), pending_.end(), slot);
+  remove_pending(static_cast<u32>(it - pending_.begin()));
+  return true;
+}
+
+u32 TwoLevelScheduler::remove_pending(u32 idx) {
+  const u32 slot = pending_[idx];
+  pending_.erase(pending_.begin() + idx);
+  pending_bits_ &= ~bit(slot);
+  promotable_ &= ~bit(slot);
+  parked_[warps_[slot].cta_slot] &= ~bit(slot);
+  return slot;
+}
+
+void TwoLevelScheduler::evaluate(u32 slot) {
+  const WarpContext& w = warps_[slot];
+  promotable_ &= ~bit(slot);
+  if (w.status == WarpStatus::kAtBarrier)
+    parked_[w.cta_slot] |= bit(slot);
+  else if (w.runnable() && !waiting_mem_(slot))
+    promotable_ |= bit(slot);
 }
 
 i32 TwoLevelScheduler::next_promotion() const {
   i32 fallback = -1;
-  for (u32 i = 0; i < pending_.size(); ++i) {
+  u64 unseen = promotable_;
+  for (u32 i = 0; unseen != 0; ++i) {
     const u32 slot = pending_[i];
-    if (!warps_[slot].runnable() || waiting_mem_(slot)) continue;
+    if ((unseen & bit(slot)) == 0) continue;
+    unseen &= ~bit(slot);
     if (promote_first(slot)) return static_cast<i32>(i);
     if (fallback < 0) fallback = static_cast<i32>(i);
   }
@@ -106,12 +131,18 @@ void TwoLevelScheduler::maintain() {
            warps_[slot].status == WarpStatus::kAtBarrier;
   };
   // Only an issue can make a ready warp demotable, and only the picked warp
-  // issues. An issue leaves ready_at past the pick cycle, and it may release
-  // a barrier, which can make pending warps promotable.
+  // issues. Its issue may also release its CTA's barrier, which is the one
+  // way a parked pending warp leaves kAtBarrier.
   if (picked_ != kNoWarp) {
     const u32 slot = static_cast<u32>(picked_);
     picked_ = kNoWarp;
-    if (warps_[slot].ready_at > picked_at_) promotion_stale_ = true;
+    u64& parked = parked_[warps_[slot].cta_slot];
+    for (u64 m = parked; m != 0; m &= m - 1) {
+      const auto w = static_cast<u32>(std::countr_zero(m));
+      if (warps_[w].status == WarpStatus::kAtBarrier) continue;
+      parked &= ~bit(w);
+      evaluate(w);
+    }
     if (demotable(slot)) recheck_ready_ = true;
   }
   if (recheck_ready_) {
@@ -120,25 +151,15 @@ void TwoLevelScheduler::maintain() {
       const u32 slot = *it;
       if (demotable(slot)) {
         it = ready_.erase(it);
-        // Not promotable until a load completes or its barrier releases,
-        // and both mark promotion stale: no enqueue_pending here.
-        pending_.push_back(slot);
+        enqueue_pending(slot, /*to_front=*/false);
       } else {
         ++it;
       }
     }
   }
   // Refill from pending.
-  while (promotion_stale_ && ready_.size() < cfg_.ready_queue_size) {
-    const i32 idx = next_promotion();
-    if (idx < 0) {
-      promotion_stale_ = false;
-      break;
-    }
-    const u32 slot = pending_[static_cast<u32>(idx)];
-    pending_.erase(pending_.begin() + idx);
-    ready_.push_back(slot);
-  }
+  while (promotable_ != 0 && ready_.size() < cfg_.ready_queue_size)
+    ready_.push_back(remove_pending(static_cast<u32>(next_promotion())));
 }
 
 i32 TwoLevelScheduler::pick(Cycle now) {
@@ -155,7 +176,6 @@ i32 TwoLevelScheduler::pick(Cycle now) {
     ready_.push_back(slot);
     if (warps_[slot].runnable() && eligible_(slot, now)) {
       picked_ = static_cast<i32>(slot);
-      picked_at_ = now;
       return picked_;
     }
   }
@@ -188,7 +208,6 @@ void TwoLevelScheduler::elide_refused(Cycle from, Cycle to) {
     --target;
   }
   picked_ = static_cast<i32>(ready_[p]);
-  picked_at_ = to;
   for (u32 r = 0; r < (p + 1) % n; ++r) {
     ready_.push_back(ready_.front());
     ready_.pop_front();

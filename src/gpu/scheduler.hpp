@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/diag.hpp"
 #include "common/flat_deque.hpp"
 #include "gpu/trace.hpp"
 #include "gpu/warp.hpp"
@@ -119,13 +120,17 @@ class GtoScheduler : public Scheduler {
 /// Two-level scheduler [1,2]: a small ready queue is scheduled round-robin;
 /// warps that stall on memory are demoted to the pending queue and promoted
 /// back once their loads return: FIFO among the warps promote_first()
-/// accepts, then FIFO among the rest.
+/// accepts, then FIFO among the rest. Which pending warps are promotable is
+/// kept in masks that the events able to change it update (DESIGN.md §13).
 class TwoLevelScheduler : public Scheduler {
  public:
   TwoLevelScheduler(const GpuConfig& cfg, std::vector<WarpContext>& warps,
                     std::function<bool(u32, Cycle)> eligible,
                     std::function<bool(u32)> waiting_mem)
-      : Scheduler(cfg, warps, std::move(eligible), std::move(waiting_mem)) {
+      : Scheduler(cfg, warps, std::move(eligible), std::move(waiting_mem)),
+        parked_(cfg.max_ctas_per_sm, 0) {
+    CAPS_CHECK(cfg.max_warps_per_sm <= 64,
+               "two-level warp masks hold at most 64 warp slots");
     // Both queues are bounded by the warp-slot count; pre-sizing them keeps
     // the per-cycle promotion/demotion churn off the heap (DESIGN.md §13).
     ready_.reserve(cfg.max_warps_per_sm);
@@ -133,7 +138,10 @@ class TwoLevelScheduler : public Scheduler {
   }
   void on_cta_launch(u32 cta_slot, u32 first_warp, u32 num_warps) override;
   void on_warp_done(u32 slot) override;
-  void on_loads_complete(u32 /*slot*/) override { promotion_stale_ = true; }
+  /// A pending warp whose last load returned may have become promotable.
+  void on_loads_complete(u32 slot) override {
+    if ((pending_bits_ & bit(slot)) != 0) evaluate(slot);
+  }
   i32 pick(Cycle now) override;
   /// Closed form of the move-to-back rotation (DESIGN.md §13).
   void elide_refused(Cycle from, Cycle to) override;
@@ -142,15 +150,17 @@ class TwoLevelScheduler : public Scheduler {
   // Test introspection.
   const FlatDeque<u32>& ready_queue() const { return ready_; }
   const FlatDeque<u32>& pending_queue() const { return pending_; }
+  /// Pending warps that were runnable and not waiting on memory when an
+  /// event last evaluated them.
+  u64 promotable_mask() const { return promotable_; }
 
  protected:
-  /// Demote memory-stalled/barrier warps, then refill ready slots. Both
-  /// steps run only when some warp's state can have changed since the last
-  /// call (DESIGN.md §13, "Exact skips").
+  /// Demote memory-stalled/barrier warps, then refill ready slots from the
+  /// promotable mask. The ready scan runs only when some ready warp's state
+  /// can have changed since the last call (DESIGN.md §13, "Exact skips").
   void maintain();
-  /// Index into pending_ of the first promotable warp (runnable, not
-  /// waiting on memory) that promote_first() accepts, else of the first
-  /// promotable warp; -1 if none.
+  /// Index into pending_ of the first promotable warp that promote_first()
+  /// accepts, else of the first promotable warp; -1 if none.
   i32 next_promotion() const;
   /// Promotion priority: subclasses (PAS, ORCH) return false for warps that
   /// should yield to the others. Plain two-level promotion is FIFO.
@@ -158,25 +168,33 @@ class TwoLevelScheduler : public Scheduler {
   /// A hook moves `slot` into the ready queue, at the back or at the front
   /// (PAS leading warps); the next pick() re-checks it for demotion.
   void enqueue_ready(u32 slot, bool to_front);
-  /// A hook moves `slot` into the pending queue; the next pick() with a free
-  /// ready slot looks for a promotion again.
+  /// Move `slot` into the pending queue and evaluate it. Every entry into
+  /// pending_ goes through here.
   void enqueue_pending(u32 slot, bool to_front);
-
-  void erase_from(FlatDeque<u32>& q, u32 slot);
+  /// Take `slot` out of the pending queue; false if it was not there.
+  bool take_pending(u32 slot);
 
   FlatDeque<u32> ready_;
-  FlatDeque<u32> pending_;
 
  private:
-  /// Warp the last pick() returned, and that pick's cycle. The SM issues
-  /// it at once; the next maintain() re-checks it.
+  static u64 bit(u32 slot) { return u64{1} << slot; }
+  /// Re-evaluate pending warp `slot` through the predicates: parked at a
+  /// barrier, promotable (runnable and not waiting on memory), or neither.
+  void evaluate(u32 slot);
+  /// Take the warp at index `idx` out of pending_ and its masks; returns it.
+  u32 remove_pending(u32 idx);
+
+  FlatDeque<u32> pending_;
+  u64 pending_bits_ = 0;  ///< the warps in pending_
+  u64 promotable_ = 0;    ///< pending warps that promotion may take
+  /// Per CTA slot: pending warps parked at a barrier. Only the issue of the
+  /// CTA's last arriving warp releases them.
+  std::vector<u64> parked_;
+  /// Warp the last pick() returned. The SM issues it at once; the next
+  /// maintain() re-checks it and the barrier of its CTA.
   i32 picked_ = kNoWarp;
-  Cycle picked_at_ = 0;
   /// Some ready warp may need demoting: run the ready scan.
   bool recheck_ready_ = false;
-  /// Some pending warp may have become promotable since a promotion scan
-  /// last found none.
-  bool promotion_stale_ = false;
 };
 
 /// Two-level variant used with the ORCH prefetcher [17]: promotion

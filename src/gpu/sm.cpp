@@ -314,10 +314,12 @@ void StreamingMultiprocessor::cycle(Cycle now) {
     }
     ++issued;
   }
-  if (refused != kNoWarp)
+  if (refused != kNoWarp) {
     note_refused(refused, now);
-  else
+  } else {
     round_warp_ = kNoWarp;
+    round_min_lines_ = 0;
+  }
   // Whole-SM stall; attribute it to memory if any warp waits on loads.
   if (issued == 0 && mem_wait_warps_ > 0) ++stats_.stall_cycles_all_mem;
   if (resident_warps_ == 0) {
@@ -351,6 +353,9 @@ void StreamingMultiprocessor::elide(Cycle now, Cycle wake_at, bool refused) {
 }
 
 void StreamingMultiprocessor::note_refused(i32 slot, Cycle now) {
+  const u32 lines = warps_[static_cast<u32>(slot)].stalled_lines;
+  if (round_min_lines_ == 0 || lines < round_min_lines_)
+    round_min_lines_ = lines;
   if (slot != round_warp_) {
     if (round_warp_ == kNoWarp) {
       round_warp_ = slot;

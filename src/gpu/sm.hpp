@@ -81,7 +81,7 @@ class StreamingMultiprocessor {
  private:
   // The LD/ST unit reports load completions, eager wake-ups, demand misses
   // and demand-queue pops through on_load_done / on_prefetch_fill /
-  // on_demand_miss / wake_issue.
+  // on_demand_miss / on_demand_pop.
   friend class LdStUnit;
 
   /// End any elided span of refused or idle issue cycles before an event
@@ -90,7 +90,14 @@ class StreamingMultiprocessor {
   /// detection. Every hook calls it before it changes warp state.
   void wake_issue(Cycle now) {
     round_warp_ = kNoWarp;
+    round_min_lines_ = 0;
     if (elided_.owes(&SmStats::active_cycles)) end_elision(now);
+  }
+  /// The LD/ST demand queue popped at `now`. While the queue still has less
+  /// room than the fewest lines of any warp refused in this round, each of
+  /// them is refused again: the round, or its elided span, goes on.
+  void on_demand_pop(Cycle now) {
+    if (ldst_.can_accept(round_min_lines_)) wake_issue(now);
   }
   void end_elision(Cycle now);
   /// The first-slot pick at `now` returned `slot`, which the LD/ST unit
@@ -153,6 +160,8 @@ class StreamingMultiprocessor {
   // owing nothing until a launch.
   i32 round_warp_ = kNoWarp;   ///< first warp refused in this round
   Cycle round_start_ = 0;      ///< cycle round_warp_ was refused
+  u32 round_min_lines_ = 0;    ///< fewest stalled_lines refused this round;
+                               ///< 0 with no round
   SleepLedger<SmStats> elided_;
   std::vector<u32> free_warp_blocks_;  ///< first-warp slots of free regions
   std::vector<PrefetchRequest> pf_buffer_;

@@ -18,14 +18,6 @@ void Crossbar::push(u32 dest, const MemRequest& req, Cycle now) {
   CAPS_CHECK(can_accept(dest),
              "crossbar queue overflow: caller must check can_accept()");
   queues_[dest].push_back(InFlight{now + latency_, req});
-  ++stats_.messages;
-}
-
-void Crossbar::take(u32 dest, Cycle now, MemRequest& out) {
-  auto& q = queues_[dest];
-  stats_.total_queue_delay += now - q.front().ready_at;
-  out = q.front().req;
-  q.pop_front();
 }
 
 bool Crossbar::idle() const {

@@ -12,6 +12,8 @@
 
 namespace caps {
 
+/// Request-crossbar counters; MemorySystem keeps them (the reply crossbar
+/// is not reported).
 struct XbarStats {
   u64 messages = 0;
   u64 total_queue_delay = 0;  ///< cycles messages spent queued past latency
@@ -46,7 +48,6 @@ class Crossbar {
   bool can_accept(u32 dest) const {
     return queues_[dest].size() < queue_capacity_;
   }
-  void note_inject_stalls(u64 n = 1) { stats_.inject_stalls += n; }
 
   /// Inject a message toward `dest`; visible to pop() after `latency` cycles.
   void push(u32 dest, const MemRequest& req, Cycle now);
@@ -54,7 +55,8 @@ class Crossbar {
   /// Pop at most one arrived message for `dest` (per-destination bandwidth).
   bool pop(u32 dest, Cycle now, MemRequest& out) {
     if (!arrived(dest, now)) return false;
-    take(dest, now, out);
+    out = queues_[dest].front().req;
+    queues_[dest].pop_front();
     return true;
   }
 
@@ -69,7 +71,6 @@ class Crossbar {
   }
 
   bool idle() const;
-  const XbarStats& stats() const { return stats_; }
 
   u32 num_dests() const { return static_cast<u32>(queues_.size()); }
   std::size_t queued(u32 dest) const { return queues_[dest].size(); }
@@ -81,12 +82,9 @@ class Crossbar {
     MemRequest req;
   };
 
-  void take(u32 dest, Cycle now, MemRequest& out);
-
   u32 latency_;
   std::size_t queue_capacity_;
   std::vector<FlatDeque<InFlight>> queues_;
-  XbarStats stats_;
 };
 
 }  // namespace caps

@@ -31,6 +31,7 @@ void MemorySystem::submit(const MemRequest& req, Cycle now) {
     ++traffic_.core_demand_requests;
   const u32 p = partition_of(req.line);
   req_xbar_.push(p, req, now);
+  ++req_stats_.messages;
   if (req_xbar_.queued(p) == 1) arm_pull(p);  // a new head
 }
 
@@ -48,7 +49,9 @@ void MemorySystem::cycle(Cycle now) {
     const auto p = static_cast<u32>(std::countr_zero(due));
     L2Partition& part = *partitions_[p];
     MemRequest req;
+    const Cycle arrived_at = req_xbar_.head_at(p);
     if (part.can_accept() && req_xbar_.pop(p, now, req)) {
+      req_stats_.total_queue_delay += now - arrived_at;
       part.accept(req, now);
       calendar_.mark(WakeCalendar::kSm, lane_watchers_[p]);
     }
@@ -119,7 +122,7 @@ void MemorySystem::cycle(Cycle now) {
 }
 
 const XbarStats& MemorySystem::request_xbar_stats() const {
-  request_xbar_read_ = req_xbar_.stats();
+  request_xbar_read_ = req_stats_;
   request_xbar_read_.inject_stalls +=
       inject_sleepers_ * elapsed_ - inject_sleep_from_sum_;
   return request_xbar_read_;

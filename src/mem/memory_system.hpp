@@ -62,7 +62,7 @@ class MemorySystem {
   bool can_accept(Addr line) const {
     return req_xbar_.can_accept(partition_of(line));
   }
-  void note_inject_stall() { req_xbar_.note_inject_stalls(); }
+  void note_inject_stall() { ++req_stats_.inject_stalls; }
 
   /// A sleeping LD/ST unit whose demand head waits on the request crossbar
   /// still makes one inject stall per cycle. It registers the first cycle
@@ -75,7 +75,7 @@ class MemorySystem {
   void wake_inject_staller(Cycle from, Cycle now) {
     --inject_sleepers_;
     inject_sleep_from_sum_ -= from;
-    req_xbar_.note_inject_stalls(now - from);
+    req_stats_.inject_stalls += now - from;
   }
 
   /// Whether the request-crossbar lane toward `partition` has room now.
@@ -173,6 +173,7 @@ class MemorySystem {
   std::vector<u64> lane_watchers_;  ///< per request lane: SMs waiting on it
   std::vector<u64> reply_waiters_;  ///< per reply lane: heads blocked on it
   Cycle elapsed_ = 0;
+  XbarStats req_stats_;  ///< request-crossbar messages, delay and stalls
   u64 inject_sleepers_ = 0;
   u64 inject_sleep_from_sum_ = 0;
   mutable XbarStats request_xbar_read_;  ///< what request_xbar_stats() returns

@@ -373,10 +373,11 @@ TEST_F(PasTest, TrailingWarpsPromotedWhenNoLeaderCanBe) {
   activate(0, 4);
   activate(4, 4);
   auto s = make();
+  // Demote the whole ready set; both leading warps (0 and 4) are blocked,
+  // warp 4 since before it entered the pending queue.
+  memwait_ = {0, 1, 2, 3, 4};
   s->on_cta_launch(0, 0, 4);  // fills ready (4 slots)
   s->on_cta_launch(1, 4, 4);  // pending: leading 4, then 5, 6, 7
-  // Demote the whole ready set; both leading warps (0 and 4) are blocked.
-  memwait_ = {0, 1, 2, 3, 4};
   s->pick(0);
   // No leader is promotable, so the trailing warps are, in FIFO order.
   const auto& ready = s->ready_queue();
@@ -440,8 +441,8 @@ TEST_F(PasTest, ForcedDemotionIsPromotedAgain) {
   cfg_.ready_queue_size = 2;
   activate(0, 6);
   auto s = make();
+  memwait_ = {0, 1, 2, 3};  // before launch: a pending warp never starts waiting
   s->on_cta_launch(0, 0, 4);  // ready: 0, 1; pending: 2, 3
-  memwait_ = {0, 1, 2, 3};
   // CTA 0 is demoted whole, and no pending warp is promotable.
   ASSERT_EQ(s->pick(0), kNoWarp);
   s->on_cta_launch(1, 4, 2);  // leading 4 and trailing 5 fill the ready queue
@@ -459,8 +460,8 @@ TEST_F(PasTest, ForcedDemotionOfALeadingWarpIsPromotedAgain) {
   cfg_.ready_queue_size = 2;
   activate(0, 5);
   auto s = make();
+  memwait_ = {0, 1, 2};  // before launch: a pending warp never starts waiting
   s->on_cta_launch(0, 0, 3);  // ready: 0, 1; pending: 2
-  memwait_ = {0, 1, 2};
   ASSERT_EQ(s->pick(0), kNoWarp);
   // Two one-warp CTAs fill the ready queue with leading warps.
   s->on_cta_launch(1, 3, 1);

@@ -213,6 +213,7 @@ TEST_F(SchedulerFixture, TwoLevelPromotesWhenLoadsReturn) {
   // slot. Warp 0 must be promoted ahead of the still-blocked 1..3.
   memwait_ = {1, 2, 3, 4};
   ineligible_ = {1, 2, 3, 4};
+  s->on_loads_complete(0);
   for (int i = 0; i < 4; ++i) s->pick(0);
   const auto& ready = s->ready_queue();
   EXPECT_TRUE(std::find(ready.begin(), ready.end(), 0u) != ready.end());
@@ -267,8 +268,10 @@ TEST_F(SchedulerFixture, TwoLevelPromotesAPendingWarpWhenItsLastLoadReturns) {
   cfg_.ready_queue_size = 2;
   activate(0, 4);
   auto s = make<TwoLevelScheduler>();
-  s->on_cta_launch(0, 0, 4);  // ready: 0, 1; pending: 2, 3
+  // Every warp waits on memory before it enters a queue: a pending warp
+  // never starts waiting.
   memwait_ = ineligible_ = {0, 1, 2, 3};
+  s->on_cta_launch(0, 0, 4);  // ready: 0, 1; pending: 2, 3
   // 0 and 1 are demoted, and no pending warp is promotable.
   ASSERT_EQ(s->pick(0), kNoWarp);
   ASSERT_EQ(s->pending_queue().size(), 4u);
@@ -342,10 +345,11 @@ TEST_F(SchedulerFixture, OrchPromotesOddWarpsWhenNoEvenWarpCan) {
   cfg_.ready_queue_size = 2;
   activate(0, 8);
   auto s = make<OrchScheduler>();
-  s->on_cta_launch(0, 0, 8);  // ready: 0,1; pending: 2..7
-  // Demote the ready set; every even warp is blocked on memory.
+  // Demote the ready set; every even warp is blocked on memory, the pending
+  // ones since before they entered the pending queue.
   memwait_ = {0, 1, 2, 4, 6};
   ineligible_ = memwait_;
+  s->on_cta_launch(0, 0, 8);  // ready: 0,1; pending: 2..7
   s->pick(0);
   // With no even warp promotable, promotion falls back to FIFO: 3, then 5.
   const auto& ready = s->ready_queue();
@@ -1441,6 +1445,7 @@ class ShadowedScheduler final : public Scheduler {
 struct ElisionCheck {
   u64 elided = 0;      ///< SM cycles elided, over all SMs
   u64 idle = 0;        ///< of those, cycles whose pick would find no warp
+  u64 open_pops = 0;   ///< of those, cycles whose LD/ST demand queue popped
   u64 violations = 0;  ///< see run_with_shadow
   ElisionEnds ends;
   GpuStats stats;
@@ -1470,6 +1475,10 @@ ElisionCheck run_with_shadow(const Kernel& k, const GpuConfig& cfg,
   };
   Gpu gpu(cfg, k, pol);
   ElisionCheck r;
+  const auto popped = [](const SmStats& a, const SmStats& b) {
+    return a.l1_hits + a.l1_mshr_merges + a.demand_to_mem + a.stores_to_mem !=
+           b.l1_hits + b.l1_mshr_merges + b.demand_to_mem + b.stores_to_mem;
+  };
   std::vector<char> was_elided(cfg.num_sms, 0);
   std::vector<SmStats> before(cfg.num_sms);
   std::vector<std::vector<char>> waits(cfg.num_sms);
@@ -1519,6 +1528,7 @@ ElisionCheck run_with_shadow(const Kernel& k, const GpuConfig& cfg,
                 b.stall_cycles_all_mem + (any_wait ? 1 : 0) &&
             after.issued_instructions == b.issued_instructions;
         if (!(idle || refused) || !counted) ++r.violations;
+        if (popped(after, b)) ++r.open_pops;
         continue;
       }
       if (was_elided[i] != 0) {
@@ -1528,10 +1538,7 @@ ElisionCheck run_with_shadow(const Kernel& k, const GpuConfig& cfg,
           if (waits[i][w] != 0 && warps[w].outstanding_loads == 0)
             ++r.ends.last_load;
         if (after.pf_wakeups != b.pf_wakeups) ++r.ends.prefetch;
-        if (after.l1_hits + after.l1_mshr_merges + after.demand_to_mem +
-                after.stores_to_mem !=
-            b.l1_hits + b.l1_mshr_merges + b.demand_to_mem + b.stores_to_mem)
-          ++r.ends.demand_pop;
+        if (popped(after, b)) ++r.ends.demand_pop;
         for (const WarpContext& wc : warps)
           if (wc.status == WarpStatus::kActive && wc.ready_at == now)
             ++r.ends.ready_at;
@@ -1611,6 +1618,16 @@ TEST(IssueElisionTest, EndsWhenTheDemandQueuePops) {
       run_with_shadow(find_workload("PVR").kernel, small_gpu(20'000),
                       PrefetcherKind::kNone, SchedulerKind::kTwoLevel);
   EXPECT_GT(r.ends.demand_pop, 0u);
+  EXPECT_EQ(r.violations, 0u);
+}
+
+TEST(IssueElisionTest, PopsThatLeaveTooLittleRoomKeepTheSpanOpen) {
+  // A pop that leaves the demand queue with less room than every warp
+  // refused in the round needs does not end the span or restart the round.
+  const ElisionCheck r =
+      run_with_shadow(find_workload("PVR").kernel, small_gpu(20'000),
+                      PrefetcherKind::kNone, SchedulerKind::kTwoLevel);
+  EXPECT_GT(r.open_pops, 0u);
   EXPECT_EQ(r.violations, 0u);
 }
 
@@ -1787,6 +1804,107 @@ TEST(GpuTest, ForwardingDecoratorMatchesTheUndecoratedRun) {
           << wl << " " << to_string(pf);
       // Every active cycle picks at least once, elided ones included.
       EXPECT_GE(picks, s.sm.active_cycles) << wl;
+    }
+  }
+}
+
+// ---------------------------------------------- two-level promotion masks --
+
+/// Wraps a two-level scheduler and, after every pick() and elided span,
+/// compares the promotable mask it keeps from events with a fresh scan of
+/// its pending queue through the predicates.
+class MaskCheckedScheduler final : public Scheduler {
+ public:
+  MaskCheckedScheduler(std::unique_ptr<Scheduler> inner, const GpuConfig& cfg,
+                       std::vector<WarpContext>& warps,
+                       std::function<bool(u32)> waiting_mem)
+      : Scheduler(cfg, warps, nullptr, std::move(waiting_mem)),
+        inner_(std::move(inner)),
+        two_level_(dynamic_cast<const TwoLevelScheduler*>(inner_.get())) {}
+
+  void on_cta_launch(u32 cta_slot, u32 first_warp, u32 num_warps) override {
+    inner_->on_cta_launch(cta_slot, first_warp, num_warps);
+  }
+  void on_warp_done(u32 slot) override { inner_->on_warp_done(slot); }
+  void on_loads_complete(u32 slot) override {
+    inner_->on_loads_complete(slot);
+  }
+  void on_prefetch_fill(u32 slot) override { inner_->on_prefetch_fill(slot); }
+  void on_global_access(u32 slot) override { inner_->on_global_access(slot); }
+  i32 pick(Cycle now) override {
+    const i32 slot = inner_->pick(now);
+    check();
+    return slot;
+  }
+  void elide_refused(Cycle from, Cycle to) override {
+    inner_->elide_refused(from, to);
+    check();
+  }
+  const char* name() const override { return inner_->name(); }
+
+  u64 checks = 0;
+  u64 mismatches = 0;
+  u64 parked_checks = 0;  ///< checks with a pending warp at a barrier
+
+ private:
+  void check() {
+    if (two_level_ == nullptr) {
+      ++mismatches;
+      return;
+    }
+    u64 fresh = 0;
+    bool parked = false;
+    for (const u32 slot : two_level_->pending_queue()) {
+      if (warps_[slot].status == WarpStatus::kAtBarrier) parked = true;
+      if (warps_[slot].runnable() && !waiting_mem_(slot))
+        fresh |= u64{1} << slot;
+    }
+    ++checks;
+    if (parked) ++parked_checks;
+    if (fresh != two_level_->promotable_mask()) ++mismatches;
+  }
+
+  std::unique_ptr<Scheduler> inner_;
+  const TwoLevelScheduler* two_level_;
+};
+
+TEST(PromotionMaskTest, KeptMaskEqualsAFreshScanAtEveryPick) {
+  const std::pair<SchedulerKind, PrefetcherKind> policies[] = {
+      {SchedulerKind::kTwoLevel, PrefetcherKind::kNone},
+      {SchedulerKind::kOrch, PrefetcherKind::kOrch},
+      {SchedulerKind::kPas, PrefetcherKind::kCaps}};
+  for (const char* wl : {"MM", "CNV", "BFS", "PVR"}) {
+    for (const auto& [sched, pf] : policies) {
+      GpuConfig cfg;
+      cfg.num_sms = 4;
+      cfg.max_cycles = 30'000;
+      std::vector<MaskCheckedScheduler*> checked;
+      SmPolicyFactories pol = make_policies(pf, sched, true);
+      pol.make_scheduler = [base = pol.make_scheduler, &checked](
+                               const GpuConfig& c, std::vector<WarpContext>& w,
+                               std::function<bool(u32, Cycle)> eligible,
+                               std::function<bool(u32)> waiting_mem) {
+        auto s = std::make_unique<MaskCheckedScheduler>(
+            base(c, w, std::move(eligible), waiting_mem), c, w, waiting_mem);
+        checked.push_back(s.get());
+        return s;
+      };
+      Gpu gpu(cfg, find_workload(wl).kernel, pol);
+      gpu.run();
+      u64 checks = 0;
+      u64 mismatches = 0;
+      u64 parked = 0;
+      for (const MaskCheckedScheduler* s : checked) {
+        checks += s->checks;
+        mismatches += s->mismatches;
+        parked += s->parked_checks;
+      }
+      EXPECT_GT(checks, 10'000u) << wl << " " << to_string(sched);
+      EXPECT_EQ(mismatches, 0u) << wl << " " << to_string(sched);
+      // MM parks pending warps at its tile barriers.
+      if (std::string(wl) == "MM") {
+        EXPECT_GT(parked, 0u) << to_string(sched);
+      }
     }
   }
 }
