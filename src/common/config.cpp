@@ -24,7 +24,6 @@ void CacheConfig::validate() const {
   require(mshr_max_merged > 0, "MSHR merge capacity must be positive");
   require(mshr_max_merged <= mshr_entries,
           "MSHR merge capacity cannot exceed the entry count");
-  require(miss_queue_size > 0, "miss queue must have capacity");
 }
 
 const char* to_string(SchedulerKind k) {
@@ -67,6 +66,7 @@ void GpuConfig::validate() const {
   require(num_l2_partitions > 0, "need at least one L2 partition");
   require(num_l2_partitions <= 64,
           "L2 partitions exceed the 64-bit wake-calendar mask");
+  require(l2_queue_size > 0, "L2 probe queue must have capacity");
   require(partition_chunk_bytes >= l1d.line_size &&
               partition_chunk_bytes % l1d.line_size == 0,
           "partition chunk must be a multiple of the line size");

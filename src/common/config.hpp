@@ -16,8 +16,6 @@ struct CacheConfig {
   u32 mshr_entries = 32;
   /// Maximum demand requests merged into one in-flight MSHR entry.
   u32 mshr_max_merged = 8;
-  /// Capacity of the miss queue between the cache and the next level.
-  u32 miss_queue_size = 8;
 
   u32 num_sets() const { return size_bytes / (line_size * assoc); }
   u32 num_lines() const { return size_bytes / line_size; }
@@ -109,15 +107,14 @@ struct GpuConfig {
                   .line_size = 128,
                   .assoc = 4,
                   .mshr_entries = 32,
-                  .mshr_max_merged = 8,
-                  .miss_queue_size = 8};
+                  .mshr_max_merged = 8};
   u32 num_l2_partitions = 12;
   CacheConfig l2{.size_bytes = 64 * 1024,
                  .line_size = 128,
                  .assoc = 8,
                  .mshr_entries = 32,
-                 .mshr_max_merged = 16,
-                 .miss_queue_size = 16};
+                 .mshr_max_merged = 16};
+  u32 l2_queue_size = 16;     ///< probe-queue entries per L2 partition
 
   // DRAM.
   u32 num_dram_channels = 6;

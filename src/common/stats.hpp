@@ -47,29 +47,44 @@ inline double ratio(u64 num, u64 den, double if_zero = 0.0) {
   return den == 0 ? if_zero : static_cast<double>(num) / static_cast<double>(den);
 }
 
-// --------------------------------------------------------------------------
-// Counter registry convention.
-//
-// Every `u64`/`Cycle` counter field of a `*Stats` struct must be listed in
-// that struct's static `for_each_counter_member()` visitor. merge() and the
-// end-of-run auditor (Gpu::audit) iterate the registry rather than naming
-// fields one by one, so a counter missing from the registry would silently
-// escape both aggregation and auditing. tools/capsim-lint rule
-// `counter-registry` enforces the listing at lint time.
-//
-// The canonical shape (see SmStats, DramStats, ...):
-//
-//   template <typename F> static void for_each_counter_member(F&& f) {
-//     f("reads", &DramStats::reads);
-//     ...
-//   }
-//   template <typename F> void for_each_counter(F&& f) const {
-//     for_each_counter_member(
-//         [&](const char* name, auto m) { f(name, this->*m); });
-//   }
-//   void merge(const DramStats& o) {
-//     for_each_counter_member([&](const char*, auto m) { this->*m += o.*m; });
-//   }
-// --------------------------------------------------------------------------
+/// CRTP base of every `*Stats` group. A group keeps only its fields and
+/// lists each `u64`/`Cycle` counter once in a static registry:
+///
+///   template <typename F> static void for_each_counter_member(F&& f) {
+///     f("reads", &DramStats::reads);
+///     ...
+///   }
+///
+/// plus, if it has `RunningStat` fields, `for_each_running_stat_member(f)`
+/// of the same shape. The visit and merge below, the end-of-run auditor
+/// (Gpu::audit) and stats_signature all iterate the registries, so a field
+/// missing from one would silently escape all of them. tools/capsim-lint
+/// rule `counter-registry` enforces the listing and this base.
+template <typename Group>
+// The implicit constructor stays public so that every group remains an
+// aggregate (`GpuStats s{}`).
+// NOLINTNEXTLINE(bugprone-crtp-constructor-accessibility)
+struct CounterGroup {
+  /// Calls f(name, value) for every registered counter.
+  template <typename F>
+  void for_each_counter(F&& f) const {
+    const Group& g = static_cast<const Group&>(*this);
+    Group::for_each_counter_member(
+        [&](const char* name, auto m) { f(name, g.*m); });
+  }
+
+  /// Adds every registered counter and merges every registered RunningStat.
+  void merge(const Group& o) {
+    Group& g = static_cast<Group&>(*this);
+    Group::for_each_counter_member([&](const char*, auto m) { g.*m += o.*m; });
+    if constexpr (requires {
+                    Group::for_each_running_stat_member(
+                        [](const char*, auto) {});
+                  }) {
+      Group::for_each_running_stat_member(
+          [&](const char*, auto m) { (g.*m).merge(o.*m); });
+    }
+  }
+};
 
 }  // namespace caps

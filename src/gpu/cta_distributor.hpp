@@ -24,9 +24,6 @@ class CtaDistributor {
   bool all_dispatched() const { return next_cta_ >= total_; }
   u32 remaining() const { return total_ - next_cta_; }
 
-  /// The next CTA id to dispatch (valid only if !all_dispatched()).
-  Dim3 peek() const { return unflatten(next_cta_, grid_); }
-
   /// Record that the next CTA went to `sm`; advances the queue.
   Dim3 dispatch(u32 sm, Cycle now);
 

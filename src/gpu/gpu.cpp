@@ -186,11 +186,7 @@ std::vector<std::string> Gpu::audit(const GpuStats& s) const {
     });
   };
   sweep("gpu", s);
-  sweep("sm", s.sm);
-  sweep("pf_engine", s.pf_engine);
-  sweep("traffic", s.traffic);
-  sweep("dram", s.dram);
-  sweep("l2", s.l2);
+  s.for_each_group(sweep);
 
   // Counter identities — hold even when the run stopped at the cycle limit.
   expect_eq(s.sm.l1_hits + s.sm.l1_misses, s.sm.l1_accesses,

@@ -9,6 +9,7 @@
 
 #include "common/config.hpp"
 #include "common/diag.hpp"
+#include "common/stats.hpp"
 #include "gpu/cta_distributor.hpp"
 #include "gpu/sm.hpp"
 #include "gpu/sm_stats.hpp"
@@ -18,7 +19,7 @@
 namespace caps {
 
 /// Aggregated result of one simulation run.
-struct GpuStats {
+struct GpuStats : CounterGroup<GpuStats> {
   Cycle cycles = 0;
   bool hit_cycle_limit = false;
   SmStats sm;             ///< summed over SMs
@@ -33,19 +34,23 @@ struct GpuStats {
 
   bool audit_clean() const { return audit_violations.empty(); }
 
-  /// Counter registry (see stats.hpp) for the top-level counters; the
-  /// nested sm/pf_engine/traffic/dram/l2 groups carry their own registries
-  /// and are swept group-by-group by Gpu::audit().
+  /// Counter registry (see stats.hpp) for the top-level counters only:
+  /// merge() and for_each_counter() do not reach the nested groups.
   template <typename F>
   static void for_each_counter_member(F&& f) {
     f("cycles", &GpuStats::cycles);
     f("ctas_launched", &GpuStats::ctas_launched);
   }
 
+  /// Calls f(name, group) for each nested group, in signature order; the
+  /// one list of them that Gpu::audit() and stats_signature() iterate.
   template <typename F>
-  void for_each_counter(F&& f) const {
-    for_each_counter_member(
-        [&](const char* name, auto m) { f(name, this->*m); });
+  void for_each_group(F&& f) const {
+    f("sm", sm);
+    f("pf_engine", pf_engine);
+    f("traffic", traffic);
+    f("dram", dram);
+    f("l2", l2);
   }
 
   /// Thread-instruction IPC (warp instructions * warp size / cycles),

@@ -6,7 +6,7 @@
 
 namespace caps {
 
-struct SmStats {
+struct SmStats : CounterGroup<SmStats> {
   // Pipeline.
   u64 active_cycles = 0;        ///< cycles with >=1 warp resident
   u64 issued_instructions = 0;  ///< warp instructions issued
@@ -83,14 +83,6 @@ struct SmStats {
     f("pf_distance", &SmStats::pf_distance);
     f("demand_miss_latency", &SmStats::demand_miss_latency);
   }
-
-  template <typename F>
-  void for_each_counter(F&& f) const {
-    for_each_counter_member(
-        [&](const char* name, auto m) { f(name, this->*m); });
-  }
-
-  void merge(const SmStats& o);
 };
 
 }  // namespace caps

@@ -87,16 +87,11 @@ std::string stats_signature(const GpuStats& s) {
   s.for_each_counter(
       [&](const char* name, u64 v) { os << name << '=' << v << '\n'; });
   os << "hit_cycle_limit=" << (s.hit_cycle_limit ? 1 : 0) << '\n';
-  const auto group = [&](const char* g, const auto& st) {
+  s.for_each_group([&](const char* g, const auto& st) {
     st.for_each_counter([&](const char* name, u64 v) {
       os << g << '.' << name << '=' << v << '\n';
     });
-  };
-  group("sm", s.sm);
-  group("pf_engine", s.pf_engine);
-  group("traffic", s.traffic);
-  group("dram", s.dram);
-  group("l2", s.l2);
+  });
   // Accumulators render their count and the exact bits (%a) of sum, min and
   // max, so a one-ulp drift in a latency or distance fails the gate too.
   SmStats::for_each_running_stat_member([&](const char* name, auto m) {

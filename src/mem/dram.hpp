@@ -11,11 +11,12 @@
 #include "common/config.hpp"
 #include "common/flat_deque.hpp"
 #include "common/sleep_ledger.hpp"
+#include "common/stats.hpp"
 #include "mem/memory_request.hpp"
 
 namespace caps {
 
-struct DramStats {
+struct DramStats : CounterGroup<DramStats> {
   u64 reads = 0;
   u64 writes = 0;
   u64 row_hits = 0;
@@ -34,16 +35,6 @@ struct DramStats {
     f("row_misses", &DramStats::row_misses);
     f("busy_cycles", &DramStats::busy_cycles);
     f("queue_full_stalls", &DramStats::queue_full_stalls);
-  }
-
-  template <typename F>
-  void for_each_counter(F&& f) const {
-    for_each_counter_member(
-        [&](const char* name, auto m) { f(name, this->*m); });
-  }
-
-  void merge(const DramStats& o) {
-    for_each_counter_member([&](const char*, auto m) { this->*m += o.*m; });
   }
 };
 

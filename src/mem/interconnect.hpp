@@ -8,13 +8,14 @@
 #include "common/config.hpp"
 #include "common/diag.hpp"
 #include "common/flat_deque.hpp"
+#include "common/stats.hpp"
 #include "mem/memory_request.hpp"
 
 namespace caps {
 
 /// Request-crossbar counters; MemorySystem keeps them (the reply crossbar
 /// is not reported).
-struct XbarStats {
+struct XbarStats : CounterGroup<XbarStats> {
   u64 messages = 0;
   u64 total_queue_delay = 0;  ///< cycles messages spent queued past latency
   u64 inject_stalls = 0;      ///< push attempts refused because queue full
@@ -25,16 +26,6 @@ struct XbarStats {
     f("messages", &XbarStats::messages);
     f("total_queue_delay", &XbarStats::total_queue_delay);
     f("inject_stalls", &XbarStats::inject_stalls);
-  }
-
-  template <typename F>
-  void for_each_counter(F&& f) const {
-    for_each_counter_member(
-        [&](const char* name, auto m) { f(name, this->*m); });
-  }
-
-  void merge(const XbarStats& o) {
-    for_each_counter_member([&](const char*, auto m) { this->*m += o.*m; });
   }
 };
 

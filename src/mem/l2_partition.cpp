@@ -9,7 +9,7 @@ L2Partition::L2Partition(const GpuConfig& cfg, DramChannel& channel)
       channel_(channel),
       cache_(cfg.l2),
       mshr_(cfg.l2.mshr_entries, cfg.l2.mshr_max_merged),
-      probe_queue_(cfg.l2.miss_queue_size) {
+      probe_queue_(cfg.l2_queue_size) {
   // Replies are bounded by outstanding MSHR fills plus hits in flight;
   // write-backs by MSHR entries. Pre-size both so the steady state never
   // allocates (DESIGN.md §13).

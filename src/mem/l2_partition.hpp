@@ -12,6 +12,7 @@
 #include "common/flat_deque.hpp"
 #include "common/config.hpp"
 #include "common/sleep_ledger.hpp"
+#include "common/stats.hpp"
 #include "mem/cache.hpp"
 #include "mem/dram.hpp"
 #include "mem/mshr.hpp"
@@ -19,7 +20,7 @@
 
 namespace caps {
 
-struct L2Stats {
+struct L2Stats : CounterGroup<L2Stats> {
   u64 accesses = 0;
   u64 hits = 0;
   u64 misses = 0;
@@ -38,16 +39,6 @@ struct L2Stats {
     f("writebacks", &L2Stats::writebacks);
     f("stall_mshr_full", &L2Stats::stall_mshr_full);
     f("stall_dram_full", &L2Stats::stall_dram_full);
-  }
-
-  template <typename F>
-  void for_each_counter(F&& f) const {
-    for_each_counter_member(
-        [&](const char* name, auto m) { f(name, this->*m); });
-  }
-
-  void merge(const L2Stats& o) {
-    for_each_counter_member([&](const char*, auto m) { this->*m += o.*m; });
   }
 };
 

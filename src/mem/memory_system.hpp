@@ -9,6 +9,7 @@
 
 #include "common/config.hpp"
 #include "common/diag.hpp"
+#include "common/stats.hpp"
 #include "common/wake_calendar.hpp"
 #include "mem/dram.hpp"
 #include "mem/interconnect.hpp"
@@ -17,7 +18,7 @@
 
 namespace caps {
 
-struct TrafficStats {
+struct TrafficStats : CounterGroup<TrafficStats> {
   u64 core_requests = 0;        ///< all SM->memory requests (demand+prefetch)
   u64 core_demand_requests = 0;
   u64 core_prefetch_requests = 0;
@@ -34,16 +35,6 @@ struct TrafficStats {
     f("core_write_requests", &TrafficStats::core_write_requests);
     f("dram_reads", &TrafficStats::dram_reads);
     f("dram_writes", &TrafficStats::dram_writes);
-  }
-
-  template <typename F>
-  void for_each_counter(F&& f) const {
-    for_each_counter_member(
-        [&](const char* name, auto m) { f(name, this->*m); });
-  }
-
-  void merge(const TrafficStats& o) {
-    for_each_counter_member([&](const char*, auto m) { this->*m += o.*m; });
   }
 };
 
@@ -139,7 +130,6 @@ class MemorySystem {
   void set_reply_drop_for_test(std::function<bool(const MemRequest&)> f) {
     reply_drop_ = std::move(f);
   }
-  u64 dropped_replies() const { return dropped_replies_; }
 
   bool idle() const;
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/stats.hpp"
 #include "common/types.hpp"
 
 namespace caps {
@@ -37,7 +38,7 @@ struct PrefetchRequest {
 };
 
 /// Bookkeeping common to all engines (energy model + sanity tests).
-struct PrefetchEngineStats {
+struct PrefetchEngineStats : CounterGroup<PrefetchEngineStats> {
   u64 table_reads = 0;
   u64 table_writes = 0;
   u64 requests_generated = 0;
@@ -57,16 +58,6 @@ struct PrefetchEngineStats {
     f("excluded_indirect", &PrefetchEngineStats::excluded_indirect);
     f("excluded_uncoalesced", &PrefetchEngineStats::excluded_uncoalesced);
     f("throttle_suppressed", &PrefetchEngineStats::throttle_suppressed);
-  }
-
-  template <typename F>
-  void for_each_counter(F&& f) const {
-    for_each_counter_member(
-        [&](const char* name, auto m) { f(name, this->*m); });
-  }
-
-  void merge(const PrefetchEngineStats& o) {
-    for_each_counter_member([&](const char*, auto m) { this->*m += o.*m; });
   }
 };
 

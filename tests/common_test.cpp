@@ -1,5 +1,6 @@
 // Unit tests for src/common: types, config validation, bounded queue,
-// running statistics, deterministic hashing, the sleep ledger.
+// running statistics and the counter-group base over every statistics
+// group, deterministic hashing, the sleep ledger.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -10,6 +11,13 @@
 #include "common/sleep_ledger.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
+#include "gpu/gpu.hpp"
+#include "gpu/sm_stats.hpp"
+#include "mem/dram.hpp"
+#include "mem/interconnect.hpp"
+#include "mem/l2_partition.hpp"
+#include "mem/memory_system.hpp"
+#include "prefetch/prefetcher.hpp"
 
 namespace caps {
 namespace {
@@ -66,6 +74,7 @@ TEST(ConfigTest, TableIIIDefaults) {
   EXPECT_EQ(cfg.l2.assoc, 8u);
   EXPECT_EQ(cfg.num_dram_channels, 6u);
   EXPECT_EQ(cfg.dram_clock_mhz, 924u);
+  EXPECT_EQ(cfg.l2_queue_size, 16u);
   EXPECT_EQ(cfg.dram_queue_size, 16u);
   EXPECT_EQ(cfg.dram_timing.tCL, 12u);
   EXPECT_EQ(cfg.dram_timing.tRP, 12u);
@@ -149,6 +158,12 @@ TEST(ConfigTest, RejectsMergeCapacityAboveEntryCount) {
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
+TEST(ConfigTest, RejectsZeroL2QueueSize) {
+  GpuConfig cfg;
+  cfg.l2_queue_size = 0;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+}
+
 TEST(ConfigTest, RejectsZeroMaxCycles) {
   GpuConfig cfg;
   cfg.max_cycles = 0;
@@ -213,6 +228,53 @@ TEST(RunningStatTest, MergeWithEmptyKeepsBounds) {
   a.merge(empty);
   EXPECT_DOUBLE_EQ(a.min(), 7.0);
   EXPECT_DOUBLE_EQ(a.max(), 7.0);
+}
+
+template <typename Group>
+class CounterGroupTest : public ::testing::Test {};
+using StatsGroups =
+    ::testing::Types<SmStats, PrefetchEngineStats, XbarStats, L2Stats,
+                     TrafficStats, DramStats, GpuStats>;
+TYPED_TEST_SUITE(CounterGroupTest, StatsGroups);
+
+// Distinct values catch a merge that adds one counter into another.
+TYPED_TEST(CounterGroupTest, MergeDoublesEveryRegisteredCounter) {
+  TypeParam g{};
+  u64 next = 1;
+  TypeParam::for_each_counter_member(
+      [&](const char*, auto m) { g.*m = next++; });
+  const TypeParam copy = g;
+  g.merge(copy);
+  u64 want = 1;
+  g.for_each_counter([&](const char* name, u64 v) {
+    EXPECT_EQ(v, 2 * want) << name;
+    ++want;
+  });
+  EXPECT_EQ(want, next);
+  EXPECT_GT(want, 1u);
+}
+
+TEST(SmStatsMergeTest, MergesEveryRegisteredRunningStat) {
+  SmStats a, b;
+  double k = 0.0;
+  SmStats::for_each_running_stat_member([&](const char*, auto m) {
+    k += 1.0;
+    (a.*m).add(2.0 * k);
+    (a.*m).add(3.0 * k);
+    (b.*m).add(k);
+    (b.*m).add(7.0 * k);
+  });
+  a.merge(b);
+  k = 0.0;
+  SmStats::for_each_running_stat_member([&](const char* name, auto m) {
+    k += 1.0;
+    const RunningStat& r = a.*m;
+    EXPECT_EQ(r.count(), 4u) << name;
+    EXPECT_DOUBLE_EQ(r.sum(), 13.0 * k) << name;
+    EXPECT_DOUBLE_EQ(r.min(), k) << name;
+    EXPECT_DOUBLE_EQ(r.max(), 7.0 * k) << name;
+  });
+  EXPECT_DOUBLE_EQ(k, 2.0);
 }
 
 TEST(RatioTest, HandlesZeroDenominator) {

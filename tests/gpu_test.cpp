@@ -1149,7 +1149,7 @@ TEST(LdStSleepTest, PrefetchLaneRoomWakesACrossbarBlockedPrefetchHead) {
   GpuConfig cfg = tiny_gpu();
   cfg.l2.mshr_entries = 1;
   cfg.l2.mshr_max_merged = 1;
-  cfg.l2.miss_queue_size = 1;
+  cfg.l2_queue_size = 1;
   LdStRig r(cfg);
   const Addr stride =
       static_cast<Addr>(cfg.partition_chunk_bytes) * cfg.num_l2_partitions;
@@ -1922,7 +1922,7 @@ GpuConfig random_machine(std::mt19937& rng) {
   cfg.xbar_latency = 1 + static_cast<u32>(rng() % 32);
   cfg.ldst_queue_size = 1 + static_cast<u32>(rng() % 32);
   cfg.dram_queue_size = 1 + static_cast<u32>(rng() % 8);
-  cfg.l2.miss_queue_size = 1 + static_cast<u32>(rng() % 8);
+  cfg.l2_queue_size = 1 + static_cast<u32>(rng() % 8);
   cfg.l2.mshr_entries = 1 + static_cast<u32>(rng() % 16);
   cfg.l2.mshr_max_merged = 1 + static_cast<u32>(rng() % cfg.l2.mshr_entries);
   cfg.l1d.mshr_entries = 1 + static_cast<u32>(rng() % 32);

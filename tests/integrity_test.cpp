@@ -3,10 +3,13 @@
 // end-of-run invariant auditor, and the fault-tolerant experiment harness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "gpu/gpu.hpp"
 #include "harness/experiment.hpp"
@@ -230,6 +233,49 @@ TEST(AuditorTest, DetectsCounterTampering) {
   bad.sm.l1_misses += 1;  // break hits + misses == accesses
   const auto violations = gpu.audit(bad);
   EXPECT_FALSE(violations.empty());
+}
+
+// The underflow sweep covers the top-level counters and every group that
+// GpuStats::for_each_group visits, each named by its group.
+TEST(AuditorTest, UnderflowSweepNamesEveryGroup) {
+  const GpuConfig cfg = tiny_cfg();
+  Gpu gpu = make_gpu(cfg, "MM");
+  ASSERT_TRUE(gpu.run().audit_clean());
+  const GpuStats clean = gpu.collect_stats();
+  const u64 huge = (u64{1} << 62) + 1;
+  const auto expect_named = [&gpu](const GpuStats& bad,
+                                   const std::string& prefix) {
+    const std::vector<std::string> v = gpu.audit(bad);
+    EXPECT_TRUE(std::any_of(v.begin(), v.end(), [&](const std::string& s) {
+      return s.starts_with(prefix);
+    })) << prefix;
+  };
+
+  GpuStats bad = clean;
+  bad.cycles = huge;
+  expect_named(bad, "gpu.cycles = ");
+
+  std::size_t groups = 0;
+  for (std::size_t k = 0;; ++k) {
+    bad = clean;
+    std::string prefix;
+    std::size_t i = 0;
+    bad.for_each_group([&](const char* g, const auto& st) {
+      if (i++ != k) return;
+      using Group = std::remove_cvref_t<decltype(st)>;
+      // The visit hands out const references; `bad` itself is mutable.
+      auto& group = const_cast<Group&>(st);
+      Group::for_each_counter_member([&](const char* name, auto m) {
+        if (!prefix.empty()) return;
+        group.*m = huge;
+        prefix = std::string(g) + "." + name + " = ";
+      });
+    });
+    if (prefix.empty()) break;
+    expect_named(bad, prefix);
+    ++groups;
+  }
+  EXPECT_GE(groups, 5u);
 }
 
 }  // namespace

@@ -783,7 +783,7 @@ TEST(L2MemoTest, ReprobingADramFullWriteHeadEveryCycleChangesNothing) {
     GpuConfig cfg;
     cfg.dram_queue_size = 1;
     cfg.l2.mshr_entries = 64;
-    cfg.l2.miss_queue_size = 64;
+    cfg.l2_queue_size = 64;
     L2Rig r(cfg);
     // Lines set * i all map to set 0; the held reads map to sets 2 .. 40.
     const Addr set = Addr{cfg.l2.num_sets()} * cfg.l2.line_size;

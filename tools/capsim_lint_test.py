@@ -60,7 +60,26 @@ class BadFixtureTest(unittest.TestCase):
         self.assertTrue(
             any("PartialStats::forgotten_cycles" in h for h in hits),
             self.out)
-        self.assertEqual(len(hits), 3, self.out)
+        self.assertEqual(
+            len([h for h in hits if "stats_bad.hpp" in h]), 3, self.out)
+
+    def test_counter_registry_one_definition(self):
+        hits = [h for h in self.findings("counter-registry")
+                if "stats_own_group.hpp" in h]
+        # A hand-written merge beside the base; a struct with no base and a
+        # hand-written visit; a struct deriving another group's base.
+        for line, what in ((19, "HandMergeStats defines its own merge()"),
+                           (23, "BaselessStats declares counters but does "
+                                "not derive"),
+                           (32, "BaselessStats defines its own "
+                                "for_each_counter()"),
+                           (39, "BorrowedStats declares counters but does "
+                                "not derive")):
+            self.assertTrue(
+                any("stats_own_group.hpp:%d" % line in h and what in h
+                    for h in hits), self.out)
+        self.assertEqual(len(hits), 4, self.out)
+        self.assertEqual(len(self.findings("counter-registry")), 7, self.out)
 
     def test_dead_counter(self):
         hits = self.findings("dead-counter")

@@ -11,7 +11,7 @@ struct OrphanStats {
 };
 
 // Registry present but missing a field -> one finding on the field.
-struct PartialStats {
+struct PartialStats : CounterGroup<PartialStats> {
   u64 listed = 0;
   u64 forgotten = 0;
   Cycle forgotten_cycles = 0;

@@ -6,7 +6,7 @@
 namespace caps {
 
 // Registered counters that nothing outside the struct names.
-struct DeadStats {
+struct DeadStats : CounterGroup<DeadStats> {
   u64 written = 0;
   u64 never_written = 0;    // no use anywhere -> one finding
   u64 only_in_comment = 0;  // named only in a comment and a string -> one

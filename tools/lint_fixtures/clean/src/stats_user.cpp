@@ -1,5 +1,5 @@
-// Fixture: writes every live RegisteredStats counter outside its struct ->
-// no dead-counter finding. Never compiled.
+// Fixture: writes every live RegisteredStats and WrappedStats counter
+// outside its struct -> no dead-counter finding. Never compiled.
 #include "stats_ok.hpp"
 
 namespace caps {
@@ -11,5 +11,7 @@ void record(RegisteredStats& s, bool hit) {
     ++s.misses;
   ++s.busy_cycles;
 }
+
+void record(WrappedStats& s) { ++s.events; }
 
 }  // namespace caps
