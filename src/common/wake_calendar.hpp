@@ -3,7 +3,8 @@
 // due when an event marked it since its kind's last visit pass, or when
 // one of its timed wakes has come. The calendar may hold an id that has
 // nothing to do, since each visited component still asks its own due(),
-// but it never misses one that has.
+// but it never misses one that has. It also keeps the one room-wait list
+// of the machine: who waits for room on which queue.
 #pragma once
 
 #include <algorithm>
@@ -29,6 +30,14 @@ class WakeCalendar {
                   ///< it has room for it
     kChannelRow,  ///< kChannel: next_pick_at_ or the first completion
     kRows
+  };
+  /// Queues a sleeper waits on for room, per queue id; the comment names
+  /// the kind of its waiters.
+  enum Queue : u32 {
+    kRequestLane,  ///< per partition: kSm, a blocked LD/ST head
+    kReplyLane,    ///< per SM: kReplyHead, a reply the lane refused
+    kDramQueue,    ///< per channel: kPartition, a probe head or write-back
+    kQueues
   };
   /// Ids per kind: one mask bit each (GpuConfig::validate caps the counts).
   static constexpr u32 kMaxIds = 64;
@@ -61,6 +70,19 @@ class WakeCalendar {
   /// Mark `ids` of kind `k` due at their kind's next visit pass.
   void mark(Kind k, u64 ids) { marks_[k] |= ids; }
 
+  /// List `waiter` as waiting for room on queue `id` of `q`, or withdraw it.
+  /// A listed waiter stays listed across rooms until it withdraws, at its
+  /// next tick or injection: one whose room another sender took first
+  /// keeps waiting.
+  void wait_room(Queue q, u32 id, u32 waiter, bool waits) {
+    u64& list = waiters_[q][id];
+    list = waits ? list | bit(waiter) : list & ~bit(waiter);
+  }
+  /// Queue `id` of `q` gained room: mark its waiters due.
+  void room(Queue q, u32 id) { mark(kWaiterKind[q], waiters_[q][id]); }
+  /// The waiters listed on queue `id` of `q`, one bit each.
+  u64 waiters(Queue q, u32 id) const { return waiters_[q][id]; }
+
   /// The ids of kind `k` to visit at `now`, one bit each, visited in
   /// ascending order. Clears the marks: a mark made during or after this
   /// pass is for the next one.
@@ -76,6 +98,8 @@ class WakeCalendar {
  private:
   static constexpr std::array<u32, kKinds + 1> kFirstRow = {
       kLdStRow, kL2Row, kChannelRow, kRows, kRows};
+  static constexpr std::array<Kind, kQueues> kWaiterKind = {
+      kSm, kReplyHead, kPartition};
 
   /// Move the ids of row `r` whose wake has come by `now` into come_[r],
   /// and find the next wake among the others.
@@ -98,6 +122,7 @@ class WakeCalendar {
   std::array<u64, kRows> come_{};
   std::array<Cycle, kRows> next_;
   std::array<std::array<Cycle, kMaxIds>, kRows> rows_;
+  std::array<std::array<u64, kMaxIds>, kQueues> waiters_{};
 };
 
 }  // namespace caps

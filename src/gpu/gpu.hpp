@@ -93,7 +93,8 @@ class Gpu {
   /// are attached to the returned stats.
   GpuStats run();
 
-  /// Single-step interface for tests.
+  /// Single-step interface for tests; perfbench and the microbenchmarks
+  /// step it too.
   void step();
   bool done() const;
   Cycle now() const { return cycle_; }

@@ -26,17 +26,13 @@ LdStUnit::LdStUnit(const GpuConfig& cfg, StreamingMultiprocessor& sm,
   // Scratch for MSHR fills: sized once so process_replies never allocates
   // in the steady state (DESIGN.md §13).
   fill_scratch_.reserve(cfg.l1d.mshr_max_merged);
+  ledger_.bind(mem.calendar(), WakeCalendar::kLdStRow, sm_id);
 }
 
 void LdStUnit::push_demand(const L1Access& access) {
   CAPS_CHECK(can_accept(1), "LD/ST demand queue overflow");
   if (demand_q_.empty()) ledger_.wake();
   demand_q_.push(access);
-}
-
-void LdStUnit::pop_demand(Cycle now) {
-  demand_q_.pop();
-  sm_.on_demand_pop(now);
 }
 
 void LdStUnit::push_prefetches(const std::vector<PrefetchRequest>& reqs,
@@ -185,7 +181,7 @@ u64 SmStats::*LdStUnit::process_demand(Cycle now) {
           completions_.empty() || completions_.back().ready_at < ready_at,
           "L1 hit completions out of order");
       completions_.push_back(Completion{ready_at, access});
-      pop_demand(now);
+      demand_q_.pop();
       return nullptr;
     }
     // Miss path. A demand that catches up with an in-flight prefetch merges
@@ -200,7 +196,7 @@ u64 SmStats::*LdStUnit::process_demand(Cycle now) {
       ++stats_.l1_misses;
       ++stats_.l1_mshr_merges;
       mshr_.merge_at(slot, access);
-      pop_demand(now);
+      demand_q_.pop();
       return nullptr;
     }
     if (mshr_.full()) {
@@ -230,7 +226,7 @@ u64 SmStats::*LdStUnit::process_demand(Cycle now) {
     ++stats_.stores_to_mem;
   }
   mem_.submit(req, now);
-  pop_demand(now);
+  demand_q_.pop();
   return nullptr;
 }
 
@@ -269,11 +265,7 @@ void LdStUnit::cycle(Cycle now) {
   if (ledger_.owes(&SmStats::stall_xbar_full))
     mem_.wake_inject_staller(ledger_.from(), now);
   ledger_.settle(stats_, now);
-  if (lane_wait_) {
-    mem_.unwatch_lane(lanes_[0], sm_id_);
-    mem_.unwatch_lane(lanes_[1], sm_id_);
-    lane_wait_ = false;
-  }
+  if (lane_wait_) wait_lanes(false);
 
   process_replies(now);
   process_completions(now);
@@ -298,19 +290,23 @@ void LdStUnit::sleep(Cycle now, u64 SmStats::*demand,
   if (demand != nullptr) ledger_.owe(demand);
   if (prefetch != nullptr) ledger_.owe(prefetch);
   // A blocked prefetch head waits on its lane exactly when the MSHR has
-  // room. Watch the lanes of the heads that wait on one, the same lane twice
-  // when only one does.
+  // room. Wait on the lanes of the heads that wait on one, the same lane
+  // twice when only one does.
   const bool demand_lane = demand == &SmStats::stall_xbar_full;
   const bool prefetch_lane = prefetch != nullptr && !mshr_.full();
   if (demand_lane) mem_.sleep_inject_staller(now + 1);
-  lane_wait_ = demand_lane || prefetch_lane;
-  if (!lane_wait_) return;
+  if (!demand_lane && !prefetch_lane) return;
   lanes_[0] = mem_.partition_of(
       (demand_lane ? demand_q_ : prefetch_q_).front().line);
   lanes_[1] = prefetch_lane ? mem_.partition_of(prefetch_q_.front().line)
                             : lanes_[0];
-  mem_.watch_lane(lanes_[0], sm_id_);
-  mem_.watch_lane(lanes_[1], sm_id_);
+  wait_lanes(true);
+}
+
+void LdStUnit::wait_lanes(bool waits) {
+  lane_wait_ = waits;
+  for (const u32 lane : lanes_)
+    mem_.calendar().wait_room(WakeCalendar::kRequestLane, lane, sm_id_, waits);
 }
 
 bool LdStUnit::idle() const {

@@ -9,9 +9,8 @@
 // there, and a woken head is simply probed again: a probe that does not
 // retire its head changes nothing (DESIGN.md §13, "Stall-only sleep").
 //
-// Load completions, eager wake-ups, demand misses and demand-queue pops are
-// reported straight to the owning SM (on_load_done / on_prefetch_fill /
-// on_demand_miss / on_demand_pop).
+// Load completions, eager wake-ups and demand misses are reported straight
+// to the owning SM (on_load_done / on_prefetch_fill / on_demand_miss).
 #pragma once
 
 #include <vector>
@@ -68,10 +67,6 @@ class LdStUnit {
 
   /// Add to `s` the stalls of the cycles slept before cycle `now`.
   void add_slept(SmStats& s, Cycle now) const { ledger_.add_to(s, now); }
-  /// Keep the sleep's wake cycle in `calendar` as SM `sm_id_`'s.
-  void bind_wake(WakeCalendar& calendar) {
-    ledger_.bind(calendar, WakeCalendar::kLdStRow, sm_id_);
-  }
 
   bool idle() const;
   std::size_t demand_queue_size() const { return demand_q_.size(); }
@@ -92,8 +87,9 @@ class LdStUnit {
   /// on the given stall counter, or idle (null).
   void sleep(Cycle now, u64 SmStats::*demand, u64 SmStats::*prefetch);
   void complete_load(const L1Access& access, Cycle now);
-  /// Every pop adds room for the SM's issue stage.
-  void pop_demand(Cycle now);
+  /// Set whether room on lanes_ wakes this unit, and list or withdraw it on
+  /// their room-wait lists to match.
+  void wait_lanes(bool waits);
 
   const GpuConfig& cfg_;
   StreamingMultiprocessor& sm_;
@@ -120,8 +116,8 @@ class LdStUnit {
 
   // Stall-only sleep, until the next L1-hit completion at the latest.
   SleepLedger<SmStats> ledger_;
-  bool lane_wait_ = false;  ///< also wake when lanes_ have room, which
-                            ///< the memory system watches for
+  bool lane_wait_ = false;  ///< also wake when lanes_ have room; listed
+                            ///< on their room-wait lists while set
   u32 lanes_[2] = {0, 0};   ///< lanes of the demand and prefetch heads
 };
 

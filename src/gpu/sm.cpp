@@ -33,7 +33,6 @@ StreamingMultiprocessor::StreamingMultiprocessor(
   // (DESIGN.md §13).
   coalesce_scratch_.reserve(kWarpSize);
   pf_buffer_.reserve(kWarpSize);
-  ldst_.bind_wake(mem.calendar());
   elided_.bind(mem.calendar(), WakeCalendar::kIssueRow, id);
   elided_.sleep(0, kNever);  // no warp is resident yet
   for (u32 b = 0; b < max_concurrent_ctas_; ++b)
@@ -295,7 +294,15 @@ bool StreamingMultiprocessor::issue(u32 slot, Cycle now) {
 }
 
 void StreamingMultiprocessor::cycle(Cycle now) {
-  if (ldst_.due(now)) ldst_.cycle(now);
+  if (ldst_.due(now)) {
+    ldst_.cycle(now);
+    // The demand queue pops only in the tick. While it has less room than
+    // the fewest lines of any warp refused in this round, each of them is
+    // refused again: the round, or its elided span, goes on. A pop changes
+    // no warp's eligibility, so it ends no idle span.
+    if (round_min_lines_ != 0 && ldst_.can_accept(round_min_lines_))
+      wake_issue(now);
+  }
 
   if (!elided_.due(now)) return;
   // A launch, a hook or the next ready_at woke the issue stage.

@@ -79,9 +79,8 @@ class StreamingMultiprocessor {
   const LdStUnit& ldst() const { return ldst_; }
 
  private:
-  // The LD/ST unit reports load completions, eager wake-ups, demand misses
-  // and demand-queue pops through on_load_done / on_prefetch_fill /
-  // on_demand_miss / on_demand_pop.
+  // The LD/ST unit reports load completions, eager wake-ups and demand
+  // misses through on_load_done / on_prefetch_fill / on_demand_miss.
   friend class LdStUnit;
 
   /// End any elided span of refused or idle issue cycles before an event
@@ -92,12 +91,6 @@ class StreamingMultiprocessor {
     round_warp_ = kNoWarp;
     round_min_lines_ = 0;
     if (elided_.owes(&SmStats::active_cycles)) end_elision(now);
-  }
-  /// The LD/ST demand queue popped at `now`. While the queue still has less
-  /// room than the fewest lines of any warp refused in this round, each of
-  /// them is refused again: the round, or its elided span, goes on.
-  void on_demand_pop(Cycle now) {
-    if (ldst_.can_accept(round_min_lines_)) wake_issue(now);
   }
   void end_elision(Cycle now);
   /// The first-slot pick at `now` returned `slot`, which the LD/ST unit

@@ -5,7 +5,6 @@
 
 #include "core/caps_prefetcher.hpp"
 #include "core/pas_scheduler.hpp"
-#include "harness/sweep.hpp"
 #include "prefetch/lap.hpp"
 #include "prefetch/nlp.hpp"
 #include "prefetch/stride_prefetchers.hpp"
@@ -193,19 +192,6 @@ std::vector<RunConfig> fig10_matrix(const std::vector<std::string>& workloads) {
     }
   }
   return cfgs;
-}
-
-std::vector<RunResult> run_all_prefetchers(
-    const std::string& workload, const GpuConfig& base,
-    const std::function<void(RunConfig&)>& customize) {
-  std::vector<RunConfig> cfgs = fig10_matrix({workload});
-  for (RunConfig& rc : cfgs) {
-    rc.base = base;
-    if (customize) customize(rc);
-  }
-  // The sweep executor preserves legend order and captures per-run failures,
-  // so one wedged or misconfigured entry never aborts the remaining ones.
-  return run_sweep(std::move(cfgs));
 }
 
 }  // namespace caps

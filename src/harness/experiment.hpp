@@ -105,15 +105,6 @@ std::vector<std::string> fig10_workloads(bool quick);
 /// BASE and then the seven prefetchers in legend order.
 std::vector<RunConfig> fig10_matrix(const std::vector<std::string>& workloads);
 
-/// Convenience: run `workload` under every Fig. 10 configuration (BASE +
-/// the seven prefetchers) and return results in legend order. Failed
-/// configurations are recorded (status != kOk) and the sweep continues.
-/// `customize` (optional) edits each RunConfig before it runs — used by
-/// sweeps with per-config overrides and by fault-injection tests.
-std::vector<RunResult> run_all_prefetchers(
-    const std::string& workload, const GpuConfig& base = GpuConfig{},
-    const std::function<void(RunConfig&)>& customize = nullptr);
-
 /// The Fig. 10 legend order.
 const std::vector<PrefetcherKind>& prefetcher_legend();
 

@@ -54,20 +54,22 @@ class DramChannel {
     return true;
   }
 
-  /// Advance one core cycle: schedule at most one command. Before
-  /// next_pick_at_ no command can start, so the cycle only counts as busy.
-  /// A cycle before next_event() does nothing else, so it may be skipped,
-  /// except the first cycle of a queue that a submit() made non-empty:
-  /// that one starts a busy span.
-  void cycle(Cycle now) {
-    if (queue_.empty()) return;
+  /// Advance one core cycle: schedule at most one command, and return
+  /// whether it did (a command frees a queue slot). Before next_pick_at_
+  /// no command can start, so the cycle only counts as busy. A cycle
+  /// before next_event() does nothing else, so it may be skipped, except
+  /// the first cycle of a queue that a submit() made non-empty: that one
+  /// starts a busy span.
+  bool cycle(Cycle now) {
+    if (queue_.empty()) return false;
     if (!busy_.owes(&DramStats::busy_cycles)) {
       busy_.sleep(now, kNever);
       busy_.owe(&DramStats::busy_cycles);
     }
-    if (now < next_pick_at_) return;
+    if (now < next_pick_at_) return false;
     issue(now);
     if (queue_.empty()) busy_.settle(stats_, now + 1);
+    return true;
   }
 
   /// The first cycle at which pop_done() or cycle() has work: the first

@@ -4,9 +4,13 @@
 
 namespace caps {
 
-L2Partition::L2Partition(const GpuConfig& cfg, DramChannel& channel)
+L2Partition::L2Partition(const GpuConfig& cfg, DramChannel& channel,
+                         WakeCalendar& calendar, u32 id)
     : cfg_(cfg),
       channel_(channel),
+      calendar_(calendar),
+      id_(id),
+      channel_id_(id % cfg.num_dram_channels),
       cache_(cfg.l2),
       mshr_(cfg.l2.mshr_entries, cfg.l2.mshr_max_merged),
       probe_queue_(cfg.l2_queue_size) {
@@ -16,6 +20,7 @@ L2Partition::L2Partition(const GpuConfig& cfg, DramChannel& channel)
   replies_.reserve(cfg.l2.mshr_entries * cfg.l2.mshr_max_merged);
   pending_writebacks_.reserve(cfg.l2.mshr_entries);
   fill_scratch_.reserve(cfg.l2.mshr_max_merged);
+  ledger_.bind(calendar, WakeCalendar::kL2Row, id);
 }
 
 void L2Partition::accept(const MemRequest& req, Cycle now) {
@@ -47,8 +52,8 @@ void L2Partition::cycle(Cycle now) {
   // the channel has room.
   ledger_.sleep(now + 1, wake_at);
   if (stall != nullptr) ledger_.owe(stall);
-  channel_wait_ =
-      stall == &L2Stats::stall_dram_full || !pending_writebacks_.empty();
+  wait_channel(stall == &L2Stats::stall_dram_full ||
+               !pending_writebacks_.empty());
 }
 
 u64 L2Stats::*L2Partition::probe_head(Cycle now) {
@@ -85,7 +90,7 @@ u64 L2Stats::*L2Partition::probe_head(Cycle now) {
   } else if (cache_.access(req.line) != nullptr) {
     ++stats_.accesses;
     ++stats_.hits;
-    replies_.push_back(req);
+    push_reply(req);
     probe_queue_.pop();
     return nullptr;
   } else if (mshr_.full()) {
@@ -110,14 +115,14 @@ u64 L2Stats::*L2Partition::probe_head(Cycle now) {
       wb.is_write = true;
       wb.sm_id = req.sm_id;
       wb.created = now;
-      channel_.submit(wb);
+      submit(wb);
       ++stats_.writebacks;
     }
   } else {
     mshr_.allocate(req.line, req);
     MemRequest to_dram = req;
     to_dram.created = now;
-    channel_.submit(to_dram);
+    submit(to_dram);
   }
   probe_queue_.pop();
   return nullptr;
@@ -136,23 +141,30 @@ void L2Partition::dram_done(const MemRequest& req, Cycle now) {
   if (auto evicted = cache_.fill(req.line, LineMeta{});
       evicted && evicted->second.dirty) {
     // Dirty eviction on a fill: queue the write-back, which cycle() drains
-    // into the DRAM queue once it has room; due() watches for that room.
+    // into the DRAM queue once it has room. due() watches for that room,
+    // and the queue may have some now: visit in the next partition phase.
     MemRequest wb;
     wb.line = evicted->first;
     wb.is_write = true;
     wb.sm_id = req.sm_id;
     wb.created = now;
     pending_writebacks_.push_back(wb);
-    channel_wait_ = true;
+    wait_channel(true);
+    calendar_.mark(WakeCalendar::kPartition, WakeCalendar::bit(id_));
     ++stats_.writebacks;
   }
   mshr_.fill_into(req.line, fill_scratch_);
-  for (MemRequest& waiter : fill_scratch_) replies_.push_back(waiter);
+  for (MemRequest& waiter : fill_scratch_) push_reply(waiter);
+}
+
+void L2Partition::submit(const MemRequest& req) {
+  channel_.submit(req);
+  calendar_.mark(WakeCalendar::kChannel, WakeCalendar::bit(channel_id_));
 }
 
 void L2Partition::drain_writebacks() {
   while (!pending_writebacks_.empty() && channel_.can_accept()) {
-    channel_.submit(pending_writebacks_.front());
+    submit(pending_writebacks_.front());
     pending_writebacks_.pop_front();
   }
 }

@@ -44,7 +44,10 @@ struct L2Stats : CounterGroup<L2Stats> {
 
 class L2Partition {
  public:
-  L2Partition(const GpuConfig& cfg, DramChannel& channel);
+  /// Partition `id` of the machine whose wake calendar is `calendar`. Its
+  /// DRAM channel `channel` is channel `id % num_dram_channels`.
+  L2Partition(const GpuConfig& cfg, DramChannel& channel,
+              WakeCalendar& calendar, u32 id);
 
   /// Whether a new request popped from the crossbar can enter this cycle.
   bool can_accept() const { return !probe_queue_.full(); }
@@ -63,12 +66,6 @@ class L2Partition {
   bool due(Cycle now) const {
     return ledger_.due(now) || (channel_wait_ && channel_.can_accept());
   }
-  /// Whether room in the DRAM channel's queue would make this partition due.
-  bool waits_on_channel() const { return channel_wait_; }
-  /// Keep the sleep's wake cycle in `calendar` as partition `id`'s.
-  void bind_wake(WakeCalendar& calendar, u32 id) {
-    ledger_.bind(calendar, WakeCalendar::kL2Row, id);
-  }
 
   /// Advance one core cycle: push deferred dirty write-backs into the DRAM
   /// queue while it has room, then one tag probe. Counts the stalls of the
@@ -78,11 +75,15 @@ class L2Partition {
   /// Callback target when the DRAM channel finishes one of our lines.
   void dram_done(const MemRequest& req, Cycle now);
 
-  /// The oldest reply waiting for the reply crossbar; null if none.
+  /// The oldest reply waiting for the reply crossbar; null if none. The
+  /// reply head is marked due whenever the queue gains a front.
   const MemRequest* front_reply() const {
     return replies_.empty() ? nullptr : &replies_.front();
   }
-  void pop_reply() { replies_.pop_front(); }
+  void pop_reply() {
+    replies_.pop_front();
+    if (!replies_.empty()) mark_reply_head();
+  }
 
   bool idle() const;
   /// Counters as of the last cycle() call; add_slept() adds the cycles
@@ -106,9 +107,29 @@ class L2Partition {
   /// null when the head retired or issued.
   u64 L2Stats::*probe_head(Cycle now);
   void drain_writebacks();
+  /// Submit to the DRAM channel, which is due in this cycle's channel phase:
+  /// a submit may start a command and opens a busy span.
+  void submit(const MemRequest& req);
+  void push_reply(const MemRequest& req) {
+    if (replies_.empty()) mark_reply_head();
+    replies_.push_back(req);
+  }
+  void mark_reply_head() {
+    calendar_.mark(WakeCalendar::kReplyHead, WakeCalendar::bit(id_));
+  }
+  /// Set whether room in the channel's queue wakes this partition, and
+  /// list or withdraw it on the channel's room-wait list to match. A tick
+  /// that does not sleep leaves the partition due anyway.
+  void wait_channel(bool waits) {
+    channel_wait_ = waits;
+    calendar_.wait_room(WakeCalendar::kDramQueue, channel_id_, id_, waits);
+  }
 
   const GpuConfig& cfg_;
   DramChannel& channel_;
+  WakeCalendar& calendar_;
+  u32 id_;
+  u32 channel_id_;
   SetAssocCache cache_;
   Mshr<MemRequest> mshr_;
   BoundedQueue<Staged> probe_queue_;   ///< tag-probe pipeline
@@ -119,7 +140,8 @@ class L2Partition {
 
   // Stall-only sleep, until the probe head's ready_at at the latest.
   SleepLedger<L2Stats> ledger_;
-  bool channel_wait_ = false;  ///< also wake when the channel has room
+  bool channel_wait_ = false;  ///< also wake when the channel has room;
+                               ///< listed on its room-wait list while set
 };
 
 }  // namespace caps

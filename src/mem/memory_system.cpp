@@ -9,15 +9,13 @@ MemorySystem::MemorySystem(const GpuConfig& cfg)
     : cfg_(cfg),
       req_xbar_(cfg.num_l2_partitions, cfg.xbar_latency, /*queue=*/16),
       reply_xbar_(cfg.num_sms, cfg.xbar_latency, /*queue=*/16),
-      calendar_(cfg.num_sms, cfg.num_l2_partitions, cfg.num_dram_channels),
-      lane_watchers_(cfg.num_l2_partitions, 0),
-      reply_waiters_(cfg.num_sms, 0) {
+      calendar_(cfg.num_sms, cfg.num_l2_partitions, cfg.num_dram_channels) {
   for (u32 c = 0; c < cfg_.num_dram_channels; ++c)
     channels_.push_back(std::make_unique<DramChannel>(cfg_));
   for (u32 p = 0; p < cfg_.num_l2_partitions; ++p) {
     DramChannel& ch = *channels_[p % cfg_.num_dram_channels];
-    partitions_.push_back(std::make_unique<L2Partition>(cfg_, ch));
-    partitions_[p]->bind_wake(calendar_, p);
+    partitions_.push_back(
+        std::make_unique<L2Partition>(cfg_, ch, calendar_, p));
   }
 }
 
@@ -53,20 +51,10 @@ void MemorySystem::cycle(Cycle now) {
     if (part.can_accept() && req_xbar_.pop(p, now, req)) {
       req_stats_.total_queue_delay += now - arrived_at;
       part.accept(req, now);
-      calendar_.mark(WakeCalendar::kSm, lane_watchers_[p]);
+      calendar_.room(WakeCalendar::kRequestLane, p);
     }
-    if (part.due(now)) {
-      const u32 c = p % cfg_.num_dram_channels;
-      const std::size_t queued = channels_[c]->queue_size();
-      const bool no_reply = part.front_reply() == nullptr;
-      part.cycle(now);
-      // A submit must reach its channel in this cycle: it may start a
-      // command and opens a busy span.
-      if (channels_[c]->queue_size() != queued)
-        calendar_.mark(WakeCalendar::kChannel, WakeCalendar::bit(c));
-      if (no_reply && part.front_reply() != nullptr)
-        calendar_.mark(WakeCalendar::kReplyHead, WakeCalendar::bit(p));
-    }
+    // The partition marks its channel and its reply head itself.
+    if (part.due(now)) part.cycle(now);
     arm_pull(p);
   }
 
@@ -77,29 +65,16 @@ void MemorySystem::cycle(Cycle now) {
     // Completed transfers first, in completion order: reads fill L2.
     MemRequest done;
     while (ch.pop_done(now, done)) {
-      const u32 p = partition_of(done.line);
-      L2Partition& part = *partitions_[p];
-      const bool no_reply = part.front_reply() == nullptr;
-      part.dram_done(done, now);
-      if (no_reply && part.front_reply() != nullptr)
-        calendar_.mark(WakeCalendar::kReplyHead, WakeCalendar::bit(p));
-      if (part.waits_on_channel())
-        calendar_.mark(WakeCalendar::kPartition, WakeCalendar::bit(p));
+      partitions_[partition_of(done.line)]->dram_done(done, now);
       ++(done.is_write ? traffic_.dram_writes : traffic_.dram_reads);
     }
-    const std::size_t queued = ch.queue_size();
-    ch.cycle(now);
-    // A command frees a queue slot for the partitions waiting on one.
-    if (ch.queue_size() != queued)
-      for (u32 p = c; p < partitions_.size(); p += cfg_.num_dram_channels)
-        if (partitions_[p]->waits_on_channel())
-          calendar_.mark(WakeCalendar::kPartition, WakeCalendar::bit(p));
+    if (ch.cycle(now)) calendar_.room(WakeCalendar::kDramQueue, c);
     calendar_.arm(WakeCalendar::kChannelRow, c, ch.next_event());
   }
 
   // Each due partition injects at most one reply into the reply crossbar.
-  // A reply the crossbar cannot take stays at the head of its queue until
-  // the SM pops its lane.
+  // A reply the crossbar cannot take stays at the head of its queue, and
+  // waits for room on its lane until it is injected.
   for (u64 due = calendar_.take(WakeCalendar::kReplyHead, now); due != 0;
        due &= due - 1) {
     const auto p = static_cast<u32>(std::countr_zero(due));
@@ -107,16 +82,13 @@ void MemorySystem::cycle(Cycle now) {
     const MemRequest* reply = part.front_reply();
     if (reply == nullptr) continue;
     const u32 sm = reply->sm_id;
-    if (!reply_xbar_.can_accept(sm)) {
-      reply_waiters_[sm] |= WakeCalendar::bit(p);
-      continue;
-    }
+    const bool full = !reply_xbar_.can_accept(sm);
+    calendar_.wait_room(WakeCalendar::kReplyLane, sm, p, full);
+    if (full) continue;
     reply_xbar_.push(sm, *reply, now);
     part.pop_reply();
     if (reply_xbar_.queued(sm) == 1)  // a new head
       calendar_.arm(WakeCalendar::kReplyRow, sm, reply_xbar_.head_at(sm));
-    if (part.front_reply() != nullptr)
-      calendar_.mark(WakeCalendar::kReplyHead, WakeCalendar::bit(p));
   }
   elapsed_ = now + 1;
 }

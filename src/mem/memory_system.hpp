@@ -73,14 +73,6 @@ class MemorySystem {
   bool lane_can_accept(u32 partition) const {
     return req_xbar_.can_accept(partition);
   }
-  /// A sleeping LD/ST unit of SM `sm` waits for room on the request lane
-  /// toward `partition`: a pull from that lane marks the SM due.
-  void watch_lane(u32 partition, u32 sm) {
-    lane_watchers_[partition] |= WakeCalendar::bit(sm);
-  }
-  void unwatch_lane(u32 partition, u32 sm) {
-    lane_watchers_[partition] &= ~WakeCalendar::bit(sm);
-  }
   /// Whether a reply for SM `sm_id` has arrived by `now`: the calendar
   /// keeps the arrival of each reply lane's head.
   bool reply_arrived(u32 sm_id, Cycle now) const {
@@ -107,12 +99,11 @@ class MemorySystem {
   /// Pop one reply for SM `sm_id` (per-SM reply bandwidth is enforced by the
   /// caller via how often it pops). Replies the test-only drop filter claims
   /// are swallowed here — the canonical "lost response" fault. Each pop
-  /// makes room on the lane and marks the reply heads blocked on it due.
+  /// makes room on the lane and marks the reply heads waiting on it due.
   bool pop_reply(u32 sm_id, Cycle now, MemRequest& out) {
     bool popped = false;
     while (reply_xbar_.pop(sm_id, now, out)) {
-      calendar_.mark(WakeCalendar::kReplyHead,
-                     std::exchange(reply_waiters_[sm_id], 0));
+      calendar_.room(WakeCalendar::kReplyLane, sm_id);
       calendar_.arm(WakeCalendar::kReplyRow, sm_id,
                     reply_xbar_.head_at(sm_id));
       if (!reply_drop_ || !reply_drop_(out)) {
@@ -160,8 +151,6 @@ class MemorySystem {
   std::vector<std::unique_ptr<L2Partition>> partitions_;
   TrafficStats traffic_;
   WakeCalendar calendar_;
-  std::vector<u64> lane_watchers_;  ///< per request lane: SMs waiting on it
-  std::vector<u64> reply_waiters_;  ///< per reply lane: heads blocked on it
   Cycle elapsed_ = 0;
   XbarStats req_stats_;  ///< request-crossbar messages, delay and stalls
   u64 inject_sleepers_ = 0;

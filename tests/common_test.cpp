@@ -1,8 +1,10 @@
 // Unit tests for src/common: types, config validation, bounded queue,
 // running statistics and the counter-group base over every statistics
-// group, deterministic hashing, the sleep ledger.
+// group, deterministic hashing, the sleep ledger and the wake calendar's
+// room-wait list.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <stdexcept>
 
 #include "common/bounded_queue.hpp"
@@ -11,6 +13,7 @@
 #include "common/sleep_ledger.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
+#include "common/wake_calendar.hpp"
 #include "gpu/gpu.hpp"
 #include "gpu/sm_stats.hpp"
 #include "mem/dram.hpp"
@@ -301,6 +304,54 @@ struct LedgerStats {
   u64 slots = 0;
   u64 other = 0;
 };
+
+TEST(WakeCalendarRoomTest, RoomMarksTheQueuesWaitersUntilTheyWithdraw) {
+  // 4 SMs, 8 partitions, 2 channels. Each queue lists ids of its waiter
+  // kind: SMs on request lanes, reply heads on reply lanes, partitions on
+  // DRAM queues.
+  WakeCalendar cal(4, 8, 2);
+  const auto taken = [&cal] {
+    std::array<u64, WakeCalendar::kKinds> ids{};
+    for (u32 k = 0; k < WakeCalendar::kKinds; ++k)
+      ids[k] = cal.take(static_cast<WakeCalendar::Kind>(k), 0);
+    return ids;
+  };
+  using Ids = std::array<u64, WakeCalendar::kKinds>;
+  cal.wait_room(WakeCalendar::kRequestLane, 5, 2, true);  // SM 2 on lane 5
+  cal.wait_room(WakeCalendar::kRequestLane, 6, 3, true);  // SM 3 on lane 6
+  cal.wait_room(WakeCalendar::kReplyLane, 1, 7, true);  // head 7 on SM 1's
+  cal.wait_room(WakeCalendar::kDramQueue, 1, 3, true);  // partition 3
+  EXPECT_EQ(taken(), Ids{});  // waiting marks nothing
+
+  cal.room(WakeCalendar::kRequestLane, 5);
+  EXPECT_EQ(taken(), (Ids{WakeCalendar::bit(2), 0, 0, 0}));
+  cal.room(WakeCalendar::kReplyLane, 1);
+  EXPECT_EQ(taken(), (Ids{0, 0, 0, WakeCalendar::bit(7)}));
+  cal.room(WakeCalendar::kDramQueue, 1);
+  EXPECT_EQ(taken(), (Ids{0, WakeCalendar::bit(3), 0, 0}));
+  // The same ids on the other queues of each kind have no waiters.
+  cal.room(WakeCalendar::kRequestLane, 2);
+  cal.room(WakeCalendar::kReplyLane, 7);
+  cal.room(WakeCalendar::kDramQueue, 0);
+  EXPECT_EQ(taken(), Ids{});
+
+  // A waiter stays listed across rooms until it withdraws.
+  cal.room(WakeCalendar::kRequestLane, 5);
+  cal.room(WakeCalendar::kRequestLane, 5);
+  EXPECT_EQ(taken(), (Ids{WakeCalendar::bit(2), 0, 0, 0}));
+  EXPECT_EQ(cal.waiters(WakeCalendar::kRequestLane, 5), WakeCalendar::bit(2));
+  cal.wait_room(WakeCalendar::kRequestLane, 5, 2, false);
+  cal.room(WakeCalendar::kRequestLane, 5);
+  EXPECT_EQ(taken(), Ids{});
+  EXPECT_EQ(cal.waiters(WakeCalendar::kRequestLane, 5), 0u);
+  // Withdrawing from one queue leaves the others' lists alone.
+  EXPECT_EQ(cal.waiters(WakeCalendar::kRequestLane, 6), WakeCalendar::bit(3));
+  EXPECT_EQ(cal.waiters(WakeCalendar::kDramQueue, 1), WakeCalendar::bit(3));
+  cal.wait_room(WakeCalendar::kReplyLane, 1, 4, true);
+  cal.wait_room(WakeCalendar::kReplyLane, 1, 7, false);
+  cal.room(WakeCalendar::kReplyLane, 1);
+  EXPECT_EQ(taken(), (Ids{0, 0, 0, WakeCalendar::bit(4)}));
+}
 
 TEST(SleepLedgerTest, MidSleepReadEqualsWhatSettleAdds) {
   SleepLedger<LedgerStats> ledger;

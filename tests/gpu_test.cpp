@@ -803,6 +803,8 @@ TEST(SmWaitTest, WarpsReleasedFromABarrierWaitForLoadsIssuedBeforeIt) {
 /// One LD/ST unit driven cycle by cycle against a real memory system, and
 /// ticked, as its SM does, only when it is due. Its SM never cycles: it only
 /// takes the unit's callbacks, and accesses bound to no warp leave it alone.
+/// The unit keeps its wake in SM 0's calendar row, which the SM's own unit,
+/// never ticked, leaves alone.
 /// Lines kA, kB and kC map to partitions 0, 1 and 2.
 struct LdStRig {
   static constexpr Addr kA = 0x0;
@@ -1446,6 +1448,7 @@ struct ElisionCheck {
   u64 elided = 0;      ///< SM cycles elided, over all SMs
   u64 idle = 0;        ///< of those, cycles whose pick would find no warp
   u64 open_pops = 0;   ///< of those, cycles whose LD/ST demand queue popped
+  u64 idle_open_pops = 0;  ///< of those, cycles that found no warp
   u64 violations = 0;  ///< see run_with_shadow
   ElisionEnds ends;
   GpuStats stats;
@@ -1528,7 +1531,10 @@ ElisionCheck run_with_shadow(const Kernel& k, const GpuConfig& cfg,
                 b.stall_cycles_all_mem + (any_wait ? 1 : 0) &&
             after.issued_instructions == b.issued_instructions;
         if (!(idle || refused) || !counted) ++r.violations;
-        if (popped(after, b)) ++r.open_pops;
+        if (popped(after, b)) {
+          ++r.open_pops;
+          if (idle) ++r.idle_open_pops;
+        }
         continue;
       }
       if (was_elided[i] != 0) {
@@ -1628,6 +1634,16 @@ TEST(IssueElisionTest, PopsThatLeaveTooLittleRoomKeepTheSpanOpen) {
       run_with_shadow(find_workload("PVR").kernel, small_gpu(20'000),
                       PrefetcherKind::kNone, SchedulerKind::kTwoLevel);
   EXPECT_GT(r.open_pops, 0u);
+  EXPECT_EQ(r.violations, 0u);
+}
+
+TEST(IssueElisionTest, PopsKeepAnIdleSpanOpen) {
+  // A pop changes no warp's eligibility, so an idle span goes on through
+  // it, and each pick it elides still finds no warp.
+  const ElisionCheck r =
+      run_with_shadow(find_workload("BFS").kernel, small_gpu(20'000),
+                      PrefetcherKind::kNone, SchedulerKind::kLrr);
+  EXPECT_GT(r.idle_open_pops, 0u);
   EXPECT_EQ(r.violations, 0u);
 }
 
@@ -1985,6 +2001,78 @@ TEST(WakeCalendarTest, EveryComponentWithWorkIsDue) {
   }
   for (u32 k = 0; k < WakeCalendar::kKinds; ++k)
     EXPECT_GT(seen[k], 100u) << "kind " << k;
+}
+
+TEST(WakeCalendarTest, EveryListedWaiterWaitsForThatRoom) {
+  // A waiter is listed from the tick or visit that found its queue full
+  // until it withdraws. So after every step an SM listed on a request lane
+  // with room, or a partition listed on a DRAM queue with room, is due, and
+  // a reply head listed on a reply lane holds a reply for that lane's SM.
+  // A waiter that failed to withdraw fails one of these sooner or later.
+  // Random machines rarely fill a reply lane; two SMs with the longest
+  // crossbar latency under HSP and SCN do.
+  std::mt19937 rng(20261019);
+  const std::vector<Workload>& suite = workload_suite();
+  u64 seen[WakeCalendar::kQueues] = {};
+  for (int trial = 0; trial < 18; ++trial) {
+    GpuConfig cfg = random_machine(rng);
+    const Workload* wl = &suite[rng() % suite.size()];
+    auto pf = static_cast<PrefetcherKind>(rng() % 8);
+    if (trial >= 16) {
+      cfg = GpuConfig{};
+      cfg.num_sms = 2;
+      cfg.xbar_latency = 32;
+      cfg.max_cycles = 4000;
+      wl = &find_workload(trial == 16 ? "HSP" : "SCN");
+      pf = PrefetcherKind::kCaps;
+    }
+    Gpu gpu(cfg, wl->kernel,
+            make_policies(pf, default_scheduler_for(pf), true));
+    const MemorySystem& mem = gpu.memory();
+    const WakeCalendar& cal = mem.calendar();
+    const std::string where = wl->abbr + " " + to_string(pf) + " trial " +
+                              std::to_string(trial);
+    u64 stale = 0;
+    const auto check = [&](WakeCalendar::Queue q, u32 id, u32 waiter,
+                           bool waits) {
+      ++seen[q];
+      if (!waits && stale++ == 0)
+        ADD_FAILURE() << where << ": queue " << q << " id " << id
+                      << " lists " << waiter << " after cycle "
+                      << gpu.now() - 1 << ", which does not wait on it";
+    };
+    while (!gpu.done() && gpu.now() < cfg.max_cycles) {
+      gpu.step();
+      const Cycle now = gpu.now();
+      for (u32 p = 0; p < cfg.num_l2_partitions; ++p)
+        for (u64 w = cal.waiters(WakeCalendar::kRequestLane, p); w != 0;
+             w &= w - 1) {
+          const auto sm = static_cast<u32>(std::countr_zero(w));
+          check(WakeCalendar::kRequestLane, p, sm,
+                !mem.lane_can_accept(p) || gpu.sm(sm).ldst().due(now));
+        }
+      for (u32 sm = 0; sm < cfg.num_sms; ++sm)
+        for (u64 w = cal.waiters(WakeCalendar::kReplyLane, sm); w != 0;
+             w &= w - 1) {
+          const auto p = static_cast<u32>(std::countr_zero(w));
+          const MemRequest* reply = mem.partition(p).front_reply();
+          check(WakeCalendar::kReplyLane, sm, p,
+                reply != nullptr && reply->sm_id == sm);
+        }
+      for (u32 c = 0; c < cfg.num_dram_channels; ++c)
+        for (u64 w = cal.waiters(WakeCalendar::kDramQueue, c); w != 0;
+             w &= w - 1) {
+          const auto p = static_cast<u32>(std::countr_zero(w));
+          check(WakeCalendar::kDramQueue, c, p,
+                p % cfg.num_dram_channels == c &&
+                    (!mem.channel(c).can_accept() ||
+                     mem.partition(p).due(now)));
+        }
+    }
+    EXPECT_EQ(stale, 0u) << where;
+  }
+  for (u32 q = 0; q < WakeCalendar::kQueues; ++q)
+    EXPECT_GT(seen[q], 100u) << "queue " << q;
 }
 
 TEST(WakeCalendarTest, DramBusyCyclesReadExactlyAfterEveryStep) {

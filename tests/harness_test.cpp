@@ -5,10 +5,12 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/energy.hpp"
 #include "harness/experiment.hpp"
+#include "harness/sweep.hpp"
 #include "harness/tables.hpp"
 #include "harness/trace_analysis.hpp"
 
@@ -231,10 +233,10 @@ TEST(TraceAnalysisTest, MissTriggeredPrefetchesCarryTheirIssueCycle) {
   }
 }
 
-TEST(RunAllPrefetchersTest, ReturnsLegendOrder) {
-  GpuConfig cfg;
-  cfg.num_sms = 2;
-  const auto results = run_all_prefetchers("SCN", cfg);
+TEST(Fig10MatrixTest, SweepReturnsLegendOrder) {
+  std::vector<RunConfig> cfgs = fig10_matrix({"SCN"});
+  for (RunConfig& rc : cfgs) rc.base.num_sms = 2;
+  const auto results = run_sweep(std::move(cfgs));
   ASSERT_EQ(results.size(), 8u);
   EXPECT_EQ(results[0].cfg.prefetcher, PrefetcherKind::kNone);
   EXPECT_EQ(results[7].cfg.prefetcher, PrefetcherKind::kCaps);

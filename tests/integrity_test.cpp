@@ -9,10 +9,12 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "gpu/gpu.hpp"
 #include "harness/experiment.hpp"
+#include "harness/sweep.hpp"
 #include "workloads/workload.hpp"
 
 namespace caps {
@@ -110,15 +112,17 @@ TEST(HarnessFaultToleranceTest, SweepSkipsDeadlockedConfigAndContinues) {
   base.num_sms = 2;
   base.watchdog_cycles = 2'000;
 
-  const auto results = run_all_prefetchers(
-      "SCN", base, [](RunConfig& rc) {
-        if (rc.prefetcher != PrefetcherKind::kNlp) return;
-        rc.pre_run_hook = [](Gpu& gpu) {
-          auto dropped = std::make_shared<u64>(0);
-          gpu.memory_for_test().set_reply_drop_for_test(
-              [dropped](const MemRequest&) { return ++*dropped > 10; });
-        };
-      });
+  std::vector<RunConfig> cfgs = fig10_matrix({"SCN"});
+  for (RunConfig& rc : cfgs) {
+    rc.base = base;
+    if (rc.prefetcher != PrefetcherKind::kNlp) continue;
+    rc.pre_run_hook = [](Gpu& gpu) {
+      auto dropped = std::make_shared<u64>(0);
+      gpu.memory_for_test().set_reply_drop_for_test(
+          [dropped](const MemRequest&) { return ++*dropped > 10; });
+    };
+  }
+  const auto results = run_sweep(std::move(cfgs));
 
   // BASE plus the seven legend prefetchers.
   ASSERT_EQ(results.size(), prefetcher_legend().size() + 1);

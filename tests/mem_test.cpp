@@ -642,7 +642,8 @@ TEST_F(DramTest, PickAtOrAfterNextPickAtNeverFindsNothing) {
 /// One L2 partition and its DRAM channel, driven in MemorySystem::cycle
 /// order: the partition is ticked only when it is due.
 struct L2Rig {
-  explicit L2Rig(const GpuConfig& c) : cfg(c), ch(cfg), l2(cfg, ch) {}
+  explicit L2Rig(const GpuConfig& c)
+      : cfg(c), ch(cfg), calendar(1, 1, 1), l2(cfg, ch, calendar, 0) {}
 
   void read(Addr line) {
     MemRequest r;
@@ -698,6 +699,7 @@ struct L2Rig {
 
   GpuConfig cfg;
   DramChannel ch;
+  WakeCalendar calendar;  ///< holds the partition's wake; nothing visits it
   L2Partition l2;
   Cycle now = 0;
   u32 fills = 0;

@@ -52,9 +52,6 @@ def main(argv):
     ap.add_argument("--max-ratio", type=float, default=2.0,
                     help="fail when current wall > ratio * baseline wall "
                          "(default: 2.0)")
-    ap.add_argument("--ignore-cycles", action="store_true",
-                    help="skip the determinism comparisons (simulated "
-                         "cycles and signature digests)")
     args = ap.parse_args(argv)
 
     base = load(args.baseline)
@@ -87,8 +84,7 @@ def main(argv):
                         "> %.2f)" % (base_wall, cur_wall, ratio,
                                      args.max_ratio))
 
-    if not args.ignore_cycles and not any("sweep shape" in f
-                                          for f in failures):
+    if not any("sweep shape" in f for f in failures):
         bmap, cmap = field_map(base, "cycles"), field_map(cur, "cycles")
         for key in sorted(bmap):
             if key not in cmap:
