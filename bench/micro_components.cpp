@@ -246,8 +246,7 @@ void BM_SchedulerPick(benchmark::State& state) {
   GpuConfig cfg;
   std::vector<WarpContext> warps(cfg.max_warps_per_sm);
   for (u32 w = 0; w < 16; ++w) warps[w].status = WarpStatus::kActive;
-  auto sched = std::make_unique<TwoLevelScheduler>(
-      cfg, warps, [](u32, Cycle) { return true; }, [](u32) { return false; });
+  auto sched = std::make_unique<TwoLevelScheduler>(cfg, warps);
   sched->on_cta_launch(0, 0, 16);
   Cycle now = 0;
   for (auto _ : state) benchmark::DoNotOptimize(sched->pick(now++));
@@ -258,28 +257,20 @@ BENCHMARK(BM_SchedulerPick);
 /// A saturated SM as its scheduler sees it: six CTAs of eight warps, six
 /// ready warps whose memory instructions the LD/ST unit refuses, and 42
 /// pending warps waiting on loads. Each iteration is one SM cycle: one pick,
-/// refused, so no warp state changes. The predicates read per-warp state,
-/// as the SM's do.
+/// refused, so no warp state changes. The warps carry mem_wait and ready_at
+/// as the SM keeps them.
 void BM_SchedulerPickSaturated(benchmark::State& state, SchedulerKind kind) {
   GpuConfig cfg;
   std::vector<WarpContext> warps(cfg.max_warps_per_sm);
-  std::vector<char> waiting(cfg.max_warps_per_sm, 1);
   for (u32 w = 0; w < cfg.max_warps_per_sm; ++w) {
     warps[w].status = WarpStatus::kActive;
     warps[w].warp_in_cta = w % 8;
     warps[w].launch_order = w;
+    warps[w].mem_wait = w >= 6;
   }
-  for (u32 w = 0; w < 6; ++w) waiting[w] = 0;
-  auto eligible = [&](u32 s, Cycle now) {
-    return warps[s].status == WarpStatus::kActive && warps[s].ready_at <= now &&
-           waiting[s] == 0;
-  };
-  auto waiting_mem = [&](u32 s) {
-    return warps[s].status == WarpStatus::kActive && waiting[s] != 0;
-  };
   std::unique_ptr<Scheduler> sched =
       make_policies(PrefetcherKind::kNone, kind, true)
-          .make_scheduler(cfg, warps, eligible, waiting_mem);
+          .make_scheduler(cfg, warps, nullptr, nullptr);
   for (u32 c = 0; c < 6; ++c) sched->on_cta_launch(c, c * 8, 8);
   Cycle now = 0;
   for (auto _ : state) benchmark::DoNotOptimize(sched->pick(now++));

@@ -17,12 +17,8 @@ namespace caps {
 class PasScheduler final : public LeadingMarkerProtocol<TwoLevelScheduler> {
  public:
   PasScheduler(const GpuConfig& cfg, std::vector<WarpContext>& warps,
-               std::function<bool(u32, Cycle)> eligible,
-               std::function<bool(u32)> waiting_mem,
                bool eager_wakeup = true)
-      : LeadingMarkerProtocol(cfg, warps, std::move(eligible),
-                              std::move(waiting_mem)),
-        eager_wakeup_(eager_wakeup) {}
+      : LeadingMarkerProtocol(cfg, warps), eager_wakeup_(eager_wakeup) {}
 
   void on_cta_launch(u32 cta_slot, u32 first_warp, u32 num_warps) override;
   void on_prefetch_fill(u32 slot) override;

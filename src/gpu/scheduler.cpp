@@ -11,7 +11,7 @@ i32 LrrScheduler::pick(Cycle now) {
   const u32 n = cfg_.max_warps_per_sm;
   for (u32 i = 0; i < n; ++i) {
     const u32 slot = (rr_ + 1 + i) % n;
-    if (warps_[slot].runnable() && eligible_(slot, now)) {
+    if (warps_[slot].eligible(now)) {
       rr_ = slot;
       return static_cast<i32>(slot);
     }
@@ -30,8 +30,7 @@ i32 GtoScheduler::oldest_eligible(Cycle now, bool leading_only) const {
   u64 best_age = ~0ULL;
   for (u32 slot = 0; slot < cfg_.max_warps_per_sm; ++slot) {
     const WarpContext& w = warps_[slot];
-    if ((leading_only && !w.leading) || !w.runnable() || !eligible_(slot, now))
-      continue;
+    if ((leading_only && !w.leading) || !w.eligible(now)) continue;
     if (w.launch_order < best_age) {
       best_age = w.launch_order;
       best = static_cast<i32>(slot);
@@ -41,8 +40,7 @@ i32 GtoScheduler::oldest_eligible(Cycle now, bool leading_only) const {
 }
 
 i32 GtoScheduler::pick(Cycle now) {
-  if (greedy_ != kNoWarp && warps_[static_cast<u32>(greedy_)].runnable() &&
-      eligible_(static_cast<u32>(greedy_), now))
+  if (greedy_ != kNoWarp && warps_[static_cast<u32>(greedy_)].eligible(now))
     return greedy_;
   greedy_ = oldest_eligible(now, /*leading_only=*/false);
   return greedy_;
@@ -104,7 +102,7 @@ void TwoLevelScheduler::evaluate(u32 slot) {
   promotable_ &= ~bit(slot);
   if (w.status == WarpStatus::kAtBarrier)
     parked_[w.cta_slot] |= bit(slot);
-  else if (w.runnable() && !waiting_mem_(slot))
+  else if (w.runnable() && !w.mem_wait)
     promotable_ |= bit(slot);
 }
 
@@ -122,12 +120,13 @@ i32 TwoLevelScheduler::next_promotion() const {
 }
 
 void TwoLevelScheduler::maintain() {
-  // Demote ready warps that stalled on memory or are parked at a barrier.
-  // Barrier warps MUST leave the ready queue: the warps that will release
-  // the barrier may be waiting in the pending queue, and holding ready
-  // slots for blocked warps would deadlock the CTA.
+  // Demote ready warps that stalled on memory (mem_wait is set only on
+  // active warps) or are parked at a barrier. Barrier warps MUST leave the
+  // ready queue: the warps that will release the barrier may be waiting in
+  // the pending queue, and holding ready slots for blocked warps would
+  // deadlock the CTA.
   const auto demotable = [this](u32 slot) {
-    return (warps_[slot].runnable() && waiting_mem_(slot)) ||
+    return warps_[slot].mem_wait ||
            warps_[slot].status == WarpStatus::kAtBarrier;
   };
   // Only an issue can make a ready warp demotable, and only the picked warp
@@ -174,7 +173,7 @@ i32 TwoLevelScheduler::pick(Cycle now) {
     const u32 slot = ready_.front();
     ready_.pop_front();
     ready_.push_back(slot);
-    if (warps_[slot].runnable() && eligible_(slot, now)) {
+    if (warps_[slot].eligible(now)) {
       picked_ = static_cast<i32>(slot);
       return picked_;
     }
@@ -191,10 +190,7 @@ void TwoLevelScheduler::elide_refused(Cycle from, Cycle to) {
   // the whole turns restore it.
   maintain();
   const auto n = static_cast<u32>(ready_.size());
-  const auto eligible = [&](u32 i) {
-    const u32 slot = ready_[i];
-    return warps_[slot].runnable() && eligible_(slot, from);
-  };
+  const auto eligible = [&](u32 i) { return warps_[ready_[i]].eligible(from); };
   u32 m = 0;
   for (u32 i = 0; i < n; ++i)
     if (eligible(i)) ++m;

@@ -4,12 +4,11 @@
 // returns an issue-eligible warp slot under its policy. A span of cycles
 // whose picks the LD/ST unit would only refuse, or which would find no
 // warp, reaches it as one elide_refused() call. Eligibility (ready time,
-// memory dependence, barrier state) is supplied by the SM through a
-// predicate so policies stay purely about ordering. Both predicates are
-// O(1) reads of state the SM keeps in WarpContext.
+// memory dependence, barrier state) is WarpContext::eligible(), an O(1)
+// read of state the SM keeps, so policies stay purely about ordering.
 #pragma once
 
-#include <functional>
+#include <cstddef>
 #include <memory>
 #include <vector>
 
@@ -23,16 +22,12 @@ namespace caps {
 
 class Scheduler {
  public:
-  /// @param eligible   true if the warp slot may issue this cycle
-  /// @param waiting_mem true if the warp is stalled on outstanding loads
-  ///                    (the two-level demotion criterion)
+  /// The two trailing parameters do nothing. They keep the constructor
+  /// that the benchmark's timing decorator calls (DESIGN.md §13,
+  /// "Benchmark compile contract").
   Scheduler(const GpuConfig& cfg, std::vector<WarpContext>& warps,
-            std::function<bool(u32, Cycle)> eligible,
-            std::function<bool(u32)> waiting_mem)
-      : cfg_(cfg),
-        warps_(warps),
-        eligible_(std::move(eligible)),
-        waiting_mem_(std::move(waiting_mem)) {}
+            std::nullptr_t = nullptr, std::nullptr_t = nullptr)
+      : cfg_(cfg), warps_(warps) {}
   virtual ~Scheduler() = default;
 
   virtual void on_cta_launch(u32 cta_slot, u32 first_warp, u32 num_warps) = 0;
@@ -81,8 +76,6 @@ class Scheduler {
 
   const GpuConfig& cfg_;
   std::vector<WarpContext>& warps_;
-  std::function<bool(u32, Cycle)> eligible_;
-  std::function<bool(u32)> waiting_mem_;
   const TraceSink* trace_ = nullptr;
   u32 sm_id_ = 0;
 };
@@ -124,11 +117,8 @@ class GtoScheduler : public Scheduler {
 /// kept in masks that the events able to change it update (DESIGN.md §13).
 class TwoLevelScheduler : public Scheduler {
  public:
-  TwoLevelScheduler(const GpuConfig& cfg, std::vector<WarpContext>& warps,
-                    std::function<bool(u32, Cycle)> eligible,
-                    std::function<bool(u32)> waiting_mem)
-      : Scheduler(cfg, warps, std::move(eligible), std::move(waiting_mem)),
-        parked_(cfg.max_ctas_per_sm, 0) {
+  TwoLevelScheduler(const GpuConfig& cfg, std::vector<WarpContext>& warps)
+      : Scheduler(cfg, warps), parked_(cfg.max_ctas_per_sm, 0) {
     CAPS_CHECK(cfg.max_warps_per_sm <= 64,
                "two-level warp masks hold at most 64 warp slots");
     // Both queues are bounded by the warp-slot count; pre-sizing them keeps
@@ -178,8 +168,8 @@ class TwoLevelScheduler : public Scheduler {
 
  private:
   static u64 bit(u32 slot) { return u64{1} << slot; }
-  /// Re-evaluate pending warp `slot` through the predicates: parked at a
-  /// barrier, promotable (runnable and not waiting on memory), or neither.
+  /// Re-evaluate pending warp `slot` from its state: parked at a barrier,
+  /// promotable (runnable and not waiting on memory), or neither.
   void evaluate(u32 slot);
   /// Take the warp at index `idx` out of pending_ and its masks; returns it.
   u32 remove_pending(u32 idx);

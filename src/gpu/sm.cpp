@@ -41,10 +41,7 @@ StreamingMultiprocessor::StreamingMultiprocessor(
   std::reverse(free_warp_blocks_.begin(), free_warp_blocks_.end());
 
   prefetcher_ = policies.make_prefetcher(cfg);
-  scheduler_ = policies.make_scheduler(
-      cfg, warps_,
-      [this](u32 slot, Cycle now) { return warp_eligible(slot, now); },
-      [this](u32 slot) { return warps_[slot].mem_wait; });
+  scheduler_ = policies.make_scheduler(cfg, warps_, {}, {});
   scheduler_->set_trace_sink(trace_, id_);
 }
 
@@ -91,12 +88,6 @@ bool StreamingMultiprocessor::launch_cta(const Dim3& cta_id, Cycle now) {
   prefetcher_->on_cta_launch(cta_slot, cta_id, first_warp, wpc);
   scheduler_->on_cta_launch(cta_slot, first_warp, wpc);
   return true;
-}
-
-bool StreamingMultiprocessor::warp_eligible(u32 slot, Cycle now) const {
-  const WarpContext& wc = warps_[slot];
-  return wc.status == WarpStatus::kActive && wc.ready_at <= now &&
-         !wc.mem_wait;
 }
 
 void StreamingMultiprocessor::update_mem_wait(WarpContext& wc) {

@@ -24,13 +24,18 @@ namespace caps {
 
 class MemorySystem;
 
-/// Builds the policy objects for one SM.
+/// Builds the policy objects for one SM. Each factory is called once per
+/// SM, at construction, and the benchmark builds against these types.
+/// make_scheduler's two trailing parameters do nothing: the SM passes empty
+/// functions and the factories drop them (DESIGN.md §13, "Benchmark compile
+/// contract").
 struct SmPolicyFactories {
   std::function<std::unique_ptr<Scheduler>(
       const GpuConfig&, std::vector<WarpContext>&,
       std::function<bool(u32, Cycle)>, std::function<bool(u32)>)>
-      make_scheduler;
-  std::function<std::unique_ptr<Prefetcher>(const GpuConfig&)> make_prefetcher;
+      make_scheduler;  // capsim-lint: allow(hot-path-function)
+  std::function<std::unique_ptr<Prefetcher>(const GpuConfig&)>
+      make_prefetcher;  // capsim-lint: allow(hot-path-function)
 };
 
 class StreamingMultiprocessor {
@@ -38,7 +43,7 @@ class StreamingMultiprocessor {
   StreamingMultiprocessor(const GpuConfig& cfg, u32 id, const Kernel& kernel,
                           MemorySystem& mem, const SmPolicyFactories& policies,
                           const TraceSink* trace = nullptr);
-  // The LD/ST unit and the scheduler predicates hold this SM's address.
+  // The LD/ST unit holds this SM's address.
   StreamingMultiprocessor(const StreamingMultiprocessor&) = delete;
   StreamingMultiprocessor& operator=(const StreamingMultiprocessor&) = delete;
 
@@ -103,7 +108,6 @@ class StreamingMultiprocessor {
   /// wait on memory; kNever if none.
   Cycle next_ready(Cycle after) const;
 
-  bool warp_eligible(u32 slot, Cycle now) const;
   /// Recompute `wc.mem_wait` and the count of waiting warps. Called after an
   /// issue, when a warp's last load completes and for each warp a barrier
   /// releases: the only places its inputs change. An exiting warp needs no

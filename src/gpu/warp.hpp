@@ -41,6 +41,12 @@ struct WarpContext {
 
   bool runnable() const { return status == WarpStatus::kActive; }
 
+  /// The one definition of issue eligibility: the warp may issue at `now`.
+  /// mem_wait is set only on active warps.
+  bool eligible(Cycle now) const {
+    return runnable() && ready_at <= now && !mem_wait;
+  }
+
   /// Return the context to its default-constructed state while keeping the
   /// loop stack's capacity, so re-launching a warp slot for a new CTA does
   /// not re-allocate (DESIGN.md §13). Use instead of `wc = WarpContext{}`.

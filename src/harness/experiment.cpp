@@ -61,28 +61,21 @@ SmPolicyFactories make_policies(PrefetcherKind pf, SchedulerKind sched,
     }
     throw std::invalid_argument("make_policies: unknown prefetcher kind");
   };
+  // The factory type still passes two warp predicates; nothing reads them.
   p.make_scheduler = [sched, caps_eager_wakeup](
                          const GpuConfig& cfg, std::vector<WarpContext>& warps,
-                         std::function<bool(u32, Cycle)> eligible,
-                         std::function<bool(u32)> waiting_mem)
-      -> std::unique_ptr<Scheduler> {
+                         auto&&...) -> std::unique_ptr<Scheduler> {
     switch (sched) {
       case SchedulerKind::kLrr:
-        return std::make_unique<LrrScheduler>(cfg, warps, std::move(eligible),
-                                              std::move(waiting_mem));
+        return std::make_unique<LrrScheduler>(cfg, warps);
       case SchedulerKind::kGto:
-        return std::make_unique<GtoScheduler>(cfg, warps, std::move(eligible),
-                                              std::move(waiting_mem));
+        return std::make_unique<GtoScheduler>(cfg, warps);
       case SchedulerKind::kTwoLevel:
-        return std::make_unique<TwoLevelScheduler>(
-            cfg, warps, std::move(eligible), std::move(waiting_mem));
+        return std::make_unique<TwoLevelScheduler>(cfg, warps);
       case SchedulerKind::kOrch:
-        return std::make_unique<OrchScheduler>(
-            cfg, warps, std::move(eligible), std::move(waiting_mem));
+        return std::make_unique<OrchScheduler>(cfg, warps);
       case SchedulerKind::kPas:
-        return std::make_unique<PasScheduler>(cfg, warps, std::move(eligible),
-                                              std::move(waiting_mem),
-                                              caps_eager_wakeup);
+        return std::make_unique<PasScheduler>(cfg, warps, caps_eager_wakeup);
     }
     throw std::invalid_argument("make_policies: unknown scheduler kind");
   };

@@ -278,11 +278,8 @@ ScheduleObs run_schedule_observation(const Workload& w, const GpuConfig& gc,
       make_policies(PrefetcherKind::kCaps, gc.scheduler, gc.caps.eager_wakeup);
   if (gto) {
     policies.make_scheduler = [](const GpuConfig& cfg,
-                                 std::vector<WarpContext>& warps,
-                                 std::function<bool(u32, Cycle)> el,
-                                 std::function<bool(u32)> wm) {
-      return std::make_unique<PasGtoScheduler>(cfg, warps, std::move(el),
-                                               std::move(wm));
+                                 std::vector<WarpContext>& warps, auto&&...) {
+      return std::make_unique<PasGtoScheduler>(cfg, warps);
     };
   }
   Gpu gpu(gc, w.kernel, policies, std::move(sink));

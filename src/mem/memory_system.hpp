@@ -156,7 +156,10 @@ class MemorySystem {
   u64 inject_sleepers_ = 0;
   u64 inject_sleep_from_sum_ = 0;
   mutable XbarStats request_xbar_read_;  ///< what request_xbar_stats() returns
-  std::function<bool(const MemRequest&)> reply_drop_;  ///< test-only fault
+  /// Test-only fault injection: empty in every real run, where a reply
+  /// pays one emptiness test.
+  std::function<bool(const MemRequest&)>
+      reply_drop_;  // capsim-lint: allow(hot-path-function)
   u64 dropped_replies_ = 0;
 };
 

@@ -309,7 +309,6 @@ class PasTest : public ::testing::Test {
  protected:
   GpuConfig cfg_;
   std::vector<WarpContext> warps_;
-  std::set<u32> memwait_;
 
   void SetUp() override {
     cfg_.max_warps_per_sm = 12;
@@ -318,9 +317,14 @@ class PasTest : public ::testing::Test {
   }
 
   std::unique_ptr<PasScheduler> make(bool wakeup = true) {
-    return std::make_unique<PasScheduler>(
-        cfg_, warps_, [](u32, Cycle) { return true; },
-        [this](u32 s) { return memwait_.contains(s); }, wakeup);
+    return std::make_unique<PasScheduler>(cfg_, warps_, wakeup);
+  }
+
+  /// Exactly the warps in `slots` wait on their loads, as the SM keeps
+  /// the bit; a waiting warp is not eligible.
+  void set_waiting(const std::set<u32>& slots) {
+    for (u32 w = 0; w < warps_.size(); ++w)
+      warps_[w].mem_wait = slots.contains(w);
   }
 
   void activate(u32 first, u32 n) {
@@ -362,7 +366,7 @@ TEST_F(PasTest, LeadingWarpsPromotedBeforeTrailing) {
   s->on_cta_launch(1, 4, 4);   // leading 4 -> front; rest pending
   s->on_cta_launch(2, 8, 4);   // leading 8 -> front of pending
   // Demote the whole ready set.
-  memwait_ = {0, 1, 2, 4};
+  set_waiting({0, 1, 2, 4});
   s->pick(0);
   // CTA2's leading warp (slot 8) must be promoted before trailing warps.
   const auto& ready = s->ready_queue();
@@ -375,7 +379,7 @@ TEST_F(PasTest, TrailingWarpsPromotedWhenNoLeaderCanBe) {
   auto s = make();
   // Demote the whole ready set; both leading warps (0 and 4) are blocked,
   // warp 4 since before it entered the pending queue.
-  memwait_ = {0, 1, 2, 3, 4};
+  set_waiting({0, 1, 2, 3, 4});
   s->on_cta_launch(0, 0, 4);  // fills ready (4 slots)
   s->on_cta_launch(1, 4, 4);  // pending: leading 4, then 5, 6, 7
   s->pick(0);
@@ -427,7 +431,7 @@ TEST_F(PasTest, EagerWakeupOfAWaitingWarpIsDemotedAtTheNextPick) {
   s->on_cta_launch(0, 0, 8);  // ready: 0..3; pending: 4..7
   ASSERT_EQ(s->pick(0), 0);
   // Warp 4's prefetch filled L1, but its own load has not returned.
-  memwait_ = {4};
+  set_waiting({4});
   s->on_prefetch_fill(4);
   const auto& ready = s->ready_queue();
   ASSERT_TRUE(std::find(ready.begin(), ready.end(), 4u) != ready.end());
@@ -441,7 +445,8 @@ TEST_F(PasTest, ForcedDemotionIsPromotedAgain) {
   cfg_.ready_queue_size = 2;
   activate(0, 6);
   auto s = make();
-  memwait_ = {0, 1, 2, 3};  // before launch: a pending warp never starts waiting
+  // Before launch: a pending warp never starts waiting.
+  set_waiting({0, 1, 2, 3});
   s->on_cta_launch(0, 0, 4);  // ready: 0, 1; pending: 2, 3
   // CTA 0 is demoted whole, and no pending warp is promotable.
   ASSERT_EQ(s->pick(0), kNoWarp);
@@ -460,7 +465,8 @@ TEST_F(PasTest, ForcedDemotionOfALeadingWarpIsPromotedAgain) {
   cfg_.ready_queue_size = 2;
   activate(0, 5);
   auto s = make();
-  memwait_ = {0, 1, 2};  // before launch: a pending warp never starts waiting
+  // Before launch: a pending warp never starts waiting.
+  set_waiting({0, 1, 2});
   s->on_cta_launch(0, 0, 3);  // ready: 0, 1; pending: 2
   ASSERT_EQ(s->pick(0), kNoWarp);
   // Two one-warp CTAs fill the ready queue with leading warps.
@@ -479,7 +485,7 @@ TEST_F(PasTest, LeadingWarpEnteringReadyIsCheckedAtTheNextPick) {
   activate(0, 1);
   auto s = make();
   s->on_cta_launch(0, 0, 1);  // a one-warp CTA: its leading warp is ready
-  memwait_ = {0};
+  set_waiting({0});
   s->pick(0);
   EXPECT_TRUE(s->ready_queue().empty());
   EXPECT_EQ(s->pending_queue().size(), 1u);

@@ -3,13 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
 #include <random>
 #include <set>
 #include <string>
 #include <type_traits>
 #include <utility>
 
+#include "core/pas_gto_scheduler.hpp"
 #include "core/pas_scheduler.hpp"
 #include "gpu/coalescer.hpp"
 #include "gpu/cta_distributor.hpp"
@@ -109,8 +109,6 @@ class SchedulerFixture : public ::testing::Test {
  protected:
   GpuConfig cfg_;
   std::vector<WarpContext> warps_;
-  std::set<u32> ineligible_;
-  std::set<u32> memwait_;
 
   void SetUp() override {
     cfg_.max_warps_per_sm = 8;
@@ -126,12 +124,21 @@ class SchedulerFixture : public ::testing::Test {
     }
   }
 
+  /// Exactly the warps in `slots` wait on their loads, as the SM keeps
+  /// the bit; a waiting warp is not eligible.
+  void set_waiting(const std::set<u32>& slots) {
+    for (u32 w = 0; w < warps_.size(); ++w)
+      warps_[w].mem_wait = slots.contains(w);
+  }
+
+  /// The warps in `slots` are not ready in any cycle these tests pick in.
+  void set_unready(const std::set<u32>& slots) {
+    for (u32 w : slots) warps_[w].ready_at = kNever;
+  }
+
   template <typename S>
   std::unique_ptr<S> make() {
-    return std::make_unique<S>(
-        cfg_, warps_,
-        [this](u32 s, Cycle) { return !ineligible_.contains(s); },
-        [this](u32 s) { return memwait_.contains(s); });
+    return std::make_unique<S>(cfg_, warps_);
   }
 };
 
@@ -145,7 +152,7 @@ TEST_F(SchedulerFixture, LrrRotatesThroughWarps) {
 
 TEST_F(SchedulerFixture, LrrSkipsIneligible) {
   activate(0, 4);
-  ineligible_ = {1, 2};
+  set_unready({1, 2});
   auto s = make<LrrScheduler>();
   EXPECT_EQ(s->pick(0), 3);
   EXPECT_EQ(s->pick(0), 0);
@@ -154,7 +161,7 @@ TEST_F(SchedulerFixture, LrrSkipsIneligible) {
 
 TEST_F(SchedulerFixture, LrrReturnsNoWarpWhenAllBlocked) {
   activate(0, 2);
-  ineligible_ = {0, 1};
+  set_unready({0, 1});
   auto s = make<LrrScheduler>();
   EXPECT_EQ(s->pick(0), kNoWarp);
 }
@@ -172,9 +179,9 @@ TEST_F(SchedulerFixture, GtoFallsBackToOldest) {
   auto s = make<GtoScheduler>();
   const i32 greedy = s->pick(0);
   ASSERT_EQ(greedy, 0);  // oldest by launch order
-  ineligible_ = {0};
+  set_unready({0});
   EXPECT_EQ(s->pick(0), 1);  // next oldest
-  ineligible_ = {0, 1};
+  set_unready({0, 1});
   EXPECT_EQ(s->pick(0), 2);
 }
 
@@ -190,8 +197,7 @@ TEST_F(SchedulerFixture, TwoLevelDemotesMemoryStalledWarps) {
   activate(0, 8);
   auto s = make<TwoLevelScheduler>();
   s->on_cta_launch(0, 0, 8);
-  memwait_ = {0, 1};
-  ineligible_ = {0, 1};
+  set_waiting({0, 1});
   s->pick(0);  // triggers maintenance
   const auto& ready = s->ready_queue();
   EXPECT_EQ(ready.size(), 4u);
@@ -206,13 +212,11 @@ TEST_F(SchedulerFixture, TwoLevelPromotesWhenLoadsReturn) {
   activate(0, 8);
   auto s = make<TwoLevelScheduler>();
   s->on_cta_launch(0, 0, 8);
-  memwait_ = {0, 1, 2, 3};
-  ineligible_ = {0, 1, 2, 3};
+  set_waiting({0, 1, 2, 3});
   s->pick(0);
   // Loads return for warp 0; meanwhile ready warp 4 stalls, freeing a
   // slot. Warp 0 must be promoted ahead of the still-blocked 1..3.
-  memwait_ = {1, 2, 3, 4};
-  ineligible_ = {1, 2, 3, 4};
+  set_waiting({1, 2, 3, 4});
   s->on_loads_complete(0);
   for (int i = 0; i < 4; ++i) s->pick(0);
   const auto& ready = s->ready_queue();
@@ -257,7 +261,7 @@ TEST_F(SchedulerFixture, TwoLevelDemotesAPickedWarpThatStartsWaiting) {
   ASSERT_EQ(s->pick(0), 0);
   // Warp 0 issued a load; its next instruction consumes it.
   warps_[0].ready_at = 1;
-  memwait_ = ineligible_ = {0};
+  set_waiting({0});
   s->pick(1);
   const auto& ready = s->ready_queue();
   EXPECT_TRUE(std::find(ready.begin(), ready.end(), 0u) == ready.end());
@@ -270,12 +274,12 @@ TEST_F(SchedulerFixture, TwoLevelPromotesAPendingWarpWhenItsLastLoadReturns) {
   auto s = make<TwoLevelScheduler>();
   // Every warp waits on memory before it enters a queue: a pending warp
   // never starts waiting.
-  memwait_ = ineligible_ = {0, 1, 2, 3};
+  set_waiting({0, 1, 2, 3});
   s->on_cta_launch(0, 0, 4);  // ready: 0, 1; pending: 2, 3
   // 0 and 1 are demoted, and no pending warp is promotable.
   ASSERT_EQ(s->pick(0), kNoWarp);
   ASSERT_EQ(s->pending_queue().size(), 4u);
-  memwait_ = ineligible_ = {0, 1, 3};
+  set_waiting({0, 1, 3});
   s->on_loads_complete(2);
   EXPECT_EQ(s->pick(1), 2);
 }
@@ -299,7 +303,7 @@ TEST_F(SchedulerFixture, TwoLevelPromotesPendingWarpsABarrierReleases) {
   // waits on a load it issued before the barrier.
   for (u32 w : {0u, 1u}) warps_[w].status = WarpStatus::kActive;
   for (u32 w : {0u, 1u, 2u}) warps_[w].ready_at = 3;
-  memwait_ = ineligible_ = {2};
+  set_waiting({2});
   EXPECT_EQ(s->pick(3), 0);
   const auto& ready = s->ready_queue();
   EXPECT_EQ(ready.size(), 2u);
@@ -329,8 +333,7 @@ TEST_F(SchedulerFixture, OrchPromotesEvenWarpsFirst) {
   auto s = make<OrchScheduler>();
   s->on_cta_launch(0, 0, 8);  // ready: 0,1; pending: 2..7
   // Demote everything in ready.
-  memwait_ = {0, 1};
-  ineligible_ = {0, 1};
+  set_waiting({0, 1});
   s->pick(0);
   // Promotion must have preferred even warp-in-CTA ids: 2 and 4 (the two
   // scheduling groups stay interleaved). pick() rotates the deque, so
@@ -347,8 +350,7 @@ TEST_F(SchedulerFixture, OrchPromotesOddWarpsWhenNoEvenWarpCan) {
   auto s = make<OrchScheduler>();
   // Demote the ready set; every even warp is blocked on memory, the pending
   // ones since before they entered the pending queue.
-  memwait_ = {0, 1, 2, 4, 6};
-  ineligible_ = memwait_;
+  set_waiting({0, 1, 2, 4, 6});
   s->on_cta_launch(0, 0, 8);  // ready: 0,1; pending: 2..7
   s->pick(0);
   // With no even warp promotable, promotion falls back to FIFO: 3, then 5.
@@ -379,12 +381,117 @@ TEST_F(SchedulerFixture, MakePoliciesBuildsEveryKind) {
   activate(0, 2);
   for (const auto& [kind, name] : schedulers) {
     auto s = make_policies(PrefetcherKind::kNone, kind, true)
-                 .make_scheduler(
-                     cfg_, warps_, [](u32, Cycle) { return true; },
-                     [](u32) { return false; });
+                 .make_scheduler(cfg_, warps_, nullptr, nullptr);
     EXPECT_STREQ(s->name(), name) << to_string(kind);
     s->on_cta_launch(0, 0, 2);
     EXPECT_NE(s->pick(0), kNoWarp) << to_string(kind);
+  }
+}
+
+// Every scheduler reads eligibility from WarpContext alone. Each is built
+// with null predicates, as the benchmark's timing decorator builds its base,
+// and picked over a seeded random history of warp states that the SM could
+// produce: issues move ready_at, loads set mem_wait until they return,
+// warps park at and leave barriers, and finish. Every pick must be no warp
+// or a warp that WarpContext::eligible() admits.
+TEST(SchedulerContractTest, NullPredicatesPickByWarpState) {
+  GpuConfig cfg;
+  cfg.max_warps_per_sm = 16;
+  cfg.max_ctas_per_sm = 4;
+  cfg.ready_queue_size = 4;
+  constexpr u32 kWarpsPerCta = 4;
+  const SchedulerKind kinds[] = {SchedulerKind::kLrr, SchedulerKind::kGto,
+                                 SchedulerKind::kTwoLevel, SchedulerKind::kPas,
+                                 SchedulerKind::kOrch};
+  for (u32 i = 0; i <= std::size(kinds); ++i) {
+    std::vector<WarpContext> warps(cfg.max_warps_per_sm);
+    std::unique_ptr<Scheduler> s =
+        i < std::size(kinds)
+            ? make_policies(PrefetcherKind::kNone, kinds[i], true)
+                  .make_scheduler(cfg, warps, nullptr, nullptr)
+            : std::make_unique<PasGtoScheduler>(cfg, warps);
+    std::mt19937 rng(20261019 + i);
+    u64 launches = 0;
+    const auto launch = [&](u32 cta, Cycle now) {
+      for (u32 w = cta * kWarpsPerCta; w < (cta + 1) * kWarpsPerCta; ++w) {
+        warps[w].reset();
+        warps[w].status = WarpStatus::kActive;
+        warps[w].cta_slot = cta;
+        warps[w].warp_in_cta = w % kWarpsPerCta;
+        warps[w].ready_at = now;
+        warps[w].launch_order = launches++;
+      }
+      s->on_cta_launch(cta, cta * kWarpsPerCta, kWarpsPerCta);
+    };
+    // Release the barrier of `cta` once every live warp has arrived;
+    // relaunch the CTA once every warp is done.
+    const auto settle = [&](u32 cta, Cycle now) {
+      u32 live = 0;
+      u32 parked = 0;
+      for (u32 w = cta * kWarpsPerCta; w < (cta + 1) * kWarpsPerCta; ++w) {
+        if (warps[w].status == WarpStatus::kDone) continue;
+        ++live;
+        if (warps[w].status == WarpStatus::kAtBarrier) ++parked;
+      }
+      if (live == 0) {
+        launch(cta, now + 1);
+      } else if (parked == live) {
+        for (u32 w = cta * kWarpsPerCta; w < (cta + 1) * kWarpsPerCta; ++w) {
+          if (warps[w].status != WarpStatus::kAtBarrier) continue;
+          warps[w].status = WarpStatus::kActive;
+          warps[w].ready_at = now + 1;
+          warps[w].mem_wait = warps[w].outstanding_loads > 0 && rng() % 2 == 0;
+        }
+      }
+    };
+    for (u32 cta = 0; cta < cfg.max_ctas_per_sm; ++cta) launch(cta, 0);
+
+    u64 picked = 0;
+    for (Cycle now = 0; now < 4000; ++now) {
+      for (u32 w = 0; w < warps.size(); ++w) {
+        if (warps[w].outstanding_loads == 0 || rng() % 6 != 0) continue;
+        warps[w].outstanding_loads = 0;  // the last load returned
+        warps[w].mem_wait = false;
+        s->on_loads_complete(w);
+      }
+      for (u32 slot = 0; slot < 2; ++slot) {
+        const i32 p = s->pick(now);
+        if (p == kNoWarp) continue;
+        ASSERT_TRUE(warps[static_cast<u32>(p)].eligible(now))
+            << s->name() << " picked warp " << p << " at cycle " << now;
+        ++picked;
+        // Issue the picked warp's instruction.
+        const u32 w = static_cast<u32>(p);
+        WarpContext& wc = warps[w];
+        wc.ready_at = now + 1 + rng() % 4;
+        switch (rng() % 8) {
+          case 0:
+          case 1:  // a load whose value the next instruction consumes
+            s->on_global_access(w);
+            ++wc.outstanding_loads;
+            wc.mem_wait = true;
+            break;
+          case 2:  // a load the warp does not wait on yet
+            s->on_global_access(w);
+            ++wc.outstanding_loads;
+            break;
+          case 3:
+            wc.status = WarpStatus::kAtBarrier;
+            settle(wc.cta_slot, now);
+            break;
+          case 4:
+            if (wc.outstanding_loads > 0 || rng() % 4 != 0) break;
+            wc.status = WarpStatus::kDone;
+            s->on_warp_done(w);
+            settle(wc.cta_slot, now);
+            break;
+          default:  // an ALU instruction
+            break;
+        }
+      }
+    }
+    EXPECT_GT(picked, 1000u) << s->name();
+    EXPECT_GT(launches, 4 * cfg.max_ctas_per_sm * kWarpsPerCta) << s->name();
   }
 }
 
@@ -617,10 +724,9 @@ TEST(SmTest, RefusedLoadIssuesItsOwnLinesAndCountsEveryRetry) {
       make_policies(PrefetcherKind::kNone, SchedulerKind::kTwoLevel, true);
   pol.make_scheduler = [base = pol.make_scheduler, &warps](
                            const GpuConfig& c, std::vector<WarpContext>& w,
-                           std::function<bool(u32, Cycle)> eligible,
-                           std::function<bool(u32)> waiting_mem) {
+                           auto&&...) {
     warps = &w;
-    return base(c, w, std::move(eligible), std::move(waiting_mem));
+    return base(c, w, nullptr, nullptr);
   };
   pol.make_prefetcher = [&](const GpuConfig&) {
     return std::make_unique<RefusalProbe>(&warps, &issues, &dirty_launches);
@@ -681,7 +787,7 @@ class WaitCheckScheduler final : public Scheduler {
   WaitCheckScheduler(std::unique_ptr<Scheduler> inner, const GpuConfig& cfg,
                      std::vector<WarpContext>& warps, const Kernel& kernel,
                      u32& early_picks)
-      : Scheduler(cfg, warps, nullptr, nullptr),
+      : Scheduler(cfg, warps),
         inner_(std::move(inner)),
         kernel_(kernel),
         early_picks_(early_picks) {}
@@ -731,12 +837,10 @@ WaitCheckedRun run_checking_waits(const Kernel& k, SchedulerKind sched) {
   SmPolicyFactories pol = make_policies(PrefetcherKind::kNone, sched, true);
   pol.make_scheduler = [base = pol.make_scheduler, &warps, &k, &r](
                            const GpuConfig& c, std::vector<WarpContext>& w,
-                           std::function<bool(u32, Cycle)> eligible,
-                           std::function<bool(u32)> waiting_mem) {
+                           auto&&...) {
     warps = &w;
-    return std::make_unique<WaitCheckScheduler>(
-        base(c, w, std::move(eligible), std::move(waiting_mem)), c, w, k,
-        r.early_picks);
+    return std::make_unique<WaitCheckScheduler>(base(c, w, nullptr, nullptr),
+                                                c, w, k, r.early_picks);
   };
   Gpu gpu(cfg, k, pol);
   SmStats before;
@@ -1245,6 +1349,16 @@ TEST(LdStSleepTest, PushesBehindBlockedHeadsDoNotWakeTheUnit) {
 
 // ------------------------------------------- refused-issue elision -----
 
+/// The warp states the random scheduler histories below draw from.
+enum WarpDraw : u8 { kEligible, kBlocked, kWaiting };
+
+/// Write `draw` into `w` as the SM would keep it: a blocked warp is not
+/// ready until further notice, a waiting warp waits on its loads.
+void set_draw(WarpContext& w, WarpDraw draw) {
+  w.ready_at = draw == kBlocked ? kNever : 0;
+  w.mem_wait = draw == kWaiting;
+}
+
 /// Drives two identical schedulers of kind S through the same random
 /// history, then elides a k-cycle refused span on one with its override and
 /// on the other with the replay default. Warp states are consistent with
@@ -1260,20 +1374,16 @@ void check_elide_against_replay(std::mt19937& rng, Cycle k) {
     warps[w].warp_in_cta = w % 4;
     warps[w].launch_order = w;
   }
-  enum State : u8 { kEligible, kBlocked, kWaiting };
-  std::vector<u8> state(warps.size(), kEligible);
-  const auto eligible = [&](u32 w, Cycle) { return state[w] == kEligible; };
-  const auto waiting = [&](u32 w) { return state[w] == kWaiting; };
-  S a(cfg, warps, eligible, waiting);
-  S b(cfg, warps, eligible, waiting);
+  S a(cfg, warps);
+  S b(cfg, warps);
   const auto reshuffle = [&] {
-    for (u32 w = 0; w < state.size(); ++w) {
-      const u8 next = static_cast<u8>(rng() % 3);
-      if (state[w] == kWaiting && next != kWaiting) {
+    for (u32 w = 0; w < warps.size(); ++w) {
+      const bool waited = warps[w].mem_wait;
+      set_draw(warps[w], static_cast<WarpDraw>(rng() % 3));
+      if (waited && !warps[w].mem_wait) {
         a.on_loads_complete(w);
         b.on_loads_complete(w);
       }
-      state[w] = next;
     }
   };
   for (u32 c = 0; c < 4; ++c) {
@@ -1321,20 +1431,16 @@ void check_idle_elide_against_picks(std::mt19937& rng, Cycle k) {
     warps[w].warp_in_cta = w % 4;
     warps[w].launch_order = w;
   }
-  enum State : u8 { kEligible, kBlocked, kWaiting };
-  std::vector<u8> state(warps.size(), kEligible);
-  const auto eligible = [&](u32 w, Cycle) { return state[w] == kEligible; };
-  const auto waiting = [&](u32 w) { return state[w] == kWaiting; };
-  S a(cfg, warps, eligible, waiting);
-  S b(cfg, warps, eligible, waiting);
+  S a(cfg, warps);
+  S b(cfg, warps);
   const auto reshuffle = [&](u32 states) {
-    for (u32 w = 0; w < state.size(); ++w) {
-      const u8 next = static_cast<u8>(3 - states + rng() % states);
-      if (state[w] == kWaiting && next != kWaiting) {
+    for (u32 w = 0; w < warps.size(); ++w) {
+      const bool waited = warps[w].mem_wait;
+      set_draw(warps[w], static_cast<WarpDraw>(3 - states + rng() % states));
+      if (waited && !warps[w].mem_wait) {
         a.on_loads_complete(w);
         b.on_loads_complete(w);
       }
-      state[w] = next;
     }
   };
   const auto same_queues = [&] {
@@ -1397,7 +1503,7 @@ class ShadowedScheduler final : public Scheduler {
   ShadowedScheduler(std::unique_ptr<Scheduler> real,
                     std::unique_ptr<Scheduler> shadow, const GpuConfig& cfg,
                     std::vector<WarpContext>& warps)
-      : Scheduler(cfg, warps, nullptr, nullptr),
+      : Scheduler(cfg, warps),
         real_(std::move(real)),
         shadow_(std::move(shadow)) {}
 
@@ -1468,11 +1574,9 @@ ElisionCheck run_with_shadow(const Kernel& k, const GpuConfig& cfg,
   SmPolicyFactories pol = make_policies(pf, sched, true);
   pol.make_scheduler = [base = pol.make_scheduler, &shadows](
                            const GpuConfig& c, std::vector<WarpContext>& w,
-                           std::function<bool(u32, Cycle)> eligible,
-                           std::function<bool(u32)> waiting_mem) {
+                           auto&&...) {
     auto s = std::make_unique<ShadowedScheduler>(
-        base(c, w, eligible, waiting_mem), base(c, w, eligible, waiting_mem),
-        c, w);
+        base(c, w, nullptr, nullptr), base(c, w, nullptr, nullptr), c, w);
     shadows.push_back(s.get());
     return s;
   };
@@ -1768,7 +1872,7 @@ class ForwardingScheduler final : public Scheduler {
  public:
   ForwardingScheduler(std::unique_ptr<Scheduler> inner, const GpuConfig& cfg,
                       std::vector<WarpContext>& warps, u64& picks)
-      : Scheduler(cfg, warps, nullptr, nullptr),
+      : Scheduler(cfg, warps),
         inner_(std::move(inner)),
         picks_(picks) {}
 
@@ -1808,11 +1912,9 @@ TEST(GpuTest, ForwardingDecoratorMatchesTheUndecoratedRun) {
       SmPolicyFactories pol = make_policies(pf, cfg.scheduler, true);
       pol.make_scheduler = [base = pol.make_scheduler, &picks](
                                const GpuConfig& c, std::vector<WarpContext>& w,
-                               std::function<bool(u32, Cycle)> eligible,
-                               std::function<bool(u32)> waiting_mem) {
+                               auto&&...) {
         return std::make_unique<ForwardingScheduler>(
-            base(c, w, std::move(eligible), std::move(waiting_mem)), c, w,
-            picks);
+            base(c, w, nullptr, nullptr), c, w, picks);
       };
       Gpu gpu(cfg, find_workload(wl).kernel, pol);
       const GpuStats s = gpu.run();
@@ -1828,13 +1930,12 @@ TEST(GpuTest, ForwardingDecoratorMatchesTheUndecoratedRun) {
 
 /// Wraps a two-level scheduler and, after every pick() and elided span,
 /// compares the promotable mask it keeps from events with a fresh scan of
-/// its pending queue through the predicates.
+/// its pending queue's WarpContext.
 class MaskCheckedScheduler final : public Scheduler {
  public:
   MaskCheckedScheduler(std::unique_ptr<Scheduler> inner, const GpuConfig& cfg,
-                       std::vector<WarpContext>& warps,
-                       std::function<bool(u32)> waiting_mem)
-      : Scheduler(cfg, warps, nullptr, std::move(waiting_mem)),
+                       std::vector<WarpContext>& warps)
+      : Scheduler(cfg, warps),
         inner_(std::move(inner)),
         two_level_(dynamic_cast<const TwoLevelScheduler*>(inner_.get())) {}
 
@@ -1872,7 +1973,7 @@ class MaskCheckedScheduler final : public Scheduler {
     bool parked = false;
     for (const u32 slot : two_level_->pending_queue()) {
       if (warps_[slot].status == WarpStatus::kAtBarrier) parked = true;
-      if (warps_[slot].runnable() && !waiting_mem_(slot))
+      if (warps_[slot].runnable() && !warps_[slot].mem_wait)
         fresh |= u64{1} << slot;
     }
     ++checks;
@@ -1898,10 +1999,9 @@ TEST(PromotionMaskTest, KeptMaskEqualsAFreshScanAtEveryPick) {
       SmPolicyFactories pol = make_policies(pf, sched, true);
       pol.make_scheduler = [base = pol.make_scheduler, &checked](
                                const GpuConfig& c, std::vector<WarpContext>& w,
-                               std::function<bool(u32, Cycle)> eligible,
-                               std::function<bool(u32)> waiting_mem) {
+                               auto&&...) {
         auto s = std::make_unique<MaskCheckedScheduler>(
-            base(c, w, std::move(eligible), waiting_mem), c, w, waiting_mem);
+            base(c, w, nullptr, nullptr), c, w);
         checked.push_back(s.get());
         return s;
       };

@@ -369,9 +369,7 @@ class PasGtoTest : public ::testing::Test {
   }
 
   std::unique_ptr<PasGtoScheduler> make() {
-    return std::make_unique<PasGtoScheduler>(
-        cfg_, warps_, [](u32, Cycle) { return true; },
-        [](u32) { return false; });
+    return std::make_unique<PasGtoScheduler>(cfg_, warps_);
   }
 };
 
@@ -407,10 +405,8 @@ TEST_F(PasGtoTest, RunsAFullKernel) {
     return std::make_unique<CapsPrefetcher>(c);
   };
   pol.make_scheduler = [](const GpuConfig& c, std::vector<WarpContext>& w,
-                          std::function<bool(u32, Cycle)> e,
-                          std::function<bool(u32)> m)
-      -> std::unique_ptr<Scheduler> {
-    return std::make_unique<PasGtoScheduler>(c, w, std::move(e), std::move(m));
+                          auto&&...) -> std::unique_ptr<Scheduler> {
+    return std::make_unique<PasGtoScheduler>(c, w);
   };
   Gpu gpu(cfg, k, pol);
   const GpuStats s = gpu.run();
@@ -443,12 +439,7 @@ TEST_P(PasGtoStarvationTest, IneligibleLeaderNeverStarvesTrailers) {
       for (u32 w = 0; w < 8; ++w)
         row[w] = (w % 4 == 0) ? (rng() % 8 == 0) : (rng() % 2 == 0);
 
-    PasGtoScheduler s(
-        cfg, warps,
-        [&elig](u32 slot, Cycle now) {
-          return elig[static_cast<std::size_t>(now)][slot];
-        },
-        [](u32) { return false; });
+    PasGtoScheduler s(cfg, warps);
     s.on_cta_launch(0, 0, 4);
     s.on_cta_launch(1, 4, 4);  // markers never cleared: leaders stay marked
 
@@ -456,6 +447,7 @@ TEST_P(PasGtoStarvationTest, IneligibleLeaderNeverStarvesTrailers) {
     u64 trailer_picks_when_blocked = 0;
     for (Cycle t = 0; t < kCycles; ++t) {
       const auto& row = elig[static_cast<std::size_t>(t)];
+      for (u32 w = 0; w < 8; ++w) warps[w].ready_at = row[w] ? t : t + 1;
       const i32 p = s.pick(t);
 
       bool any_eligible = false, leader_eligible = false;

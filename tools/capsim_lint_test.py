@@ -108,6 +108,18 @@ class BadFixtureTest(unittest.TestCase):
                 self.out)
         self.assertEqual(len(hits), 3, self.out)
 
+    def test_hot_path_function(self):
+        hits = self.findings("hot-path-function")
+        # Plain and brace-initialised predicates, a member of a nested
+        # struct and a member whose type spans lines, reported where its
+        # name is; the u32 member and the struct-typed member are not.
+        for line, name in ((12, "eligible_"), (13, "waiting_mem_"),
+                           (17, "on_done"), (22, "make_hooks")):
+            self.assertTrue(
+                any("predicate_member.hpp:%d" % line in h and name in h
+                    for h in hits), self.out)
+        self.assertEqual(len(hits), 4, self.out)
+
     def test_include_cpp(self):
         hits = self.findings("include-cpp")
         self.assertEqual(len(hits), 1, self.out)
