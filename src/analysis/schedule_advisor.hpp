@@ -17,8 +17,8 @@
 //   * whether eager wake-up opportunities exist at all (a pending
 //     population and at least one prefetchable PC).
 //
-// The predictions are cross-checked against simulation by
-// harness/oracle.hpp's cross_check_schedule(): a divergence means either a
+// The predictions are cross-checked against simulation by the schedule
+// section of harness/oracle.hpp's cross_check(): a divergence means either a
 // scheduler regression or an advisor bug, and both gate the PR.
 //
 // IMPORTANT: like the kernel analyzer, this module re-derives the queue

@@ -1,6 +1,7 @@
 // Per-warp and per-CTA execution state inside an SM.
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -51,19 +52,10 @@ struct WarpContext {
   /// loop stack's capacity, so re-launching a warp slot for a new CTA does
   /// not re-allocate (DESIGN.md §13). Use instead of `wc = WarpContext{}`.
   void reset() {
-    status = WarpStatus::kInvalid;
-    cta_slot = 0;
-    warp_in_cta = 0;
-    cta_id = Dim3{};
-    cta_flat = 0;
-    pc_idx = 0;
-    ready_at = 0;
-    outstanding_loads = 0;
-    mem_wait = false;
-    stalled_lines = 0;
-    loops.clear();
-    leading = false;
-    launch_order = 0;
+    std::vector<LoopFrame> kept = std::move(loops);
+    kept.clear();
+    *this = WarpContext{};
+    loops = std::move(kept);
   }
 
   /// Innermost-loop iteration counter (0 outside loops).

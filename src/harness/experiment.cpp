@@ -87,14 +87,11 @@ namespace {
 RunResult run_experiment_unchecked(const RunConfig& cfg, TraceSink trace) {
   const Workload& w = find_workload(cfg.workload);
   GpuConfig gc = cfg.base;
-  gc.prefetcher = cfg.prefetcher;
   if (cfg.max_ctas_per_sm) gc.max_ctas_per_sm = *cfg.max_ctas_per_sm;
   if (cfg.max_cycles) gc.max_cycles = *cfg.max_cycles;
   if (cfg.watchdog_cycles) gc.watchdog_cycles = *cfg.watchdog_cycles;
-  gc.caps.eager_wakeup = cfg.caps_eager_wakeup;
   const SchedulerKind sched =
       cfg.scheduler.value_or(default_scheduler_for(cfg.prefetcher));
-  gc.scheduler = sched;
 
   SmPolicyFactories policies =
       make_policies(cfg.prefetcher, sched, cfg.caps_eager_wakeup);

@@ -5,13 +5,11 @@
 #include <map>
 #include <memory>
 #include <sstream>
-#include <tuple>
 #include <utility>
 
 #include "core/caps_prefetcher.hpp"
 #include "core/pas_gto_scheduler.hpp"
 #include "core/pas_scheduler.hpp"
-#include "harness/sweep.hpp"
 
 namespace caps {
 namespace {
@@ -80,9 +78,101 @@ std::string hex_pc(Addr pc) {
   return os.str();
 }
 
+/// What one run shows the checkers: the trace sink's records, the run's
+/// statistics and the schedulers' own counters.
+struct Observation {
+  /// First kLoadIssue of each (cta_flat, load PC), with its sequence number
+  /// among all load issues: the leading warp whose base lines CAP learns,
+  /// and the order in which leading warps discover them.
+  std::map<std::pair<u32, Addr>, std::pair<TraceEvent, u64>> first;
+  u64 seq = 0;
+  u64 marks = 0;           ///< kLeadingMark events
+  u64 mark_warp_viol = 0;  ///< marks landing off the predicted warp
+  u64 clears = 0;          ///< kLeadingClear events
+  u64 wakeup_events = 0;   ///< kEagerWakeup events
+  u64 demotions = 0;       ///< kForcedDemotion events (contention signal)
+  /// Per-PC completed-prefetch outcome buckets: [timely, late, early].
+  std::map<Addr, std::array<u64, 3>> buckets;
+  GpuStats stats;
+  u64 sched_markers = 0;      ///< scheduler-internal counters, summed
+  u64 sched_wakeups = 0;      ///< (PAS only) wakeup_promotions, summed
+  u64 engine_mismatches = 0;  ///< SMs not running the expected scheduler
+};
+
+/// Run `w` under CAPS with PAS, or with PAS-GTO when `gto` is set, and
+/// record what the checkers read into `obs`. Returns the finished machine,
+/// whose DIST tables the prefetch checks read.
+std::unique_ptr<Gpu> simulate(const Workload& w, const GpuConfig& gc, bool gto,
+                              u32 predicted_leading_warp, Observation& obs) {
+  TraceSink sink = [&obs, predicted_leading_warp](const TraceEvent& e) {
+    switch (e.kind) {
+      case TraceKind::kLoadIssue:
+        obs.first.emplace(std::make_pair(e.cta_flat, e.pc),
+                          std::make_pair(e, obs.seq));
+        ++obs.seq;
+        break;
+      case TraceKind::kLeadingMark:
+        ++obs.marks;
+        if (e.warp_in_cta != predicted_leading_warp) ++obs.mark_warp_viol;
+        break;
+      case TraceKind::kLeadingClear:
+        ++obs.clears;
+        break;
+      case TraceKind::kEagerWakeup:
+        ++obs.wakeup_events;
+        break;
+      case TraceKind::kForcedDemotion:
+        ++obs.demotions;
+        break;
+      case TraceKind::kPrefetchTimely:
+        ++obs.buckets[e.pc][0];
+        break;
+      case TraceKind::kPrefetchLate:
+        ++obs.buckets[e.pc][1];
+        break;
+      case TraceKind::kPrefetchEarlyEvicted:
+        ++obs.buckets[e.pc][2];
+        break;
+    }
+  };
+
+  SmPolicyFactories policies = make_policies(
+      PrefetcherKind::kCaps, SchedulerKind::kPas, /*caps_eager_wakeup=*/true);
+  if (gto) {
+    // There is no SchedulerKind for PAS-GTO.
+    policies.make_scheduler = [](const GpuConfig& cfg,
+                                 std::vector<WarpContext>& warps, auto&&...) {
+      return std::make_unique<PasGtoScheduler>(cfg, warps);
+    };
+  }
+  auto gpu = std::make_unique<Gpu>(gc, w.kernel, policies, std::move(sink));
+  obs.stats = gpu->run();
+
+  for (u32 i = 0; i < gc.num_sms; ++i) {
+    const Scheduler& s = gpu->sm(i).scheduler();
+    if (gto) {
+      const auto* g = dynamic_cast<const PasGtoScheduler*>(&s);
+      if (g == nullptr) {
+        ++obs.engine_mismatches;
+        continue;
+      }
+      obs.sched_markers += g->markers_set();
+    } else {
+      const auto* p = dynamic_cast<const PasScheduler*>(&s);
+      if (p == nullptr) {
+        ++obs.engine_mismatches;
+        continue;
+      }
+      obs.sched_markers += p->markers_set();
+      obs.sched_wakeups += p->wakeup_promotions();
+    }
+  }
+  return gpu;
+}
+
 void check_dist_tables(const Gpu& gpu, const GpuConfig& gc,
-                       const analysis::KernelAnalysis& ka, OracleResult& r,
-                       DivergenceSink& sink) {
+                       const analysis::KernelAnalysis& ka,
+                       std::vector<std::string>& notes, DivergenceSink& sink) {
   // Which prefetchable PCs were learned by at least one SM.
   std::map<Addr, bool> learned;
 
@@ -119,14 +209,14 @@ void check_dist_tables(const Gpu& gpu, const GpuConfig& gc,
       if (!la->prefetchable()) {
         // Sometimes-uncoalesced or non-strided loads can legitimately train
         // on a locally-uniform warp pair; record, don't gate.
-        r.notes.push_back("PC " + hex_pc(e.pc) + " (" + to_string(la->cls) +
+        notes.push_back("PC " + hex_pc(e.pc) + " (" + to_string(la->cls) +
                           ") transiently learned stride " +
                           std::to_string(e.stride));
         continue;
       }
       if (e.stride != la->line_stride) {
         if (la->wrap_hazard) {
-          r.notes.push_back(
+          notes.push_back(
               "PC " + hex_pc(e.pc) + " learned stride " +
               std::to_string(e.stride) + " != static " +
               std::to_string(la->line_stride) +
@@ -177,11 +267,11 @@ void check_exclusion_counters(const GpuStats& stats,
                  std::to_string(ka.predicted_excluded_uncoalesced));
 }
 
-void check_leading_bases(
-    const std::map<std::pair<u32, Addr>, TraceEvent>& first_issues,
-    const Kernel& kernel, const analysis::KernelAnalysis& ka,
-    DivergenceSink& sink) {
-  for (const auto& [key, e] : first_issues) {
+void check_leading_bases(const Observation& pas, const Kernel& kernel,
+                         const analysis::KernelAnalysis& ka,
+                         DivergenceSink& sink) {
+  for (const auto& [key, issue] : pas.first) {
+    const TraceEvent& e = issue.first;
     const analysis::LoadAnalysis* la = ka.find(e.pc);
     if (la == nullptr || la->cls == analysis::LoadClass::kIndirect) continue;
     // The first warp of a CTA to issue an affine load is the leading warp
@@ -203,28 +293,6 @@ void check_leading_bases(
   }
 }
 
-// ---------------------------------------------------------------------------
-// Schedule cross-check (DESIGN.md §12)
-// ---------------------------------------------------------------------------
-
-/// Everything one simulation run contributes to the schedule cross-check.
-struct ScheduleObs {
-  /// First issue of each (cta_flat, load PC): (warp_in_cta, sequence, sm).
-  std::map<std::pair<u32, Addr>, std::tuple<u32, u64, u32>> first;
-  u64 seq = 0;
-  u64 marks = 0;           ///< kLeadingMark events
-  u64 mark_warp_viol = 0;  ///< marks landing off the predicted warp
-  u64 clears = 0;          ///< kLeadingClear events
-  u64 wakeup_events = 0;   ///< kEagerWakeup events
-  u64 demotions = 0;       ///< kForcedDemotion events (contention signal)
-  /// Per-PC completed-prefetch outcome buckets: [timely, late, early].
-  std::map<Addr, std::array<u64, 3>> buckets;
-  GpuStats stats;
-  u64 sched_markers = 0;      ///< scheduler-internal counters, summed
-  u64 sched_wakeups = 0;      ///< (PAS only) wakeup_promotions, summed
-  u64 engine_mismatches = 0;  ///< SMs not running the expected scheduler
-};
-
 std::string format_cta_list(const std::vector<u32>& v) {
   std::ostringstream os;
   os << "[";
@@ -236,81 +304,10 @@ std::string format_cta_list(const std::vector<u32>& v) {
   return os.str();
 }
 
-/// Run `w` once and observe the schedule through its trace sink. `gto`
-/// swaps in the PAS-GTO scheduler via the policy factory (there is no
-/// SchedulerKind for it; kGto supplies the baseline policy plumbing).
-ScheduleObs run_schedule_observation(const Workload& w, const GpuConfig& gc,
-                                     bool gto, u32 predicted_leading_warp) {
-  ScheduleObs obs;
-  TraceSink sink = [&obs, predicted_leading_warp](const TraceEvent& e) {
-    switch (e.kind) {
-      case TraceKind::kLoadIssue:
-        obs.first.emplace(std::make_pair(e.cta_flat, e.pc),
-                          std::make_tuple(e.warp_in_cta, obs.seq, e.sm_id));
-        ++obs.seq;
-        break;
-      case TraceKind::kLeadingMark:
-        ++obs.marks;
-        if (e.warp_in_cta != predicted_leading_warp) ++obs.mark_warp_viol;
-        break;
-      case TraceKind::kLeadingClear:
-        ++obs.clears;
-        break;
-      case TraceKind::kEagerWakeup:
-        ++obs.wakeup_events;
-        break;
-      case TraceKind::kForcedDemotion:
-        ++obs.demotions;
-        break;
-      case TraceKind::kPrefetchTimely:
-        ++obs.buckets[e.pc][0];
-        break;
-      case TraceKind::kPrefetchLate:
-        ++obs.buckets[e.pc][1];
-        break;
-      case TraceKind::kPrefetchEarlyEvicted:
-        ++obs.buckets[e.pc][2];
-        break;
-    }
-  };
-
-  SmPolicyFactories policies =
-      make_policies(PrefetcherKind::kCaps, gc.scheduler, gc.caps.eager_wakeup);
-  if (gto) {
-    policies.make_scheduler = [](const GpuConfig& cfg,
-                                 std::vector<WarpContext>& warps, auto&&...) {
-      return std::make_unique<PasGtoScheduler>(cfg, warps);
-    };
-  }
-  Gpu gpu(gc, w.kernel, policies, std::move(sink));
-  obs.stats = gpu.run();
-
-  for (u32 i = 0; i < gc.num_sms; ++i) {
-    const Scheduler& s = gpu.sm(i).scheduler();
-    if (gto) {
-      const auto* g = dynamic_cast<const PasGtoScheduler*>(&s);
-      if (g == nullptr) {
-        ++obs.engine_mismatches;
-        continue;
-      }
-      obs.sched_markers += g->markers_set();
-    } else {
-      const auto* p = dynamic_cast<const PasScheduler*>(&s);
-      if (p == nullptr) {
-        ++obs.engine_mismatches;
-        continue;
-      }
-      obs.sched_markers += p->markers_set();
-      obs.sched_wakeups += p->wakeup_promotions();
-    }
-  }
-  return obs;
-}
-
 /// Marker protocol: every CTA launch marks exactly one leading warp — the
 /// predicted one — and every marker is cleared by that warp's first global
 /// access. Holds for both schedulers.
-void check_marker_protocol(const ScheduleObs& obs,
+void check_marker_protocol(const Observation& obs,
                            const analysis::ScheduleAdvice& adv,
                            const std::string& tag, DivergenceSink& sink) {
   if (obs.engine_mismatches != 0)
@@ -351,7 +348,7 @@ void check_marker_protocol(const ScheduleObs& obs,
 /// membership, the ready-resident leader prefix, and ready-before-pending.
 /// The total order and leader-first property gate when the run saw no
 /// demotion and are reported as notes otherwise.
-void check_discovery_order(const ScheduleObs& obs,
+void check_discovery_order(const Observation& obs,
                            const analysis::ScheduleAdvice& adv,
                            const GpuConfig& gc, bool gto,
                            const std::string& tag, DivergenceSink& sink,
@@ -369,7 +366,9 @@ void check_discovery_order(const ScheduleObs& obs,
   for (const auto& [key, v] : obs.first) {
     if (key.second != adv.first_load_pc || key.first >= adv.initial_wave_ctas)
       continue;
-    const auto& [warp, seq, sm] = v;
+    const auto& [e, seq] = v;
+    const u32 warp = e.warp_in_cta;
+    const u32 sm = e.sm_id;
     if (sm != key.first % gc.num_sms) {
       sink.add(adv.first_load_pc, tag + ":wave-placement",
                "initial-wave CTA " + std::to_string(key.first) +
@@ -444,7 +443,7 @@ void check_discovery_order(const ScheduleObs& obs,
 /// Eager wake-up semantics: PAS may only wake when the advisor sees an
 /// opportunity (pending population + a prefetchable PC), and its event
 /// stream must agree with its internal counter; PAS-GTO never eager-wakes.
-void check_wakeups(const ScheduleObs& obs, const analysis::ScheduleAdvice& adv,
+void check_wakeups(const Observation& obs, const analysis::ScheduleAdvice& adv,
                    bool gto, const std::string& tag, DivergenceSink& sink,
                    std::vector<std::string>& notes) {
   if (gto) {
@@ -481,7 +480,7 @@ void check_wakeups(const ScheduleObs& obs, const analysis::ScheduleAdvice& adv,
 /// Static timeliness classes vs. the simulated fig14-style buckets (PAS run
 /// only). Only decisive runtime shares gate: a dominant prediction facing a
 /// non-decisive share or a thin sample is reported as a note.
-void check_timeliness(const ScheduleObs& pas,
+void check_timeliness(const Observation& pas,
                       const analysis::ScheduleAdvice& adv,
                       DivergenceSink& sink, std::vector<std::string>& notes) {
   constexpr u64 kMinSamples = 100;
@@ -522,154 +521,113 @@ void check_timeliness(const ScheduleObs& pas,
   }
 }
 
+/// Seeded prefetch fixture: skew one stride and one counter so the prefetch
+/// section must fail. Exercised by the `analyze_negative` ctest target.
+void skew_prefetch_predictions(analysis::KernelAnalysis& ka,
+                               const GpuConfig& gc,
+                               std::vector<std::string>& notes) {
+  for (analysis::LoadAnalysis& la : ka.loads) {
+    if (la.prefetchable()) {
+      la.line_stride += gc.l1d.line_size;
+      break;
+    }
+  }
+  ka.predicted_excluded_indirect += 7;
+  notes.push_back("inject_divergence: static predictions skewed");
+}
+
+/// Seeded schedule fixture: claim the wrong leading warp and reverse the
+/// discovery orders so the schedule section must fail. Exercised by the
+/// `analyze_schedule_negative` ctest target.
+void skew_schedule_predictions(analysis::ScheduleAdvice& adv,
+                               std::vector<std::string>& notes) {
+  adv.predicted_leading_warp ^= 1u;
+  for (analysis::SmWave& wave : adv.waves) {
+    std::reverse(wave.discovery_pas.begin(), wave.discovery_pas.end());
+    std::reverse(wave.discovery_pas_gto.begin(), wave.discovery_pas_gto.end());
+  }
+  notes.push_back("inject_divergence: schedule predictions skewed");
+}
+
 }  // namespace
 
-OracleResult cross_check_workload(const Workload& w,
-                                  const OracleOptions& opt) {
+OracleResult cross_check(const Workload& w, const OracleOptions& opt) {
   OracleResult r;
   r.workload = w.abbr;
+  const GpuConfig& gc = opt.base;
 
-  GpuConfig gc = opt.base;
-  gc.prefetcher = PrefetcherKind::kCaps;
-  gc.scheduler = SchedulerKind::kPas;
-
-  r.analysis = analysis::analyze_kernel(w.kernel, gc);
-  if (opt.inject_divergence) {
-    // Seeded divergence fixture: skew one stride and one counter so the
-    // checker must fail. Exercised by the `analyze_negative` ctest target.
-    for (analysis::LoadAnalysis& la : r.analysis.loads) {
-      if (la.prefetchable()) {
-        la.line_stride += gc.l1d.line_size;
-        break;
-      }
+  // A fault fails every section that reads the run it happens in: both
+  // sections until the PAS run is checked, then the schedule section only.
+  std::vector<OracleSection*> failing = {&r.prefetch, &r.schedule};
+  auto fail = [&failing](RunStatus status, const std::string& error) {
+    for (OracleSection* s : failing) {
+      s->status = status;
+      s->error = error;
     }
-    r.analysis.predicted_excluded_indirect += 7;
-    r.notes.push_back("inject_divergence: static predictions skewed");
-  }
-
-  // Record the first issue of every (cta, load PC): the leading warp.
-  std::map<std::pair<u32, Addr>, TraceEvent> first_issues;
-  TraceSink trace = [&first_issues](const TraceEvent& e) {
-    if (e.kind == TraceKind::kLoadIssue)
-      first_issues.emplace(std::make_pair(e.cta_flat, e.pc), e);
+  };
+  // Only a complete run with a clean audit is checked.
+  auto usable = [&fail](const GpuStats& stats) {
+    if (stats.hit_cycle_limit) {
+      fail(RunStatus::kConfigError,
+           "run hit the cycle limit; counters are partial — raise "
+           "max_cycles for the oracle cross-check");
+      return false;
+    }
+    if (!stats.audit_clean()) {
+      fail(RunStatus::kInvariantViolation,
+           "invariant audit failed: " + stats.audit_violations.front());
+      return false;
+    }
+    return true;
   };
 
   try {
     gc.validate();
-    SmPolicyFactories policies = make_policies(
-        PrefetcherKind::kCaps, SchedulerKind::kPas, gc.caps.eager_wakeup);
-    Gpu gpu(gc, w.kernel, policies, std::move(trace));
-    const GpuStats stats = gpu.run();
+    r.analysis = analysis::analyze_kernel(w.kernel, gc);
+    // Advise from the unskewed analysis, so that the prefetch fixture
+    // cannot leak into the schedule predictions.
+    r.advice = analysis::advise_schedule(w.kernel, r.analysis, gc);
+    if (opt.inject_divergence)
+      skew_prefetch_predictions(r.analysis, gc, r.prefetch.notes);
+    if (opt.inject_schedule_divergence)
+      skew_schedule_predictions(r.advice, r.schedule.notes);
+    const u32 leader = r.advice.predicted_leading_warp;
 
-    if (stats.hit_cycle_limit) {
-      r.status = RunStatus::kConfigError;
-      r.error = "run hit the cycle limit; counters are partial — raise "
-                "max_cycles for the oracle cross-check";
-      return r;
+    Observation pas;
+    {
+      const std::unique_ptr<Gpu> gpu =
+          simulate(w, gc, /*gto=*/false, leader, pas);
+      if (!usable(pas.stats)) return r;
+      DivergenceSink sink(r.workload, r.prefetch.divergences);
+      check_dist_tables(*gpu, gc, r.analysis, r.prefetch.notes, sink);
+      check_exclusion_counters(pas.stats, r.analysis, sink);
+      check_leading_bases(pas, w.kernel, r.analysis, sink);
+      sink.finalize();
+      dedupe_notes(r.prefetch.notes);
     }
-    if (!stats.audit_clean()) {
-      r.status = RunStatus::kInvariantViolation;
-      r.error = "invariant audit failed: " + stats.audit_violations.front();
-      return r;
-    }
+    failing = {&r.schedule};
 
-    DivergenceSink sink(r.workload, r.divergences);
-    check_dist_tables(gpu, gc, r.analysis, r, sink);
-    check_exclusion_counters(stats, r.analysis, sink);
-    check_leading_bases(first_issues, w.kernel, r.analysis, sink);
-    sink.finalize();
-    dedupe_notes(r.notes);
-  } catch (...) {
-    RunFault f = current_run_fault();
-    r.status = f.status;
-    r.error = std::move(f.error);
-  }
-  return r;
-}
-
-std::vector<OracleResult> cross_check_suite(const OracleOptions& opt) {
-  // Per-workload cross-checks are self-contained (one Gpu per check, all
-  // failures captured in the result), so they map across the worker pool.
-  return parallel_ordered_map(
-      workload_suite(),
-      [&opt](const Workload& w) { return cross_check_workload(w, opt); });
-}
-
-ScheduleCheckResult cross_check_schedule(const Workload& w,
-                                         const ScheduleOracleOptions& opt) {
-  ScheduleCheckResult r;
-  r.workload = w.abbr;
-
-  GpuConfig pas_gc = opt.base;
-  pas_gc.prefetcher = PrefetcherKind::kCaps;
-  pas_gc.scheduler = SchedulerKind::kPas;
-
-  try {
-    pas_gc.validate();
-    const analysis::KernelAnalysis ka =
-        analysis::analyze_kernel(w.kernel, pas_gc);
-    r.advice = analysis::advise_schedule(w.kernel, ka, pas_gc);
-    if (opt.inject_divergence) {
-      // Seeded divergence fixture: claim the wrong leading warp and reverse
-      // the discovery orders so the cross-check must fail. Exercised by the
-      // `analyze_schedule_negative` ctest target.
-      r.advice.predicted_leading_warp ^= 1u;
-      for (analysis::SmWave& wave : r.advice.waves) {
-        std::reverse(wave.discovery_pas.begin(), wave.discovery_pas.end());
-        std::reverse(wave.discovery_pas_gto.begin(),
-                     wave.discovery_pas_gto.end());
-      }
-      r.notes.push_back("inject_divergence: schedule predictions skewed");
-    }
-
-    GpuConfig gto_gc = pas_gc;
-    gto_gc.scheduler = SchedulerKind::kGto;
-
-    const ScheduleObs pas = run_schedule_observation(
-        w, pas_gc, /*gto=*/false, r.advice.predicted_leading_warp);
-    const ScheduleObs gto = run_schedule_observation(
-        w, gto_gc, /*gto=*/true, r.advice.predicted_leading_warp);
-
-    for (const ScheduleObs* obs : {&pas, &gto}) {
-      if (obs->stats.hit_cycle_limit) {
-        r.status = RunStatus::kConfigError;
-        r.error = "run hit the cycle limit; schedule observations are "
-                  "partial — raise max_cycles for the cross-check";
-        return r;
-      }
-      if (!obs->stats.audit_clean()) {
-        r.status = RunStatus::kInvariantViolation;
-        r.error = "invariant audit failed: " +
-                  obs->stats.audit_violations.front();
-        return r;
-      }
-    }
-
-    DivergenceSink sink(r.workload, r.divergences);
+    Observation gto;
+    simulate(w, gc, /*gto=*/true, leader, gto);
+    if (!usable(gto.stats)) return r;
+    DivergenceSink sink(r.workload, r.schedule.divergences);
+    std::vector<std::string>& notes = r.schedule.notes;
     check_marker_protocol(pas, r.advice, "pas", sink);
     check_marker_protocol(gto, r.advice, "pas-gto", sink);
-    check_discovery_order(pas, r.advice, pas_gc, /*gto=*/false, "pas", sink,
-                          r.notes);
-    check_discovery_order(gto, r.advice, gto_gc, /*gto=*/true, "pas-gto",
-                          sink, r.notes);
-    check_wakeups(pas, r.advice, /*gto=*/false, "pas", sink, r.notes);
-    check_wakeups(gto, r.advice, /*gto=*/true, "pas-gto", sink, r.notes);
-    check_timeliness(pas, r.advice, sink, r.notes);
+    check_discovery_order(pas, r.advice, gc, /*gto=*/false, "pas", sink,
+                          notes);
+    check_discovery_order(gto, r.advice, gc, /*gto=*/true, "pas-gto", sink,
+                          notes);
+    check_wakeups(pas, r.advice, /*gto=*/false, "pas", sink, notes);
+    check_wakeups(gto, r.advice, /*gto=*/true, "pas-gto", sink, notes);
+    check_timeliness(pas, r.advice, sink, notes);
     sink.finalize();
-    dedupe_notes(r.notes);
+    dedupe_notes(notes);
   } catch (...) {
     RunFault f = current_run_fault();
-    r.status = f.status;
-    r.error = std::move(f.error);
+    fail(f.status, f.error);
   }
   return r;
-}
-
-std::vector<ScheduleCheckResult> cross_check_schedule_suite(
-    const ScheduleOracleOptions& opt) {
-  return parallel_ordered_map(
-      workload_suite(),
-      [&opt](const Workload& w) { return cross_check_schedule(w, opt); });
 }
 
 }  // namespace caps

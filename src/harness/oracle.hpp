@@ -1,9 +1,12 @@
-// CAP oracle cross-checker (DESIGN.md §11).
+// Static-vs-dynamic oracle (DESIGN.md §11-§12).
 //
-// Differential testing of the runtime CAP prefetcher against the static
-// kernel-IR analyzer: run a workload under CAPS+PAS, then assert that what
-// the hardware tables *learned* matches what the AddressPattern algebra
-// *proves* —
+// Differential testing of the runtime CAP prefetcher and the PAS schedulers
+// against the static kernel-IR analyzer and schedule advisor. cross_check()
+// analyzes a workload once, runs it once under CAPS+PAS and once under
+// CAPS+PAS-GTO, and asserts that what the machine *did* matches what the
+// static algebra *proves*.
+//
+// Prefetch section (the CAPS+PAS run):
 //   * every valid DIST entry maps to a statically prefetchable load PC and
 //     carries exactly the static inter-warp stride Δ,
 //   * every statically prefetchable PC was learned by some SM (when the
@@ -13,6 +16,10 @@
 //   * the first warp of each CTA to issue an affine load (the leading warp
 //     CAP keys its PerCTA entry on) produced exactly the base lines
 //     Θ(c) predicts.
+// Schedule section (both runs): the leading-marker protocol, wave
+// placement, base-address discovery order, eager wake-ups and (PAS only)
+// per-PC timeliness against advise_schedule().
+//
 // Any divergence is reported as a structured diagnostic: it means either a
 // simulator regression or an analyzer bug, and both gate the PR.
 #pragma once
@@ -36,73 +43,46 @@ struct OracleDivergence {
 };
 
 struct OracleOptions {
-  GpuConfig base{};  ///< machine config (prefetcher/scheduler are forced
-                     ///  to CAPS+PAS by the checker)
-  /// Negative-test fixture: deliberately skew the static predictions
-  /// (stride, exclusion counts) after analysis so the cross-check MUST
-  /// report divergences. Verifies the checker can actually fail.
+  GpuConfig base{};  ///< machine config (the checker runs CAPS under PAS,
+                     ///  then under PAS-GTO)
+  /// Negative-test fixture: skew the static prefetch predictions (stride,
+  /// exclusion counts) after analysis so the prefetch section MUST report
+  /// divergences. Verifies the checker can actually fail.
   bool inject_divergence = false;
+  /// Negative-test fixture: skew the predicted leading warp and reverse the
+  /// predicted discovery orders so the schedule section MUST report
+  /// divergences.
+  bool inject_schedule_divergence = false;
+};
+
+/// The outcome of one half of the cross-check.
+struct OracleSection {
+  RunStatus status = RunStatus::kOk;  ///< how the simulations it read ended
+  std::string error;                  ///< non-empty when status != kOk
+  std::vector<OracleDivergence> divergences;
+  /// Non-gating observations (wrap-hazard loads whose strict stride check is
+  /// relaxed by design, non-decisive timeliness shares, PCs with too few
+  /// prefetch samples to judge, injection markers).
+  std::vector<std::string> notes;
+
+  bool ok() const { return status == RunStatus::kOk && divergences.empty(); }
 };
 
 /// Cross-check outcome for one workload.
 struct OracleResult {
   std::string workload;
-  RunStatus status = RunStatus::kOk;    ///< how the simulation ended
-  std::string error;                    ///< non-empty when status != kOk
-  analysis::KernelAnalysis analysis;    ///< the static prediction used
-  std::vector<OracleDivergence> divergences;
-  /// Non-gating observations (e.g. wrap-hazard loads whose strict stride
-  /// check is relaxed by design).
-  std::vector<std::string> notes;
+  analysis::KernelAnalysis analysis;  ///< the static prediction used
+  analysis::ScheduleAdvice advice;    ///< the static schedule used
+  OracleSection prefetch;  ///< DIST tables, exclusion counters, bases
+  OracleSection schedule;  ///< markers, discovery order, wake-ups, timeliness
 
-  bool ok() const { return status == RunStatus::kOk && divergences.empty(); }
+  bool ok() const { return prefetch.ok() && schedule.ok(); }
 };
 
-/// Run `w` under CAPS+PAS and cross-check runtime state vs. the static
-/// analysis. Never throws for simulation failures (status records them).
-OracleResult cross_check_workload(const Workload& w,
-                                  const OracleOptions& opt = {});
-
-/// Cross-check the whole 16-benchmark suite (Table IV order).
-std::vector<OracleResult> cross_check_suite(const OracleOptions& opt = {});
-
-// ---------------------------------------------------------------------------
-// Schedule cross-check (DESIGN.md §12): the scheduler-side counterpart of
-// cross_check_workload. Runs the workload twice — once under PAS, once under
-// PAS-GTO — observes the marker protocol, base-address discovery order and
-// eager wake-ups through the trace hooks, and diffs them against the static
-// schedule advisor's predictions.
-// ---------------------------------------------------------------------------
-
-struct ScheduleOracleOptions {
-  GpuConfig base{};  ///< machine config (prefetcher is forced to CAPS; the
-                     ///  scheduler is swapped between PAS and PAS-GTO)
-  /// Negative-test fixture: skew the predicted leading warp and reverse the
-  /// predicted discovery orders so the cross-check MUST report divergences.
-  bool inject_divergence = false;
-};
-
-/// Schedule cross-check outcome for one workload.
-struct ScheduleCheckResult {
-  std::string workload;
-  RunStatus status = RunStatus::kOk;  ///< how the simulations ended
-  std::string error;                  ///< non-empty when status != kOk
-  analysis::ScheduleAdvice advice;    ///< the static prediction used
-  std::vector<OracleDivergence> divergences;
-  /// Non-gating observations (non-decisive timeliness shares, PCs with too
-  /// few prefetch samples to judge, injection markers).
-  std::vector<std::string> notes;
-
-  bool ok() const { return status == RunStatus::kOk && divergences.empty(); }
-};
-
-/// Run `w` under PAS and PAS-GTO and cross-check the observed schedule
-/// against advise_schedule(). Never throws for simulation failures.
-ScheduleCheckResult cross_check_schedule(const Workload& w,
-                                         const ScheduleOracleOptions& opt = {});
-
-/// Schedule cross-check for the whole suite (Table IV order).
-std::vector<ScheduleCheckResult> cross_check_schedule_suite(
-    const ScheduleOracleOptions& opt = {});
+/// Run `w` under CAPS+PAS and CAPS+PAS-GTO and cross-check both runs against
+/// the static analysis and schedule advice. A failed PAS run fails both
+/// sections, a failed PAS-GTO run only the schedule section. Never throws
+/// for simulation failures (the section status records them).
+OracleResult cross_check(const Workload& w, const OracleOptions& opt = {});
 
 }  // namespace caps

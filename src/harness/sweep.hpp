@@ -62,9 +62,9 @@ void for_each_index(std::size_t n, u32 threads,
                     const std::function<void(std::size_t)>& fn);
 }  // namespace detail
 
-/// Ordered parallel map for self-contained per-item work (the oracle suites:
-/// one cross-check per workload). out[i] = fn(items[i]); `fn` must capture
-/// its own failures (the cross_check_* functions never throw).
+/// Ordered parallel map for self-contained per-item work, such as perfbench's
+/// traced runs. out[i] = fn(items[i]); `fn` must not throw (it captures its
+/// own failures into its result, as `run_traced` does).
 template <typename In, typename Fn>
 auto parallel_ordered_map(const std::vector<In>& items, Fn fn,
                           const SweepOptions& opt = {}) {

@@ -1,5 +1,5 @@
-// Unit tests for the static kernel-IR load classifier (src/analysis/) and
-// the CAP oracle cross-checker (src/harness/oracle.hpp).
+// Unit tests for the static kernel-IR load classifier, the schedule advisor
+// (src/analysis/) and the oracle cross-checker (src/harness/oracle.hpp).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -313,21 +313,31 @@ TEST(ScheduleAdvisorTest, TimelinessRulesMatchCalibration) {
   EXPECT_STREQ(hl->rule, "short-body-loop");
 }
 
+/// The first reason a section failed, for assertion messages.
+std::string first_problem(const OracleSection& s) {
+  if (s.divergences.empty()) return s.error;
+  return s.divergences.front().kind + ": " + s.divergences.front().detail;
+}
+
+bool has_kind(const OracleSection& s, const std::string& kind) {
+  for (const OracleDivergence& d : s.divergences)
+    if (d.kind == kind) return true;
+  return false;
+}
+
 TEST(OracleTest, MatrixMulCrossChecksClean) {
-  const OracleResult r = cross_check_workload(find_workload("MM"));
-  EXPECT_EQ(r.status, RunStatus::kOk) << r.error;
-  EXPECT_TRUE(r.divergences.empty())
-      << r.divergences.front().kind << ": " << r.divergences.front().detail;
-  EXPECT_TRUE(r.ok());
+  const OracleResult r = cross_check(find_workload("MM"));
+  EXPECT_EQ(r.prefetch.status, RunStatus::kOk) << r.prefetch.error;
+  EXPECT_TRUE(r.prefetch.divergences.empty()) << first_problem(r.prefetch);
+  EXPECT_TRUE(r.prefetch.ok());
 }
 
 TEST(OracleTest, IrregularWorkloadCrossChecksClean) {
   // BFS mixes affine and indirect loads: the exclusion-counter check is
   // non-trivial there.
-  const OracleResult r = cross_check_workload(find_workload("BFS"));
-  EXPECT_EQ(r.status, RunStatus::kOk) << r.error;
-  EXPECT_TRUE(r.divergences.empty())
-      << r.divergences.front().kind << ": " << r.divergences.front().detail;
+  const OracleResult r = cross_check(find_workload("BFS"));
+  EXPECT_EQ(r.prefetch.status, RunStatus::kOk) << r.prefetch.error;
+  EXPECT_TRUE(r.prefetch.divergences.empty()) << first_problem(r.prefetch);
   EXPECT_GT(r.analysis.predicted_excluded_indirect, 0u);
 }
 
@@ -336,43 +346,64 @@ TEST(OracleTest, InjectedDivergenceIsDetected) {
   // divergence — otherwise it could never catch a real regression.
   OracleOptions opt;
   opt.inject_divergence = true;
-  const OracleResult r = cross_check_workload(find_workload("MM"), opt);
-  EXPECT_EQ(r.status, RunStatus::kOk) << r.error;
+  const OracleResult r = cross_check(find_workload("MM"), opt);
+  EXPECT_EQ(r.prefetch.status, RunStatus::kOk) << r.prefetch.error;
+  EXPECT_FALSE(r.prefetch.ok());
+  EXPECT_TRUE(has_kind(r.prefetch, "stride-mismatch"));
+  EXPECT_TRUE(has_kind(r.prefetch, "excluded-indirect-count"));
+}
+
+TEST(OracleTest, EachFixtureFailsOnlyItsOwnSection) {
+  // The schedule advice is computed before either fixture skews anything,
+  // so the prefetch skew cannot reach the schedule section, nor the other
+  // way round.
+  OracleOptions prefetch_only;
+  prefetch_only.inject_divergence = true;
+  const OracleResult p = cross_check(find_workload("MM"), prefetch_only);
+  EXPECT_FALSE(p.prefetch.ok());
+  EXPECT_TRUE(has_kind(p.prefetch, "stride-mismatch"));
+  EXPECT_TRUE(has_kind(p.prefetch, "excluded-indirect-count"));
+  EXPECT_TRUE(p.schedule.ok()) << first_problem(p.schedule);
+
+  OracleOptions schedule_only;
+  schedule_only.inject_schedule_divergence = true;
+  const OracleResult s = cross_check(find_workload("MM"), schedule_only);
+  EXPECT_TRUE(s.prefetch.ok()) << first_problem(s.prefetch);
+  EXPECT_FALSE(s.schedule.ok());
+  EXPECT_TRUE(has_kind(s.schedule, "pas:leading-mark-warp"));
+  EXPECT_TRUE(has_kind(s.schedule, "pas-gto:discovery-order"));
+}
+
+TEST(OracleTest, FailedPasRunFailsBothSections) {
+  // Both sections read the PAS run, so a run cut short fails both alike.
+  OracleOptions opt;
+  opt.base.max_cycles = 500;
+  const OracleResult r = cross_check(find_workload("MM"), opt);
+  EXPECT_EQ(r.prefetch.status, RunStatus::kConfigError);
+  EXPECT_EQ(r.schedule.status, RunStatus::kConfigError);
+  EXPECT_FALSE(r.prefetch.error.empty());
+  EXPECT_EQ(r.prefetch.error, r.schedule.error);
   EXPECT_FALSE(r.ok());
-  bool saw_stride = false, saw_counter = false;
-  for (const OracleDivergence& d : r.divergences) {
-    if (d.kind == "stride-mismatch") saw_stride = true;
-    if (d.kind == "excluded-indirect-count") saw_counter = true;
-  }
-  EXPECT_TRUE(saw_stride);
-  EXPECT_TRUE(saw_counter);
 }
 
 TEST(ScheduleOracleTest, CpCrossChecksClean) {
-  const ScheduleCheckResult r = cross_check_schedule(find_workload("CP"));
-  EXPECT_EQ(r.status, RunStatus::kOk) << r.error;
-  EXPECT_TRUE(r.divergences.empty())
-      << r.divergences.front().kind << ": " << r.divergences.front().detail;
-  EXPECT_TRUE(r.ok());
+  const OracleResult r = cross_check(find_workload("CP"));
+  EXPECT_EQ(r.schedule.status, RunStatus::kOk) << r.schedule.error;
+  EXPECT_TRUE(r.schedule.divergences.empty()) << first_problem(r.schedule);
+  EXPECT_TRUE(r.schedule.ok());
   EXPECT_EQ(r.advice.predicted_leading_warp, 0u);
 }
 
 TEST(ScheduleOracleTest, InjectedScheduleDivergenceIsDetected) {
   // Negative fixture: a skewed leading-warp prediction and reversed
   // discovery orders must be reported, or the gate is toothless.
-  ScheduleOracleOptions opt;
-  opt.inject_divergence = true;
-  const ScheduleCheckResult r =
-      cross_check_schedule(find_workload("MM"), opt);
-  EXPECT_EQ(r.status, RunStatus::kOk) << r.error;
-  EXPECT_FALSE(r.ok());
-  bool saw_mark = false, saw_order = false;
-  for (const OracleDivergence& d : r.divergences) {
-    if (d.kind == "pas:leading-mark-warp") saw_mark = true;
-    if (d.kind == "pas-gto:discovery-order") saw_order = true;
-  }
-  EXPECT_TRUE(saw_mark);
-  EXPECT_TRUE(saw_order);
+  OracleOptions opt;
+  opt.inject_schedule_divergence = true;
+  const OracleResult r = cross_check(find_workload("MM"), opt);
+  EXPECT_EQ(r.schedule.status, RunStatus::kOk) << r.schedule.error;
+  EXPECT_FALSE(r.schedule.ok());
+  EXPECT_TRUE(has_kind(r.schedule, "pas:leading-mark-warp"));
+  EXPECT_TRUE(has_kind(r.schedule, "pas-gto:discovery-order"));
 }
 
 }  // namespace

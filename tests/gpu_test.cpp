@@ -1906,10 +1906,9 @@ TEST(GpuTest, ForwardingDecoratorMatchesTheUndecoratedRun) {
       ASSERT_EQ(plain.status, RunStatus::kOk) << wl;
 
       GpuConfig cfg;
-      cfg.prefetcher = pf;
-      cfg.scheduler = default_scheduler_for(pf);
+      const SchedulerKind sched = default_scheduler_for(pf);
       u64 picks = 0;
-      SmPolicyFactories pol = make_policies(pf, cfg.scheduler, true);
+      SmPolicyFactories pol = make_policies(pf, sched, true);
       pol.make_scheduler = [base = pol.make_scheduler, &picks](
                                const GpuConfig& c, std::vector<WarpContext>& w,
                                auto&&...) {

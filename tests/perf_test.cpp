@@ -76,10 +76,7 @@ void expect_steady_state_allocation_free(const std::string& wl,
   const u64 window = total / 4;
 
   const SchedulerKind sched = default_scheduler_for(pf);
-  GpuConfig gc = cfg;
-  gc.prefetcher = pf;
-  gc.scheduler = sched;
-  Gpu gpu(gc, find_workload(wl).kernel,
+  Gpu gpu(cfg, find_workload(wl).kernel,
           make_policies(pf, sched, /*caps_eager_wakeup=*/true));
 
   for (u64 i = 0; i < warmup && !gpu.done(); ++i) gpu.step();

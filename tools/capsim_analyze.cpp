@@ -116,63 +116,54 @@ int report_mode(const Options& opt) {
   return 0;
 }
 
-int check_mode(const Options& opt) {
-  // Plain --check runs both cross-checks; --check --schedule restricts to
-  // the schedule side (the ctest targets exercise the two independently).
-  const bool run_prefetch_check = !opt.schedule;
+/// Print one cross-check section as an OK line (`ok_line`) or a FAIL line
+/// with its divergences, then its notes. Returns whether it was clean.
+bool print_section(const std::string& workload, const char* label,
+                   const OracleSection& s, const std::string& ok_line) {
+  if (s.ok()) {
+    std::printf("[ OK ] %-4s %s%s\n", workload.c_str(), label,
+                ok_line.c_str());
+  } else {
+    const std::string why =
+        s.status == RunStatus::kOk
+            ? std::to_string(s.divergences.size()) + " divergence(s)"
+            : std::string(to_string(s.status)) + ": " + s.error;
+    std::printf("[FAIL] %-4s %s%s\n", workload.c_str(), label, why.c_str());
+    for (const OracleDivergence& d : s.divergences)
+      std::printf("       %-26s %s\n", d.kind.c_str(), d.detail.c_str());
+  }
+  for (const std::string& n : s.notes)
+    std::printf("       note: %s\n", n.c_str());
+  return s.ok();
+}
 
+int check_mode(const Options& opt) {
+  // Plain --check reports both sections; --check --schedule only the
+  // schedule section (the ctest targets exercise the two independently).
   OracleOptions oracle_opt;
   oracle_opt.inject_divergence = opt.inject_divergence;
-  ScheduleOracleOptions sched_opt;
-  sched_opt.inject_divergence = opt.inject_schedule_divergence;
+  oracle_opt.inject_schedule_divergence = opt.inject_schedule_divergence;
 
   const auto selected = select(opt.kernel);
   u32 checks = 0, failed = 0;
   for (const Workload* w : selected) {
-    if (run_prefetch_check) {
+    const OracleResult r = cross_check(*w, oracle_opt);
+    if (!opt.schedule) {
       ++checks;
-      const OracleResult r = cross_check_workload(*w, oracle_opt);
-      if (r.ok()) {
-        std::printf("[ OK ] %-4s %u loads, %u prefetchable, DIST valid %u\n",
-                    r.workload.c_str(),
-                    static_cast<u32>(r.analysis.loads.size()),
-                    r.analysis.num_prefetchable(),
-                    r.analysis.predicted_dist_valid);
-      } else {
-        ++failed;
-        const std::string why =
-            r.status == RunStatus::kOk
-                ? std::to_string(r.divergences.size()) + " divergence(s)"
-                : std::string(to_string(r.status)) + ": " + r.error;
-        std::printf("[FAIL] %-4s %s\n", r.workload.c_str(), why.c_str());
-        for (const OracleDivergence& d : r.divergences)
-          std::printf("       %-26s %s\n", d.kind.c_str(), d.detail.c_str());
-      }
-      for (const std::string& n : r.notes)
-        std::printf("       note: %s\n", n.c_str());
+      const std::string ok_line =
+          std::to_string(r.analysis.loads.size()) + " loads, " +
+          std::to_string(r.analysis.num_prefetchable()) +
+          " prefetchable, DIST valid " +
+          std::to_string(r.analysis.predicted_dist_valid);
+      if (!print_section(r.workload, "", r.prefetch, ok_line)) ++failed;
     }
-
     ++checks;
-    const ScheduleCheckResult s = cross_check_schedule(*w, sched_opt);
-    if (s.ok()) {
-      std::printf("[ OK ] %-4s schedule: leading warp %u, wave %u CTAs, "
-                  "%u PC(s) classified\n",
-                  s.workload.c_str(), s.advice.predicted_leading_warp,
-                  s.advice.initial_wave_ctas,
-                  static_cast<u32>(s.advice.pcs.size()));
-    } else {
+    const std::string ok_line =
+        "leading warp " + std::to_string(r.advice.predicted_leading_warp) +
+        ", wave " + std::to_string(r.advice.initial_wave_ctas) + " CTAs, " +
+        std::to_string(r.advice.pcs.size()) + " PC(s) classified";
+    if (!print_section(r.workload, "schedule: ", r.schedule, ok_line))
       ++failed;
-      const std::string why =
-          s.status == RunStatus::kOk
-              ? std::to_string(s.divergences.size()) + " divergence(s)"
-              : std::string(to_string(s.status)) + ": " + s.error;
-      std::printf("[FAIL] %-4s schedule: %s\n", s.workload.c_str(),
-                  why.c_str());
-      for (const OracleDivergence& d : s.divergences)
-        std::printf("       %-26s %s\n", d.kind.c_str(), d.detail.c_str());
-    }
-    for (const std::string& n : s.notes)
-      std::printf("       note: %s\n", n.c_str());
   }
   std::printf("%u/%u checks clean\n", checks - failed, checks);
   return failed == 0 ? 0 : 1;
