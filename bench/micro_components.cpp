@@ -295,86 +295,27 @@ void BM_FullGpuCycle(benchmark::State& state) {
 }
 BENCHMARK(BM_FullGpuCycle);
 
-void BM_FullGpuCycleSaturated(benchmark::State& state) {
-  // PVR's indirect loads on BASE saturate the memory system within a few
-  // thousand cycles; from then on most of a step is blocked LD/ST and L2
-  // queue heads retrying, so this times that retry path. Each restart is
-  // warmed up outside the timed region.
+/// Times Gpu::step on `workload` under `pf` and `sched` in a steady regime:
+/// each machine is warmed up for 5000 steps outside the timed region, and a
+/// finished kernel restarts the same way. If `in_regime` is given and the
+/// first warmed machine's SM statistics fail it, the benchmark is skipped
+/// with `miss` (it no longer times the regime it names).
+void time_warmed_steps(benchmark::State& state, const char* workload,
+                       PrefetcherKind pf, SchedulerKind sched,
+                       bool (*in_regime)(const SmStats&) = nullptr,
+                       const char* miss = nullptr) {
   GpuConfig cfg;
   cfg.max_cycles = ~0ULL;
-  const Kernel& k = find_workload("PVR").kernel;
-  const SmPolicyFactories pol = make_policies(
-      PrefetcherKind::kNone, default_scheduler_for(PrefetcherKind::kNone),
-      true);
-  auto saturated = [&] {
-    auto gpu = std::make_unique<Gpu>(cfg, k, pol);
-    for (int i = 0; i < 5000; ++i) gpu->step();
-    return gpu;
-  };
-  auto gpu = saturated();
-  for (auto _ : state) {
-    if (gpu->done()) {
-      state.PauseTiming();
-      gpu = saturated();
-      state.ResumeTiming();
-    }
-    gpu->step();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FullGpuCycleSaturated);
-
-void BM_FullGpuCycleRefused(benchmark::State& state) {
-  // BFS on BASE: once its 32-line indirect loads fill the LD/ST queues,
-  // most SM cycles pick a warp that the full queue refuses, and most LD/ST
-  // units and L2 partitions only re-count a stall. Each restart is warmed
-  // up outside the timed region until every SM has been refused.
-  GpuConfig cfg;
-  cfg.max_cycles = ~0ULL;
-  const Kernel& k = find_workload("BFS").kernel;
-  const SmPolicyFactories pol = make_policies(
-      PrefetcherKind::kNone, default_scheduler_for(PrefetcherKind::kNone),
-      true);
-  auto refused = [&] {
-    auto gpu = std::make_unique<Gpu>(cfg, k, pol);
-    for (int i = 0; i < 5000; ++i) gpu->step();
-    return gpu;
-  };
-  auto gpu = refused();
-  if (gpu->collect_stats().sm.stall_ldst_full == 0)
-    state.SkipWithError("BFS did not reach the refused regime");
-  for (auto _ : state) {
-    if (gpu->done()) {
-      state.PauseTiming();
-      gpu = refused();
-      state.ResumeTiming();
-    }
-    gpu->step();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FullGpuCycleRefused);
-
-void BM_FullGpuCycleMemoryBound(benchmark::State& state) {
-  // BFS with CAPS and PAS, a Fig. 10 configuration: in steady state almost
-  // every warp waits on memory, so most SMs, partitions, channels and reply
-  // heads have nothing to do in a given cycle. This times the wake
-  // calendar's per-cycle cost next to BM_FullGpuCycleRefused. Each restart
-  // is warmed up outside the timed region.
-  GpuConfig cfg;
-  cfg.max_cycles = ~0ULL;
-  const Kernel& k = find_workload("BFS").kernel;
-  const SmPolicyFactories pol =
-      make_policies(PrefetcherKind::kCaps, SchedulerKind::kPas, true);
+  const Kernel& k = find_workload(workload).kernel;
+  const SmPolicyFactories pol = make_policies(pf, sched, true);
   auto warmed = [&] {
     auto gpu = std::make_unique<Gpu>(cfg, k, pol);
     for (int i = 0; i < 5000; ++i) gpu->step();
     return gpu;
   };
   auto gpu = warmed();
-  const SmStats s = gpu->collect_stats().sm;
-  if (s.stall_cycles_all_mem * 2 < s.active_cycles)
-    state.SkipWithError("BFS did not reach the memory-bound regime");
+  if (in_regime != nullptr && !in_regime(gpu->collect_stats().sm))
+    state.SkipWithError(miss);
   for (auto _ : state) {
     if (gpu->done()) {
       state.PauseTiming();
@@ -384,6 +325,41 @@ void BM_FullGpuCycleMemoryBound(benchmark::State& state) {
     gpu->step();
   }
   state.SetItemsProcessed(state.iterations());
+}
+
+void BM_FullGpuCycleSaturated(benchmark::State& state) {
+  // PVR's indirect loads on BASE saturate the memory system within a few
+  // thousand cycles; from then on most of a step is blocked LD/ST and L2
+  // queue heads retrying, so this times that retry path.
+  time_warmed_steps(state, "PVR", PrefetcherKind::kNone,
+                    default_scheduler_for(PrefetcherKind::kNone));
+}
+BENCHMARK(BM_FullGpuCycleSaturated);
+
+void BM_FullGpuCycleRefused(benchmark::State& state) {
+  // BFS on BASE: once its 32-line indirect loads fill the LD/ST queues,
+  // most SM cycles pick a warp that the full queue refuses, and most LD/ST
+  // units and L2 partitions only re-count a stall. The warm-up must leave
+  // some SM refused.
+  time_warmed_steps(
+      state, "BFS", PrefetcherKind::kNone,
+      default_scheduler_for(PrefetcherKind::kNone),
+      [](const SmStats& s) { return s.stall_ldst_full != 0; },
+      "BFS did not reach the refused regime");
+}
+BENCHMARK(BM_FullGpuCycleRefused);
+
+void BM_FullGpuCycleMemoryBound(benchmark::State& state) {
+  // BFS with CAPS and PAS, a Fig. 10 configuration: in steady state almost
+  // every warp waits on memory, so most SMs, partitions, channels and reply
+  // heads have nothing to do in a given cycle. This times the wake
+  // calendar's per-cycle cost next to BM_FullGpuCycleRefused.
+  time_warmed_steps(
+      state, "BFS", PrefetcherKind::kCaps, SchedulerKind::kPas,
+      [](const SmStats& s) {
+        return s.stall_cycles_all_mem * 2 >= s.active_cycles;
+      },
+      "BFS did not reach the memory-bound regime");
 }
 BENCHMARK(BM_FullGpuCycleMemoryBound);
 
@@ -392,31 +368,13 @@ void BM_FullGpuCycleIssueBound(benchmark::State& state) {
   // compute out of shared memory and sync at barriers, so most SM cycles
   // issue and the two-level scheduler's demotions, barrier releases and
   // promotions run every cycle. This times that regime next to
-  // BM_FullGpuCycleMemoryBound. Each restart is warmed up outside the timed
-  // region.
-  GpuConfig cfg;
-  cfg.max_cycles = ~0ULL;
-  const Kernel& k = find_workload("MM").kernel;
-  const SmPolicyFactories pol =
-      make_policies(PrefetcherKind::kNone, SchedulerKind::kTwoLevel, true);
-  auto warmed = [&] {
-    auto gpu = std::make_unique<Gpu>(cfg, k, pol);
-    for (int i = 0; i < 5000; ++i) gpu->step();
-    return gpu;
-  };
-  auto gpu = warmed();
-  const SmStats s = gpu->collect_stats().sm;
-  if (s.issued_instructions * 2 < s.active_cycles)
-    state.SkipWithError("MM did not reach the issue-bound regime");
-  for (auto _ : state) {
-    if (gpu->done()) {
-      state.PauseTiming();
-      gpu = warmed();
-      state.ResumeTiming();
-    }
-    gpu->step();
-  }
-  state.SetItemsProcessed(state.iterations());
+  // BM_FullGpuCycleMemoryBound.
+  time_warmed_steps(
+      state, "MM", PrefetcherKind::kNone, SchedulerKind::kTwoLevel,
+      [](const SmStats& s) {
+        return s.issued_instructions * 2 >= s.active_cycles;
+      },
+      "MM did not reach the issue-bound regime");
 }
 BENCHMARK(BM_FullGpuCycleIssueBound);
 

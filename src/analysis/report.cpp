@@ -75,6 +75,8 @@ void json_u32_array(std::ostringstream& os, const char* key,
   os << "]" << (comma ? "," : "");
 }
 
+}  // namespace
+
 std::string cta_list(const std::vector<u32>& v) {
   std::ostringstream os;
   os << "[";
@@ -91,8 +93,6 @@ std::string hex_addr(Addr a) {
   os << "0x" << std::hex << a;
   return os.str();
 }
-
-}  // namespace
 
 std::string text_report(const KernelAnalysis& ka) {
   std::ostringstream os;

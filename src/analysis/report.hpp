@@ -3,6 +3,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "analysis/kernel_analyzer.hpp"
 #include "analysis/schedule_advisor.hpp"
@@ -21,5 +22,10 @@ std::string json_report(const KernelAnalysis& ka);
 /// discovery orders, prefetch distances and timeliness classes.
 std::string text_schedule_report(const ScheduleAdvice& adv);
 std::string json_schedule_report(const ScheduleAdvice& adv);
+
+/// Shared formatters, also used by the oracle diagnostics: "0x" + lowercase
+/// hex, and a space-separated bracketed list such as "[0 3 6]".
+std::string hex_addr(Addr a);
+std::string cta_list(const std::vector<u32>& v);
 
 }  // namespace caps::analysis

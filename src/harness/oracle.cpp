@@ -4,15 +4,18 @@
 #include <array>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <utility>
 
+#include "analysis/report.hpp"
 #include "core/caps_prefetcher.hpp"
 #include "core/pas_gto_scheduler.hpp"
 #include "core/pas_scheduler.hpp"
 
 namespace caps {
 namespace {
+
+using analysis::cta_list;
+using analysis::hex_addr;
 
 /// Deduplicating divergence sink: one report per (pc, kind), with a
 /// repetition count appended so 15 SMs disagreeing the same way read as one
@@ -70,12 +73,6 @@ void dedupe_notes(std::vector<std::string>& notes) {
     notes.push_back(counts[i] > 1
                         ? unique[i] + " (x" + std::to_string(counts[i]) + ")"
                         : unique[i]);
-}
-
-std::string hex_pc(Addr pc) {
-  std::ostringstream os;
-  os << "0x" << std::hex << pc;
-  return os.str();
 }
 
 /// What one run shows the checkers: the trace sink's records, the run's
@@ -189,13 +186,13 @@ void check_dist_tables(const Gpu& gpu, const GpuConfig& gc,
       const analysis::LoadAnalysis* la = ka.find(e.pc);
       if (la == nullptr) {
         sink.add(e.pc, "unknown-pc",
-                 "DIST learned PC " + hex_pc(e.pc) +
+                 "DIST learned PC " + hex_addr(e.pc) +
                      " that is not a static global load");
         continue;
       }
       if (la->cls == analysis::LoadClass::kIndirect) {
         sink.add(e.pc, "learned-indirect",
-                 "DIST learned indirect PC " + hex_pc(e.pc) +
+                 "DIST learned indirect PC " + hex_addr(e.pc) +
                      ": the register-trace oracle should exclude it before "
                      "any table access");
         continue;
@@ -203,13 +200,13 @@ void check_dist_tables(const Gpu& gpu, const GpuConfig& gc,
       if (la->cls == analysis::LoadClass::kUncoalesced &&
           la->uniform_line_count) {
         sink.add(e.pc, "learned-uncoalesced",
-                 "DIST learned always-uncoalesced PC " + hex_pc(e.pc));
+                 "DIST learned always-uncoalesced PC " + hex_addr(e.pc));
         continue;
       }
       if (!la->prefetchable()) {
         // Sometimes-uncoalesced or non-strided loads can legitimately train
         // on a locally-uniform warp pair; record, don't gate.
-        notes.push_back("PC " + hex_pc(e.pc) + " (" + to_string(la->cls) +
+        notes.push_back("PC " + hex_addr(e.pc) + " (" + to_string(la->cls) +
                           ") transiently learned stride " +
                           std::to_string(e.stride));
         continue;
@@ -217,13 +214,13 @@ void check_dist_tables(const Gpu& gpu, const GpuConfig& gc,
       if (e.stride != la->line_stride) {
         if (la->wrap_hazard) {
           notes.push_back(
-              "PC " + hex_pc(e.pc) + " learned stride " +
+              "PC " + hex_addr(e.pc) + " learned stride " +
               std::to_string(e.stride) + " != static " +
               std::to_string(la->line_stride) +
               " across a wrap seam (expected for wrap-hazard loads)");
         } else {
           sink.add(e.pc, "stride-mismatch",
-                   "PC " + hex_pc(e.pc) + ": DIST learned stride " +
+                   "PC " + hex_addr(e.pc) + ": DIST learned stride " +
                        std::to_string(e.stride) + ", static analysis says " +
                        std::to_string(la->line_stride));
         }
@@ -242,7 +239,7 @@ void check_dist_tables(const Gpu& gpu, const GpuConfig& gc,
       if (!la.prefetchable() || la.wrap_hazard) continue;
       if (!learned[la.pc])
         sink.add(la.pc, "never-learned",
-                 "prefetchable PC " + hex_pc(la.pc) + " (static stride " +
+                 "prefetchable PC " + hex_addr(la.pc) + " (static stride " +
                      std::to_string(la.line_stride) +
                      ") was never learned by any SM's DIST table");
     }
@@ -282,26 +279,15 @@ void check_leading_bases(const Observation& pas, const Kernel& kernel,
     if (predicted.empty() || predicted.front() != e.line ||
         predicted.size() != e.num_lines) {
       sink.add(e.pc, "leading-base-mismatch",
-               "PC " + hex_pc(e.pc) + " CTA " + format_dim3(e.cta_id) +
+               "PC " + hex_addr(e.pc) + " CTA " + format_dim3(e.cta_id) +
                    " leading warp " + std::to_string(e.warp_in_cta) +
-                   ": runtime base line " + hex_pc(e.line) + " (" +
+                   ": runtime base line " + hex_addr(e.line) + " (" +
                    std::to_string(e.num_lines) + " lines), Theta(c) predicts " +
                    (predicted.empty() ? std::string("<none>")
-                                      : hex_pc(predicted.front())) +
+                                      : hex_addr(predicted.front())) +
                    " (" + std::to_string(predicted.size()) + " lines)");
     }
   }
-}
-
-std::string format_cta_list(const std::vector<u32>& v) {
-  std::ostringstream os;
-  os << "[";
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i != 0) os << " ";
-    os << v[i];
-  }
-  os << "]";
-  return os.str();
 }
 
 /// Marker protocol: every CTA launch marks exactly one leading warp — the
@@ -403,8 +389,7 @@ void check_discovery_order(const Observation& obs,
 
     const std::string diff =
         "SM " + std::to_string(wave.sm_id) + " discovered bases as " +
-        format_cta_list(observed) + ", advisor predicts " +
-        format_cta_list(expected);
+        cta_list(observed) + ", advisor predicts " + cta_list(expected);
     if (!contended) {
       sink.add(adv.first_load_pc, tag + ":discovery-order", diff);
       continue;
@@ -495,7 +480,7 @@ void check_timeliness(const Observation& pas,
       late = it->second[1];
     }
     const u64 n = timely + late;
-    const std::string label = "PC " + hex_pc(ps.pc) + " predicted " +
+    const std::string label = "PC " + hex_addr(ps.pc) + " predicted " +
                               to_string(ps.timeliness) + " (" + ps.rule + ")";
     if (n < kMinSamples) {
       notes.push_back(label + ": only " + std::to_string(n) +

@@ -2,9 +2,8 @@
 // channels -> reply crossbar. Owns global traffic statistics (Fig. 13).
 #pragma once
 
-#include <functional>
+#include <limits>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/config.hpp"
@@ -97,7 +96,7 @@ class MemorySystem {
   Cycle elapsed() const { return elapsed_; }
 
   /// Pop one reply for SM `sm_id` (per-SM reply bandwidth is enforced by the
-  /// caller via how often it pops). Replies the test-only drop filter claims
+  /// caller via how often it pops). Replies past the test-only keep count
   /// are swallowed here — the canonical "lost response" fault. Each pop
   /// makes room on the lane and marks the reply heads waiting on it due.
   bool pop_reply(u32 sm_id, Cycle now, MemRequest& out) {
@@ -106,7 +105,8 @@ class MemorySystem {
       calendar_.room(WakeCalendar::kReplyLane, sm_id);
       calendar_.arm(WakeCalendar::kReplyRow, sm_id,
                     reply_xbar_.head_at(sm_id));
-      if (!reply_drop_ || !reply_drop_(out)) {
+      if (replies_to_keep_ > 0) {
+        --replies_to_keep_;
         popped = true;
         break;
       }
@@ -115,12 +115,10 @@ class MemorySystem {
     return popped;
   }
 
-  /// Test-only fault injection: replies for which the filter returns true
-  /// are silently discarded, wedging the warps waiting on them. Used by the
+  /// Test-only fault injection: keep the next `keep` replies, then silently
+  /// discard every later one, wedging the warps waiting on them. Used by the
   /// integrity tests to provoke the forward-progress watchdog.
-  void set_reply_drop_for_test(std::function<bool(const MemRequest&)> f) {
-    reply_drop_ = std::move(f);
-  }
+  void set_reply_drop_for_test(u64 keep) { replies_to_keep_ = keep; }
 
   bool idle() const;
 
@@ -156,10 +154,9 @@ class MemorySystem {
   u64 inject_sleepers_ = 0;
   u64 inject_sleep_from_sum_ = 0;
   mutable XbarStats request_xbar_read_;  ///< what request_xbar_stats() returns
-  /// Test-only fault injection: empty in every real run, where a reply
-  /// pays one emptiness test.
-  std::function<bool(const MemRequest&)>
-      reply_drop_;  // capsim-lint: allow(hot-path-function)
+  /// Replies left to deliver before the test-only fault injection drops
+  /// the rest; no real run comes near the default.
+  u64 replies_to_keep_ = std::numeric_limits<u64>::max();
   u64 dropped_replies_ = 0;
 };
 

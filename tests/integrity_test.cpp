@@ -40,9 +40,7 @@ Gpu make_gpu(const GpuConfig& cfg, const std::string& wl) {
 TEST(WatchdogTest, DroppedRepliesRaiseDeadlockWithSnapshot) {
   const GpuConfig cfg = tiny_cfg();
   Gpu gpu = make_gpu(cfg, "MM");
-  u64 seen = 0;
-  gpu.memory_for_test().set_reply_drop_for_test(
-      [&seen](const MemRequest&) { return ++seen > 10; });
+  gpu.memory_for_test().set_reply_drop_for_test(10);
 
   try {
     gpu.run();
@@ -97,8 +95,7 @@ TEST(WatchdogTest, ZeroDisablesWatchdog) {
   cfg.watchdog_cycles = 0;      // disabled: the run must fall through to
   cfg.max_cycles = 30'000;      // the cycle budget instead of throwing
   Gpu gpu = make_gpu(cfg, "MM");
-  gpu.memory_for_test().set_reply_drop_for_test(
-      [](const MemRequest&) { return true; });
+  gpu.memory_for_test().set_reply_drop_for_test(0);
   GpuStats s{};
   EXPECT_NO_THROW(s = gpu.run());
   EXPECT_TRUE(s.hit_cycle_limit);
@@ -117,9 +114,7 @@ TEST(HarnessFaultToleranceTest, SweepSkipsDeadlockedConfigAndContinues) {
     rc.base = base;
     if (rc.prefetcher != PrefetcherKind::kNlp) continue;
     rc.pre_run_hook = [](Gpu& gpu) {
-      auto dropped = std::make_shared<u64>(0);
-      gpu.memory_for_test().set_reply_drop_for_test(
-          [dropped](const MemRequest&) { return ++*dropped > 10; });
+      gpu.memory_for_test().set_reply_drop_for_test(10);
     };
   }
   const auto results = run_sweep(std::move(cfgs));

@@ -91,9 +91,7 @@ TEST(SweepDeterminismTest, FaultInjectedSweepIsDeterministicAcrossWorkers) {
     rc.base.watchdog_cycles = 2'000;
     if (pf == PrefetcherKind::kNlp) {
       rc.pre_run_hook = [](Gpu& gpu) {
-        auto dropped = std::make_shared<u64>(0);
-        gpu.memory_for_test().set_reply_drop_for_test(
-            [dropped](const MemRequest&) { return ++*dropped > 10; });
+        gpu.memory_for_test().set_reply_drop_for_test(10);
       };
     }
     cfgs.push_back(rc);

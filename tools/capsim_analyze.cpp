@@ -3,21 +3,18 @@
 // §11-§12).
 //
 // Modes:
-//   capsim-analyze                   text report, all 16 kernels
-//   capsim-analyze --kernel MM       one kernel
-//   capsim-analyze --json            deterministic JSON instead of text
-//   capsim-analyze --schedule        add the schedule advisor sections
+//   capsim-analyze                   text report, all 16 kernels: the load
+//                                    table, then the schedule advice
 //                                    (leading warp, discovery order,
 //                                    prefetch distances, timeliness)
-//   capsim-analyze --check           run each kernel under CAPS+PAS (and
-//                                    PAS-GTO for the schedule checks) and
-//                                    diff runtime DIST strides, leading-warp
-//                                    bases, exclusion counters, markers,
-//                                    discovery order, eager wake-ups and
-//                                    timeliness against the static
-//                                    predictions
-//   capsim-analyze --check --schedule
-//                                    schedule cross-check only
+//   capsim-analyze --kernel MM       one kernel
+//   capsim-analyze --json            deterministic JSON instead of text
+//   capsim-analyze --check           run each kernel under CAPS+PAS and
+//                                    PAS-GTO and diff runtime DIST strides,
+//                                    leading-warp bases, exclusion counters,
+//                                    markers, discovery order, eager
+//                                    wake-ups and timeliness against the
+//                                    static predictions
 //   capsim-analyze --check --inject-divergence
 //                                    negative fixture: skew the prefetcher
 //                                    predictions so --check MUST fail
@@ -42,7 +39,6 @@ namespace {
 
 struct Options {
   bool check = false;
-  bool schedule = false;
   bool inject_divergence = false;
   bool inject_schedule_divergence = false;
   bool json = false;
@@ -51,17 +47,13 @@ struct Options {
 
 void usage(std::FILE* to) {
   std::fprintf(to,
-               "usage: capsim-analyze [--kernel ABBR] [--json] [--schedule] "
-               "[--check]\n"
+               "usage: capsim-analyze [--kernel ABBR] [--json] [--check]\n"
                "                      [--inject-divergence] "
                "[--inject-schedule-divergence]\n"
                "  --kernel ABBR        analyze one Table IV workload "
                "(default: all 16)\n"
                "  --json               emit deterministic JSON instead of "
                "text\n"
-               "  --schedule           add the schedule advisor sections; "
-               "with --check, run only\n"
-               "                       the schedule cross-check\n"
                "  --check              cross-check the runtime prefetcher and "
                "schedulers against the\n"
                "                       static predictions\n"
@@ -90,25 +82,16 @@ int report_mode(const Options& opt) {
   bool first = true;
   for (const Workload* w : selected) {
     const analysis::KernelAnalysis ka = analysis::analyze_kernel(w->kernel);
+    const analysis::ScheduleAdvice adv =
+        analysis::advise_schedule(w->kernel, ka);
     if (opt.json) {
-      if (opt.schedule) {
-        const analysis::ScheduleAdvice adv =
-            analysis::advise_schedule(w->kernel, ka);
-        std::printf("%s{\"analysis\":%s,\"schedule\":%s}", first ? "" : ",\n",
-                    analysis::json_report(ka).c_str(),
-                    analysis::json_schedule_report(adv).c_str());
-      } else {
-        std::printf("%s%s", first ? "" : ",\n",
-                    analysis::json_report(ka).c_str());
-      }
+      std::printf("%s{\"analysis\":%s,\"schedule\":%s}", first ? "" : ",\n",
+                  analysis::json_report(ka).c_str(),
+                  analysis::json_schedule_report(adv).c_str());
     } else {
-      std::printf("%s%s", first ? "" : "\n",
-                  analysis::text_report(ka).c_str());
-      if (opt.schedule) {
-        const analysis::ScheduleAdvice adv =
-            analysis::advise_schedule(w->kernel, ka);
-        std::printf("%s", analysis::text_schedule_report(adv).c_str());
-      }
+      std::printf("%s%s%s", first ? "" : "\n",
+                  analysis::text_report(ka).c_str(),
+                  analysis::text_schedule_report(adv).c_str());
     }
     first = false;
   }
@@ -138,8 +121,6 @@ bool print_section(const std::string& workload, const char* label,
 }
 
 int check_mode(const Options& opt) {
-  // Plain --check reports both sections; --check --schedule only the
-  // schedule section (the ctest targets exercise the two independently).
   OracleOptions oracle_opt;
   oracle_opt.inject_divergence = opt.inject_divergence;
   oracle_opt.inject_schedule_divergence = opt.inject_schedule_divergence;
@@ -148,21 +129,18 @@ int check_mode(const Options& opt) {
   u32 checks = 0, failed = 0;
   for (const Workload* w : selected) {
     const OracleResult r = cross_check(*w, oracle_opt);
-    if (!opt.schedule) {
-      ++checks;
-      const std::string ok_line =
-          std::to_string(r.analysis.loads.size()) + " loads, " +
-          std::to_string(r.analysis.num_prefetchable()) +
-          " prefetchable, DIST valid " +
-          std::to_string(r.analysis.predicted_dist_valid);
-      if (!print_section(r.workload, "", r.prefetch, ok_line)) ++failed;
-    }
-    ++checks;
-    const std::string ok_line =
+    const std::string prefetch_ok =
+        std::to_string(r.analysis.loads.size()) + " loads, " +
+        std::to_string(r.analysis.num_prefetchable()) +
+        " prefetchable, DIST valid " +
+        std::to_string(r.analysis.predicted_dist_valid);
+    const std::string schedule_ok =
         "leading warp " + std::to_string(r.advice.predicted_leading_warp) +
         ", wave " + std::to_string(r.advice.initial_wave_ctas) + " CTAs, " +
         std::to_string(r.advice.pcs.size()) + " PC(s) classified";
-    if (!print_section(r.workload, "schedule: ", r.schedule, ok_line))
+    checks += 2;
+    if (!print_section(r.workload, "", r.prefetch, prefetch_ok)) ++failed;
+    if (!print_section(r.workload, "schedule: ", r.schedule, schedule_ok))
       ++failed;
   }
   std::printf("%u/%u checks clean\n", checks - failed, checks);
@@ -177,8 +155,6 @@ int main(int argc, char** argv) {
     const std::string a = argv[i];
     if (a == "--check") {
       opt.check = true;
-    } else if (a == "--schedule") {
-      opt.schedule = true;
     } else if (a == "--inject-divergence") {
       opt.inject_divergence = true;
     } else if (a == "--inject-schedule-divergence") {
