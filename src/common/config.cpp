@@ -7,8 +7,10 @@
 namespace caps {
 namespace {
 
-void require(bool cond, const std::string& what) {
-  if (!cond) throw std::invalid_argument("GpuConfig: " + what);
+/// The message is built only when the check fails: every cache of every
+/// machine build re-validates its config.
+void require(bool cond, const char* what) {
+  if (!cond) throw std::invalid_argument(std::string("GpuConfig: ") + what);
 }
 
 }  // namespace

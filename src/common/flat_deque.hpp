@@ -3,24 +3,27 @@
 // std::deque allocates and frees its backing blocks as elements churn
 // through the queue, which puts an allocator round-trip on the per-cycle
 // simulation path (scheduler promotion/demotion, DRAM command queues,
-// crossbar lanes). FlatDeque keeps one power-of-two backing array that only
+// crossbar lanes). FlatDeque keeps one power-of-two backing ring that only
 // ever grows: after reserve() — or once the run's high-water mark is reached
 // — push/pop/erase never touch the heap, which is what the zero-allocation
-// steady-state contract (DESIGN.md §13) is built on.
+// steady-state contract (DESIGN.md §13) is built on. The ring is a
+// SlotArray: reserve() allocates it without building any slot, and a push
+// constructs the slot it writes, so a queue touches only the slots its run
+// fills.
 //
 // Semantics match the std::deque subset the simulator uses: FIFO/LIFO ends,
 // random access, middle erase (used by queue maintenance; elements shift, so
 // iterators past the erase point are invalidated exactly like std::vector).
-// T must be default-constructible and copyable.
+// T must be trivially destructible (pops never destroy) and move-assignable.
 #pragma once
 
 #include <cstddef>
 #include <iterator>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "common/diag.hpp"
+#include "common/slot_array.hpp"
 
 namespace caps {
 
@@ -93,6 +96,10 @@ class FlatDeque {
 
   FlatDeque() = default;
   explicit FlatDeque(std::size_t capacity) { reserve(capacity); }
+  /// The same elements, front first, in a ring of the same capacity.
+  FlatDeque(const FlatDeque& o) : buf_(o.capacity()), count_(o.count_) {
+    for (std::size_t i = 0; i < count_; ++i) buf_.emplace(i, o[i]);
+  }
 
   std::size_t size() const { return count_; }
   bool empty() const { return count_ == 0; }
@@ -127,14 +134,14 @@ class FlatDeque {
 
   void push_back(T v) {
     if (count_ == buf_.size()) regrow(count_ + 1);
-    buf_[physical(count_)] = std::move(v);
+    buf_.emplace(physical(count_), std::move(v));
     ++count_;
   }
 
   void push_front(T v) {
     if (count_ == buf_.size()) regrow(count_ + 1);
     head_ = (head_ + buf_.size() - 1) & mask();
-    buf_[head_] = std::move(v);
+    buf_.emplace(head_, std::move(v));
     ++count_;
   }
 
@@ -199,13 +206,14 @@ class FlatDeque {
   }
 
   void regrow(std::size_t need) {
-    std::vector<T> next(pow2_at_least(need));
-    for (std::size_t i = 0; i < count_; ++i) next[i] = std::move((*this)[i]);
+    SlotArray<T> next(pow2_at_least(need));
+    for (std::size_t i = 0; i < count_; ++i)
+      next.emplace(i, std::move((*this)[i]));
     buf_ = std::move(next);
     head_ = 0;
   }
 
-  std::vector<T> buf_;     ///< power-of-two backing ring (size == capacity)
+  SlotArray<T> buf_;       ///< power-of-two backing ring (size == capacity)
   std::size_t head_ = 0;   ///< physical index of the logical front
   std::size_t count_ = 0;
 };

@@ -34,7 +34,7 @@ void CapsPrefetcher::generate_for_cta(u32 cta_slot, Addr pc,
     if (entry.issued_mask & bit) continue;      // warp already ran the load
     if (entry.prefetched_mask & bit) continue;  // already prefetched
     const i64 dw = static_cast<i64>(w) - static_cast<i64>(entry.leading_warp);
-    for (const Addr base : entry.bases)
+    for (const Addr base : entry.bases())
       emit(out, static_cast<Addr>(static_cast<i64>(base) + stride * dw),
            pc, static_cast<i32>(cta.first_warp_slot + w));
     entry.prefetched_mask |= bit;
@@ -71,7 +71,7 @@ void CapsPrefetcher::on_load_issue(const LoadIssueInfo& info,
     entry = &table.insert(info.pc);
     entry->leading_warp = info.warp_in_cta;
     entry->iteration = info.iteration;
-    entry->bases.assign(info.lines.begin(), info.lines.end());
+    entry->set_bases(info.lines);
     entry->issued_mask = my_bit;
     entry->prefetched_mask = my_bit;
     ++stats_.table_writes;
@@ -90,7 +90,7 @@ void CapsPrefetcher::on_load_issue(const LoadIssueInfo& info,
     // The leading warp re-executed the load (next loop iteration): refresh
     // the bases and re-arm prefetch generation for the new iteration.
     entry->iteration = info.iteration;
-    entry->bases.assign(info.lines.begin(), info.lines.end());
+    entry->set_bases(info.lines);
     entry->issued_mask = my_bit;
     entry->prefetched_mask = my_bit;
     ++stats_.table_writes;
@@ -103,7 +103,7 @@ void CapsPrefetcher::on_load_issue(const LoadIssueInfo& info,
   const i64 dw = static_cast<i64>(info.warp_in_cta) -
                  static_cast<i64>(entry->leading_warp);
   const bool comparable = info.iteration == entry->iteration &&
-                          info.lines.size() == entry->bases.size();
+                          info.lines.size() == entry->bases().size();
 
   if (dist == nullptr) {
     // Stride unknown: derive it from this warp vs. the stored base.
@@ -112,7 +112,7 @@ void CapsPrefetcher::on_load_issue(const LoadIssueInfo& info,
     bool uniform = true;
     for (std::size_t i = 0; i < info.lines.size(); ++i) {
       const i64 da = static_cast<i64>(info.lines[i]) -
-                     static_cast<i64>(entry->bases[i]);
+                     static_cast<i64>(entry->bases()[i]);
       if (da % dw != 0) {
         uniform = false;
         break;
@@ -151,11 +151,11 @@ void CapsPrefetcher::on_load_issue(const LoadIssueInfo& info,
   // prefetch address to detect a misprediction"). The check is independent
   // of loop iteration: if warps skew across iterations the predictions are
   // stale, and exactly this counter is what detects and throttles it.
-  if (info.lines.size() == entry->bases.size()) {
+  if (info.lines.size() == entry->bases().size()) {
     bool match = true;
     for (std::size_t i = 0; i < info.lines.size(); ++i) {
       const Addr predicted = static_cast<Addr>(
-          static_cast<i64>(entry->bases[i]) + dist->stride * dw);
+          static_cast<i64>(entry->bases()[i]) + dist->stride * dw);
       if (predicted != info.lines[i]) {
         match = false;
         break;

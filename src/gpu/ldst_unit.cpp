@@ -87,7 +87,7 @@ void LdStUnit::process_replies(Cycle now) {
     // on arrival (late prefetch). A prefetch never merges (process_prefetch
     // drops a head whose line is in flight), so an entry has a prefetch
     // waiter exactly when a prefetch allocated it.
-    LineMeta meta;
+    L1LineMeta meta;
     bool any_demand = false;
     const L1Access* pf_origin = nullptr;
     for (const L1Access& w : waiters) {
@@ -162,7 +162,7 @@ u64 SmStats::*LdStUnit::process_demand(Cycle now) {
   // structural stall are not double counted). A probe that stalls changes
   // nothing: a tag miss leaves LRU alone, and the MSHR is only read.
   if (access.is_load) {
-    if (LineMeta* meta = l1_.access(access.line)) {
+    if (L1LineMeta* meta = l1_.access(access.line)) {
       ++stats_.l1_accesses;
       ++stats_.l1_hits;
       if (meta->prefetched) {
@@ -214,7 +214,6 @@ u64 SmStats::*LdStUnit::process_demand(Cycle now) {
   MemRequest req;
   req.line = access.line;
   req.sm_id = sm_id_;
-  req.created = now;
   if (access.is_load) {
     ++stats_.l1_accesses;
     ++stats_.l1_misses;
@@ -254,7 +253,6 @@ u64 SmStats::*LdStUnit::process_prefetch(Cycle now) {
   MemRequest req;
   req.line = access.line;
   req.sm_id = sm_id_;
-  req.created = now;
   req.is_prefetch = true;
   mem_.submit(req, now);
   ++stats_.pf_issued_to_mem;

@@ -70,7 +70,7 @@ class LdStUnit {
 
   bool idle() const;
   std::size_t demand_queue_size() const { return demand_q_.size(); }
-  const SetAssocCache& l1() const { return l1_; }
+  const SetAssocCache<L1LineMeta>& l1() const { return l1_; }
   const Mshr<L1Access>& mshr() const { return mshr_; }
 
   /// Append queue/MSHR occupancy to a failure snapshot.
@@ -97,7 +97,7 @@ class LdStUnit {
   MemorySystem& mem_;
   SmStats& stats_;
 
-  SetAssocCache l1_;
+  SetAssocCache<L1LineMeta> l1_;
   Mshr<L1Access> mshr_;
   BoundedQueue<L1Access> demand_q_;
   BoundedQueue<L1Access> prefetch_q_;

@@ -5,57 +5,64 @@
 
 namespace caps {
 
-SetAssocCache::SetAssocCache(const CacheConfig& cfg)
-    : cfg_(cfg), sets_(cfg.num_sets()), ways_(sets_ * cfg.assoc) {
+template <typename Meta>
+SetAssocCache<Meta>::SetAssocCache(const CacheConfig& cfg)
+    : cfg_(cfg),
+      sets_(cfg.num_sets()),
+      tags_(sets_ * cfg.assoc, kFree),
+      lru_(tags_.size()),
+      meta_(tags_.size()) {
   cfg_.validate();
   line_shift_ = static_cast<u32>(std::countr_zero(cfg_.line_size));
 }
 
-SetAssocCache::Way* SetAssocCache::lookup(Addr line) {
-  Way* set = set_begin(line);
-  for (u32 w = 0; w < cfg_.assoc; ++w)
-    if (set[w].valid && set[w].tag == line) return &set[w];
-  return nullptr;
+template <typename Meta>
+std::size_t SetAssocCache<Meta>::lookup(Addr line) const {
+  const std::size_t set = set_begin(line);
+  for (std::size_t w = set; w < set + cfg_.assoc; ++w)
+    if (tags_[w] == line) return w;
+  return kNone;
 }
 
-bool SetAssocCache::contains(Addr line) const {
-  return const_cast<SetAssocCache*>(this)->lookup(line) != nullptr;
+template <typename Meta>
+Meta* SetAssocCache<Meta>::access(Addr line) {
+  const std::size_t w = lookup(line);
+  if (w == kNone) return nullptr;
+  lru_[w] = ++lru_clock_;
+  return &meta_[w];
 }
 
-LineMeta* SetAssocCache::access(Addr line) {
-  Way* way = lookup(line);
-  if (way == nullptr) return nullptr;
-  way->lru = ++lru_clock_;
-  return &way->meta;
-}
-
-std::optional<std::pair<Addr, LineMeta>> SetAssocCache::fill(
-    Addr line, const LineMeta& meta) {
+template <typename Meta>
+std::optional<std::pair<Addr, Meta>> SetAssocCache<Meta>::fill(
+    Addr line, const Meta& meta) {
+  CAPS_CHECK(line != kFree, "cache fill of the invalid-tag marker");
   // One pass finds the line itself, the first invalid way and the LRU way.
-  Way* set = set_begin(line);
-  Way* invalid = nullptr;
-  Way* lru = nullptr;
-  for (u32 w = 0; w < cfg_.assoc; ++w) {
-    Way& way = set[w];
-    if (!way.valid) {
-      if (invalid == nullptr) invalid = &way;
-    } else if (way.tag == line) {
-      way.meta = meta;
-      way.lru = ++lru_clock_;
+  const std::size_t set = set_begin(line);
+  std::size_t invalid = kNone;
+  std::size_t lru = kNone;
+  for (std::size_t w = set; w < set + cfg_.assoc; ++w) {
+    if (tags_[w] == line) {
+      meta_.emplace(w, meta);
+      lru_.emplace(w, ++lru_clock_);
       return std::nullopt;
-    } else if (lru == nullptr || way.lru < lru->lru) {
-      lru = &way;
+    }
+    if (tags_[w] == kFree) {
+      if (invalid == kNone) invalid = w;
+    } else if (lru == kNone || lru_[w] < lru_[lru]) {
+      lru = w;
     }
   }
-  Way* victim = invalid != nullptr ? invalid : lru;
-  CAPS_CHECK(victim != nullptr, "cache victim selection failed");
-  std::optional<std::pair<Addr, LineMeta>> evicted;
-  if (victim->valid) evicted.emplace(victim->tag, victim->meta);
-  victim->valid = true;
-  victim->tag = line;
-  victim->lru = ++lru_clock_;
-  victim->meta = meta;
+  const std::size_t victim = invalid != kNone ? invalid : lru;
+  CAPS_CHECK(victim != kNone, "cache victim selection failed");
+  std::optional<std::pair<Addr, Meta>> evicted;
+  if (tags_[victim] != kFree) evicted.emplace(tags_[victim], meta_[victim]);
+  tags_[victim] = line;
+  lru_.emplace(victim, ++lru_clock_);
+  meta_.emplace(victim, meta);
   return evicted;
 }
+
+template class SetAssocCache<L1LineMeta>;
+template class SetAssocCache<L2LineMeta>;
 
 }  // namespace caps

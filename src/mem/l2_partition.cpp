@@ -41,7 +41,7 @@ void L2Partition::cycle(Cycle now) {
     if (probe_queue_.front().ready_at > now) {
       wake_at = probe_queue_.front().ready_at;
     } else {
-      stall = probe_head(now);
+      stall = probe_head();
       if (stall == nullptr) return;  // the head retired or issued
     }
   }
@@ -56,7 +56,7 @@ void L2Partition::cycle(Cycle now) {
                !pending_writebacks_.empty());
 }
 
-u64 L2Stats::*L2Partition::probe_head(Cycle now) {
+u64 L2Stats::*L2Partition::probe_head() {
   const MemRequest& req = probe_queue_.front().req;
 
   // A probe that stalls changes nothing: a tag miss leaves LRU alone, and
@@ -67,7 +67,7 @@ u64 L2Stats::*L2Partition::probe_head(Cycle now) {
     // need a write-back slot in the DRAM queue. Worst case the allocation
     // evicts a dirty line, so a miss waits for a queue slot up front to
     // keep the state machine single-step.
-    if (LineMeta* meta = cache_.access(req.line)) {  // a hit refreshes LRU
+    if (L2LineMeta* meta = cache_.access(req.line)) {  // a hit refreshes LRU
       ++stats_.accesses;
       ++stats_.hits;
       meta->dirty = true;
@@ -106,29 +106,24 @@ u64 L2Stats::*L2Partition::probe_head(Cycle now) {
   ++stats_.accesses;
   ++stats_.misses;
   if (req.is_write) {
-    LineMeta meta;
-    meta.dirty = true;
-    if (auto evicted = cache_.fill(req.line, meta);
+    if (auto evicted = cache_.fill(req.line, L2LineMeta{.dirty = true});
         evicted && evicted->second.dirty) {
       MemRequest wb;
       wb.line = evicted->first;
       wb.is_write = true;
       wb.sm_id = req.sm_id;
-      wb.created = now;
       submit(wb);
       ++stats_.writebacks;
     }
   } else {
     mshr_.allocate(req.line, req);
-    MemRequest to_dram = req;
-    to_dram.created = now;
-    submit(to_dram);
+    submit(req);
   }
   probe_queue_.pop();
   return nullptr;
 }
 
-void L2Partition::dram_done(const MemRequest& req, Cycle now) {
+void L2Partition::dram_done(const MemRequest& req) {
   if (req.is_write) return;
   // A fill frees an MSHR entry, so it can move a head blocked on the MSHR.
   // A head that waits for a DRAM queue slot has no MSHR entry of its own,
@@ -138,7 +133,7 @@ void L2Partition::dram_done(const MemRequest& req, Cycle now) {
       (ledger_.owes(&L2Stats::stall_dram_full) &&
        probe_queue_.front().req.line == req.line))
     ledger_.wake();
-  if (auto evicted = cache_.fill(req.line, LineMeta{});
+  if (auto evicted = cache_.fill(req.line, L2LineMeta{});
       evicted && evicted->second.dirty) {
     // Dirty eviction on a fill: queue the write-back, which cycle() drains
     // into the DRAM queue once it has room. due() watches for that room,
@@ -147,7 +142,6 @@ void L2Partition::dram_done(const MemRequest& req, Cycle now) {
     wb.line = evicted->first;
     wb.is_write = true;
     wb.sm_id = req.sm_id;
-    wb.created = now;
     pending_writebacks_.push_back(wb);
     wait_channel(true);
     calendar_.mark(WakeCalendar::kPartition, WakeCalendar::bit(id_));

@@ -73,7 +73,7 @@ class L2Partition {
   void cycle(Cycle now);
 
   /// Callback target when the DRAM channel finishes one of our lines.
-  void dram_done(const MemRequest& req, Cycle now);
+  void dram_done(const MemRequest& req);
 
   /// The oldest reply waiting for the reply crossbar; null if none. The
   /// reply head is marked due whenever the queue gains a front.
@@ -105,7 +105,7 @@ class L2Partition {
 
   /// The tag probe of a ready head; returns the stall counter it bumped, or
   /// null when the head retired or issued.
-  u64 L2Stats::*probe_head(Cycle now);
+  u64 L2Stats::*probe_head();
   void drain_writebacks();
   /// Submit to the DRAM channel, which is due in this cycle's channel phase:
   /// a submit may start a command and opens a busy span.
@@ -130,7 +130,7 @@ class L2Partition {
   WakeCalendar& calendar_;
   u32 id_;
   u32 channel_id_;
-  SetAssocCache cache_;
+  SetAssocCache<L2LineMeta> cache_;
   Mshr<MemRequest> mshr_;
   BoundedQueue<Staged> probe_queue_;   ///< tag-probe pipeline
   FlatDeque<MemRequest> replies_;      ///< toward the reply crossbar

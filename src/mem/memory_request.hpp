@@ -12,7 +12,6 @@ struct MemRequest {
   bool is_write = false;
   bool is_prefetch = false;  ///< for stats/energy only below L1
   u32 sm_id = 0;
-  Cycle created = 0;   ///< core cycle the SM sent it
 };
 
 /// L1-side access descriptor: one coalesced line request from a warp, or a

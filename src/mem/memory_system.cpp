@@ -65,7 +65,7 @@ void MemorySystem::cycle(Cycle now) {
     // Completed transfers first, in completion order: reads fill L2.
     MemRequest done;
     while (ch.pop_done(now, done)) {
-      partitions_[partition_of(done.line)]->dram_done(done, now);
+      partitions_[partition_of(done.line)]->dram_done(done);
       ++(done.is_write ? traffic_.dram_writes : traffic_.dram_reads);
     }
     if (ch.cycle(now)) calendar_.room(WakeCalendar::kDramQueue, c);

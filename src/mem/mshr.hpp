@@ -6,12 +6,15 @@
 // throws SimError in every build mode: a leaked or double-filled MSHR entry
 // silently wedges whole SMs otherwise.
 //
-// Storage is a contiguous line array plus per-slot waiter vectors, like the
-// hardware CAM it models: a lookup is one linear pass over at most `entries`
-// line addresses, and callers act on the slot it returns instead of looking
-// the line up again. After construction the steady state performs no heap
-// allocation (DESIGN.md §13): each slot's waiter vector is reserved to
-// `max_merged` up front and is cleared, never deallocated, on fill.
+// Storage is a contiguous line array plus one waiter array of
+// `entries × max_merged` slots with a count per entry, like the hardware CAM
+// it models: a lookup is one linear pass over at most `entries` line
+// addresses, and callers act on the slot it returns instead of looking the
+// line up again. Entry i's waiters sit at [i × max_merged, i × max_merged +
+// count), in merge order. The waiter array is a SlotArray, allocated once
+// and built by the allocate() or merge_at() that writes a slot, so the
+// steady state performs no heap allocation (DESIGN.md §13) and a build
+// touches no waiter slot.
 #pragma once
 
 #include <algorithm>
@@ -19,6 +22,7 @@
 #include <vector>
 
 #include "common/diag.hpp"
+#include "common/slot_array.hpp"
 #include "common/types.hpp"
 
 namespace caps {
@@ -36,10 +40,10 @@ class Mshr {
       : entries_(entries),
         max_merged_(max_merged),
         lines_(entries, kFree),
-        waiters_(entries) {
+        counts_(entries, 0),
+        waiters_(std::size_t{entries} * max_merged) {
     free_.reserve(entries);
     for (u32 i = entries; i-- > 0;) free_.push_back(i);
-    for (std::vector<Waiter>& w : waiters_) w.reserve(max_merged);
   }
 
   bool full() const { return free_.empty(); }
@@ -53,9 +57,7 @@ class Mshr {
   }
 
   /// True if live slot `slot` can take one more merged access.
-  bool can_merge_at(u32 slot) const {
-    return waiters_[slot].size() < max_merged_;
-  }
+  bool can_merge_at(u32 slot) const { return counts_[slot] < max_merged_; }
 
   /// Allocate a new entry (primary miss). Precondition: !full() and
   /// slot_of(line) == kNone.
@@ -67,7 +69,8 @@ class Mshr {
     const u32 i = free_.back();
     free_.pop_back();
     lines_[i] = line;
-    waiters_[i].push_back(std::move(waiter));
+    waiters_.emplace(first_waiter(i), std::move(waiter));
+    counts_[i] = 1;
   }
 
   /// Merge a secondary miss into the slot slot_of() returned.
@@ -76,7 +79,7 @@ class Mshr {
     CAPS_CHECK(slot < lines_.size() && lines_[slot] != kFree,
                "MSHR merge into a free slot");
     CAPS_CHECK(can_merge_at(slot), "MSHR merge past per-entry capacity");
-    waiters_[slot].push_back(std::move(waiter));
+    waiters_.emplace(first_waiter(slot) + counts_[slot]++, std::move(waiter));
   }
 
   /// Service a fill without allocating: appends the entry's waiters to `out`
@@ -85,10 +88,11 @@ class Mshr {
   void fill_into(Addr line, std::vector<Waiter>& out) {
     const u32 i = slot_of(line);
     CAPS_CHECK(i != kNone, "MSHR fill for a line with no entry");
-    std::vector<Waiter>& w = waiters_[i];
     out.clear();
-    for (Waiter& x : w) out.push_back(std::move(x));
-    w.clear();  // keeps capacity: the slot never re-allocates
+    const std::size_t first = first_waiter(i);
+    for (std::size_t k = first; k < first + counts_[i]; ++k)
+      out.push_back(std::move(waiters_[k]));
+    counts_[i] = 0;
     lines_[i] = kFree;
     free_.push_back(i);
   }
@@ -104,11 +108,16 @@ class Mshr {
   }
 
  private:
+  std::size_t first_waiter(u32 slot) const {
+    return std::size_t{slot} * max_merged_;
+  }
+
   u32 entries_;
   u32 max_merged_;
-  std::vector<Addr> lines_;                  ///< per slot; kFree when free
-  std::vector<std::vector<Waiter>> waiters_; ///< per slot, merge order
-  std::vector<u32> free_;  ///< indices of free slots (LIFO reuse)
+  std::vector<Addr> lines_;   ///< per slot; kFree when free
+  std::vector<u32> counts_;   ///< per slot: waiters merged so far
+  SlotArray<Waiter> waiters_; ///< entries × max_merged, merge order per slot
+  std::vector<u32> free_;     ///< indices of free slots (LIFO reuse)
 };
 
 }  // namespace caps

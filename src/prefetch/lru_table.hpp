@@ -17,17 +17,20 @@
 namespace caps {
 
 /// `Entry` is the per-slot payload. insert() hands out a slot after calling
-/// the entry's clear(), so an entry keeps whatever storage it reserved when
+/// the entry's clear(), so an entry keeps whatever storage it was given when
 /// it was constructed.
 template <typename Key, typename Entry>
 class LruTable {
  public:
-  /// `capacity` slots (at least one), each entry constructed from `args`.
-  template <typename... Args>
-  explicit LruTable(u32 capacity, const Args&... args)
-      : keys_(capacity), stamps_(capacity, 0) {
+  /// `capacity` slots (at least one) of value-initialised entries.
+  explicit LruTable(u32 capacity)
+      : LruTable(capacity, [](u32) { return Entry{}; }) {}
+
+  /// `capacity` slots (at least one); slot i holds make(i).
+  template <typename Make>
+  LruTable(u32 capacity, Make make) : keys_(capacity), stamps_(capacity, 0) {
     entries_.reserve(capacity);
-    for (u32 i = 0; i < capacity; ++i) entries_.emplace_back(args...);
+    for (u32 i = 0; i < capacity; ++i) entries_.push_back(make(i));
   }
 
   /// The entry for `key`, refreshing its LRU stamp; nullptr if absent.

@@ -6,9 +6,11 @@
 
 #include <array>
 #include <stdexcept>
+#include <vector>
 
 #include "common/bounded_queue.hpp"
 #include "common/config.hpp"
+#include "common/flat_deque.hpp"
 #include "common/rng.hpp"
 #include "common/sleep_ledger.hpp"
 #include "common/stats.hpp"
@@ -199,6 +201,46 @@ TEST(BoundedQueueTest, CapacityIsHardLimit) {
   q.push(2);
   EXPECT_TRUE(q.full());
   EXPECT_EQ(q.size(), 2u);
+}
+
+/// A FlatDeque element that counts its constructions and has no default
+/// constructor, so a ring that built slots up front would not compile.
+struct Built {
+  static inline int constructed = 0;
+  explicit Built(int x) : v(x) { ++constructed; }
+  Built(const Built& o) : v(o.v) { ++constructed; }
+  Built& operator=(const Built&) = default;
+  friend bool operator==(const Built&, const Built&) = default;
+  int v;
+};
+
+std::vector<int> values(const FlatDeque<Built>& q) {
+  std::vector<int> out;
+  for (const Built& b : q) out.push_back(b.v);
+  return out;
+}
+
+TEST(FlatDequeTest, SlotsAreBuiltOnPushAndSurviveWrapFrontPushAndErase) {
+  Built::constructed = 0;
+  FlatDeque<Built> q(8);
+  EXPECT_EQ(q.capacity(), 8u);
+  EXPECT_EQ(Built::constructed, 0);  // reserving builds no slot
+  for (int i = 0; i < 6; ++i) q.push_back(Built(i));
+  EXPECT_GT(Built::constructed, 0);
+  for (int i = 0; i < 4; ++i) q.pop_front();
+  for (int i = 6; i < 11; ++i) q.push_back(Built(i));  // wraps the ring
+  q.push_front(Built(3));
+  EXPECT_EQ(q.size(), q.capacity());
+  EXPECT_EQ(values(q), (std::vector<int>{3, 4, 5, 6, 7, 8, 9, 10}));
+  q.erase(q.begin() + 3);  // across the wrap point
+  EXPECT_EQ(values(q), (std::vector<int>{3, 4, 5, 7, 8, 9, 10}));
+  q.push_back(Built(11));
+  q.push_back(Built(12));  // grows: the elements move to a new ring
+  EXPECT_EQ(q.capacity(), 16u);
+  EXPECT_EQ(values(q), (std::vector<int>{3, 4, 5, 7, 8, 9, 10, 11, 12}));
+  const FlatDeque<Built> copy(q);
+  EXPECT_EQ(copy, q);
+  EXPECT_EQ(copy.capacity(), q.capacity());
 }
 
 TEST(RunningStatTest, MeanMinMax) {

@@ -22,7 +22,8 @@ TEST(PerCtaTableTest, InsertAndFind) {
   PerCtaTable t(4, 4);
   auto& e = t.insert(0x10);
   e.leading_warp = 2;
-  e.bases = {0x1000};
+  const Addr base = 0x1000;
+  e.set_bases({&base, 1});
   ASSERT_NE(t.find(0x10), nullptr);
   EXPECT_EQ(t.find(0x10)->leading_warp, 2u);
   EXPECT_EQ(t.find(0x20), nullptr);
@@ -41,11 +42,29 @@ TEST(PerCtaTableTest, EraseAndClear) {
 
 TEST(PerCtaTableTest, ReusedEntryKeepsReservedBases) {
   PerCtaTable t(1, 4);
-  const Addr* storage = t.insert(0x10).bases.data();
-  t.find(0x10)->bases = {0x1000, 0x1080, 0x1100, 0x1180};
+  const Addr* storage = t.insert(0x10).bases().data();
+  const Addr lines[] = {0x1000, 0x1080, 0x1100, 0x1180};
+  t.find(0x10)->set_bases(lines);
   auto& e = t.insert(0x20);  // evicts 0x10
-  EXPECT_TRUE(e.bases.empty());
-  EXPECT_EQ(e.bases.data(), storage);
+  EXPECT_TRUE(e.bases().empty());
+  EXPECT_EQ(e.bases().data(), storage);
+}
+
+TEST(PerCtaTableTest, EntriesShareOneBaseArray) {
+  PerCtaTable t(2, 3);
+  auto& a = t.insert(0x10);
+  auto& b = t.insert(0x20);
+  const Addr la[] = {0x1000, 0x1080, 0x1100};
+  const Addr lb[] = {0x2000, 0x2080};
+  a.set_bases(la);
+  b.set_bases(lb);
+  // Each entry has its own max_bases lines of the table's array.
+  EXPECT_EQ(b.bases().data() - a.bases().data(), 3);
+  EXPECT_TRUE(std::equal(a.bases().begin(), a.bases().end(), la));
+  EXPECT_TRUE(std::equal(b.bases().begin(), b.bases().end(), lb));
+  PerCtaTable moved = std::move(t);  // entries keep their storage
+  EXPECT_EQ(moved.find(0x10)->bases()[2], 0x1100u);
+  EXPECT_EQ(moved.find(0x20)->bases().size(), 2u);
 }
 
 // ----------------------------------------------------------- DIST table ---

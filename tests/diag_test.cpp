@@ -7,6 +7,7 @@
 #include "common/bounded_queue.hpp"
 #include "common/diag.hpp"
 #include "common/sleep_ledger.hpp"
+#include "mem/cache.hpp"
 #include "mem/dram.hpp"
 #include "mem/interconnect.hpp"
 #include "mem/mshr.hpp"
@@ -173,6 +174,34 @@ TEST(MshrTest, OutstandingLinesAreSorted) {
   EXPECT_EQ(lines[0], 0x100u);
   EXPECT_EQ(lines[1], 0x200u);
   EXPECT_EQ(lines[2], 0x300u);
+}
+
+TEST(MshrTest, ReusedSlotKeepsMergeOrder) {
+  Mshr<int> m(2, 3);
+  m.allocate(0x100, 1);
+  const u32 slot = m.slot_of(0x100);
+  m.merge_at(slot, 2);
+  m.merge_at(slot, 3);
+  m.allocate(0x200, 4);
+  std::vector<int> waiters;
+  m.fill_into(0x100, waiters);
+  EXPECT_EQ(waiters, (std::vector<int>{1, 2, 3}));
+  // The freed slot is reused first; its old waiters must not show up, and
+  // the new ones come back in merge order.
+  m.allocate(0x300, 5);
+  ASSERT_EQ(m.slot_of(0x300), slot);
+  m.merge_at(slot, 6);
+  m.fill_into(0x300, waiters);
+  EXPECT_EQ(waiters, (std::vector<int>{5, 6}));
+  m.fill_into(0x200, waiters);
+  EXPECT_EQ(waiters, (std::vector<int>{4}));
+  EXPECT_EQ(m.size(), 0u);
+}
+
+TEST(CacheGuardTest, FillOfTheInvalidMarkerThrows) {
+  using Cache = SetAssocCache<L2LineMeta>;
+  Cache c{CacheConfig{}};
+  EXPECT_THROW(c.fill(Cache::kFree, L2LineMeta{}), SimError);
 }
 
 TEST(CrossbarGuardTest, OverflowAndBadDestThrow) {

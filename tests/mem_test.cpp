@@ -31,21 +31,21 @@ CacheConfig small_cache() {
 }
 
 TEST(CacheTest, MissThenFillThenHit) {
-  SetAssocCache c(small_cache());
+  SetAssocCache<L1LineMeta> c(small_cache());
   EXPECT_EQ(c.access(0), nullptr);
   EXPECT_FALSE(c.contains(0));  // a miss does not allocate
-  c.fill(0, LineMeta{});
+  c.fill(0, L1LineMeta{});
   EXPECT_NE(c.access(0), nullptr);
   EXPECT_TRUE(c.contains(0));
 }
 
 TEST(CacheTest, LruEvictionWithinSet) {
-  SetAssocCache c(small_cache());
+  SetAssocCache<L1LineMeta> c(small_cache());
   // Lines 0, 512, 1024 all map to set 0 (4 sets * 128B).
-  c.fill(0, LineMeta{});
-  c.fill(512, LineMeta{});
+  c.fill(0, L1LineMeta{});
+  c.fill(512, L1LineMeta{});
   c.access(0);  // make 512 the LRU way
-  auto evicted = c.fill(1024, LineMeta{});
+  auto evicted = c.fill(1024, L1LineMeta{});
   ASSERT_TRUE(evicted.has_value());
   EXPECT_EQ(evicted->first, 512u);
   EXPECT_TRUE(c.contains(0));
@@ -54,34 +54,34 @@ TEST(CacheTest, LruEvictionWithinSet) {
 }
 
 TEST(CacheTest, FillExistingRefreshesMetadata) {
-  SetAssocCache c(small_cache());
-  LineMeta pf;
+  SetAssocCache<L1LineMeta> c(small_cache());
+  L1LineMeta pf;
   pf.prefetched = true;
   pf.pf_issue_cycle = 7;
-  c.fill(0, LineMeta{});
+  c.fill(0, L1LineMeta{});
   EXPECT_FALSE(c.fill(0, pf).has_value());
   EXPECT_TRUE(c.access(0)->prefetched);
 }
 
 TEST(CacheTest, HitReturnsTheLinesWritableMeta) {
-  SetAssocCache c(small_cache());
-  c.fill(0, LineMeta{});
+  SetAssocCache<L2LineMeta> c(small_cache());
+  c.fill(0, L2LineMeta{});
   c.access(0)->dirty = true;  // the L2 write path marks through it
-  auto evicted = c.fill(512, LineMeta{});
+  auto evicted = c.fill(512, L2LineMeta{});
   EXPECT_FALSE(evicted.has_value());  // an invalid way is filled first
-  evicted = c.fill(1024, LineMeta{});  // evicts line 0 (LRU)
+  evicted = c.fill(1024, L2LineMeta{});  // evicts line 0 (LRU)
   ASSERT_TRUE(evicted.has_value());
   EXPECT_EQ(evicted->first, 0u);
   EXPECT_TRUE(evicted->second.dirty);
 }
 
 TEST(CacheTest, EvictionReturnsPrefetchMeta) {
-  SetAssocCache c(small_cache());
-  LineMeta pf;
+  SetAssocCache<L1LineMeta> c(small_cache());
+  L1LineMeta pf;
   pf.prefetched = true;
   c.fill(0, pf);
-  c.fill(512, LineMeta{});
-  auto evicted = c.fill(1024, LineMeta{});  // evicts line 0 (LRU)
+  c.fill(512, L1LineMeta{});
+  auto evicted = c.fill(1024, L1LineMeta{});  // evicts line 0 (LRU)
   ASSERT_TRUE(evicted.has_value());
   EXPECT_TRUE(evicted->second.prefetched);
 }
@@ -95,7 +95,7 @@ TEST_P(CacheOracleTest, MatchesReferenceModel) {
   cfg.size_bytes = 2048;
   cfg.line_size = 128;
   cfg.assoc = GetParam();
-  SetAssocCache c(cfg);
+  SetAssocCache<L1LineMeta> c(cfg);
 
   struct RefWay {
     Addr line;
@@ -118,7 +118,7 @@ TEST_P(CacheOracleTest, MatchesReferenceModel) {
       it->lru = ++clock;
     } else {
       // Model the controller: fill after miss.
-      c.fill(line, LineMeta{});
+      c.fill(line, L1LineMeta{});
       if (ways.size() < cfg.assoc) {
         ways.push_back({line, ++clock});
       } else {
@@ -560,14 +560,14 @@ TEST_P(DramPickDifferentialTest, MatchesThreeScanReference) {
         MemRequest r;
         r.line = (row * cfg.dram_banks + bank) * cfg.dram_row_bytes + col * 128;
         r.is_write = rng() % 5 == 0;
-        r.created = next_id++;  // identifies the request
+        r.sm_id = next_id++;  // identifies the request
         ch.submit(r);
         ref.submit(r);
       }
       MemRequest a, b;
       while (ch.pop_done(now, a)) {
         ASSERT_TRUE(ref.pop_done(now, b)) << "cycle " << now;
-        ASSERT_EQ(a.created, b.created) << "cycle " << now;
+        ASSERT_EQ(a.sm_id, b.sm_id) << "cycle " << now;
         ++completed;
       }
       ASSERT_FALSE(ref.pop_done(now, b)) << "cycle " << now;
@@ -670,7 +670,7 @@ struct L2Rig {
           continue;
         }
         if (done.is_write) written_back.push_back(done.line);
-        l2.dram_done(done, now);
+        l2.dram_done(done);
         ++fills;
       }
       ch.cycle(now);
@@ -807,7 +807,7 @@ TEST(L2MemoTest, ReprobingADramFullWriteHeadEveryCycleChangesNothing) {
     for (u64 stalls = 2; stalls <= kHeld + 1; ++stalls) {
       const u32 ticks = r.ticks;
       if (reprobe) {
-        r.l2.dram_done(r.held.back(), r.now);
+        r.l2.dram_done(r.held.back());
         r.held.pop_back();
         EXPECT_FALSE(r.l2.due(r.now));
         r.l2.cycle(r.now++);
@@ -989,7 +989,7 @@ TEST(L2SleepTest, FillOfTheHeadsLineWakesADramBlockedWriteHead) {
     EXPECT_EQ(r.stats().stall_dram_full, i);
   }
   EXPECT_EQ(r.ticks, ticks);
-  r.l2.dram_done(r.held.front(), r.now);
+  r.l2.dram_done(r.held.front());
   EXPECT_TRUE(r.l2.due(r.now));
   r.tick(false);
   EXPECT_EQ(r.ticks, ticks + 1);
@@ -1069,7 +1069,7 @@ TEST(L2SleepTest, FillOfAnotherLineDoesNotWakeADramBlockedHead) {
   ASSERT_EQ(r.stats().stall_dram_full, stalled + 1);
   const u32 ticks = r.ticks;
   for (u64 i = 2; i <= kHeld + 1; ++i) {
-    r.l2.dram_done(r.held.back(), r.now);
+    r.l2.dram_done(r.held.back());
     r.held.pop_back();
     r.tick(false);
     EXPECT_EQ(r.ticks, ticks);
@@ -1090,12 +1090,12 @@ TEST(L2SleepTest, FillBehindAHeadThatIsNotReadyDoesNotWakeThePartition) {
   r.tick_until([&] { return r.held.size() == 2; });
   ASSERT_EQ(r.l2.probe_queue_size(), 0u);
   ASSERT_FALSE(r.l2.due(r.now));
-  r.l2.dram_done(r.held.front(), r.now);
+  r.l2.dram_done(r.held.front());
   EXPECT_FALSE(r.l2.due(r.now));
   r.read(0x100);
   r.tick();  // woken by the accept; the head is not ready yet
   const u32 ticks = r.ticks;
-  r.l2.dram_done(r.held.back(), r.now);
+  r.l2.dram_done(r.held.back());
   EXPECT_FALSE(r.l2.due(r.now));
   r.tick_until([&] { return r.stats().misses == 3; });
   EXPECT_EQ(r.ticks, ticks + 1);  // only the head's ready_at woke it

@@ -1,4 +1,5 @@
-// Steady-state allocation test (DESIGN.md §13): after warm-up, stepping the
+// Allocation tests (DESIGN.md §13). Building the Table III machine stays
+// within a fixed number of allocations, and after warm-up, stepping the
 // simulator must perform zero heap allocations, in every Fig. 10
 // configuration. Every hot-path container — scheduler queues, LD/ST queues,
 // MSHR slots, crossbar/L2/DRAM queues, coalescer scratch, prefetcher tables —
@@ -89,6 +90,31 @@ void expect_steady_state_allocation_free(const std::string& wl,
   EXPECT_EQ(after - before, 0u)
       << (after - before) << " heap allocation(s) in a " << window
       << "-cycle steady-state window (" << wl << '/' << to_string(pf) << ')';
+}
+
+/// operator new calls while one Table III machine is built, the way the
+/// harness builds it once per run.
+std::uint64_t build_allocations(const char* wl, PrefetcherKind pf,
+                                SchedulerKind sched) {
+  const GpuConfig cfg;
+  const Kernel& kernel = find_workload(wl).kernel;
+  const SmPolicyFactories policies = make_policies(pf, sched, true);
+  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const Gpu gpu(cfg, kernel, policies);
+  return g_alloc_count.load(std::memory_order_relaxed) - before;
+}
+
+// A build allocates each component's storage once: one waiter array per
+// MSHR, a tag, stamp and metadata array per cache, one ring per queue and
+// one base array per PerCTA table (DESIGN.md §13). The ceilings are the
+// counts that design reaches; per-slot waiter vectors, per-entry base
+// vectors and per-call message strings made them 2,514 and 1,629.
+TEST(BuildAllocTest, TableIIIMachineBuildStaysWithinItsAllocations) {
+  EXPECT_LE(build_allocations("BFS", PrefetcherKind::kCaps, SchedulerKind::kPas),
+            1112u);
+  EXPECT_LE(build_allocations("MM", PrefetcherKind::kNone,
+                              default_scheduler_for(PrefetcherKind::kNone)),
+            587u);
 }
 
 TEST(SteadyStateAllocTest, CounterSeesAllocations) {

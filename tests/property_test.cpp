@@ -263,23 +263,23 @@ class DramPropertyTest : public ::testing::TestWithParam<u32> {};
 TEST_P(DramPropertyTest, EveryRequestCompletesOnce) {
   std::mt19937_64 rng(GetParam());
   GpuConfig cfg;
-  std::multiset<u64> completed;
+  std::multiset<u32> completed;
   DramChannel ch(cfg);
   const auto step = [&](Cycle now) {
     MemRequest r;
-    while (ch.pop_done(now, r)) completed.insert(r.created);
+    while (ch.pop_done(now, r)) completed.insert(r.sm_id);
     ch.cycle(now);
   };
-  std::vector<Cycle> submitted;  // a request's identity: at most one a cycle
+  std::vector<u32> submitted;  // a request's identity: at most one a cycle
   Cycle t = 0;
   while (submitted.size() < 500) {
     if (ch.can_accept() && rng() % 2 == 0) {
       MemRequest r;
       r.line = (rng() % 512) * 128;
       r.is_write = rng() % 4 == 0;
-      r.created = t;
+      r.sm_id = static_cast<u32>(t);
       ch.submit(r);
-      submitted.push_back(t);
+      submitted.push_back(r.sm_id);
     }
     step(t++);
   }
@@ -287,8 +287,8 @@ TEST_P(DramPropertyTest, EveryRequestCompletesOnce) {
        ++t)
     step(t);
   ASSERT_EQ(completed.size(), submitted.size());
-  for (const Cycle c : submitted)
-    EXPECT_EQ(completed.count(c), 1u) << "request submitted at " << c;
+  for (const u32 id : submitted)
+    EXPECT_EQ(completed.count(id), 1u) << "request submitted at " << id;
   EXPECT_EQ(ch.stats().reads + ch.stats().writes, submitted.size());
   EXPECT_EQ(ch.stats().row_hits + ch.stats().row_misses, submitted.size());
 }
