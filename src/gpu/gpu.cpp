@@ -32,9 +32,7 @@ void Gpu::dispatch_ctas() {
   // order (Fig. 3); afterwards any SM with a freed slot gets the next CTA,
   // i.e. assignment becomes demand-driven by CTA termination order.
   // The pass ends when no CTA is left or on a full round of refusals,
-  // which leaves the cursor where that round started: either way another
-  // pass changes nothing until an SM can take a CTA again, so step() skips
-  // it until then.
+  // which leaves the cursor where that round started.
   u32 scanned = 0;
   while (!distributor_.all_dispatched() && scanned < cfg_.num_sms) {
     const u32 sm_id = distributor_.rr_cursor();
@@ -48,18 +46,14 @@ void Gpu::dispatch_ctas() {
     }
     distributor_.advance_cursor();
   }
-  dispatch_blocked_ = true;
 }
 
 void Gpu::step() {
-  if (!dispatch_blocked_) dispatch_ctas();
+  dispatch_ctas();
+  // Each SM the calendar holds due acts only where its due(cycle_) holds.
   for (u64 due = mem_.calendar().take(WakeCalendar::kSm, cycle_); due != 0;
-       due &= due - 1) {
-    StreamingMultiprocessor& sm =
-        *sms_[static_cast<u32>(std::countr_zero(due))];
-    sm.cycle(cycle_);  // acts only where due(cycle_) holds
-    if (sm.can_launch_cta()) dispatch_blocked_ = false;
-  }
+       due &= due - 1)
+    sms_[static_cast<u32>(std::countr_zero(due))]->cycle(cycle_);
   mem_.cycle(cycle_);
   ++cycle_;
 }

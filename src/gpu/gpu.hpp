@@ -131,9 +131,6 @@ class Gpu {
   std::vector<std::unique_ptr<StreamingMultiprocessor>> sms_;
   CtaDistributor distributor_;
   Cycle cycle_ = 0;
-  /// The last dispatch pass left no CTA that can launch until a ticked SM
-  /// retires one.
-  bool dispatch_blocked_ = false;
   bool hit_limit_ = false;
   u64 last_progress_sig_ = 0;
   Cycle last_progress_cycle_ = 0;

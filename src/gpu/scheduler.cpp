@@ -194,7 +194,7 @@ void TwoLevelScheduler::elide_refused(Cycle from, Cycle to) {
   u32 m = 0;
   for (u32 i = 0; i < n; ++i)
     if (eligible(i)) ++m;
-  if (m == 0) return;  // every pick rotates the queue a full turn
+  CAPS_CHECK(m > 0, "elided refused span with no eligible ready warp");
   const u64 k = to - from + 1;
   u64 target = (k - 1) % m;
   u32 p = 0;

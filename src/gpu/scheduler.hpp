@@ -2,10 +2,10 @@
 //
 // The SM calls pick() up to issue_width times per cycle; the scheduler
 // returns an issue-eligible warp slot under its policy. A span of cycles
-// whose picks the LD/ST unit would only refuse, or which would find no
-// warp, reaches it as one elide_refused() call. Eligibility (ready time,
-// memory dependence, barrier state) is WarpContext::eligible(), an O(1)
-// read of state the SM keeps, so policies stay purely about ordering.
+// whose picks the LD/ST unit would only refuse reaches it as one
+// elide_refused() call. Eligibility (ready time, memory dependence, barrier
+// state) is WarpContext::eligible(), an O(1) read of state the SM keeps, so
+// policies stay purely about ordering.
 #pragma once
 
 #include <cstddef>
@@ -53,10 +53,10 @@ class Scheduler {
   virtual i32 pick(Cycle now) = 0;
 
   /// The SM skipped cycles `from` through `to`: in each, its one pick would
-  /// have returned a warp that the LD/ST unit refused, or found no warp,
-  /// with no warp-state change and no ready_at passing in between. Leave
-  /// the scheduler as those picks would have. The default replays pick()
-  /// once per cycle, so a decorator that forwards only pick() stays exact.
+  /// have returned a warp that the LD/ST unit refused, with no warp-state
+  /// change and no ready_at passing in between. Leave the scheduler as
+  /// those picks would have. The default replays pick() once per cycle, so
+  /// a decorator that forwards only pick() stays exact.
   virtual void elide_refused(Cycle from, Cycle to) {
     for (Cycle c = from; c <= to; ++c) pick(c);
   }

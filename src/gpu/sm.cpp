@@ -289,8 +289,7 @@ void StreamingMultiprocessor::cycle(Cycle now) {
     ldst_.cycle(now);
     // The demand queue pops only in the tick. While it has less room than
     // the fewest lines of any warp refused in this round, each of them is
-    // refused again: the round, or its elided span, goes on. A pop changes
-    // no warp's eligibility, so it ends no idle span.
+    // refused again: the round, or its elided span, goes on.
     if (round_min_lines_ != 0 && ldst_.can_accept(round_min_lines_))
       wake_issue(now);
   }
@@ -320,34 +319,16 @@ void StreamingMultiprocessor::cycle(Cycle now) {
   }
   // Whole-SM stall; attribute it to memory if any warp waits on loads.
   if (issued == 0 && mem_wait_warps_ > 0) ++stats_.stall_cycles_all_mem;
-  if (resident_warps_ == 0) {
-    elided_.sleep(now + 1, kNever);  // until launch_cta
-  } else if (issued == 0 && refused == kNoWarp) {
-    // No warp is eligible, and none becomes so before a hook or the next
-    // ready_at: every pick until then finds none.
-    elide(now, next_ready(now), /*refused=*/false);
-  }
+  if (resident_warps_ == 0) elided_.sleep(now + 1, kNever);  // until launch
 }
 
 Cycle StreamingMultiprocessor::next_ready(Cycle after) const {
-  // mem_wait is set only on active warps, so then every resident warp waits.
-  if (mem_wait_warps_ == resident_warps_) return kNever;
   Cycle next = kNever;
   for (const WarpContext& wc : warps_)
     if (wc.status == WarpStatus::kActive && !wc.mem_wait &&
         wc.ready_at > after)
       next = std::min(next, wc.ready_at);
   return next;
-}
-
-void StreamingMultiprocessor::elide(Cycle now, Cycle wake_at, bool refused) {
-  // Whether a warp waits on memory changes only in a hook, and every hook
-  // ends the span.
-  elided_.sleep(now + 1, wake_at);
-  elided_.owe(&SmStats::active_cycles);
-  elided_.owe(&SmStats::issue_slots, cfg_.issue_width);
-  if (refused) elided_.owe(&SmStats::stall_ldst_full);
-  if (mem_wait_warps_ > 0) elided_.owe(&SmStats::stall_cycles_all_mem);
 }
 
 void StreamingMultiprocessor::note_refused(i32 slot, Cycle now) {
@@ -372,8 +353,13 @@ void StreamingMultiprocessor::note_refused(i32 slot, Cycle now) {
     round_start_ = now;
     return;
   }
-  // Each elided cycle picks one warp and has it refused.
-  elide(now, next, /*refused=*/true);
+  // Each elided cycle picks one warp and has it refused. Whether a warp
+  // waits on memory changes only in a hook, and every hook ends the span.
+  elided_.sleep(now + 1, next);
+  elided_.owe(&SmStats::active_cycles);
+  elided_.owe(&SmStats::issue_slots, cfg_.issue_width);
+  elided_.owe(&SmStats::stall_ldst_full);
+  if (mem_wait_warps_ > 0) elided_.owe(&SmStats::stall_cycles_all_mem);
 }
 
 void StreamingMultiprocessor::end_elision(Cycle now) {

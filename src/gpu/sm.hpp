@@ -57,7 +57,7 @@ class StreamingMultiprocessor {
 
   /// Whether cycle(now) has work: the LD/ST unit is due, or the issue
   /// stage is. The issue stage sleeps while no warp is resident and while
-  /// it elides refused or idle cycles.
+  /// it elides refused cycles.
   bool due(Cycle now) const { return ldst_.due(now) || elided_.due(now); }
 
   /// Advance one cycle: the LD/ST unit and the issue stage each act only
@@ -88,8 +88,8 @@ class StreamingMultiprocessor {
   // misses through on_load_done / on_prefetch_fill / on_demand_miss.
   friend class LdStUnit;
 
-  /// End any elided span of refused or idle issue cycles before an event
-  /// at `now` changes what the issue stage would do: count the span through
+  /// End any elided span of refused issue cycles before an event at `now`
+  /// changes what the issue stage would do: count the span through
   /// `now - 1` and replay it into the scheduler. Also restarts round
   /// detection. Every hook calls it before it changes warp state.
   void wake_issue(Cycle now) {
@@ -99,11 +99,10 @@ class StreamingMultiprocessor {
   }
   void end_elision(Cycle now);
   /// The first-slot pick at `now` returned `slot`, which the LD/ST unit
-  /// refused. Starts eliding once a whole round of refusals repeats.
+  /// refused. Once a whole round of refusals repeats, elides the issue
+  /// cycles after `now` until a hook or the next ready_at: each would
+  /// repeat a pick of the round, refused.
   void note_refused(i32 slot, Cycle now);
-  /// Elide the issue cycles after `now` until `wake_at` or a hook: each
-  /// would repeat this cycle's pick, refused (`refused`) or finding no warp.
-  void elide(Cycle now, Cycle wake_at, bool refused);
   /// The earliest ready_at after `after` of an active warp that does not
   /// wait on memory; kNever if none.
   Cycle next_ready(Cycle after) const;
@@ -151,10 +150,9 @@ class StreamingMultiprocessor {
   // Issue elision (DESIGN.md §13). A round starts at the first refused
   // first-slot pick after a warp-state change; when the same warp is
   // refused again, the issue stage repeats the round until a hook or the
-  // next ready_at, so it stops picking and counts the span instead. A
-  // first-slot pick that finds no warp repeats the same way. An open span
-  // always owes active_cycles; with no warp resident the stage sleeps
-  // owing nothing until a launch.
+  // next ready_at, so it stops picking and counts the span instead. An
+  // open span always owes active_cycles; with no warp resident the stage
+  // sleeps owing nothing until a launch.
   i32 round_warp_ = kNoWarp;   ///< first warp refused in this round
   Cycle round_start_ = 0;      ///< cycle round_warp_ was refused
   u32 round_min_lines_ = 0;    ///< fewest stalled_lines refused this round;
