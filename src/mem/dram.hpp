@@ -4,13 +4,11 @@
 // cycles; the channel scales them to core cycles once, at construction.
 #pragma once
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
 #include "common/config.hpp"
 #include "common/flat_deque.hpp"
-#include "common/sleep_ledger.hpp"
 #include "common/stats.hpp"
 #include "mem/memory_request.hpp"
 
@@ -56,35 +54,17 @@ class DramChannel {
 
   /// Advance one core cycle: schedule at most one command, and return
   /// whether it did (a command frees a queue slot). Before next_pick_at_
-  /// no command can start, so the cycle only counts as busy. A cycle
-  /// before next_event() does nothing else, so it may be skipped, except
-  /// the first cycle of a queue that a submit() made non-empty: that one
-  /// starts a busy span.
+  /// no command can start, so the cycle only counts as busy.
   bool cycle(Cycle now) {
     if (queue_.empty()) return false;
-    if (!busy_.owes(&DramStats::busy_cycles)) {
-      busy_.sleep(now, kNever);
-      busy_.owe(&DramStats::busy_cycles);
-    }
+    ++stats_.busy_cycles;
     if (now < next_pick_at_) return false;
     issue(now);
-    if (queue_.empty()) busy_.settle(stats_, now + 1);
     return true;
   }
 
-  /// The first cycle at which pop_done() or cycle() has work: the first
-  /// completion or next_pick_at_ (kNever while the channel is idle).
-  Cycle next_event() const {
-    return in_service_.empty() ? next_pick_at_
-                               : std::min(next_pick_at_,
-                                          in_service_.front().first);
-  }
-
   bool idle() const { return queue_.empty() && in_service_.empty(); }
-  /// Counters as of the last command; add_busy() adds the open busy span.
   const DramStats& stats() const { return stats_; }
-  /// Add to `s` the busy cycles of the open span before cycle `now`.
-  void add_busy(DramStats& s, Cycle now) const { busy_.add_to(s, now); }
 
   std::size_t queue_size() const { return queue_.size(); }
   std::size_t queue_capacity() const { return queue_capacity_; }
@@ -142,8 +122,6 @@ class DramChannel {
   FlatDeque<std::pair<Cycle, MemRequest>> in_service_;
 
   DramStats stats_;
-  /// busy_cycles, counted in bulk over each span with a non-empty queue.
-  SleepLedger<DramStats> busy_;
 };
 
 }  // namespace caps
