@@ -23,8 +23,7 @@ int main(int argc, char** argv) {
 
   const Addr pc = collector.hottest_pc();
   const u32 wpc = find_workload("MM").kernel.warps_per_cta();
-  const auto points =
-      analyze_stride_distance(collector.events(), pc, 10, wpc);
+  const auto points = analyze_stride_distance(collector.events(), pc, 10);
 
   Table t({"distance", "accuracy", "gap_cycles", "pairs"});
   for (const StrideDistancePoint& p : points)

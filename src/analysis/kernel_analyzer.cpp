@@ -48,41 +48,11 @@ u64 wrap_offset(const AddressPattern& p, i64 offset) {
   return p.wrap_bytes == 0 ? uoffset : (uoffset & (p.wrap_bytes - 1));
 }
 
-/// Loop-nesting context of every instruction: innermost trip count and the
-/// product of all enclosing trips.
-struct LoopContext {
-  u32 innermost_trip = 1;
-  u64 trip_product = 1;
-  bool in_loop = false;
-};
-
-std::vector<LoopContext> loop_contexts(const Kernel& k) {
-  std::vector<LoopContext> ctx(k.instructions().size());
-  std::vector<u32> trips;  // enclosing trip counts, outermost first
-  u64 product = 1;
-  for (u32 i = 0; i < k.instructions().size(); ++i) {
-    const Instruction& ins = k.instruction(i);
-    if (ins.op == Opcode::kLoopEnd) {
-      product /= trips.back();
-      trips.pop_back();
-    }
-    ctx[i].in_loop = !trips.empty();
-    ctx[i].trip_product = product;
-    ctx[i].innermost_trip = trips.empty() ? 1 : trips.back();
-    if (ins.op == Opcode::kLoopBegin) {
-      trips.push_back(ins.trip_count);
-      product *= ins.trip_count;
-    }
-  }
-  return ctx;
-}
-
 /// Analyze one affine load by exact enumeration of every (cta, iteration,
 /// warp) issue. Suite kernels stay well under ~10^5 warp issues, so exact
 /// enumeration is cheap and avoids any sampling blind spot.
 void analyze_affine(LoadAnalysis& la, const Dim3& grid, const Dim3& block,
-                    u32 warps_per_cta, u32 line_size, u32 max_lines,
-                    u64 outer_mult) {
+                    u32 warps_per_cta, u32 line_size, u64 outer_mult) {
   const AddressPattern& p = la.pattern;
   const u32 threads = block.count();
 
@@ -126,7 +96,8 @@ void analyze_affine(LoadAnalysis& la, const Dim3& grid, const Dim3& block,
         const u32 n = static_cast<u32>(warp_lines[w].size());
         if (max_lines_seen != 0 && n != max_lines_seen) count_uniform = false;
         max_lines_seen = std::max(max_lines_seen, n);
-        if (n > max_lines) uncoalesced_issues += outer_mult;
+        if (n > CapsConfig::kMaxCoalescedLines)
+          uncoalesced_issues += outer_mult;
       }
       if (p.wrap_bytes != 0) {
         if (off_min < 0 || off_max >= static_cast<i64>(p.wrap_bytes))
@@ -175,7 +146,7 @@ void analyze_affine(LoadAnalysis& la, const Dim3& grid, const Dim3& block,
         affine_offset(p, t1, {0, 0}, 0) - affine_offset(p, t0, {0, 0}, 0);
   }
 
-  if (max_lines_seen > max_lines) {
+  if (max_lines_seen > CapsConfig::kMaxCoalescedLines) {
     la.cls = LoadClass::kUncoalesced;
   } else if (!stride_known || (!uniform && !wrap_hazard)) {
     // Non-uniform deltas with no wrap seam to blame: genuinely non-strided.
@@ -196,6 +167,27 @@ void analyze_affine(LoadAnalysis& la, const Dim3& grid, const Dim3& block,
 }
 
 }  // namespace
+
+std::vector<LoopContext> loop_contexts(const Kernel& k) {
+  std::vector<LoopContext> ctx(k.instructions().size());
+  std::vector<u32> trips;  // enclosing trip counts, outermost first
+  u64 product = 1;
+  for (u32 i = 0; i < k.instructions().size(); ++i) {
+    const Instruction& ins = k.instruction(i);
+    if (ins.op == Opcode::kLoopEnd) {
+      product /= trips.back();
+      trips.pop_back();
+    }
+    ctx[i].in_loop = !trips.empty();
+    ctx[i].trip_product = product;
+    ctx[i].innermost_trip = trips.empty() ? 1 : trips.back();
+    if (ins.op == Opcode::kLoopBegin) {
+      trips.push_back(ins.trip_count);
+      product *= ins.trip_count;
+    }
+  }
+  return ctx;
+}
 
 Addr affine_lane_address(const AddressPattern& p, const Dim3& tid,
                          const Dim3& cta, u32 iter) {
@@ -228,7 +220,6 @@ KernelAnalysis analyze_kernel(const Kernel& k, const GpuConfig& cfg) {
   ka.block = k.block();
   ka.warps_per_cta = k.warps_per_cta();
   ka.line_size = cfg.l1d.line_size;
-  ka.max_coalesced_lines = cfg.caps.max_coalesced_lines;
 
   const std::vector<LoopContext> ctx = loop_contexts(k);
   const u64 warp_issues_per_pc =
@@ -257,7 +248,7 @@ KernelAnalysis analyze_kernel(const Kernel& k, const GpuConfig& cfg) {
       // so per-issue counts scale by the enclosing-trip product.
       const u64 outer_mult = la.trip_product / la.innermost_trip;
       analyze_affine(la, k.grid(), k.block(), ka.warps_per_cta, ka.line_size,
-                     ka.max_coalesced_lines, outer_mult);
+                     outer_mult);
       ka.predicted_excluded_uncoalesced += la.predicted_uncoalesced_issues;
     }
     ka.loads.push_back(la);

@@ -40,7 +40,7 @@ enum class LoadClass : u8 {
   /// Data-dependent address: the register-trace oracle excludes it
   /// (excluded_indirect) before any table is touched.
   kIndirect,
-  /// Coalesces to more than caps.max_coalesced_lines lines at warp
+  /// Coalesces to more than CapsConfig::kMaxCoalescedLines lines at warp
   /// granularity: excluded_uncoalesced.
   kUncoalesced,
   /// Affine, but consecutive-warp line deltas are not one uniform value, so
@@ -83,7 +83,7 @@ struct LoadAnalysis {
   bool uniform_line_count = true;  ///< every (cta, iter, warp) issue
                                    ///  coalesces to the same number of lines
   u32 lines_per_warp = 0;   ///< max coalesced lines per warp-level issue
-  /// Dynamic issues whose line count exceeds max_coalesced_lines (each one
+  /// Dynamic issues whose line count exceeds kMaxCoalescedLines (each one
   /// bumps the runtime excluded_uncoalesced counter).
   u64 predicted_uncoalesced_issues = 0;
   i64 warp_stride_bytes = 0;  ///< lane-0 byte delta between adjacent warps
@@ -116,7 +116,6 @@ struct KernelAnalysis {
   Dim3 block{};
   u32 warps_per_cta = 0;
   u32 line_size = 0;
-  u32 max_coalesced_lines = 0;
   std::vector<LoadAnalysis> loads;
 
   // Predicted CAP table state / quality counters for a complete run.
@@ -130,8 +129,20 @@ struct KernelAnalysis {
 };
 
 /// Analyze every global load of `k` under the CAP parameters in `cfg`
-/// (line size, max_coalesced_lines, table capacities).
+/// (line size, table capacities).
 KernelAnalysis analyze_kernel(const Kernel& k, const GpuConfig& cfg = {});
+
+/// Loop-nesting context of one instruction: innermost trip count and the
+/// product of all enclosing trips.
+struct LoopContext {
+  u32 innermost_trip = 1;
+  u64 trip_product = 1;
+  bool in_loop = false;
+};
+
+/// The loop context of every instruction of `k`, indexed like
+/// k.instructions().
+std::vector<LoopContext> loop_contexts(const Kernel& k);
 
 // --- independent address algebra (exposed for the oracle + tests) ---------
 

@@ -47,8 +47,7 @@ std::string flags_of(const LoadAnalysis& l) {
   else if (l.wrap_engaged) add("wrap-aliased");
   if (l.partial_tail_warp) add("partial-warp");
   if (!l.uniform_line_count) add("varying-lines");
-  if (f.empty()) f = "-";
-  return f;
+  return f.empty() ? std::string(1, '-') : f;
 }
 
 void json_str(std::ostringstream& os, const char* key, const std::string& v,

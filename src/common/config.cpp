@@ -83,8 +83,6 @@ void GpuConfig::validate() const {
   require(core_clock_mhz >= dram_clock_mhz, "core clock must be >= DRAM clock");
   require(caps.percta_entries > 0, "PerCTA table needs entries");
   require(caps.dist_entries > 0, "DIST table needs entries");
-  require(caps.max_coalesced_lines >= 1 && caps.max_coalesced_lines <= kWarpSize,
-          "max coalesced lines out of range");
   require(baseline_pf.stride_table_entries > 0, "stride table needs entries");
   require(baseline_pf.degree >= 1, "prefetch degree must be positive");
   require(baseline_pf.macro_block_lines >= 2, "macro block must span >=2 lines");

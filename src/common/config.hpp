@@ -65,8 +65,11 @@ struct CapsConfig {
   u32 percta_entries = 4;     ///< entries per PerCTA table
   u32 dist_entries = 4;       ///< entries in the shared DIST table
   u32 mispredict_threshold = 128;
-  u32 max_coalesced_lines = 4;  ///< loads generating more lines are skipped
-  bool eager_wakeup = true;     ///< promote bound warp when prefetch fills
+  bool eager_wakeup = true;  ///< promote bound warp when prefetch fills
+
+  /// Base lines a PerCTA entry holds (Table I); loads generating more lines
+  /// are skipped.
+  static constexpr u32 kMaxCoalescedLines = 4;
 };
 
 /// Tunables shared by the baseline prefetchers.

@@ -4,12 +4,11 @@
 namespace caps {
 
 CapsPrefetcher::CapsPrefetcher(const GpuConfig& cfg)
-    : ccfg_(cfg.caps),
-      dist_(cfg.caps.dist_entries, cfg.caps.mispredict_threshold),
+    : dist_(cfg.caps.dist_entries, cfg.caps.mispredict_threshold),
       ctas_(cfg.max_ctas_per_sm) {
   percta_.reserve(cfg.max_ctas_per_sm);
   for (u32 c = 0; c < cfg.max_ctas_per_sm; ++c)
-    percta_.emplace_back(cfg.caps.percta_entries, cfg.caps.max_coalesced_lines);
+    percta_.emplace_back(cfg.caps.percta_entries);
 }
 
 void CapsPrefetcher::on_cta_launch(u32 cta_slot, const Dim3& cta_id,
@@ -49,7 +48,7 @@ void CapsPrefetcher::on_load_issue(const LoadIssueInfo& info,
     ++stats_.excluded_indirect;
     return;
   }
-  if (info.lines.size() > ccfg_.max_coalesced_lines) {
+  if (info.lines.size() > CapsConfig::kMaxCoalescedLines) {
     ++stats_.excluded_uncoalesced;
     return;
   }

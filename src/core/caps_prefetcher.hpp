@@ -63,7 +63,6 @@ class CapsPrefetcher final : public Prefetcher {
   void generate_for_cta(u32 cta_slot, Addr pc, PerCtaEntry& entry, i64 stride,
                         std::vector<PrefetchRequest>& out);
 
-  const CapsConfig& ccfg_;
   DistTable dist_;
   std::vector<PerCtaTable> percta_;  ///< per CTA slot
   std::vector<CtaInfo> ctas_;

@@ -1,47 +1,52 @@
 // DIST table (Section V-B): a single table per SM, shared by all CTAs,
 // because the inter-warp stride of a load is one kernel-wide constant.
-// Each entry: load PC, stride, and a one-byte misprediction counter that
-// throttles prefetching for the PC once it crosses the threshold. Sticky
-// admission is its own replacement rule, so it keeps its own slot array
-// rather than LruTable's.
+// Each entry: load PC (the table key), stride, and a one-byte misprediction
+// counter that throttles prefetching for the PC once it crosses the
+// threshold. Admission is sticky: only a throttled entry may be replaced.
 #pragma once
 
-#include <span>
-#include <vector>
-
 #include "common/types.hpp"
+#include "prefetch/lru_table.hpp"
 
 namespace caps {
 
 class DistTable {
  public:
   struct Entry {
-    bool valid = false;
-    Addr pc = 0;
     i64 stride = 0;
     u8 mispredicts = 0;  ///< saturating, 1 byte as in Table I
-    u64 lru = 0;
+
+    void clear() { *this = Entry{}; }
   };
 
   DistTable(u32 num_entries, u32 mispredict_threshold)
-      : entries_(num_entries), threshold_(mispredict_threshold) {}
+      : table_(num_entries), threshold_(mispredict_threshold) {}
 
-  Entry* find(Addr pc);
+  Entry* find(Addr pc) { return table_.find(pc); }
 
   /// Read-only lookup for introspection (oracle cross-checker, tests):
   /// unlike find(), does NOT refresh the LRU stamp, so observing the table
   /// can never perturb replacement.
-  const Entry* find(Addr pc) const;
+  const Entry* find(Addr pc) const { return table_.find(pc); }
 
-  /// All entries (valid and not), read-only, for introspection.
-  std::span<const Entry> entries() const { return entries_; }
+  /// fn(pc, entry) for every valid entry, in slot order, read-only.
+  template <typename Fn>
+  void for_each(Fn fn) const {
+    table_.for_each(fn);
+  }
 
   /// Record a confirmed stride for `pc` (resets the misprediction counter).
   /// The table is sticky: when all entries are valid and healthy the new PC
   /// is NOT admitted (returns nullptr) — CAPS targets at most `capacity`
   /// distinct loads per kernel (Section V-B: "at most four distinct
   /// loads"). Throttled entries are eligible victims.
-  Entry* record(Addr pc, i64 stride);
+  Entry* record(Addr pc, i64 stride) {
+    Entry* e = table_.find(pc);
+    if (e == nullptr)
+      e = table_.insert_if(pc, [&](const Entry& v) { return throttled(v); });
+    if (e != nullptr) *e = Entry{stride, 0};
+    return e;
+  }
 
   /// Bump the misprediction counter (saturating at 255).
   void mispredict(Entry& e) {
@@ -52,17 +57,19 @@ class DistTable {
   /// threshold (128 by default).
   bool throttled(const Entry& e) const { return e.mispredicts > threshold_; }
 
-  /// Whether a new PC could still be admitted by record().
+  /// Whether a new PC could still be admitted by record(): a slot is free
+  /// or throttled.
   bool can_admit() const {
-    for (const Entry& e : entries_)
-      if (!e.valid || throttled(e)) return true;
-    return false;
+    u32 healthy = 0;
+    table_.for_each([&](Addr, const Entry& e) {
+      if (!throttled(e)) ++healthy;
+    });
+    return healthy < table_.capacity();
   }
 
  private:
-  std::vector<Entry> entries_;
+  LruTable<Addr, Entry> table_;
   u32 threshold_;
-  u64 clock_ = 0;
 };
 
 }  // namespace caps

@@ -12,7 +12,7 @@ namespace caps {
 struct PerCtaEntryLayout {
   u32 pc_bytes = 4;
   u32 leading_warp_bytes = 1;
-  u32 base_vector_bytes = 4 * 4;
+  u32 base_vector_bytes = CapsConfig::kMaxCoalescedLines * 4;
   u32 total() const { return pc_bytes + leading_warp_bytes + base_vector_bytes; }
 };
 

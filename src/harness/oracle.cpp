@@ -181,52 +181,51 @@ void check_dist_tables(const Gpu& gpu, const GpuConfig& gc,
                "SM " + std::to_string(i) + " is not running CAPS");
       continue;
     }
-    for (const DistTable::Entry& e : cp->dist().entries()) {
-      if (!e.valid) continue;
-      const analysis::LoadAnalysis* la = ka.find(e.pc);
+    cp->dist().for_each([&](Addr pc, const DistTable::Entry& e) {
+      const analysis::LoadAnalysis* la = ka.find(pc);
       if (la == nullptr) {
-        sink.add(e.pc, "unknown-pc",
-                 "DIST learned PC " + hex_addr(e.pc) +
+        sink.add(pc, "unknown-pc",
+                 "DIST learned PC " + hex_addr(pc) +
                      " that is not a static global load");
-        continue;
+        return;
       }
       if (la->cls == analysis::LoadClass::kIndirect) {
-        sink.add(e.pc, "learned-indirect",
-                 "DIST learned indirect PC " + hex_addr(e.pc) +
+        sink.add(pc, "learned-indirect",
+                 "DIST learned indirect PC " + hex_addr(pc) +
                      ": the register-trace oracle should exclude it before "
                      "any table access");
-        continue;
+        return;
       }
       if (la->cls == analysis::LoadClass::kUncoalesced &&
           la->uniform_line_count) {
-        sink.add(e.pc, "learned-uncoalesced",
-                 "DIST learned always-uncoalesced PC " + hex_addr(e.pc));
-        continue;
+        sink.add(pc, "learned-uncoalesced",
+                 "DIST learned always-uncoalesced PC " + hex_addr(pc));
+        return;
       }
       if (!la->prefetchable()) {
         // Sometimes-uncoalesced or non-strided loads can legitimately train
         // on a locally-uniform warp pair; record, don't gate.
-        notes.push_back("PC " + hex_addr(e.pc) + " (" + to_string(la->cls) +
+        notes.push_back("PC " + hex_addr(pc) + " (" + to_string(la->cls) +
                           ") transiently learned stride " +
                           std::to_string(e.stride));
-        continue;
+        return;
       }
       if (e.stride != la->line_stride) {
         if (la->wrap_hazard) {
           notes.push_back(
-              "PC " + hex_addr(e.pc) + " learned stride " +
+              "PC " + hex_addr(pc) + " learned stride " +
               std::to_string(e.stride) + " != static " +
               std::to_string(la->line_stride) +
               " across a wrap seam (expected for wrap-hazard loads)");
         } else {
-          sink.add(e.pc, "stride-mismatch",
-                   "PC " + hex_addr(e.pc) + ": DIST learned stride " +
+          sink.add(pc, "stride-mismatch",
+                   "PC " + hex_addr(pc) + ": DIST learned stride " +
                        std::to_string(e.stride) + ", static analysis says " +
                        std::to_string(la->line_stride));
         }
       }
-      learned[e.pc] = true;
-    }
+      learned[pc] = true;
+    });
   }
 
   // Completeness: when DIST capacity admits every prefetchable PC and CTAs

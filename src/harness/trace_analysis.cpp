@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "analysis/kernel_analyzer.hpp"
+
 namespace caps {
 
 Addr LoadTraceCollector::hottest_pc() const {
@@ -20,8 +22,7 @@ Addr LoadTraceCollector::hottest_pc() const {
 }
 
 std::vector<StrideDistancePoint> analyze_stride_distance(
-    const std::vector<TraceEvent>& events, Addr pc, u32 max_distance,
-    u32 warps_per_cta) {
+    const std::vector<TraceEvent>& events, Addr pc, u32 max_distance) {
   // First execution of `pc` per (SM, warp slot): the initial generation of
   // warps, i.e. the CTAs resident after the round-robin fill. Warp-slot
   // distance then matches the paper's "distance between warps" x-axis.
@@ -61,7 +62,6 @@ std::vector<StrideDistancePoint> analyze_stride_distance(
       votes = n;
     }
   }
-  (void)warps_per_cta;
 
   std::vector<StrideDistancePoint> out;
   for (u32 d = 1; d <= max_distance; ++d) {
@@ -99,33 +99,17 @@ double LoadLoopProfile::top4_mean() const {
 }
 
 LoadLoopProfile analyze_load_loops(const Kernel& kernel) {
-  // Walk the program once, tracking the loop multiplier, to compute how
-  // many times each static load executes per warp.
+  // A static load executes once per warp per pass of its enclosing loops.
   LoadLoopProfile prof;
-  std::vector<u64> mult_stack{1};
+  const std::vector<analysis::LoopContext> ctx =
+      analysis::loop_contexts(kernel);
   std::vector<u64> executions;
-  for (const Instruction& ins : kernel.instructions()) {
-    switch (ins.op) {
-      case Opcode::kLoopBegin:
-        mult_stack.push_back(mult_stack.back() * ins.trip_count);
-        break;
-      case Opcode::kLoopEnd:
-        mult_stack.pop_back();
-        break;
-      case Opcode::kMem:
-        if (ins.is_load) {
-          ++prof.total_loads;
-          executions.push_back(mult_stack.back());
-          if (mult_stack.back() > 1) ++prof.repeated_loads;
-        }
-        break;
-      case Opcode::kAlu:
-      case Opcode::kSfu:
-      case Opcode::kShared:
-      case Opcode::kBarrier:
-      case Opcode::kExit:
-        break;
-    }
+  for (u32 i = 0; i < kernel.instructions().size(); ++i) {
+    const Instruction& ins = kernel.instruction(i);
+    if (ins.op != Opcode::kMem || !ins.is_load) continue;
+    ++prof.total_loads;
+    executions.push_back(ctx[i].trip_product);
+    if (ctx[i].trip_product > 1) ++prof.repeated_loads;
   }
   std::sort(executions.rbegin(), executions.rend());
   executions.resize(std::min<std::size_t>(executions.size(), 4));

@@ -40,8 +40,7 @@ struct StrideDistancePoint {
 /// gap as a function of warp distance, computed from the first generation
 /// of warps on each SM for the hottest load PC.
 std::vector<StrideDistancePoint> analyze_stride_distance(
-    const std::vector<TraceEvent>& events, Addr pc, u32 max_distance,
-    u32 warps_per_cta);
+    const std::vector<TraceEvent>& events, Addr pc, u32 max_distance);
 
 /// Fig. 4 static+dynamic load analysis of a kernel.
 struct LoadLoopProfile {

@@ -19,7 +19,7 @@ namespace {
 // --------------------------------------------------------- PerCTA table ---
 
 TEST(PerCtaTableTest, InsertAndFind) {
-  PerCtaTable t(4, 4);
+  PerCtaTable t(4);
   auto& e = t.insert(0x10);
   e.leading_warp = 2;
   const Addr base = 0x1000;
@@ -30,7 +30,7 @@ TEST(PerCtaTableTest, InsertAndFind) {
 }
 
 TEST(PerCtaTableTest, EraseAndClear) {
-  PerCtaTable t(4, 4);
+  PerCtaTable t(4);
   t.insert(0x10);
   t.insert(0x20);
   t.erase(0x10);
@@ -38,33 +38,6 @@ TEST(PerCtaTableTest, EraseAndClear) {
   EXPECT_EQ(t.size(), 1u);
   t.clear();
   EXPECT_EQ(t.size(), 0u);
-}
-
-TEST(PerCtaTableTest, ReusedEntryKeepsReservedBases) {
-  PerCtaTable t(1, 4);
-  const Addr* storage = t.insert(0x10).bases().data();
-  const Addr lines[] = {0x1000, 0x1080, 0x1100, 0x1180};
-  t.find(0x10)->set_bases(lines);
-  auto& e = t.insert(0x20);  // evicts 0x10
-  EXPECT_TRUE(e.bases().empty());
-  EXPECT_EQ(e.bases().data(), storage);
-}
-
-TEST(PerCtaTableTest, EntriesShareOneBaseArray) {
-  PerCtaTable t(2, 3);
-  auto& a = t.insert(0x10);
-  auto& b = t.insert(0x20);
-  const Addr la[] = {0x1000, 0x1080, 0x1100};
-  const Addr lb[] = {0x2000, 0x2080};
-  a.set_bases(la);
-  b.set_bases(lb);
-  // Each entry has its own max_bases lines of the table's array.
-  EXPECT_EQ(b.bases().data() - a.bases().data(), 3);
-  EXPECT_TRUE(std::equal(a.bases().begin(), a.bases().end(), la));
-  EXPECT_TRUE(std::equal(b.bases().begin(), b.bases().end(), lb));
-  PerCtaTable moved = std::move(t);  // entries keep their storage
-  EXPECT_EQ(moved.find(0x10)->bases()[2], 0x1100u);
-  EXPECT_EQ(moved.find(0x20)->bases().size(), 2u);
 }
 
 // ----------------------------------------------------------- DIST table ---

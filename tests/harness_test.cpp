@@ -153,7 +153,7 @@ TEST(TraceAnalysisTest, StrideDistanceDetectsCtaBoundary) {
   for (u32 w = 0; w < 4; ++w)
     add(static_cast<i32>(4 + w), 7, 0x95000 + w * 256, 100 + 10 * w);
 
-  auto pts = analyze_stride_distance(events, 0x40, 7, 4);
+  auto pts = analyze_stride_distance(events, 0x40, 7);
   ASSERT_EQ(pts.size(), 7u);
   // Distance 1: 6 of 7 pairs correct (the one crossing CTAs is wrong).
   EXPECT_EQ(pts[0].distance, 1u);
@@ -178,7 +178,7 @@ TEST(TraceAnalysisTest, FirstExecutionOnlyIsKept) {
   e.warp_slot = 1;
   e.line = 0x1100;
   events.push_back(e);
-  auto pts = analyze_stride_distance(events, 0x40, 1, 4);
+  auto pts = analyze_stride_distance(events, 0x40, 1);
   EXPECT_DOUBLE_EQ(pts[0].accuracy, 1.0);  // 0x1000 -> 0x1100 stride held
 }
 

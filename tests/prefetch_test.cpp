@@ -68,8 +68,9 @@ TEST(StrideTableTest, EvictedKeyStartsFresh) {
 // -------------------------------------------------------------- LruTable ---
 
 /// A replacement script over a small key space and the keys it leaves
-/// resident. Ops: "+k" insert, "?k" find (refreshes), "=k" const find (must
-/// not refresh), "-k" erase.
+/// resident. Ops: "+k" insert, "!k" insert that may evict only odd keys
+/// (refused when none is resident), "?k" find (refreshes), "=k" const find
+/// (must not refresh), "-k" erase.
 struct LruScript {
   const char* name;
   u32 capacity;
@@ -95,6 +96,14 @@ TEST_P(LruTableTest, ReplacementFollowsScript) {
         Payload& p = t.insert(k);
         EXPECT_EQ(p.v, 0u) << op << ": insert hands out a cleared entry";
         p.v = k;
+        break;
+      }
+      case '!': {
+        Payload* p =
+            t.insert_if(k, [](const Payload& e) { return e.v % 2 == 1; });
+        if (p == nullptr) break;
+        EXPECT_EQ(p->v, 0u) << op << ": insert_if hands out a cleared entry";
+        p->v = k;
         break;
       }
       case '?': t.find(k); break;
@@ -125,7 +134,12 @@ INSTANTIATE_TEST_SUITE_P(
         LruScript{"ReusesFreedSlot", 2, "+1 +2 ?1 -1 +3", {2, 3}},
         LruScript{"ClearedTableRefills", 2, "+1 +2 -1 -2 +3 +4", {3, 4}},
         // The const find leaves the stamp alone: 1 stays the LRU slot.
-        LruScript{"ConstFindDoesNotRefresh", 2, "+1 +2 =1 +3", {2, 3}}),
+        LruScript{"ConstFindDoesNotRefresh", 2, "+1 +2 =1 +3", {2, 3}},
+        // Sticky admission (the DIST table): free slots first, then the
+        // least recently used accepted key (1, not the older 4), then no
+        // slot at all once no accepted key is resident (8 is refused).
+        LruScript{"InsertIfEvictsOnlyAccepted", 3, "!2 !4 +1 ?2 !6 !8",
+                  {2, 4, 6}}),
     [](const ::testing::TestParamInfo<LruScript>& script) {
       return std::string(script.param.name);
     });
