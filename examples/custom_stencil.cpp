@@ -4,6 +4,7 @@
 // (Section IV: theta = C1 + C2*C3 per CTA plus a threadIdx stride), and the
 // compute between loads — then sweep policies.
 #include <cstdio>
+#include <string>
 
 #include "harness/experiment.hpp"
 #include "isa/kernel.hpp"
@@ -48,6 +49,7 @@ int main() {
 
   std::printf("%-24s %10s %8s %10s\n", "configuration", "cycles", "IPC",
               "L1 miss");
+  bool all_ok = true;
   for (auto [label, sched, pf] :
        {std::tuple{"LRR", SchedulerKind::kLrr, PrefetcherKind::kNone},
         std::tuple{"GTO", SchedulerKind::kGto, PrefetcherKind::kNone},
@@ -56,11 +58,23 @@ int main() {
         std::tuple{"PAS + CAPS", SchedulerKind::kPas, PrefetcherKind::kCaps}}) {
     GpuConfig cfg;
     SmPolicyFactories pol = make_policies(pf, sched, true);
-    Gpu gpu(cfg, k, pol);
-    const GpuStats s = gpu.run();
+    GpuStats s;
+    std::string error;
+    try {
+      Gpu gpu(cfg, k, pol);
+      s = gpu.run();
+      if (!s.audit_clean()) error = s.audit_violations.front();
+    } catch (...) {
+      error = current_run_fault().error;
+    }
+    if (!error.empty()) {
+      std::fprintf(stderr, "%s: run failed: %s\n", label, error.c_str());
+      all_ok = false;
+      continue;
+    }
     std::printf("%-24s %10llu %8.1f %9.1f%%\n", label,
                 static_cast<unsigned long long>(s.cycles), s.ipc(),
                 100.0 * s.l1_miss_rate());
   }
-  return 0;
+  return all_ok ? 0 : 1;
 }

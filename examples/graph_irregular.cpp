@@ -15,6 +15,7 @@ int main() {
               "caps-cyc", "speedup", "coverage", "accuracy", "excl.indir",
               "mispred");
 
+  bool all_ok = true;
   for (const std::string& name : irregular_workload_names()) {
     RunConfig rc;
     rc.workload = name;
@@ -22,6 +23,12 @@ int main() {
     const RunResult base = run_experiment(rc);
     rc.prefetcher = PrefetcherKind::kCaps;
     const RunResult caps_run = run_experiment(rc);
+    for (const RunResult* r : {&base, &caps_run}) {
+      if (r->ok()) continue;
+      std::fprintf(stderr, "%s: run failed: %s\n", name.c_str(),
+                   r->error.c_str());
+      all_ok = false;
+    }
 
     const GpuStats& s = caps_run.stats;
     std::printf("%-5s %9llu %9llu %8.3fx %9.1f%% %10.1f%% %11llu %10llu\n",
@@ -40,5 +47,5 @@ int main() {
               "what CAPS does prefetch — the thread-indexed metadata like\n"
               "g_graph_mask[tid] in Fig. 6b — it prefetches accurately, so\n"
               "the irregular suite still comes out ahead (paper: +6%%).\n");
-  return 0;
+  return all_ok ? 0 : 1;
 }

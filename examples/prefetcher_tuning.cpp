@@ -10,13 +10,24 @@ using namespace caps;
 
 namespace {
 
+bool all_ok = true;
+
+/// Cycles of one run; a failed run is reported and clears all_ok.
+double cycles(const RunConfig& rc) {
+  const RunResult r = run_experiment(rc);
+  if (!r.ok()) {
+    std::fprintf(stderr, "%s: run failed: %s\n", rc.workload.c_str(),
+                 r.error.c_str());
+    all_ok = false;
+  }
+  return static_cast<double>(r.stats.cycles);
+}
+
 double speedup(const RunConfig& caps_cfg) {
   RunConfig base = caps_cfg;
   base.prefetcher = PrefetcherKind::kNone;
   base.scheduler = SchedulerKind::kTwoLevel;
-  const double b = static_cast<double>(run_experiment(base).stats.cycles);
-  const double c = static_cast<double>(run_experiment(caps_cfg).stats.cycles);
-  return b / c;
+  return cycles(base) / cycles(caps_cfg);
 }
 
 }  // namespace
@@ -72,5 +83,5 @@ int main() {
 
   std::printf("\nThe paper's 4-entry/128-threshold defaults sit at the knee:"
               "\nmore entries buy little, tighter throttles clip coverage.\n");
-  return 0;
+  return all_ok ? 0 : 1;
 }

@@ -51,11 +51,19 @@ int main() {
   SmPolicyFactories pol =
       make_policies(PrefetcherKind::kNone, SchedulerKind::kTwoLevel, true);
   Gpu gpu(tiny.base, mm.kernel, pol);
-  gpu.run();
+  bool tiny_ok = false;
+  try {
+    tiny_ok = gpu.run().audit_clean();
+  } catch (const SimError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+  }
   std::printf("\nCTA distribution with 3 SMs / 2 CTA slots (first 10):\n  ");
   const auto& log = gpu.distributor().log();
   for (std::size_t i = 0; i < 10 && i < log.size(); ++i)
     std::printf("CTA%u->SM%u  ", log[i].cta_flat, log[i].sm_id);
   std::printf("\n");
-  return 0;
+
+  const bool all_ok = baseline.ok() && caps_run.ok() && tiny_ok;
+  if (!all_ok) std::fprintf(stderr, "run failed\n");
+  return all_ok ? 0 : 1;
 }

@@ -168,27 +168,6 @@ void analyze_affine(LoadAnalysis& la, const Dim3& grid, const Dim3& block,
 
 }  // namespace
 
-std::vector<LoopContext> loop_contexts(const Kernel& k) {
-  std::vector<LoopContext> ctx(k.instructions().size());
-  std::vector<u32> trips;  // enclosing trip counts, outermost first
-  u64 product = 1;
-  for (u32 i = 0; i < k.instructions().size(); ++i) {
-    const Instruction& ins = k.instruction(i);
-    if (ins.op == Opcode::kLoopEnd) {
-      product /= trips.back();
-      trips.pop_back();
-    }
-    ctx[i].in_loop = !trips.empty();
-    ctx[i].trip_product = product;
-    ctx[i].innermost_trip = trips.empty() ? 1 : trips.back();
-    if (ins.op == Opcode::kLoopBegin) {
-      trips.push_back(ins.trip_count);
-      product *= ins.trip_count;
-    }
-  }
-  return ctx;
-}
-
 Addr affine_lane_address(const AddressPattern& p, const Dim3& tid,
                          const Dim3& cta, u32 iter) {
   return p.base + wrap_offset(p, affine_offset(p, tid, cta, iter));
@@ -221,7 +200,6 @@ KernelAnalysis analyze_kernel(const Kernel& k, const GpuConfig& cfg) {
   ka.warps_per_cta = k.warps_per_cta();
   ka.line_size = cfg.l1d.line_size;
 
-  const std::vector<LoopContext> ctx = loop_contexts(k);
   const u64 warp_issues_per_pc =
       static_cast<u64>(k.num_ctas()) * ka.warps_per_cta;
 
@@ -233,10 +211,10 @@ KernelAnalysis analyze_kernel(const Kernel& k, const GpuConfig& cfg) {
     la.instr_index = i;
     la.pc = ins.pc;
     la.pattern = ins.addr;
-    la.in_loop = ctx[i].in_loop;
+    la.in_loop = ins.loop != kNoLoop;
     la.loop_variant = la.in_loop && ins.addr.c_iter != 0;
-    la.innermost_trip = ctx[i].innermost_trip;
-    la.trip_product = ctx[i].trip_product;
+    la.innermost_trip = la.in_loop ? k.instruction(ins.loop).trip_count : 1;
+    la.trip_product = k.issues(i);
     la.dynamic_issues = warp_issues_per_pc * la.trip_product;
 
     if (ins.addr.indirect) {

@@ -132,18 +132,6 @@ struct KernelAnalysis {
 /// (line size, table capacities).
 KernelAnalysis analyze_kernel(const Kernel& k, const GpuConfig& cfg = {});
 
-/// Loop-nesting context of one instruction: innermost trip count and the
-/// product of all enclosing trips.
-struct LoopContext {
-  u32 innermost_trip = 1;
-  u64 trip_product = 1;
-  bool in_loop = false;
-};
-
-/// The loop context of every instruction of `k`, indexed like
-/// k.instructions().
-std::vector<LoopContext> loop_contexts(const Kernel& k);
-
 // --- independent address algebra (exposed for the oracle + tests) ---------
 
 /// The analyzer's own evaluation of the documented affine algebra:

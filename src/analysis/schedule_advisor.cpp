@@ -19,35 +19,14 @@ u64 instr_cycles(const Instruction& ins, const GpuConfig& cfg) {
       lat = ins.latency != 0 ? ins.latency : cfg.sfu_latency;
       break;
     case Opcode::kShared:
-      lat = ins.latency != 0 ? ins.latency : cfg.shared_mem_latency;
-      break;
     case Opcode::kMem:
     case Opcode::kBarrier:
     case Opcode::kLoopBegin:
     case Opcode::kLoopEnd:
     case Opcode::kExit:
-      return 1;  // mem issue, barrier arrival, loop bookkeeping
+      return 1;  // shared op, mem issue, barrier arrival, loop bookkeeping
   }
   return ins.dep_next ? lat : 1;
-}
-
-/// Innermost enclosing loop of instruction `idx`, as (begin, end) indices
-/// into the stream; returns false for straight-line instructions.
-bool innermost_loop(const std::vector<Instruction>& instrs, u32 idx,
-                    u32& begin, u32& end) {
-  bool found = false;
-  std::vector<u32> stack;
-  for (u32 i = 0; i < instrs.size() && i <= idx; ++i) {
-    if (instrs[i].op == Opcode::kLoopBegin) stack.push_back(i);
-    else if (instrs[i].op == Opcode::kLoopEnd && !stack.empty())
-      stack.pop_back();
-  }
-  if (!stack.empty()) {
-    begin = stack.back();
-    end = instrs[begin].match;
-    found = true;
-  }
-  return found;
 }
 
 /// Fraction of the fill round trip a barrier-free loop body must cover for
@@ -151,9 +130,9 @@ ScheduleAdvice advise_schedule(const Kernel& k, const KernelAnalysis& ka,
     ps.stall_adjacent = la.instr_index + 1 < instrs.size() &&
                         instrs[la.instr_index + 1].waits_mem;
 
-    u32 lb = 0, le = 0;
-    if (innermost_loop(instrs, la.instr_index, lb, le)) {
-      for (u32 i = lb + 1; i < le && i < instrs.size(); ++i) {
+    const u32 loop = instrs[la.instr_index].loop;
+    if (loop != kNoLoop) {
+      for (u32 i = loop + 1; i < instrs[loop].match; ++i) {
         if (instrs[i].op == Opcode::kBarrier) ps.barrier_in_loop = true;
         ps.loop_body_cycles += instr_cycles(instrs[i], cfg);
       }

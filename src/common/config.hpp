@@ -93,7 +93,6 @@ struct GpuConfig {
   // Latencies (core cycles).
   u32 alu_latency = 4;
   u32 sfu_latency = 16;
-  u32 shared_mem_latency = 24;
   u32 l1_hit_latency = 28;
   u32 l2_latency = 64;
   u32 xbar_latency = 16;

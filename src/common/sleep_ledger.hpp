@@ -3,8 +3,8 @@
 // starts at its first skipped cycle and owes each of a few counters a fixed
 // amount per slept cycle; a stats read adds what is owed so far, and the
 // next tick settles it. This is the one place such a ledger is kept. Its
-// wake cycle may be kept in a WakeCalendar row instead of the ledger, so
-// that the calendar reads it where it is kept.
+// wake cycle is kept in a WakeCalendar row, so that the calendar reads it
+// where it is kept.
 #pragma once
 
 #include <array>
@@ -21,22 +21,17 @@ class SleepLedger {
   /// Counters one sleep can owe.
   static constexpr u32 kCapacity = 4;
 
-  SleepLedger() = default;
-  // A copy would point into the other ledger's storage or calendar row.
+  /// Keep the wake cycle as `id`'s in row `row` of `calendar`; due at once.
+  SleepLedger(WakeCalendar& calendar, WakeCalendar::Row row, u32 id)
+      : calendar_(calendar), row_(row), id_(id) {
+    calendar_.arm(row_, id_, 0);
+  }
+  // A copy would arm the other ledger's calendar row.
   SleepLedger(const SleepLedger&) = delete;
   SleepLedger& operator=(const SleepLedger&) = delete;
 
-  /// Keep the wake cycle as `id`'s in row `row` of `calendar` from now on.
-  void bind(WakeCalendar& calendar, WakeCalendar::Row row, u32 id) {
-    calendar.arm(row, id, *wake_at_);
-    calendar_ = &calendar;
-    row_ = row;
-    id_ = id;
-    wake_at_ = &calendar.at(row, id);
-  }
-
   /// Whether the wake cycle has come; an awake component is always due.
-  bool due(Cycle now) const { return now >= *wake_at_; }
+  bool due(Cycle now) const { return now >= calendar_.at(row_, id_); }
   /// Due at once. What is owed stays owed until settle().
   void wake() { set_wake(0); }
   /// Sleep from cycle `from` until `wake_at` (kNever: until wake()).
@@ -70,22 +65,15 @@ class SleepLedger {
   }
 
  private:
-  void set_wake(Cycle c) {
-    if (calendar_ != nullptr)
-      calendar_->arm(row_, id_, c);
-    else
-      own_wake_at_ = c;
-  }
+  void set_wake(Cycle c) { calendar_.arm(row_, id_, c); }
 
   struct Owed {
     u64 Stats::*counter;
     u64 per_cycle;
   };
-  Cycle own_wake_at_ = 0;
-  const Cycle* wake_at_ = &own_wake_at_;
-  WakeCalendar* calendar_ = nullptr;  ///< keeps the wake cycle when bound
-  WakeCalendar::Row row_ = WakeCalendar::kRows;
-  u32 id_ = 0;
+  WakeCalendar& calendar_;  ///< keeps the wake cycle
+  WakeCalendar::Row row_;
+  u32 id_;
   Cycle from_ = 0;
   u32 owed_ = 0;
   std::array<Owed, kCapacity> entries_{};

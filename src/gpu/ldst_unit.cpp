@@ -22,11 +22,11 @@ LdStUnit::LdStUnit(const GpuConfig& cfg, StreamingMultiprocessor& sm,
       prefetch_q_(cfg.ldst_queue_size * 2),
       // At most one L1-hit completion per queued demand access is in flight.
       completions_(cfg.ldst_queue_size),
-      trace_(trace) {
+      trace_(trace),
+      ledger_(mem.calendar(), WakeCalendar::kLdStRow, sm_id) {
   // Scratch for MSHR fills: sized once so process_replies never allocates
   // in the steady state (DESIGN.md §13).
   fill_scratch_.reserve(cfg.l1d.mshr_max_merged);
-  ledger_.bind(mem.calendar(), WakeCalendar::kLdStRow, sm_id);
 }
 
 void LdStUnit::push_demand(const L1Access& access) {

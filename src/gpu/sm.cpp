@@ -19,7 +19,8 @@ StreamingMultiprocessor::StreamingMultiprocessor(
       coalescer_(cfg.l1d.line_size),
       warps_(cfg.max_warps_per_sm),
       ctas_(cfg.max_ctas_per_sm),
-      trace_(trace) {
+      trace_(trace),
+      elided_(mem.calendar(), WakeCalendar::kIssueRow, id) {
   const u32 wpc = kernel.warps_per_cta();
   max_concurrent_ctas_ =
       std::min(cfg.max_ctas_per_sm, cfg.max_warps_per_sm / wpc);
@@ -33,7 +34,6 @@ StreamingMultiprocessor::StreamingMultiprocessor(
   // (DESIGN.md §13).
   coalesce_scratch_.reserve(kWarpSize);
   pf_buffer_.reserve(kWarpSize);
-  elided_.bind(mem.calendar(), WakeCalendar::kIssueRow, id);
   elided_.sleep(0, kNever);  // no warp is resident yet
   for (u32 b = 0; b < max_concurrent_ctas_; ++b)
     free_warp_blocks_.push_back(b * wpc);
@@ -228,7 +228,7 @@ bool StreamingMultiprocessor::issue(u32 slot, Cycle now) {
       break;
     }
     case Opcode::kShared:
-      wc.ready_at = now + (ins.dep_next ? cfg_.shared_mem_latency : 2);
+      wc.ready_at = now + 2;
       ++wc.pc_idx;
       break;
     case Opcode::kMem: {
@@ -256,23 +256,22 @@ bool StreamingMultiprocessor::issue(u32 slot, Cycle now) {
       arrive_barrier(slot, now);
       break;
     case Opcode::kLoopBegin:
-      wc.loops.push_back(LoopFrame{wc.pc_idx, ins.trip_count, 0});
+      wc.loops.push_back(0);
       ++wc.pc_idx;
       wc.ready_at = now + 1;
       break;
-    case Opcode::kLoopEnd: {
+    case Opcode::kLoopEnd:
+      // Counted per warp, never read from Instruction::loop, so the issued
+      // count stays a check on the kernel's static nest.
       CAPS_CHECK(!wc.loops.empty(), "LoopEnd with no open loop frame");
-      LoopFrame& frame = wc.loops.back();
-      ++frame.iter;
-      if (--frame.remaining > 0) {
-        wc.pc_idx = frame.begin_idx + 1;
+      if (++wc.loops.back() < kernel_.instruction(ins.match).trip_count) {
+        wc.pc_idx = ins.match + 1;
       } else {
         wc.loops.pop_back();
         ++wc.pc_idx;
       }
       wc.ready_at = now + 1;
       break;
-    }
     case Opcode::kExit:
       ++stats_.issued_instructions;
       finish_warp(slot);

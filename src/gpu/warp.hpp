@@ -15,12 +15,6 @@ enum class WarpStatus : u8 {
   kDone,       ///< ran EXIT
 };
 
-struct LoopFrame {
-  u32 begin_idx = 0;  ///< instruction index of kLoopBegin
-  u32 remaining = 0;  ///< iterations left (including current)
-  u32 iter = 0;       ///< completed iterations (0 on first pass)
-};
-
 struct WarpContext {
   WarpStatus status = WarpStatus::kInvalid;
   u32 cta_slot = 0;
@@ -36,7 +30,8 @@ struct WarpContext {
   /// Line count of the memory instruction the LD/ST unit last refused;
   /// 0 when the current instruction has not been refused.
   u32 stalled_lines = 0;
-  std::vector<LoopFrame> loops;
+  /// Completed iterations of each open loop, outermost first.
+  std::vector<u32> loops;
   bool leading = false;         ///< PAS leading-warp marker
   u64 launch_order = 0;         ///< global age for GTO
 
@@ -52,7 +47,7 @@ struct WarpContext {
   /// loop stack's capacity, so re-launching a warp slot for a new CTA does
   /// not re-allocate (DESIGN.md §13). Use instead of `wc = WarpContext{}`.
   void reset() {
-    std::vector<LoopFrame> kept = std::move(loops);
+    std::vector<u32> kept = std::move(loops);
     kept.clear();
     *this = WarpContext{};
     loops = std::move(kept);
@@ -60,7 +55,7 @@ struct WarpContext {
 
   /// Innermost-loop iteration counter (0 outside loops).
   u32 current_iteration() const {
-    return loops.empty() ? 0 : loops.back().iter;
+    return loops.empty() ? 0 : loops.back();
   }
 };
 

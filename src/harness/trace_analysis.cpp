@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "analysis/kernel_analyzer.hpp"
-
 namespace caps {
 
 Addr LoadTraceCollector::hottest_pc() const {
@@ -101,15 +99,13 @@ double LoadLoopProfile::top4_mean() const {
 LoadLoopProfile analyze_load_loops(const Kernel& kernel) {
   // A static load executes once per warp per pass of its enclosing loops.
   LoadLoopProfile prof;
-  const std::vector<analysis::LoopContext> ctx =
-      analysis::loop_contexts(kernel);
   std::vector<u64> executions;
   for (u32 i = 0; i < kernel.instructions().size(); ++i) {
     const Instruction& ins = kernel.instruction(i);
     if (ins.op != Opcode::kMem || !ins.is_load) continue;
     ++prof.total_loads;
-    executions.push_back(ctx[i].trip_product);
-    if (ctx[i].trip_product > 1) ++prof.repeated_loads;
+    executions.push_back(kernel.issues(i));
+    if (executions.back() > 1) ++prof.repeated_loads;
   }
   std::sort(executions.rbegin(), executions.rend());
   executions.resize(std::min<std::size_t>(executions.size(), 4));

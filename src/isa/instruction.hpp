@@ -23,10 +23,13 @@ enum class Opcode : u8 {
 
 const char* to_string(Opcode op);
 
+/// Instruction::loop of an instruction outside every loop.
+inline constexpr u32 kNoLoop = ~u32{0};
+
 struct Instruction {
   Opcode op = Opcode::kAlu;
 
-  /// Result latency in core cycles (ALU/SFU/shared). 0 = use config default.
+  /// Result latency in core cycles (ALU/SFU). 0 = use config default.
   u32 latency = 0;
 
   /// If true the warp may not issue this instruction while it still has
@@ -40,6 +43,11 @@ struct Instruction {
 
   // --- kMem fields ---
   bool is_load = true;
+  /// Every op (declared here to fill padding): index of the innermost
+  /// kLoopBegin whose body issues this instruction in every iteration, or
+  /// kNoLoop. A kLoopEnd belongs to its own loop, a kLoopBegin to the
+  /// enclosing one. Resolved by Kernel::finalize().
+  u32 loop = kNoLoop;
   AddressPattern addr{};
 
   // --- kLoopBegin fields ---

@@ -35,10 +35,12 @@ void Kernel::finalize() {
   if (instrs_.empty() || instrs_.back().op != Opcode::kExit)
     throw std::invalid_argument("kernel: must end with EXIT");
 
-  // Resolve loop begin/end matches and assign synthetic PCs.
+  // Resolve the loop nest (each instruction's innermost loop and the
+  // begin/end matches) and assign synthetic PCs.
   std::vector<u32> stack;
   for (u32 i = 0; i < instrs_.size(); ++i) {
     Instruction& ins = instrs_[i];
+    ins.loop = stack.empty() ? kNoLoop : stack.back();
     ins.pc = static_cast<Addr>(i) * 8;
     switch (ins.op) {
       case Opcode::kLoopBegin:
@@ -69,9 +71,14 @@ void Kernel::finalize() {
               "kernel: indirect_group must be in [1, warp size]");
         break;
       }
+      case Opcode::kShared:
+        // A shared op always costs the SM two cycles: it has no latency.
+        if (ins.dep_next || ins.latency != 0)
+          throw std::invalid_argument(
+              "kernel: a shared op takes no dep_next or latency");
+        break;
       case Opcode::kAlu:
       case Opcode::kSfu:
-      case Opcode::kShared:
       case Opcode::kBarrier:
       case Opcode::kExit:
         break;
@@ -80,34 +87,16 @@ void Kernel::finalize() {
   if (!stack.empty()) throw std::invalid_argument("kernel: unclosed LOOP");
 }
 
+u64 Kernel::issues(u32 idx) const {
+  u64 n = 1;
+  for (u32 l = instrs_[idx].loop; l != kNoLoop; l = instrs_[l].loop)
+    n *= instrs_[l].trip_count;
+  return n;
+}
+
 u64 Kernel::dynamic_warp_instructions() const {
-  // Walk the program once with a loop-multiplier stack.
   u64 count = 0;
-  std::vector<std::pair<u32, u64>> stack;  // (loop end idx, multiplier)
-  u64 mult = 1;
-  for (u32 i = 0; i < instrs_.size(); ++i) {
-    const Instruction& ins = instrs_[i];
-    switch (ins.op) {
-      case Opcode::kLoopBegin:
-        count += mult;  // the LOOP instruction itself issues once per entry
-        stack.emplace_back(ins.match, mult);
-        mult *= ins.trip_count;
-        break;
-      case Opcode::kLoopEnd:
-        count += mult;  // ENDLOOP issues once per iteration
-        mult = stack.back().second;
-        stack.pop_back();
-        break;
-      case Opcode::kAlu:
-      case Opcode::kSfu:
-      case Opcode::kMem:
-      case Opcode::kShared:
-      case Opcode::kBarrier:
-      case Opcode::kExit:
-        count += mult;
-        break;
-    }
-  }
+  for (u32 i = 0; i < instrs_.size(); ++i) count += issues(i);
   return count;
 }
 

@@ -27,15 +27,20 @@ class Kernel {
     return (threads_per_cta() + kWarpSize - 1) / kWarpSize;
   }
 
+  /// Times one warp issues instruction `idx`: the product of the trip
+  /// counts up its Instruction::loop chain.
+  u64 issues(u32 idx) const;
+
   /// Dynamic warp-instruction count for one warp executing this kernel
-  /// (loops expanded). Useful for sizing runs and IPC sanity checks.
+  /// (loops expanded): the sum of issues() over every instruction. Useful
+  /// for sizing runs and IPC sanity checks.
   u64 dynamic_warp_instructions() const;
 
   /// Static number of global-load instructions.
   u32 num_global_loads() const;
 
  private:
-  void finalize();  ///< resolves loop matches, assigns PCs, validates
+  void finalize();  ///< resolves the loop nest, assigns PCs, validates
 
   std::string name_;
   Dim3 grid_;

@@ -13,14 +13,14 @@ L2Partition::L2Partition(const GpuConfig& cfg, DramChannel& channel,
       channel_id_(id % cfg.num_dram_channels),
       cache_(cfg.l2),
       mshr_(cfg.l2.mshr_entries, cfg.l2.mshr_max_merged),
-      probe_queue_(cfg.l2_queue_size) {
+      probe_queue_(cfg.l2_queue_size),
+      ledger_(calendar, WakeCalendar::kL2Row, id) {
   // Replies are bounded by outstanding MSHR fills plus hits in flight;
   // write-backs by MSHR entries. Pre-size both so the steady state never
   // allocates (DESIGN.md §13).
   replies_.reserve(cfg.l2.mshr_entries * cfg.l2.mshr_max_merged);
   pending_writebacks_.reserve(cfg.l2.mshr_entries);
   fill_scratch_.reserve(cfg.l2.mshr_max_merged);
-  ledger_.bind(calendar, WakeCalendar::kL2Row, id);
 }
 
 void L2Partition::accept(const MemRequest& req, Cycle now) {

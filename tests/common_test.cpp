@@ -391,7 +391,8 @@ TEST(WakeCalendarRoomTest, RoomMarksTheQueuesWaitersUntilTheyWithdraw) {
 }
 
 TEST(SleepLedgerTest, MidSleepReadEqualsWhatSettleAdds) {
-  SleepLedger<LedgerStats> ledger;
+  WakeCalendar cal(1, 1);
+  SleepLedger<LedgerStats> ledger(cal, WakeCalendar::kLdStRow, 0);
   ledger.sleep(10, kNever);
   ledger.owe(&LedgerStats::stalls);
   LedgerStats read;
@@ -404,7 +405,8 @@ TEST(SleepLedgerTest, MidSleepReadEqualsWhatSettleAdds) {
 }
 
 TEST(SleepLedgerTest, PerCycleMultipliesTheCount) {
-  SleepLedger<LedgerStats> ledger;
+  WakeCalendar cal(1, 1);
+  SleepLedger<LedgerStats> ledger(cal, WakeCalendar::kLdStRow, 0);
   ledger.sleep(4, kNever);
   ledger.owe(&LedgerStats::stalls);
   ledger.owe(&LedgerStats::slots, 3);
@@ -415,7 +417,8 @@ TEST(SleepLedgerTest, PerCycleMultipliesTheCount) {
 }
 
 TEST(SleepLedgerTest, WakeKeepsTheOwedCountersUntilSettle) {
-  SleepLedger<LedgerStats> ledger;
+  WakeCalendar cal(1, 1);
+  SleepLedger<LedgerStats> ledger(cal, WakeCalendar::kLdStRow, 0);
   ledger.sleep(10, 100);
   ledger.owe(&LedgerStats::stalls);
   EXPECT_FALSE(ledger.due(50));
@@ -430,7 +433,8 @@ TEST(SleepLedgerTest, WakeKeepsTheOwedCountersUntilSettle) {
 }
 
 TEST(SleepLedgerTest, SettleLeavesNothingOwed) {
-  SleepLedger<LedgerStats> ledger;
+  WakeCalendar cal(1, 1);
+  SleepLedger<LedgerStats> ledger(cal, WakeCalendar::kLdStRow, 0);
   ledger.sleep(1, kNever);
   ledger.owe(&LedgerStats::stalls);
   ledger.owe(&LedgerStats::other, 2);

@@ -107,7 +107,8 @@ TEST(SleepLedgerGuardTest, OwingPastCapacityThrowsInAllBuildModes) {
     u64 a = 0;
     u64 b = 0;
   };
-  SleepLedger<TwoStats> ledger;
+  WakeCalendar cal(1, 1);
+  SleepLedger<TwoStats> ledger(cal, WakeCalendar::kLdStRow, 0);
   ledger.sleep(0, kNever);
   for (u32 i = 0; i < SleepLedger<TwoStats>::kCapacity; ++i)
     ledger.owe(&TwoStats::a);

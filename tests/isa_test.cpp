@@ -134,6 +134,21 @@ TEST(KernelBuilderTest, LoopMatchingResolved) {
   EXPECT_EQ(ins[ins[0].match].match, 0u);
   ASSERT_EQ(ins[2].op, Opcode::kLoopBegin);
   EXPECT_EQ(ins[2].match, 4u);
+  // The nest: a LOOP sits in the enclosing loop, an ENDLOOP in its own.
+  // Fatal, since issues() walks these links.
+  ASSERT_EQ(ins[0].loop, kNoLoop);
+  ASSERT_EQ(ins[1].loop, 0u);
+  ASSERT_EQ(ins[2].loop, 0u);
+  ASSERT_EQ(ins[3].loop, 2u);
+  ASSERT_EQ(ins[4].loop, 2u);
+  ASSERT_EQ(ins[5].loop, 0u);
+  ASSERT_EQ(ins[6].loop, kNoLoop);
+  EXPECT_EQ(k.issues(0), 1u);
+  EXPECT_EQ(k.issues(2), 5u);
+  EXPECT_EQ(k.issues(3), 15u);  // inner body: 5 x 3
+  EXPECT_EQ(k.issues(4), 15u);
+  EXPECT_EQ(k.issues(5), 5u);
+  EXPECT_EQ(k.issues(6), 1u);
 }
 
 TEST(KernelBuilderTest, UnclosedLoopThrows) {
@@ -200,6 +215,15 @@ TEST(KernelTest, RejectsEmptyGrid) {
 TEST(KernelTest, RejectsOversizedBlock) {
   KernelBuilder b("k", {1}, {2048, 1, 1});
   EXPECT_THROW(b.build(), std::invalid_argument);
+}
+
+TEST(KernelTest, RejectsTimedSharedOp) {
+  // The SM charges a shared op two cycles whatever it carries.
+  const Instruction exit{.op = Opcode::kExit};
+  const Instruction dep{.op = Opcode::kShared, .dep_next = true};
+  const Instruction lat{.op = Opcode::kShared, .latency = 24};
+  EXPECT_THROW(Kernel("k", {1}, {32}, {dep, exit}), std::invalid_argument);
+  EXPECT_THROW(Kernel("k", {1}, {32}, {lat, exit}), std::invalid_argument);
 }
 
 TEST(AddressPatternTest, WrapMaskEqualsModuloForPowerOfTwo) {
