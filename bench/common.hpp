@@ -17,7 +17,7 @@ namespace caps::bench {
 inline bool usable(const RunResult& r) {
   if (r.ok()) return true;
   std::fprintf(stderr, "  SKIP %s/%s: %s — %s\n", r.cfg.workload.c_str(),
-               to_string(r.cfg.prefetcher), to_string(r.status),
+               to_string(r.cfg.prefetcher), r.outcome(),
                r.error.c_str());
   return false;
 }

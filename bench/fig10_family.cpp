@@ -113,14 +113,14 @@ Table legend_table(const Matrix& m, const std::vector<std::string>& workloads,
     const std::vector<RunResult>& runs = m.at(wl);
     if (p.normalized && !runs[0].ok()) {
       // Without a clean baseline nothing normalizes; keep the row visible.
-      t.add_row({wl, to_string(runs[0].status)});
+      t.add_row({wl, runs[0].outcome()});
       continue;
     }
     std::vector<std::string> row{wl};
     for (std::size_t c = 0; c < p.cols.size(); ++c) {
       const RunResult& r = runs[p.cols[c].config];
       if (!r.ok()) {
-        row.push_back(to_string(r.status));
+        row.push_back(r.outcome());
         continue;
       }
       const double v = p.cols[c].value(r, runs[0]);

@@ -1,14 +1,17 @@
 // google-benchmark micro-suite: throughput of the individual simulator
 // components (tag probes, MSHR churn and full-MSHR probes, affine and
 // indirect coalescing, DRAM scheduling busy, blocked and issuing under
-// saturation, CAPS table operations, scheduler picks,
+// saturation, the wake calendar's passes and arms, CAPS table operations,
+// scheduler picks,
 // all-eligible and saturated, a whole-GPU cycle, mixed,
 // memory-saturated, in the refused-issue regime, memory-bound and
 // issue-bound, and the build of a whole GPU).
 #include <benchmark/benchmark.h>
 
+#include <bit>
 #include <vector>
 
+#include "common/wake_calendar.hpp"
 #include "core/caps_prefetcher.hpp"
 #include "gpu/coalescer.hpp"
 #include "gpu/gpu.hpp"
@@ -215,6 +218,78 @@ void BM_DramPickSaturated(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DramPickSaturated);
+
+void BM_WakeCalendarTakeArm(benchmark::State& state) {
+  // One machine cycle per iteration on the Table III machine: the three
+  // passes of Gpu::step and MemorySystem::cycle, each followed by the arms
+  // its visits make. An SM takes an arrived reply (and wakes its LD/ST
+  // unit), an LD/ST unit sleeps until an L1 hit returns or until woken, an
+  // issue stage until its next ready warp; a partition pulls a request
+  // (its L2 latency starts) or ticks its arrived probe head (a reply head
+  // gets a front); a reply head sends a reply to an SM and a new request
+  // reaches a partition's lane.
+  const GpuConfig cfg;
+  WakeCalendar cal(cfg.num_sms, cfg.num_l2_partitions);
+  using W = WakeCalendar;
+  u64 x = 1;
+  const auto rnd = [&x] {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    return x >> 33;
+  };
+  const auto arm_if_never = [&](W::Row r, u32 id, Cycle c) {
+    if (cal.at(r, id) == kNever) cal.arm(r, id, c);
+  };
+  // Every ledger starts awake, as SleepLedger's constructor arms it.
+  for (u32 sm = 0; sm < cfg.num_sms; ++sm) {
+    cal.arm(W::kLdStRow, sm, 0);
+    cal.arm(W::kIssueRow, sm, 0);
+  }
+  for (u32 p = 0; p < cfg.num_l2_partitions; ++p) cal.arm(W::kL2Row, p, 0);
+  Cycle now = 0;
+  u64 visits = 0;
+  for (auto _ : state) {
+    for (u64 due = cal.take(W::kSm, now); due != 0; due &= due - 1, ++visits) {
+      const auto sm = static_cast<u32>(std::countr_zero(due));
+      const u64 r = rnd();
+      if (now >= cal.at(W::kReplyRow, sm)) {
+        cal.arm(W::kReplyRow, sm, kNever);
+        cal.arm(W::kLdStRow, sm, 0);
+      } else if (now >= cal.at(W::kLdStRow, sm)) {
+        cal.arm(W::kLdStRow, sm, r % 2 ? now + cfg.l1_hit_latency : kNever);
+      }
+      if (now >= cal.at(W::kIssueRow, sm))
+        cal.arm(W::kIssueRow, sm,
+                r % 4 == 0 ? 0 : now + 1 + r % cfg.sfu_latency);
+    }
+    for (u64 due = cal.take(W::kPartition, now); due != 0;
+         due &= due - 1, ++visits) {
+      const auto p = static_cast<u32>(std::countr_zero(due));
+      if (now >= cal.at(W::kPullRow, p)) {
+        cal.arm(W::kL2Row, p, now + cfg.l2_latency);
+        cal.arm(W::kPullRow, p, rnd() % 2 ? now + cfg.xbar_latency : kNever);
+      } else if (now >= cal.at(W::kL2Row, p)) {
+        cal.arm(W::kL2Row, p, kNever);
+        cal.mark(W::kReplyHead, W::bit(p));
+      }
+    }
+    for (u64 due = cal.take(W::kReplyHead, now); due != 0;
+         due &= due - 1, ++visits) {
+      const u64 r = rnd();
+      arm_if_never(W::kReplyRow, static_cast<u32>(r % cfg.num_sms),
+                   now + cfg.xbar_latency);
+      arm_if_never(W::kPullRow,
+                   static_cast<u32>((r >> 8) % cfg.num_l2_partitions),
+                   now + cfg.xbar_latency);
+    }
+    benchmark::DoNotOptimize(visits);
+    ++now;
+  }
+  if (visits == 0) state.SkipWithError("the calendar visited nothing");
+  state.counters["visits_per_cycle"] =
+      static_cast<double>(visits) / static_cast<double>(state.iterations());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WakeCalendarTakeArm);
 
 void BM_CapsTableLookup(benchmark::State& state) {
   GpuConfig cfg;

@@ -64,6 +64,7 @@ int main() {
       Gpu gpu(cfg, k, pol);
       s = gpu.run();
       if (!s.audit_clean()) error = s.audit_violations.front();
+      else if (s.hit_cycle_limit) error = "cut off at max_cycles";
     } catch (...) {
       error = current_run_fault().error;
     }

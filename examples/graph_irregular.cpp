@@ -25,8 +25,8 @@ int main() {
     const RunResult caps_run = run_experiment(rc);
     for (const RunResult* r : {&base, &caps_run}) {
       if (r->ok()) continue;
-      std::fprintf(stderr, "%s: run failed: %s\n", name.c_str(),
-                   r->error.c_str());
+      std::fprintf(stderr, "%s: run failed: %s %s\n", name.c_str(),
+                   r->outcome(), r->error.c_str());
       all_ok = false;
     }
 

@@ -16,8 +16,8 @@ bool all_ok = true;
 double cycles(const RunConfig& rc) {
   const RunResult r = run_experiment(rc);
   if (!r.ok()) {
-    std::fprintf(stderr, "%s: run failed: %s\n", rc.workload.c_str(),
-                 r.error.c_str());
+    std::fprintf(stderr, "%s: run failed: %s %s\n", rc.workload.c_str(),
+                 r.outcome(), r.error.c_str());
     all_ok = false;
   }
   return static_cast<double>(r.stats.cycles);

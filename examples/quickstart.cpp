@@ -53,7 +53,8 @@ int main() {
   Gpu gpu(tiny.base, mm.kernel, pol);
   bool tiny_ok = false;
   try {
-    tiny_ok = gpu.run().audit_clean();
+    const GpuStats s = gpu.run();
+    tiny_ok = s.audit_clean() && !s.hit_cycle_limit;
   } catch (const SimError& e) {
     std::fprintf(stderr, "%s\n", e.what());
   }

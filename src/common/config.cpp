@@ -77,6 +77,8 @@ void GpuConfig::validate() const {
   require(num_l2_partitions % num_dram_channels == 0,
           "L2 partitions must divide evenly across DRAM channels");
   require(dram_queue_size > 0, "DRAM scheduler queue must have capacity");
+  require(dram_queue_size <= 64,
+          "DRAM queue exceeds the 64-bit slot-mask capacity");
   require(std::has_single_bit(dram_banks), "DRAM banks must be a power of two");
   require(dram_banks <= 64, "DRAM banks exceed the 64-bit bank-mask capacity");
   require(dram_row_bytes >= l2.line_size, "DRAM row must hold at least a line");

@@ -121,7 +121,7 @@ struct GpuConfig {
   // DRAM.
   u32 num_dram_channels = 6;
   u32 dram_clock_mhz = 924;
-  u32 dram_queue_size = 16;   ///< FR-FCFS scheduler queue entries
+  u32 dram_queue_size = 16;   ///< FR-FCFS scheduler queue entries, at most 64
   u32 dram_banks = 16;        ///< power of two, at most 64
   u32 dram_row_bytes = 2048;
   DramTiming dram_timing{};

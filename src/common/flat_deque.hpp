@@ -2,7 +2,7 @@
 //
 // std::deque allocates and frees its backing blocks as elements churn
 // through the queue, which puts an allocator round-trip on the per-cycle
-// simulation path (scheduler promotion/demotion, DRAM command queues,
+// simulation path (scheduler promotion/demotion, DRAM completions,
 // crossbar lanes). FlatDeque keeps one power-of-two backing ring that only
 // ever grows: after reserve() — or once the run's high-water mark is reached
 // — push/pop/erase never touch the heap, which is what the zero-allocation

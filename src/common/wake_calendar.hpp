@@ -3,13 +3,15 @@
 // visited in every cycle). An id is due when an event marked it since its
 // kind's last visit pass, or when one of its timed wakes has come. The
 // calendar may hold an id that has nothing to do, since each visited
-// component still asks its own due(), but it never misses one that has. It
-// also keeps the one room-wait list of the machine: who waits for room on
-// which queue.
+// component still asks its own due(), but it never misses one that has.
+// Each row files its future wakes on a timing wheel of per-cycle id masks,
+// so a pass in the next cycle reads one mask per row. It also keeps the one
+// room-wait list of the machine: who waits for room on which queue.
 #pragma once
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <utility>
 
 #include "common/diag.hpp"
@@ -41,13 +43,15 @@ class WakeCalendar {
   /// Ids per kind: one mask bit each (GpuConfig::validate caps the counts).
   static constexpr u32 kMaxIds = 64;
 
+  /// Cycles ahead of a kind's last pass that the wheel holds one mask
+  /// each for; a later wake waits in the row's far set.
+  static constexpr u32 kWheel = 128;
+
   static constexpr u64 bit(u32 id) { return u64{1} << id; }
 
-  WakeCalendar(u32 sms, u32 partitions)
-      : ids_{sms, sms, sms, partitions, partitions} {
-    for (const u32 n : ids_)
-      CAPS_CHECK(n <= kMaxIds, "wake calendar: more than 64 ids");
-    next_.fill(kNever);
+  WakeCalendar(u32 sms, u32 partitions) {
+    CAPS_CHECK(sms <= kMaxIds && partitions <= kMaxIds,
+               "wake calendar: more than 64 ids");
     for (auto& row : rows_) row.fill(kNever);
   }
 
@@ -57,13 +61,14 @@ class WakeCalendar {
   /// Set the timed wake of `id` in row `r` to cycle `c`. The id is due at
   /// every pass from `c` until the next arm; 0 makes it due at once.
   void arm(Row r, u32 id, Cycle c) {
-    rows_[r][id] = c;
-    if (c == 0) {
-      come_[r] |= bit(id);
-      return;
-    }
-    come_[r] &= ~bit(id);
-    next_[r] = std::min(next_[r], c);
+    Wheel& w = wheels_[r];
+    Cycle& wake = rows_[r][id];
+    const u64 b = bit(id);
+    w.come &= ~b;
+    w.far &= ~b;
+    if (wake != kNever) w.buckets[wake % kWheel] &= ~b;
+    wake = c;
+    file(w, id, c, taken_[kKindOf[r]]);
   }
 
   /// Mark `ids` of kind `k` due at their kind's next visit pass.
@@ -83,12 +88,26 @@ class WakeCalendar {
 
   /// The ids of kind `k` to visit at `now`, one bit each, visited in
   /// ascending order. Clears the marks: a mark made during or after this
-  /// pass is for the next one.
+  /// pass is for the next one. `now` never goes back for a kind.
   u64 take(Kind k, Cycle now) {
     u64 ids = std::exchange(marks_[k], 0);
+    const Cycle from = std::exchange(taken_[k], now);
+    CAPS_CHECK(now >= from, "wake calendar: a pass went back in time");
     for (u32 r = kFirstRow[k]; r < kFirstRow[k + 1]; ++r) {
-      if (now >= next_[r]) refresh(r, now);
-      ids |= come_[r];
+      Wheel& w = wheels_[r];
+      // The masks of the cycles since the last pass: every mask after a
+      // gap of a whole turn or more.
+      for (Cycle t = from + 1; t <= std::min(now, from + kWheel); ++t)
+        w.come |= std::exchange(w.buckets[t % kWheel], 0);
+      if (w.far_next <= now + kWheel) {
+        // Refile the far ids: those within a turn of `now` leave the set.
+        w.far_next = kNever;
+        for (u64 far = std::exchange(w.far, 0); far != 0; far &= far - 1) {
+          const auto id = static_cast<u32>(std::countr_zero(far));
+          file(w, id, rows_[r][id], now);
+        }
+      }
+      ids |= w.come;
     }
     return ids;
   }
@@ -96,28 +115,37 @@ class WakeCalendar {
  private:
   static constexpr std::array<u32, kKinds + 1> kFirstRow = {
       kLdStRow, kL2Row, kRows, kRows};
+  static constexpr std::array<Kind, kRows> kKindOf = {
+      kSm, kSm, kSm, kPartition, kPartition};
   static constexpr std::array<Kind, kQueues> kWaiterKind = {kSm, kPartition};
 
-  /// Move the ids of row `r` whose wake has come by `now` into come_[r],
-  /// and find the next wake among the others.
-  void refresh(u32 r, Cycle now) {
-    Cycle next = kNever;
-    for (u32 i = 0; i < ids_[r]; ++i) {
-      const Cycle c = rows_[r][i];
-      if (c <= now)
-        come_[r] |= bit(i);
-      else
-        next = std::min(next, c);
+  /// Per row, the ids by where their wake lies from the kind's last pass:
+  /// come (at or before it, until re-armed), on the wheel (within kWheel
+  /// cycles after it, one mask per cycle modulo kWheel), or far (later; at
+  /// kNever, nowhere). Each id is in at most one of them.
+  struct Wheel {
+    u64 come = 0;
+    u64 far = 0;
+    Cycle far_next = kNever;  ///< the earliest far wake, or earlier
+    std::array<u64, kWheel> buckets{};
+  };
+
+  /// File `id`'s wake `c` in `w` by where it lies from `taken`, its kind's
+  /// last pass.
+  static void file(Wheel& w, u32 id, Cycle c, Cycle taken) {
+    if (c <= taken) {
+      w.come |= bit(id);
+    } else if (c - taken <= kWheel) {
+      w.buckets[c % kWheel] |= bit(id);
+    } else if (c != kNever) {
+      w.far |= bit(id);
+      w.far_next = std::min(w.far_next, c);
     }
-    next_[r] = next;
   }
 
-  std::array<u32, kRows> ids_;    ///< ids in each row
   std::array<u64, kKinds> marks_{};
-  /// Per row: the ids whose wake has come (until re-armed), and the
-  /// earliest wake of the others, or earlier.
-  std::array<u64, kRows> come_{};
-  std::array<Cycle, kRows> next_;
+  std::array<Cycle, kKinds> taken_{};  ///< the `now` of each kind's last pass
+  std::array<Wheel, kRows> wheels_{};
   std::array<std::array<Cycle, kMaxIds>, kRows> rows_;
   std::array<std::array<u64, kMaxIds>, kQueues> waiters_{};
 };

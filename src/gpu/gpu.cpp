@@ -70,12 +70,17 @@ u64 Gpu::progress_signature() const {
   // instructions retire, requests enter the memory system, L2 probes
   // complete, DRAM bursts finish, replies fill L1. A livelocked machine
   // (e.g. an MSHR-full retry spin) advances none of them.
+  // A sleep owes only stall, active-cycle and issue-slot counters, so the
+  // counters as of each component's last tick are exact for these.
   u64 sig = mem_.traffic().core_requests;
-  const DramStats d = mem_.dram_stats();
-  sig += d.reads + d.writes;
-  sig += mem_.l2_stats().accesses;
+  for (u32 c = 0; c < cfg_.num_dram_channels; ++c) {
+    const DramStats& d = mem_.channel(c).stats();
+    sig += d.reads + d.writes;
+  }
+  for (u32 p = 0; p < cfg_.num_l2_partitions; ++p)
+    sig += mem_.partition(p).stats().accesses;
   for (const auto& sm : sms_) {
-    const SmStats& s = sm->stats();
+    const SmStats& s = sm->ticked_stats();
     sig += s.issued_instructions + s.l1_fills;
   }
   return sig;

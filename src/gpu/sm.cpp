@@ -1,6 +1,7 @@
 #include "gpu/sm.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <sstream>
 
@@ -82,6 +83,7 @@ bool StreamingMultiprocessor::launch_cta(const Dim3& cta_id, Cycle now) {
     wc.cta_flat = cta_flat;
     wc.ready_at = now;
     wc.launch_order = launch_counter_++;
+    update_mem_wait(first_warp + w);
   }
   ++resident_ctas_;
   resident_warps_ += wpc;
@@ -90,10 +92,13 @@ bool StreamingMultiprocessor::launch_cta(const Dim3& cta_id, Cycle now) {
   return true;
 }
 
-void StreamingMultiprocessor::update_mem_wait(WarpContext& wc) {
+void StreamingMultiprocessor::update_mem_wait(u32 slot) {
+  WarpContext& wc = warps_[slot];
   const bool waits = wc.status == WarpStatus::kActive &&
                      wc.outstanding_loads > 0 &&
                      kernel_.instruction(wc.pc_idx).waits_mem;
+  const u64 bit = u64{1} << slot;
+  issuable_ = wc.runnable() && !waits ? issuable_ | bit : issuable_ & ~bit;
   if (waits == wc.mem_wait) return;
   wc.mem_wait = waits;
   if (waits)
@@ -108,7 +113,7 @@ void StreamingMultiprocessor::on_load_done(u32 slot, Cycle now) {
              "load completion for a warp with no outstanding loads");
   if (--wc.outstanding_loads == 0) {
     wake_issue(now);
-    update_mem_wait(wc);
+    update_mem_wait(slot);
     scheduler_->on_loads_complete(slot);
   }
 }
@@ -137,7 +142,7 @@ void StreamingMultiprocessor::arrive_barrier(u32 slot, Cycle now) {
       if (warps_[w].status == WarpStatus::kAtBarrier)
         warps_[w].status = WarpStatus::kActive;
       warps_[w].ready_at = now + 1;
-      update_mem_wait(warps_[w]);
+      update_mem_wait(w);
     }
   } else {
     wc.status = WarpStatus::kAtBarrier;
@@ -147,6 +152,7 @@ void StreamingMultiprocessor::arrive_barrier(u32 slot, Cycle now) {
 void StreamingMultiprocessor::finish_warp(u32 slot) {
   WarpContext& wc = warps_[slot];
   wc.status = WarpStatus::kDone;
+  update_mem_wait(slot);
   --resident_warps_;
   scheduler_->on_warp_done(slot);
   CtaSlot& cta = ctas_[wc.cta_slot];
@@ -279,7 +285,7 @@ bool StreamingMultiprocessor::issue(u32 slot, Cycle now) {
   }
   ++stats_.issued_instructions;
   if (wc.ready_at <= now) wc.ready_at = now + 1;
-  update_mem_wait(wc);
+  update_mem_wait(slot);
   return true;
 }
 
@@ -323,10 +329,10 @@ void StreamingMultiprocessor::cycle(Cycle now) {
 
 Cycle StreamingMultiprocessor::next_ready(Cycle after) const {
   Cycle next = kNever;
-  for (const WarpContext& wc : warps_)
-    if (wc.status == WarpStatus::kActive && !wc.mem_wait &&
-        wc.ready_at > after)
-      next = std::min(next, wc.ready_at);
+  for (u64 w = issuable_; w != 0; w &= w - 1) {
+    const Cycle r = warps_[static_cast<u32>(std::countr_zero(w))].ready_at;
+    if (r > after) next = std::min(next, r);
+  }
   return next;
 }
 

@@ -79,6 +79,9 @@ class StreamingMultiprocessor {
   /// Counters as of the last cycle the memory system was advanced through,
   /// including the cycles the LD/ST unit slept and the issue stage elided.
   SmStats stats() const;
+  /// Counters as of this SM's own ticks, without what its sleeps owe: exact
+  /// for every counter a sleep does not owe (the watchdog's progress poll).
+  const SmStats& ticked_stats() const { return stats_; }
   const Prefetcher& prefetcher() const { return *prefetcher_; }
   const Scheduler& scheduler() const { return *scheduler_; }
   const LdStUnit& ldst() const { return ldst_; }
@@ -107,11 +110,11 @@ class StreamingMultiprocessor {
   /// wait on memory; kNever if none.
   Cycle next_ready(Cycle after) const;
 
-  /// Recompute `wc.mem_wait` and the count of waiting warps. Called after an
-  /// issue, when a warp's last load completes and for each warp a barrier
-  /// releases: the only places its inputs change. An exiting warp needs no
-  /// call, since only a warp that is not waiting can issue EXIT.
-  void update_mem_wait(WarpContext& wc);
+  /// Recompute warp `slot`'s mem_wait, the count of waiting warps and its
+  /// issuable_ bit. Called at launch, after an issue, at exit, when a warp's
+  /// last load completes and for each warp a barrier releases: the only
+  /// places its status or mem_wait inputs change.
+  void update_mem_wait(u32 slot);
   /// Attempt to issue one instruction from `slot`; returns false on a
   /// structural hazard (the issue slot is wasted, as in hardware).
   bool issue(u32 slot, Cycle now);
@@ -145,6 +148,9 @@ class StreamingMultiprocessor {
   u32 resident_ctas_ = 0;
   u32 resident_warps_ = 0;
   u32 mem_wait_warps_ = 0;  ///< warps whose mem_wait bit is set
+  /// Active warps that do not wait on memory, one bit per slot
+  /// (GpuConfig::validate caps warps at 64): the ones next_ready() reads.
+  u64 issuable_ = 0;
   u64 launch_counter_ = 0;
 
   // Issue elision (DESIGN.md §13). A round starts at the first refused

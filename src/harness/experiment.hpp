@@ -83,7 +83,17 @@ struct RunResult {
   /// and excluded from sweep_signature().
   double wall_seconds = 0.0;
 
-  bool ok() const { return status == RunStatus::kOk; }
+  /// A clean run that finished. A run cut off by max_cycles keeps status
+  /// kOk, which its digest renders, but its counters are partial, so it is
+  /// not ok(): read stats.hit_cycle_limit to tell it from a fault.
+  bool ok() const { return status == RunStatus::kOk && !stats.hit_cycle_limit; }
+  /// What ended the run: to_string(status), or "cycle_limit" for a run that
+  /// max_cycles cut off.
+  const char* outcome() const {
+    return status == RunStatus::kOk && stats.hit_cycle_limit
+               ? "cycle_limit"
+               : to_string(status);
+  }
 };
 
 /// Build the per-SM policy factories for a resolved configuration. The one

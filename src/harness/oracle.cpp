@@ -90,7 +90,9 @@ struct Observation {
   u64 demotions = 0;       ///< kForcedDemotion events (contention signal)
   /// Per-PC completed-prefetch outcome buckets: [timely, late, early].
   std::map<Addr, std::array<u64, 3>> buckets;
-  GpuStats stats;
+  /// The run as the harness reports it: status kOk, since a fault ends the
+  /// cross-check before the run returns.
+  RunResult run;
   u64 sched_markers = 0;      ///< scheduler-internal counters, summed
   u64 sched_wakeups = 0;      ///< (PAS only) wakeup_promotions, summed
   u64 engine_mismatches = 0;  ///< SMs not running the expected scheduler
@@ -143,7 +145,7 @@ std::unique_ptr<Gpu> simulate(const Workload& w, const GpuConfig& gc, bool gto,
     };
   }
   auto gpu = std::make_unique<Gpu>(gc, w.kernel, policies, std::move(sink));
-  obs.stats = gpu->run();
+  obs.run.stats = gpu->run();
 
   for (u32 i = 0; i < gc.num_sms; ++i) {
     const Scheduler& s = gpu->sm(i).scheduler();
@@ -305,11 +307,11 @@ void check_marker_protocol(const Observation& obs,
                  std::to_string(obs.marks) +
                  " leading marks landed on a warp other than predicted warp " +
                  std::to_string(adv.predicted_leading_warp));
-  if (obs.marks != obs.stats.ctas_launched)
+  if (obs.marks != obs.run.stats.ctas_launched)
     sink.add(0, tag + ":leading-mark-count",
              "runtime set " + std::to_string(obs.marks) +
                  " leading marks, one per CTA predicts " +
-                 std::to_string(obs.stats.ctas_launched));
+                 std::to_string(obs.run.stats.ctas_launched));
   if (adv.has_global_load && obs.clears != obs.marks)
     sink.add(0, tag + ":leading-clear-count",
              "runtime cleared " + std::to_string(obs.clears) + " of " +
@@ -550,13 +552,14 @@ OracleResult cross_check(const Workload& w, const OracleOptions& opt) {
     }
   };
   // Only a complete run with a clean audit is checked.
-  auto usable = [&fail](const GpuStats& stats) {
-    if (stats.hit_cycle_limit) {
+  auto usable = [&fail](const RunResult& run) {
+    if (!run.ok()) {  // cut off by max_cycles: the status is kOk
       fail(RunStatus::kConfigError,
            "run hit the cycle limit; counters are partial — raise "
            "max_cycles for the oracle cross-check");
       return false;
     }
+    const GpuStats& stats = run.stats;
     if (!stats.audit_clean()) {
       fail(RunStatus::kInvariantViolation,
            "invariant audit failed: " + stats.audit_violations.front());
@@ -581,10 +584,10 @@ OracleResult cross_check(const Workload& w, const OracleOptions& opt) {
     {
       const std::unique_ptr<Gpu> gpu =
           simulate(w, gc, /*gto=*/false, leader, pas);
-      if (!usable(pas.stats)) return r;
+      if (!usable(pas.run)) return r;
       DivergenceSink sink(r.workload, r.prefetch.divergences);
       check_dist_tables(*gpu, gc, r.analysis, r.prefetch.notes, sink);
-      check_exclusion_counters(pas.stats, r.analysis, sink);
+      check_exclusion_counters(pas.run.stats, r.analysis, sink);
       check_leading_bases(pas, w.kernel, r.analysis, sink);
       sink.finalize();
       dedupe_notes(r.prefetch.notes);
@@ -593,7 +596,7 @@ OracleResult cross_check(const Workload& w, const OracleOptions& opt) {
 
     Observation gto;
     simulate(w, gc, /*gto=*/true, leader, gto);
-    if (!usable(gto.stats)) return r;
+    if (!usable(gto.run)) return r;
     DivergenceSink sink(r.workload, r.schedule.divergences);
     std::vector<std::string>& notes = r.schedule.notes;
     check_marker_protocol(pas, r.advice, "pas", sink);

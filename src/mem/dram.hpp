@@ -4,11 +4,13 @@
 // cycles; the channel scales them to core cycles once, at construction.
 #pragma once
 
+#include <bit>
 #include <utility>
 #include <vector>
 
 #include "common/config.hpp"
 #include "common/flat_deque.hpp"
+#include "common/slot_array.hpp"
 #include "common/stats.hpp"
 #include "mem/memory_request.hpp"
 
@@ -40,7 +42,7 @@ class DramChannel {
  public:
   explicit DramChannel(const GpuConfig& cfg);
 
-  bool can_accept() const { return queue_.size() < queue_capacity_; }
+  bool can_accept() const { return used_ != all_slots_; }
   void submit(const MemRequest& req);
 
   /// Pop one request whose data transfer has completed by `now`, in
@@ -56,18 +58,20 @@ class DramChannel {
   /// whether it did (a command frees a queue slot). Before next_pick_at_
   /// no command can start, so the cycle only counts as busy.
   bool cycle(Cycle now) {
-    if (queue_.empty()) return false;
+    if (used_ == 0) return false;
     ++stats_.busy_cycles;
     if (now < next_pick_at_) return false;
     issue(now);
     return true;
   }
 
-  bool idle() const { return queue_.empty() && in_service_.empty(); }
+  bool idle() const { return used_ == 0 && in_service_.empty(); }
   const DramStats& stats() const { return stats_; }
 
-  std::size_t queue_size() const { return queue_.size(); }
-  std::size_t queue_capacity() const { return queue_capacity_; }
+  std::size_t queue_size() const {
+    return static_cast<std::size_t>(std::popcount(used_));
+  }
+  std::size_t queue_capacity() const { return queue_.size(); }
   std::size_t in_service() const { return in_service_.size(); }
 
  private:
@@ -75,6 +79,7 @@ class DramChannel {
     MemRequest req;
     u32 bank = 0;
     u64 row = 0;
+    u64 age = 0;  ///< submission order
   };
 
   struct Bank {
@@ -82,14 +87,15 @@ class DramChannel {
     u64 row = 0;
     Cycle ready_at = 0;        ///< earliest cycle a new command may start
     Cycle last_activate = 0;   ///< for tRC accounting
+    u64 slots = 0;             ///< queue slots of the requests it serves
   };
 
-  /// FR-FCFS pick: oldest row-hit if any bank-ready row-hit exists, else the
-  /// oldest request whose bank can start an activation. Readiness is a
-  /// property of the bank, so each pass builds a bank mask once and each
-  /// queue entry costs one bit test. Called only at or after
-  /// next_pick_at_, where it always finds a command.
-  FlatDeque<Pending>::iterator pick(Cycle now);
+  /// FR-FCFS pick: the oldest row hit on a ready open bank if any, else
+  /// the oldest request whose bank can start an activation. Readiness is a
+  /// property of the bank, so a pass ORs the slot masks of the banks it
+  /// accepts. Called only at or after next_pick_at_, where it always finds
+  /// a command.
+  u32 pick(Cycle now) const;
   /// Issue the command pick() chooses, then move next_pick_at_ to the
   /// earliest cycle the new bank state lets the queue's next command start.
   void issue(Cycle now);
@@ -97,23 +103,31 @@ class DramChannel {
   /// Earliest cycle `b` may start an activation: the bank is ready, tRRD
   /// has passed since any bank's last activation (and tRC since its own).
   Cycle activate_at(const Bank& b) const;
-  /// Earliest cycle pick() can choose `p` in the current bank state: its
-  /// bank's ready_at for a row hit, else activate_at.
-  Cycle start_at(const Pending& p) const;
+  /// Earliest cycle pick() can choose a request of `b`: its ready_at if one
+  /// is a row hit, else activate_at (never earlier than ready_at).
+  Cycle start_at(const Bank& b) const {
+    return (b.slots & hits_) != 0 ? b.ready_at : activate_at(b);
+  }
 
   DramTiming t_;  ///< in core cycles; burst is at least 1
   u32 row_bytes_;
   u32 num_banks_;
-  std::size_t queue_capacity_;
 
-  FlatDeque<Pending> queue_;
+  /// The scheduler queue: at most 64 slots (GpuConfig::validate), one mask
+  /// bit each, in no order; Pending::age orders them.
+  SlotArray<Pending> queue_;
+  u64 all_slots_ = 0;  ///< one bit per slot
+  u64 used_ = 0;   ///< slots holding a request
+  u64 hits_ = 0;   ///< slots whose row is open in their bank
+  u64 next_age_ = 0;
   /// At most 64 (GpuConfig::validate): pick() gives each one mask bit.
   std::vector<Bank> banks_;
-  /// The queue's minimum start_at: pick() finds nothing before this cycle
-  /// and always finds a command at or after it. issue() recomputes it from
-  /// the new bank state, and submit() lowers it to the new request's. Only
-  /// an issued command changes the bank state it derives from, so it is
-  /// never stale.
+  u64 busy_banks_ = 0;  ///< banks with a queued request
+  /// The queue's minimum start cycle: pick() finds nothing before this
+  /// cycle and always finds a command at or after it. issue() recomputes
+  /// it from the new bank state, and submit() lowers it to the new
+  /// request's. Only an issued command changes the bank state it derives
+  /// from, so it is never stale.
   Cycle next_pick_at_ = kNever;
   Cycle bus_free_at_ = 0;
   Cycle last_activate_any_ = 0;  ///< for tRRD (activate-to-activate, any bank)

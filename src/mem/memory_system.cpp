@@ -48,14 +48,17 @@ void MemorySystem::cycle(Cycle now) {
     L2Partition& part = *partitions_[p];
     MemRequest req;
     const Cycle arrived_at = req_xbar_.head_at(p);
-    if (part.can_accept() && req_xbar_.pop(p, now, req)) {
+    const bool had_room = part.can_accept();
+    const bool pulled = had_room && req_xbar_.pop(p, now, req);
+    if (pulled) {
       req_stats_.total_queue_delay += now - arrived_at;
       part.accept(req, now);
       calendar_.room(WakeCalendar::kRequestLane, p);
     }
     // The partition marks its channel and its reply head itself.
     if (part.due(now)) part.cycle(now);
-    arm_pull(p);
+    // The pull wake moves only with the lane head or the partition's room.
+    if (pulled || part.can_accept() != had_room) arm_pull(p);
   }
 
   for (u32 c = 0; c < channels_.size(); ++c) {

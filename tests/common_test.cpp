@@ -1,11 +1,14 @@
 // Unit tests for src/common: types, config validation, bounded queue,
 // running statistics and the counter-group base over every statistics
-// group, deterministic hashing, the sleep ledger and the wake calendar's
-// room-wait list.
+// group, deterministic hashing, the sleep ledger, and the wake calendar's
+// room-wait list and timing wheel against a row-scan reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <random>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/bounded_queue.hpp"
@@ -133,6 +136,14 @@ TEST(ConfigTest, RejectsMoreDramBanksThanTheBankMaskHolds) {
   cfg.dram_banks = 64;
   EXPECT_NO_THROW(cfg.validate());
   cfg.dram_banks = 128;  // a power of two, but past the 64-bit bank mask
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+}
+
+TEST(ConfigTest, RejectsMoreDramQueueSlotsThanTheSlotMaskHolds) {
+  GpuConfig cfg;
+  cfg.dram_queue_size = 64;
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.dram_queue_size = 65;  // past the 64-bit slot mask
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
@@ -346,6 +357,141 @@ struct LedgerStats {
   u64 slots = 0;
   u64 other = 0;
 };
+
+// ------------------------------------------ timed wakes, differential ---
+
+/// The calendar's timed rows as they were before the timing wheel: per row
+/// the ids whose wake has come and a lower bound on the others' wakes, and
+/// a pass that rescans a row whenever one of its wakes may have come. Kept
+/// as the reference that WakeCalendar::take must match pass for pass.
+class RefWakeCalendar {
+ public:
+  RefWakeCalendar(u32 sms, u32 partitions)
+      : ids_{sms, sms, sms, partitions, partitions} {
+    next_.fill(kNever);
+    for (auto& row : rows_) row.fill(kNever);
+  }
+
+  Cycle at(WakeCalendar::Row r, u32 id) const { return rows_[r][id]; }
+
+  void arm(WakeCalendar::Row r, u32 id, Cycle c) {
+    rows_[r][id] = c;
+    if (c == 0) {
+      come_[r] |= WakeCalendar::bit(id);
+      return;
+    }
+    come_[r] &= ~WakeCalendar::bit(id);
+    next_[r] = std::min(next_[r], c);
+  }
+
+  void mark(WakeCalendar::Kind k, u64 ids) { marks_[k] |= ids; }
+
+  u64 take(WakeCalendar::Kind k, Cycle now) {
+    u64 ids = std::exchange(marks_[k], 0);
+    for (u32 r = kFirstRow[k]; r < kFirstRow[k + 1]; ++r) {
+      if (now >= next_[r]) refresh(r, now);
+      ids |= come_[r];
+    }
+    return ids;
+  }
+
+ private:
+  static constexpr u32 kRows = WakeCalendar::kRows;
+  static constexpr std::array<u32, WakeCalendar::kKinds + 1> kFirstRow = {
+      WakeCalendar::kLdStRow, WakeCalendar::kL2Row, kRows, kRows};
+
+  void refresh(u32 r, Cycle now) {
+    Cycle next = kNever;
+    for (u32 i = 0; i < ids_[r]; ++i) {
+      const Cycle c = rows_[r][i];
+      if (c <= now)
+        come_[r] |= WakeCalendar::bit(i);
+      else
+        next = std::min(next, c);
+    }
+    next_[r] = next;
+  }
+
+  std::array<u32, kRows> ids_;
+  std::array<u64, WakeCalendar::kKinds> marks_{};
+  std::array<u64, kRows> come_{};
+  std::array<Cycle, kRows> next_;
+  std::array<std::array<Cycle, WakeCalendar::kMaxIds>, kRows> rows_;
+};
+
+/// Random arms, marks and passes on both calendars, as the machine makes
+/// them: each cycle passes every kind once, in phase order, and arms and
+/// marks land between passes. The cycle advances by one mostly, and by
+/// gaps up to three wheel turns otherwise. Arms reach at once (0), the
+/// past, this cycle, the wheel, past the wheel, and kNever, and re-arm ids
+/// that are already armed. Every pass must return the same ids.
+TEST(WakeCalendarWheelTest, MatchesTheRowScanReference) {
+  constexpr Cycle kWheel = WakeCalendar::kWheel;
+  for (u64 seed = 1; seed <= 8; ++seed) {
+    std::mt19937_64 rng(seed);
+    const auto sms = static_cast<u32>(1 + rng() % 64);
+    const auto partitions = static_cast<u32>(1 + rng() % 64);
+    WakeCalendar cal(sms, partitions);
+    RefWakeCalendar ref(sms, partitions);
+    const auto ids_of = [&](u32 row) {
+      return row < WakeCalendar::kL2Row ? sms : partitions;
+    };
+    u64 taken = 0;
+    Cycle now = 0;
+    for (u32 step = 0; step < 20000; ++step) {
+      for (u32 k = 0; k < WakeCalendar::kKinds; ++k) {
+        const auto kind = static_cast<WakeCalendar::Kind>(k);
+        const u64 got = cal.take(kind, now);
+        ASSERT_EQ(got, ref.take(kind, now))
+            << "seed " << seed << " cycle " << now << " kind " << k;
+        taken |= got;
+        for (u32 n = static_cast<u32>(rng() % 6); n > 0; --n) {
+          const auto row =
+              static_cast<WakeCalendar::Row>(rng() % WakeCalendar::kRows);
+          const auto id = static_cast<u32>(rng() % ids_of(row));
+          Cycle c = 0;
+          switch (rng() % 8) {
+            case 0: c = 0; break;
+            case 1: c = now - std::min<Cycle>(now, rng() % 300); break;
+            case 2: c = now; break;
+            case 3: c = now + 1; break;
+            case 4: c = now + 1 + rng() % kWheel; break;
+            case 5: c = now + kWheel + rng() % (3 * kWheel); break;
+            case 6: c = kNever; break;
+            default: c = now + rng() % 40; break;
+          }
+          cal.arm(row, id, c);
+          ref.arm(row, id, c);
+          ASSERT_EQ(cal.at(row, id), c);
+        }
+        if (rng() % 4 == 0) {
+          const auto mk =
+              static_cast<WakeCalendar::Kind>(rng() % WakeCalendar::kKinds);
+          const u64 ids = WakeCalendar::bit(static_cast<u32>(rng() % 64));
+          cal.mark(mk, ids);
+          ref.mark(mk, ids);
+        }
+      }
+      now += rng() % 16 == 0 ? rng() % (3 * kWheel) : 1;
+    }
+    EXPECT_NE(taken, 0u);
+  }
+}
+
+TEST(WakeCalendarWheelTest, AnArmAtOrBeforeTheLastPassIsDueAtTheNext) {
+  WakeCalendar cal(2, 1);
+  cal.take(WakeCalendar::kSm, 10);
+  cal.arm(WakeCalendar::kReplyRow, 1, 10);  // the cycle just taken
+  cal.arm(WakeCalendar::kLdStRow, 0, 3);    // the past
+  EXPECT_EQ(cal.take(WakeCalendar::kSm, 11), 0b11u);
+  // Due at every pass until re-armed; a wake beyond the wheel is not.
+  EXPECT_EQ(cal.take(WakeCalendar::kSm, 12), 0b11u);
+  cal.arm(WakeCalendar::kLdStRow, 0, 12 + 3 * WakeCalendar::kWheel);
+  cal.arm(WakeCalendar::kReplyRow, 1, kNever);
+  EXPECT_EQ(cal.take(WakeCalendar::kSm, 13), 0u);
+  EXPECT_EQ(cal.take(WakeCalendar::kSm, 11 + 3 * WakeCalendar::kWheel), 0u);
+  EXPECT_EQ(cal.take(WakeCalendar::kSm, 12 + 3 * WakeCalendar::kWheel), 0b1u);
+}
 
 TEST(WakeCalendarRoomTest, RoomMarksTheQueuesWaitersUntilTheyWithdraw) {
   // 4 SMs, 8 partitions. Each queue lists ids of its waiter kind: SMs on

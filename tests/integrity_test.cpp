@@ -202,6 +202,24 @@ TEST(HarnessFaultToleranceTest, RunConfigOverridesApply) {
   EXPECT_LE(r.stats.cycles, 600u);
 }
 
+TEST(HarnessFaultToleranceTest, ACutOffRunIsNotOk) {
+  // A run stopped by max_cycles keeps status kOk, which its digest renders,
+  // but its counters are partial: it is no result.
+  RunConfig rc;
+  rc.workload = "MM";
+  rc.max_cycles = 100;
+  const RunResult cut = run_experiment(rc);
+  EXPECT_EQ(cut.status, RunStatus::kOk);
+  EXPECT_TRUE(cut.stats.hit_cycle_limit);
+  EXPECT_FALSE(cut.ok());
+  EXPECT_STREQ(cut.outcome(), "cycle_limit");
+  EXPECT_TRUE(cut.error.empty());
+  rc.max_cycles.reset();
+  const RunResult full = run_experiment(rc);
+  EXPECT_TRUE(full.ok()) << full.error;
+  EXPECT_STREQ(full.outcome(), "ok");
+}
+
 // The auditor must pass on every seed workload under the default machine —
 // the conservation laws hold on healthy runs.
 TEST(AuditorTest, CleanOnAllSeedWorkloads) {

@@ -189,6 +189,73 @@ TEST(MshrTest, AllocatingWaiterFillsFirst) {
   EXPECT_EQ(waiters, (std::vector<int>{2}));
 }
 
+/// Lines with colliding homes: every index of up to 64 buckets puts them in
+/// its first bucket or its last few, so their probe runs pile up and wrap
+/// around the end of the index.
+std::vector<Addr> colliding_lines(std::size_t n) {
+  std::vector<Addr> lines;
+  for (Addr i = 1; lines.size() < n; ++i) {
+    const u32 home = mshr_home(i * 128, 6);
+    if (home == 0 || home >= 61) lines.push_back(i * 128);
+  }
+  return lines;
+}
+
+/// Random allocations, merges and fills in random order on an MSHR and a
+/// linear reference with the same LIFO slot reuse: every lookup of every
+/// line must return the reference's slot, and every fill its waiters.
+TEST(MshrTest, IndexMatchesALinearReferenceUnderCollidingHashes) {
+  for (const u32 entries : {1u, 3u, 8u, 32u}) {
+    const std::vector<Addr> pool = colliding_lines(2 * entries + 6);
+    for (u64 seed = 1; seed <= 4; ++seed) {
+      std::mt19937_64 rng(seed * 31 + entries);
+      Mshr<u32> m(entries, 3);
+      std::vector<Addr> lines(entries, Mshr<u32>::kFree);
+      std::vector<std::vector<u32>> waiters(entries);
+      std::vector<u32> free;
+      for (u32 i = entries; i-- > 0;) free.push_back(i);
+      const auto ref_slot = [&](Addr line) {
+        const auto it = std::find(lines.begin(), lines.end(), line);
+        return it == lines.end() ? Mshr<u32>::kNone
+                                 : static_cast<u32>(it - lines.begin());
+      };
+      const auto fill = [&](u32 slot) {
+        std::vector<u32> out;
+        m.fill_into(lines[slot], out);
+        ASSERT_EQ(out, waiters[slot]);
+        lines[slot] = Mshr<u32>::kFree;
+        waiters[slot].clear();
+        free.push_back(slot);
+      };
+      u32 next_waiter = 0;
+      for (u32 op = 0; op < 4000; ++op) {
+        const Addr line = pool[rng() % pool.size()];
+        const u32 slot = ref_slot(line);
+        if (slot != Mshr<u32>::kNone) {
+          if (rng() % 3 == 0 || !m.can_merge_at(slot)) {
+            fill(slot);
+          } else {
+            m.merge_at(slot, next_waiter);
+            waiters[slot].push_back(next_waiter++);
+          }
+        } else if (!free.empty()) {
+          m.allocate(line, next_waiter);
+          const u32 s = free.back();
+          free.pop_back();
+          lines[s] = line;
+          waiters[s] = {next_waiter++};
+        } else {
+          fill(static_cast<u32>(rng() % entries));  // any live line
+        }
+        for (const Addr l : pool)
+          ASSERT_EQ(m.slot_of(l), ref_slot(l))
+              << "entries " << entries << " seed " << seed << " op " << op;
+        ASSERT_EQ(m.size(), entries - free.size());
+      }
+    }
+  }
+}
+
 TEST(CrossbarTest, LatencyIsRespected) {
   Crossbar x(2, /*latency=*/10, /*queue=*/4);
   MemRequest req;
@@ -528,7 +595,8 @@ class RefDramChannel {
 
 struct DramPickCase {
   u32 banks;
-  u32 trrd;  ///< DRAM cycles
+  u32 trrd;         ///< DRAM cycles
+  u32 queue = 16;   ///< scheduler queue slots
 };
 
 class DramPickDifferentialTest
@@ -541,6 +609,7 @@ TEST_P(DramPickDifferentialTest, MatchesThreeScanReference) {
   GpuConfig cfg;
   cfg.dram_banks = GetParam().banks;
   cfg.dram_timing.tRRD = GetParam().trrd;
+  cfg.dram_queue_size = GetParam().queue;
   for (u64 seed = 1; seed <= 4; ++seed) {
     DramChannel ch(cfg);
     RefDramChannel ref(cfg);
@@ -595,10 +664,14 @@ INSTANTIATE_TEST_SUITE_P(
     BanksAndTrrd, DramPickDifferentialTest,
     ::testing::Values(DramPickCase{4, 0}, DramPickCase{4, 6},
                       DramPickCase{16, 0}, DramPickCase{16, 6},
-                      DramPickCase{64, 0}, DramPickCase{64, 6}),
+                      DramPickCase{64, 0}, DramPickCase{64, 6},
+                      DramPickCase{16, 6, 64}, DramPickCase{64, 0, 64}),
     [](const ::testing::TestParamInfo<DramPickCase>& param) {
       return "Banks" + std::to_string(param.param.banks) + "Trrd" +
-             std::to_string(param.param.trrd);
+             std::to_string(param.param.trrd) +
+             (param.param.queue == 16
+                  ? ""
+                  : "Queue" + std::to_string(param.param.queue));
     });
 
 TEST_F(DramTest, PickAtOrAfterNextPickAtNeverFindsNothing) {

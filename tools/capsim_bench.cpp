@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
     if (!r.ok()) {
       ++failed;
       std::fprintf(stderr, "  FAIL %s/%s: %s — %s\n", r.cfg.workload.c_str(),
-                   to_string(r.cfg.prefetcher), to_string(r.status),
+                   to_string(r.cfg.prefetcher), r.outcome(),
                    r.error.c_str());
     }
   }
