@@ -116,6 +116,35 @@ TEST(SweepDeterminismTest, FaultInjectedSweepIsDeterministicAcrossWorkers) {
   EXPECT_EQ(sweep_signature(t1), sweep_signature(t4));
 }
 
+// bench/paper_figures runs identical resolved configurations once: a config
+// that spells out run_experiment's defaults (the paired scheduler, Table
+// III's CTA limit, the eager wake-up) must run the same machine as the bare
+// config it is merged with.
+TEST(SweepDeterminismTest, ExplicitDefaultsMatchTheBareConfig) {
+  std::vector<RunConfig> cfgs;
+  for (const char* wl : {"MM", "BFS"}) {
+    for (PrefetcherKind pf : {PrefetcherKind::kNone, PrefetcherKind::kCaps}) {
+      RunConfig bare;
+      bare.workload = wl;
+      bare.prefetcher = pf;
+      RunConfig expl = bare;
+      expl.scheduler = default_scheduler_for(pf);
+      expl.max_ctas_per_sm = GpuConfig{}.max_ctas_per_sm;
+      expl.caps_eager_wakeup = true;
+      cfgs.push_back(std::move(bare));
+      cfgs.push_back(std::move(expl));
+    }
+  }
+  const std::vector<RunResult> runs = run_sweep(cfgs);
+  ASSERT_EQ(runs.size(), cfgs.size());
+  for (std::size_t i = 0; i < runs.size(); i += 2) {
+    const RunResult& bare = runs[i];
+    SCOPED_TRACE(bare.cfg.workload + '/' + to_string(bare.cfg.prefetcher));
+    ASSERT_TRUE(bare.ok()) << bare.outcome() << ": " << bare.error;
+    EXPECT_EQ(signature_digest(bare), signature_digest(runs[i + 1]));
+  }
+}
+
 TEST(SweepExecutorTest, ResultsArriveInSubmissionOrder) {
   // Cheap truncated runs: order is what matters here, not completion.
   std::vector<RunConfig> cfgs;
