@@ -1,8 +1,16 @@
-// Figures 10 to 15 from one sweep. Each panel names its columns as points —
-// a prefetcher, optionally a scheduler and a concurrent-CTA limit, and the
-// CAPS eager wake-up — over a workload list. A point resolves as
-// run_experiment resolves it; identical resolved points on one workload run
-// once, and every panel reads its cells from that one result set.
+// Every figure and table of the paper from one driver. Figures 10 to 15 come
+// from one sweep. Each panel names its columns as points — a prefetcher,
+// optionally a scheduler and a concurrent-CTA limit, and the CAPS eager
+// wake-up — over a workload list. A point resolves as run_experiment
+// resolves it; identical resolved points on one workload run once, and every
+// panel reads its cells from that one result set.
+//   Fig. 1   accuracy of naive inter-warp stride prefetching and the issue
+//            cycle gap by warp distance on matrixMul, from the load-issue
+//            trace of Fig. 10's MM run under BASE: the accuracy drops at
+//            the CTA boundary (MM has 8 warps per CTA).
+//   Fig. 4   iteration count of the four hottest loads per kernel and the
+//            repeated/total static load counts, measured on the synthetic
+//            kernels next to the paper's values (no simulation).
 //   Fig. 10  IPC normalized to BASE (two-level scheduler, no prefetch) of the
 //            seven prefetchers, each with the scheduler the paper pairs it
 //            with, per benchmark plus the means.
@@ -20,13 +28,16 @@
 //   Fig. 15  CAPS energy normalized to BASE: the GPUWattch-style event
 //            model plus the published CAPS table costs (15.07 pJ/access,
 //            550 uW static per SM).
-// Every figure runs all of Table IV except Fig. 11, which runs an
+//   Tables I and II  the PerCTA/DIST entry layout and the per-SM storage of
+//            CAPS, plus the synthesis numbers the energy model consumes.
+// Figs. 10 and 12 to 15 run all of Table IV; Fig. 11 runs an
 // eight-benchmark half of it unless `--full` is given. `--quick` runs the
-// four-kernel smoke subset everywhere. `--csv P` writes one P.<table>.csv
-// per table: P.fig10.csv, P.fig11.csv, P.fig12.{coverage,accuracy}.csv,
-// P.fig13.{requests,dram_reads}.csv, P.fig14a.csv, P.fig14b.csv and
-// P.fig15.csv. Tables go to stdout; stderr reports each failed run once and
-// ends with the count of unique runs and of cells.
+// four-kernel smoke subset in every simulated figure but Fig. 1. `--csv P`
+// writes one P.<table>.csv per table: P.fig01.csv, P.fig04.csv, P.fig10.csv,
+// P.fig11.csv, P.fig12.{coverage,accuracy}.csv,
+// P.fig13.{requests,dram_reads}.csv, P.fig14a.csv, P.fig14b.csv, P.fig15.csv
+// and P.tab2.csv. Tables go to stdout; stderr reports each failed run once
+// and ends with the count of unique runs and of cells.
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -38,10 +49,12 @@
 #include <utility>
 #include <vector>
 
+#include "core/hw_cost.hpp"
 #include "harness/energy.hpp"
 #include "harness/experiment.hpp"
 #include "harness/sweep.hpp"
 #include "harness/tables.hpp"
+#include "harness/trace_analysis.hpp"
 
 using namespace caps;
 
@@ -106,12 +119,17 @@ class ResultSet {
         rc.scheduler = p.scheduler;
         rc.max_ctas_per_sm = p.max_ctas_per_sm;
         rc.caps_eager_wakeup = p.eager_wakeup;
-        jobs_.push_back(std::move(rc));
+        jobs_.emplace_back(std::move(rc));
         labels_.push_back(label(p));
       }
       cells_[{id, wl}] = it->second;
     }
     return id;
+  }
+
+  /// Trace the run behind the cell of `point` on `wl` into `sink`.
+  void trace(Id point, const std::string& wl, TraceSink sink) {
+    jobs_[cells_.at({point, wl})].trace = std::move(sink);
   }
 
   /// Run every unique configuration in one sweep, then report each failed
@@ -144,7 +162,7 @@ class ResultSet {
 
   Id points_ = 0;
   std::map<Key, std::size_t> run_of_;
-  std::vector<RunConfig> jobs_;      ///< [run], until run()
+  std::vector<SweepJob> jobs_;       ///< [run], until run()
   std::vector<std::string> labels_;  ///< [run]: its first point's label
   std::map<std::pair<Id, std::string>, std::size_t> cells_;  ///< -> run
   std::vector<RunResult> runs_;      ///< [run], after run()
@@ -244,11 +262,92 @@ void print_table(const Table& t, const BenchArgs& args, const char* csv) {
   if (!args.csv.empty()) t.write_csv(args.csv + "." + csv + ".csv");
 }
 
+/// Fig. 1 from the load-issue trace of MM's BASE run.
+void print_fig01(const LoadTraceCollector& collector, const BenchArgs& args) {
+  std::printf("Fig. 1 — inter-warp stride prediction accuracy vs warp "
+              "distance (matrixMul, two-level scheduler)\n\n");
+  const Addr pc = collector.hottest_pc();
+  const u32 wpc = find_workload("MM").kernel.warps_per_cta();
+  const auto points = analyze_stride_distance(collector.events(), pc, 10);
+
+  Table t({"distance", "accuracy", "gap_cycles", "pairs"});
+  for (const StrideDistancePoint& p : points)
+    t.add_row({std::to_string(p.distance), fmt_percent(p.accuracy),
+               fmt_double(p.gap_cycles, 1), std::to_string(p.pairs)});
+  print_table(t, args, "fig01");
+  std::printf("Paper shape: high accuracy at short distances, steep drop at "
+              "distance %u (CTA boundary: MM has %u warps/CTA); gap grows "
+              "with distance.\n", wpc - 1, wpc);
+}
+
+/// Fig. 4: static and per-warp load analysis of every kernel of the suite.
+void print_fig04(const BenchArgs& args) {
+  std::printf("Fig. 4 — loads executed in loops (measured vs paper)\n\n");
+  Table t({"bench", "repeated/total (measured)", "avg iters (measured)",
+           "repeated/total (paper)", "avg iters (paper)"});
+  for (const Workload& w : workload_suite()) {
+    const LoadLoopProfile p = analyze_load_loops(w.kernel);
+    t.add_row({w.abbr,
+               std::to_string(p.repeated_loads) + "/" +
+                   std::to_string(p.total_loads),
+               fmt_double(p.top4_mean(), 1),
+               std::to_string(w.paper_repeated_loads) + "/" +
+                   std::to_string(w.paper_total_loads),
+               std::to_string(w.paper_avg_iterations)});
+  }
+  print_table(t, args, "fig04");
+  std::printf("Shape to check: most regular kernels have few or no "
+              "in-loop loads (intra-warp prefetching starves); loop-heavy "
+              "kernels (LPS, STE, HST, MM, KM) re-execute theirs.\n");
+}
+
+/// Tables I and II on the Table III machine.
+void print_hardware_tables(const BenchArgs& args) {
+  const GpuConfig cfg;
+  const CapsHardwareCost cost = compute_caps_hardware_cost(cfg);
+
+  std::printf("Table I — database entry size of the prefetcher\n\n");
+  Table t1({"table", "fields", "total"});
+  const PerCtaEntryLayout pe;
+  const DistEntryLayout de;
+  t1.add_row({"PerCTA",
+              "PC (4B), leading warp id (1B), base address (4x4B)",
+              std::to_string(pe.total()) + "B"});
+  t1.add_row({"DIST", "PC (4B), stride (4B), mispredict counter (1B)",
+              std::to_string(de.total()) + "B"});
+  std::printf("%s\n", t1.to_string().c_str());
+
+  std::printf("Table II — required hardware for tables (per SM)\n\n");
+  Table t2({"table", "configuration", "total"});
+  t2.add_row({"DIST",
+              std::to_string(de.total()) + " bytes per entry, " +
+                  std::to_string(cfg.caps.dist_entries) + " entries",
+              std::to_string(cost.dist_bytes) + " bytes"});
+  t2.add_row({"PerCTA",
+              std::to_string(pe.total()) + " bytes per entry, " +
+                  std::to_string(cfg.caps.percta_entries) + " entries, " +
+                  std::to_string(cfg.max_ctas_per_sm) + " CTAs",
+              std::to_string(cost.percta_bytes) + " bytes"});
+  t2.add_row({"total", "", std::to_string(cost.total_bytes) + " bytes"});
+  print_table(t2, args, "tab2");
+
+  std::printf("Synthesis estimates (Section V-D, used by the Fig. 15 energy "
+              "model):\n");
+  std::printf("  area            : %.3f mm^2 (%.2f%% of a %.0f mm^2 SM)\n",
+              cost.area_mm2, 100.0 * cost.area_fraction_of_sm(),
+              cost.sm_area_mm2);
+  std::printf("  energy/access   : %.2f pJ\n", cost.energy_per_access_pj);
+  std::printf("  static power    : %.0f uW\n", cost.static_power_uw);
+  std::printf("\nExpected: 21B/9B entries, 36 + 672 = 708 bytes per SM.\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_bench_args(argc, argv, /*allow_full=*/true);
+  const BenchArgs args = parse_bench_args(argc, argv);
   const std::vector<std::string> workloads = fig10_workloads(args.quick);
+  // The note of a title whose figure runs on the --quick subset.
+  const char* const subset = args.quick ? " (--quick subset)" : "";
   // The full Fig. 11 sweep is long; it defaults to a representative half of
   // the suite unless --full is given.
   const std::vector<std::string> cta_workloads =
@@ -256,6 +355,8 @@ int main(int argc, char** argv) {
           ? workloads
           : std::vector<std::string>{"CP", "LPS", "HSP", "STE", "CNV", "MM",
                                      "SCN", "BFS"};
+  const char* const cta_subset =
+      args.quick || args.full ? subset : " [subset; --full for all]";
 
   // The evaluation: every point of every panel, before anything runs.
   ResultSet rs;
@@ -267,6 +368,10 @@ int main(int argc, char** argv) {
   std::vector<ResultSet::Id> legend;  // Figs. 10, 12, 13 and 15, [kind]
   for (PrefetcherKind pf : kinds)
     legend.push_back(rs.add({.pf = pf}, workloads));
+  // Fig. 1 reads the load-issue trace of the BASE run on MM (in every
+  // workload list).
+  LoadTraceCollector fig01_trace;
+  rs.trace(legend[0], "MM", fig01_trace.sink());
 
   const std::vector<u32> cta_limits{1, 2, 4, 8};
   std::vector<std::vector<ResultSet::Id>> cta_grid;  // Fig. 11, [limit][kind]
@@ -298,6 +403,9 @@ int main(int argc, char** argv) {
         rs.add({.pf = PrefetcherKind::kCaps, .scheduler = sched}, workloads));
 
   rs.run();
+
+  print_fig01(fig01_trace, args);
+  print_fig04(args);
 
   // Figs. 10, 12, 13 and 15: one row per benchmark.
   const std::set<std::string> irregular{"PVR", "CCL", "BFS", "KM"};
@@ -392,7 +500,7 @@ int main(int argc, char** argv) {
   };
 
   for (const Figure& f : figures) {
-    std::printf("%s%s\n\n", f.title, args.quick ? " (--quick subset)" : "");
+    std::printf("%s%s\n\n", f.title, subset);
     for (const Panel& p : f.panels) {
       if (p.label != nullptr) std::printf("(%s)\n", p.label);
       print_table(legend_table(rs, legend[0], workloads, p), args, p.csv);
@@ -405,7 +513,7 @@ int main(int argc, char** argv) {
   // of every row.
   std::printf("Fig. 11 — mean IPC by concurrent CTAs/SM (normalized to the "
               "8-CTA baseline)%s\n\n",
-              args.full ? "" : " [subset; --full for all]");
+              cta_subset);
   {
     std::vector<std::string> headers{"CTAs/SM"};
     for (PrefetcherKind pf : kinds) headers.emplace_back(to_string(pf));
@@ -433,7 +541,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("Fig. 14a — early prefetch ratio (evicted before use)%s\n\n",
-              args.quick ? " (--quick subset)" : "");
+              subset);
   {
     Table t({"config", "early ratio (mean)"});
     for (std::size_t i = 0; i < early.size(); ++i) {
@@ -451,7 +559,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("Fig. 14b — prefetch distance of timely prefetches by "
-              "scheduler (CAPS engine)\n\n");
+              "scheduler (CAPS engine)%s\n\n", subset);
   {
     Table t({"scheduler", "avg distance (cycles)", "useful prefetches"});
     for (std::size_t i = 0; i < distance.size(); ++i) {
@@ -467,6 +575,8 @@ int main(int argc, char** argv) {
     std::printf("Paper shape: LRR 64.3 < TLV 145.0 < PA-TLV 172.7 cycles — "
                 "the prefetch-aware scheduler buys the largest lead time.\n");
   }
+
+  print_hardware_tables(args);
 
   // Last, after every table and CSV: the smoke ctest matches this line.
   std::fprintf(stderr, "%zu unique runs for %zu cells\n", rs.unique_runs(),

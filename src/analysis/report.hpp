@@ -28,4 +28,8 @@ std::string json_schedule_report(const ScheduleAdvice& adv);
 std::string hex_addr(Addr a);
 std::string cta_list(const std::vector<u32>& v);
 
+/// JSON string escaping (quotes, backslashes, control characters) for the
+/// names these reports and capsim-bench's emit verbatim.
+std::string json_escape(const std::string& s);
+
 }  // namespace caps::analysis

@@ -76,22 +76,21 @@ std::string fmt_percent(double ratio, int precision) {
   return buf;
 }
 
-BenchArgs parse_bench_args(int argc, char** argv, bool allow_full) {
+BenchArgs parse_bench_args(int argc, char** argv) {
   BenchArgs a;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--quick") {
       a.quick = true;
-    } else if (arg == "--full" && allow_full) {
+    } else if (arg == "--full") {
       a.full = true;
     } else if (arg == "--csv" && i + 1 < argc) {
       a.csv = argv[++i];
     } else {
       std::fprintf(stderr,
                    "%s: unexpected argument '%s'\n"
-                   "usage: %s [--quick] [--csv PATH]%s\n",
-                   argv[0], arg.c_str(), argv[0],
-                   allow_full ? " [--full]" : "");
+                   "usage: %s [--quick] [--csv PATH] [--full]\n",
+                   argv[0], arg.c_str(), argv[0]);
       std::exit(2);
     }
   }

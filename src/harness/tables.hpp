@@ -1,5 +1,5 @@
-// ASCII table + CSV rendering for the bench binaries. Every figure binary
-// prints a paper-style table to stdout and optionally mirrors it to CSV.
+// ASCII table + CSV rendering for bench/paper_figures: each figure prints a
+// paper-style table to stdout and optionally mirrors it to CSV.
 #pragma once
 
 #include <string>
@@ -26,20 +26,19 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Format helpers used by all bench binaries.
+/// Format helpers for table cells.
 std::string fmt_double(double v, int precision = 3);
 std::string fmt_percent(double ratio, int precision = 1);
 
-/// The bench CLI shared by every figure binary.
+/// The command line of the paper driver.
 struct BenchArgs {
   bool quick = false;  ///< `--quick`: the four-kernel smoke subset
-  bool full = false;   ///< `--full`: the whole suite (drivers that allow it)
+  bool full = false;   ///< `--full`: Fig. 11 on the whole suite
   std::string csv;     ///< `--csv PATH`: mirror tables to CSV (empty: off)
 };
 
-/// Parse `--quick`, `--csv PATH` and, with `allow_full`, `--full`. Any other
-/// argument, or `--csv` without a path, prints usage to stderr and exits
-/// with status 2.
-BenchArgs parse_bench_args(int argc, char** argv, bool allow_full = false);
+/// Parse `--quick`, `--csv PATH` and `--full`. Any other argument, or
+/// `--csv` without a path, prints usage to stderr and exits with status 2.
+BenchArgs parse_bench_args(int argc, char** argv);
 
 }  // namespace caps

@@ -4,8 +4,7 @@
 // reports too). The signature covers every counter and the exact
 // bits of every RunningStat. A refactor that claims to change no
 // simulation output is checked against these files:
-//   - tests/golden/full_matrix.digests: all 16 workloads (128 runs); the
-//     quick gate checks its 32 runs (MM, LPS, CNV, BFS) against it too;
+//   - tests/golden/full_matrix.digests: all 16 workloads (128 runs);
 //   - tests/golden/stress_matrix.digests: MM, SCN, BFS, LPS off the
 //     defaults (ready queue of 1 and 2, single issue, two CTAs per SM,
 //     a capped cycle budget) under BASE, the legend and CAPS without
@@ -15,8 +14,8 @@
 // CMake registers each matrix as its own ctest entry so `ctest -j` runs
 // them side by side.
 //
-// On a mismatch the full and stress gates print the whole expected file as
-// it should now read; when a change of output is intended, paste that block
+// On a mismatch each gate prints the whole expected file as it should now
+// read; when a change of output is intended, paste that block
 // over the digest file it names.
 #include <gtest/gtest.h>
 
@@ -80,13 +79,11 @@ std::map<std::string, std::string> read_golden(const std::string& path) {
 }
 
 /// Runs `configs` and compares each run's digest, keyed by `name`, with
-/// `<CAPSIM_GOLDEN_DIR>/<matrix>_matrix.digests`. With `whole_file` the runs
-/// must also cover every line of the file; without it, a subset of the
-/// matrix is checked against the lines it names.
+/// `<CAPSIM_GOLDEN_DIR>/<matrix>_matrix.digests`; the runs must also cover
+/// every line of the file.
 void expect_matrix_matches_golden(
     const std::vector<RunConfig>& configs, const std::string& matrix,
-    std::string (*name_of)(const RunResult&) = run_name,
-    bool whole_file = true) {
+    std::string (*name_of)(const RunResult&) = run_name) {
   const std::vector<RunResult> results = run_sweep(configs);
   const std::string path =
       std::string(CAPSIM_GOLDEN_DIR) + "/" + matrix + "_matrix.digests";
@@ -110,21 +107,12 @@ void expect_matrix_matches_golden(
             << actual << '\n';
     }
   }
-  if (whole_file) {
-    EXPECT_EQ(golden.size(), results.size()) << "golden file run count";
-  }
+  EXPECT_EQ(golden.size(), results.size()) << "golden file run count";
   EXPECT_EQ(mismatches, 0u)
       << "runs whose signature digest changed:\n"
-      << diffs.str() << "\n"
-      << (whole_file ? "If the change is intended, " + path +
-                           " should read:\n" + regenerated.str()
-                     : "The " + matrix + " matrix gate prints " + path +
-                           " as it should now read.");
-}
-
-TEST(GoldenSignatureTest, QuickMatrixMatchesCommittedDigests) {
-  expect_matrix_matches_golden(fig10_matrix(fig10_workloads(/*quick=*/true)),
-                               "full", run_name, /*whole_file=*/false);
+      << diffs.str() << "\nIf the change is intended, " << path
+      << " should read:\n"
+      << regenerated.str();
 }
 
 TEST(GoldenSignatureTest, FullMatrixMatchesCommittedDigests) {

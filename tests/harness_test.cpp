@@ -62,7 +62,7 @@ TEST(BenchArgsTest, ParsesFlags) {
   const BenchArgs none = parse_bench_args(1, args);
   EXPECT_FALSE(none.quick);
   EXPECT_EQ(none.csv, "");
-  const BenchArgs all = parse_bench_args(5, args, /*allow_full=*/true);
+  const BenchArgs all = parse_bench_args(5, args);
   EXPECT_EQ(all.csv, "/tmp/x");
   EXPECT_TRUE(all.quick);
   EXPECT_TRUE(all.full);
@@ -76,7 +76,6 @@ TEST(BenchArgsTest, RejectsAnythingElse) {
                 ::testing::ExitedWithCode(2), "usage: prog");
   };
   exits_with_usage({"--qiuck"});
-  exits_with_usage({"--full"});  // only where the binary allows it
   exits_with_usage({"--csv"});   // no path
   exits_with_usage({"--csv=/tmp/x"});
   exits_with_usage({"--quick", "extra"});

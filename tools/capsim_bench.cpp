@@ -28,37 +28,11 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/report.hpp"
 #include "harness/experiment.hpp"
 #include "harness/sweep.hpp"
 
 using namespace caps;
-
-namespace {
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   bool quick = false;
@@ -123,7 +97,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   os << "{\n";
-  os << "  \"tag\": \"" << json_escape(tag) << "\",\n";
+  os << "  \"tag\": \"" << analysis::json_escape(tag) << "\",\n";
   os << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
   os << "  \"threads\": " << resolved << ",\n";
   os << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
@@ -137,7 +111,7 @@ int main(int argc, char** argv) {
   os << "  \"runs_detail\": [\n";
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const RunResult& r = runs[i];
-    os << "    {\"workload\": \"" << json_escape(r.cfg.workload)
+    os << "    {\"workload\": \"" << analysis::json_escape(r.cfg.workload)
        << "\", \"prefetcher\": \"" << to_string(r.cfg.prefetcher)
        << "\", \"scheduler\": \"" << to_string(r.scheduler_used)
        << "\", \"status\": \"" << to_string(r.status)
