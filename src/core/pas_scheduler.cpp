@@ -1,6 +1,6 @@
 #include "core/pas_scheduler.hpp"
 
-#include <iterator>
+#include <cstddef>
 
 namespace caps {
 
@@ -28,23 +28,18 @@ void PasScheduler::on_prefetch_fill(u32 slot) {
   if (!warps_[slot].runnable()) return;
   if (!take_pending(slot)) return;  // already ready (or done): nothing to do
   if (ready_.size() >= cfg_.ready_queue_size) {
-    // Forcibly push one trailing ready warp back to pending to make room.
-    bool displaced = false;
-    for (auto rit = ready_.rbegin(); rit != ready_.rend(); ++rit) {
-      if (!warps_[*rit].leading) {
-        emit(TraceKind::kForcedDemotion, *rit);
-        enqueue_pending(*rit, /*to_front=*/true);
-        ready_.erase(std::next(rit).base());
-        displaced = true;
+    // Forcibly push the last trailing ready warp back to pending to make
+    // room; the tail when all ready warps are leading.
+    std::size_t victim = ready_.size() - 1;
+    for (std::size_t i = ready_.size(); i-- > 0;) {
+      if (!warps_[ready_[i]].leading) {
+        victim = i;
         break;
       }
     }
-    if (!displaced) {
-      // All ready warps are leading: demote the tail.
-      emit(TraceKind::kForcedDemotion, ready_.back());
-      enqueue_pending(ready_.back(), /*to_front=*/true);
-      ready_.pop_back();
-    }
+    emit(TraceKind::kForcedDemotion, ready_[victim]);
+    enqueue_pending(ready_[victim], /*to_front=*/true);
+    ready_.erase(victim);
     ++forced_demotions_;
   }
   enqueue_ready(slot, /*to_front=*/false);

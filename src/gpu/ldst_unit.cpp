@@ -20,8 +20,8 @@ LdStUnit::LdStUnit(const GpuConfig& cfg, StreamingMultiprocessor& sm,
       mshr_(cfg.l1d.mshr_entries, cfg.l1d.mshr_max_merged),
       demand_q_(cfg.ldst_queue_size),
       prefetch_q_(cfg.ldst_queue_size * 2),
-      // At most one L1-hit completion per queued demand access is in flight.
-      completions_(cfg.ldst_queue_size),
+      // One hit per cycle, each retiring l1_hit_latency cycles later.
+      completions_(std::max(1u, cfg.l1_hit_latency)),
       trace_(trace),
       ledger_(mem.calendar(), WakeCalendar::kLdStRow, sm_id) {
   // Scratch for MSHR fills: sized once so process_replies never allocates
@@ -32,7 +32,7 @@ LdStUnit::LdStUnit(const GpuConfig& cfg, StreamingMultiprocessor& sm,
 void LdStUnit::push_demand(const L1Access& access) {
   CAPS_CHECK(can_accept(1), "LD/ST demand queue overflow");
   if (demand_q_.empty()) ledger_.wake();
-  demand_q_.push(access);
+  demand_q_.push_back(access);
 }
 
 void LdStUnit::push_prefetches(const std::vector<PrefetchRequest>& reqs,
@@ -46,12 +46,8 @@ void LdStUnit::push_prefetches(const std::vector<PrefetchRequest>& reqs,
     }
     // Deduplicate against queued prefetches for the same line.
     bool dup = false;
-    for (const L1Access& q : prefetch_q_) {
-      if (q.line == r.line) {
-        dup = true;
-        break;
-      }
-    }
+    for (std::size_t i = 0; i < prefetch_q_.size() && !dup; ++i)
+      dup = prefetch_q_[i].line == r.line;
     if (dup) {
       ++stats_.pf_dropped_inflight;
       continue;
@@ -63,7 +59,7 @@ void LdStUnit::push_prefetches(const std::vector<PrefetchRequest>& reqs,
     a.is_prefetch = true;
     a.warp_slot = r.target_warp_slot;
     a.issue_cycle = now;
-    prefetch_q_.push(a);
+    prefetch_q_.push_back(a);
   }
 }
 
@@ -181,7 +177,7 @@ u64 SmStats::*LdStUnit::process_demand(Cycle now) {
           completions_.empty() || completions_.back().ready_at < ready_at,
           "L1 hit completions out of order");
       completions_.push_back(Completion{ready_at, access});
-      demand_q_.pop();
+      demand_q_.pop_front();
       return nullptr;
     }
     // Miss path. A demand that catches up with an in-flight prefetch merges
@@ -196,7 +192,7 @@ u64 SmStats::*LdStUnit::process_demand(Cycle now) {
       ++stats_.l1_misses;
       ++stats_.l1_mshr_merges;
       mshr_.merge_at(slot, access);
-      demand_q_.pop();
+      demand_q_.pop_front();
       return nullptr;
     }
     if (mshr_.full()) {
@@ -225,7 +221,7 @@ u64 SmStats::*LdStUnit::process_demand(Cycle now) {
     ++stats_.stores_to_mem;
   }
   mem_.submit(req, now);
-  demand_q_.pop();
+  demand_q_.pop_front();
   return nullptr;
 }
 
@@ -234,12 +230,12 @@ u64 SmStats::*LdStUnit::process_prefetch(Cycle now) {
 
   if (l1_.contains(head.line)) {
     ++stats_.pf_dropped_hit;
-    prefetch_q_.pop();
+    prefetch_q_.pop_front();
     return nullptr;
   }
   if (mshr_.slot_of(head.line) != Mshr<L1Access>::kNone) {
     ++stats_.pf_dropped_inflight;
-    prefetch_q_.pop();
+    prefetch_q_.pop_front();
     return nullptr;
   }
   if (mshr_.full() || !mem_.can_accept(head.line)) {
@@ -248,7 +244,8 @@ u64 SmStats::*LdStUnit::process_prefetch(Cycle now) {
     ++stats_.pf_stall_structural;
     return &SmStats::pf_stall_structural;
   }
-  const L1Access access = prefetch_q_.pop();
+  const L1Access access = head;
+  prefetch_q_.pop_front();
   mshr_.allocate(access.line, access);
   MemRequest req;
   req.line = access.line;

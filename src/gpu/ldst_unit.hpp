@@ -18,7 +18,6 @@
 #include "common/bounded_queue.hpp"
 #include "common/config.hpp"
 #include "common/diag.hpp"
-#include "common/flat_deque.hpp"
 #include "common/sleep_ledger.hpp"
 #include "gpu/sm_stats.hpp"
 #include "gpu/trace.hpp"
@@ -110,7 +109,7 @@ class LdStUnit {
     Cycle ready_at;
     L1Access access;
   };
-  FlatDeque<Completion> completions_;
+  BoundedQueue<Completion> completions_;
 
   const TraceSink* trace_;
 

@@ -1,6 +1,5 @@
 #include "gpu/scheduler.hpp"
 
-#include <algorithm>
 #include <bit>
 
 namespace caps {
@@ -60,8 +59,12 @@ void TwoLevelScheduler::on_cta_launch(u32 /*cta_slot*/, u32 first_warp,
 
 void TwoLevelScheduler::on_warp_done(u32 slot) {
   if (take_pending(slot)) return;
-  auto it = std::find(ready_.begin(), ready_.end(), slot);
-  if (it != ready_.end()) ready_.erase(it);
+  for (std::size_t i = 0; i < ready_.size(); ++i) {
+    if (ready_[i] == slot) {
+      ready_.erase(i);
+      return;
+    }
+  }
 }
 
 void TwoLevelScheduler::enqueue_ready(u32 slot, bool to_front) {
@@ -83,14 +86,15 @@ void TwoLevelScheduler::enqueue_pending(u32 slot, bool to_front) {
 
 bool TwoLevelScheduler::take_pending(u32 slot) {
   if ((pending_bits_ & bit(slot)) == 0) return false;
-  const auto it = std::find(pending_.begin(), pending_.end(), slot);
-  remove_pending(static_cast<u32>(it - pending_.begin()));
+  u32 i = 0;
+  while (pending_[i] != slot) ++i;
+  remove_pending(i);
   return true;
 }
 
 u32 TwoLevelScheduler::remove_pending(u32 idx) {
   const u32 slot = pending_[idx];
-  pending_.erase(pending_.begin() + idx);
+  pending_.erase(idx);
   pending_bits_ &= ~bit(slot);
   promotable_ &= ~bit(slot);
   parked_[warps_[slot].cta_slot] &= ~bit(slot);
@@ -146,13 +150,13 @@ void TwoLevelScheduler::maintain() {
   }
   if (recheck_ready_) {
     recheck_ready_ = false;
-    for (auto it = ready_.begin(); it != ready_.end();) {
-      const u32 slot = *it;
+    for (std::size_t i = 0; i < ready_.size();) {
+      const u32 slot = ready_[i];
       if (demotable(slot)) {
-        it = ready_.erase(it);
+        ready_.erase(i);
         enqueue_pending(slot, /*to_front=*/false);
       } else {
-        ++it;
+        ++i;
       }
     }
   }
@@ -205,8 +209,9 @@ void TwoLevelScheduler::elide_refused(Cycle from, Cycle to) {
   }
   picked_ = static_cast<i32>(ready_[p]);
   for (u32 r = 0; r < (p + 1) % n; ++r) {
-    ready_.push_back(ready_.front());
+    const u32 slot = ready_.front();
     ready_.pop_front();
+    ready_.push_back(slot);
   }
 }
 

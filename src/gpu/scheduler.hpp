@@ -12,9 +12,9 @@
 #include <memory>
 #include <vector>
 
+#include "common/bounded_queue.hpp"
 #include "common/config.hpp"
 #include "common/diag.hpp"
-#include "common/flat_deque.hpp"
 #include "gpu/trace.hpp"
 #include "gpu/warp.hpp"
 
@@ -118,13 +118,13 @@ class GtoScheduler : public Scheduler {
 class TwoLevelScheduler : public Scheduler {
  public:
   TwoLevelScheduler(const GpuConfig& cfg, std::vector<WarpContext>& warps)
-      : Scheduler(cfg, warps), parked_(cfg.max_ctas_per_sm, 0) {
+      : Scheduler(cfg, warps),
+        // A warp slot sits in at most one of the two queues.
+        ready_(cfg.max_warps_per_sm),
+        pending_(cfg.max_warps_per_sm),
+        parked_(cfg.max_ctas_per_sm, 0) {
     CAPS_CHECK(cfg.max_warps_per_sm <= 64,
                "two-level warp masks hold at most 64 warp slots");
-    // Both queues are bounded by the warp-slot count; pre-sizing them keeps
-    // the per-cycle promotion/demotion churn off the heap (DESIGN.md §13).
-    ready_.reserve(cfg.max_warps_per_sm);
-    pending_.reserve(cfg.max_warps_per_sm);
   }
   void on_cta_launch(u32 cta_slot, u32 first_warp, u32 num_warps) override;
   void on_warp_done(u32 slot) override;
@@ -137,9 +137,9 @@ class TwoLevelScheduler : public Scheduler {
   void elide_refused(Cycle from, Cycle to) override;
   const char* name() const override { return "TLV"; }
 
-  // Test introspection.
-  const FlatDeque<u32>& ready_queue() const { return ready_; }
-  const FlatDeque<u32>& pending_queue() const { return pending_; }
+  // Test introspection: the queues' warp slots, front first.
+  std::vector<u32> ready_queue() const { return snapshot(ready_); }
+  std::vector<u32> pending_queue() const { return snapshot(pending_); }
   /// Pending warps that were runnable and not waiting on memory when an
   /// event last evaluated them.
   u64 promotable_mask() const { return promotable_; }
@@ -164,17 +164,22 @@ class TwoLevelScheduler : public Scheduler {
   /// Take `slot` out of the pending queue; false if it was not there.
   bool take_pending(u32 slot);
 
-  FlatDeque<u32> ready_;
+  BoundedQueue<u32> ready_;
 
  private:
   static u64 bit(u32 slot) { return u64{1} << slot; }
+  static std::vector<u32> snapshot(const BoundedQueue<u32>& q) {
+    std::vector<u32> out;
+    for (std::size_t i = 0; i < q.size(); ++i) out.push_back(q[i]);
+    return out;
+  }
   /// Re-evaluate pending warp `slot` from its state: parked at a barrier,
   /// promotable (runnable and not waiting on memory), or neither.
   void evaluate(u32 slot);
   /// Take the warp at index `idx` out of pending_ and its masks; returns it.
   u32 remove_pending(u32 idx);
 
-  FlatDeque<u32> pending_;
+  BoundedQueue<u32> pending_;
   u64 pending_bits_ = 0;  ///< the warps in pending_
   u64 promotable_ = 0;    ///< pending warps that promotion may take
   /// Per CTA slot: pending warps parked at a barrier. Only the issue of the

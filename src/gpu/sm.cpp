@@ -30,11 +30,14 @@ StreamingMultiprocessor::StreamingMultiprocessor(
                    "kernel CTA too large for this SM (warps/CTA exceeds "
                    "max_warps_per_sm)");
   // Pre-size the per-issue scratch buffers: a warp coalesces to at most
-  // kWarpSize lines, and prefetchers cap their burst at the engine degree.
-  // Both are reused every issue, so the steady state never allocates
-  // (DESIGN.md §13).
+  // kWarpSize lines, and a prefetch burst is at most CAPS case 1's fan-out
+  // (every resident warp, kMaxCoalescedLines lines each), a stride
+  // engine's degree or a LAP macro block. Both are reused every issue, so
+  // a run never allocates (DESIGN.md §13).
   coalesce_scratch_.reserve(kWarpSize);
-  pf_buffer_.reserve(kWarpSize);
+  pf_buffer_.reserve(
+      std::max({cfg.max_warps_per_sm * CapsConfig::kMaxCoalescedLines,
+                cfg.baseline_pf.degree, cfg.baseline_pf.macro_block_lines}));
   elided_.sleep(0, kNever);  // no warp is resident yet
   for (u32 b = 0; b < max_concurrent_ctas_; ++b)
     free_warp_blocks_.push_back(b * wpc);
@@ -75,7 +78,7 @@ bool StreamingMultiprocessor::launch_cta(const Dim3& cta_id, Cycle now) {
 
   for (u32 w = 0; w < wpc; ++w) {
     WarpContext& wc = warps_[first_warp + w];
-    wc.reset();
+    wc = WarpContext{};
     wc.status = WarpStatus::kActive;
     wc.cta_slot = cta_slot;
     wc.warp_in_cta = w;
@@ -262,18 +265,19 @@ bool StreamingMultiprocessor::issue(u32 slot, Cycle now) {
       arrive_barrier(slot, now);
       break;
     case Opcode::kLoopBegin:
-      wc.loops.push_back(0);
+      wc.loops[wc.loop_depth++] = 0;  // Kernel::finalize bounds the nest
       ++wc.pc_idx;
       wc.ready_at = now + 1;
       break;
     case Opcode::kLoopEnd:
       // Counted per warp, never read from Instruction::loop, so the issued
       // count stays a check on the kernel's static nest.
-      CAPS_CHECK(!wc.loops.empty(), "LoopEnd with no open loop frame");
-      if (++wc.loops.back() < kernel_.instruction(ins.match).trip_count) {
+      CAPS_CHECK(wc.loop_depth > 0, "LoopEnd with no open loop frame");
+      if (++wc.loops[wc.loop_depth - 1] <
+          kernel_.instruction(ins.match).trip_count) {
         wc.pc_idx = ins.match + 1;
       } else {
-        wc.loops.pop_back();
+        --wc.loop_depth;
         ++wc.pc_idx;
       }
       wc.ready_at = now + 1;

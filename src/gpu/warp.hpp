@@ -1,10 +1,10 @@
 // Per-warp and per-CTA execution state inside an SM.
 #pragma once
 
-#include <utility>
-#include <vector>
+#include <array>
 
 #include "common/types.hpp"
+#include "isa/instruction.hpp"
 
 namespace caps {
 
@@ -30,8 +30,10 @@ struct WarpContext {
   /// Line count of the memory instruction the LD/ST unit last refused;
   /// 0 when the current instruction has not been refused.
   u32 stalled_lines = 0;
-  /// Completed iterations of each open loop, outermost first.
-  std::vector<u32> loops;
+  /// Completed iterations of each open loop, outermost first: the first
+  /// loop_depth entries.
+  std::array<u32, kMaxLoopDepth> loops{};
+  u32 loop_depth = 0;
   bool leading = false;         ///< PAS leading-warp marker
   u64 launch_order = 0;         ///< global age for GTO
 
@@ -43,19 +45,9 @@ struct WarpContext {
     return runnable() && ready_at <= now && !mem_wait;
   }
 
-  /// Return the context to its default-constructed state while keeping the
-  /// loop stack's capacity, so re-launching a warp slot for a new CTA does
-  /// not re-allocate (DESIGN.md §13). Use instead of `wc = WarpContext{}`.
-  void reset() {
-    std::vector<u32> kept = std::move(loops);
-    kept.clear();
-    *this = WarpContext{};
-    loops = std::move(kept);
-  }
-
   /// Innermost-loop iteration counter (0 outside loops).
   u32 current_iteration() const {
-    return loops.empty() ? 0 : loops.back();
+    return loop_depth == 0 ? 0 : loops[loop_depth - 1];
   }
 };
 

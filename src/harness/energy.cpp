@@ -1,5 +1,7 @@
 #include "harness/energy.hpp"
 
+#include "core/hw_cost.hpp"
+
 namespace caps {
 
 double EnergyModel::total_uj(const GpuStats& s, const GpuConfig& cfg,
@@ -20,8 +22,10 @@ double EnergyModel::total_uj(const GpuStats& s, const GpuConfig& cfg,
 
   if (caps_tables_present) {
     const u64 table_events = s.pf_engine.table_reads + s.pf_engine.table_writes;
-    total_uj += caps_table_access_pj * static_cast<double>(table_events) * 1e-6;
-    total_uj += caps_static_uw_per_sm * 1e-6 * cfg.num_sms * seconds * 1e6;
+    const CapsHardwareCost caps;  // the published Section V-D costs
+    total_uj +=
+        caps.energy_per_access_pj * static_cast<double>(table_events) * 1e-6;
+    total_uj += caps.static_power_uw * 1e-6 * cfg.num_sms * seconds * 1e6;
   }
   return total_uj;
 }

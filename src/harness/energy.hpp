@@ -1,6 +1,7 @@
 // First-order energy account (Fig. 15), GPUWattch-style: per-event dynamic
 // energies plus chip static power, with the paper's published CAPS table
-// costs (15.07 pJ/access, 550 uW static per SM) added on top for CAPS runs.
+// costs (CapsHardwareCost: 15.07 pJ/access, 550 uW static per SM) added on
+// top for CAPS runs.
 #pragma once
 
 #include "common/config.hpp"
@@ -20,10 +21,6 @@ struct EnergyModel {
   double xbar_msg_pj = 1000.0;
 
   double static_watts = 8.0;       ///< whole-chip leakage + constant clocks
-
-  // CAPS hardware (Section V-D, used verbatim).
-  double caps_table_access_pj = 15.07;
-  double caps_static_uw_per_sm = 550.0;
 
   /// Total energy in microjoules for one finished run.
   double total_uj(const GpuStats& s, const GpuConfig& cfg,

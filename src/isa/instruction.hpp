@@ -26,6 +26,11 @@ const char* to_string(Opcode op);
 /// Instruction::loop of an instruction outside every loop.
 inline constexpr u32 kNoLoop = ~u32{0};
 
+/// The deepest loop nest a kernel may have: each warp keeps one iteration
+/// counter per open loop (WarpContext::loops). The suite's kernels nest
+/// one loop and its tests two; Kernel::finalize rejects a deeper nest.
+inline constexpr u32 kMaxLoopDepth = 2;
+
 struct Instruction {
   Opcode op = Opcode::kAlu;
 

@@ -46,6 +46,9 @@ void Kernel::finalize() {
       case Opcode::kLoopBegin:
         if (ins.trip_count == 0)
           throw std::invalid_argument("kernel: loop trip count must be >= 1");
+        if (stack.size() == kMaxLoopDepth)
+          throw std::invalid_argument(
+              "kernel: loops nest deeper than kMaxLoopDepth");
         stack.push_back(i);
         break;
       case Opcode::kLoopEnd: {

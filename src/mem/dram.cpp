@@ -34,13 +34,13 @@ DramChannel::DramChannel(const GpuConfig& cfg)
       row_bytes_(cfg.dram_row_bytes),
       num_banks_(cfg.dram_banks),
       queue_(cfg.dram_queue_size),
-      banks_(cfg.dram_banks) {
+      banks_(cfg.dram_banks),
+      // A bank issues only once its previous burst has ended, and pop_done
+      // runs before cycle: one transfer per bank is in service.
+      in_service_(cfg.dram_banks) {
   CAPS_CHECK(cfg.dram_queue_size > 0 && cfg.dram_queue_size <= 64,
              "DRAM queue must have 1 to 64 slots");
   all_slots_ = ~u64{0} >> (64 - cfg.dram_queue_size);
-  // Pre-size the completion ring to the structural queue limit so
-  // steady-state command scheduling never touches the heap (DESIGN.md §13).
-  in_service_.reserve(cfg.dram_queue_size);
 }
 
 void DramChannel::submit(const MemRequest& req) {

@@ -8,8 +8,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/bounded_queue.hpp"
 #include "common/config.hpp"
-#include "common/flat_deque.hpp"
 #include "common/slot_array.hpp"
 #include "common/stats.hpp"
 #include "mem/memory_request.hpp"
@@ -133,7 +133,7 @@ class DramChannel {
   Cycle last_activate_any_ = 0;  ///< for tRRD (activate-to-activate, any bank)
 
   /// Requests whose data transfer completes at .first.
-  FlatDeque<std::pair<Cycle, MemRequest>> in_service_;
+  BoundedQueue<std::pair<Cycle, MemRequest>> in_service_;
 
   DramStats stats_;
 };

@@ -5,18 +5,13 @@
 namespace caps {
 
 Crossbar::Crossbar(u32 num_dests, u32 latency, u32 queue_capacity)
-    : latency_(latency),
-      queue_capacity_(queue_capacity),
-      queues_(num_dests) {
-  // Pre-size every lane to the structural limit so steady-state message
-  // traffic never touches the heap (DESIGN.md §13).
-  for (auto& q : queues_) q.reserve(queue_capacity_);
+    : latency_(latency) {
+  queues_.reserve(num_dests);
+  for (u32 d = 0; d < num_dests; ++d) queues_.emplace_back(queue_capacity);
 }
 
 void Crossbar::push(u32 dest, const MemRequest& req, Cycle now) {
   CAPS_CHECK(dest < queues_.size(), "crossbar push to invalid destination");
-  CAPS_CHECK(can_accept(dest),
-             "crossbar queue overflow: caller must check can_accept()");
   queues_[dest].push_back(InFlight{now + latency_, req});
 }
 

@@ -5,9 +5,9 @@
 
 #include <vector>
 
+#include "common/bounded_queue.hpp"
 #include "common/config.hpp"
 #include "common/diag.hpp"
-#include "common/flat_deque.hpp"
 #include "common/stats.hpp"
 #include "mem/memory_request.hpp"
 
@@ -36,9 +36,7 @@ class Crossbar {
 
   /// Room toward `dest`: a pop makes it and a push takes it, so a sender
   /// blocked on a full lane waits for this to hold (DESIGN.md §13).
-  bool can_accept(u32 dest) const {
-    return queues_[dest].size() < queue_capacity_;
-  }
+  bool can_accept(u32 dest) const { return !queues_[dest].full(); }
 
   /// Inject a message toward `dest`; visible to pop() after `latency` cycles.
   void push(u32 dest, const MemRequest& req, Cycle now);
@@ -65,7 +63,8 @@ class Crossbar {
 
   u32 num_dests() const { return static_cast<u32>(queues_.size()); }
   std::size_t queued(u32 dest) const { return queues_[dest].size(); }
-  std::size_t queue_capacity() const { return queue_capacity_; }
+  /// Every lane's capacity (all lanes have the same).
+  std::size_t queue_capacity() const { return queues_[0].capacity(); }
 
  private:
   struct InFlight {
@@ -74,8 +73,7 @@ class Crossbar {
   };
 
   u32 latency_;
-  std::size_t queue_capacity_;
-  std::vector<FlatDeque<InFlight>> queues_;
+  std::vector<BoundedQueue<InFlight>> queues_;
 };
 
 }  // namespace caps

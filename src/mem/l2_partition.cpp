@@ -14,18 +14,18 @@ L2Partition::L2Partition(const GpuConfig& cfg, DramChannel& channel,
       cache_(cfg.l2),
       mshr_(cfg.l2.mshr_entries, cfg.l2.mshr_max_merged),
       probe_queue_(cfg.l2_queue_size),
+      // Every reply answers a read that holds an L1 MSHR entry.
+      replies_(cfg.num_sms * cfg.l1d.mshr_entries),
+      // A read goes to DRAM only once the write-backs have drained, so the
+      // queued ones come from reads that held MSHR entries together.
+      pending_writebacks_(cfg.l2.mshr_entries),
       ledger_(calendar, WakeCalendar::kL2Row, id) {
-  // Replies are bounded by outstanding MSHR fills plus hits in flight;
-  // write-backs by MSHR entries. Pre-size both so the steady state never
-  // allocates (DESIGN.md §13).
-  replies_.reserve(cfg.l2.mshr_entries * cfg.l2.mshr_max_merged);
-  pending_writebacks_.reserve(cfg.l2.mshr_entries);
   fill_scratch_.reserve(cfg.l2.mshr_max_merged);
 }
 
 void L2Partition::accept(const MemRequest& req, Cycle now) {
   if (probe_queue_.empty()) ledger_.wake();
-  probe_queue_.push(Staged{now + cfg_.l2_latency, req});
+  probe_queue_.push_back(Staged{now + cfg_.l2_latency, req});
 }
 
 void L2Partition::cycle(Cycle now) {
@@ -71,7 +71,7 @@ u64 L2Stats::*L2Partition::probe_head() {
       ++stats_.accesses;
       ++stats_.hits;
       meta->dirty = true;
-      probe_queue_.pop();
+      probe_queue_.pop_front();
       return nullptr;
     }
   } else if (const u32 slot = mshr_.slot_of(req.line);
@@ -85,13 +85,13 @@ u64 L2Stats::*L2Partition::probe_head() {
     ++stats_.misses;
     ++stats_.mshr_merges;
     mshr_.merge_at(slot, req);
-    probe_queue_.pop();
+    probe_queue_.pop_front();
     return nullptr;
   } else if (cache_.access(req.line) != nullptr) {
     ++stats_.accesses;
     ++stats_.hits;
     push_reply(req);
-    probe_queue_.pop();
+    probe_queue_.pop_front();
     return nullptr;
   } else if (mshr_.full()) {
     // A primary miss needs an MSHR entry and DRAM queue space.
@@ -119,7 +119,7 @@ u64 L2Stats::*L2Partition::probe_head() {
     mshr_.allocate(req.line, req);
     channel_.submit(req);
   }
-  probe_queue_.pop();
+  probe_queue_.pop_front();
   return nullptr;
 }
 

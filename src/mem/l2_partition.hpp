@@ -9,7 +9,6 @@
 #include <memory>
 
 #include "common/bounded_queue.hpp"
-#include "common/flat_deque.hpp"
 #include "common/config.hpp"
 #include "common/sleep_ledger.hpp"
 #include "common/stats.hpp"
@@ -127,9 +126,10 @@ class L2Partition {
   u32 channel_id_;
   SetAssocCache<L2LineMeta> cache_;
   Mshr<MemRequest> mshr_;
-  BoundedQueue<Staged> probe_queue_;   ///< tag-probe pipeline
-  FlatDeque<MemRequest> replies_;      ///< toward the reply crossbar
-  FlatDeque<MemRequest> pending_writebacks_;  ///< dirty evictions awaiting DRAM
+  BoundedQueue<Staged> probe_queue_;  ///< tag-probe pipeline
+  BoundedQueue<MemRequest> replies_;  ///< toward the reply crossbar
+  /// Dirty evictions awaiting DRAM.
+  BoundedQueue<MemRequest> pending_writebacks_;
   std::vector<MemRequest> fill_scratch_;      ///< reused by dram_done()
   L2Stats stats_;
 

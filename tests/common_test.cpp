@@ -13,7 +13,6 @@
 
 #include "common/bounded_queue.hpp"
 #include "common/config.hpp"
-#include "common/flat_deque.hpp"
 #include "common/rng.hpp"
 #include "common/sleep_ledger.hpp"
 #include "common/stats.hpp"
@@ -193,65 +192,69 @@ TEST(ConfigTest, DramClockRatioScalesToCore) {
 
 TEST(BoundedQueueTest, FifoOrder) {
   BoundedQueue<int> q(3);
-  q.push(1);
-  q.push(2);
-  q.push(3);
+  q.push_back(1);
+  q.push_back(2);
+  q.push_back(3);
   EXPECT_TRUE(q.full());
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_EQ(q.pop(), 2);
-  q.push(4);
-  EXPECT_EQ(q.pop(), 3);
-  EXPECT_EQ(q.pop(), 4);
+  EXPECT_EQ(q.front(), 1);
+  q.pop_front();
+  EXPECT_EQ(q.front(), 2);
+  q.pop_front();
+  q.push_back(4);
+  EXPECT_EQ(q.front(), 3);
+  q.pop_front();
+  EXPECT_EQ(q.front(), 4);
+  q.pop_front();
   EXPECT_TRUE(q.empty());
 }
 
-TEST(BoundedQueueTest, CapacityIsHardLimit) {
-  BoundedQueue<int> q(2);
-  q.push(1);
+TEST(BoundedQueueTest, CapacityIsExactNotThePowerOfTwoRing) {
+  BoundedQueue<int> q(3);
+  EXPECT_EQ(q.capacity(), 3u);
+  q.push_back(1);
+  q.push_front(0);
   EXPECT_FALSE(q.full());
-  q.push(2);
+  q.push_back(2);
   EXPECT_TRUE(q.full());
-  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.size(), 3u);
 }
 
-/// A FlatDeque element that counts its constructions and has no default
+/// A ring element that counts its constructions and has no default
 /// constructor, so a ring that built slots up front would not compile.
 struct Built {
   static inline int constructed = 0;
   explicit Built(int x) : v(x) { ++constructed; }
   Built(const Built& o) : v(o.v) { ++constructed; }
   Built& operator=(const Built&) = default;
-  friend bool operator==(const Built&, const Built&) = default;
   int v;
 };
 
-std::vector<int> values(const FlatDeque<Built>& q) {
+std::vector<int> values(const BoundedQueue<Built>& q) {
   std::vector<int> out;
-  for (const Built& b : q) out.push_back(b.v);
+  for (std::size_t i = 0; i < q.size(); ++i) out.push_back(q[i].v);
   return out;
 }
 
-TEST(FlatDequeTest, SlotsAreBuiltOnPushAndSurviveWrapFrontPushAndErase) {
+TEST(BoundedQueueTest, SlotsAreBuiltOnPushAndSurviveWrapFrontPushAndErase) {
   Built::constructed = 0;
-  FlatDeque<Built> q(8);
-  EXPECT_EQ(q.capacity(), 8u);
-  EXPECT_EQ(Built::constructed, 0);  // reserving builds no slot
+  BoundedQueue<Built> q(8);
+  EXPECT_EQ(Built::constructed, 0);  // building the ring builds no slot
   for (int i = 0; i < 6; ++i) q.push_back(Built(i));
   EXPECT_GT(Built::constructed, 0);
   for (int i = 0; i < 4; ++i) q.pop_front();
   for (int i = 6; i < 11; ++i) q.push_back(Built(i));  // wraps the ring
   q.push_front(Built(3));
-  EXPECT_EQ(q.size(), q.capacity());
+  EXPECT_TRUE(q.full());
   EXPECT_EQ(values(q), (std::vector<int>{3, 4, 5, 6, 7, 8, 9, 10}));
-  q.erase(q.begin() + 3);  // across the wrap point
+  EXPECT_EQ(q.back().v, 10);
+  q.erase(3);  // across the wrap point
   EXPECT_EQ(values(q), (std::vector<int>{3, 4, 5, 7, 8, 9, 10}));
+  q.pop_back();
   q.push_back(Built(11));
-  q.push_back(Built(12));  // grows: the elements move to a new ring
-  EXPECT_EQ(q.capacity(), 16u);
-  EXPECT_EQ(values(q), (std::vector<int>{3, 4, 5, 7, 8, 9, 10, 11, 12}));
-  const FlatDeque<Built> copy(q);
-  EXPECT_EQ(copy, q);
-  EXPECT_EQ(copy.capacity(), q.capacity());
+  q.push_back(Built(12));
+  EXPECT_EQ(values(q), (std::vector<int>{3, 4, 5, 7, 8, 9, 11, 12}));
+  EXPECT_THROW(q.push_back(Built(13)), SimError);  // the ring never grows
+  EXPECT_THROW(q.push_front(Built(13)), SimError);
 }
 
 TEST(RunningStatTest, MeanMinMax) {

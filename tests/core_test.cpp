@@ -361,7 +361,7 @@ TEST_F(PasTest, LeadingWarpsPromotedBeforeTrailing) {
   set_waiting({0, 1, 2, 4});
   s->pick(0);
   // CTA2's leading warp (slot 8) must be promoted before trailing warps.
-  const auto& ready = s->ready_queue();
+  const auto ready = s->ready_queue();
   EXPECT_TRUE(std::find(ready.begin(), ready.end(), 8u) != ready.end());
 }
 
@@ -376,7 +376,7 @@ TEST_F(PasTest, TrailingWarpsPromotedWhenNoLeaderCanBe) {
   s->on_cta_launch(1, 4, 4);  // pending: leading 4, then 5, 6, 7
   s->pick(0);
   // No leader is promotable, so the trailing warps are, in FIFO order.
-  const auto& ready = s->ready_queue();
+  const auto ready = s->ready_queue();
   ASSERT_EQ(ready.size(), 3u);
   for (u32 w : {5u, 6u, 7u})
     EXPECT_TRUE(std::find(ready.begin(), ready.end(), w) != ready.end())
@@ -390,7 +390,7 @@ TEST_F(PasTest, EagerWakeupPromotesPendingWarp) {
   s->on_cta_launch(0, 0, 8);  // ready: 4 warps; pending: 4
   const u32 victim_slot = s->pending_queue().front();
   s->on_prefetch_fill(victim_slot);
-  const auto& ready = s->ready_queue();
+  const auto ready = s->ready_queue();
   EXPECT_TRUE(std::find(ready.begin(), ready.end(), victim_slot) != ready.end());
   EXPECT_EQ(ready.size(), cfg_.ready_queue_size);  // one warp was pushed out
 }
@@ -425,11 +425,12 @@ TEST_F(PasTest, EagerWakeupOfAWaitingWarpIsDemotedAtTheNextPick) {
   // Warp 4's prefetch filled L1, but its own load has not returned.
   set_waiting({4});
   s->on_prefetch_fill(4);
-  const auto& ready = s->ready_queue();
-  ASSERT_TRUE(std::find(ready.begin(), ready.end(), 4u) != ready.end());
+  const auto woken = s->ready_queue();
+  ASSERT_TRUE(std::find(woken.begin(), woken.end(), 4u) != woken.end());
   s->pick(1);
+  const auto ready = s->ready_queue();
   EXPECT_TRUE(std::find(ready.begin(), ready.end(), 4u) == ready.end());
-  const auto& pending = s->pending_queue();
+  const auto pending = s->pending_queue();
   EXPECT_TRUE(std::find(pending.begin(), pending.end(), 4u) != pending.end());
 }
 
@@ -494,7 +495,7 @@ TEST_F(PasTest, LeadingWarpLaunchedIntoAFullReadyQueueIsPromotedLater) {
   warps_[1].status = WarpStatus::kDone;
   s->on_warp_done(1);
   s->pick(1);
-  const auto& ready = s->ready_queue();
+  const auto ready = s->ready_queue();
   EXPECT_TRUE(std::find(ready.begin(), ready.end(), 2u) != ready.end());
 }
 

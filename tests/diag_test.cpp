@@ -85,21 +85,27 @@ TEST(MachineSnapshotTest, RendersSectionsInOrder) {
 
 TEST(BoundedQueueGuardTest, OverflowThrowsInAllBuildModes) {
   BoundedQueue<int> q(1);
-  q.push(1);
-  EXPECT_THROW(q.push(2), SimError);
-  // The failed push must not have corrupted the queue.
+  q.push_back(1);
+  EXPECT_THROW(q.push_back(2), SimError);
+  EXPECT_THROW(q.push_front(2), SimError);
+  // The failed pushes must not have corrupted the queue.
   EXPECT_EQ(q.size(), 1u);
-  EXPECT_EQ(q.pop(), 1);
+  EXPECT_EQ(q.front(), 1);
 }
 
 TEST(BoundedQueueGuardTest, UnderflowThrowsInAllBuildModes) {
   BoundedQueue<int> q(2);
-  EXPECT_THROW(q.pop(), SimError);
+  EXPECT_THROW(q.pop_front(), SimError);
+  EXPECT_THROW(q.pop_back(), SimError);
   EXPECT_THROW(q.front(), SimError);
+  EXPECT_THROW(q.back(), SimError);
+  EXPECT_THROW(q.erase(0), SimError);
   const BoundedQueue<int>& cq = q;
   EXPECT_THROW(cq.front(), SimError);
-  q.push(7);
+  EXPECT_THROW(cq.back(), SimError);
+  q.push_back(7);
   EXPECT_EQ(q.front(), 7);
+  EXPECT_EQ(q.size(), 1u);
 }
 
 TEST(SleepLedgerGuardTest, OwingPastCapacityThrowsInAllBuildModes) {

@@ -199,7 +199,7 @@ TEST_F(SchedulerFixture, TwoLevelDemotesMemoryStalledWarps) {
   s->on_cta_launch(0, 0, 8);
   set_waiting({0, 1});
   s->pick(0);  // triggers maintenance
-  const auto& ready = s->ready_queue();
+  const auto ready = s->ready_queue();
   EXPECT_EQ(ready.size(), 4u);
   EXPECT_TRUE(std::find(ready.begin(), ready.end(), 0u) == ready.end());
   EXPECT_TRUE(std::find(ready.begin(), ready.end(), 1u) == ready.end());
@@ -219,7 +219,7 @@ TEST_F(SchedulerFixture, TwoLevelPromotesWhenLoadsReturn) {
   set_waiting({1, 2, 3, 4});
   s->on_loads_complete(0);
   for (int i = 0; i < 4; ++i) s->pick(0);
-  const auto& ready = s->ready_queue();
+  const auto ready = s->ready_queue();
   EXPECT_TRUE(std::find(ready.begin(), ready.end(), 0u) != ready.end());
 }
 
@@ -230,7 +230,7 @@ TEST_F(SchedulerFixture, TwoLevelDemotesBarrierWarps) {
   // Warps 0-3 (the ready set) park at a barrier.
   for (u32 w = 0; w < 4; ++w) warps_[w].status = WarpStatus::kAtBarrier;
   s->pick(0);
-  const auto& ready = s->ready_queue();
+  const auto ready = s->ready_queue();
   for (u32 w = 0; w < 4; ++w)
     EXPECT_TRUE(std::find(ready.begin(), ready.end(), w) == ready.end())
         << "barrier warp " << w << " still holds a ready slot";
@@ -244,7 +244,7 @@ TEST_F(SchedulerFixture, TwoLevelRemovesFinishedWarps) {
   s->on_cta_launch(0, 0, 6);
   warps_[0].status = WarpStatus::kDone;
   s->on_warp_done(0);
-  const auto& ready = s->ready_queue();
+  const auto ready = s->ready_queue();
   EXPECT_TRUE(std::find(ready.begin(), ready.end(), 0u) == ready.end());
 }
 
@@ -263,7 +263,7 @@ TEST_F(SchedulerFixture, TwoLevelDemotesAPickedWarpThatStartsWaiting) {
   warps_[0].ready_at = 1;
   set_waiting({0});
   s->pick(1);
-  const auto& ready = s->ready_queue();
+  const auto ready = s->ready_queue();
   EXPECT_TRUE(std::find(ready.begin(), ready.end(), 0u) == ready.end());
   EXPECT_TRUE(std::find(ready.begin(), ready.end(), 4u) != ready.end());
 }
@@ -305,7 +305,7 @@ TEST_F(SchedulerFixture, TwoLevelPromotesPendingWarpsABarrierReleases) {
   for (u32 w : {0u, 1u, 2u}) warps_[w].ready_at = 3;
   set_waiting({2});
   EXPECT_EQ(s->pick(3), 0);
-  const auto& ready = s->ready_queue();
+  const auto ready = s->ready_queue();
   EXPECT_EQ(ready.size(), 2u);
   for (u32 w : {0u, 1u})
     EXPECT_TRUE(std::find(ready.begin(), ready.end(), w) != ready.end())
@@ -323,7 +323,7 @@ TEST_F(SchedulerFixture, TwoLevelPromotesALaunchOverflowWhenRoomOpens) {
   warps_[0].status = WarpStatus::kDone;
   s->on_warp_done(0);
   s->pick(1);
-  const auto& ready = s->ready_queue();
+  const auto ready = s->ready_queue();
   EXPECT_TRUE(std::find(ready.begin(), ready.end(), 2u) != ready.end());
 }
 
@@ -338,7 +338,7 @@ TEST_F(SchedulerFixture, OrchPromotesEvenWarpsFirst) {
   // Promotion must have preferred even warp-in-CTA ids: 2 and 4 (the two
   // scheduling groups stay interleaved). pick() rotates the deque, so
   // check membership rather than position.
-  const auto& ready = s->ready_queue();
+  const auto ready = s->ready_queue();
   ASSERT_EQ(ready.size(), 2u);
   EXPECT_TRUE(std::find(ready.begin(), ready.end(), 2u) != ready.end());
   EXPECT_TRUE(std::find(ready.begin(), ready.end(), 4u) != ready.end());
@@ -354,7 +354,7 @@ TEST_F(SchedulerFixture, OrchPromotesOddWarpsWhenNoEvenWarpCan) {
   s->on_cta_launch(0, 0, 8);  // ready: 0,1; pending: 2..7
   s->pick(0);
   // With no even warp promotable, promotion falls back to FIFO: 3, then 5.
-  const auto& ready = s->ready_queue();
+  const auto ready = s->ready_queue();
   ASSERT_EQ(ready.size(), 2u);
   EXPECT_TRUE(std::find(ready.begin(), ready.end(), 3u) != ready.end());
   EXPECT_TRUE(std::find(ready.begin(), ready.end(), 5u) != ready.end());
@@ -414,7 +414,7 @@ TEST(SchedulerContractTest, NullPredicatesPickByWarpState) {
     u64 launches = 0;
     const auto launch = [&](u32 cta, Cycle now) {
       for (u32 w = cta * kWarpsPerCta; w < (cta + 1) * kWarpsPerCta; ++w) {
-        warps[w].reset();
+        warps[w] = WarpContext{};
         warps[w].status = WarpStatus::kActive;
         warps[w].cta_slot = cta;
         warps[w].warp_in_cta = w % kWarpsPerCta;

@@ -162,6 +162,13 @@ TEST(KernelBuilderTest, UnmatchedEndLoopThrows) {
   EXPECT_THROW(b.end_loop(), std::logic_error);
 }
 
+TEST(KernelBuilderTest, NestDeeperThanMaxLoopDepthThrows) {
+  KernelBuilder b("k", {1}, {32});
+  for (u32 d = 0; d <= kMaxLoopDepth; ++d) b.loop(2);
+  for (u32 d = 0; d <= kMaxLoopDepth; ++d) b.end_loop();
+  EXPECT_THROW(b.build(), std::invalid_argument);
+}
+
 TEST(KernelBuilderTest, PcsAreUniqueAndOrdered) {
   KernelBuilder b("k", {1}, {32});
   b.alu(3);

@@ -1,13 +1,15 @@
 // Allocation tests (DESIGN.md §13). Building the Table III machine stays
-// within a fixed number of allocations, and after warm-up, stepping the
-// simulator must perform zero heap allocations, in every Fig. 10
-// configuration. Every hot-path container — scheduler queues, LD/ST queues,
-// MSHR slots, crossbar/L2/DRAM queues, coalescer scratch, prefetcher tables —
-// is sized at construction, so a new allocation inside the measurement
-// window is a de-allocation regression.
+// within a fixed number of allocations, and a run, from its first step to
+// its end, performs zero heap allocations, in every Fig. 10 configuration
+// and on a machine whose queues are smaller than their structural bounds.
+// Every hot-path container — scheduler queues, LD/ST queues, MSHR slots,
+// crossbar/L2/DRAM queues, per-warp loop counters, coalescer and prefetch
+// scratch, prefetcher tables — is sized at construction, so any allocation
+// while the machine steps is a de-allocation regression, first-use growth
+// included.
 //
 // The global operator new/delete are replaced with counting versions; only
-// the delta across the measured window is asserted (gtest and the fixture
+// the delta across the measured span is asserted (gtest and the fixture
 // setup allocate freely outside it).
 #include <gtest/gtest.h>
 
@@ -54,42 +56,35 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 namespace caps {
 namespace {
 
-/// Total cycles the configuration simulates, so the warm-up/measure window
-/// can be placed well inside the run whatever the workload length.
-u64 total_cycles(const std::string& wl, PrefetcherKind pf,
-                 const GpuConfig& cfg) {
-  RunConfig rc;
-  rc.workload = wl;
-  rc.prefetcher = pf;
-  rc.base = cfg;
-  const RunResult r = run_experiment(rc);
-  EXPECT_EQ(r.status, RunStatus::kOk) << r.error;
-  return r.stats.cycles;
-}
-
-void expect_steady_state_allocation_free(const std::string& wl,
-                                         PrefetcherKind pf) {
+/// The machine the run tests step: two SMs, and with `small_queues` an
+/// LD/ST queue shorter than the L1 hit latency and a DRAM queue shorter
+/// than the bank count, so that no ring's bound is its queue's size.
+GpuConfig alloc_test_machine(bool small_queues) {
   GpuConfig cfg;
   cfg.num_sms = 2;
-  const u64 total = total_cycles(wl, pf, cfg);
-  ASSERT_GT(total, 3'000u) << wl << " too short for a steady-state window";
-  const u64 warmup = total / 2;
-  const u64 window = total / 4;
+  if (small_queues) {
+    cfg.ldst_queue_size = 8;  // below the 28-cycle L1 hit latency
+    cfg.dram_queue_size = 4;  // below the 16 DRAM banks
+  }
+  return cfg;
+}
 
-  const SchedulerKind sched = default_scheduler_for(pf);
+void expect_run_allocation_free(const std::string& wl, PrefetcherKind pf,
+                                bool small_queues) {
+  const GpuConfig cfg = alloc_test_machine(small_queues);
   Gpu gpu(cfg, find_workload(wl).kernel,
-          make_policies(pf, sched, /*caps_eager_wakeup=*/true));
-
-  for (u64 i = 0; i < warmup && !gpu.done(); ++i) gpu.step();
-  ASSERT_FALSE(gpu.done());
+          make_policies(pf, default_scheduler_for(pf),
+                        /*caps_eager_wakeup=*/true));
 
   const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
-  for (u64 i = 0; i < window && !gpu.done(); ++i) gpu.step();
+  while (!gpu.done() && gpu.now() < cfg.max_cycles) gpu.step();
   const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
 
+  ASSERT_TRUE(gpu.done()) << wl << " hit the cycle limit";
   EXPECT_EQ(after - before, 0u)
-      << (after - before) << " heap allocation(s) in a " << window
-      << "-cycle steady-state window (" << wl << '/' << to_string(pf) << ')';
+      << (after - before) << " heap allocation(s) in a " << gpu.now()
+      << "-cycle run (" << wl << '/' << to_string(pf)
+      << (small_queues ? ", small queues" : "") << ')';
 }
 
 /// operator new calls while one Table III machine is built, the way the
@@ -118,7 +113,7 @@ TEST(BuildAllocTest, TableIIIMachineBuildStaysWithinItsAllocations) {
             587u);
 }
 
-TEST(SteadyStateAllocTest, CounterSeesAllocations) {
+TEST(RunAllocTest, CounterSeesAllocations) {
   const std::uint64_t before = g_alloc_count.load();
   volatile int* p = new int(7);
   delete p;
@@ -128,16 +123,19 @@ TEST(SteadyStateAllocTest, CounterSeesAllocations) {
 struct AllocCase {
   const char* workload;
   PrefetcherKind pf;
+  bool small_queues = false;
 };
 
-class SteadyStateAllocCaseTest : public ::testing::TestWithParam<AllocCase> {};
+class RunAllocCaseTest : public ::testing::TestWithParam<AllocCase> {};
 
-TEST_P(SteadyStateAllocCaseTest, StepsWithoutAllocating) {
-  expect_steady_state_allocation_free(GetParam().workload, GetParam().pf);
+TEST_P(RunAllocCaseTest, RunsWithoutAllocating) {
+  expect_run_allocation_free(GetParam().workload, GetParam().pf,
+                             GetParam().small_queues);
 }
 
 std::string case_name(const ::testing::TestParamInfo<AllocCase>& info) {
-  return std::string(info.param.workload) + "_" + to_string(info.param.pf);
+  return std::string(info.param.workload) + "_" + to_string(info.param.pf) +
+         (info.param.small_queues ? "_SmallQueues" : "");
 }
 
 // Every Fig. 10 configuration on MM: BASE, then the legend.
@@ -148,17 +146,30 @@ std::vector<AllocCase> fig10_mm_cases() {
   return cases;
 }
 
-INSTANTIATE_TEST_SUITE_P(Fig10, SteadyStateAllocCaseTest,
+INSTANTIATE_TEST_SUITE_P(Fig10, RunAllocCaseTest,
                          ::testing::ValuesIn(fig10_mm_cases()), case_name);
 
 // Other access mixes: SCN has barriers, LPS re-executes its loads in a loop
-// (PerCTA refreshes), BFS makes LAP retire and re-track macro blocks.
+// (PerCTA refreshes), BFS makes LAP retire and re-track macro blocks, and
+// its CAPS case-1 fan-outs are the largest prefetch bursts.
 INSTANTIATE_TEST_SUITE_P(
-    Mixes, SteadyStateAllocCaseTest,
+    Mixes, RunAllocCaseTest,
     ::testing::Values(AllocCase{"SCN", PrefetcherKind::kNone},
                       AllocCase{"SCN", PrefetcherKind::kCaps},
                       AllocCase{"LPS", PrefetcherKind::kCaps},
-                      AllocCase{"BFS", PrefetcherKind::kLap}),
+                      AllocCase{"BFS", PrefetcherKind::kLap},
+                      AllocCase{"BFS", PrefetcherKind::kCaps}),
+    case_name);
+
+// Queues smaller than the bounds of the rings behind them: the L1-hit
+// completion and DRAM in-service rings are sized by their own bounds, not
+// by the LD/ST or DRAM queue size.
+INSTANTIATE_TEST_SUITE_P(
+    SmallQueues, RunAllocCaseTest,
+    ::testing::Values(AllocCase{"SCN", PrefetcherKind::kNone, true},
+                      AllocCase{"SCN", PrefetcherKind::kCaps, true},
+                      AllocCase{"MM", PrefetcherKind::kNone, true},
+                      AllocCase{"MM", PrefetcherKind::kCaps, true}),
     case_name);
 
 }  // namespace
