@@ -43,7 +43,6 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -408,15 +407,15 @@ int main(int argc, char** argv) {
   print_fig04(args);
 
   // Figs. 10, 12, 13 and 15: one row per benchmark.
-  const std::set<std::string> irregular{"PVR", "CCL", "BFS", "KM"};
+  const auto irregular = [](const std::string& wl) {
+    return find_workload(wl).irregular;
+  };
   std::vector<MeanRow> ipc_means{{"Mean(all)", any_workload}};
   if (!args.quick) {
     ipc_means.insert(
         ipc_means.begin(),
-        {{"Mean(reg)",
-          [&](const std::string& wl) { return !irregular.contains(wl); }},
-         {"Mean(irreg)",
-          [&](const std::string& wl) { return irregular.contains(wl); }}});
+        {{"Mean(reg)", [&](const std::string& wl) { return !irregular(wl); }},
+         {"Mean(irreg)", irregular}});
   }
 
   // The seven Fig. 10 prefetchers as columns of `value`.
@@ -472,7 +471,7 @@ int main(int argc, char** argv) {
       {"Fig. 13 — bandwidth overhead vs baseline",
        {{"fetch requests from cores", "fig13.requests",
          legend_columns(over_base([](const GpuStats& s) {
-                          return s.traffic.core_requests;
+                          return s.core_requests();
                         }),
                         fixed3),
          true},

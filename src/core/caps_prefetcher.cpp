@@ -11,9 +11,9 @@ CapsPrefetcher::CapsPrefetcher(const GpuConfig& cfg)
     percta_.emplace_back(cfg.caps.percta_entries);
 }
 
-void CapsPrefetcher::on_cta_launch(u32 cta_slot, const Dim3& cta_id,
+void CapsPrefetcher::on_cta_launch(u32 cta_slot, const Dim3& /*cta_id*/,
                                    u32 first_warp_slot, u32 num_warps) {
-  ctas_[cta_slot] = CtaInfo{true, cta_id, first_warp_slot, num_warps};
+  ctas_[cta_slot] = CtaInfo{true, first_warp_slot, num_warps};
   percta_[cta_slot].clear();
 }
 

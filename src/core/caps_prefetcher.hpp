@@ -52,7 +52,6 @@ class CapsPrefetcher final : public Prefetcher {
  private:
   struct CtaInfo {
     bool active = false;
-    Dim3 cta_id{};
     u32 first_warp_slot = 0;
     u32 num_warps = 0;
   };

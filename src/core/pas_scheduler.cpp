@@ -40,7 +40,6 @@ void PasScheduler::on_prefetch_fill(u32 slot) {
     emit(TraceKind::kForcedDemotion, ready_[victim]);
     enqueue_pending(ready_[victim], /*to_front=*/true);
     ready_.erase(victim);
-    ++forced_demotions_;
   }
   enqueue_ready(slot, /*to_front=*/false);
   ++wakeup_promotions_;

@@ -27,8 +27,6 @@ class PasScheduler final : public LeadingMarkerProtocol<TwoLevelScheduler> {
   // Read-only introspection for the schedule oracle (DESIGN.md §12).
   /// Pending warps promoted to ready by an eager wake-up.
   u64 wakeup_promotions() const { return wakeup_promotions_; }
-  /// Ready trailing warps displaced back to pending by an eager wake-up.
-  u64 forced_demotions() const { return forced_demotions_; }
 
  protected:
   /// Leading warps are promoted ahead of trailing warps.
@@ -37,7 +35,6 @@ class PasScheduler final : public LeadingMarkerProtocol<TwoLevelScheduler> {
  private:
   bool eager_wakeup_;
   u64 wakeup_promotions_ = 0;
-  u64 forced_demotions_ = 0;
 };
 
 }  // namespace caps

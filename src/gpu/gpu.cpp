@@ -72,7 +72,7 @@ u64 Gpu::progress_signature() const {
   // (e.g. an MSHR-full retry spin) advances none of them.
   // A sleep owes only stall, active-cycle and issue-slot counters, so the
   // counters as of each component's last tick are exact for these.
-  u64 sig = mem_.traffic().core_requests;
+  u64 sig = 0;
   for (u32 c = 0; c < cfg_.num_dram_channels; ++c) {
     const DramStats& d = mem_.channel(c).stats();
     sig += d.reads + d.writes;
@@ -81,7 +81,7 @@ u64 Gpu::progress_signature() const {
     sig += mem_.partition(p).stats().accesses;
   for (const auto& sm : sms_) {
     const SmStats& s = sm->ticked_stats();
-    sig += s.issued_instructions + s.l1_fills;
+    sig += s.issued_instructions + s.l1_fills + GpuStats::core_requests(s);
   }
   return sig;
 }
@@ -192,9 +192,6 @@ std::vector<std::string> Gpu::audit(const GpuStats& s) const {
             "L1 hits+misses must equal accesses");
   expect_eq(s.l2.hits + s.l2.misses, s.l2.accesses,
             "L2 hits+misses must equal accesses");
-  expect_eq(s.sm.demand_to_mem + s.sm.pf_issued_to_mem + s.sm.stores_to_mem,
-            s.traffic.core_requests,
-            "core requests must equal demand+prefetch+store submissions");
 
   // Drained-state and conservation checks only make sense when the run
   // actually completed; at the cycle limit the machine is legitimately
@@ -239,7 +236,6 @@ GpuStats Gpu::collect_stats() const {
     out.sm.merge(sm->stats());
     out.pf_engine.merge(sm->prefetcher().engine_stats());
   }
-  out.traffic = mem_.traffic();
   out.dram = mem_.dram_stats();
   out.l2 = mem_.l2_stats();
   out.ctas_launched = distributor_.log().size();

@@ -24,7 +24,6 @@ struct GpuStats : CounterGroup<GpuStats> {
   bool hit_cycle_limit = false;
   SmStats sm;             ///< summed over SMs
   PrefetchEngineStats pf_engine;  ///< summed over SM prefetch engines
-  TrafficStats traffic;
   DramStats dram;
   L2Stats l2;
   u64 ctas_launched = 0;
@@ -48,7 +47,6 @@ struct GpuStats : CounterGroup<GpuStats> {
   void for_each_group(F&& f) const {
     f("sm", sm);
     f("pf_engine", pf_engine);
-    f("traffic", traffic);
     f("dram", dram);
     f("l2", l2);
   }
@@ -59,6 +57,11 @@ struct GpuStats : CounterGroup<GpuStats> {
     return cycles == 0 ? 0.0
                        : static_cast<double>(sm.issued_instructions) *
                              kWarpSize / static_cast<double>(cycles);
+  }
+  /// Requests the SMs sent to memory: demand misses, prefetches and stores.
+  u64 core_requests() const { return core_requests(sm); }
+  static u64 core_requests(const SmStats& s) {
+    return s.demand_to_mem + s.pf_issued_to_mem + s.stores_to_mem;
   }
   double l1_miss_rate() const { return ratio(sm.l1_misses, sm.l1_accesses); }
   /// Prefetch coverage: issued prefetches over all demand fetches that

@@ -16,7 +16,7 @@ double EnergyModel::total_uj(const GpuStats& s, const GpuConfig& cfg,
   dynamic_pj += l2_access_pj * static_cast<double>(s.l2.accesses);
   dynamic_pj +=
       dram_access_pj * static_cast<double>(s.dram.reads + s.dram.writes);
-  dynamic_pj += xbar_msg_pj * static_cast<double>(s.traffic.core_requests * 2);
+  dynamic_pj += xbar_msg_pj * static_cast<double>(s.core_requests() * 2);
 
   double total_uj = dynamic_pj * 1e-6 + static_watts * seconds * 1e6;
 

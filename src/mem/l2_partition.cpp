@@ -113,7 +113,6 @@ u64 L2Stats::*L2Partition::probe_head() {
       wb.is_write = true;
       wb.sm_id = req.sm_id;
       channel_.submit(wb);
-      ++stats_.writebacks;
     }
   } else {
     mshr_.allocate(req.line, req);
@@ -137,7 +136,6 @@ void L2Partition::dram_done(const MemRequest& req) {
     wb.is_write = true;
     wb.sm_id = req.sm_id;
     pending_writebacks_.push_back(wb);
-    ++stats_.writebacks;
   }
   mshr_.fill_into(req.line, fill_scratch_);
   for (MemRequest& waiter : fill_scratch_) push_reply(waiter);

@@ -24,7 +24,6 @@ struct L2Stats : CounterGroup<L2Stats> {
   u64 hits = 0;
   u64 misses = 0;
   u64 mshr_merges = 0;
-  u64 writebacks = 0;
   u64 stall_mshr_full = 0;
   u64 stall_dram_full = 0;
 
@@ -35,7 +34,6 @@ struct L2Stats : CounterGroup<L2Stats> {
     f("hits", &L2Stats::hits);
     f("misses", &L2Stats::misses);
     f("mshr_merges", &L2Stats::mshr_merges);
-    f("writebacks", &L2Stats::writebacks);
     f("stall_mshr_full", &L2Stats::stall_mshr_full);
     f("stall_dram_full", &L2Stats::stall_dram_full);
   }

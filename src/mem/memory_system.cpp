@@ -20,13 +20,6 @@ MemorySystem::MemorySystem(const GpuConfig& cfg)
 }
 
 void MemorySystem::submit(const MemRequest& req, Cycle now) {
-  ++traffic_.core_requests;
-  if (req.is_write)
-    ++traffic_.core_write_requests;
-  else if (req.is_prefetch)
-    ++traffic_.core_prefetch_requests;
-  else
-    ++traffic_.core_demand_requests;
   const u32 p = partition_of(req.line);
   req_xbar_.push(p, req, now);
   ++req_stats_.messages;
@@ -65,10 +58,8 @@ void MemorySystem::cycle(Cycle now) {
     DramChannel& ch = *channels_[c];
     // Completed transfers first, in completion order: reads fill L2.
     MemRequest done;
-    while (ch.pop_done(now, done)) {
+    while (ch.pop_done(now, done))
       partitions_[partition_of(done.line)]->dram_done(done);
-      ++(done.is_write ? traffic_.dram_writes : traffic_.dram_reads);
-    }
     if (ch.cycle(now)) calendar_.room(WakeCalendar::kDramQueue, c);
   }
 

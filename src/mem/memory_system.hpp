@@ -1,5 +1,5 @@
 // The off-SM memory hierarchy: request crossbar -> L2 partitions -> DRAM
-// channels -> reply crossbar. Owns global traffic statistics (Fig. 13).
+// channels -> reply crossbar.
 #pragma once
 
 #include <limits>
@@ -16,26 +16,6 @@
 #include "mem/memory_request.hpp"
 
 namespace caps {
-
-struct TrafficStats : CounterGroup<TrafficStats> {
-  u64 core_requests = 0;        ///< all SM->memory requests (demand+prefetch)
-  u64 core_demand_requests = 0;
-  u64 core_prefetch_requests = 0;
-  u64 core_write_requests = 0;
-  u64 dram_reads = 0;           ///< lines read from DRAM
-  u64 dram_writes = 0;
-
-  /// Counter registry (see stats.hpp): every u64 field above must be listed.
-  template <typename F>
-  static void for_each_counter_member(F&& f) {
-    f("core_requests", &TrafficStats::core_requests);
-    f("core_demand_requests", &TrafficStats::core_demand_requests);
-    f("core_prefetch_requests", &TrafficStats::core_prefetch_requests);
-    f("core_write_requests", &TrafficStats::core_write_requests);
-    f("dram_reads", &TrafficStats::dram_reads);
-    f("dram_writes", &TrafficStats::dram_writes);
-  }
-};
 
 class MemorySystem {
  public:
@@ -123,7 +103,6 @@ class MemorySystem {
   /// Append crossbar/partition/DRAM occupancy to a failure snapshot.
   void snapshot_into(MachineSnapshot& snap) const;
 
-  const TrafficStats& traffic() const { return traffic_; }
   // Read access to the parts, for tests and snapshots.
   const Crossbar& request_xbar() const { return req_xbar_; }
   const Crossbar& reply_xbar() const { return reply_xbar_; }
@@ -145,7 +124,6 @@ class MemorySystem {
   Crossbar reply_xbar_;
   std::vector<std::unique_ptr<DramChannel>> channels_;
   std::vector<std::unique_ptr<L2Partition>> partitions_;
-  TrafficStats traffic_;
   WakeCalendar calendar_;
   Cycle elapsed_ = 0;
   XbarStats req_stats_;  ///< request-crossbar messages, delay and stalls

@@ -41,7 +41,6 @@ struct PrefetchRequest {
 struct PrefetchEngineStats : CounterGroup<PrefetchEngineStats> {
   u64 table_reads = 0;
   u64 table_writes = 0;
-  u64 requests_generated = 0;
   // CAPS-specific quality-control accounting (zero for other engines).
   u64 mispredictions = 0;        ///< predicted != demand address
   u64 excluded_indirect = 0;     ///< loads skipped: data-dependent address
@@ -53,7 +52,6 @@ struct PrefetchEngineStats : CounterGroup<PrefetchEngineStats> {
   static void for_each_counter_member(F&& f) {
     f("table_reads", &PrefetchEngineStats::table_reads);
     f("table_writes", &PrefetchEngineStats::table_writes);
-    f("requests_generated", &PrefetchEngineStats::requests_generated);
     f("mispredictions", &PrefetchEngineStats::mispredictions);
     f("excluded_indirect", &PrefetchEngineStats::excluded_indirect);
     f("excluded_uncoalesced", &PrefetchEngineStats::excluded_uncoalesced);
@@ -85,10 +83,9 @@ class Prefetcher {
 
  protected:
   /// Queue a prefetch of `line` for load `pc`, bound to `warp` (the warp
-  /// woken when it fills), and count it.
+  /// woken when it fills).
   void emit(std::vector<PrefetchRequest>& out, Addr line, Addr pc, i32 warp) {
     out.push_back({.line = line, .pc = pc, .target_warp_slot = warp});
-    ++stats_.requests_generated;
   }
 
   PrefetchEngineStats stats_;

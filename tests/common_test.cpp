@@ -293,7 +293,7 @@ template <typename Group>
 class CounterGroupTest : public ::testing::Test {};
 using StatsGroups =
     ::testing::Types<SmStats, PrefetchEngineStats, XbarStats, L2Stats,
-                     TrafficStats, DramStats, GpuStats>;
+                     DramStats, GpuStats>;
 TYPED_TEST_SUITE(CounterGroupTest, StatsGroups);
 
 // Distinct values catch a merge that adds one counter into another.

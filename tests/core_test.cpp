@@ -301,6 +301,10 @@ class PasTest : public ::testing::Test {
  protected:
   GpuConfig cfg_;
   std::vector<WarpContext> warps_;
+  u64 demotions_ = 0;  ///< kForcedDemotion events the scheduler traced
+  TraceSink sink_ = [this](const TraceEvent& e) {
+    if (e.kind == TraceKind::kForcedDemotion) ++demotions_;
+  };
 
   void SetUp() override {
     cfg_.max_warps_per_sm = 12;
@@ -309,7 +313,9 @@ class PasTest : public ::testing::Test {
   }
 
   std::unique_ptr<PasScheduler> make(bool wakeup = true) {
-    return std::make_unique<PasScheduler>(cfg_, warps_, wakeup);
+    auto s = std::make_unique<PasScheduler>(cfg_, warps_, wakeup);
+    s->set_trace_sink(&sink_, /*sm_id=*/0);
+    return s;
   }
 
   /// Exactly the warps in `slots` wait on their loads, as the SM keeps
@@ -446,7 +452,7 @@ TEST_F(PasTest, ForcedDemotionIsPromotedAgain) {
   s->on_cta_launch(1, 4, 2);  // leading 4 and trailing 5 fill the ready queue
   ASSERT_EQ(s->pick(1), 4);
   s->on_prefetch_fill(2);  // no room: trailing warp 5 is pushed back
-  ASSERT_EQ(s->forced_demotions(), 1u);
+  ASSERT_EQ(demotions_, 1u);
   ASSERT_EQ(s->pending_queue().front(), 5u);
   warps_[4].status = WarpStatus::kDone;
   s->on_warp_done(4);
@@ -467,7 +473,7 @@ TEST_F(PasTest, ForcedDemotionOfALeadingWarpIsPromotedAgain) {
   s->on_cta_launch(2, 4, 1);
   ASSERT_EQ(s->pick(1), 4);
   s->on_prefetch_fill(2);  // every ready warp leads: the tail is pushed back
-  ASSERT_EQ(s->forced_demotions(), 1u);
+  ASSERT_EQ(demotions_, 1u);
   ASSERT_EQ(s->pending_queue().front(), 4u);
   warps_[3].status = WarpStatus::kDone;
   s->on_warp_done(3);

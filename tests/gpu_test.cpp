@@ -613,7 +613,7 @@ TEST(SmTest, LoadsGoThroughTheMemorySystem) {
   GpuStats s = run_kernel(k);
   EXPECT_FALSE(s.hit_cycle_limit);
   EXPECT_GT(s.sm.l1_accesses, 0u);
-  EXPECT_GT(s.traffic.core_demand_requests, 0u);
+  EXPECT_GT(s.sm.demand_to_mem, 0u);
   EXPECT_GT(s.dram.reads, 0u);
 }
 
@@ -1306,9 +1306,9 @@ TEST(LdStSleepTest, LanePopWhoseRoomIsRetakenDoesNotWakeTheUnit) {
   const u32 ticks = r.ticks;
   u64 refilled = 0;
   for (int i = 0; i < 200; ++i) {
-    const u64 sent = r.mem.traffic().core_requests;
+    const u64 sent = r.mem.request_xbar_stats().messages;
     r.fill_xbar(LdStRig::kA);
-    refilled += r.mem.traffic().core_requests - sent;
+    refilled += r.mem.request_xbar_stats().messages - sent;
     r.tick();
     EXPECT_EQ(r.ticks, ticks);
     EXPECT_EQ(r.read().stall_xbar_full, r.now);
@@ -1767,6 +1767,9 @@ TEST(GpuTest, HandSteppedReadsMatchRunOnCappedStressConfigs) {
       EXPECT_EQ(a.total_queue_delay, b.total_queue_delay) << wl;
       EXPECT_EQ(a.inject_stalls, b.inject_stalls) << wl;
       EXPECT_GT(a.inject_stalls, 0u) << wl;
+      // The memory system saw what the SMs sent.
+      EXPECT_EQ(got.core_requests(), a.messages) << wl;
+      EXPECT_EQ(want.core_requests(), b.messages) << wl;
     }
   }
 }

@@ -77,11 +77,6 @@ TEST_P(AllPrefetchersTest, CompletesWithConsistentStats) {
     EXPECT_LE(s.sm.pf_early_evicted, s.sm.pf_issued_to_mem) << wl;
     EXPECT_LE(s.sm.pf_issued_to_mem, s.sm.pf_generated) << wl;
     EXPECT_LE(s.pf_accuracy(), 1.0) << wl;
-
-    // Traffic conservation: the memory system saw what the SMs sent.
-    EXPECT_EQ(s.traffic.core_demand_requests, s.sm.demand_to_mem) << wl;
-    EXPECT_EQ(s.traffic.core_prefetch_requests, s.sm.pf_issued_to_mem) << wl;
-    EXPECT_EQ(s.traffic.core_write_requests, s.sm.stores_to_mem) << wl;
   }
 }
 
@@ -100,7 +95,6 @@ TEST(IntegrationTest, BaselineHasNoPrefetchTraffic) {
   const RunResult r = run_experiment(rc);
   EXPECT_EQ(r.stats.sm.pf_generated, 0u);
   EXPECT_EQ(r.stats.sm.pf_issued_to_mem, 0u);
-  EXPECT_EQ(r.stats.traffic.core_prefetch_requests, 0u);
 }
 
 TEST(IntegrationTest, CapsAccuracyIsHighOnStrideFriendlyKernels) {

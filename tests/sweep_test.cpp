@@ -248,7 +248,7 @@ TEST(SignatureTest, CoversEveryCounterGroupAndExcludesWallClock) {
 
   const std::string sig = stats_signature(results[0].stats);
   for (const char* key : {"cycles=", "ctas_launched=", "hit_cycle_limit=",
-                          "sm.", "pf_engine.", "traffic.", "dram.", "l2.",
+                          "sm.", "pf_engine.", "dram.", "l2.",
                           "sm.pf_distance=n ", "sm.demand_miss_latency=n "})
     EXPECT_NE(sig.find(key), std::string::npos) << "missing " << key;
 

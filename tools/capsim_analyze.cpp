@@ -31,6 +31,7 @@
 
 #include "analysis/report.hpp"
 #include "harness/oracle.hpp"
+#include "harness/sweep.hpp"
 #include "workloads/workload.hpp"
 
 using namespace caps;
@@ -125,10 +126,12 @@ int check_mode(const Options& opt) {
   oracle_opt.inject_divergence = opt.inject_divergence;
   oracle_opt.inject_schedule_divergence = opt.inject_schedule_divergence;
 
-  const auto selected = select(opt.kernel);
+  // The workloads run on the sweep executor; sections print in suite order.
+  const std::vector<OracleResult> results = parallel_ordered_map(
+      select(opt.kernel),
+      [&oracle_opt](const Workload* w) { return cross_check(*w, oracle_opt); });
   u32 checks = 0, failed = 0;
-  for (const Workload* w : selected) {
-    const OracleResult r = cross_check(*w, oracle_opt);
+  for (const OracleResult& r : results) {
     const std::string prefetch_ok =
         std::to_string(r.analysis.loads.size()) + " loads, " +
         std::to_string(r.analysis.num_prefetchable()) +
