@@ -6,7 +6,8 @@
 // constructs the slot it writes and a pop destroys nothing, so T must be
 // trivially destructible. A push into a full ring and a read of an empty
 // one are CAPS_CHECK-guarded: they abort the run loudly even in release
-// (NDEBUG) builds instead of corrupting queue state.
+// (NDEBUG) builds instead of corrupting queue state. A ring built with a
+// SlotRegion carves its storage from it.
 #pragma once
 
 #include <bit>
@@ -21,8 +22,8 @@ namespace caps {
 template <typename T>
 class BoundedQueue {
  public:
-  explicit BoundedQueue(std::size_t capacity)
-      : buf_(std::bit_ceil(capacity)), capacity_(capacity) {}
+  explicit BoundedQueue(std::size_t capacity, SlotRegion* region = nullptr)
+      : buf_(std::bit_ceil(capacity), region), capacity_(capacity) {}
 
   std::size_t size() const { return count_; }
   bool empty() const { return count_ == 0; }

@@ -16,12 +16,13 @@ LdStUnit::LdStUnit(const GpuConfig& cfg, StreamingMultiprocessor& sm,
       sm_id_(sm_id),
       mem_(mem),
       stats_(stats),
-      l1_(cfg.l1d),
-      mshr_(cfg.l1d.mshr_entries, cfg.l1d.mshr_max_merged),
-      demand_q_(cfg.ldst_queue_size),
-      prefetch_q_(cfg.ldst_queue_size * 2),
+      l1_(cfg.l1d, &mem.slot_region()),
+      mshr_(cfg.l1d.mshr_entries, cfg.l1d.mshr_max_merged,
+            &mem.slot_region()),
+      demand_q_(cfg.ldst_queue_size, &mem.slot_region()),
+      prefetch_q_(cfg.ldst_queue_size * 2, &mem.slot_region()),
       // One hit per cycle, each retiring l1_hit_latency cycles later.
-      completions_(std::max(1u, cfg.l1_hit_latency)),
+      completions_(std::max(1u, cfg.l1_hit_latency), &mem.slot_region()),
       trace_(trace),
       ledger_(mem.calendar(), WakeCalendar::kLdStRow, sm_id) {
   // Scratch for MSHR fills: sized once so process_replies never allocates

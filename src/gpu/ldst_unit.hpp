@@ -33,7 +33,8 @@ class StreamingMultiprocessor;
 
 class LdStUnit {
  public:
-  /// `trace` (may be null) receives the prefetch-outcome events.
+  /// `trace` (may be null) receives the prefetch-outcome events. The L1,
+  /// its MSHR and the unit's rings carve their slots from `mem`'s region.
   LdStUnit(const GpuConfig& cfg, StreamingMultiprocessor& sm, u32 sm_id,
            MemorySystem& mem, SmStats& stats, const TraceSink* trace);
 

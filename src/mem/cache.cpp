@@ -1,25 +1,26 @@
 #include "mem/cache.hpp"
 
 #include <bit>
-#include "common/diag.hpp"
 
 namespace caps {
 
 template <typename Meta>
-SetAssocCache<Meta>::SetAssocCache(const CacheConfig& cfg)
+SetAssocCache<Meta>::SetAssocCache(const CacheConfig& cfg, SlotRegion* region)
     : cfg_(cfg),
       sets_(cfg.num_sets()),
-      tags_(sets_ * cfg.assoc, kFree),
-      lru_(tags_.size()),
-      meta_(tags_.size()) {
+      valid_(sets_, 0),
+      tags_(std::size_t{sets_} * cfg.assoc, region),
+      lru_(tags_.size(), region),
+      meta_(tags_.size(), region) {
   cfg_.validate();
   line_shift_ = static_cast<u32>(std::countr_zero(cfg_.line_size));
 }
 
 template <typename Meta>
 std::size_t SetAssocCache<Meta>::lookup(Addr line) const {
-  const std::size_t set = set_begin(line);
-  for (std::size_t w = set; w < set + cfg_.assoc; ++w)
+  const std::size_t set = set_of(line);
+  const std::size_t first = set * cfg_.assoc;
+  for (std::size_t w = first; w < first + valid_[set]; ++w)
     if (tags_[w] == line) return w;
   return kNone;
 }
@@ -35,28 +36,26 @@ Meta* SetAssocCache<Meta>::access(Addr line) {
 template <typename Meta>
 std::optional<std::pair<Addr, Meta>> SetAssocCache<Meta>::fill(
     Addr line, const Meta& meta) {
-  CAPS_CHECK(line != kFree, "cache fill of the invalid-tag marker");
-  // One pass finds the line itself, the first invalid way and the LRU way.
-  const std::size_t set = set_begin(line);
-  std::size_t invalid = kNone;
-  std::size_t lru = kNone;
-  for (std::size_t w = set; w < set + cfg_.assoc; ++w) {
+  // One pass over the valid ways finds the line itself and the LRU way.
+  const std::size_t set = set_of(line);
+  const std::size_t first = set * cfg_.assoc;
+  std::size_t lru = first;
+  for (std::size_t w = first; w < first + valid_[set]; ++w) {
     if (tags_[w] == line) {
       meta_.emplace(w, meta);
       lru_.emplace(w, ++lru_clock_);
       return std::nullopt;
     }
-    if (tags_[w] == kFree) {
-      if (invalid == kNone) invalid = w;
-    } else if (lru == kNone || lru_[w] < lru_[lru]) {
-      lru = w;
-    }
+    if (lru_[w] < lru_[lru]) lru = w;
   }
-  const std::size_t victim = invalid != kNone ? invalid : lru;
-  CAPS_CHECK(victim != kNone, "cache victim selection failed");
+  // The first invalid way if the set has one, else the LRU way.
   std::optional<std::pair<Addr, Meta>> evicted;
-  if (tags_[victim] != kFree) evicted.emplace(tags_[victim], meta_[victim]);
-  tags_[victim] = line;
+  std::size_t victim = lru;
+  if (valid_[set] < cfg_.assoc)
+    victim = first + valid_[set]++;
+  else
+    evicted.emplace(tags_[victim], meta_[victim]);
+  tags_.emplace(victim, line);
   lru_.emplace(victim, ++lru_clock_);
   meta_.emplace(victim, meta);
   return evicted;

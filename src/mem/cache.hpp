@@ -3,10 +3,11 @@
 // L2Partition for L2). Templated on the per-line metadata of its level: the
 // L1 keeps prefetch bookkeeping, the L2 only a dirty flag.
 //
-// Tags, LRU stamps and metadata are three arrays. Only the tags are set at
-// construction (to kFree, the invalid marker); a way's stamp and metadata
-// are SlotArray slots built by the fill that validates the way, so a build
-// touches one tag per line.
+// Tags, LRU stamps and metadata are three SlotArrays whose slots are built
+// by the fill that validates the way. No way is ever invalidated and a fill
+// takes the set's first invalid way, so a set's valid ways are always its
+// first ones: a count per set marks them, and a build writes only those
+// counts, not one tag per line.
 #pragma once
 
 #include <optional>
@@ -34,11 +35,9 @@ struct L2LineMeta {
 template <typename Meta>
 class SetAssocCache {
  public:
-  /// Tag of an invalid way. Lines are line-aligned, so no real line
-  /// collides with it; fill() rejects it.
-  static constexpr Addr kFree = ~Addr{0};
-
-  explicit SetAssocCache(const CacheConfig& cfg);
+  /// A cache whose slot arrays are carved from `region` if given.
+  explicit SetAssocCache(const CacheConfig& cfg,
+                         SlotRegion* region = nullptr);
 
   /// Probe without changing replacement state. Returns true on hit.
   bool contains(Addr line) const { return lookup(line) != kNone; }
@@ -51,7 +50,7 @@ class SetAssocCache {
   /// Fill a line (after a miss is serviced) into the set's first invalid
   /// way, else its LRU way; the evicted line's metadata is returned so the
   /// controller can account early-evicted prefetches. No-op (metadata
-  /// refresh) if already present. One pass over the set.
+  /// refresh) if already present. One pass over the set's valid ways.
   std::optional<std::pair<Addr, Meta>> fill(Addr line, const Meta& meta);
 
   u32 num_sets() const { return sets_; }
@@ -61,9 +60,9 @@ class SetAssocCache {
  private:
   static constexpr std::size_t kNone = ~std::size_t{0};
 
-  /// Index of the first way of `line`'s set.
-  std::size_t set_begin(Addr line) const {
-    return ((line >> line_shift_) & (sets_ - 1)) * cfg_.assoc;
+  /// The set `line` maps to.
+  std::size_t set_of(Addr line) const {
+    return (line >> line_shift_) & (sets_ - 1);
   }
   /// Index of the way holding `line`, or kNone.
   std::size_t lookup(Addr line) const;
@@ -72,9 +71,11 @@ class SetAssocCache {
   u32 sets_;
   u32 line_shift_;  ///< log2(line_size); validate() requires a power of two
   u64 lru_clock_ = 0;
-  std::vector<Addr> tags_;  ///< sets_ * assoc, row-major by set; kFree: invalid
-  SlotArray<u64> lru_;      ///< valid ways: larger == more recently used
-  SlotArray<Meta> meta_;    ///< valid ways: metadata written by the fill
+  std::vector<u32> valid_;  ///< per set: its valid ways, the first ones
+  // Per way, sets_ * assoc, row-major by set; only valid ways are built.
+  SlotArray<Addr> tags_;    ///< the line the fill put there
+  SlotArray<u64> lru_;      ///< larger == more recently used
+  SlotArray<Meta> meta_;    ///< metadata written by the fill
 };
 
 }  // namespace caps

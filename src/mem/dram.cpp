@@ -29,15 +29,15 @@ DramTiming core_cycles(const GpuConfig& cfg) {
 
 }  // namespace
 
-DramChannel::DramChannel(const GpuConfig& cfg)
+DramChannel::DramChannel(const GpuConfig& cfg, SlotRegion* region)
     : t_(core_cycles(cfg)),
       row_bytes_(cfg.dram_row_bytes),
       num_banks_(cfg.dram_banks),
-      queue_(cfg.dram_queue_size),
+      queue_(cfg.dram_queue_size, region),
       banks_(cfg.dram_banks),
       // A bank issues only once its previous burst has ended, and pop_done
       // runs before cycle: one transfer per bank is in service.
-      in_service_(cfg.dram_banks) {
+      in_service_(cfg.dram_banks, region) {
   CAPS_CHECK(cfg.dram_queue_size > 0 && cfg.dram_queue_size <= 64,
              "DRAM queue must have 1 to 64 slots");
   all_slots_ = ~u64{0} >> (64 - cfg.dram_queue_size);

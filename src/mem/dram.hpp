@@ -40,7 +40,9 @@ struct DramStats : CounterGroup<DramStats> {
 
 class DramChannel {
  public:
-  explicit DramChannel(const GpuConfig& cfg);
+  /// A channel whose queue and in-service ring are carved from `region`
+  /// if given.
+  explicit DramChannel(const GpuConfig& cfg, SlotRegion* region = nullptr);
 
   bool can_accept() const { return used_ != all_slots_; }
   void submit(const MemRequest& req);

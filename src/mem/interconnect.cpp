@@ -4,10 +4,12 @@
 
 namespace caps {
 
-Crossbar::Crossbar(u32 num_dests, u32 latency, u32 queue_capacity)
+Crossbar::Crossbar(u32 num_dests, u32 latency, u32 queue_capacity,
+                   SlotRegion* region)
     : latency_(latency) {
   queues_.reserve(num_dests);
-  for (u32 d = 0; d < num_dests; ++d) queues_.emplace_back(queue_capacity);
+  for (u32 d = 0; d < num_dests; ++d)
+    queues_.emplace_back(queue_capacity, region);
 }
 
 void Crossbar::push(u32 dest, const MemRequest& req, Cycle now) {

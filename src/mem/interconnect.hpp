@@ -32,7 +32,9 @@ struct XbarStats : CounterGroup<XbarStats> {
 /// One direction of the crossbar: N sources -> M destination queues.
 class Crossbar {
  public:
-  Crossbar(u32 num_dests, u32 latency, u32 queue_capacity);
+  /// Lanes whose rings are carved from `region` if given.
+  Crossbar(u32 num_dests, u32 latency, u32 queue_capacity,
+           SlotRegion* region = nullptr);
 
   /// Room toward `dest`: a pop makes it and a push takes it, so a sender
   /// blocked on a full lane waits for this to hold (DESIGN.md §13).

@@ -5,20 +5,20 @@
 namespace caps {
 
 L2Partition::L2Partition(const GpuConfig& cfg, DramChannel& channel,
-                         WakeCalendar& calendar, u32 id)
+                         WakeCalendar& calendar, u32 id, SlotRegion& region)
     : cfg_(cfg),
       channel_(channel),
       calendar_(calendar),
       id_(id),
       channel_id_(id % cfg.num_dram_channels),
-      cache_(cfg.l2),
-      mshr_(cfg.l2.mshr_entries, cfg.l2.mshr_max_merged),
-      probe_queue_(cfg.l2_queue_size),
+      cache_(cfg.l2, &region),
+      mshr_(cfg.l2.mshr_entries, cfg.l2.mshr_max_merged, &region),
+      probe_queue_(cfg.l2_queue_size, &region),
       // Every reply answers a read that holds an L1 MSHR entry.
-      replies_(cfg.num_sms * cfg.l1d.mshr_entries),
+      replies_(cfg.num_sms * cfg.l1d.mshr_entries, &region),
       // A read goes to DRAM only once the write-backs have drained, so the
       // queued ones come from reads that held MSHR entries together.
-      pending_writebacks_(cfg.l2.mshr_entries),
+      pending_writebacks_(cfg.l2.mshr_entries, &region),
       ledger_(calendar, WakeCalendar::kL2Row, id) {
   fill_scratch_.reserve(cfg.l2.mshr_max_merged);
 }

@@ -41,10 +41,11 @@ struct L2Stats : CounterGroup<L2Stats> {
 
 class L2Partition {
  public:
-  /// Partition `id` of the machine whose wake calendar is `calendar`. Its
-  /// DRAM channel `channel` is channel `id % num_dram_channels`.
+  /// Partition `id` of the machine whose wake calendar is `calendar` and
+  /// whose slot region is `region`. Its DRAM channel `channel` is channel
+  /// `id % num_dram_channels`.
   L2Partition(const GpuConfig& cfg, DramChannel& channel,
-              WakeCalendar& calendar, u32 id);
+              WakeCalendar& calendar, u32 id, SlotRegion& region);
 
   /// Whether a new request popped from the crossbar can enter this cycle.
   bool can_accept() const { return !probe_queue_.full(); }

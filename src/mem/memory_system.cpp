@@ -7,15 +7,16 @@ namespace caps {
 
 MemorySystem::MemorySystem(const GpuConfig& cfg)
     : cfg_(cfg),
-      req_xbar_(cfg.num_l2_partitions, cfg.xbar_latency, /*queue=*/16),
-      reply_xbar_(cfg.num_sms, cfg.xbar_latency, /*queue=*/16),
+      req_xbar_(cfg.num_l2_partitions, cfg.xbar_latency, /*queue=*/16,
+                &region_),
+      reply_xbar_(cfg.num_sms, cfg.xbar_latency, /*queue=*/16, &region_),
       calendar_(cfg.num_sms, cfg.num_l2_partitions) {
   for (u32 c = 0; c < cfg_.num_dram_channels; ++c)
-    channels_.push_back(std::make_unique<DramChannel>(cfg_));
+    channels_.push_back(std::make_unique<DramChannel>(cfg_, &region_));
   for (u32 p = 0; p < cfg_.num_l2_partitions; ++p) {
     DramChannel& ch = *channels_[p % cfg_.num_dram_channels];
     partitions_.push_back(
-        std::make_unique<L2Partition>(cfg_, ch, calendar_, p));
+        std::make_unique<L2Partition>(cfg_, ch, calendar_, p, region_));
   }
 }
 

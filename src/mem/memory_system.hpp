@@ -8,6 +8,7 @@
 
 #include "common/config.hpp"
 #include "common/diag.hpp"
+#include "common/slot_region.hpp"
 #include "common/stats.hpp"
 #include "common/wake_calendar.hpp"
 #include "mem/dram.hpp"
@@ -66,6 +67,12 @@ class MemorySystem {
   /// heads.
   void cycle(Cycle now);
 
+  /// The machine's slot region: the storage of every ring, MSHR waiter
+  /// array and cache way of the machine, the LD/ST units' included, freed
+  /// with this memory system (DESIGN.md §13).
+  SlotRegion& slot_region() { return region_; }
+  const SlotRegion& slot_region() const { return region_; }
+
   /// The machine's wake calendar. Gpu::step visits the SMs it holds due;
   /// the SMs keep their LD/ST and issue-stage wake cycles in it.
   WakeCalendar& calendar() { return calendar_; }
@@ -120,6 +127,7 @@ class MemorySystem {
   void arm_pull(u32 p);
 
   GpuConfig cfg_;
+  SlotRegion region_;  ///< declared first: every part below carves from it
   Crossbar req_xbar_;
   Crossbar reply_xbar_;
   std::vector<std::unique_ptr<DramChannel>> channels_;

@@ -13,9 +13,10 @@
 // the hardware CAM it models answers in one step; callers act on the slot
 // it returns instead of looking the line up again. Entry i's waiters sit at
 // [i × max_merged, i × max_merged + count), in merge order. The waiter array
-// is a SlotArray, allocated once and built by the allocate() or merge_at()
-// that writes a slot, so the steady state performs no heap allocation
-// (DESIGN.md §13) and a build touches no waiter slot.
+// is a SlotArray, allocated once (from the machine's SlotRegion when given
+// one) and built by the allocate() or merge_at() that writes a slot, so the
+// steady state performs no heap allocation (DESIGN.md §13) and a build
+// touches no waiter slot.
 #pragma once
 
 #include <algorithm>
@@ -44,14 +45,14 @@ class Mshr {
   /// collides with it; allocate() rejects it.
   static constexpr Addr kFree = ~Addr{0};
 
-  Mshr(u32 entries, u32 max_merged)
+  Mshr(u32 entries, u32 max_merged, SlotRegion* region = nullptr)
       : entries_(entries),
         max_merged_(max_merged),
         index_bits_(static_cast<u32>(
             std::countr_zero(std::bit_ceil(std::max(2 * entries, 2u))))),
         slots_(entries),
         index_(std::size_t{1} << index_bits_, kNone),
-        waiters_(std::size_t{entries} * max_merged) {
+        waiters_(std::size_t{entries} * max_merged, region) {
     free_.reserve(entries);
     for (u32 i = entries; i-- > 0;) free_.push_back(i);
   }

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
+#include <memory>
 #include <random>
 #include <stdexcept>
 #include <utility>
@@ -15,6 +17,8 @@
 #include "common/config.hpp"
 #include "common/rng.hpp"
 #include "common/sleep_ledger.hpp"
+#include "common/slot_array.hpp"
+#include "common/slot_region.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "common/wake_calendar.hpp"
@@ -255,6 +259,127 @@ TEST(BoundedQueueTest, SlotsAreBuiltOnPushAndSurviveWrapFrontPushAndErase) {
   EXPECT_EQ(values(q), (std::vector<int>{3, 4, 5, 7, 8, 9, 11, 12}));
   EXPECT_THROW(q.push_back(Built(13)), SimError);  // the ring never grows
   EXPECT_THROW(q.push_front(Built(13)), SimError);
+}
+
+/// The byte range [first, last) of `n` elements at `p`.
+template <typename T>
+std::pair<std::uintptr_t, std::uintptr_t> bytes_of(const T* p, std::size_t n) {
+  const auto first = reinterpret_cast<std::uintptr_t>(p);
+  return {first, first + n * sizeof(T)};
+}
+
+struct alignas(32) Wide {
+  u64 v[4];
+};
+
+TEST(SlotRegionTest, EveryCarveIsAlignedForItsType) {
+  SlotRegion region;
+  for (std::size_t n = 1; n < 40; n += 3) {
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(region.carve<char>(n)) %
+                  alignof(char), 0u);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(region.carve<u16>(n)) %
+                  alignof(u16), 0u);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(region.carve<Wide>(n)) %
+                  alignof(Wide), 0u);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(region.carve<u64>(n)) %
+                  alignof(u64), 0u);
+  }
+}
+
+TEST(SlotRegionTest, CarvedArraysNeverOverlap) {
+  SlotRegion region;
+  std::mt19937_64 rng(7);
+  std::vector<std::pair<std::uintptr_t, std::uintptr_t>> ranges;
+  std::vector<SlotArray<u64>> arrays;
+  for (int i = 0; i < 200; ++i) {
+    const std::size_t n = 1 + rng() % 3000;  // some spill into new blocks
+    arrays.emplace_back(n, &region);
+    SlotArray<u64>& a = arrays.back();
+    // Build every slot with its array's number, so an overlap shows as a
+    // value another array wrote over.
+    for (std::size_t k = 0; k < n; ++k) a.emplace(k, static_cast<u64>(i));
+    ranges.push_back(bytes_of(&a[0], n));
+  }
+  for (std::size_t i = 0; i < arrays.size(); ++i)
+    for (std::size_t k = 0; k < arrays[i].size(); ++k)
+      ASSERT_EQ(arrays[i][k], i) << "array " << i << " slot " << k;
+  std::sort(ranges.begin(), ranges.end());
+  for (std::size_t i = 1; i < ranges.size(); ++i)
+    EXPECT_LE(ranges[i - 1].second, ranges[i].first);
+}
+
+TEST(SlotRegionTest, ARequestLargerThanTheSpaceLeftOpensANewBlock) {
+  SlotRegion region;
+  EXPECT_EQ(region.reserved_bytes(), 0u);  // no block before the first carve
+  const std::size_t most = SlotRegion::kBlockBytes / 2;
+  const char* a = region.carve<char>(most);
+  const std::size_t one_block = region.reserved_bytes();
+  EXPECT_GE(one_block, SlotRegion::kBlockBytes);
+  // Fits in what is left: same block.
+  const char* b = region.carve<char>(16);
+  EXPECT_EQ(region.reserved_bytes(), one_block);
+  EXPECT_EQ(b, a + most);
+  // Does not fit: a new block, none of whose bytes are the first block's.
+  const char* c = region.carve<char>(most);
+  EXPECT_EQ(region.reserved_bytes(), 2 * one_block);
+  EXPECT_TRUE(c + most <= a || c >= b + 16);
+  // Larger than a block: a block of its own size.
+  const std::size_t huge = 3 * SlotRegion::kBlockBytes;
+  char* d = region.carve<char>(huge);
+  EXPECT_GE(region.reserved_bytes(), 2 * one_block + huge);
+  d[0] = 1;  // the whole carve is addressable
+  d[huge - 1] = 2;
+}
+
+TEST(SlotRegionTest, RegionArraysSurviveAMove) {
+  SlotRegion region;
+  SlotArray<u64> a(4, &region);
+  for (std::size_t k = 0; k < 4; ++k) a.emplace(k, 10 + k);
+  SlotArray<u64> b(std::move(a));
+  EXPECT_EQ(a.size(), 0u);
+  ASSERT_EQ(b.size(), 4u);
+  EXPECT_EQ(b[3], 13u);
+  SlotArray<u64> owned(2);  // heap storage, swapped in by the assignment
+  owned.emplace(0, 7);
+  owned = std::move(b);
+  EXPECT_EQ(owned[0], 10u);
+  EXPECT_EQ(b[0], 7u);  // each keeps freeing only what it owns
+
+  BoundedQueue<int> q(3, &region);
+  q.push_back(1);
+  q.push_back(2);
+  BoundedQueue<int> moved(std::move(q));
+  moved.push_back(3);
+  EXPECT_TRUE(moved.full());
+  EXPECT_EQ(moved.front(), 1);
+  moved.pop_front();
+  EXPECT_EQ(moved.front(), 2);
+}
+
+// The asan leg turns any access to freed region storage into a failure:
+// arrays destroyed after their region touch none of it, and a machine's
+// parts, which its memory system destroys before the region, touch none
+// of it at teardown.
+TEST(SlotRegionTest, NothingTouchesTheStorageOnceItsOwnerIsGone) {
+  auto region = std::make_unique<SlotRegion>();
+  SlotArray<u64> array(8, region.get());
+  BoundedQueue<u64> queue(8, region.get());
+  array.emplace(0, 1);
+  queue.push_back(2);
+  region.reset();  // frees the storage; the array and queue outlive it
+
+  GpuConfig cfg;
+  cfg.num_sms = 2;
+  auto mem = std::make_unique<MemorySystem>(cfg);
+  MemRequest req;
+  req.line = 0x1000;
+  mem->submit(req, 0);
+  MemRequest reply;
+  Cycle now = 0;
+  for (; now < 10'000 && !mem->pop_reply(req.sm_id, now, reply); ++now)
+    mem->cycle(now);
+  EXPECT_EQ(reply.line, req.line);
+  mem.reset();
 }
 
 TEST(RunningStatTest, MeanMinMax) {

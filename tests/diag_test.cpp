@@ -7,7 +7,6 @@
 #include "common/bounded_queue.hpp"
 #include "common/diag.hpp"
 #include "common/sleep_ledger.hpp"
-#include "mem/cache.hpp"
 #include "mem/dram.hpp"
 #include "mem/interconnect.hpp"
 #include "mem/mshr.hpp"
@@ -203,12 +202,6 @@ TEST(MshrTest, ReusedSlotKeepsMergeOrder) {
   m.fill_into(0x200, waiters);
   EXPECT_EQ(waiters, (std::vector<int>{4}));
   EXPECT_EQ(m.size(), 0u);
-}
-
-TEST(CacheGuardTest, FillOfTheInvalidMarkerThrows) {
-  using Cache = SetAssocCache<L2LineMeta>;
-  Cache c{CacheConfig{}};
-  EXPECT_THROW(c.fill(Cache::kFree, L2LineMeta{}), SimError);
 }
 
 TEST(CrossbarGuardTest, OverflowAndBadDestThrow) {

@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <bit>
 #include <deque>
+#include <optional>
 #include <random>
 #include <set>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -132,6 +134,188 @@ TEST_P(CacheOracleTest, MatchesReferenceModel) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Assocs, CacheOracleTest, ::testing::Values(1, 2, 4, 8));
+
+/// The tag layout SetAssocCache replaced, kept as a differential reference:
+/// every tag is built at construction, kFree marks an invalid way, and a
+/// fill takes the set's first kFree way, else its LRU way.
+template <typename Meta>
+class KFreeTagCache {
+ public:
+  static constexpr Addr kFree = ~Addr{0};
+
+  explicit KFreeTagCache(const CacheConfig& cfg)
+      : cfg_(cfg),
+        tags_(std::size_t{cfg.num_sets()} * cfg.assoc, kFree),
+        lru_(tags_.size()),
+        meta_(tags_.size()) {}
+
+  bool contains(Addr line) const { return lookup(line) != kNone; }
+  Meta* access(Addr line) {
+    const std::size_t w = lookup(line);
+    if (w == kNone) return nullptr;
+    lru_[w] = ++clock_;
+    return &meta_[w];
+  }
+  std::optional<std::pair<Addr, Meta>> fill(Addr line, const Meta& meta) {
+    const std::size_t first = set_begin(line);
+    std::size_t invalid = kNone;
+    std::size_t lru = kNone;
+    for (std::size_t w = first; w < first + cfg_.assoc; ++w) {
+      if (tags_[w] == line) {
+        meta_[w] = meta;
+        lru_[w] = ++clock_;
+        return std::nullopt;
+      }
+      if (tags_[w] == kFree) {
+        if (invalid == kNone) invalid = w;
+      } else if (lru == kNone || lru_[w] < lru_[lru]) {
+        lru = w;
+      }
+    }
+    const std::size_t victim = invalid != kNone ? invalid : lru;
+    std::optional<std::pair<Addr, Meta>> evicted;
+    if (tags_[victim] != kFree) evicted.emplace(tags_[victim], meta_[victim]);
+    tags_[victim] = line;
+    lru_[victim] = ++clock_;
+    meta_[victim] = meta;
+    return evicted;
+  }
+  /// Invalid ways in `line`'s set.
+  std::size_t free_ways(Addr line) const {
+    const std::size_t first = set_begin(line);
+    std::size_t n = 0;
+    for (std::size_t w = first; w < first + cfg_.assoc; ++w)
+      if (tags_[w] == kFree) ++n;
+    return n;
+  }
+
+ private:
+  static constexpr std::size_t kNone = ~std::size_t{0};
+  std::size_t set_begin(Addr line) const {
+    return (line / cfg_.line_size % cfg_.num_sets()) * cfg_.assoc;
+  }
+  std::size_t lookup(Addr line) const {
+    const std::size_t first = set_begin(line);
+    for (std::size_t w = first; w < first + cfg_.assoc; ++w)
+      if (tags_[w] == line) return w;
+    return kNone;
+  }
+
+  CacheConfig cfg_;
+  u64 clock_ = 0;
+  std::vector<Addr> tags_;
+  std::vector<u64> lru_;
+  std::vector<Meta> meta_;
+};
+
+auto fields(const L1LineMeta& m) {
+  return std::tuple(m.prefetched, m.pf_issue_cycle, m.pf_pc);
+}
+auto fields(const L2LineMeta& m) { return std::tuple(m.dirty); }
+
+/// What the controllers fill with: a prefetch or demand fill, clean or
+/// dirty.
+void randomize(L1LineMeta& m, std::mt19937_64& rng) {
+  m = {.prefetched = rng() % 2 == 0, .pf_issue_cycle = rng() % 1000,
+       .pf_pc = rng() % 64 * 8};
+}
+void randomize(L2LineMeta& m, std::mt19937_64& rng) {
+  m.dirty = rng() % 2 == 0;
+}
+/// What the controllers write through access(): consumption, dirtying.
+void touch(L1LineMeta& m) { m.prefetched = false; }
+void touch(L2LineMeta& m) { m.dirty = true; }
+
+/// Events of one differential script, so a test can require that it
+/// covered each.
+struct TagScriptCoverage {
+  u32 hits = 0;
+  u32 first_free_fills = 0;  ///< fills into a set with an invalid way
+  u32 lru_evictions = 0;     ///< fills into a full set
+  u32 empty_set_probes = 0;  ///< contains() on a set with no valid way
+};
+
+/// Run one random script of fills, accesses and contains() probes on the
+/// fill-count cache and the kFree reference, and require the same answer
+/// from both at every step: hit or miss with the same metadata, the same
+/// evicted line and metadata, the same contains(). Counts into `cov`.
+template <typename Meta>
+void run_tag_script(const CacheConfig& cfg, u64 seed, int ops,
+                    TagScriptCoverage& cov) {
+  SetAssocCache<Meta> cache(cfg);
+  KFreeTagCache<Meta> ref(cfg);
+  std::mt19937_64 rng(seed);
+  // Twice as many distinct lines as the cache holds, scattered over high
+  // address bits too, so that sets fill, evict and refill.
+  const u64 lines = 2 * std::size_t{cfg.num_sets()} * cfg.assoc;
+  for (int i = 0; i < ops; ++i) {
+    const Addr line = (rng() % lines) * cfg.line_size + (rng() % 4 << 40);
+    // The first ops only probe: most sets are still empty then.
+    switch (i < 16 ? 4 : rng() % 5) {
+      case 0:
+      case 1: {
+        Meta* got = cache.access(line);
+        Meta* want = ref.access(line);
+        ASSERT_EQ(got != nullptr, want != nullptr) << "access, op " << i;
+        if (got == nullptr) break;
+        ++cov.hits;
+        ASSERT_EQ(fields(*got), fields(*want)) << "hit metadata, op " << i;
+        if (rng() % 2 == 0) {
+          touch(*got);
+          touch(*want);
+        }
+        break;
+      }
+      case 2:
+      case 3: {
+        Meta meta;
+        randomize(meta, rng);
+        const bool present = ref.contains(line);
+        const std::size_t free_ways = ref.free_ways(line);
+        const auto got = cache.fill(line, meta);
+        const auto want = ref.fill(line, meta);
+        ASSERT_EQ(got.has_value(), want.has_value()) << "fill, op " << i;
+        if (got) {
+          ASSERT_EQ(got->first, want->first) << "victim, op " << i;
+          ASSERT_EQ(fields(got->second), fields(want->second))
+              << "victim metadata, op " << i;
+        }
+        if (!present) ++(free_ways > 0 ? cov.first_free_fills
+                                       : cov.lru_evictions);
+        break;
+      }
+      default:
+        if (ref.free_ways(line) == cfg.assoc) ++cov.empty_set_probes;
+        ASSERT_EQ(cache.contains(line), ref.contains(line))
+            << "contains, op " << i;
+    }
+  }
+}
+
+template <typename Meta>
+void expect_tag_layouts_agree(const CacheConfig& cfg) {
+  for (u64 seed = 1; seed <= 4; ++seed) {
+    TagScriptCoverage cov;
+    run_tag_script<Meta>(cfg, seed, 20'000, cov);
+    if (::testing::Test::HasFatalFailure()) return;
+    EXPECT_GT(cov.hits, 0u) << "seed " << seed;
+    EXPECT_GT(cov.first_free_fills, 0u) << "seed " << seed;
+    EXPECT_GT(cov.lru_evictions, 0u) << "seed " << seed;
+    EXPECT_GT(cov.empty_set_probes, 0u) << "seed " << seed;
+  }
+}
+
+TEST(CacheTagLayoutTest, L1AgreesWithTheKFreeTagReference) {
+  expect_tag_layouts_agree<L1LineMeta>(GpuConfig{}.l1d);
+  expect_tag_layouts_agree<L1LineMeta>(small_cache());
+}
+
+TEST(CacheTagLayoutTest, L2AgreesWithTheKFreeTagReference) {
+  expect_tag_layouts_agree<L2LineMeta>(GpuConfig{}.l2);
+  CacheConfig direct = small_cache();
+  direct.assoc = 1;
+  expect_tag_layouts_agree<L2LineMeta>(direct);
+}
 
 TEST(MshrTest, AllocateMergeFill) {
   Mshr<int> m(4, 3);
@@ -713,7 +897,7 @@ TEST_F(DramTest, PickAtOrAfterNextPickAtNeverFindsNothing) {
 /// order: the partition is ticked only when it is due.
 struct L2Rig {
   explicit L2Rig(const GpuConfig& c)
-      : cfg(c), ch(cfg), calendar(1, 1), l2(cfg, ch, calendar, 0) {}
+      : cfg(c), ch(cfg), calendar(1, 1), l2(cfg, ch, calendar, 0, region) {}
 
   void read(Addr line) {
     MemRequest r;
@@ -770,6 +954,7 @@ struct L2Rig {
   GpuConfig cfg;
   DramChannel ch;
   WakeCalendar calendar;  ///< holds the partition's wake; nothing visits it
+  SlotRegion region;      ///< the partition's slot storage
   L2Partition l2;
   Cycle now = 0;
   u32 fills = 0;

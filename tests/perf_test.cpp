@@ -1,7 +1,8 @@
 // Allocation tests (DESIGN.md §13). Building the Table III machine stays
-// within a fixed number of allocations, and a run, from its first step to
-// its end, performs zero heap allocations, in every Fig. 10 configuration
-// and on a machine whose queues are smaller than their structural bounds.
+// within a fixed number of allocations and of bytes allocated outside its
+// slot region, and a run, from its first step to its end, performs zero
+// heap allocations, in every Fig. 10 configuration and on a machine whose
+// queues are smaller than their structural bounds.
 // Every hot-path container — scheduler queues, LD/ST queues, MSHR slots,
 // crossbar/L2/DRAM queues, per-warp loop counters, coalescer and prefetch
 // scratch, prefetcher tables — is sized at construction, so any allocation
@@ -26,10 +27,15 @@
 
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
+std::atomic<std::uint64_t> g_alloc_bytes{0};
 
-void* counted_alloc(std::size_t n) {
+void* counted_malloc(std::size_t n) noexcept {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
+  return std::malloc(n != 0 ? n : 1);
+}
+void* counted_alloc(std::size_t n) {
+  if (void* p = counted_malloc(n)) return p;
   throw std::bad_alloc{};
 }
 }  // namespace
@@ -37,12 +43,10 @@ void* counted_alloc(std::size_t n) {
 void* operator new(std::size_t n) { return counted_alloc(n); }
 void* operator new[](std::size_t n) { return counted_alloc(n); }
 void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n != 0 ? n : 1);
+  return counted_malloc(n);
 }
 void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n != 0 ? n : 1);
+  return counted_malloc(n);
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
@@ -87,30 +91,44 @@ void expect_run_allocation_free(const std::string& wl, PrefetcherKind pf,
       << (small_queues ? ", small queues" : "") << ')';
 }
 
-/// operator new calls while one Table III machine is built, the way the
-/// harness builds it once per run.
-std::uint64_t build_allocations(const char* wl, PrefetcherKind pf,
-                                SchedulerKind sched) {
+/// What one Table III machine build allocates, the way the harness builds
+/// it once per run.
+struct BuildCost {
+  std::uint64_t allocations = 0;  ///< operator new calls
+  /// Bytes allocated beside the machine's slot region: the objects a build
+  /// writes, which no unwritten slot storage may come between.
+  std::uint64_t bytes_outside_region = 0;
+};
+
+BuildCost build_cost(const char* wl, PrefetcherKind pf, SchedulerKind sched) {
   const GpuConfig cfg;
   const Kernel& kernel = find_workload(wl).kernel;
   const SmPolicyFactories policies = make_policies(pf, sched, true);
-  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t count = g_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t bytes = g_alloc_bytes.load(std::memory_order_relaxed);
   const Gpu gpu(cfg, kernel, policies);
-  return g_alloc_count.load(std::memory_order_relaxed) - before;
+  return {g_alloc_count.load(std::memory_order_relaxed) - count,
+          g_alloc_bytes.load(std::memory_order_relaxed) - bytes -
+              gpu.memory().slot_region().reserved_bytes()};
 }
 
-// A build allocates each component's storage once: one waiter array per
-// MSHR, a tag, stamp and metadata array per cache, one ring per queue and
-// one slot array per prefetcher table (DESIGN.md §13). The ceilings are the
-// counts that design reaches; per-slot waiter vectors, per-entry base
-// vectors and per-call message strings made them 2,514 and 1,629, and
+// A build allocates each component's storage once, and every ring, MSHR
+// waiter array and cache way of the machine comes from its one slot region
+// (DESIGN.md §13). The ceilings are the counts that design reaches; an
+// allocation per slot array made them 752 and 587, per-slot waiter vectors,
+// per-entry base vectors and per-call message strings 2,514 and 1,629, and
 // split key/stamp/entry/base arrays per PerCTA table made the first 1,112.
 TEST(BuildAllocTest, TableIIIMachineBuildStaysWithinItsAllocations) {
-  EXPECT_LE(build_allocations("BFS", PrefetcherKind::kCaps, SchedulerKind::kPas),
-            752u);
-  EXPECT_LE(build_allocations("MM", PrefetcherKind::kNone,
-                              default_scheduler_for(PrefetcherKind::kNone)),
-            587u);
+  const BuildCost caps_pas =
+      build_cost("BFS", PrefetcherKind::kCaps, SchedulerKind::kPas);
+  const BuildCost base = build_cost(
+      "MM", PrefetcherKind::kNone, default_scheduler_for(PrefetcherKind::kNone));
+  EXPECT_LE(caps_pas.allocations, 554u);
+  EXPECT_LE(base.allocations, 389u);
+  // 264,396 and 218,140 bytes, plus less slack than the smallest array
+  // class a machine builds: the 6 DRAM in-service rings, 2,304 bytes.
+  EXPECT_LE(caps_pas.bytes_outside_region, 266'000u);
+  EXPECT_LE(base.bytes_outside_region, 220'000u);
 }
 
 TEST(RunAllocTest, CounterSeesAllocations) {
